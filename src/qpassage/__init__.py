@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .ancillary import AncillaryFrame, SubspaceLayout, build_frame, frame_derivative_check
 from .dynamics import (DensityTrajectory, Dissipator, SimulationResult,
                        StateTrajectory, StepSizeError, TimeGrid, gd_matrices,
-                       metrics, propagate_lindblad, propagate_schrodinger,
+                       populations, propagate_lindblad, propagate_schrodinger,
                        reconstruct_evolution, von_neumann_residual)
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import (AuxiliaryDrive, DrivePlan, GeneratedPhases,
@@ -42,7 +42,7 @@ __all__ = [
     "von_neumann_residual",
     "gd_matrices",
     "reconstruct_evolution",
-    "metrics",
+    "populations",
     "SynthesisError",
     "SingularScheduleError",
     "DrivePlan",

@@ -91,7 +91,6 @@ class AncillaryFrame:
     assistant_brights: np.ndarray
     working_brights: np.ndarray
     terminal_brights: np.ndarray
-    terminal_bright_derivatives: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -204,7 +203,6 @@ def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t: float) -> Anc
         assistant_brights=np.column_stack(tbs) if tbs else empty,
         working_brights=np.column_stack(bs) if bs else empty,
         terminal_brights=np.column_stack([b, tb]),
-        terminal_bright_derivatives=np.column_stack([db, dtb]),
     )
 
 

@@ -1,31 +1,30 @@
 """Command-line front end: run protocols, sweep parameters, verify the stack.
 
-    qpassage run bell.cfg [--out DIR] [--grid N] [--workers K]
+    qpassage run bell.cfg [--out DIR] [--grid N]
     qpassage sweep bell.cfg --param kappa_T --values 0.0145,0.0725,0.145
     qpassage verify --seed 1 --max-m 3 --max-n 4
 
 `run` writes one trajectory CSV per kappa_T value plus a manifest.json and
 exits 0 only when every run's integration diagnostics stay inside their
 bounds (1 on a diagnostic failure, 2 on configuration problems).  `sweep`
-repeats a run over one parameter and emits a summary table; fidelity must be
-non-increasing in kappa_T.  `verify` runs the randomized oracle suites.
+repeats a run over one parameter and emits a summary table, with the same
+exit codes; fidelity must be non-increasing in kappa_T.  `verify` runs the
+randomized oracle suites.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config
 from .io import write_manifest, write_trajectory_csv
-from .protocols import (ProtocolError, QubitModel, diagnostics_ok, plan_bell,
-                        plan_bell_reverse, plan_ghz, run_protocol)
-from .schedules import ScheduleError
-from .synthesis import SynthesisError
+from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
+                        plan_ghz, run_protocol)
 from .verify import run_verification
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
@@ -45,9 +44,8 @@ def _build_plan(config: RunConfig):
 def _execute(config: RunConfig, plan, kappa: float):
     model = QubitModel(qubits=config.qubits, omega=config.omega_T,
                        j_over_omega=config.j_over_omega, kappa=kappa)
-    result = run_protocol(plan, model, mode=config.mode, noise=kappa > 0,
-                          grid_steps=config.grid)
-    return result
+    return run_protocol(plan, model, mode=config.mode, noise=kappa > 0,
+                        grid_steps=config.grid)
 
 
 def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: str) -> dict:
@@ -66,8 +64,7 @@ def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: s
     }
 
 
-def cmd_run(config_path, out: str | None = None, grid: int | None = None,
-            workers: int | None = None) -> int:
+def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int:
     started = time.time()
     try:
         config = load_config(config_path)
@@ -78,29 +75,23 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None,
         config.out = out
     if grid is not None:
         config.grid = grid
-    if workers is not None:
-        config.workers = workers
     try:
         plan = _build_plan(config)
-    except (ProtocolError, SynthesisError, ScheduleError, ValueError) as exc:
+    except ValueError as exc:  # protocol, synthesis and schedule errors alike
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(config.out)
-    jobs = list(enumerate(config.kappa_T))
-    pool_size = config.workers if config.workers > 0 else 1
-    try:
-        if pool_size > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(lambda j: _execute(config, plan, j[1]), jobs))
-        else:
-            results = [_execute(config, plan, kappa) for _, kappa in jobs]
-    except Exception as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return 1
+    results = []
+    for kappa in config.kappa_T:
+        try:
+            results.append(_execute(config, plan, kappa))
+        except Exception as exc:
+            print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
+            return 1
 
     records = []
-    for (index, kappa), result in zip(jobs, results):
+    for index, (kappa, result) in enumerate(zip(config.kappa_T, results)):
         csv_name = f"{config.protocol}-{index:02d}.csv"
         write_trajectory_csv(result, out_dir / csv_name, time_scale=config.duration)
         records.append(_run_record(config, index, kappa, result, csv_name))
@@ -115,8 +106,21 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None,
     return 0 if all(rec["ok"] for rec in records) else 1
 
 
+def _sweep_value_error(param: str, config: RunConfig, values: list) -> str:
+    """Why the sweep cannot run, or '' when it can."""
+    if param == "omega_T" and config.mode == "effective":
+        return "omega_T does not enter effective mode; sweep it with mode = rotating-frame"
+    if param == "kappa_T" and any(v < 0 for v in values):
+        return "kappa_T values must be non-negative"
+    if param == "omega_T" and any(v <= 0 for v in values):
+        return "omega_T values must be positive"
+    if param == "grid" and any(v != int(v) or v < 10 for v in values):
+        return "grid values must be whole numbers of at least 10 steps"
+    return ""
+
+
 def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
-              grid: int | None = None, workers: int | None = None) -> int:
+              grid: int | None = None) -> int:
     try:
         config = load_config(config_path)
     except ConfigError as exc:
@@ -134,50 +138,58 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
     if not values:
         print("error: empty --values list", file=sys.stderr)
         return 2
+    problem = _sweep_value_error(param, config, values)
+    if problem:
+        print(f"error: {config_path}: {problem}", file=sys.stderr)
+        return 2
     if out is not None:
         config.out = out
     if grid is not None:
         config.grid = grid
-    if workers is not None:
-        config.workers = workers
 
     rows = []
     for value in values:
-        variant = RunConfig(**{**config.__dict__})
         if param == "kappa_T":
-            variant.kappa_T = (value,)
+            variant = dataclasses.replace(config, kappa_T=(value,))
         elif param == "omega_T":
-            variant.omega_T = value
+            variant = dataclasses.replace(config, omega_T=value)
         else:
-            variant.grid = int(value)
+            variant = dataclasses.replace(config, grid=int(value))
         try:
             plan = _build_plan(variant)
-            result = _execute(variant, plan, variant.kappa_T[0])
-        except (ProtocolError, SynthesisError, ScheduleError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: {config_path}: {param}={value:g}: {exc}", file=sys.stderr)
             return 2
+        try:
+            result = _execute(variant, plan, variant.kappa_T[0])
+        except Exception as exc:
+            print(f"error: run failed at {param}={value:g}: {exc}", file=sys.stderr)
+            return 1
         rows.append((value, float(result.auxiliary["fidelity_final"][-1]),
-                     float(result.diagnostics.get("max_residual", 0.0))))
+                     float(result.diagnostics.get("max_residual", 0.0)),
+                     diagnostics_ok(result, variant.mode)))
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"sweep-{param}.csv"
     with open(table_path, "w", newline="\n") as fh:
         fh.write(f"{param},final_fidelity,max_residual\n")
-        for value, fidelity, residual in rows:
+        for value, fidelity, residual, _ in rows:
             fh.write(f"{value:.17e},{fidelity:.17e},{residual:.17e}\n")
-    for value, fidelity, residual in rows:
-        print(f"{param}={value:g} final_fidelity={fidelity:.6f} max_residual={residual:.3e}")
+    for value, fidelity, residual, ok in rows:
+        status = "ok " if ok else "BAD"
+        print(f"[{status}] {param}={value:g} final_fidelity={fidelity:.6f} "
+              f"max_residual={residual:.3e}")
     print(f"table: {table_path}")
 
     if param == "kappa_T" and len(rows) > 1:
         ordered = sorted(rows, key=lambda r: r[0])
-        for (va, fa, _), (vb, fb, _) in zip(ordered, ordered[1:]):
+        for (va, fa, _, _), (vb, fb, _, _) in zip(ordered, ordered[1:]):
             if fb > fa + 1e-9:
                 print(f"error: fidelity is not monotone in kappa_T "
                       f"({fa:.6f} at {va:g} -> {fb:.6f} at {vb:g})", file=sys.stderr)
                 return 1
-    return 0
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 def cmd_verify(seed: int, max_m: int, max_n: int, instances: int = 3,
@@ -205,7 +217,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory (overrides the config)")
     p_run.add_argument("--grid", type=int, help="integration steps per protocol step")
-    p_run.add_argument("--workers", type=int, help="worker pool size for multi-run configs")
 
     p_sweep = sub.add_parser("sweep", help="repeat a run over one parameter")
     p_sweep.add_argument("config")
@@ -213,7 +224,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--grid", type=int)
-    p_sweep.add_argument("--workers", type=int)
 
     p_verify = sub.add_parser("verify", help="run the randomized oracle suites")
     p_verify.add_argument("--seed", type=int, default=1)
@@ -229,10 +239,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, args.out, args.grid, args.workers)
+        return cmd_run(args.config, args.out, args.grid)
     if args.command == "sweep":
-        return cmd_sweep(args.config, args.param, args.values, args.out,
-                         args.grid, args.workers)
+        return cmd_sweep(args.config, args.param, args.values, args.out, args.grid)
     return cmd_verify(args.seed, args.max_m, args.max_n, args.instances,
                       args.inject_detuning)
 

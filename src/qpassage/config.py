@@ -50,9 +50,7 @@ class RunConfig:
     omega_T: float | None = None
     j_over_omega: float = 0.1
     boundary: str = "caption"
-    seed: int = 0
     out: str = "runs"
-    workers: int = 0
     schedule_overrides: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
@@ -66,9 +64,7 @@ class RunConfig:
             "omega_T": self.omega_T,
             "j_over_omega": self.j_over_omega,
             "boundary": self.boundary,
-            "seed": self.seed,
             "out": self.out,
-            "workers": self.workers,
         }
         if self.schedule_overrides:
             d["schedule_overrides"] = {k: v.kind for k, v in self.schedule_overrides.items()}
@@ -211,9 +207,7 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         omega_T=omega_T,
         j_over_omega=_take(top, "j_over_omega", path, float, default=0.1),
         boundary=boundary,
-        seed=_take(top, "seed", path, int, default=0),
         out=_take(top, "out", path, str, default="runs"),
-        workers=_take(top, "workers", path, int, default=0),
     )
     if top:
         key = next(iter(top))

@@ -35,7 +35,7 @@ __all__ = [
     "von_neumann_residual",
     "gd_matrices",
     "reconstruct_evolution",
-    "metrics",
+    "populations",
 ]
 
 
@@ -130,8 +130,6 @@ def propagate_schrodinger(hamiltonian: Callable[[float], np.ndarray],
     (relative); the propagator itself is unitary up to round-off, so norm
     drift only reflects accumulated floating-point error.
     """
-    from .linalg import expm_hermitian
-
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
     out = np.empty((times.size, psi.size), dtype=complex)
@@ -208,25 +206,17 @@ def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
                              min_eigenvalue=min_eig)
 
 
-def von_neumann_residual(projector: Callable[[float], np.ndarray],
-                         hamiltonian: Callable[[float], np.ndarray],
-                         t: float, h: float = TOL.fd_step,
-                         projector_derivative: np.ndarray | None = None) -> float:
-    """|| dP/dt + i [H(t), P(t)] ||_F for a rank-1 projector P.
+def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray) -> float:
+    """|| dP/dt + i [H, P] ||_F for the rank-1 projector P = |v><v|.
 
-    A vanishing residual is the exact transitionless-evolution condition for
-    the state P projects onto.  dP/dt comes from the analytic frame
-    derivatives when the caller supplies them, otherwise from a centered
-    difference with step h.
+    `dv` is dv/dt at the same instant, so dP/dt = |dv><v| + |v><dv|.  A
+    vanishing residual is the exact transitionless-evolution condition for
+    the state P projects onto.
     """
-    p = np.asarray(projector(t), dtype=complex)
-    if projector_derivative is not None:
-        dp = np.asarray(projector_derivative, dtype=complex)
-    else:
-        dp = (np.asarray(projector(t + h), dtype=complex)
-              - np.asarray(projector(t - h), dtype=complex)) / (2.0 * h)
-    ham = np.asarray(hamiltonian(t), dtype=complex)
-    return frobenius(dp + 1j * (ham @ p - p @ ham))
+    hv = h @ v
+    mat = (np.outer(dv, np.conj(v)) + np.outer(v, np.conj(dv))
+           + 1j * (np.outer(hv, np.conj(v)) - np.outer(v, np.conj(hv))))
+    return frobenius(mat)
 
 
 def gd_matrices(frame, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,51 +256,9 @@ def reconstruct_evolution(frames, phases) -> np.ndarray:
     return out
 
 
-def _population(state: np.ndarray, ket: np.ndarray) -> float:
-    if state.ndim == 1:
-        return float(np.abs(np.vdot(ket, state)) ** 2)
-    return float(np.real(np.vdot(ket, state @ ket)))
-
-
-def metrics(trajectory, target: np.ndarray, labels: dict) -> SimulationResult:
-    """Populations over labeled kets and fidelity against a pure target.
-
-    `labels` maps a name to either a basis index or a ket; works for state
-    and density trajectories alike.  The sum of populations never exceeds one
-    beyond round-off, and equals one when the labels cover a basis.
-    """
-    target = check_state_vector(np.asarray(target, dtype=complex))
-    states = trajectory.states if isinstance(trajectory, StateTrajectory) else trajectory.matrices
-    dim = states.shape[-1]
-    kets = {}
-    for name, ref in labels.items():
-        if np.isscalar(ref):
-            ket = np.zeros(dim, dtype=complex)
-            ket[int(ref)] = 1.0
-        else:
-            ket = np.asarray(ref, dtype=complex)
-        if ket.size != dim:
-            raise ValueError(f"label {name!r} has dimension {ket.size}, states have {dim}")
-        kets[name] = ket
-    if target.size != dim:
-        raise ValueError("target dimension does not match the trajectory")
-
-    n_t = states.shape[0]
-    pops = {name: np.empty(n_t) for name in kets}
-    fid = np.empty(n_t)
-    for i in range(n_t):
-        state = states[i]
-        for name, ket in kets.items():
-            pops[name][i] = _population(state, ket)
-        fid[i] = _population(state, target)
-
-    diagnostics = {"population_sum_max": float(max(
-        np.max(sum(pops.values())), 0.0))}
-    if isinstance(trajectory, StateTrajectory):
-        diagnostics["norm_drift"] = trajectory.norm_drift
-    else:
-        diagnostics["trace_drift"] = trajectory.trace_drift
-        diagnostics["min_eigenvalue"] = trajectory.min_eigenvalue
-    return SimulationResult(times=trajectory.times, populations=pops,
-                            fidelity=fid, final_state=states[-1],
-                            diagnostics=diagnostics)
+def populations(states: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """|<ket|psi(t)>|^2 along pure states (T, d), or <ket|rho(t)|ket> along
+    density matrices (T, d, d); against a target ket this is the fidelity."""
+    if states.ndim == 2:
+        return np.abs(states @ np.conj(ket)) ** 2
+    return np.real(np.einsum("i,tij,j->t", np.conj(ket), states, ket))

@@ -9,7 +9,6 @@ GPU path.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import TOL
 
@@ -19,7 +18,6 @@ __all__ = [
     "outer",
     "basis_state",
     "frobenius",
-    "expm_action",
     "expm_hermitian",
     "gram_matrix",
     "completeness_defect",
@@ -68,18 +66,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def expm_action(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * a) for a square matrix, by scaling-and-squaring.
-
-    Accurate to ~1e-12 relative Frobenius error for ||scale * a|| <= 10,
-    which covers every propagator step this library takes.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm_action needs a square matrix, got shape {a.shape}")
-    return scipy.linalg.expm(scale * a)
 
 
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:

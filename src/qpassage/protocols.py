@@ -15,7 +15,8 @@ common, tunable frequency realize the two-subspace passages step by step:
 * *raise* steps (drive frequency -omega-J, only the coupling to the
   previously raised neighbor active) drive one fresh qubit conditioned on
   that neighbor being excited, extending |e..e> - |g..g> by one qubit while
-  the all-ground component stays decoupled.
+  the all-ground component stays decoupled; each is the 1+2 passage with
+  theta_0 = 0, whose dark working member is the all-ground level.
 
 A Bell pair takes split+convert; an n-qubit GHZ state takes split, convert,
 and n-2 raise steps.  Each step is assembled in the frame rotating with the
@@ -41,14 +42,13 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (Dissipator, SimulationResult, TimeGrid,
-                       propagate_lindblad, propagate_schrodinger)
+from .dynamics import (Dissipator, SimulationResult, StepSizeError, TimeGrid, populations,
+                       propagate_lindblad, propagate_schrodinger, von_neumann_residual)
 from .linalg import SIGMA_MINUS, dagger, embed_qubit_operator, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
-from .synthesis import assemble_hamiltonian, generated_phases, master_envelope, synthesize_general
+from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
 from .tolerances import TOL
 
 __all__ = [
@@ -77,7 +77,8 @@ SUGGESTED_OMEGA_T = 1.2566e4
 CALIBRATED_OMEGA_T = 2.9e3  # produced by the sweep in tools/calibrate.py
 DEFAULT_J_OVER_OMEGA = 0.1
 
-_RULES = ("-omega+J", "-omega", "-omega-J")
+# drive-frequency rule -> its detuning from the bare transition, in units of J
+_RULES = {"-omega+J": 1, "-omega": 0, "-omega-J": -1}
 
 
 class ProtocolError(ValueError):
@@ -134,80 +135,54 @@ class QubitModel:
 
 @dataclass
 class ProtocolStep:
-    """One passage step: drives, kept transitions, and its nominal transfer.
+    """One passage step: a reduced two-subspace model embedded in the register.
 
-    For split/convert steps the reduced two-subspace model (layout, schedules,
-    embedding into the product basis) generates the drive coefficients; raise
-    steps keep the bare cross pair (lower/upper product states plus the phi,
-    alpha, varphi schedules).  `kept` maps each driven qubit to its
-    co-rotating transition operator, `rep` to the (row, col) reduced matrix
-    element that carries the qubit's drive coefficient.
+    The reduced model (layout, schedules) generates the drive coefficients;
+    `embed` maps its levels onto product-basis indices and `rep` maps each
+    driven qubit to the (row, col) reduced matrix element that carries the
+    qubit's drive coefficient.  `lines` holds, per driven qubit, the
+    (qubit, rows, cols, n) of all its raising transitions: in the frame
+    rotating with the static Hamiltonian a transition oscillates at n*J, so
+    effective mode keeps the n = 0 lines.
     """
 
     name: str
-    kind: str                    # split | convert | raise
     qubits: int
     duration: float
     t_start: float
     drives: tuple
     couplings: tuple
     omega0_rule: str
-    kept: dict
     initial: np.ndarray
     target: np.ndarray
-    strong_coupling: bool
-    layout: SubspaceLayout | None = None
-    schedules: ScheduleSet | None = None
-    embed: tuple = ()
-    rep: dict = field(default_factory=dict)
-    pair: tuple = ()             # (lower_index, upper_index) for raise steps
-    pair_schedules: ScheduleSet | None = None
+    layout: SubspaceLayout
+    schedules: ScheduleSet
+    embed: tuple
+    rep: dict
+    lines: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.lines = _transition_lines(self)
 
     @property
     def dim(self) -> int:
         return 2 ** self.qubits
 
-    # -- drive coefficients --------------------------------------------------
+    def reduced_hamiltonian(self, t: float) -> np.ndarray:
+        return assemble_hamiltonian(self.layout, self.schedules, t)
 
     def drive_coefficients(self, t: float) -> dict:
         """Complex coefficient of each driven qubit's raising transition."""
-        if self.kind == "raise":
-            omega, _, vphi = master_envelope(self.pair_schedules, t)
-            return {self.drives[0]: omega * np.exp(1j * vphi)}
-        h_red = assemble_hamiltonian(self.layout, self.schedules, t)
+        h_red = self.reduced_hamiltonian(t)
         return {q: h_red[self.rep[q]] for q in self.drives}
-
-    def reduced_hamiltonian(self, t: float) -> np.ndarray:
-        if self.kind == "raise":
-            omega, delta, vphi = master_envelope(self.pair_schedules, t)
-            h = np.zeros((2, 2), dtype=complex)
-            c = omega * np.exp(1j * vphi)
-            h[1, 0] = c          # reduced order: (lower, upper)
-            h[0, 1] = np.conj(c)
-            h[1, 1] = delta
-            return h
-        return assemble_hamiltonian(self.layout, self.schedules, t)
-
-    def embedded_indices(self) -> tuple:
-        return self.pair if self.kind == "raise" else self.embed
 
     # -- passage bookkeeping ---------------------------------------------------
 
     def passage_vectors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Transfer-path vector and its time derivative in the full space."""
-        dim = self.dim
-        v = np.zeros(dim, dtype=complex)
-        dv = np.zeros(dim, dtype=complex)
-        if self.kind == "raise":
-            phi, dphi = self.pair_schedules.pair("phi", t)
-            alpha, dalpha = self.pair_schedules.pair("alpha", t)
-            lo, up = self.pair
-            p = np.exp(-1j * alpha)
-            v[lo], v[up] = np.cos(phi), -np.sin(phi) * p
-            dv[lo] = -np.sin(phi) * dphi
-            dv[up] = -(np.cos(phi) * dphi * p + np.sin(phi) * (-1j * dalpha) * p)
-            return v, dv
         frame = build_frame(self.layout, self.schedules, t)
+        v = np.zeros(self.dim, dtype=complex)
+        dv = np.zeros(self.dim, dtype=complex)
         v[list(self.embed)] = frame.passage_lo
         dv[list(self.embed)] = frame.derivatives[:, -2]
         return v, dv
@@ -215,45 +190,41 @@ class ProtocolStep:
     def transfer_map(self, grid: int = 400) -> np.ndarray:
         """Nominal unitary of the step on the full space (identity off the
         embedded block), built from the frame members and their phases."""
-        dim = self.dim
-        idx = list(self.embedded_indices())
-        if self.kind == "raise":
-            u_red = self._pair_transfer(grid)
-        else:
-            plan = synthesize_general(self.layout, self.schedules, grid=grid)
-            phases = generated_phases(self.layout, self.schedules, plan)
-            f_end = phases.as_matrix()[:, -1]
-            v_end = build_frame(self.layout, self.schedules, self.duration).vectors
-            v_0 = build_frame(self.layout, self.schedules, 0.0).vectors
-            u_red = (v_end * np.exp(1j * f_end)) @ np.conj(v_0.T)
-        u = np.eye(dim, dtype=complex)
-        u[np.ix_(idx, idx)] = u_red
+        plan = synthesize_general(self.layout, self.schedules, grid=grid)
+        phases = generated_phases(self.layout, self.schedules, plan)
+        f_end = phases.as_matrix()[:, -1]
+        v_end = build_frame(self.layout, self.schedules, self.duration).vectors
+        v_0 = build_frame(self.layout, self.schedules, 0.0).vectors
+        idx = list(self.embed)
+        u = np.eye(self.dim, dtype=complex)
+        u[np.ix_(idx, idx)] = (v_end * np.exp(1j * f_end)) @ np.conj(v_0.T)
         return u
 
-    def _pair_transfer(self, grid: int) -> np.ndarray:
-        ts = np.linspace(0.0, self.duration, grid + 1)
-        rate_lo = np.empty(ts.size)
-        rate_total = np.empty(ts.size)
-        for i, t in enumerate(ts):
-            omega, delta, vphi = master_envelope(self.pair_schedules, t)
-            phi, _ = self.pair_schedules.pair("phi", t)
-            alpha, dalpha = self.pair_schedules.pair("alpha", t)
-            rate_lo[i] = ((dalpha - delta) * np.sin(phi) ** 2
-                          + omega * np.sin(2 * phi) * np.cos(vphi + alpha))
-            rate_total[i] = dalpha - delta
-        f_lo = cumulative_trapezoid(rate_lo, ts, initial=0.0)[-1]
-        f_hi = cumulative_trapezoid(rate_total, ts, initial=0.0)[-1] - f_lo
 
-        def pair_vectors(t):
-            phi = self.pair_schedules.value("phi", t)
-            alpha = self.pair_schedules.value("alpha", t)
-            p = np.exp(-1j * alpha)
-            lo = np.array([np.cos(phi), -np.sin(phi) * p])
-            hi = np.array([np.sin(phi), np.cos(phi) * p])
-            return np.column_stack([lo, hi])
+def _transition_lines(step: ProtocolStep) -> tuple:
+    """Per driven qubit: (qubit, rows, cols, n) of its raising transitions.
 
-        v_end, v_0 = pair_vectors(self.duration), pair_vectors(0.0)
-        return (v_end * np.exp(1j * np.array([f_lo, f_hi]))) @ np.conj(v_0.T)
+    The drive frequency rule contributes n = +1, 0, -1 and each coupling
+    partner another +1 in |e> or -1 in |g>.
+    """
+    if step.omega0_rule not in _RULES:
+        raise ProtocolError(f"unknown drive-frequency rule {step.omega0_rule!r}")
+    n_qubits = step.qubits
+    lines = []
+    for q in step.drives:
+        partners = [p for pair in step.couplings for p in pair if q in pair and p != q]
+        rows, cols, ns = [], [], []
+        for col in range(2 ** n_qubits):
+            if ((col >> (n_qubits - 1 - q)) & 1) == 0:
+                continue  # qubit q must start in |g> (bit 1) to be raised
+            n = _RULES[step.omega0_rule]
+            for p in partners:
+                n += -1 if (col >> (n_qubits - 1 - p)) & 1 else 1
+            rows.append(col & ~(1 << (n_qubits - 1 - q)))
+            cols.append(col)
+            ns.append(n)
+        lines.append((q, np.array(rows), np.array(cols), np.array(ns)))
+    return tuple(lines)
 
 
 @dataclass
@@ -280,16 +251,6 @@ class ProtocolPlan:
 # step builders
 # ---------------------------------------------------------------------------
 
-def _projector_ops(n_qubits: int, site: int, level: str) -> np.ndarray:
-    p = np.zeros((2, 2), dtype=complex)
-    p[0 if level == "e" else 1, 0 if level == "e" else 1] = 1.0
-    return embed_qubit_operator(p, n_qubits, site)
-
-
-def _raising(n_qubits: int, site: int) -> np.ndarray:
-    return embed_qubit_operator(dagger(SIGMA_MINUS), n_qubits, site)
-
-
 def _with_pad(prefix: str, n_qubits: int) -> str:
     return prefix + "g" * (n_qubits - len(prefix))
 
@@ -311,15 +272,15 @@ def _apply_overrides(table: dict, overrides: dict | None, duration: float) -> di
 
 
 def _assert_step_consistency(step: ProtocolStep) -> None:
-    """The step's kept-transition rebuild must reproduce its reduced model on
+    """The step's effective Hamiltonian must reproduce its reduced model on
     the embedded block, and its nominal transfer must send initial to target."""
-    idx = list(step.embedded_indices())
+    idx = list(step.embed)
     for t in (0.15 * step.duration, 0.5 * step.duration, 0.85 * step.duration):
         h_eff = build_step_hamiltonian(step, None, t, mode="effective")
         h_red = step.reduced_hamiltonian(t)
         scale = max(1.0, float(np.max(np.abs(h_red))))
         if np.max(np.abs(h_eff[np.ix_(idx, idx)] - h_red)) > 1e-12 * scale:
-            raise ProtocolError(f"step {step.name!r}: kept transitions do not "
+            raise ProtocolError(f"step {step.name!r}: co-rotating transitions do not "
                                 "reproduce the reduced model on its block")
     u = step.transfer_map()
     overlap = abs(np.vdot(step.target, u @ step.initial))
@@ -347,16 +308,11 @@ def _split_step(n_qubits: int, duration: float, t_start: float,
     one_up = _with_pad("e", n_qubits)
     other_up = _with_pad("ge", n_qubits)
     embed = (product_index(ground), product_index(one_up), product_index(other_up))
-    kept = {
-        0: _raising(n_qubits, 0) @ _projector_ops(n_qubits, 1, "g"),
-        1: _raising(n_qubits, 1) @ _projector_ops(n_qubits, 0, "g"),
-    }
     target = (product_state(one_up) + product_state(other_up)) / np.sqrt(2)
     step = ProtocolStep(
-        name="split", kind="split", qubits=n_qubits, duration=duration,
-        t_start=t_start, drives=(0, 1), couplings=((0, 1),),
-        omega0_rule="-omega+J", kept=kept,
-        initial=product_state(ground), target=target, strong_coupling=True,
+        name="split", qubits=n_qubits, duration=duration,
+        t_start=t_start, drives=(0, 1), couplings=((0, 1),), omega0_rule="-omega+J",
+        initial=product_state(ground), target=target,
         layout=layout, schedules=schedules, embed=embed,
         rep={0: (1, 0), 1: (2, 0)},
     )
@@ -388,15 +344,14 @@ def _convert_step(n_qubits: int, duration: float, t_start: float,
     other_up = _with_pad("ge", n_qubits)
     embed = (product_index(both_up), product_index(ground),
              product_index(one_up), product_index(other_up))
-    kept = {0: _raising(n_qubits, 0), 1: _raising(n_qubits, 1)}
     single = (product_state(one_up) + product_state(other_up)) / np.sqrt(2)
     double = (product_state(both_up) - product_state(ground)) / np.sqrt(2)
     initial, target = (double, single) if reverse else (single, double)
     step = ProtocolStep(
-        name="convert-back" if reverse else "convert", kind="convert",
+        name="convert-back" if reverse else "convert",
         qubits=n_qubits, duration=duration, t_start=t_start, drives=(0, 1),
-        couplings=(), omega0_rule="-omega", kept=kept,
-        initial=initial, target=target, strong_coupling=False,
+        couplings=(), omega0_rule="-omega",
+        initial=initial, target=target,
         layout=layout, schedules=schedules, embed=embed,
         rep={0: (0, 3), 1: (0, 2)},  # <ee|H|ge> and <ee|H|eg> in reduced indices
     )
@@ -406,32 +361,38 @@ def _convert_step(n_qubits: int, duration: float, t_start: float,
 
 def _raise_step(n_qubits: int, k: int, duration: float, t_start: float,
                 overrides: dict | None = None) -> ProtocolStep:
-    """(|e^{k-1}..> - |g..>)/sqrt(2) -> (|e^k..> - |g..>)/sqrt(2), qubit k-1 driven."""
+    """(|e^{k-1}..> - |g..>)/sqrt(2) -> (|e^k..> - |g..>)/sqrt(2), qubit k-1 driven.
+
+    The 1+2 passage with theta_0 = 0: the assistant level is the upper
+    state, the terminal working bright state the lower one, and the dark
+    working member the all-ground level, which the drive leaves untouched.
+    """
     if not 3 <= k <= n_qubits:
         raise ProtocolError(f"raise step index {k} out of range for {n_qubits} qubits")
     q = k - 1         # driven qubit, 0-based
     lower_label = _with_pad("e" * (k - 1), n_qubits)
     upper_label = _with_pad("e" * k, n_qubits)
-    # the pair only uses phi/alpha/varphi; the cascade slots are inert fillers
     table = {
-        "theta_0": ParameterSchedule.constant(0.0, duration),
-        "alpha_0": ParameterSchedule.constant(0.0, duration),
         "phi": ParameterSchedule.cosine_ramp(-np.pi / 2, duration, offset=np.pi / 2),
         "alpha": ParameterSchedule.constant(np.pi, duration),
         "varphi": ParameterSchedule.constant(np.pi / 2, duration),
     }
-    pair_schedules = ScheduleSet(1, 2, duration, _apply_overrides(table, overrides, duration))
-    kept = {q: _raising(n_qubits, q) @ _projector_ops(n_qubits, q - 1, "e")}
-    ground = product_state(_with_pad("", n_qubits))
+    # added after the overrides so that no override can move the dark member
+    table = _apply_overrides(table, overrides, duration)
+    table["theta_0"] = ParameterSchedule.constant(0.0, duration)
+    table["alpha_0"] = ParameterSchedule.constant(0.0, duration)
+    ground_label = _with_pad("", n_qubits)
+    ground = product_state(ground_label)
     initial = (product_state(lower_label) - ground) / np.sqrt(2)
     target = (product_state(upper_label) - ground) / np.sqrt(2)
     step = ProtocolStep(
-        name=f"raise-{k}", kind="raise", qubits=n_qubits, duration=duration,
-        t_start=t_start, drives=(q,), couplings=((q - 1, q),),
-        omega0_rule="-omega-J", kept=kept,
-        initial=initial, target=target, strong_coupling=True,
-        pair=(product_index(lower_label), product_index(upper_label)),
-        pair_schedules=pair_schedules,
+        name=f"raise-{k}", qubits=n_qubits, duration=duration,
+        t_start=t_start, drives=(q,), couplings=((q - 1, q),), omega0_rule="-omega-J",
+        initial=initial, target=target,
+        layout=SubspaceLayout(1, 2), schedules=ScheduleSet(1, 2, duration, table),
+        embed=(product_index(upper_label), product_index(ground_label),
+               product_index(lower_label)),
+        rep={q: (0, 2)},  # <upper|H|lower> in reduced indices
     )
     _assert_step_consistency(step)
     return step
@@ -503,79 +464,34 @@ def plan_ghz(model: QubitModel, n_qubits: int | None = None,
 # Hamiltonians and execution
 # ---------------------------------------------------------------------------
 
-def _rotating_terms(step: ProtocolStep, model: QubitModel) -> dict:
-    """Per driven qubit: list of (row, col, frequency) for every raising
-    transition, with the transition's rotating-frame frequency."""
-    if step.omega0_rule not in _RULES:
-        raise ProtocolError(f"unknown drive-frequency rule {step.omega0_rule!r}")
-    j = model.j_coupling
-    rule = {"-omega+J": j, "-omega": 0.0, "-omega-J": -j}[step.omega0_rule]
-    n = step.qubits
-    terms = {}
-    for q in step.drives:
-        entries = []
-        partners = [p for pair in step.couplings for p in pair if q in pair and p != q]
-        for col in range(2 ** n):
-            if ((col >> (n - 1 - q)) & 1) == 0:
-                continue  # qubit q must start in |g> (bit 1) to be raised
-            row = col & ~(1 << (n - 1 - q))
-            shift = 0.0
-            for p in partners:
-                s = -1.0 if (col >> (n - 1 - p)) & 1 else 1.0
-                shift += j * s
-            entries.append((row, col, rule + shift))
-        terms[q] = entries
-    return terms
-
-
 def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
                            t: float, mode: str = "effective") -> np.ndarray:
     """Full-register Hamiltonian of one step at local time t.
 
     Effective mode keeps the co-rotating transitions only; rotating-frame mode
     needs a model with the omega*T scale and retains every drive transition
-    with its oscillating phase.
+    with its oscillating phase.  Any detuning of the reduced model rides on
+    its embedded levels.
     """
-    coeffs = step.drive_coefficients(t)
-    dim = step.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    if mode == "effective":
-        for q, c in coeffs.items():
-            h += c * step.kept[q]
-        h += dagger(h)
-        # any detuning of the reduced model rides on its embedded levels
-        h_red = step.reduced_hamiltonian(t)
-        idx = step.embedded_indices()
-        for local, full in enumerate(idx):
-            h[full, full] += h_red[local, local].real
-        return h
-    if mode != "rotating-frame":
+    if mode == "rotating-frame":
+        if model is None or model.omega is None:
+            raise ProtocolError("rotating-frame mode needs the omega*T scale")
+        j = model.j_coupling
+    elif mode != "effective":
         raise ProtocolError(f"unknown Hamiltonian mode {mode!r}")
-    if model is None or model.omega is None:
-        raise ProtocolError("rotating-frame mode needs the omega*T scale")
-    terms = _rotating_terms(step, model)
-    for q, c in coeffs.items():
-        for row, col, freq in terms[q]:
-            h[row, col] += c * np.exp(1j * freq * t)
-    h += dagger(h)
     h_red = step.reduced_hamiltonian(t)
-    idx = step.embedded_indices()
-    for local, full in enumerate(idx):
-        h[full, full] += h_red[local, local].real
+    h = np.zeros((step.dim, step.dim), dtype=complex)
+    for q, rows, cols, n in step.lines:
+        c = h_red[step.rep[q]]
+        if mode == "rotating-frame":
+            h[rows, cols] += c * np.exp(1j * (n * j) * t)
+        else:
+            keep = n == 0
+            h[rows[keep], cols[keep]] += c
+    h += dagger(h)
+    idx = list(step.embed)
+    h[idx, idx] += h_red.diagonal().real
     return h
-
-
-def _step_residuals(step: ProtocolStep, hamiltonians, times) -> np.ndarray:
-    """Passage residual ||dP/dt + i[H, P]||_F at each grid node."""
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        v, dv = step.passage_vectors(t)
-        h = hamiltonians(t)
-        hv = h @ v
-        mat = (np.outer(dv, np.conj(v)) + np.outer(v, np.conj(dv))
-               + 1j * (np.outer(hv, np.conj(v)) - np.outer(v, np.conj(hv))))
-        out[i] = frobenius(mat)
-    return out
 
 
 def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
@@ -615,7 +531,7 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
         def h_local(t, _step=step):
             return build_step_hamiltonian(_step, model, t, mode=mode)
 
-        if mode == "rotating-frame" and strict and step.strong_coupling:
+        if mode == "rotating-frame" and strict and step.couplings:
             peak = max(abs(c) for t in np.linspace(0, step.duration, 101)
                        for c in step.drive_coefficients(t).values())
             if model.j_coupling < 10.0 * peak:
@@ -626,7 +542,10 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
 
         grid = TimeGrid(0.0, step.duration, grid_steps)
         if use_density:
-            traj = propagate_lindblad(h_local, dissipators, state, grid)
+            try:
+                traj = propagate_lindblad(h_local, dissipators, state, grid)
+            except StepSizeError as exc:
+                raise StepSizeError(f"step {step.name!r}: {exc}") from None
             states = traj.matrices
             trace_drift = max(trace_drift, traj.trace_drift)
             min_eig = min(min_eig, traj.min_eigenvalue)
@@ -639,16 +558,17 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + traj.times[first:])
         for name, ket in kets.items():
-            pop_out[name].append(_populations(states[first:], ket))
-        fid_step_out.append(_populations(states[first:], step.target))
-        fid_final_out.append(_populations(states[first:], plan.final_target))
+            pop_out[name].append(populations(states[first:], ket))
+        fid_step_out.append(populations(states[first:], step.target))
+        fid_final_out.append(populations(states[first:], plan.final_target))
         if compute_residual:
-            res = _step_residuals(step, h_local, traj.times[first:])
-            residual_out.append(res)
+            residual_out.append(np.array([
+                von_neumann_residual(*step.passage_vectors(t), h_local(t))
+                for t in traj.times[first:]]))
             h_mid = h_local(0.5 * step.duration)
             residual_scale = max(residual_scale, frobenius(h_mid))
 
-        end_fidelity = float(_populations(states[-1:], step.target)[0])
+        end_fidelity = float(populations(states[-1:], step.target)[0])
         step_records.append({
             "name": step.name,
             "t_end": step.t_start + step.duration,
@@ -656,10 +576,10 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
         })
 
     times = np.concatenate(times_out)
-    populations = {name: np.concatenate(chunks) for name, chunks in pop_out.items()}
+    pops = {name: np.concatenate(chunks) for name, chunks in pop_out.items()}
     fidelity = np.concatenate(fid_step_out)
     diagnostics = {
-        "population_sum_max": float(np.max(sum(populations.values()))),
+        "population_sum_max": float(np.max(sum(pops.values()))),
         "mode": mode,
     }
     if use_density:
@@ -673,15 +593,9 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
         auxiliary["residual"] = residual
         diagnostics["max_residual"] = float(np.max(residual))
         diagnostics["max_residual_relative"] = float(np.max(residual) / max(residual_scale, 1e-300))
-    return SimulationResult(times=times, populations=populations, fidelity=fidelity,
+    return SimulationResult(times=times, populations=pops, fidelity=fidelity,
                             final_state=state, diagnostics=diagnostics,
                             steps=step_records, auxiliary=auxiliary)
-
-
-def _populations(states: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    if states.ndim == 2:      # pure states
-        return np.abs(states @ np.conj(ket)) ** 2
-    return np.real(np.einsum("i,tij,j->t", np.conj(ket), states, ket))
 
 
 def diagnostics_ok(result: SimulationResult, mode: str = "effective") -> bool:

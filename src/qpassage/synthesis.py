@@ -33,6 +33,7 @@ phase are allowed to move (see :func:`convert_dark_state`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import von_neumann_residual
-from .linalg import outer
 from .schedules import ScheduleSet
 from .tolerances import TOL
 
@@ -126,8 +126,7 @@ def _assistant_factors(schedules: ScheduleSet, assistant_levels: int, t: float):
     phases = np.empty(assistant_levels)
     for m in range(assistant_levels):
         sin_prev = -1.0 if m == 0 else np.sin(schedules.value(f"ttheta_{m - 1}", t))
-        tail = float(np.prod(cos_vals[m:m_top])) if m < m_top else 1.0
-        amps[m] = -sin_prev * tail
+        amps[m] = -sin_prev * math.prod(cos_vals[m:m_top])
         phases[m] = 0.0 if m == 0 else -schedules.value(f"talpha_{m - 1}", t)
     return amps, phases
 
@@ -144,8 +143,7 @@ def _working_factors(schedules: ScheduleSet, working_levels: int, t: float):
     phases = np.empty(working_levels)
     for n in range(working_levels):
         cos_prev = 1.0 if n == 0 else np.cos(schedules.value(f"theta_{n - 1}", t))
-        tail = float(np.prod(sin_vals[n:n_top])) if n < n_top else 1.0
-        amps[n] = cos_prev * tail
+        amps[n] = cos_prev * math.prod(sin_vals[n:n_top])
         phases[n] = 0.0 if n == 0 else schedules.value(f"alpha_{n - 1}", t)
     return amps, phases
 
@@ -202,14 +200,10 @@ class DrivePlan:
     channel_phase: np.ndarray
     detuning: np.ndarray
     master_amp: np.ndarray
-    master_phase: np.ndarray
     aux: "AuxiliaryDrive | None" = None
 
     def hamiltonian(self, t: float) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t, self.aux)
-
-    def peak_rabi(self) -> float:
-        return float(np.max(np.abs(self.channel_amp)))
 
     def to_csv(self, path) -> None:
         """Write t, per-channel amplitude/phase columns, and the detuning."""
@@ -278,19 +272,17 @@ def synthesize_general(layout: SubspaceLayout, schedules: ScheduleSet,
     phase = np.empty_like(amp)
     detuning = np.empty(times.size)
     master = np.empty(times.size)
-    vphi = np.empty(times.size)
     for i, t in enumerate(times):
-        a, p, d, o, v = channel_fields(layout, schedules, t)
+        a, p, d, o, _ = channel_fields(layout, schedules, t)
         amp[:, :, i] = a
         phase[:, :, i] = p
         detuning[i] = d
         master[i] = o
-        vphi[i] = v
     if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(detuning))):
         raise SingularScheduleError("drive fields are not finite on the grid")
     return DrivePlan(layout=layout, schedules=schedules, times=times,
                      channel_amp=amp, channel_phase=phase, detuning=detuning,
-                     master_amp=master, master_phase=vphi, aux=aux)
+                     master_amp=master, aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +332,7 @@ class AuxiliaryDrive:
         phases = np.empty(m + 1)
         for n in range(m + 1):
             sin_prev = -1.0 if n == 0 else np.sin(self.schedules.value(f"ttheta_{n - 1}", t))
-            amps[n] = -w * sin_prev * float(np.prod(cos_vals[n:m]))
+            amps[n] = -w * sin_prev * math.prod(cos_vals[n:m])
             talpha_prev = 0.0 if n == 0 else self.schedules.value(f"talpha_{n - 1}", t)
             phases[n] = np.pi / 2.0 - talpha_m + talpha_prev
         return amps, phases
@@ -587,14 +579,11 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     margin = schedules.duration * 1e-3
     for t in np.linspace(margin, schedules.duration - margin, residual_times):
         frame = build_frame(layout, schedules, t)
-        h_scale = max(h_scale, float(np.linalg.norm(special_h(t))))
+        h = special_h(t)
+        h_scale = max(h_scale, float(np.linalg.norm(h)))
         for col in (-2, -1):
-            proj = outer(frame.column(col))
-            dcol = frame.derivatives[:, col]
-            dproj = outer(dcol, frame.column(col)) + outer(frame.column(col), dcol)
             residual_max = max(residual_max, von_neumann_residual(
-                lambda s: outer(build_frame(layout, schedules, s).column(col)),
-                special_h, t, projector_derivative=dproj))
+                frame.column(col), frame.derivatives[:, col], h))
 
     notes = [
         "working-side product limit N-2 confirmed by the projector residual; "

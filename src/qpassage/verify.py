@@ -19,7 +19,7 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import reconstruct_evolution, von_neumann_residual
-from .linalg import expm_hermitian, outer
+from .linalg import expm_hermitian
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import (assemble_hamiltonian, block_form_defect, convert_dark_state,
                         generated_phases, master_envelope, reduction_crosscheck,
@@ -85,16 +85,6 @@ def random_schedule_set(rng, layout: SubspaceLayout, duration: float = 1.0) -> S
     return ScheduleSet(layout.assistant_levels, layout.working_levels, duration, table)
 
 
-def _passage_residual(layout, schedules, hamiltonian, t, column):
-    frame = build_frame(layout, schedules, t)
-    v = frame.column(column)
-    dv = frame.derivatives[:, column]
-    dproj = outer(dv, v) + outer(v, dv)
-    return von_neumann_residual(
-        lambda s: outer(build_frame(layout, schedules, s).column(column)),
-        hamiltonian, t, projector_derivative=dproj)
-
-
 def _brute_force(hamiltonian, dim, times):
     u = np.eye(dim, dtype=complex)
     out = [u]
@@ -150,8 +140,10 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
 
         scale = max(np.linalg.norm(hamiltonian(t)) for t in (0.3, 0.6))
         for t in rng.uniform(0.02, 0.98, sample_times):
+            frame = build_frame(layout, schedules, t)
+            h = hamiltonian(t)
             for col in (-2, -1):
-                res = _passage_residual(layout, schedules, hamiltonian, t, col)
+                res = von_neumann_residual(frame.column(col), frame.derivatives[:, col], h)
                 err = max(err, res / scale)
     suites.append(SuiteResult("passage-residual", err, TOL.passage_residual,
                               err <= TOL.passage_residual,
@@ -228,29 +220,19 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
             scale = float(np.linalg.norm(h_conv(0.5)))
             for t in rng.uniform(0.05, 0.95, 4):
                 frame = build_frame(layout, schedules, t)
-                v = frame.column(target)
-                dv = frame.derivatives[:, target]
-                dproj = outer(dv, v) + outer(v, dv)
-                res = von_neumann_residual(
-                    lambda s: outer(build_frame(layout, schedules, s).column(target)),
-                    h_conv, t, projector_derivative=dproj)
-                err = max(err, res / scale)
-                for cross in (-2, -1):
-                    err = max(err, _passage_residual(layout, schedules, h_conv, t, cross) / scale)
+                h = h_conv(t)
+                for col in (target, -2, -1):
+                    res = von_neumann_residual(frame.column(col), frame.derivatives[:, col], h)
+                    err = max(err, res / scale)
             if target <= n_levels - 2:
                 wrong = convert_dark_state(layout, schedules, target, angle_source="working")
 
                 def h_wrong(t, _l=layout, _s=schedules, _a=wrong):
                     return assemble_hamiltonian(_l, _s, t, _a)
 
-                t = 0.5
-                frame = build_frame(layout, schedules, t)
-                v = frame.column(target)
-                dv = frame.derivatives[:, target]
-                dproj = outer(dv, v) + outer(v, dv)
-                res = von_neumann_residual(
-                    lambda s: outer(build_frame(layout, schedules, s).column(target)),
-                    h_wrong, t, projector_derivative=dproj)
+                frame = build_frame(layout, schedules, 0.5)
+                res = von_neumann_residual(frame.column(target), frame.derivatives[:, target],
+                                           h_wrong(0.5))
                 wrong_reading_min = min(wrong_reading_min, res / scale)
         detail = "converted angle read from the assistant cascade"
         ok = err <= TOL.passage_residual
@@ -271,8 +253,9 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
         return h
 
     scale = float(np.linalg.norm(perturbed(0.5)))
-    detected = min(_passage_residual(layout, schedules, perturbed, t, -2)
-                   for t in (0.3, 0.5, 0.7)) / scale
+    frames = [build_frame(layout, schedules, t) for t in (0.3, 0.5, 0.7)]
+    detected = min(von_neumann_residual(f.passage_lo, f.derivatives[:, -2], perturbed(f.t))
+                   for f in frames) / scale
     suites.append(SuiteResult("detuning-sensitivity", detected, 1e-3, detected > 1e-3,
                               detail="perturbed residual must exceed the tolerance"))
 

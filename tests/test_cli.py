@@ -1,10 +1,12 @@
 """Config parsing, CLI exit codes, artifact determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from qpassage import protocols
 from qpassage.cli import main
 from qpassage.config import ConfigError, parse_config_text
 
@@ -13,7 +15,6 @@ protocol = bell
 duration = 1.0
 grid = {grid}
 kappa_T = {kappa}
-seed = 1
 out = {out}
 """
 
@@ -83,6 +84,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text, path="bad.cfg")
         assert "bad.cfg:4" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["seed", "workers"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, f"protocol = bell\nduration = 1.0\n{key} = 1\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:3: unknown key {key!r}" in err
 
     def test_unknown_section_rejected(self):
         text = "protocol = bell\nduration = 1.0\n[extras]\nx = 1\n"
@@ -162,14 +170,8 @@ class TestRunCommand:
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=15, kappa="30.0", out=out))
         assert main(["run", cfg]) == 1
-        assert "error: run failed" in capsys.readouterr().err
-
-    def test_workers_pool_matches_serial(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=250, kappa="0.01, 0.05", out="x"))
-        assert main(["run", cfg, "--out", str(out_a), "--workers", "1"]) == 0
-        assert main(["run", cfg, "--out", str(out_b), "--workers", "2"]) == 0
-        assert (out_a / "bell-01.csv").read_bytes() == (out_b / "bell-01.csv").read_bytes()
+        err = capsys.readouterr().err
+        assert "error: run failed at kappa_T=30: step 'split'" in err
 
 
 class TestSweepCommand:
@@ -188,6 +190,42 @@ class TestSweepCommand:
     def test_unknown_parameter_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o"))
         assert main(["sweep", cfg, "--param", "rabi", "--values", "1"]) == 2
+
+    @pytest.mark.parametrize("param, values, reason", [
+        ("omega_T", "2900,5800", "does not enter effective mode"),
+        ("kappa_T", "0.0,-0.1", "non-negative"),
+        ("grid", "500,5", "at least 10"),
+    ])
+    def test_bad_sweep_values_exit_two(self, tmp_path, capsys, param, values, reason):
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o"))
+        assert main(["sweep", cfg, "--param", param, "--values", values]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and reason in err[0]
+
+    def test_plan_error_exits_two(self, tmp_path, capsys):
+        text = (BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o")
+                + "[schedules]\ntheta_0 = constant: value=0.3\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "kappa_T=0" in err[0] and "target" in err[0]
+
+    def test_propagation_failure_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=10, kappa="0.5", out=tmp_path / "o"))
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "3.0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run failed at kappa_T=3: step 'split'")
+
+    def test_diagnostic_failure_exits_one_as_in_run(self, tmp_path, capsys, monkeypatch):
+        # a residual tolerance below round-off flags every run
+        monkeypatch.setattr(protocols, "TOL",
+                            dataclasses.replace(protocols.TOL, passage_residual=1e-30))
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=100, kappa="0.0", out=out))
+        assert main(["run", cfg]) == 1
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]) == 1
+        assert "[BAD] kappa_T=0 " in capsys.readouterr().out
 
     def test_grid_sweep_converges(self, tmp_path):
         out = tmp_path / "out"

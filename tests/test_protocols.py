@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from qpassage.protocols import (ProtocolError, QubitModel, build_step_hamiltonian,
-                                diagnostics_ok, plan_bell, plan_bell_reverse,
-                                plan_ghz, product_index, product_state,
-                                run_protocol)
+from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, QubitModel,
+                                build_step_hamiltonian, diagnostics_ok, plan_bell,
+                                plan_bell_reverse, plan_ghz, product_index,
+                                product_state, run_protocol)
+from qpassage.synthesis import master_envelope
 
 
 def idx(label):
@@ -70,6 +71,37 @@ class TestStepHamiltonians:
         expected = {(idx("eee"), idx("eeg")), (idx("eeg"), idx("eee")),
                     (idx("gee"), idx("geg")), (idx("geg"), idx("gee"))}
         assert nonzero == expected
+
+    @pytest.mark.parametrize("mode", ["effective", "rotating-frame"])
+    def test_ghz_raise_step_matches_the_bare_pair_model(self, mode):
+        # oracle: Omega e^{i varphi} on every |..e e..><..e g..| line of the driven
+        # qubit (the counter lines, neighbor in |g>, rotate at -2J), Delta on upper
+        model = QubitModel(qubits=4, omega=CALIBRATED_OMEGA_T)
+        j = model.j_coupling
+        for step in plan_ghz(model).steps[2:]:
+            q = step.drives[0]
+            lower = idx("e" * q + "g" * (4 - q))
+            upper = idx("e" * (q + 1) + "g" * (3 - q))
+            for t in (0.1, 0.37, 0.5, 0.82):
+                omega, delta, vphi = master_envelope(step.schedules, t)
+                c = omega * np.exp(1j * vphi)
+                oracle = np.zeros((16, 16), dtype=complex)
+                for col in range(16):
+                    bits = format(col, "04b")  # per qubit: 0 = e, 1 = g
+                    if bits[q] != "1":
+                        continue
+                    row = int(bits[:q] + "0" + bits[q + 1:], 2)
+                    if bits[q - 1] == "0":
+                        oracle[row, col] = c
+                    elif mode == "rotating-frame":
+                        oracle[row, col] = c * np.exp(-2j * j * t)
+                oracle += oracle.conj().T
+                oracle[upper, upper] += delta
+                h = build_step_hamiltonian(step, model, t, mode=mode)
+                assert np.array_equal(h, oracle)
+                v, dv = step.passage_vectors(t)
+                assert abs(v[lower]) ** 2 + abs(v[upper]) ** 2 == pytest.approx(1.0, abs=1e-14)
+                assert v[idx("gggg")] == 0.0 and dv[idx("gggg")] == 0.0
 
     def test_rotating_frame_counter_term_averages_out(self):
         # J*T = 40 pi: the doubly rotating line integrates to ~zero over one period
