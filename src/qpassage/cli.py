@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import SWEEPABLE, ConfigError, RunConfig, load_config
+from .config import MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, load_config
 from .io import write_manifest, write_trajectory_csv
 from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
                         plan_ghz, run_protocol)
@@ -64,17 +64,23 @@ def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: s
     }
 
 
-def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int:
-    started = time.time()
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _load(config_path, out: str | None, grid: int | None) -> RunConfig:
+    """The config with the command-line overrides, which obey the file's rules."""
+    config = load_config(config_path)
     if out is not None:
         config.out = out
     if grid is not None:
-        config.grid = grid
+        config.grid = check_grid(grid, "--grid")
+    return config
+
+
+def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int:
+    started = time.time()
+    try:
+        config = _load(config_path, out, grid)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         plan = _build_plan(config)
     except ValueError as exc:  # protocol, synthesis and schedule errors alike
@@ -114,15 +120,15 @@ def _sweep_value_error(param: str, config: RunConfig, values: list) -> str:
         return "kappa_T values must be non-negative"
     if param == "omega_T" and any(v <= 0 for v in values):
         return "omega_T values must be positive"
-    if param == "grid" and any(v != int(v) or v < 10 for v in values):
-        return "grid values must be whole numbers of at least 10 steps"
+    if param == "grid" and any(v != int(v) or v < MIN_GRID for v in values):
+        return f"grid values must be whole numbers of at least {MIN_GRID} steps"
     return ""
 
 
 def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
               grid: int | None = None) -> int:
     try:
-        config = load_config(config_path)
+        config = _load(config_path, out, grid)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -142,10 +148,6 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
     if problem:
         print(f"error: {config_path}: {problem}", file=sys.stderr)
         return 2
-    if out is not None:
-        config.out = out
-    if grid is not None:
-        config.grid = grid
 
     rows = []
     for value in values:
@@ -194,6 +196,9 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
 
 def cmd_verify(seed: int, max_m: int, max_n: int, instances: int = 3,
                inject_detuning: float = 0.0) -> int:
+    if instances < 1:
+        print(f"error: --instances must be at least 1, got {instances}", file=sys.stderr)
+        return 2
     sizes = [(m, n) for m in range(1, max_m + 1) for n in range(2, max_n + 1)]
     report = run_verification(seed, sizes, instances=instances,
                               inject_detuning=inject_detuning)

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 
 from .schedules import ParameterSchedule
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "check_grid", "parse_config_text", "load_config"]
 
 PROTOCOLS = ("bell", "bell-reverse", "ghz")
 MODES = ("effective", "rotating-frame")
 BOUNDARIES = ("caption", "text")
 SWEEPABLE = ("kappa_T", "omega_T", "grid")
+MIN_GRID = 10
 
 
 class ConfigError(ValueError):
@@ -187,9 +188,7 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         raise ConfigError("omega_T must be positive", path, omega_line)
 
     grid_line = line_of("grid")
-    grid = _take(top, "grid", path, int, default=2000)
-    if grid < 10:
-        raise ConfigError("grid must be at least 10 steps", path, grid_line)
+    grid = check_grid(_take(top, "grid", path, int, default=2000), path, grid_line)
 
     boundary_line = line_of("boundary")
     boundary = _take(top, "boundary", path, str, default="caption")
@@ -224,6 +223,13 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         name = next(iter(sections))
         raise ConfigError(f"unknown section [{name}]", path, section_lines.get(name))
     return config
+
+
+def check_grid(grid: int, path: str = "<config>", line: int | None = None) -> int:
+    """The grid rule shared by the config key and the --grid flags."""
+    if grid < MIN_GRID:
+        raise ConfigError(f"grid must be at least {MIN_GRID} steps", path, line)
+    return grid
 
 
 def load_config(path) -> RunConfig:

@@ -10,6 +10,15 @@ with classic RK4, re-Hermitizing the state each step.  With that convention a
 single decaying qubit loses excited population as exp(-rate * t).  Positivity
 is monitored at checkpoints, never enforced: a violation beyond tolerance
 means the step size is wrong and should fail loudly.
+
+The channels are compiled once per propagation.  K = sum_j rate_j L_j+ L_j
+folds into the effective Hamiltonian H_eff = H - (i/2) K, so the commutator
+and anticommutator become -i (H_eff rho - rho H_eff+): two d x d products per
+right-hand side whatever the channel count.  The jump sum
+sum_j rate_j L_j rho L_j+ is kept as flat (dst, src, weight) triples, one per
+pair of nonzeros of each L_j, and applied as one gather and two scatters; it
+costs O(sum_j nnz(L_j)^2), d^2/4 per qubit lowering operator and the dense
+superoperator for a dense L.
 """
 
 from __future__ import annotations
@@ -147,11 +156,34 @@ def propagate_schrodinger(hamiltonian: Callable[[float], np.ndarray],
     return StateTrajectory(times=times, states=out, norm_drift=drift)
 
 
-def _lindblad_rhs(h: np.ndarray, rho: np.ndarray, channels) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for op, op_dag, op2, rate in channels:
-        out += rate * (op @ rho @ op_dag - 0.5 * (op2 @ rho + rho @ op2))
-    return out
+def _compile_dissipators(dissipators: list[Dissipator], dim: int):
+    """K = sum_j rate_j L_j+ L_j, and the jump sum as (dst, src, weight) triples.
+
+    (L rho L+)[a, b] = sum L[a, i] conj(L[b, j]) rho[i, j] over the nonzeros
+    L[a, i] and L[b, j], so each pair of nonzeros adds rho.flat[i*d + j] with
+    weight rate L[a, i] conj(L[b, j]) into entry a*d + b.
+    """
+    decay = np.zeros((dim, dim), dtype=complex)
+    dst, src, weight = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+    for d in dissipators:
+        op = np.asarray(d.operator, dtype=complex)
+        if op.shape != (dim, dim):
+            raise ValueError(f"jump operator has shape {op.shape}; the state needs {(dim, dim)}")
+        decay += d.rate * (dagger(op) @ op)
+        rows, cols = np.nonzero(op)
+        vals = op[rows, cols]
+        dst.append((rows[:, None] * dim + rows).ravel())
+        src.append((cols[:, None] * dim + cols).ravel())
+        weight.append((d.rate * np.outer(vals, np.conj(vals))).ravel())
+    return decay, (np.concatenate(dst), np.concatenate(src), np.concatenate(weight))
+
+
+def _lindblad_rhs(h_eff: np.ndarray, h_eff_dag: np.ndarray, rho: np.ndarray,
+                  jumps) -> np.ndarray:
+    dst, src, weight = jumps
+    terms = weight * rho.reshape(-1)[src]
+    jump = np.bincount(dst, terms.real, rho.size) + 1j * np.bincount(dst, terms.imag, rho.size)
+    return -1j * (h_eff @ rho - rho @ h_eff_dag) + jump.reshape(rho.shape)
 
 
 def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
@@ -164,10 +196,11 @@ def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
     grid is too coarse for the requested dynamics.
     """
     rho = check_density_matrix(rho0).astype(complex)
-    channels = []
-    for d in dissipators:
-        op = np.asarray(d.operator, dtype=complex)
-        channels.append((op, dagger(op), dagger(op) @ op, d.rate))
+    decay, jumps = _compile_dissipators(dissipators, rho.shape[0])
+
+    def effective(t):
+        h_eff = np.asarray(hamiltonian(t), dtype=complex) - 0.5j * decay
+        return h_eff, dagger(h_eff)
 
     times = grid.times
     out = np.empty((times.size, rho.shape[0], rho.shape[1]), dtype=complex)
@@ -177,14 +210,14 @@ def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     check_every = max(1, grid.steps // max(checkpoints, 1))
 
-    h_left = np.asarray(hamiltonian(times[0]), dtype=complex)
+    h_left = effective(times[0])
     for i in range(grid.steps):
-        h_mid = np.asarray(hamiltonian(times[i] + 0.5 * dt), dtype=complex)
-        h_right = np.asarray(hamiltonian(times[i + 1]), dtype=complex)
-        k1 = _lindblad_rhs(h_left, rho, channels)
-        k2 = _lindblad_rhs(h_mid, rho + 0.5 * dt * k1, channels)
-        k3 = _lindblad_rhs(h_mid, rho + 0.5 * dt * k2, channels)
-        k4 = _lindblad_rhs(h_right, rho + dt * k3, channels)
+        h_mid = effective(times[i] + 0.5 * dt)
+        h_right = effective(times[i + 1])
+        k1 = _lindblad_rhs(*h_left, rho, jumps)
+        k2 = _lindblad_rhs(*h_mid, rho + 0.5 * dt * k1, jumps)
+        k3 = _lindblad_rhs(*h_mid, rho + 0.5 * dt * k2, jumps)
+        k4 = _lindblad_rhs(*h_right, rho + dt * k3, jumps)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + dagger(rho))
         out[i + 1] = rho

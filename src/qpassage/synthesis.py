@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import von_neumann_residual
@@ -400,6 +399,11 @@ class GeneratedPhases:
                           self.passage_lo[None, :], self.passage_hi[None, :]])
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral of y over x, starting at 0 on x[0]."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
                      plan: DrivePlan, times: np.ndarray | None = None) -> GeneratedPhases:
     """Integrate the geometric-minus-dynamical phase of every frame member.
@@ -432,9 +436,9 @@ def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
         dalpha[i] = da
 
     lo_rate = (dalpha - plan.detuning) * sin_phi**2 + plan.master_amp * sin_2phi * cos_cross
-    f_lo = cumulative_trapezoid(lo_rate, ts, initial=0.0)
-    f_hi = cumulative_trapezoid(dalpha - plan.detuning, ts, initial=0.0) - f_lo
-    f_assist = -cumulative_trapezoid(plan.detuning, ts, initial=0.0)
+    f_lo = _cumulative_trapezoid(lo_rate, ts)
+    f_hi = _cumulative_trapezoid(dalpha - plan.detuning, ts) - f_lo
+    f_assist = -_cumulative_trapezoid(plan.detuning, ts)
 
     m_rows = layout.assistant_levels - 1
     n_rows = layout.working_levels - 1

@@ -173,6 +173,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error: run failed at kappa_T=30: step 'split'" in err
 
+    @pytest.mark.parametrize("grid", ["3", "0", "-5"])
+    def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=out))
+        assert main(["run", cfg, "--grid", grid]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --grid: grid must be at least 10 steps"]
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_kappa_sweep_is_monotone_and_matches_run(self, tmp_path):
@@ -227,6 +236,14 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]) == 1
         assert "[BAD] kappa_T=0 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid", ["3", "0"])
+    def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o"))
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0",
+                     "--grid", grid]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --grid: grid must be at least 10 steps"]
+
     def test_grid_sweep_converges(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=400, kappa="0.0725", out=out))
@@ -247,6 +264,14 @@ class TestVerifyCommand:
                      "--instances", "1", "--inject-detuning", "0.1"]) == 1
         captured = capsys.readouterr()
         assert "passage-residual" in captured.err
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_no_instances_exits_two(self, capsys, instances):
+        assert main(["verify", "--seed", "1", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --instances must be at least 1, got {instances}"]
+        assert "pass" not in captured.out
 
     def test_empty_size_list_trivially_passes(self, capsys):
         assert main(["verify", "--seed", "1", "--max-m", "0", "--max-n", "1"]) == 0

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import (DensityTrajectory, Dissipator, StepSizeError, TimeGrid,
-                               gd_matrices, populations, propagate_lindblad,
-                               propagate_schrodinger, reconstruct_evolution,
-                               von_neumann_residual)
-from qpassage.linalg import SIGMA_MINUS, SIGMA_X, outer
+                               _compile_dissipators, _lindblad_rhs, gd_matrices,
+                               populations, propagate_lindblad, propagate_schrodinger,
+                               reconstruct_evolution, von_neumann_residual)
+from qpassage.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator, outer
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
@@ -88,6 +90,77 @@ class TestLindblad:
     def test_rate_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             Dissipator(SIGMA_MINUS, -0.1)
+
+    def test_dephasing_coherence_matches_analytic_law(self):
+        # H = (w/2) sigma_z and L = sigma_z at rate g: rho_eg(t) = rho_eg(0) e^{-i w t - 2 g t}
+        omega, gamma = 3.0, 0.8
+        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        traj = propagate_lindblad(lambda t: 0.5 * omega * SIGMA_Z,
+                                  [Dissipator(SIGMA_Z, gamma)], outer(plus),
+                                  TimeGrid(0, 1, 2000))
+        expected = 0.5 * np.exp((-1j * omega - 2.0 * gamma) * traj.times)
+        assert np.max(np.abs(traj.matrices[:, 0, 1] - expected)) <= 1e-10
+        assert np.max(np.abs(traj.matrices[:, 0, 0].real - 0.5)) <= 1e-14
+
+    def test_operator_of_the_wrong_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            propagate_lindblad(lambda t: np.zeros((4, 4)), [Dissipator(SIGMA_MINUS, 1.0)],
+                               np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TimeGrid(0, 1, 10))
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _channel(kind, qubits, rng):
+    """A random jump operator of the given kind on `qubits` qubits."""
+    dim = 2 ** qubits
+    if kind == "lowering":
+        return embed_qubit_operator(SIGMA_MINUS, qubits, int(rng.integers(qubits)))
+    if kind == "dephasing":
+        return embed_qubit_operator(SIGMA_Z, qubits, int(rng.integers(qubits)))
+    if kind == "dense":
+        return _random_complex(rng, (dim, dim))
+    q = int(rng.integers(qubits - 1))  # a random operator on qubits q and q + 1
+    return np.kron(np.kron(np.eye(2 ** q), _random_complex(rng, (4, 4))),
+                   np.eye(2 ** (qubits - q - 2)))
+
+
+def _textbook_rhs(h, rho, dissipators):
+    out = -1j * (h @ rho - rho @ h)
+    for d in dissipators:
+        op, op2 = d.operator, dagger(d.operator) @ d.operator
+        out = out + d.rate * (op @ rho @ dagger(op) - 0.5 * (op2 @ rho + rho @ op2))
+    return out
+
+
+class TestCompiledDissipators:
+    @settings(max_examples=80, deadline=None)
+    @given(qubits=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           channels=st.lists(st.tuples(
+               st.sampled_from(("lowering", "dephasing", "dense", "two-qubit")),
+               st.one_of(st.just(0.0), st.floats(1e-3, 10.0))), max_size=4))
+    def test_rhs_matches_the_textbook_formula(self, qubits, seed, channels):
+        assume(qubits > 1 or all(kind != "two-qubit" for kind, _ in channels))
+        rng = np.random.default_rng(seed)
+        dim = 2 ** qubits
+        dissipators = [Dissipator(_channel(kind, qubits, rng), rate) for kind, rate in channels]
+        a = _random_complex(rng, (dim, dim))
+        h = a + dagger(a)
+        b = _random_complex(rng, (dim, dim))
+        rho = b @ dagger(b) / np.trace(b @ dagger(b))
+        decay, jumps = _compile_dissipators(dissipators, dim)
+        h_eff = h - 0.5j * decay
+        got = _lindblad_rhs(h_eff, dagger(h_eff), rho, jumps)
+        want = _textbook_rhs(h, rho, dissipators)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_lowering_operator_compiles_to_a_quarter_of_the_superoperator(self):
+        qubits = 5
+        dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q), 0.1)
+                       for q in range(qubits)]
+        _, (dst, src, weight) = _compile_dissipators(dissipators, 2 ** qubits)
+        assert dst.size == src.size == weight.size == qubits * 4 ** qubits // 4
 
 
 class TestResidual:

@@ -1,15 +1,22 @@
 """Drive synthesis: field values, passage residuals, phases, conversion, reductions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+import qpassage
 from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import von_neumann_residual
 from qpassage.schedules import ParameterSchedule, ScheduleSet
 from qpassage.synthesis import (SingularScheduleError, SynthesisError,
                                 assemble_hamiltonian, block_form_defect,
                                 channel_fields, convert_dark_state,
-                                generated_phases, master_envelope,
+                                _cumulative_trapezoid, generated_phases, master_envelope,
                                 reduction_crosscheck, synthesize_general)
 
 from helpers import brute_force_unitaries, random_layout, random_schedule_set
@@ -266,6 +273,23 @@ class TestGeneratedPhases:
         other = bell_step_schedules(alpha=0.0)
         with pytest.raises(SynthesisError):
             generated_phases(layout, other, plan)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trapezoid_matches_scipy_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, size=rng.integers(2, 500)))
+        y = rng.normal(size=x.size)
+        assert np.array_equal(_cumulative_trapezoid(y, x),
+                              cumulative_trapezoid(y, x, initial=0.0))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(qpassage.__file__).resolve().parents[1])
+    code = ("import sys, qpassage; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 class TestConversion:
