@@ -84,7 +84,7 @@ class AncillaryFrame:
     (for M = 1, tb_{-1} = |e_0>).
     """
 
-    t: float
+    t: float | np.ndarray
     layout: SubspaceLayout
     vectors: np.ndarray
     derivatives: np.ndarray
@@ -97,17 +97,17 @@ class AncillaryFrame:
         return self.layout.dim
 
     def column(self, k: int) -> np.ndarray:
-        return self.vectors[:, k]
+        return self.vectors[..., k]
 
     @property
     def passage_lo(self) -> np.ndarray:
         """cos(phi) b - sin(phi) e^{-i alpha} tb, frame column K-2."""
-        return self.vectors[:, -2]
+        return self.vectors[..., -2]
 
     @property
     def passage_hi(self) -> np.ndarray:
         """sin(phi) b + cos(phi) e^{-i alpha} tb, frame column K-1."""
-        return self.vectors[:, -1]
+        return self.vectors[..., -1]
 
     def gram_defect(self) -> float:
         g = gram_matrix(self.vectors)
@@ -138,7 +138,12 @@ def _rotate(kind: str, angle, dangle, phase, dphase, upper, dupper, lower, dlowe
     return mu, dmu, b, db
 
 
-def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
+def _pair(schedules: ScheduleSet, symbol: str, t):
+    """(value, derivative) shaped to broadcast against vectors on the last axis."""
+    return tuple(np.reshape(x, np.shape(t) + (1,)) for x in schedules.pair(symbol, t))
+
+
+def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t):
     """Run both cascades; returns (mu list, dmu list, bright list, dbright list) per subspace."""
     dim = layout.dim
     zero = np.zeros(dim, dtype=complex)
@@ -148,8 +153,8 @@ def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
     dtb = zero
     tmus, dtmus, tbs, dtbs = [], [], [], []
     for m in range(layout.assistant_levels - 1):
-        ang, dang = schedules.pair(f"ttheta_{m}", t)
-        ph, dph = schedules.pair(f"talpha_{m}", t)
+        ang, dang = _pair(schedules, f"ttheta_{m}", t)
+        ph, dph = _pair(schedules, f"talpha_{m}", t)
         lvl = basis_state(dim, layout.assistant_index(m + 1))
         mu, dmu, tb, dtb = _rotate("assistant", ang, dang, ph, dph, tb, dtb, lvl, zero)
         tmus.append(mu)
@@ -162,8 +167,8 @@ def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
     db = zero
     mus, dmus, bs, dbs = [], [], [], []
     for n in range(layout.working_levels - 1):
-        ang, dang = schedules.pair(f"theta_{n}", t)
-        ph, dph = schedules.pair(f"alpha_{n}", t)
+        ang, dang = _pair(schedules, f"theta_{n}", t)
+        ph, dph = _pair(schedules, f"alpha_{n}", t)
         lvl = basis_state(dim, layout.working_index(n + 1))
         mu, dmu, b, db = _rotate("working", ang, dang, ph, dph, b, db, lvl, zero)
         mus.append(mu)
@@ -174,8 +179,12 @@ def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
     return (tmus, dtmus, tbs, dtbs, tb, dtb), (mus, dmus, bs, dbs, b, db)
 
 
-def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t: float) -> AncillaryFrame:
-    """Construct the complete orthonormal frame and its time derivatives at t."""
+def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryFrame:
+    """Construct the complete orthonormal frame and its time derivatives at t.
+
+    For an array of times every member array gains the shape of t in front:
+    `vectors` is then (..., M+N, M+N), still with the frame members as columns.
+    """
     if layout.dim < 3:
         raise ValueError("frame construction needs at least three levels in total")
     if (schedules.assistant_levels != layout.assistant_levels
@@ -187,22 +196,23 @@ def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t: float) -> Anc
 
     # the cross pair is one more working-kind rotation, mixing the two
     # terminal bright states; its "bright" output is the second passage
-    ang, dang = schedules.pair("phi", t)
-    ph, dph = schedules.pair("alpha", t)
+    ang, dang = _pair(schedules, "phi", t)
+    ph, dph = _pair(schedules, "alpha", t)
     mu_lo, dmu_lo, mu_hi, dmu_hi = _rotate("working", ang, dang, ph, dph, b, db, tb, dtb)
 
-    columns = tmus + mus + [mu_lo, mu_hi]
-    dcolumns = dtmus + dmus + [dmu_lo, dmu_hi]
-    dim = layout.dim
-    empty = np.zeros((dim, 0), dtype=complex)
+    def stack(columns):
+        shape = np.shape(t) + (layout.dim, len(columns))
+        return np.stack([np.broadcast_to(c, shape[:-1]) for c in columns], axis=-1) \
+            if columns else np.zeros(shape, dtype=complex)
+
     return AncillaryFrame(
         t=t,
         layout=layout,
-        vectors=np.column_stack(columns),
-        derivatives=np.column_stack(dcolumns),
-        assistant_brights=np.column_stack(tbs) if tbs else empty,
-        working_brights=np.column_stack(bs) if bs else empty,
-        terminal_brights=np.column_stack([b, tb]),
+        vectors=stack(tmus + mus + [mu_lo, mu_hi]),
+        derivatives=stack(dtmus + dmus + [dmu_lo, dmu_hi]),
+        assistant_brights=stack(tbs),
+        working_brights=stack(bs),
+        terminal_brights=stack([b, tb]),
     )
 
 

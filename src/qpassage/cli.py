@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .config import MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, load_config
+from .config import (MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, finite_float,
+                     load_config)
 from .io import write_manifest, write_trajectory_csv
 from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
                         plan_ghz, run_protocol)
@@ -137,9 +139,9 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
               file=sys.stderr)
         return 2
     try:
-        values = [float(v) for v in values_text.split(",") if v.strip()]
-    except ValueError:
-        print(f"error: bad --values list {values_text!r}", file=sys.stderr)
+        values = [finite_float(v) for v in values_text.split(",") if v.strip()]
+    except ValueError as exc:
+        print(f"error: bad --values list {values_text!r}: {exc}", file=sys.stderr)
         return 2
     if not values:
         print("error: empty --values list", file=sys.stderr)
@@ -198,6 +200,13 @@ def cmd_verify(seed: int, max_m: int, max_n: int, instances: int = 3,
                inject_detuning: float = 0.0) -> int:
     if instances < 1:
         print(f"error: --instances must be at least 1, got {instances}", file=sys.stderr)
+        return 2
+    if seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {seed}", file=sys.stderr)
+        return 2
+    if not math.isfinite(inject_detuning):
+        print(f"error: --inject-detuning must be finite, got {inject_detuning}",
+              file=sys.stderr)
         return 2
     sizes = [(m, n) for m in range(1, max_m + 1) for n in range(2, max_n + 1)]
     report = run_verification(seed, sizes, instances=instances,

@@ -17,11 +17,13 @@ errors carry the file path and line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .schedules import ParameterSchedule
 
-__all__ = ["ConfigError", "RunConfig", "check_grid", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "check_grid", "finite_float", "parse_config_text",
+           "load_config"]
 
 PROTOCOLS = ("bell", "bell-reverse", "ghz")
 MODES = ("effective", "rotating-frame")
@@ -100,7 +102,19 @@ def _raw_sections(text: str, path: str) -> dict:
     return sections
 
 
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _take(table: dict, key: str, path: str, convert, default=None, required=False):
+    """Pop `key` and convert its text; a float key goes through finite_float,
+    and any conversion error becomes a ConfigError anchored at the key's line."""
+    if convert is float:
+        convert = finite_float
     if key not in table:
         if required:
             raise ConfigError(f"missing required key {key!r}", path, 1)
@@ -115,7 +129,7 @@ def _take(table: dict, key: str, path: str, convert, default=None, required=Fals
 
 
 def _float_list(text: str) -> tuple:
-    values = tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(finite_float(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("empty list")
     return values
@@ -134,7 +148,7 @@ def _parse_schedule(text: str) -> ParameterSchedule:
         if "=" not in chunk:
             raise ValueError(f"expected key=value in schedule parameters, got {chunk!r}")
         name, value = (part.strip() for part in chunk.split("=", 1))
-        params[name] = float(value)
+        params[name] = finite_float(value)
     if kind == "constant":
         return ParameterSchedule.constant(params.pop("value"), **params)
     if kind == "cosine-ramp":

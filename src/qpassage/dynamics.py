@@ -19,6 +19,14 @@ sum_j rate_j L_j rho L_j+ is kept as flat (dst, src, weight) triples, one per
 pair of nonzeros of each L_j, and applied as one gather and two scatters; it
 costs O(sum_j nnz(L_j)^2), d^2/4 per qubit lowering operator and the dense
 superoperator for a dense L.
+
+Both propagators take the Hamiltonian as a callable of time that accepts an
+array of times and returns the stack of matrices, shape (len(t), d, d); a
+time-independent Hamiltonian may return one (d, d) matrix, which is
+broadcast.  They call it once per block of BLOCK grid intervals (closed runs
+at the interval midpoints, open runs at the nodes and midpoints of the
+block), so the fields behind H are evaluated on whole arrays, and closed runs
+exponentiate a block with one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .linalg import (check_density_matrix, check_state_vector, dagger,
 from .tolerances import TOL
 
 __all__ = [
+    "BLOCK",
     "TimeGrid",
     "Dissipator",
     "StepSizeError",
@@ -46,6 +55,9 @@ __all__ = [
     "reconstruct_evolution",
     "populations",
 ]
+
+
+BLOCK = 64  # grid intervals per Hamiltonian evaluation
 
 
 class StepSizeError(RuntimeError):
@@ -131,28 +143,38 @@ class SimulationResult:
         return float(self.fidelity[-1])
 
 
-def propagate_schrodinger(hamiltonian: Callable[[float], np.ndarray],
+def _hamiltonian_stack(hamiltonian: Callable, times: np.ndarray) -> np.ndarray:
+    """H at every entry of `times` as a (len(times), d, d) complex stack."""
+    h = np.asarray(hamiltonian(times), dtype=complex)
+    return np.broadcast_to(h, times.shape + h.shape[-2:])
+
+
+def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
                           psi0: np.ndarray, grid: TimeGrid) -> StateTrajectory:
     """Midpoint-exponential propagation of a pure state.
 
-    H is evaluated at each interval midpoint and must be Hermitian to 1e-10
-    (relative); the propagator itself is unitary up to round-off, so norm
-    drift only reflects accumulated floating-point error.
+    H is evaluated at the interval midpoints, one block of BLOCK of them per
+    call (see the module docstring for the callable's contract), and must be
+    Hermitian to 1e-10 (relative); the propagator itself is unitary up to
+    round-off, so norm drift only reflects accumulated floating-point error.
     """
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
     out = np.empty((times.size, psi.size), dtype=complex)
     out[0] = psi
     dt = grid.dt
+    mids = times[:-1] + 0.5 * dt
     drift = 0.0
-    for i in range(grid.steps):
-        t_mid = times[i] + 0.5 * dt
-        h = np.asarray(hamiltonian(t_mid), dtype=complex)
-        if hermiticity_defect(h) > 1e-10:
-            raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid:.6f}")
-        psi = expm_hermitian(h, -1j * dt) @ psi
-        out[i + 1] = psi
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
+    for start in range(0, grid.steps, BLOCK):
+        t_mid = mids[start:start + BLOCK]
+        h = _hamiltonian_stack(hamiltonian, t_mid)
+        bad = hermiticity_defect(h) > 1e-10
+        if np.any(bad):
+            raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
+        for i, u in enumerate(expm_hermitian(h, -1j * dt), start=start + 1):
+            psi = u @ psi
+            out[i] = psi
+            drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
     return StateTrajectory(times=times, states=out, norm_drift=drift)
 
 
@@ -186,22 +208,19 @@ def _lindblad_rhs(h_eff: np.ndarray, h_eff_dag: np.ndarray, rho: np.ndarray,
     return -1j * (h_eff @ rho - rho @ h_eff_dag) + jump.reshape(rho.shape)
 
 
-def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
+def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                        dissipators: list[Dissipator], rho0: np.ndarray,
                        grid: TimeGrid, checkpoints: int = 10) -> DensityTrajectory:
     """RK4 integration of the master equation with per-step re-Hermitization.
 
-    Raises :class:`StepSizeError` when the trace drifts by more than 1e-6 or
-    the smallest checkpoint eigenvalue falls below -1e-7; both indicate the
-    grid is too coarse for the requested dynamics.
+    H is evaluated once per block of BLOCK intervals, at its nodes and
+    midpoints in time order.  Raises :class:`StepSizeError` when the trace
+    drifts by more than 1e-6 or the smallest checkpoint eigenvalue falls
+    below -1e-7; both indicate the grid is too coarse for the requested
+    dynamics.
     """
     rho = check_density_matrix(rho0).astype(complex)
     decay, jumps = _compile_dissipators(dissipators, rho.shape[0])
-
-    def effective(t):
-        h_eff = np.asarray(hamiltonian(t), dtype=complex) - 0.5j * decay
-        return h_eff, dagger(h_eff)
-
     times = grid.times
     out = np.empty((times.size, rho.shape[0], rho.shape[1]), dtype=complex)
     out[0] = rho
@@ -210,26 +229,30 @@ def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     check_every = max(1, grid.steps // max(checkpoints, 1))
 
-    h_left = effective(times[0])
-    for i in range(grid.steps):
-        h_mid = effective(times[i] + 0.5 * dt)
-        h_right = effective(times[i + 1])
-        k1 = _lindblad_rhs(*h_left, rho, jumps)
-        k2 = _lindblad_rhs(*h_mid, rho + 0.5 * dt * k1, jumps)
-        k3 = _lindblad_rhs(*h_mid, rho + 0.5 * dt * k2, jumps)
-        k4 = _lindblad_rhs(*h_right, rho + dt * k3, jumps)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + dagger(rho))
-        out[i + 1] = rho
-        h_left = h_right
-
-        drift = max(drift, abs(np.trace(rho).real - 1.0))
-        if drift > TOL.trace_drift_error:
-            raise StepSizeError(
-                f"trace drifted by {drift:.3e} at t = {times[i + 1]:.6f}; "
-                "increase the number of grid steps")
-        if (i + 1) % check_every == 0 or i + 1 == grid.steps:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
+    for start in range(0, grid.steps, BLOCK):
+        stop = min(start + BLOCK, grid.steps)
+        # the block's nodes at even and its midpoints at odd positions, in time order
+        t_block = np.empty(2 * (stop - start) + 1)
+        t_block[0::2] = times[start:stop + 1]
+        t_block[1::2] = times[start:stop] + 0.5 * dt
+        h_eff = _hamiltonian_stack(hamiltonian, t_block) - 0.5j * decay
+        h_eff_dag = dagger(h_eff)
+        for i in range(start, stop):
+            left = 2 * (i - start)
+            k1 = _lindblad_rhs(h_eff[left], h_eff_dag[left], rho, jumps)
+            k2 = _lindblad_rhs(h_eff[left + 1], h_eff_dag[left + 1], rho + 0.5 * dt * k1, jumps)
+            k3 = _lindblad_rhs(h_eff[left + 1], h_eff_dag[left + 1], rho + 0.5 * dt * k2, jumps)
+            k4 = _lindblad_rhs(h_eff[left + 2], h_eff_dag[left + 2], rho + dt * k3, jumps)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + dagger(rho))
+            out[i + 1] = rho
+            drift = max(drift, abs(np.trace(rho).real - 1.0))
+            if drift > TOL.trace_drift_error:
+                raise StepSizeError(
+                    f"trace drifted by {drift:.3e} at t = {times[i + 1]:.6f}; "
+                    "increase the number of grid steps")
+            if (i + 1) % check_every == 0 or i + 1 == grid.steps:
+                min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
     if min_eig < -TOL.positivity_drift:
         raise StepSizeError(
@@ -239,16 +262,18 @@ def propagate_lindblad(hamiltonian: Callable[[float], np.ndarray],
                              min_eigenvalue=min_eig)
 
 
-def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray) -> float:
+def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
     """|| dP/dt + i [H, P] ||_F for the rank-1 projector P = |v><v|.
 
     `dv` is dv/dt at the same instant, so dP/dt = |dv><v| + |v><dv|.  A
     vanishing residual is the exact transitionless-evolution condition for
-    the state P projects onto.
+    the state P projects onto.  Stacks v, dv of shape (..., d) and h of shape
+    (..., d, d) give one residual per instant.
     """
-    hv = h @ v
-    mat = (np.outer(dv, np.conj(v)) + np.outer(v, np.conj(dv))
-           + 1j * (np.outer(hv, np.conj(v)) - np.outer(v, np.conj(hv))))
+    hv = (h @ v[..., None])[..., 0]
+    v_bra = np.conj(v)[..., None, :]
+    mat = (dv[..., :, None] * v_bra + v[..., :, None] * np.conj(dv)[..., None, :]
+           + 1j * (hv[..., :, None] * v_bra - v[..., :, None] * np.conj(hv)[..., None, :]))
     return frobenius(mat)
 
 
@@ -270,22 +295,22 @@ def gd_matrices(frame, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def reconstruct_evolution(frames, phases) -> np.ndarray:
     """Evolution operators U(t) = sum_k e^{i f_k(t)} |mu_k(t)><mu_k(0)|.
 
-    `frames` is a sequence of frames on the same grid as `phases` (either a
-    GeneratedPhases object or a (K, L) phase matrix).  Each U is unitary to
-    1e-10 by orthonormality of the frames.
+    `frames` is either one frame built on the same grid as `phases` (either
+    a GeneratedPhases object or a (K, L) phase matrix) or a sequence of
+    frames on that grid.  Each U is unitary to 1e-10 by orthonormality of the
+    frames.
     """
     f = phases.as_matrix() if hasattr(phases, "as_matrix") else np.asarray(phases)
-    if len(frames) != f.shape[1]:
-        raise ValueError(f"{len(frames)} frames but {f.shape[1]} phase samples")
-    v0_dag = np.conj(frames[0].vectors.T)
-    dim = frames[0].dim
-    out = np.empty((len(frames), dim, dim), dtype=complex)
-    for i, frame in enumerate(frames):
-        u = (frame.vectors * np.exp(1j * f[:, i])) @ v0_dag
-        defect = frobenius(np.conj(u.T) @ u - np.eye(dim))
-        if defect > 1e-10:
-            raise ValueError(f"reconstructed operator is not unitary (defect {defect:.3e})")
-        out[i] = u
+    vectors = frames.vectors if hasattr(frames, "vectors") else np.array(
+        [frame.vectors for frame in frames])
+    if len(vectors) != f.shape[1]:
+        raise ValueError(f"{len(vectors)} frames but {f.shape[1]} phase samples")
+    dim = vectors.shape[-1]
+    out = (vectors * np.exp(1j * f.T)[:, None, :]) @ dagger(vectors[0])
+    defects = frobenius(dagger(out) @ out - np.eye(dim))
+    if np.any(defects > 1e-10):
+        defect = defects[np.argmax(defects > 1e-10)]
+        raise ValueError(f"reconstructed operator is not unitary (defect {defect:.3e})")
     return out
 
 

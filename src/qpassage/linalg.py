@@ -1,7 +1,9 @@
 """Dense complex linear algebra shared by the rest of the stack.
 
 Operators are plain (d, d) complex numpy arrays, states are length-d complex
-vectors, density matrices are (d, d) arrays.  System dimensions stay small
+vectors, density matrices are (d, d) arrays.  `dagger`, `frobenius`,
+`expm_hermitian` and `hermiticity_defect` also take stacks (..., d, d) and
+act on the last two axes.  System dimensions stay small
 (at most 2**6), so dense routines are always adequate; there is no sparse or
 GPU path.
 """
@@ -42,8 +44,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.conj(np.asarray(a)).T
+    """Hermitian conjugate (of each matrix in a stack)."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,18 +66,31 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return e
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    The squares are summed as two inner products, real and imaginary parts,
+    which is the order np.linalg.norm sums one matrix in, so a stack gives the
+    same bits as a loop over its matrices.
+    """
+    a = np.asarray(a, dtype=complex)
+    rows = a.reshape(a.shape[:-2] + (1, -1))  # each matrix as one row vector
+    re, im = rows.real, rows.imag
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(squares[..., 0, 0])[()]
 
 
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     """exp(scale * h) for Hermitian h via eigendecomposition.
 
     For purely imaginary scale the result is unitary up to round-off, which
-    is why the closed-system propagator uses this path.
+    is why the closed-system propagator uses this path.  A stack h of shape
+    (..., d, d) gives a stack of exponentials; `scale` is then a number or an
+    array of the stack's leading shape.
     """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ dagger(v)
+    factors = np.exp(np.asarray(scale)[..., None] * w)
+    return (v * factors[..., None, :]) @ dagger(v)
 
 
 def gram_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -90,13 +105,14 @@ def completeness_defect(vectors: np.ndarray) -> float:
     return float(np.max(np.abs(v @ dagger(v) - np.eye(v.shape[0]))))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max|A - A^dag| relative to max|A| (zero matrix gives zero)."""
+def hermiticity_defect(a: np.ndarray):
+    """max|A - A^dag| relative to max|A| (zero matrix gives zero); one value
+    per matrix of a stack."""
     a = np.asarray(a, dtype=complex)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - dagger(a))) / scale)
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    defect = np.max(np.abs(a - dagger(a)), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale == 0.0, 0.0, defect / scale)[()]
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL.hermiticity, what: str = "operator") -> np.ndarray:

@@ -34,6 +34,12 @@ Dissipation enters as one lowering channel per qubit at a common rate; the
 channels keep their form in the rotating frame because a diagonal frame
 rotation only multiplies each lowering operator by a phase, which cancels
 inside every dissipator term.
+
+Step Hamiltonians, drive coefficients and passage vectors take a float t or
+an array of times; an array gives stacks with the time axis in front.  The
+runner hands the propagators the callable t -> build_step_hamiltonian(step,
+model, t, mode), which they call once per block of grid intervals, and runs
+the passage residual over the same blocks.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (Dissipator, SimulationResult, StepSizeError, TimeGrid, populations,
-                       propagate_lindblad, propagate_schrodinger, von_neumann_residual)
+from .dynamics import (BLOCK, Dissipator, SimulationResult, StepSizeError, TimeGrid,
+                       populations, propagate_lindblad, propagate_schrodinger,
+                       von_neumann_residual)
 from .linalg import SIGMA_MINUS, dagger, embed_qubit_operator, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
@@ -168,23 +175,25 @@ class ProtocolStep:
     def dim(self) -> int:
         return 2 ** self.qubits
 
-    def reduced_hamiltonian(self, t: float) -> np.ndarray:
+    def reduced_hamiltonian(self, t) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t)
 
-    def drive_coefficients(self, t: float) -> dict:
-        """Complex coefficient of each driven qubit's raising transition."""
+    def drive_coefficients(self, t) -> dict:
+        """Complex coefficient of each driven qubit's raising transition, one
+        per entry of t when t is an array."""
         h_red = self.reduced_hamiltonian(t)
-        return {q: h_red[self.rep[q]] for q in self.drives}
+        return {q: h_red[(..., *self.rep[q])] for q in self.drives}
 
     # -- passage bookkeeping ---------------------------------------------------
 
-    def passage_vectors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Transfer-path vector and its time derivative in the full space."""
+    def passage_vectors(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Transfer-path vector and its time derivative in the full space,
+        with the shape of t in front for an array of times."""
         frame = build_frame(self.layout, self.schedules, t)
-        v = np.zeros(self.dim, dtype=complex)
-        dv = np.zeros(self.dim, dtype=complex)
-        v[list(self.embed)] = frame.passage_lo
-        dv[list(self.embed)] = frame.derivatives[:, -2]
+        v = np.zeros(np.shape(t) + (self.dim,), dtype=complex)
+        dv = np.zeros_like(v)
+        v[..., list(self.embed)] = frame.passage_lo
+        dv[..., list(self.embed)] = frame.derivatives[..., -2]
         return v, dv
 
     def transfer_map(self, grid: int = 400) -> np.ndarray:
@@ -465,32 +474,36 @@ def plan_ghz(model: QubitModel, n_qubits: int | None = None,
 # ---------------------------------------------------------------------------
 
 def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
-                           t: float, mode: str = "effective") -> np.ndarray:
+                           t, mode: str = "effective") -> np.ndarray:
     """Full-register Hamiltonian of one step at local time t.
 
-    Effective mode keeps the co-rotating transitions only; rotating-frame mode
-    needs a model with the omega*T scale and retains every drive transition
-    with its oscillating phase.  Any detuning of the reduced model rides on
-    its embedded levels.
+    A float t gives one (d, d) matrix; an array of times gives the stack with
+    the shape of t in front, which is how the propagators call it.  Each
+    transition line's coefficient is multiplied by exp(i n J t): rotating-frame
+    mode needs a model with the omega*T scale and keeps every line, effective
+    mode keeps the co-rotating n = 0 lines only.  Any detuning of the reduced
+    model rides on its embedded levels.
     """
     if mode == "rotating-frame":
         if model is None or model.omega is None:
             raise ProtocolError("rotating-frame mode needs the omega*T scale")
         j = model.j_coupling
-    elif mode != "effective":
+    elif mode == "effective":
+        j = 0.0
+    else:
         raise ProtocolError(f"unknown Hamiltonian mode {mode!r}")
+    t = np.asarray(t, dtype=float)
     h_red = step.reduced_hamiltonian(t)
-    h = np.zeros((step.dim, step.dim), dtype=complex)
+    h = np.zeros(t.shape + (step.dim, step.dim), dtype=complex)
     for q, rows, cols, n in step.lines:
-        c = h_red[step.rep[q]]
-        if mode == "rotating-frame":
-            h[rows, cols] += c * np.exp(1j * (n * j) * t)
-        else:
+        if mode == "effective":
             keep = n == 0
-            h[rows[keep], cols[keep]] += c
+            rows, cols, n = rows[keep], cols[keep], n[keep]
+        c = h_red[(..., *step.rep[q])]
+        h[..., rows, cols] += c[..., None] * np.exp(1j * (n * j) * t[..., None])
     h += dagger(h)
     idx = list(step.embed)
-    h[idx, idx] += h_red.diagonal().real
+    h[..., idx, idx] += np.diagonal(h_red, axis1=-2, axis2=-1).real
     return h
 
 
@@ -532,8 +545,8 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
             return build_step_hamiltonian(_step, model, t, mode=mode)
 
         if mode == "rotating-frame" and strict and step.couplings:
-            peak = max(abs(c) for t in np.linspace(0, step.duration, 101)
-                       for c in step.drive_coefficients(t).values())
+            coefficients = step.drive_coefficients(np.linspace(0, step.duration, 101))
+            peak = max(float(np.max(np.abs(c))) for c in coefficients.values())
             if model.j_coupling < 10.0 * peak:
                 raise ProtocolError(
                     f"step {step.name!r} relies on a strong coupling; "
@@ -553,7 +566,7 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
             traj = propagate_schrodinger(h_local, state, grid)
             states = traj.states
             norm_drift = max(norm_drift, traj.norm_drift)
-        state = states[-1]
+        state = states[-1].copy()  # a view would keep the whole trajectory alive
 
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + traj.times[first:])
@@ -562,9 +575,10 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
         fid_step_out.append(populations(states[first:], step.target))
         fid_final_out.append(populations(states[first:], plan.final_target))
         if compute_residual:
-            residual_out.append(np.array([
-                von_neumann_residual(*step.passage_vectors(t), h_local(t))
-                for t in traj.times[first:]]))
+            ts = traj.times[first:]
+            residual_out.append(np.concatenate([
+                von_neumann_residual(*step.passage_vectors(block), h_local(block))
+                for block in np.split(ts, range(BLOCK, ts.size, BLOCK))]))
             h_mid = h_local(0.5 * step.duration)
             residual_scale = max(residual_scale, frobenius(h_mid))
 
@@ -574,6 +588,7 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
             "t_end": step.t_start + step.duration,
             "target_fidelity": end_fidelity,
         })
+        del traj, states  # released before the next step propagates
 
     times = np.concatenate(times_out)
     pops = {name: np.concatenate(chunks) for name, chunks in pop_out.items()}

@@ -119,37 +119,42 @@ class ParameterSchedule:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
-    def _check_domain(self, t: float) -> None:
-        if t < -_DOMAIN_SLACK or t > self.duration + _DOMAIN_SLACK:
+    def _check_domain(self, t: np.ndarray) -> None:
+        bad = (t < -_DOMAIN_SLACK) | (t > self.duration + _DOMAIN_SLACK)
+        if np.any(bad):
+            first = float(t.flat[np.argmax(bad)])
             raise ScheduleDomainError(
-                f"t = {t} outside schedule domain [0, {self.duration}]")
+                f"t = {first} outside schedule domain [0, {self.duration}]")
 
-    def eval(self, t: float) -> tuple[float, float]:
-        """Return (value, d value/dt) at time t; raises outside [0, duration]."""
+    def eval(self, t):
+        """Return (value, d value/dt) at t; raises outside [0, duration].
+
+        `t` is a float or an array of times; an array gives two arrays of its
+        shape, a float two floats.
+        """
+        t = np.asarray(t, dtype=float)
         self._check_domain(t)
         if self.kind == "constant":
-            return self.value, 0.0
-        if self.kind == "cosine-ramp":
+            value, deriv = np.full(t.shape, self.value), np.zeros(t.shape)
+        elif self.kind == "cosine-ramp":
             w = np.pi / (2.0 * self.duration)
             # pin the quarter-period endpoints so protocol boundary states
             # come out exact rather than off by ~1e-16
-            if t == self.duration:
-                c, s = 0.0, 1.0
-            elif t == 0.0:
-                c, s = 1.0, 0.0
-            else:
-                c, s = np.cos(w * t), np.sin(w * t)
-            return self.offset + self.amplitude * c, -self.amplitude * w * s
-        if self.kind == "linear-ramp":
-            return self.offset + self.slope * t, self.slope
-        # sampled: piecewise-linear value, centered finite-difference slope
-        h = TOL.fd_step * self.duration
-        lo = max(t - h, 0.0)
-        hi = min(t + h, self.duration)
-        value = float(np.interp(t, self.times, self.values))
-        deriv = (np.interp(hi, self.times, self.values)
-                 - np.interp(lo, self.times, self.values)) / (hi - lo)
-        return value, float(deriv)
+            end, start = t == self.duration, t == 0.0
+            c = np.where(end, 0.0, np.where(start, 1.0, np.cos(w * t)))
+            s = np.where(end, 1.0, np.where(start, 0.0, np.sin(w * t)))
+            value, deriv = self.offset + self.amplitude * c, -self.amplitude * w * s
+        elif self.kind == "linear-ramp":
+            value, deriv = self.offset + self.slope * t, np.full(t.shape, self.slope)
+        else:
+            # sampled: piecewise-linear value, centered finite-difference slope
+            h = TOL.fd_step * self.duration
+            lo = np.maximum(t - h, 0.0)
+            hi = np.minimum(t + h, self.duration)
+            value = np.interp(t, self.times, self.values)
+            deriv = (np.interp(hi, self.times, self.values)
+                     - np.interp(lo, self.times, self.values)) / (hi - lo)
+        return value[()], deriv[()]
 
     def value_at(self, t: float) -> float:
         return self.eval(t)[0]
@@ -206,10 +211,11 @@ class ScheduleSet:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.table
 
-    def pair(self, symbol: str, t: float) -> tuple[float, float]:
+    def pair(self, symbol: str, t):
+        """(value, derivative) of one symbol at a float t or an array of times."""
         return self[symbol].eval(t)
 
-    def value(self, symbol: str, t: float) -> float:
+    def value(self, symbol: str, t):
         return self[symbol].eval(t)[0]
 
     def replace(self, **overrides) -> "ScheduleSet":

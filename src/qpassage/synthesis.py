@@ -76,103 +76,113 @@ class SingularScheduleError(SynthesisError):
 # instantaneous fields
 # ---------------------------------------------------------------------------
 
-def master_envelope(schedules: ScheduleSet, t: float) -> tuple[float, float, float]:
-    """Return (Omega, Delta, varphi) at time t.
+def master_envelope(schedules: ScheduleSet, t):
+    """Return (Omega, Delta, varphi) at t, a float or an array of times.
 
     Raises :class:`SingularScheduleError` where the formulas are undefined:
     |sin(varphi+alpha)| below the singularity floor while the mixing angle
-    moves, or cot(2 phi) needed while 2 phi sits at a multiple of pi.
+    moves, or cot(2 phi) needed while 2 phi sits at a multiple of pi.  The
+    message names the first such time.
     """
+    t = np.asarray(t, dtype=float)
     phi, dphi = schedules.pair("phi", t)
     alpha, dalpha = schedules.pair("alpha", t)
     vphi = schedules.value("varphi", t)
 
     s = np.sin(vphi + alpha)
-    moving = abs(dphi) > 1e-12
-    if moving and abs(s) < TOL.schedule_singularity:
-        raise SingularScheduleError(
-            f"sin(varphi+alpha) = {s:.2e} at t = {t:.6f} while the mixing angle moves; "
-            "the drive envelope diverges there")
-    if not moving and abs(s) < TOL.schedule_singularity:
-        omega = 0.0  # sub-threshold drift over a near-singular phase: treat as static
-    else:
-        omega = 0.0 if dphi == 0.0 else -dphi / s
-
-    w = 0.0 if not moving else dphi * np.cos(vphi + alpha) / s
-    if abs(w) < 1e-14:
-        delta = dalpha
-    else:
+    moving = np.abs(dphi) > 1e-12
+    flat = np.abs(s) < TOL.schedule_singularity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(moving, dphi * np.cos(vphi + alpha) / s, 0.0)
         s2 = np.sin(2.0 * phi)
-        if abs(s2) < TOL.schedule_singularity:
+        needs_cot = ~(np.abs(w) < 1e-14)
+        divergent = needs_cot & (np.abs(s2) < TOL.schedule_singularity)
+        bad = (moving & flat) | divergent
+        if np.any(bad):
+            i = np.argmax(bad)  # the first offending time, in the order of t
+            at = float(np.ravel(t)[i])
+            if np.ravel(moving & flat)[i]:
+                raise SingularScheduleError(
+                    f"sin(varphi+alpha) = {np.ravel(s)[i]:.2e} at t = {at:.6f} while the "
+                    "mixing angle moves; the drive envelope diverges there")
             raise SingularScheduleError(
-                f"detuning diverges at t = {t:.6f}: mixing angle at a multiple of pi/2 "
+                f"detuning diverges at t = {at:.6f}: mixing angle at a multiple of pi/2 "
                 "with cot(varphi+alpha) != 0")
-        delta = dalpha - 2.0 * w * np.cos(2.0 * phi) / s2
-    return float(omega), float(delta), float(vphi)
+        # sub-threshold drift over a near-singular phase is treated as static
+        omega = np.where((~moving & flat) | (dphi == 0.0), 0.0, -dphi / s)
+        delta = np.where(needs_cot, dalpha - 2.0 * w * np.cos(2.0 * phi) / s2, dalpha)
+    return omega[()], delta[()], vphi
 
 
-def _assistant_factors(schedules: ScheduleSet, assistant_levels: int, t: float):
+def _assistant_factors(schedules: ScheduleSet, assistant_levels: int, t):
     """Signed amplitude a_m and phase -talpha_{m-1} per assistant level.
 
     a_m = -sin(ttheta_{m-1}) * prod_{m'=m}^{M-2} cos(ttheta_{m'}), with the
     seed conventions sin(ttheta_{-1}) = -1 and talpha_{-1} = 0, so that a_m
     is the amplitude of the terminal assistant bright state on |e_m> up to
-    the phase factor e^{-i talpha_{m-1}}.
+    the phase factor e^{-i talpha_{m-1}}.  Both arrays carry the level on the
+    last axis, after the shape of t.
     """
     m_top = assistant_levels - 1
-    cos_vals = [np.cos(schedules.value(f"ttheta_{k}", t)) for k in range(m_top)]
-    amps = np.empty(assistant_levels)
-    phases = np.empty(assistant_levels)
+    angles = [schedules.value(f"ttheta_{k}", t) for k in range(m_top)]
+    cos_vals = [np.cos(a) for a in angles]
+    amps = np.empty(np.shape(t) + (assistant_levels,))
+    phases = np.empty_like(amps)
     for m in range(assistant_levels):
-        sin_prev = -1.0 if m == 0 else np.sin(schedules.value(f"ttheta_{m - 1}", t))
-        amps[m] = -sin_prev * math.prod(cos_vals[m:m_top])
-        phases[m] = 0.0 if m == 0 else -schedules.value(f"talpha_{m - 1}", t)
+        sin_prev = -1.0 if m == 0 else np.sin(angles[m - 1])
+        amps[..., m] = -sin_prev * math.prod(cos_vals[m:m_top])
+        phases[..., m] = 0.0 if m == 0 else -schedules.value(f"talpha_{m - 1}", t)
     return amps, phases
 
 
-def _working_factors(schedules: ScheduleSet, working_levels: int, t: float):
+def _working_factors(schedules: ScheduleSet, working_levels: int, t):
     """Signed amplitude w_n and phase +alpha_{n-1} per working level.
 
     w_n = cos(theta_{n-1}) * prod_{n'=n}^{N-2} sin(theta_{n'}), with the seed
-    conventions cos(theta_{-1}) = 1 and alpha_{-1} = 0.
+    conventions cos(theta_{-1}) = 1 and alpha_{-1} = 0; level on the last axis.
     """
     n_top = working_levels - 1
-    sin_vals = [np.sin(schedules.value(f"theta_{k}", t)) for k in range(n_top)]
-    amps = np.empty(working_levels)
-    phases = np.empty(working_levels)
+    angles = [schedules.value(f"theta_{k}", t) for k in range(n_top)]
+    sin_vals = [np.sin(a) for a in angles]
+    amps = np.empty(np.shape(t) + (working_levels,))
+    phases = np.empty_like(amps)
     for n in range(working_levels):
-        cos_prev = 1.0 if n == 0 else np.cos(schedules.value(f"theta_{n - 1}", t))
-        amps[n] = cos_prev * math.prod(sin_vals[n:n_top])
-        phases[n] = 0.0 if n == 0 else schedules.value(f"alpha_{n - 1}", t)
+        cos_prev = 1.0 if n == 0 else np.cos(angles[n - 1])
+        amps[..., n] = cos_prev * math.prod(sin_vals[n:n_top])
+        phases[..., n] = 0.0 if n == 0 else schedules.value(f"alpha_{n - 1}", t)
     return amps, phases
 
 
-def channel_fields(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
+def channel_fields(layout: SubspaceLayout, schedules: ScheduleSet, t):
     """Instantaneous drive fields: (amp[m, n], phase[m, n], Delta, Omega, varphi).
 
     amp is the signed real Rabi amplitude of the e_m <-> n channel and phase
     its drive phase, so the coefficient of |e_m><n| in H is amp * e^{i phase}.
+    For an array of times every field gains the leading shape of t.
     """
     omega, delta, vphi = master_envelope(schedules, t)
     a, pa = _assistant_factors(schedules, layout.assistant_levels, t)
     w, pw = _working_factors(schedules, layout.working_levels, t)
-    amp = omega * np.outer(a, w)
-    phase = vphi + pa[:, None] + pw[None, :]
+    amp = np.asarray(omega)[..., None, None] * (a[..., :, None] * w[..., None, :])
+    phase = np.asarray(vphi)[..., None, None] + pa[..., :, None] + pw[..., None, :]
     return amp, phase, delta, omega, vphi
 
 
-def assemble_hamiltonian(layout: SubspaceLayout, schedules: ScheduleSet, t: float,
+def assemble_hamiltonian(layout: SubspaceLayout, schedules: ScheduleSet, t,
                          aux: "AuxiliaryDrive | None" = None) -> np.ndarray:
-    """Dense H(t) on the M+N levels for the synthesized fields (plus aux drive)."""
+    """Dense H(t) on the M+N levels for the synthesized fields (plus aux drive).
+
+    A float t gives one (M+N, M+N) matrix, an array of times a stack with
+    the shape of t in front.
+    """
     amp, phase, delta, _, _ = channel_fields(layout, schedules, t)
-    dim = layout.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    for m in range(layout.assistant_levels):
-        h[layout.assistant_index(m), layout.assistant_index(m)] = delta
-        for n in range(layout.working_levels):
-            c = amp[m, n] * np.exp(1j * phase[m, n])
-            h[layout.assistant_index(m), layout.working_index(n)] += c
-            h[layout.working_index(n), layout.assistant_index(m)] += np.conj(c)
+    m_levels = layout.assistant_levels
+    assist = np.arange(m_levels)
+    h = np.zeros(np.shape(t) + (layout.dim, layout.dim), dtype=complex)
+    h[..., assist, assist] = np.asarray(delta)[..., None]
+    c = amp * np.exp(1j * phase)
+    h[..., :m_levels, m_levels:] += c
+    h[..., m_levels:, :m_levels] += np.conj(np.swapaxes(c, -1, -2))
     if aux is not None:
         h += aux.matrix(layout, t)
     return h
@@ -188,8 +198,8 @@ class DrivePlan:
 
     `channel_amp` and `channel_phase` have shape (M, N, len(times)); `detuning`
     and `master_amp` have shape (len(times),).  `hamiltonian(t)` evaluates the
-    fields analytically at arbitrary t inside the step, which integrators use
-    for midpoints.
+    fields analytically at arbitrary t inside the step, a float or an array of
+    times, which integrators use for midpoints.
     """
 
     layout: SubspaceLayout
@@ -201,7 +211,7 @@ class DrivePlan:
     master_amp: np.ndarray
     aux: "AuxiliaryDrive | None" = None
 
-    def hamiltonian(self, t: float) -> np.ndarray:
+    def hamiltonian(self, t) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t, self.aux)
 
     def to_csv(self, path) -> None:
@@ -228,9 +238,8 @@ def _require_constant(schedules: ScheduleSet, symbols, times) -> None:
         sched = schedules[name]
         if sched.is_constant:
             continue
-        vals = np.array([sched.eval(t) for t in times])
-        if (np.max(np.abs(vals[:, 1])) > _CONSTANCY_TOL
-                or np.ptp(vals[:, 0]) > _CONSTANCY_TOL):
+        value, deriv = sched.eval(times)
+        if np.max(np.abs(deriv)) > _CONSTANCY_TOL or np.ptp(value) > _CONSTANCY_TOL:
             raise SynthesisError(
                 f"schedule {name!r} must be time-independent for the synthesized "
                 "fields to leave the cascade frame members static")
@@ -266,17 +275,8 @@ def synthesize_general(layout: SubspaceLayout, schedules: ScheduleSet,
         frozen = [s for s in frozen if s not in exempt]
     _require_constant(schedules, frozen, times)
 
-    m_levels, n_levels = layout.assistant_levels, layout.working_levels
-    amp = np.empty((m_levels, n_levels, times.size))
-    phase = np.empty_like(amp)
-    detuning = np.empty(times.size)
-    master = np.empty(times.size)
-    for i, t in enumerate(times):
-        a, p, d, o, _ = channel_fields(layout, schedules, t)
-        amp[:, :, i] = a
-        phase[:, :, i] = p
-        detuning[i] = d
-        master[i] = o
+    amp, phase, detuning, master, _ = channel_fields(layout, schedules, times)
+    amp, phase = np.moveaxis(amp, 0, -1), np.moveaxis(phase, 0, -1)
     if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(detuning))):
         raise SingularScheduleError("drive fields are not finite on the grid")
     return DrivePlan(layout=layout, schedules=schedules, times=times,
@@ -312,41 +312,42 @@ class AuxiliaryDrive:
     schedules: ScheduleSet
     angle_source: str = "assistant"
 
-    def rates(self, t: float) -> tuple[float, float]:
-        """(w, delta) at time t."""
-        delta = self.schedules[f"talpha_{self.target}"].derivative_at(t)
+    def rates(self, t):
+        """(w, delta) at t, a float or an array of times."""
+        delta = self.schedules.pair(f"talpha_{self.target}", t)[1]
         if self.angle_source == "assistant":
-            w = -self.schedules[f"ttheta_{self.target}"].derivative_at(t)
+            w = -self.schedules.pair(f"ttheta_{self.target}", t)[1]
         else:
-            w = -self.schedules[f"theta_{self.target}"].derivative_at(t)
+            w = -self.schedules.pair(f"theta_{self.target}", t)[1]
         return w, delta
 
-    def couplings(self, t: float):
-        """Per-level amplitudes w_n and phases Phi_n, n = 0..target."""
+    def couplings(self, t):
+        """Per-level amplitudes w_n and phases Phi_n, n = 0..target, on the last axis."""
         m = self.target
         w, _ = self.rates(t)
         talpha_m = self.schedules.value(f"talpha_{m}", t)
-        cos_vals = [np.cos(self.schedules.value(f"ttheta_{k}", t)) for k in range(m)]
-        amps = np.empty(m + 1)
-        phases = np.empty(m + 1)
+        angles = [self.schedules.value(f"ttheta_{k}", t) for k in range(m)]
+        cos_vals = [np.cos(a) for a in angles]
+        amps = np.empty(np.shape(t) + (m + 1,))
+        phases = np.empty_like(amps)
         for n in range(m + 1):
-            sin_prev = -1.0 if n == 0 else np.sin(self.schedules.value(f"ttheta_{n - 1}", t))
-            amps[n] = -w * sin_prev * math.prod(cos_vals[n:m])
+            sin_prev = -1.0 if n == 0 else np.sin(angles[n - 1])
+            amps[..., n] = -w * sin_prev * math.prod(cos_vals[n:m])
             talpha_prev = 0.0 if n == 0 else self.schedules.value(f"talpha_{n - 1}", t)
-            phases[n] = np.pi / 2.0 - talpha_m + talpha_prev
+            phases[..., n] = np.pi / 2.0 - talpha_m + talpha_prev
         return amps, phases
 
-    def matrix(self, layout: SubspaceLayout, t: float) -> np.ndarray:
-        dim = layout.dim
-        h = np.zeros((dim, dim), dtype=complex)
+    def matrix(self, layout: SubspaceLayout, t) -> np.ndarray:
+        """h(t) on the M+N levels; a stack with the shape of t in front for an array."""
+        h = np.zeros(np.shape(t) + (layout.dim, layout.dim), dtype=complex)
         _, delta = self.rates(t)
         upper = layout.assistant_index(self.target + 1)
-        h[upper, upper] = delta
+        h[..., upper, upper] = delta
         amps, phases = self.couplings(t)
-        for n in range(self.target + 1):
-            c = amps[n] * np.exp(1j * phases[n])
-            h[upper, layout.assistant_index(n)] += c
-            h[layout.assistant_index(n), upper] += np.conj(c)
+        lower = np.arange(self.target + 1)
+        c = amps * np.exp(1j * phases)
+        h[..., upper, lower] += c
+        h[..., lower, upper] += np.conj(c)
         return h
 
 
@@ -422,18 +423,12 @@ def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
         raise SynthesisError("grid does not match the plan's grid")
     ts = plan.times
 
-    sin_phi = np.empty(ts.size)
-    sin_2phi = np.empty(ts.size)
-    cos_cross = np.empty(ts.size)
-    dalpha = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        phi, _ = schedules.pair("phi", t)
-        alpha, da = schedules.pair("alpha", t)
-        vphi = schedules.value("varphi", t)
-        sin_phi[i] = np.sin(phi)
-        sin_2phi[i] = np.sin(2.0 * phi)
-        cos_cross[i] = np.cos(vphi + alpha)
-        dalpha[i] = da
+    phi, _ = schedules.pair("phi", ts)
+    alpha, dalpha = schedules.pair("alpha", ts)
+    vphi = schedules.value("varphi", ts)
+    sin_phi = np.sin(phi)
+    sin_2phi = np.sin(2.0 * phi)
+    cos_cross = np.cos(vphi + alpha)
 
     lo_rate = (dalpha - plan.detuning) * sin_phi**2 + plan.master_amp * sin_2phi * cos_cross
     f_lo = _cumulative_trapezoid(lo_rate, ts)
@@ -557,8 +552,8 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     times = np.linspace(0.0, schedules.duration, grid + 1)
     max_amp = 0.0
     max_coeff = 0.0
-    for t in times:
-        g_amp, g_phase, g_delta, _, _ = channel_fields(layout, schedules, t)
+    g_amps, g_phases, g_deltas, _, _ = channel_fields(layout, schedules, times)
+    for t, g_amp, g_phase, g_delta in zip(times, g_amps, g_phases, g_deltas):
         s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, t)
         max_amp = max(max_amp, float(np.max(np.abs(np.abs(g_amp) - np.abs(s_amp)))))
         g_coeff = g_amp * np.exp(1j * g_phase)

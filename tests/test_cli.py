@@ -92,6 +92,32 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"run.cfg:3: unknown key {key!r}" in err
 
+    @pytest.mark.parametrize("line, key", [
+        ("kappa_T = 0.0, nan", "kappa_T"),
+        ("kappa_T = inf", "kappa_T"),
+        ("omega_T = nan", "omega_T"),
+        ("j_over_omega = inf", "j_over_omega"),
+        ("duration = nan", "duration"),
+    ])
+    def test_non_finite_numbers_are_line_anchored(self, line, key):
+        text = f"protocol = bell\nmode = rotating-frame\nomega_T = 2900\nduration = 1.0\n"
+        text = "\n".join(ln for ln in text.splitlines() if not ln.startswith(key))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text + f"\n{line}\n", path="bad.cfg")
+        line_no = len(text.splitlines()) + 1
+        assert f"bad.cfg:{line_no}: bad value for {key!r}" in str(err.value)
+        assert "is not a finite number" in str(err.value)
+
+    @pytest.mark.parametrize("override", ["alpha = constant: value=nan",
+                                          "phi = cosine-ramp: amplitude=-inf",
+                                          "phi = linear-ramp: offset=0.0, slope=nan"])
+    def test_non_finite_schedule_override_is_line_anchored(self, tmp_path, capsys, override):
+        cfg = write_cfg(tmp_path, f"protocol = bell\nduration = 1.0\n[schedules]\n{override}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "run.cfg:4: bad schedule override" in err[0]
+        assert "is not a finite number" in err[0]
+
     def test_unknown_section_rejected(self):
         text = "protocol = bell\nduration = 1.0\n[extras]\nx = 1\n"
         with pytest.raises(ConfigError) as err:
@@ -211,6 +237,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and reason in err[0]
 
+    @pytest.mark.parametrize("param, values", [
+        ("kappa_T", "0.0, nan"), ("grid", "nan"), ("grid", "inf"), ("omega_T", "nan"),
+        ("omega_T", "2900,-inf"),
+    ])
+    def test_non_finite_sweep_values_exit_two(self, tmp_path, capsys, param, values):
+        text = BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o")
+        cfg = write_cfg(tmp_path, text + "mode = rotating-frame\nomega_T = 2900\n")
+        assert main(["sweep", cfg, "--param", param, "--values", values]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad --values list")
+        assert "is not a finite number" in err[0] and captured.out == ""
+
     def test_plan_error_exits_two(self, tmp_path, capsys):
         text = (BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o")
                 + "[schedules]\ntheta_0 = constant: value=0.3\n")
@@ -272,6 +311,22 @@ class TestVerifyCommand:
         assert captured.err.splitlines() == [
             f"error: --instances must be at least 1, got {instances}"]
         assert "pass" not in captured.out
+
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --seed must be a non-negative integer, got -1"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_injected_detuning_exits_two(self, capsys, value):
+        assert main(["verify", "--max-m", "1", "--max-n", "2", "--instances", "1",
+                     f"--inject-detuning={value}"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --inject-detuning must be finite")
+        assert captured.out == ""
 
     def test_empty_size_list_trivially_passes(self, capsys):
         assert main(["verify", "--seed", "1", "--max-m", "0", "--max-n", "1"]) == 0

@@ -34,6 +34,7 @@ class TestSchrodinger:
 
     def test_midpoint_rule_is_second_order(self):
         def h(t):
+            t = np.asarray(t)[..., None, None]  # array of times in, stack out
             return np.sin(2.3 * t) * SIGMA_X + 0.4 * np.cos(t) * np.diag([1.0, -1.0])
 
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -45,7 +46,7 @@ class TestSchrodinger:
 
     def test_norm_drift_bound_at_default_resolution(self):
         def h(t):
-            return np.cos(3 * t) * SIGMA_X
+            return np.cos(3 * np.asarray(t)[..., None, None]) * SIGMA_X
 
         traj = propagate_schrodinger(h, np.array([1.0, 0.0], dtype=complex), TimeGrid(0, 1, 2000))
         assert traj.norm_drift <= 1e-9
@@ -70,7 +71,7 @@ class TestLindblad:
 
     def test_zero_rate_matches_closed_propagation(self):
         def h(t):
-            return np.sin(t) * SIGMA_X + np.diag([0.2, -0.2])
+            return np.sin(np.asarray(t)[..., None, None]) * SIGMA_X + np.diag([0.2, -0.2])
 
         psi0 = np.array([0.6, 0.8], dtype=complex)
         grid = TimeGrid(0, 1, 2000)
