@@ -4,9 +4,11 @@
     qpassage sweep bell.cfg --param kappa_T --values 0.0145,0.0725,0.145
     qpassage verify --seed 1 --max-m 3 --max-n 4
 
-`run` writes one trajectory CSV per kappa_T value plus a manifest.json and
-exits 0 only when every run's integration diagnostics stay inside their
-bounds (1 on a diagnostic failure, 2 on configuration problems).  `sweep`
+`run` integrates every kappa_T value of the config together, writes one
+trajectory CSV per value plus a manifest.json (and the wall-clock duration in
+timings.json), and exits 0 only when every run's integration diagnostics stay
+inside their bounds (1 on a diagnostic failure, 2 on configuration problems,
+an unwritable output directory included).  `sweep`
 repeats a run over one parameter and emits a summary table, with the same
 exit codes; fidelity must be non-increasing in kappa_T.  `verify` runs the
 randomized oracle suites.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,9 +27,9 @@ from pathlib import Path
 from . import __version__
 from .config import (MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, finite_float,
                      load_config)
-from .io import write_manifest, write_trajectory_csv
+from .io import write_manifest, write_timings, write_trajectory_csv
 from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
-                        plan_ghz, run_protocol)
+                        plan_ghz, run_protocol_kappas)
 from .verify import run_verification
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
@@ -43,11 +46,29 @@ def _build_plan(config: RunConfig):
     return plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
 
 
-def _execute(config: RunConfig, plan, kappa: float):
+def _execute(config: RunConfig, plan, kappas) -> list:
+    """One result per kappa_T value, integrated together; a failure carries
+    the kappa_T it names as its `kappa` attribute."""
     model = QubitModel(qubits=config.qubits, omega=config.omega_T,
-                       j_over_omega=config.j_over_omega, kappa=kappa)
-    return run_protocol(plan, model, mode=config.mode, noise=kappa > 0,
-                        grid_steps=config.grid)
+                       j_over_omega=config.j_over_omega)
+    return run_protocol_kappas(plan, model, kappas, mode=config.mode, noise=True,
+                               grid_steps=config.grid)
+
+
+def _output_dir(config: RunConfig) -> Path | None:
+    """The output directory, created if needed; None, after one error line,
+    when it cannot be created or written."""
+    out_dir = Path(config.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        problem = "" if os.access(out_dir, os.W_OK | os.X_OK) else "permission denied"
+    except OSError as exc:
+        problem = exc.strerror or str(exc)
+    if problem:
+        print(f"error: cannot write to output directory {str(out_dir)!r}: {problem}",
+              file=sys.stderr)
+        return None
+    return out_dir
 
 
 def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: str) -> dict:
@@ -89,22 +110,23 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(config.out)
-    results = []
-    for kappa in config.kappa_T:
-        try:
-            results.append(_execute(config, plan, kappa))
-        except Exception as exc:
-            print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
-            return 1
+    out_dir = _output_dir(config)
+    if out_dir is None:
+        return 2
+    try:
+        results = _execute(config, plan, config.kappa_T)
+    except Exception as exc:
+        kappa = getattr(exc, "kappa", config.kappa_T[0])
+        print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
+        return 1
 
     records = []
     for index, (kappa, result) in enumerate(zip(config.kappa_T, results)):
         csv_name = f"{config.protocol}-{index:02d}.csv"
         write_trajectory_csv(result, out_dir / csv_name, time_scale=config.duration)
         records.append(_run_record(config, index, kappa, result, csv_name))
-    write_manifest(out_dir / "manifest.json", config.echo(), records,
-                   __version__, time.time() - started)
+    write_manifest(out_dir / "manifest.json", config.echo(), records, __version__)
+    write_timings(out_dir / "timings.json", time.time() - started)
 
     for rec in records:
         status = "ok " if rec["ok"] else "BAD"
@@ -151,6 +173,9 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
         print(f"error: {config_path}: {problem}", file=sys.stderr)
         return 2
 
+    out_dir = _output_dir(config)
+    if out_dir is None:
+        return 2
     rows = []
     for value in values:
         if param == "kappa_T":
@@ -165,7 +190,7 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
             print(f"error: {config_path}: {param}={value:g}: {exc}", file=sys.stderr)
             return 2
         try:
-            result = _execute(variant, plan, variant.kappa_T[0])
+            result = _execute(variant, plan, variant.kappa_T[:1])[0]
         except Exception as exc:
             print(f"error: run failed at {param}={value:g}: {exc}", file=sys.stderr)
             return 1
@@ -173,8 +198,6 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
                      float(result.diagnostics.get("max_residual", 0.0)),
                      diagnostics_ok(result, variant.mode)))
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"sweep-{param}.csv"
     with open(table_path, "w", newline="\n") as fh:
         fh.write(f"{param},final_fidelity,max_residual\n")

@@ -57,6 +57,7 @@ class RunConfig:
     schedule_overrides: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
+        """The keys that shape the results; `out` only says where they go."""
         d = {
             "protocol": self.protocol,
             "duration": self.duration,
@@ -67,7 +68,6 @@ class RunConfig:
             "omega_T": self.omega_T,
             "j_over_omega": self.j_over_omega,
             "boundary": self.boundary,
-            "out": self.out,
         }
         if self.schedule_overrides:
             d["schedule_overrides"] = {k: v.kind for k, v in self.schedule_overrides.items()}

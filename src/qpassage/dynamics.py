@@ -12,13 +12,29 @@ is monitored at checkpoints, never enforced: a violation beyond tolerance
 means the step size is wrong and should fail loudly.
 
 The channels are compiled once per propagation.  K = sum_j rate_j L_j+ L_j
-folds into the effective Hamiltonian H_eff = H - (i/2) K, so the commutator
-and anticommutator become -i (H_eff rho - rho H_eff+): two d x d products per
-right-hand side whatever the channel count.  The jump sum
-sum_j rate_j L_j rho L_j+ is kept as flat (dst, src, weight) triples, one per
-pair of nonzeros of each L_j, and applied as one gather and two scatters; it
-costs O(sum_j nnz(L_j)^2), d^2/4 per qubit lowering operator and the dense
+folds into the effective Hamiltonian H_eff = H - (i/2) K, and with
+G = -i H_eff the commutator and anticommutator become G rho + (G rho)+: one
+d x d product per right-hand side whatever the channel count.  The identity
+holds for Hermitian rho, and every RK4 stage input is one: the state is
+re-Hermitized after each step, and a stage adds to it G rho + (G rho)+,
+Hermitian by construction, and the jump sum, Hermitian up to the order its
+terms are summed in.  The jump sum sum_j rate_j L_j rho L_j+ is kept as
+flat (src, weight) pairs, one per pair of nonzeros of each L_j, gathered from
+rho and scattered by one bincount over the float view of the complex terms;
+it costs O(sum_j nnz(L_j)^2), d^2/4 per qubit lowering operator and the dense
 superoperator for a dense L.
+
+`propagate_lindblad` also carries a stack of K density matrices, shape
+(K, d, d), through one RK4 loop.  The members share H and the jump operators;
+each `Dissipator.rate` is one rate for all of them or an array of K rates, one
+per member.  Every member gets exactly the arithmetic of a single-matrix run
+with its own rates, so member k of a stack equals that run bit for bit, and
+every check (trace drift, checkpoint eigenvalues, the initial density-matrix
+check) runs per member.  Each member fails where its own run would: on trace
+drift at the step where it trips, on a checkpoint eigenvalue when the
+propagation ends.  The error raised is that of the first member, in stack
+order, among those failing at the earliest grid step; the exception carries
+its index as the `member` attribute.
 
 Both propagators take the Hamiltonian as a callable of time that accepts an
 array of times and returns the stack of matrices, shape (len(t), d, d); a
@@ -61,7 +77,15 @@ BLOCK = 64  # grid intervals per Hamiltonian evaluation
 
 
 class StepSizeError(RuntimeError):
-    """Integration diagnostics exceeded their hard bounds; use more steps."""
+    """Integration diagnostics exceeded their hard bounds; use more steps.
+
+    `member` is the index of the failing member of a density-matrix stack,
+    None for a single state.
+    """
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -89,13 +113,14 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Dissipator:
-    """One Lindblad channel: a jump operator acting in the full space and its rate."""
+    """One Lindblad channel: a jump operator acting in the full space and its
+    rate, or for a stack of density matrices an array of one rate per member."""
 
     operator: np.ndarray
-    rate: float
+    rate: float | np.ndarray
 
     def __post_init__(self):
-        if self.rate < 0:
+        if np.any(np.asarray(self.rate) < 0):
             raise ValueError("dissipation rate must be non-negative")
 
 
@@ -112,14 +137,18 @@ class StateTrajectory:
 
 @dataclass
 class DensityTrajectory:
+    """One density-matrix trajectory, or one per member of a stack: then
+    `matrices` is (K, len(times), dim, dim) and the diagnostics are arrays of
+    K values."""
+
     times: np.ndarray
     matrices: np.ndarray        # (len(times), dim, dim)
-    trace_drift: float
-    min_eigenvalue: float
+    trace_drift: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
 
     @property
     def final(self) -> np.ndarray:
-        return self.matrices[-1]
+        return self.matrices[..., -1, :, :]
 
 
 @dataclass
@@ -178,34 +207,57 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     return StateTrajectory(times=times, states=out, norm_drift=drift)
 
 
-def _compile_dissipators(dissipators: list[Dissipator], dim: int):
-    """K = sum_j rate_j L_j+ L_j, and the jump sum as (dst, src, weight) triples.
+def _compile_dissipators(dissipators: list[Dissipator], dim: int, members: int = 1):
+    """Per member k, K_k = sum_j rate_jk L_j+ L_j, and the jump sum as a
+    gather-scatter triple (bins, src, weight).
 
     (L rho L+)[a, b] = sum L[a, i] conj(L[b, j]) rho[i, j] over the nonzeros
     L[a, i] and L[b, j], so each pair of nonzeros adds rho.flat[i*d + j] with
-    weight rate L[a, i] conj(L[b, j]) into entry a*d + b.
+    weight rate L[a, i] conj(L[b, j]) into entry a*d + b.  `weight` is
+    (members, n); `bins` holds, for each member and pair, the positions of
+    the real and imaginary parts of its destination entry in the float view
+    of a (members, d, d) complex stack.
     """
-    decay = np.zeros((dim, dim), dtype=complex)
-    dst, src, weight = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+    decay = np.zeros((members, dim, dim), dtype=complex)
+    dst, src, weight = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((members, 0))]
     for d in dissipators:
         op = np.asarray(d.operator, dtype=complex)
         if op.shape != (dim, dim):
             raise ValueError(f"jump operator has shape {op.shape}; the state needs {(dim, dim)}")
-        decay += d.rate * (dagger(op) @ op)
+        rate = np.asarray(d.rate, dtype=float)
+        if rate.shape not in ((), (members,)):
+            raise ValueError(f"dissipation rate has shape {rate.shape}; "
+                             f"the state stack needs {members} rates")
+        rate = np.broadcast_to(rate, (members,))
+        decay += rate[:, None, None] * (dagger(op) @ op)
         rows, cols = np.nonzero(op)
         vals = op[rows, cols]
         dst.append((rows[:, None] * dim + rows).ravel())
         src.append((cols[:, None] * dim + cols).ravel())
-        weight.append((d.rate * np.outer(vals, np.conj(vals))).ravel())
-    return decay, (np.concatenate(dst), np.concatenate(src), np.concatenate(weight))
+        weight.append(rate[:, None] * np.outer(vals, np.conj(vals)).ravel())
+    dst = np.concatenate(dst) + dim * dim * np.arange(members)[:, None]
+    bins = (2 * dst[..., None] + np.arange(2)).ravel()
+    return decay, (bins, np.concatenate(src), np.concatenate(weight, axis=1))
 
 
-def _lindblad_rhs(h_eff: np.ndarray, h_eff_dag: np.ndarray, rho: np.ndarray,
-                  jumps) -> np.ndarray:
-    dst, src, weight = jumps
-    terms = weight * rho.reshape(-1)[src]
-    jump = np.bincount(dst, terms.real, rho.size) + 1j * np.bincount(dst, terms.imag, rho.size)
-    return -1j * (h_eff @ rho - rho @ h_eff_dag) + jump.reshape(rho.shape)
+def _lindblad_rhs(g: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
+    """drho/dt for a (K, d, d) stack of Hermitian rho, with g = -i H_eff
+    (one (d, d) matrix or one per member)."""
+    bins, src, weight = jumps
+    terms = weight * rho.reshape(len(rho), -1)[:, src]
+    jump = np.bincount(bins, terms.view(float).ravel(), 2 * rho.size).view(complex)
+    a = g @ rho
+    return a + a.conj().swapaxes(1, 2) + jump.reshape(rho.shape)
+
+
+def _check_members(rho: np.ndarray) -> None:
+    """check_density_matrix on every member; a failure names its member."""
+    for k, member in enumerate(rho):
+        try:
+            check_density_matrix(member)
+        except ValueError as exc:
+            exc.member = k
+            raise
 
 
 def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
@@ -213,20 +265,30 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                        grid: TimeGrid, checkpoints: int = 10) -> DensityTrajectory:
     """RK4 integration of the master equation with per-step re-Hermitization.
 
-    H is evaluated once per block of BLOCK intervals, at its nodes and
-    midpoints in time order.  Raises :class:`StepSizeError` when the trace
-    drifts by more than 1e-6 or the smallest checkpoint eigenvalue falls
-    below -1e-7; both indicate the grid is too coarse for the requested
-    dynamics.
+    `rho0` is one (d, d) density matrix or a (K, d, d) stack of them (see the
+    module docstring).  H is evaluated once per block of BLOCK intervals, at
+    its nodes and midpoints in time order, for all members at once.  Raises
+    :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
+    its smallest eigenvalue at a checkpoint falls below -1e-7; both indicate
+    the grid is too coarse for the requested dynamics.
     """
-    rho = check_density_matrix(rho0).astype(complex)
-    decay, jumps = _compile_dissipators(dissipators, rho.shape[0])
+    rho0 = np.asarray(rho0)
+    single = rho0.ndim == 2
+    if single:
+        rho = check_density_matrix(rho0).astype(complex)[None]
+    elif rho0.ndim == 3:
+        rho = rho0.astype(complex)
+        _check_members(rho)
+    else:
+        raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
+    members, dim = rho.shape[0], rho.shape[-1]
+    decay, jumps = _compile_dissipators(dissipators, dim, members)
     times = grid.times
-    out = np.empty((times.size, rho.shape[0], rho.shape[1]), dtype=complex)
-    out[0] = rho
+    out = np.empty((members, times.size, dim, dim), dtype=complex)
+    out[:, 0] = rho
     dt = grid.dt
-    drift = 0.0
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    drift = np.zeros(members)
+    min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // max(checkpoints, 1))
 
     for start in range(0, grid.steps, BLOCK):
@@ -235,29 +297,31 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
         t_block = np.empty(2 * (stop - start) + 1)
         t_block[0::2] = times[start:stop + 1]
         t_block[1::2] = times[start:stop] + 0.5 * dt
-        h_eff = _hamiltonian_stack(hamiltonian, t_block) - 0.5j * decay
-        h_eff_dag = dagger(h_eff)
+        g = -1j * (_hamiltonian_stack(hamiltonian, t_block)[:, None] - 0.5j * decay)
         for i in range(start, stop):
             left = 2 * (i - start)
-            k1 = _lindblad_rhs(h_eff[left], h_eff_dag[left], rho, jumps)
-            k2 = _lindblad_rhs(h_eff[left + 1], h_eff_dag[left + 1], rho + 0.5 * dt * k1, jumps)
-            k3 = _lindblad_rhs(h_eff[left + 1], h_eff_dag[left + 1], rho + 0.5 * dt * k2, jumps)
-            k4 = _lindblad_rhs(h_eff[left + 2], h_eff_dag[left + 2], rho + dt * k3, jumps)
+            k1 = _lindblad_rhs(g[left], rho, jumps)
+            k2 = _lindblad_rhs(g[left + 1], rho + 0.5 * dt * k1, jumps)
+            k3 = _lindblad_rhs(g[left + 1], rho + 0.5 * dt * k2, jumps)
+            k4 = _lindblad_rhs(g[left + 2], rho + dt * k3, jumps)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + dagger(rho))
-            out[i + 1] = rho
-            drift = max(drift, abs(np.trace(rho).real - 1.0))
-            if drift > TOL.trace_drift_error:
-                raise StepSizeError(
-                    f"trace drifted by {drift:.3e} at t = {times[i + 1]:.6f}; "
-                    "increase the number of grid steps")
+            rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+            out[:, i + 1] = rho
+            drift = np.maximum(drift, np.abs(rho.trace(axis1=1, axis2=2).real - 1.0))
+            if (drift > TOL.trace_drift_error).any():
+                k = int(np.argmax(drift > TOL.trace_drift_error))
+                raise StepSizeError(f"trace drifted by {drift[k]:.3e} at t = {times[i + 1]:.6f}; "
+                                    "increase the number of grid steps", None if single else k)
             if (i + 1) % check_every == 0 or i + 1 == grid.steps:
-                min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
+                min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho)[:, 0])
 
-    if min_eig < -TOL.positivity_drift:
-        raise StepSizeError(
-            f"density matrix eigenvalue reached {min_eig:.3e}; "
-            "increase the number of grid steps")
+    if np.any(min_eig < -TOL.positivity_drift):
+        k = int(np.argmax(min_eig < -TOL.positivity_drift))
+        raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}; "
+                            "increase the number of grid steps", None if single else k)
+    if single:
+        return DensityTrajectory(times=times, matrices=out[0], trace_drift=float(drift[0]),
+                                 min_eigenvalue=float(min_eig[0]))
     return DensityTrajectory(times=times, matrices=out, trace_drift=drift,
                              min_eigenvalue=min_eig)
 

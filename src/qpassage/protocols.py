@@ -39,7 +39,9 @@ Step Hamiltonians, drive coefficients and passage vectors take a float t or
 an array of times; an array gives stacks with the time axis in front.  The
 runner hands the propagators the callable t -> build_step_hamiltonian(step,
 model, t, mode), which they call once per block of grid intervals, and runs
-the passage residual over the same blocks.
+the passage residual over the same blocks.  `run_protocol_kappas` runs one
+plan for several decay rates at once: the open runs as one density-matrix
+stack, the closed ones as one pure-state run, one residual pass per step.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
     "plan_ghz",
     "build_step_hamiltonian",
     "run_protocol",
+    "run_protocol_kappas",
     "CALIBRATED_OMEGA_T",
     "SUGGESTED_OMEGA_T",
     "DEFAULT_J_OVER_OMEGA",
@@ -507,35 +510,72 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
     return h
 
 
-def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
-                 noise: bool = False, grid_steps: int = 2000,
-                 strict: bool = True, compute_residual: bool = True) -> SimulationResult:
-    """Propagate a plan step by step and collect populations and fidelities.
+class _Track:
+    """Populations, fidelities and step records of one run, step by step."""
 
-    With noise on, every qubit decays through its lowering operator at the
-    model's rate and the state is carried as a density matrix; otherwise the
-    closed Schrodinger propagator runs on the pure state.  `strict` enforces
-    the strong-coupling requirement J >= 10x the peak Rabi amplitude for the
-    steps that rely on it in rotating-frame mode.
+    def __init__(self, plan: ProtocolPlan):
+        self.pops: dict[str, list] = {name: [] for name in plan.labels}
+        self.fid_step: list[np.ndarray] = []
+        self.fid_final: list[np.ndarray] = []
+        self.records: list[dict] = []
+
+    def add(self, states: np.ndarray, first: int, step: ProtocolStep, plan: ProtocolPlan,
+            kets: dict) -> None:
+        for name, ket in kets.items():
+            self.pops[name].append(populations(states[first:], ket))
+        self.fid_step.append(populations(states[first:], step.target))
+        self.fid_final.append(populations(states[first:], plan.final_target))
+        self.records.append({
+            "name": step.name,
+            "t_end": step.t_start + step.duration,
+            "target_fidelity": float(populations(states[-1:], step.target)[0]),
+        })
+
+
+def _failed_at(exc: Exception, kappa: float) -> Exception:
+    """Tag a run failure with the kappa_T of the run it names."""
+    exc.kappa = kappa
+    return exc
+
+
+def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str = "effective",
+                        noise: bool = False, grid_steps: int = 2000, strict: bool = True,
+                        compute_residual: bool = True) -> list[SimulationResult]:
+    """Run a plan once per per-qubit decay rate in `kappas` (the model's own
+    kappa is not used) and return one result per rate, in order.
+
+    All runs share the step Hamiltonians, so they integrate together: with
+    noise on, the runs with kappa > 0 are one (K, d, d) density-matrix stack,
+    carried through each step by one `propagate_lindblad` call, and the others
+    share one pure-state run; the passage residual is computed once per step
+    for all of them.  Each result equals, bit for bit, what a run of that one
+    rate gives.  A failure is raised with a `kappa` attribute, the kappa_T of
+    the run it names: for a stack failure, the first run in the order of
+    `kappas` among those failing at the earliest grid step.
     """
     if model.qubits != plan.qubits:
         raise ProtocolError("model and plan disagree on the qubit count")
-    use_density = noise and model.kappa > 0.0
-    dissipators = []
-    if use_density:
-        dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, plan.qubits, q),
-                                  model.kappa) for q in range(plan.qubits)]
+    kappas = [float(k) for k in kappas]
+    if not kappas:
+        raise ProtocolError("no decay rate to run")
+    if any(k < 0 for k in kappas):
+        raise ProtocolError("decay rate must be non-negative")
+    stacked = [i for i, k in enumerate(kappas) if noise and k > 0.0]
+    pure = [i for i in range(len(kappas)) if i not in stacked]
 
-    state: np.ndarray = outer(plan.initial) if use_density else plan.initial.copy()
+    psi = plan.initial.copy()
+    rho = np.array([outer(plan.initial)] * len(stacked))
+    rates = np.array([kappas[i] for i in stacked])
+    dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, plan.qubits, q), rates)
+                   for q in range(plan.qubits)] if stacked else []
+    pure_track = _Track(plan)
+    tracks = {i: pure_track for i in pure}
+    tracks.update((i, _Track(plan)) for i in stacked)
     times_out: list[np.ndarray] = []
-    pop_out: dict[str, list] = {name: [] for name in plan.labels}
-    fid_step_out: list[np.ndarray] = []
-    fid_final_out: list[np.ndarray] = []
     residual_out: list[np.ndarray] = []
-    step_records = []
     norm_drift = 0.0
-    trace_drift = 0.0
-    min_eig = 0.0 if not use_density else 1.0
+    trace_drift = np.zeros(len(stacked))
+    min_eig = np.ones(len(stacked))
     residual_scale = 0.0
 
     kets = {name: product_state(name) for name in plan.labels}
@@ -554,63 +594,84 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
                     f"amplitude {peak:.3g}")
 
         grid = TimeGrid(0.0, step.duration, grid_steps)
-        if use_density:
-            try:
-                traj = propagate_lindblad(h_local, dissipators, state, grid)
-            except StepSizeError as exc:
-                raise StepSizeError(f"step {step.name!r}: {exc}") from None
-            states = traj.matrices
-            trace_drift = max(trace_drift, traj.trace_drift)
-            min_eig = min(min_eig, traj.min_eigenvalue)
-        else:
-            traj = propagate_schrodinger(h_local, state, grid)
-            states = traj.states
-            norm_drift = max(norm_drift, traj.norm_drift)
-        state = states[-1].copy()  # a view would keep the whole trajectory alive
-
         first = 0 if not times_out else 1  # drop duplicated boundary node
-        times_out.append(step.t_start + traj.times[first:])
-        for name, ket in kets.items():
-            pop_out[name].append(populations(states[first:], ket))
-        fid_step_out.append(populations(states[first:], step.target))
-        fid_final_out.append(populations(states[first:], plan.final_target))
+        times_out.append(step.t_start + grid.times[first:])
+        if pure:
+            try:
+                traj = propagate_schrodinger(h_local, psi, grid)
+            except ValueError as exc:
+                raise _failed_at(exc, kappas[pure[0]])
+            norm_drift = max(norm_drift, traj.norm_drift)
+            psi = traj.final.copy()  # a view would keep the whole trajectory alive
+            pure_track.add(traj.states, first, step, plan, kets)
+        if stacked:
+            try:
+                traj = propagate_lindblad(h_local, dissipators, rho, grid)
+            except StepSizeError as exc:
+                raise _failed_at(StepSizeError(f"step {step.name!r}: {exc}"),
+                                 kappas[stacked[exc.member]]) from None
+            except ValueError as exc:
+                raise _failed_at(exc, kappas[stacked[getattr(exc, "member", 0)]])
+            trace_drift = np.maximum(trace_drift, traj.trace_drift)
+            min_eig = np.minimum(min_eig, traj.min_eigenvalue)
+            rho = traj.final.copy()
+            for member, i in enumerate(stacked):
+                tracks[i].add(traj.matrices[member], first, step, plan, kets)
+        del traj  # released before the next step propagates
+
         if compute_residual:
-            ts = traj.times[first:]
+            ts = grid.times[first:]
             residual_out.append(np.concatenate([
                 von_neumann_residual(*step.passage_vectors(block), h_local(block))
                 for block in np.split(ts, range(BLOCK, ts.size, BLOCK))]))
             h_mid = h_local(0.5 * step.duration)
             residual_scale = max(residual_scale, frobenius(h_mid))
 
-        end_fidelity = float(populations(states[-1:], step.target)[0])
-        step_records.append({
-            "name": step.name,
-            "t_end": step.t_start + step.duration,
-            "target_fidelity": end_fidelity,
-        })
-        del traj, states  # released before the next step propagates
-
     times = np.concatenate(times_out)
-    pops = {name: np.concatenate(chunks) for name, chunks in pop_out.items()}
-    fidelity = np.concatenate(fid_step_out)
-    diagnostics = {
-        "population_sum_max": float(np.max(sum(pops.values()))),
-        "mode": mode,
-    }
-    if use_density:
-        diagnostics["trace_drift"] = trace_drift
-        diagnostics["min_eigenvalue"] = min_eig
-    else:
-        diagnostics["norm_drift"] = norm_drift
-    auxiliary = {"fidelity_final": np.concatenate(fid_final_out)}
-    if compute_residual:
-        residual = np.concatenate(residual_out)
-        auxiliary["residual"] = residual
-        diagnostics["max_residual"] = float(np.max(residual))
-        diagnostics["max_residual_relative"] = float(np.max(residual) / max(residual_scale, 1e-300))
-    return SimulationResult(times=times, populations=pops, fidelity=fidelity,
-                            final_state=state, diagnostics=diagnostics,
-                            steps=step_records, auxiliary=auxiliary)
+    results = []
+    for i in range(len(kappas)):
+        track = tracks[i]
+        pops = {name: np.concatenate(chunks) for name, chunks in track.pops.items()}
+        diagnostics = {
+            "population_sum_max": float(np.max(sum(pops.values()))),
+            "mode": mode,
+        }
+        if i in stacked:
+            member = stacked.index(i)
+            diagnostics["trace_drift"] = float(trace_drift[member])
+            diagnostics["min_eigenvalue"] = float(min_eig[member])
+            final_state = rho[member].copy()
+        else:
+            diagnostics["norm_drift"] = norm_drift
+            final_state = psi.copy()
+        auxiliary = {"fidelity_final": np.concatenate(track.fid_final)}
+        if compute_residual:
+            residual = np.concatenate(residual_out)
+            auxiliary["residual"] = residual
+            diagnostics["max_residual"] = float(np.max(residual))
+            diagnostics["max_residual_relative"] = float(np.max(residual)
+                                                         / max(residual_scale, 1e-300))
+        results.append(SimulationResult(
+            times=times.copy(), populations=pops, fidelity=np.concatenate(track.fid_step),
+            final_state=final_state, diagnostics=diagnostics,
+            steps=[dict(record) for record in track.records], auxiliary=auxiliary))
+    return results
+
+
+def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
+                 noise: bool = False, grid_steps: int = 2000,
+                 strict: bool = True, compute_residual: bool = True) -> SimulationResult:
+    """Propagate a plan step by step and collect populations and fidelities.
+
+    With noise on, every qubit decays through its lowering operator at the
+    model's rate and the state is carried as a density matrix; otherwise the
+    closed Schrodinger propagator runs on the pure state.  `strict` enforces
+    the strong-coupling requirement J >= 10x the peak Rabi amplitude for the
+    steps that rely on it in rotating-frame mode.  This is the one-rate case
+    of :func:`run_protocol_kappas`.
+    """
+    return run_protocol_kappas(plan, model, [model.kappa], mode, noise, grid_steps, strict,
+                               compute_residual)[0]
 
 
 def diagnostics_ok(result: SimulationResult, mode: str = "effective") -> bool:

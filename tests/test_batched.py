@@ -236,10 +236,9 @@ def _lindblad_loop(hamiltonian, dissipators, rho0, grid):
     times, dt = grid.times, grid.dt
 
     def rhs(t, rho):
-        h_eff = hamiltonian(t) - 0.5j * decay
-        return _lindblad_rhs(h_eff, dagger(h_eff), rho, jumps)
+        return _lindblad_rhs(-1j * (hamiltonian(t) - 0.5j * decay), rho, jumps)
 
-    out = [rho0]
+    out = [rho0[None]]
     for t in times[:-1]:
         rho = out[-1]
         k1 = rhs(t, rho)
@@ -248,7 +247,7 @@ def _lindblad_loop(hamiltonian, dissipators, rho0, grid):
         k4 = rhs(t + dt, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(0.5 * (rho + dagger(rho)))
-    return np.array(out)
+    return np.array(out)[:, 0]
 
 
 BLOCK_EDGES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]

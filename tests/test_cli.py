@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qpassage import protocols
+from qpassage import cli, protocols
 from qpassage.cli import main
 from qpassage.config import ConfigError, parse_config_text
 
@@ -134,7 +134,9 @@ class TestRunCommand:
         assert len(manifest["runs"]) == 1
         assert abs(manifest["runs"][0]["final_fidelity"] - 1.0) <= 1e-5
         assert manifest["runs"][0]["ok"] is True
-        assert set(manifest) == {"config", "runs", "version", "duration_seconds"}
+        assert set(manifest) == {"config", "runs", "version"}
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"duration_seconds"} and timings["duration_seconds"] >= 0.0
 
     def test_ghz_with_two_noise_values_yields_two_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -158,6 +160,13 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out_a)]) == 0
         assert main(["run", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "bell-00.csv").read_bytes() == (out_b / "bell-00.csv").read_bytes()
+
+    def test_identical_runs_write_byte_identical_manifests(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=200, kappa="0.0, 0.01", out="unused"))
+        assert main(["run", cfg, "--out", str(out_a)]) == 0
+        assert main(["run", cfg, "--out", str(out_b)]) == 0
+        assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
     def test_csv_shape_and_header(self, tmp_path):
         out = tmp_path / "out"
@@ -198,6 +207,13 @@ class TestRunCommand:
         assert main(["run", cfg]) == 1
         err = capsys.readouterr().err
         assert "error: run failed at kappa_T=30: step 'split'" in err
+        # integrated together, only the large rate fails, and the line names it
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=15, kappa="0.0, 0.0145, 30.0", out=out))
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run failed at kappa_T=30: step 'split': ")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])
     def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
@@ -207,6 +223,31 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --grid: grid must be at least 10 steps"]
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("under", ["file/sub", "file"])
+    def test_unwritable_out_exits_two_before_propagating(self, tmp_path, capsys, monkeypatch,
+                                                         under):
+        (tmp_path / "file").write_text("a regular file\n")
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out="unused"))
+        assert main(["run", cfg, "--out", str(tmp_path / under)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write to output directory")
+
+
+    def test_read_only_out_exits_two_before_propagating(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o"))
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write to output directory {str(tmp_path / 'o')!r}: "
+            "permission denied"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("propagation started before the output directory was checked")
 
 
 class TestSweepCommand:
@@ -282,6 +323,16 @@ class TestSweepCommand:
                      "--grid", grid]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --grid: grid must be at least 10 steps"]
+
+    def test_unwritable_out_exits_two_before_propagating(self, tmp_path, capsys,
+                                                         monkeypatch):
+        (tmp_path / "file").write_text("a regular file\n")
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out="unused"))
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0,0.1",
+                     "--out", str(tmp_path / "file" / "sub")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write to output directory")
 
     def test_grid_sweep_converges(self, tmp_path):
         out = tmp_path / "out"

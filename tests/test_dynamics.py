@@ -151,8 +151,7 @@ class TestCompiledDissipators:
         b = _random_complex(rng, (dim, dim))
         rho = b @ dagger(b) / np.trace(b @ dagger(b))
         decay, jumps = _compile_dissipators(dissipators, dim)
-        h_eff = h - 0.5j * decay
-        got = _lindblad_rhs(h_eff, dagger(h_eff), rho, jumps)
+        got = _lindblad_rhs(-1j * (h - 0.5j * decay), rho[None], jumps)[0]
         want = _textbook_rhs(h, rho, dissipators)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -160,8 +159,106 @@ class TestCompiledDissipators:
         qubits = 5
         dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q), 0.1)
                        for q in range(qubits)]
-        _, (dst, src, weight) = _compile_dissipators(dissipators, 2 ** qubits)
-        assert dst.size == src.size == weight.size == qubits * 4 ** qubits // 4
+        _, (bins, src, weight) = _compile_dissipators(dissipators, 2 ** qubits)
+        assert bins.size // 2 == src.size == weight.size == qubits * 4 ** qubits // 4
+
+
+def _stack_hamiltonian(rng, dim):
+    """A random array-aware H(t) = H0 + cos(t) H1 with ||H0||, ||H1|| = 1."""
+    a, b = _random_complex(rng, (dim, dim)), _random_complex(rng, (dim, dim))
+    h0, h1 = a + dagger(a), b + dagger(b)
+    h0, h1 = h0 / np.linalg.norm(h0, 2), h1 / np.linalg.norm(h1, 2)
+    return lambda t: h0 + np.cos(np.asarray(t))[..., None, None] * h1
+
+
+def _random_density(rng, dim):
+    b = _random_complex(rng, (dim, dim))
+    rho = b @ dagger(b)
+    rho = rho / np.trace(rho).real
+    return 0.5 * (rho + dagger(rho))
+
+
+class TestDensityStack:
+    @settings(max_examples=40, deadline=None)
+    @given(qubits=st.integers(1, 3), members=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), dense=st.booleans(), steps=st.integers(10, 70),
+           zero_rates=st.lists(st.booleans(), min_size=16, max_size=16))
+    def test_member_equals_its_single_matrix_run(self, qubits, members, seed, dense, steps,
+                                                  zero_rates):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** qubits
+        ops = [embed_qubit_operator(SIGMA_MINUS, qubits, q) for q in range(qubits)]
+        if dense:
+            op = _random_complex(rng, (dim, dim))
+            ops.append(op / np.linalg.norm(op, 2))
+        rates = rng.uniform(0.0, 2.0, size=(len(ops), members))
+        rates[np.array(zero_rates[:rates.size]).reshape(rates.shape)] = 0.0
+        h = _stack_hamiltonian(rng, dim)
+        rho0 = np.array([_random_density(rng, dim) for _ in range(members)])
+        grid = TimeGrid(0.0, 0.6, steps)
+        stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
+                                   rho0, grid)
+        assert stack.matrices.shape == (members, steps + 1, dim, dim)
+        assert stack.trace_drift.shape == stack.min_eigenvalue.shape == (members,)
+        for k in range(members):
+            single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+                                        rho0[k], grid)
+            assert np.array_equal(stack.matrices[k], single.matrices)
+            assert np.array_equal(stack.final[k], single.final)
+            assert stack.trace_drift[k] == single.trace_drift
+            assert stack.min_eigenvalue[k] == single.min_eigenvalue
+
+    @staticmethod
+    def _failure(h, rates, steps, rho0):
+        with pytest.raises(StepSizeError) as err:
+            propagate_lindblad(h, [Dissipator(SIGMA_MINUS, np.array(rates))], rho0,
+                               TimeGrid(0, 1, steps))
+        return err.value
+
+    def _single_message(self, h, rate, steps, rho0):
+        err = self._failure(h, rate, steps, rho0)
+        assert err.member is None
+        return str(err)
+
+    @pytest.mark.parametrize("check, h, rates", [
+        ("trace drifted", np.zeros((2, 2)), [0.5, 400.0, 1.0]),
+        ("eigenvalue reached", 3.0 * SIGMA_X, [0.5, 25.0, 1.0]),
+    ])
+    def test_the_one_failing_member_is_named(self, check, h, rates):
+        excited = np.diag([1.0, 0.0]).astype(complex)
+        err = self._failure(lambda t: h, rates, 8, np.array([excited] * 3))
+        assert err.member == 1 and check in str(err)
+        assert str(err) == self._single_message(lambda t: h, rates[1], 8, excited)
+        for k in (0, 2):  # the other members alone run clean
+            propagate_lindblad(lambda t: h, [Dissipator(SIGMA_MINUS, rates[k])], excited,
+                               TimeGrid(0, 1, 8))
+
+    def test_the_earliest_failing_step_names_the_member(self):
+        # alone, 30 fails positivity at the end, 1000 drifts at t = 0.375 and
+        # 2000 drifts at t = 0.25
+        excited = np.diag([1.0, 0.0]).astype(complex)
+        zero = lambda t: np.zeros((2, 2))  # noqa: E731
+        err = self._failure(zero, [30.0, 1000.0, 2000.0], 8, np.array([excited] * 3))
+        assert err.member == 2 and "t = 0.250000" in str(err)
+        err = self._failure(zero, [30.0, 2000.0, 2000.0], 8, np.array([excited] * 3))
+        assert err.member == 1  # a tie goes to the first in stack order
+        err = self._failure(zero, [30.0, 0.5, 25.0], 8, np.array([excited] * 3))
+        assert err.member == 0 and "eigenvalue reached" in str(err)
+
+    def test_an_invalid_member_is_named(self):
+        good = np.diag([1.0, 0.0]).astype(complex)
+        bad = np.diag([1.5, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="trace") as err:
+            propagate_lindblad(lambda t: np.zeros((2, 2)), [], np.array([good, bad, good]),
+                               TimeGrid(0, 1, 10))
+        assert err.value.member == 1
+
+    @pytest.mark.parametrize("rate", [np.array([0.1, 0.2]), np.array([[0.1, 0.2, 0.3]])])
+    def test_rates_of_the_wrong_shape_are_rejected(self, rate):
+        rho0 = np.array([np.diag([1.0, 0.0]).astype(complex)] * 3)
+        with pytest.raises(ValueError, match="rate"):
+            propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, rate)],
+                               rho0, TimeGrid(0, 1, 10))
 
 
 class TestResidual:

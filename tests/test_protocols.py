@@ -7,7 +7,8 @@ from scipy.integrate import trapezoid
 from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, QubitModel,
                                 build_step_hamiltonian, diagnostics_ok, plan_bell,
                                 plan_bell_reverse, plan_ghz, product_index,
-                                product_state, run_protocol)
+                                product_state, run_protocol, run_protocol_kappas)
+from qpassage.dynamics import StepSizeError
 from qpassage.synthesis import master_envelope
 
 
@@ -261,3 +262,54 @@ class TestNoisyRuns:
         assert res.diagnostics["trace_drift"] <= 1e-7
         assert res.diagnostics["min_eigenvalue"] >= -1e-7
         assert diagnostics_ok(res)
+
+
+def _assert_same_result(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert got.populations.keys() == want.populations.keys()
+    for name in want.populations:
+        assert np.array_equal(got.populations[name], want.populations[name])
+    assert np.array_equal(got.fidelity, want.fidelity)
+    assert np.array_equal(got.final_state, want.final_state)
+    assert got.diagnostics == want.diagnostics
+    assert got.steps == want.steps
+    assert got.auxiliary.keys() == want.auxiliary.keys()
+    for key in want.auxiliary:
+        assert np.array_equal(got.auxiliary[key], want.auxiliary[key])
+
+
+class TestIntegratedKappas:
+    @pytest.mark.parametrize("qubits, kappas", [
+        (2, (0.0, 0.0145, 0.0725, 0.145)),   # configs/bell.cfg
+        (3, (0.0, 0.0145, 0.145)),           # configs/ghz3.cfg
+        (2, (0.145, 0.0, 0.0145, 0.0)),      # out of order, two closed runs
+    ])
+    def test_each_rate_equals_its_own_run_bit_for_bit(self, qubits, kappas):
+        model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
+        plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
+        together = run_protocol_kappas(plan, model, kappas, noise=True, grid_steps=300)
+        assert len(together) == len(kappas)
+        for kappa, got in zip(kappas, together):
+            alone = run_protocol(plan, model.with_kappa(kappa), noise=kappa > 0,
+                                 grid_steps=300)
+            _assert_same_result(got, alone)
+
+    def test_noise_off_runs_every_rate_closed(self):
+        model = QubitModel(qubits=2)
+        plan = plan_bell(model)
+        closed = run_protocol(plan, model, grid_steps=200)
+        for got in run_protocol_kappas(plan, model, (0.0, 0.1), grid_steps=200):
+            _assert_same_result(got, closed)
+
+    def test_a_failure_carries_the_rate_it_names(self):
+        model = QubitModel(qubits=2)
+        with pytest.raises(StepSizeError, match="^step 'split': ") as err:
+            run_protocol_kappas(plan_bell(model), model, (0.0, 0.0145, 30.0), noise=True,
+                                grid_steps=15)
+        assert err.value.kappa == 30.0
+
+    @pytest.mark.parametrize("kappas", [(0.0, -0.1), ()])
+    def test_bad_rate_lists_rejected(self, kappas):
+        model = QubitModel(qubits=2)
+        with pytest.raises(ProtocolError):
+            run_protocol_kappas(plan_bell(model), model, kappas, noise=True)
