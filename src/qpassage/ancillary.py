@@ -4,19 +4,19 @@ The Hilbert space has M assistant levels |e_0..e_{M-1}> followed by N working
 levels |0..N-1>; assistant levels occupy indices 0..M-1 and working levels
 occupy indices M..M+N-1 throughout the library.
 
-The frame is built by a cascade of 2x2 rotations.  Inside the working
-subspace, starting from b_{-1} = |0>:
+The frame is built from one 2x2 rotation, applied to a running bright
+state u and a fresh level l with an angle and a phase:
 
-    mu_n = cos(theta_n) b_{n-1} - sin(theta_n) e^{-i alpha_n} |n+1>
-    b_n  = sin(theta_n) b_{n-1} + cos(theta_n) e^{-i alpha_n} |n+1>
+    mu = cos(angle) u - sin(angle) e^{-i phase} l
+    b  = sin(angle) u + cos(angle) e^{-i phase} l
 
-and inside the assistant subspace, starting from tb_{-1} = |e_0>:
-
-    tmu_m = sin(ttheta_m) tb_{m-1} + cos(ttheta_m) e^{-i talpha_m} |e_{m+1}>
-    tb_m  = cos(ttheta_m) tb_{m-1} - sin(ttheta_m) e^{-i talpha_m} |e_{m+1}>
-
-The two remaining frame members mix the terminal bright states across the
-subspaces with the angle phi and phase alpha:
+The working cascade starts from b_{-1} = |0> and rotates with (theta_n,
+alpha_n) onto |n+1>, giving the members mu_n and the bright states b_n.  The
+assistant cascade starts from tb_{-1} = |e_0> and rotates with (ttheta_m,
+talpha_m) onto |e_{m+1}>, taking the two outputs swapped: its member tmu_m is
+the rotation's b and its bright state tb_m the rotation's mu.  The two
+remaining frame members are one more, unswapped, rotation of the terminal
+bright states with the angle phi and phase alpha:
 
     mu_lo = cos(phi) b_{N-2} - sin(phi) e^{-i alpha} tb_{M-2}
     mu_hi = sin(phi) b_{N-2} + cos(phi) e^{-i alpha} tb_{M-2}
@@ -114,27 +114,22 @@ class AncillaryFrame:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def _rotate(kind: str, angle, dangle, phase, dphase, upper, dupper, lower, dlower):
-    """One cascade rotation step applied to (upper, lower) carrying derivatives.
+def _rotate(angle, dangle, phase, dphase, upper, dupper, lower, dlower):
+    """One cascade rotation of (upper, lower), carrying derivatives:
 
-    kind = "working":   mu = c*u - s*p*l ; b = s*u + c*p*l
-    kind = "assistant": mu = s*u + c*p*l ; b = c*u - s*p*l
-    where c = cos(angle), s = sin(angle), p = e^{-i phase}.
+        mu = c*u - s*p*l ;  b = s*u + c*p*l
+
+    with c = cos(angle), s = sin(angle), p = e^{-i phase}.  Returns
+    (mu, dmu, b, db); the assistant cascade takes b and mu swapped.
     """
     c, s = np.cos(angle), np.sin(angle)
     dc, ds = -s * dangle, c * dangle
     p = np.exp(-1j * phase)
     dp = -1j * dphase * p
-    if kind == "working":
-        mu = c * upper - s * p * lower
-        dmu = dc * upper + c * dupper - (ds * p + s * dp) * lower - s * p * dlower
-        b = s * upper + c * p * lower
-        db = ds * upper + s * dupper + (dc * p + c * dp) * lower + c * p * dlower
-    else:
-        mu = s * upper + c * p * lower
-        dmu = ds * upper + s * dupper + (dc * p + c * dp) * lower + c * p * dlower
-        b = c * upper - s * p * lower
-        db = dc * upper + c * dupper - (ds * p + s * dp) * lower - s * p * dlower
+    mu = c * upper - s * p * lower
+    dmu = dc * upper + c * dupper - (ds * p + s * dp) * lower - s * p * dlower
+    b = s * upper + c * p * lower
+    db = ds * upper + s * dupper + (dc * p + c * dp) * lower + c * p * dlower
     return mu, dmu, b, db
 
 
@@ -143,40 +138,28 @@ def _pair(schedules: ScheduleSet, symbol: str, t):
     return tuple(np.reshape(x, np.shape(t) + (1,)) for x in schedules.pair(symbol, t))
 
 
-def _cascades(layout: SubspaceLayout, schedules: ScheduleSet, t):
-    """Run both cascades; returns (mu list, dmu list, bright list, dbright list) per subspace."""
-    dim = layout.dim
+def _cascade(schedules: ScheduleSet, t, dim: int, levels, prefix: str, swap: bool):
+    """One cascade from |levels[0]> through the rest of `levels`, rotated by
+    {prefix}theta_k and {prefix}alpha_k; `swap` takes the rotation's outputs
+    swapped, as the assistant cascade does.
+
+    Returns the members, their derivatives, the running bright states, and
+    the terminal bright state with its derivative.
+    """
     zero = np.zeros(dim, dtype=complex)
-
-    # assistant cascade
-    tb = basis_state(dim, layout.assistant_index(0))
-    dtb = zero
-    tmus, dtmus, tbs, dtbs = [], [], [], []
-    for m in range(layout.assistant_levels - 1):
-        ang, dang = _pair(schedules, f"ttheta_{m}", t)
-        ph, dph = _pair(schedules, f"talpha_{m}", t)
-        lvl = basis_state(dim, layout.assistant_index(m + 1))
-        mu, dmu, tb, dtb = _rotate("assistant", ang, dang, ph, dph, tb, dtb, lvl, zero)
-        tmus.append(mu)
-        dtmus.append(dmu)
-        tbs.append(tb)
-        dtbs.append(dtb)
-
-    # working cascade
-    b = basis_state(dim, layout.working_index(0))
-    db = zero
-    mus, dmus, bs, dbs = [], [], [], []
-    for n in range(layout.working_levels - 1):
-        ang, dang = _pair(schedules, f"theta_{n}", t)
-        ph, dph = _pair(schedules, f"alpha_{n}", t)
-        lvl = basis_state(dim, layout.working_index(n + 1))
-        mu, dmu, b, db = _rotate("working", ang, dang, ph, dph, b, db, lvl, zero)
+    bright, dbright = basis_state(dim, levels[0]), zero
+    mus, dmus, brights = [], [], []
+    for k, level in enumerate(levels[1:]):
+        ang, dang = _pair(schedules, f"{prefix}theta_{k}", t)
+        ph, dph = _pair(schedules, f"{prefix}alpha_{k}", t)
+        mu, dmu, bright, dbright = _rotate(ang, dang, ph, dph, bright, dbright,
+                                           basis_state(dim, level), zero)
+        if swap:
+            mu, dmu, bright, dbright = bright, dbright, mu, dmu
         mus.append(mu)
         dmus.append(dmu)
-        bs.append(b)
-        dbs.append(db)
-
-    return (tmus, dtmus, tbs, dtbs, tb, dtb), (mus, dmus, bs, dbs, b, db)
+        brights.append(bright)
+    return mus, dmus, brights, bright, dbright
 
 
 def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryFrame:
@@ -191,14 +174,15 @@ def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryF
             or schedules.working_levels != layout.working_levels):
         raise ValueError("schedule set does not match the layout's level counts")
 
-    (tmus, dtmus, tbs, dtbs, tb, dtb), (mus, dmus, bs, dbs, b, db) = \
-        _cascades(layout, schedules, t)
+    m_levels, dim = layout.assistant_levels, layout.dim
+    tmus, dtmus, tbs, tb, dtb = _cascade(schedules, t, dim, range(m_levels), "t", swap=True)
+    mus, dmus, bs, b, db = _cascade(schedules, t, dim, range(m_levels, dim), "", swap=False)
 
-    # the cross pair is one more working-kind rotation, mixing the two
-    # terminal bright states; its "bright" output is the second passage
+    # the cross pair is one more rotation, unswapped, mixing the two terminal
+    # bright states; its "bright" output is the second passage
     ang, dang = _pair(schedules, "phi", t)
     ph, dph = _pair(schedules, "alpha", t)
-    mu_lo, dmu_lo, mu_hi, dmu_hi = _rotate("working", ang, dang, ph, dph, b, db, tb, dtb)
+    mu_lo, dmu_lo, mu_hi, dmu_hi = _rotate(ang, dang, ph, dph, b, db, tb, dtb)
 
     def stack(columns):
         shape = np.shape(t) + (layout.dim, len(columns))

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .config import (MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, finite_float,
                      load_config)
-from .io import write_manifest, write_timings, write_trajectory_csv
+from .io import write_csv, write_manifest, write_timings, write_trajectory_csv
 from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
                         plan_ghz, run_protocol_kappas)
 from .verify import run_verification
@@ -36,21 +36,20 @@ __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
 
 
 def _build_plan(config: RunConfig):
+    """The config's qubit model and its protocol plan."""
     model = QubitModel(qubits=config.qubits, omega=config.omega_T,
                        j_over_omega=config.j_over_omega)
     overrides = config.schedule_overrides or None
     if config.protocol == "bell":
-        return plan_bell(model, 1.0, config.boundary, overrides)
+        return model, plan_bell(model, 1.0, config.boundary, overrides)
     if config.protocol == "bell-reverse":
-        return plan_bell_reverse(model, 1.0, overrides)
-    return plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
+        return model, plan_bell_reverse(model, 1.0, overrides)
+    return model, plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
 
 
-def _execute(config: RunConfig, plan, kappas) -> list:
+def _execute(config: RunConfig, model, plan, kappas) -> list:
     """One result per kappa_T value, integrated together; a failure carries
     the kappa_T it names as its `kappa` attribute."""
-    model = QubitModel(qubits=config.qubits, omega=config.omega_T,
-                       j_over_omega=config.j_over_omega)
     return run_protocol_kappas(plan, model, kappas, mode=config.mode, noise=True,
                                grid_steps=config.grid)
 
@@ -105,7 +104,7 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        plan = _build_plan(config)
+        model, plan = _build_plan(config)
     except ValueError as exc:  # protocol, synthesis and schedule errors alike
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
@@ -114,7 +113,7 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
     if out_dir is None:
         return 2
     try:
-        results = _execute(config, plan, config.kappa_T)
+        results = _execute(config, model, plan, config.kappa_T)
     except Exception as exc:
         kappa = getattr(exc, "kappa", config.kappa_T[0])
         print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
@@ -176,33 +175,33 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
     out_dir = _output_dir(config)
     if out_dir is None:
         return 2
+    # a kappa_T sweep integrates its values together, as `run` does
+    if param == "kappa_T":
+        batches = [(config, values)]
+    else:
+        batches = [(dataclasses.replace(config, **{param: int(v) if param == "grid" else v}),
+                    [v]) for v in values]
     rows = []
-    for value in values:
-        if param == "kappa_T":
-            variant = dataclasses.replace(config, kappa_T=(value,))
-        elif param == "omega_T":
-            variant = dataclasses.replace(config, omega_T=value)
-        else:
-            variant = dataclasses.replace(config, grid=int(value))
+    for variant, batch in batches:
         try:
-            plan = _build_plan(variant)
+            model, plan = _build_plan(variant)
         except ValueError as exc:
-            print(f"error: {config_path}: {param}={value:g}: {exc}", file=sys.stderr)
+            print(f"error: {config_path}: {param}={batch[0]:g}: {exc}", file=sys.stderr)
             return 2
+        kappas = batch if param == "kappa_T" else variant.kappa_T[:1]
         try:
-            result = _execute(variant, plan, variant.kappa_T[:1])[0]
+            results = _execute(variant, model, plan, kappas)
         except Exception as exc:
-            print(f"error: run failed at {param}={value:g}: {exc}", file=sys.stderr)
+            failed = getattr(exc, "kappa", batch[0]) if param == "kappa_T" else batch[0]
+            print(f"error: run failed at {param}={failed:g}: {exc}", file=sys.stderr)
             return 1
-        rows.append((value, float(result.auxiliary["fidelity_final"][-1]),
-                     float(result.diagnostics.get("max_residual", 0.0)),
-                     diagnostics_ok(result, variant.mode)))
+        rows += [(value, float(result.auxiliary["fidelity_final"][-1]),
+                  float(result.diagnostics.get("max_residual", 0.0)),
+                  diagnostics_ok(result, variant.mode)) for value, result in zip(batch, results)]
 
     table_path = out_dir / f"sweep-{param}.csv"
-    with open(table_path, "w", newline="\n") as fh:
-        fh.write(f"{param},final_fidelity,max_residual\n")
-        for value, fidelity, residual, _ in rows:
-            fh.write(f"{value:.17e},{fidelity:.17e},{residual:.17e}\n")
+    write_csv(table_path, [param, "final_fidelity", "max_residual"],
+              list(zip(*rows))[:3])
     for value, fidelity, residual, ok in rows:
         status = "ok " if ok else "BAD"
         print(f"[{status}] {param}={value:g} final_fidelity={fidelity:.6f} "

@@ -58,6 +58,7 @@ from .tolerances import TOL
 
 __all__ = [
     "BLOCK",
+    "CHECKPOINTS",
     "TimeGrid",
     "Dissipator",
     "StepSizeError",
@@ -74,6 +75,7 @@ __all__ = [
 
 
 BLOCK = 64  # grid intervals per Hamiltonian evaluation
+CHECKPOINTS = 10  # positivity checks per open propagation
 
 
 class StepSizeError(RuntimeError):
@@ -168,9 +170,6 @@ class SimulationResult:
     steps: list = field(default_factory=list)
     auxiliary: dict = field(default_factory=dict)
 
-    def final_fidelity(self) -> float:
-        return float(self.fidelity[-1])
-
 
 def _hamiltonian_stack(hamiltonian: Callable, times: np.ndarray) -> np.ndarray:
     """H at every entry of `times` as a (len(times), d, d) complex stack."""
@@ -262,15 +261,15 @@ def _check_members(rho: np.ndarray) -> None:
 
 def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                        dissipators: list[Dissipator], rho0: np.ndarray,
-                       grid: TimeGrid, checkpoints: int = 10) -> DensityTrajectory:
+                       grid: TimeGrid) -> DensityTrajectory:
     """RK4 integration of the master equation with per-step re-Hermitization.
 
     `rho0` is one (d, d) density matrix or a (K, d, d) stack of them (see the
     module docstring).  H is evaluated once per block of BLOCK intervals, at
     its nodes and midpoints in time order, for all members at once.  Raises
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
-    its smallest eigenvalue at a checkpoint falls below -1e-7; both indicate
-    the grid is too coarse for the requested dynamics.
+    its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
+    -1e-7; both indicate the grid is too coarse for the requested dynamics.
     """
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
@@ -289,7 +288,7 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     dt = grid.dt
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
-    check_every = max(1, grid.steps // max(checkpoints, 1))
+    check_every = max(1, grid.steps // CHECKPOINTS)
 
     for start in range(0, grid.steps, BLOCK):
         stop = min(start + BLOCK, grid.steps)

@@ -1,4 +1,4 @@
-"""Artifact writers: trajectory CSVs, the run manifest and its timings.
+"""Artifact writers: CSV tables, the run manifest and its timings.
 
 Numbers are written with 17 significant digits in scientific notation and
 files use LF line endings, so identical runs produce byte-identical CSVs and
@@ -14,23 +14,14 @@ import numpy as np
 
 from .dynamics import SimulationResult
 
-__all__ = ["write_trajectory_csv", "write_manifest", "write_timings"]
+__all__ = ["write_csv", "write_trajectory_csv", "write_manifest", "write_timings"]
 
 _FMT = "%.17e"
 _CHUNK = 512  # rows formatted per write: as fast as one write, without its memory
 
 
-def write_trajectory_csv(result: SimulationResult, path, time_scale: float = 1.0) -> None:
-    """Columns: t, one population per label (sorted), F, residual."""
-    labels = sorted(result.populations)
-    columns = [result.times * time_scale]
-    header = ["t"] + [f"P_{name}" for name in labels] + ["F", "residual"]
-    columns += [result.populations[name] for name in labels]
-    columns.append(result.fidelity)
-    residual = result.auxiliary.get("residual")
-    if residual is None:
-        residual = np.zeros_like(result.times)
-    columns.append(residual)
+def write_csv(path, header, columns) -> None:
+    """A header line, then one row per entry of the equal-length `columns`."""
     data = np.column_stack(columns)
     row = ",".join([_FMT] * data.shape[1]) + "\n"
     path = Path(path)
@@ -40,6 +31,17 @@ def write_trajectory_csv(result: SimulationResult, path, time_scale: float = 1.0
         for start in range(0, len(data), _CHUNK):
             rows = data[start:start + _CHUNK].tolist()
             fh.write("".join(row % tuple(values) for values in rows))
+
+
+def write_trajectory_csv(result: SimulationResult, path, time_scale: float = 1.0) -> None:
+    """Columns: t, one population per label (sorted), F, residual."""
+    labels = sorted(result.populations)
+    residual = result.auxiliary.get("residual")
+    if residual is None:
+        residual = np.zeros_like(result.times)
+    write_csv(path, ["t"] + [f"P_{name}" for name in labels] + ["F", "residual"],
+              [result.times * time_scale] + [result.populations[name] for name in labels]
+              + [result.fidelity, residual])
 
 
 def _write_json(path, payload: dict) -> None:

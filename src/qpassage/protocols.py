@@ -54,7 +54,7 @@ import numpy as np
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (BLOCK, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        populations, propagate_lindblad, propagate_schrodinger,
-                       von_neumann_residual)
+                       reconstruct_evolution, von_neumann_residual)
 from .linalg import SIGMA_MINUS, dagger, embed_qubit_operator, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
@@ -89,6 +89,8 @@ DEFAULT_J_OVER_OMEGA = 0.1
 
 # drive-frequency rule -> its detuning from the bare transition, in units of J
 _RULES = {"-omega+J": 1, "-omega": 0, "-omega-J": -1}
+
+_TRANSFER_GRID = 400  # phase-quadrature intervals behind a step's transfer map
 
 
 class ProtocolError(ValueError):
@@ -199,17 +201,16 @@ class ProtocolStep:
         dv[..., list(self.embed)] = frame.derivatives[..., -2]
         return v, dv
 
-    def transfer_map(self, grid: int = 400) -> np.ndarray:
+    def transfer_map(self) -> np.ndarray:
         """Nominal unitary of the step on the full space (identity off the
-        embedded block), built from the frame members and their phases."""
-        plan = synthesize_general(self.layout, self.schedules, grid=grid)
-        phases = generated_phases(self.layout, self.schedules, plan)
-        f_end = phases.as_matrix()[:, -1]
-        v_end = build_frame(self.layout, self.schedules, self.duration).vectors
-        v_0 = build_frame(self.layout, self.schedules, 0.0).vectors
+        embedded block): the evolution operator of its frame members and
+        their phases, reconstructed on the step's two end frames."""
+        plan = synthesize_general(self.layout, self.schedules, grid=_TRANSFER_GRID)
+        phases = generated_phases(self.layout, self.schedules, plan).as_matrix()[:, [0, -1]]
+        ends = [build_frame(self.layout, self.schedules, t) for t in (0.0, self.duration)]
         idx = list(self.embed)
         u = np.eye(self.dim, dtype=complex)
-        u[np.ix_(idx, idx)] = (v_end * np.exp(1j * f_end)) @ np.conj(v_0.T)
+        u[np.ix_(idx, idx)] = reconstruct_evolution(ends, phases)[-1]
         return u
 
 
@@ -249,14 +250,6 @@ class ProtocolPlan:
     initial: np.ndarray
     final_target: np.ndarray
     labels: dict
-
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.steps)
-
-    @property
-    def t_start(self) -> float:
-        return self.steps[0].t_start
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +525,10 @@ class _Track:
         })
 
 
-def _failed_at(exc: Exception, kappa: float) -> Exception:
-    """Tag a run failure with the kappa_T of the run it names."""
+def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
+    """Name the step in a propagation failure's message and tag the failure
+    with the kappa_T of the run it names."""
+    exc.args = (f"step {step.name!r}: {exc}",) + exc.args[1:]
     exc.kappa = kappa
     return exc
 
@@ -549,9 +544,10 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     carried through each step by one `propagate_lindblad` call, and the others
     share one pure-state run; the passage residual is computed once per step
     for all of them.  Each result equals, bit for bit, what a run of that one
-    rate gives.  A failure is raised with a `kappa` attribute, the kappa_T of
-    the run it names: for a stack failure, the first run in the order of
-    `kappas` among those failing at the earliest grid step.
+    rate gives.  A propagation failure keeps its type, names its step in its
+    message and is raised with a `kappa` attribute, the kappa_T of the run it
+    names: for a stack failure, the first run in the order of `kappas` among
+    those failing at the earliest grid step.
     """
     if model.qubits != plan.qubits:
         raise ProtocolError("model and plan disagree on the qubit count")
@@ -599,19 +595,17 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         if pure:
             try:
                 traj = propagate_schrodinger(h_local, psi, grid)
-            except ValueError as exc:
-                raise _failed_at(exc, kappas[pure[0]])
+            except (StepSizeError, ValueError) as exc:
+                raise _failed_at(exc, step, kappas[pure[0]])
             norm_drift = max(norm_drift, traj.norm_drift)
             psi = traj.final.copy()  # a view would keep the whole trajectory alive
             pure_track.add(traj.states, first, step, plan, kets)
         if stacked:
             try:
                 traj = propagate_lindblad(h_local, dissipators, rho, grid)
-            except StepSizeError as exc:
-                raise _failed_at(StepSizeError(f"step {step.name!r}: {exc}"),
-                                 kappas[stacked[exc.member]]) from None
-            except ValueError as exc:
-                raise _failed_at(exc, kappas[stacked[getattr(exc, "member", 0)]])
+            except (StepSizeError, ValueError) as exc:
+                member = getattr(exc, "member", None) or 0
+                raise _failed_at(exc, step, kappas[stacked[member]])
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
             rho = traj.final.copy()

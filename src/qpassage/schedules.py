@@ -37,6 +37,7 @@ __all__ = [
     "MissingScheduleError",
     "ParameterSchedule",
     "ScheduleSet",
+    "cascade_symbols",
     "required_symbols",
 ]
 
@@ -163,18 +164,23 @@ class ParameterSchedule:
         return self.eval(t)[1]
 
 
-def required_symbols(assistant_levels: int, working_levels: int) -> tuple[str, ...]:
-    """Every control symbol the (M, N) synthesis needs.
+def cascade_symbols(assistant_levels: int, working_levels: int) -> tuple[str, ...]:
+    """The angle and phase symbols of both cascades of an (M, N) layout.
 
-    M = 1 has no assistant cascade, so no ttheta/talpha entries are required.
+    M = 1 has no assistant cascade, so no ttheta/talpha entries.
     """
     names: list[str] = []
     for m in range(assistant_levels - 1):
         names += [f"ttheta_{m}", f"talpha_{m}"]
     for n in range(working_levels - 1):
         names += [f"theta_{n}", f"alpha_{n}"]
-    names += ["phi", "alpha", "varphi"]
     return tuple(names)
+
+
+def required_symbols(assistant_levels: int, working_levels: int) -> tuple[str, ...]:
+    """Every control symbol the (M, N) synthesis needs: the cascade symbols,
+    then phi, alpha and varphi."""
+    return cascade_symbols(assistant_levels, working_levels) + ("phi", "alpha", "varphi")
 
 
 @dataclass

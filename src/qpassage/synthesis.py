@@ -40,7 +40,8 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import von_neumann_residual
-from .schedules import ScheduleSet
+from .io import write_csv
+from .schedules import ScheduleSet, cascade_symbols
 from .tolerances import TOL
 
 __all__ = [
@@ -92,64 +93,58 @@ def master_envelope(schedules: ScheduleSet, t):
     s = np.sin(vphi + alpha)
     moving = np.abs(dphi) > 1e-12
     flat = np.abs(s) < TOL.schedule_singularity
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(moving, dphi * np.cos(vphi + alpha) / s, 0.0)
-        s2 = np.sin(2.0 * phi)
-        needs_cot = ~(np.abs(w) < 1e-14)
-        divergent = needs_cot & (np.abs(s2) < TOL.schedule_singularity)
-        bad = (moving & flat) | divergent
-        if np.any(bad):
-            i = np.argmax(bad)  # the first offending time, in the order of t
-            at = float(np.ravel(t)[i])
-            if np.ravel(moving & flat)[i]:
-                raise SingularScheduleError(
-                    f"sin(varphi+alpha) = {np.ravel(s)[i]:.2e} at t = {at:.6f} while the "
-                    "mixing angle moves; the drive envelope diverges there")
+    w = _divide(dphi * np.cos(vphi + alpha), s, moving & ~flat)
+    s2 = np.sin(2.0 * phi)
+    needs_cot = ~(np.abs(w) < 1e-14)
+    divergent = needs_cot & (np.abs(s2) < TOL.schedule_singularity)
+    bad = (moving & flat) | divergent
+    if np.any(bad):
+        i = np.argmax(bad)  # the first offending time, in the order of t
+        at = float(np.ravel(t)[i])
+        if np.ravel(moving & flat)[i]:
             raise SingularScheduleError(
-                f"detuning diverges at t = {at:.6f}: mixing angle at a multiple of pi/2 "
-                "with cot(varphi+alpha) != 0")
-        # sub-threshold drift over a near-singular phase is treated as static
-        omega = np.where((~moving & flat) | (dphi == 0.0), 0.0, -dphi / s)
-        delta = np.where(needs_cot, dalpha - 2.0 * w * np.cos(2.0 * phi) / s2, dalpha)
+                f"sin(varphi+alpha) = {np.ravel(s)[i]:.2e} at t = {at:.6f} while the "
+                "mixing angle moves; the drive envelope diverges there")
+        raise SingularScheduleError(
+            f"detuning diverges at t = {at:.6f}: mixing angle at a multiple of pi/2 "
+            "with cot(varphi+alpha) != 0")
+    # sub-threshold drift over a near-singular phase is treated as static
+    omega = _divide(-dphi, s, ~((~moving & flat) | (dphi == 0.0)))
+    delta = dalpha - _divide(2.0 * w * np.cos(2.0 * phi), s2, needs_cot)
     return omega[()], delta[()], vphi
 
 
-def _assistant_factors(schedules: ScheduleSet, assistant_levels: int, t):
-    """Signed amplitude a_m and phase -talpha_{m-1} per assistant level.
+def _divide(a, b, where):
+    """a / b where `where` holds and 0 elsewhere; b is not read outside the
+    mask, so a vanishing or subnormal denominator there raises no warning."""
+    return np.divide(a, b, out=np.zeros(np.shape(where)), where=where)
 
-    a_m = -sin(ttheta_{m-1}) * prod_{m'=m}^{M-2} cos(ttheta_{m'}), with the
-    seed conventions sin(ttheta_{-1}) = -1 and talpha_{-1} = 0, so that a_m
-    is the amplitude of the terminal assistant bright state on |e_m> up to
-    the phase factor e^{-i talpha_{m-1}}.  Both arrays carry the level on the
-    last axis, after the shape of t.
+
+def _bright_factors(schedules: ScheduleSet, t, cascade: str, levels: int, weight=1.0):
+    """Real amplitude and phase of a cascade's bright state on each of its
+    first `levels` levels, level on the last axis after the shape of t.
+
+    The bright state tb_{levels-2} (cascade "t") or b_{levels-2} (cascade "")
+    has the component amp_k e^{i phase_k} on its level k, with
+    phase_k = -[t]alpha_{k-1} and
+
+        working:    amp_n = cos(theta_{n-1}) prod_{n'=n}^{levels-2} sin(theta_{n'})
+        assistant:  amp_m = -sin(ttheta_{m-1}) prod_{m'=m}^{levels-2} cos(ttheta_{m'})
+
+    where the lead factor is 1 and the phase 0 for k = 0.  `weight`
+    multiplies every lead factor.
     """
-    m_top = assistant_levels - 1
-    angles = [schedules.value(f"ttheta_{k}", t) for k in range(m_top)]
-    cos_vals = [np.cos(a) for a in angles]
-    amps = np.empty(np.shape(t) + (assistant_levels,))
-    phases = np.empty_like(amps)
-    for m in range(assistant_levels):
-        sin_prev = -1.0 if m == 0 else np.sin(angles[m - 1])
-        amps[..., m] = -sin_prev * math.prod(cos_vals[m:m_top])
-        phases[..., m] = 0.0 if m == 0 else -schedules.value(f"talpha_{m - 1}", t)
-    return amps, phases
-
-
-def _working_factors(schedules: ScheduleSet, working_levels: int, t):
-    """Signed amplitude w_n and phase +alpha_{n-1} per working level.
-
-    w_n = cos(theta_{n-1}) * prod_{n'=n}^{N-2} sin(theta_{n'}), with the seed
-    conventions cos(theta_{-1}) = 1 and alpha_{-1} = 0; level on the last axis.
-    """
-    n_top = working_levels - 1
-    angles = [schedules.value(f"theta_{k}", t) for k in range(n_top)]
-    sin_vals = [np.sin(a) for a in angles]
-    amps = np.empty(np.shape(t) + (working_levels,))
-    phases = np.empty_like(amps)
-    for n in range(working_levels):
-        cos_prev = 1.0 if n == 0 else np.cos(angles[n - 1])
-        amps[..., n] = cos_prev * math.prod(sin_vals[n:n_top])
-        phases[..., n] = 0.0 if n == 0 else schedules.value(f"alpha_{n - 1}", t)
+    working = cascade == ""
+    angles = [schedules.value(f"{cascade}theta_{k}", t) for k in range(levels - 1)]
+    tails = [np.sin(a) if working else np.cos(a) for a in angles]
+    amps = np.empty(np.shape(t) + (levels,))
+    phases = np.zeros_like(amps)
+    for k in range(levels):
+        lead = 1.0
+        if k:
+            lead = np.cos(angles[k - 1]) if working else -np.sin(angles[k - 1])
+            phases[..., k] = -schedules.value(f"{cascade}alpha_{k - 1}", t)
+        amps[..., k] = weight * lead * math.prod(tails[k:])
     return amps, phases
 
 
@@ -161,10 +156,10 @@ def channel_fields(layout: SubspaceLayout, schedules: ScheduleSet, t):
     For an array of times every field gains the leading shape of t.
     """
     omega, delta, vphi = master_envelope(schedules, t)
-    a, pa = _assistant_factors(schedules, layout.assistant_levels, t)
-    w, pw = _working_factors(schedules, layout.working_levels, t)
+    a, pa = _bright_factors(schedules, t, "t", layout.assistant_levels)
+    w, pw = _bright_factors(schedules, t, "", layout.working_levels)
     amp = np.asarray(omega)[..., None, None] * (a[..., :, None] * w[..., None, :])
-    phase = np.asarray(vphi)[..., None, None] + pa[..., :, None] + pw[..., None, :]
+    phase = np.asarray(vphi)[..., None, None] + pa[..., :, None] - pw[..., None, :]
     return amp, phase, delta, omega, vphi
 
 
@@ -226,11 +221,7 @@ class DrivePlan:
                 columns += [self.channel_amp[m, n], self.channel_phase[m, n]]
         header.append("Delta")
         columns.append(self.detuning)
-        data = np.column_stack(columns)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(f"{x:.17e}" for x in row) + "\n")
+        write_csv(path, header, columns)
 
 
 def _require_constant(schedules: ScheduleSet, symbols, times) -> None:
@@ -243,15 +234,6 @@ def _require_constant(schedules: ScheduleSet, symbols, times) -> None:
             raise SynthesisError(
                 f"schedule {name!r} must be time-independent for the synthesized "
                 "fields to leave the cascade frame members static")
-
-
-def _cascade_symbols(layout: SubspaceLayout) -> list[str]:
-    names = []
-    for m in range(layout.assistant_levels - 1):
-        names += [f"ttheta_{m}", f"talpha_{m}"]
-    for n in range(layout.working_levels - 1):
-        names += [f"theta_{n}", f"alpha_{n}"]
-    return names
 
 
 def synthesize_general(layout: SubspaceLayout, schedules: ScheduleSet,
@@ -269,7 +251,7 @@ def synthesize_general(layout: SubspaceLayout, schedules: ScheduleSet,
     angle and the static-ratio factorization no longer applies.
     """
     times = np.linspace(0.0, schedules.duration, grid + 1)
-    frozen = _cascade_symbols(layout)
+    frozen = cascade_symbols(layout.assistant_levels, layout.working_levels)
     if aux is not None:
         exempt = (f"ttheta_{aux.target}", f"talpha_{aux.target}")
         frozen = [s for s in frozen if s not in exempt]
@@ -325,16 +307,9 @@ class AuxiliaryDrive:
         """Per-level amplitudes w_n and phases Phi_n, n = 0..target, on the last axis."""
         m = self.target
         w, _ = self.rates(t)
+        amps, bright_phases = _bright_factors(self.schedules, t, "t", m + 1, weight=w)
         talpha_m = self.schedules.value(f"talpha_{m}", t)
-        angles = [self.schedules.value(f"ttheta_{k}", t) for k in range(m)]
-        cos_vals = [np.cos(a) for a in angles]
-        amps = np.empty(np.shape(t) + (m + 1,))
-        phases = np.empty_like(amps)
-        for n in range(m + 1):
-            sin_prev = -1.0 if n == 0 else np.sin(angles[n - 1])
-            amps[..., n] = -w * sin_prev * math.prod(cos_vals[n:m])
-            talpha_prev = 0.0 if n == 0 else self.schedules.value(f"talpha_{n - 1}", t)
-            phases[..., n] = np.pi / 2.0 - talpha_m + talpha_prev
+        phases = np.asarray(np.pi / 2.0 - talpha_m)[..., None] - bright_phases
         return amps, phases
 
     def matrix(self, layout: SubspaceLayout, t) -> np.ndarray:
@@ -370,7 +345,7 @@ def convert_dark_state(layout: SubspaceLayout, schedules: ScheduleSet, m: int,
         raise SynthesisError(
             f"working-cascade angle theta_{m} does not exist for N = {layout.working_levels}")
     times = np.linspace(0.0, schedules.duration, grid + 1)
-    frozen = [s for s in _cascade_symbols(layout)
+    frozen = [s for s in cascade_symbols(layout.assistant_levels, layout.working_levels)
               if s not in (f"ttheta_{m}", f"talpha_{m}")]
     _require_constant(schedules, frozen, times)
     return AuxiliaryDrive(target=m, schedules=schedules, angle_source=angle_source)
@@ -406,7 +381,7 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
-                     plan: DrivePlan, times: np.ndarray | None = None) -> GeneratedPhases:
+                     plan: DrivePlan) -> GeneratedPhases:
     """Integrate the geometric-minus-dynamical phase of every frame member.
 
     The integrand of the lower passage is
@@ -418,9 +393,6 @@ def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
         raise SynthesisError("plan was synthesized for a different layout")
     if plan.schedules is not schedules and plan.schedules != schedules:
         raise SynthesisError("plan was synthesized from different schedules")
-    if times is not None and (len(times) != len(plan.times)
-                              or not np.allclose(times, plan.times)):
-        raise SynthesisError("grid does not match the plan's grid")
     ts = plan.times
 
     phi, _ = schedules.pair("phi", ts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import reconstruct_evolution, von_neumann_residual
-from .linalg import expm_hermitian
+from .linalg import completeness_defect, expm_hermitian
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import (assemble_hamiltonian, block_form_defect, convert_dark_state,
                         generated_phases, master_envelope, reduction_crosscheck,
@@ -31,6 +31,8 @@ __all__ = ["SuiteResult", "VerifyReport", "run_verification", "random_schedule_s
 # fine intervals per Hamiltonian call in the brute-force oracle; larger blocks
 # are barely faster and raise the peak memory of `verify` by several MiB
 _ORACLE_BLOCK = 256
+_SAMPLE_TIMES = 12  # residual sample times per case
+_GRID = 300  # synthesis grid of the residual and reconstruction suites
 
 
 @dataclass
@@ -112,8 +114,8 @@ def _brute_force(hamiltonian, dim, times):
     return out
 
 
-def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 12,
-                     grid: int = 300, inject_detuning: float = 0.0) -> VerifyReport:
+def run_verification(seed: int, sizes, instances: int = 3,
+                     inject_detuning: float = 0.0) -> VerifyReport:
     """Run every suite over the given (assistant, working) level counts.
 
     `inject_detuning` deliberately offsets the synthesized detuning in the
@@ -137,16 +139,14 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
     for layout, schedules in cases:
         for t in rng.uniform(0.0, 1.0, 3):
             frame = build_frame(layout, schedules, t)
-            err = _worst(err, [frame.gram_defect(),
-                               np.max(np.abs(frame.vectors @ frame.vectors.conj().T
-                                             - np.eye(layout.dim)))])
+            err = _worst(err, [frame.gram_defect(), completeness_defect(frame.vectors)])
     suites.append(SuiteResult("frame-orthonormality", err, TOL.frame_orthonormality,
                               err <= TOL.frame_orthonormality))
 
     # passage residual (optionally with an injected detuning error)
     err = 0.0
     for layout, schedules in cases:
-        plan = synthesize_general(layout, schedules, grid=grid)
+        plan = synthesize_general(layout, schedules, grid=_GRID)
 
         def hamiltonian(t, _plan=plan, _layout=layout):
             h = _plan.hamiltonian(t)
@@ -156,7 +156,7 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
             return h
 
         scale = max(np.linalg.norm(hamiltonian(t)) for t in (0.3, 0.6))
-        ts = rng.uniform(0.02, 0.98, sample_times)
+        ts = rng.uniform(0.02, 0.98, _SAMPLE_TIMES)
         frame = build_frame(layout, schedules, ts)
         h = hamiltonian(ts)
         for col in (-2, -1):
@@ -187,12 +187,12 @@ def run_verification(seed: int, sizes, instances: int = 3, sample_times: int = 1
     # reconstructed evolution against direct integration
     err = 0.0
     for layout, schedules in cases[: max(2, len(cases) // 2)]:
-        plan = synthesize_general(layout, schedules, grid=grid)
+        plan = synthesize_general(layout, schedules, grid=_GRID)
         phases = generated_phases(layout, schedules, plan)
         u_rec = reconstruct_evolution(build_frame(layout, schedules, plan.times), phases)
-        fine = np.linspace(0.0, 1.0, 10 * grid + 1)
+        fine = np.linspace(0.0, 1.0, 10 * _GRID + 1)
         u_bf = _brute_force(plan.hamiltonian, layout.dim, fine)
-        for idx in (grid // 2, grid):
+        for idx in (_GRID // 2, _GRID):
             err = _worst(err, float(np.linalg.norm(u_rec[idx] - u_bf[10 * idx])))
     suites.append(SuiteResult("evolution-reconstruction", err, 1e-6, err <= 1e-6))
 

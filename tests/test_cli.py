@@ -215,6 +215,20 @@ class TestRunCommand:
         assert err[0].startswith("error: run failed at kappa_T=30: step 'split': ")
         assert not (out / "manifest.json").exists()
 
+    def test_handoff_failure_names_its_step(self, tmp_path, capsys):
+        # the open rotating-frame state that the split step hands on fails the
+        # convert step's entry check (RK4 truncation error at grid 2000); the
+        # line names the step whose propagation failed, as a StepSizeError does
+        out = tmp_path / "out"
+        text = GHZ_CFG.format(grid=2000, kappa="0.0, 0.0145", out=out)
+        cfg = write_cfg(tmp_path, text + "mode = rotating-frame\nomega_T = 2900\n")
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run failed at kappa_T=0.0145: step 'convert': "
+                                 "density matrix has eigenvalue ")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])
     def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
         out = tmp_path / "out"
@@ -305,6 +319,32 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: run failed at kappa_T=3: step 'split'")
+
+    def test_kappa_sweep_integrates_its_values_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(plan, model, kappas, **kwargs):
+            calls.append(list(kappas))
+            return protocols.run_protocol_kappas(plan, model, kappas, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol_kappas", counted)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=100, kappa="0.0", out=tmp_path / "o"))
+        tables = []
+        for values in ("0.0725,0.0,0.0145", "0.0725", "0.0", "0.0145"):
+            out = tmp_path / values
+            assert main(["sweep", cfg, "--param", "kappa_T", "--values", values,
+                         "--out", str(out)]) == 0
+            tables.append((out / "sweep-kappa_T.csv").read_text().splitlines())
+        assert calls == [[0.0725, 0.0, 0.0145], [0.0725], [0.0], [0.0145]]
+        # each row is the one its value gives alone, to the last digit
+        assert tables[0] == tables[1] + tables[2][1:] + tables[3][1:]
+
+    def test_failing_value_of_a_kappa_sweep_is_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=10, kappa="0.0", out=tmp_path / "o"))
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0,3.0,0.0145"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run failed at kappa_T=3: step 'split': ")
 
     def test_diagnostic_failure_exits_one_as_in_run(self, tmp_path, capsys, monkeypatch):
         # a residual tolerance below round-off flags every run

@@ -1,0 +1,119 @@
+"""Physics invariants of the frame and the synthesized drive on random inputs.
+
+The shipped protocols use a handful of layouts and the constant and
+cosine-ramp schedule kinds only.  Here the layouts run over M <= 4 assistant
+and N <= 5 working levels and the controls over every schedule kind:
+
+* the frame is orthonormal and complete for any controls, `sampled` and
+  `linear-ramp` included;
+* with static cascade controls and phi, alpha and varphi of the analytic
+  kinds, the two cross-subspace members are exact passages of the assembled
+  H (the projector residual vanishes relative to ||H||), the assistant
+  members are eigenvectors with eigenvalue Delta, the working members are
+  dark, and H has the expected bright-basis block form.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qpassage.ancillary import SubspaceLayout, build_frame
+from qpassage.dynamics import von_neumann_residual
+from qpassage.linalg import completeness_defect, frobenius
+from qpassage.schedules import (ParameterSchedule, ScheduleSet, cascade_symbols,
+                                required_symbols)
+from qpassage.synthesis import assemble_hamiltonian, block_form_defect, master_envelope
+from qpassage.tolerances import TOL
+
+ANALYTIC = ("constant", "cosine-ramp", "linear-ramp")
+ALL_KINDS = ANALYTIC + ("sampled",)
+
+numbers = st.floats(-3.0, 3.0)
+instants = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+
+
+@st.composite
+def schedules(draw, kinds):
+    """One control on [0, 1] of a kind drawn from `kinds`."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return ParameterSchedule.constant(draw(numbers))
+    if kind == "cosine-ramp":
+        return ParameterSchedule.cosine_ramp(draw(numbers), offset=draw(numbers))
+    if kind == "linear-ramp":
+        return ParameterSchedule.linear_ramp(draw(numbers), draw(numbers))
+    knots = draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True))
+    times = [0.0] + sorted(knots) + [1.0]
+    return ParameterSchedule.sampled(times, draw(st.lists(numbers, min_size=len(times),
+                                                          max_size=len(times))))
+
+
+@st.composite
+def systems(draw, kinds, static_cascade):
+    """A random layout and a full schedule set; the cascade controls are
+    constants when `static_cascade` is set."""
+    layout = SubspaceLayout(draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    frozen = cascade_symbols(layout.assistant_levels, layout.working_levels)
+    table = {}
+    for symbol in required_symbols(layout.assistant_levels, layout.working_levels):
+        if static_cascade and symbol in frozen:
+            table[symbol] = ParameterSchedule.constant(draw(numbers))
+        else:
+            table[symbol] = draw(schedules(kinds))
+    return layout, ScheduleSet(layout.assistant_levels, layout.working_levels, 1.0, table)
+
+
+def _regular_times(sset, ts):
+    """The times at which the drive formulas are exact and well away from
+    their singularities: |sin(varphi + alpha)| and |sin(2 phi)| at least
+    0.05, and phi either static or moving clearly faster than the 1e-12 drift
+    that the envelope treats as static."""
+    phi, dphi = sset.pair("phi", ts)
+    cross = sset.value("varphi", ts) + sset.value("alpha", ts)
+    keep = ((np.abs(np.sin(cross)) >= 0.05) & (np.abs(np.sin(2.0 * phi)) >= 0.05)
+            & ((dphi == 0.0) | (np.abs(dphi) > 1e-9)))
+    return ts[keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(ALL_KINDS, static_cascade=False), inner=instants)
+def test_frame_is_orthonormal_and_complete(system, inner):
+    layout, sset = system
+    frame = build_frame(layout, sset, np.array(inner))
+    assert frame.gram_defect() <= TOL.frame_orthonormality
+    for vectors in frame.vectors:
+        assert completeness_defect(vectors) <= TOL.frame_orthonormality
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(ANALYTIC, static_cascade=True), inner=instants)
+def test_cross_members_are_exact_passages(system, inner):
+    layout, sset = system
+    ts = _regular_times(sset, np.array(inner))
+    assume(ts.size)
+    frame = build_frame(layout, sset, ts)
+    h = assemble_hamiltonian(layout, sset, ts)
+    bound = TOL.passage_residual * frobenius(h)
+    for col in (-2, -1):
+        residual = von_neumann_residual(frame.column(col), frame.derivatives[..., col], h)
+        assert np.all(residual <= bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(ANALYTIC, static_cascade=True), inner=instants)
+def test_dark_members_and_block_form(system, inner):
+    layout, sset = system
+    ts = _regular_times(sset, np.array(inner))
+    assume(ts.size)
+    m_rows = layout.assistant_levels - 1
+    for t in ts:
+        h = assemble_hamiltonian(layout, sset, t)
+        scale = max(float(np.linalg.norm(h)), 1e-300)
+        frame = build_frame(layout, sset, t)
+        omega, delta, vphi = master_envelope(sset, t)
+        for k in range(m_rows):
+            v = frame.column(k)
+            assert np.linalg.norm(h @ v - delta * v) / scale <= TOL.dark_state
+        for k in range(m_rows, m_rows + layout.working_levels - 1):
+            assert np.linalg.norm(h @ frame.column(k)) / scale <= TOL.dark_state
+        assert block_form_defect(frame, h, delta, omega, vphi) <= TOL.dark_state

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestValidation:
             varphi=ParameterSchedule.constant(np.pi / 3))
         with pytest.raises(SingularScheduleError):
             synthesize_general(SubspaceLayout(1, 2), schedules, grid=50)
+
+    @pytest.mark.parametrize("t", [0.5, np.array([0.2, 0.5, 1.0])])
+    def test_subnormal_cross_phase_raises_without_a_warning(self, t):
+        # sin(varphi + alpha) = 2.2e-313 while the mixing angle moves: the
+        # envelope must not divide by it before raising
+        schedules = bell_step_schedules(alpha=2.2e-313).replace(
+            varphi=ParameterSchedule.constant(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularScheduleError, match=r"sin\(varphi\+alpha\) = 2\.20e-313"):
+                master_envelope(schedules, t)
 
 
 class TestPassageCondition:
