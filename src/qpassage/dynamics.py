@@ -43,6 +43,17 @@ broadcast.  They call it once per block of BLOCK grid intervals (closed runs
 at the interval midpoints, open runs at the nodes and midpoints of the
 block), so the fields behind H are evaluated on whole arrays, and closed runs
 exponentiate a block with one batched eigendecomposition.
+
+Neither propagator keeps the trajectory itself.  Each hands the nodes it
+computes to an observer, `observe(first, states)`, called once with node 0
+and then once per block with that block's nodes, `first` being the grid index
+of the first of them; the indices cover 0 ... steps once each, in order.
+`states` is a view of one buffer the propagator reuses for every call, shape
+(n, d) for a pure state, (n, d, d) for one density matrix and (K, n, d, d)
+for a stack, so an observer must copy whatever it keeps.  Without an
+observer the propagator records every node and returns the whole trajectory;
+with one it returns only the end node (`times[-1:]`) with the diagnostics, so
+a run holds O(BLOCK K d^2) numbers of state instead of O(steps K d^2).
 """
 
 from __future__ import annotations
@@ -128,6 +139,9 @@ class Dissipator:
 
 @dataclass
 class StateTrajectory:
+    """A pure-state trajectory; from a propagation with an observer, only its
+    final node."""
+
     times: np.ndarray
     states: np.ndarray          # (len(times), dim)
     norm_drift: float
@@ -141,7 +155,7 @@ class StateTrajectory:
 class DensityTrajectory:
     """One density-matrix trajectory, or one per member of a stack: then
     `matrices` is (K, len(times), dim, dim) and the diagnostics are arrays of
-    K values."""
+    K values.  From a propagation with an observer, only the final node."""
 
     times: np.ndarray
     matrices: np.ndarray        # (len(times), dim, dim)
@@ -177,19 +191,37 @@ def _hamiltonian_stack(hamiltonian: Callable, times: np.ndarray) -> np.ndarray:
     return np.broadcast_to(h, times.shape + h.shape[-2:])
 
 
+def _recorder(out: np.ndarray, core: int) -> Callable:
+    """The default observer: copies each block into `out`, whose time axis
+    comes before its `core` state axes."""
+    def observe(first: int, states: np.ndarray) -> None:
+        time = slice(first, first + states.shape[-core - 1])
+        out[(..., time) + (slice(None),) * core] = states
+    return observe
+
+
 def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
-                          psi0: np.ndarray, grid: TimeGrid) -> StateTrajectory:
+                          psi0: np.ndarray, grid: TimeGrid,
+                          observe: Callable | None = None) -> StateTrajectory:
     """Midpoint-exponential propagation of a pure state.
 
     H is evaluated at the interval midpoints, one block of BLOCK of them per
     call (see the module docstring for the callable's contract), and must be
     Hermitian to 1e-10 (relative); the propagator itself is unitary up to
     round-off, so norm drift only reflects accumulated floating-point error.
+    `observe(first, states)` receives node 0 and then each block's nodes as
+    an (n, d) view of a reused buffer (copy what you keep); with it the
+    result holds only the final node, without it every node.
     """
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
-    out = np.empty((times.size, psi.size), dtype=complex)
-    out[0] = psi
+    out = None
+    if observe is None:
+        out = np.empty((times.size, psi.size), dtype=complex)
+        observe = _recorder(out, 1)
+    buf = np.empty((min(BLOCK, grid.steps), psi.size), dtype=complex)
+    buf[0] = psi
+    observe(0, buf[:1])
     dt = grid.dt
     mids = times[:-1] + 0.5 * dt
     drift = 0.0
@@ -199,10 +231,13 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
         bad = hermiticity_defect(h) > 1e-10
         if np.any(bad):
             raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-        for i, u in enumerate(expm_hermitian(h, -1j * dt), start=start + 1):
+        for j, u in enumerate(expm_hermitian(h, -1j * dt)):
             psi = u @ psi
-            out[i] = psi
+            buf[j] = psi
             drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
+        observe(start + 1, buf[:t_mid.size])
+    if out is None:
+        return StateTrajectory(times=times[-1:], states=psi[None], norm_drift=drift)
     return StateTrajectory(times=times, states=out, norm_drift=drift)
 
 
@@ -261,7 +296,7 @@ def _check_members(rho: np.ndarray) -> None:
 
 def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                        dissipators: list[Dissipator], rho0: np.ndarray,
-                       grid: TimeGrid) -> DensityTrajectory:
+                       grid: TimeGrid, observe: Callable | None = None) -> DensityTrajectory:
     """RK4 integration of the master equation with per-step re-Hermitization.
 
     `rho0` is one (d, d) density matrix or a (K, d, d) stack of them (see the
@@ -270,6 +305,11 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
     its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
     -1e-7; both indicate the grid is too coarse for the requested dynamics.
+    `observe(first, states)` receives node 0 and then each block's nodes as
+    an (n, d, d) view, (K, n, d, d) for a stack, of a reused buffer (copy
+    what you keep); with it the result holds only the final node, without it
+    every node.  A block is observed only once all its steps passed the
+    trace check; the eigenvalue check comes after the last block.
     """
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
@@ -283,8 +323,14 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     members, dim = rho.shape[0], rho.shape[-1]
     decay, jumps = _compile_dissipators(dissipators, dim, members)
     times = grid.times
-    out = np.empty((members, times.size, dim, dim), dtype=complex)
-    out[:, 0] = rho
+    out = None
+    if observe is None:
+        out = np.empty((members, times.size, dim, dim), dtype=complex)
+        observe = _recorder(out[0] if single else out, 2)
+    buf = np.empty((members, min(BLOCK, grid.steps), dim, dim), dtype=complex)
+    nodes = buf[0] if single else buf
+    buf[:, 0] = rho
+    observe(0, nodes[..., :1, :, :])
     dt = grid.dt
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
@@ -305,7 +351,7 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
             k4 = _lindblad_rhs(g[left + 2], rho + dt * k3, jumps)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-            out[:, i + 1] = rho
+            buf[:, i - start] = rho
             drift = np.maximum(drift, np.abs(rho.trace(axis1=1, axis2=2).real - 1.0))
             if (drift > TOL.trace_drift_error).any():
                 k = int(np.argmax(drift > TOL.trace_drift_error))
@@ -313,11 +359,14 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                                     "increase the number of grid steps", None if single else k)
             if (i + 1) % check_every == 0 or i + 1 == grid.steps:
                 min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho)[:, 0])
+        observe(start + 1, nodes[..., :stop - start, :, :])
 
     if np.any(min_eig < -TOL.positivity_drift):
         k = int(np.argmax(min_eig < -TOL.positivity_drift))
         raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}; "
                             "increase the number of grid steps", None if single else k)
+    if out is None:
+        times, out = times[-1:], rho[:, None]
     if single:
         return DensityTrajectory(times=times, matrices=out[0], trace_drift=float(drift[0]),
                                  min_eigenvalue=float(min_eig[0]))
@@ -379,7 +428,8 @@ def reconstruct_evolution(frames, phases) -> np.ndarray:
 
 def populations(states: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """|<ket|psi(t)>|^2 along pure states (T, d), or <ket|rho(t)|ket> along
-    density matrices (T, d, d); against a target ket this is the fidelity."""
+    density matrices (T, d, d) or a stack of them (K, T, d, d); against a
+    target ket this is the fidelity."""
     if states.ndim == 2:
         return np.abs(states @ np.conj(ket)) ** 2
-    return np.real(np.einsum("i,tij,j->t", np.conj(ket), states, ket))
+    return np.real(np.einsum("i,...ij,j->...", np.conj(ket), states, ket))

@@ -100,9 +100,10 @@ def gram_matrix(vectors: np.ndarray) -> np.ndarray:
 
 
 def completeness_defect(vectors: np.ndarray) -> float:
-    """|| sum_k |v_k><v_k| - 1 ||_max for the columns of a square frame."""
+    """|| sum_k |v_k><v_k| - 1 ||_max for the columns of a square frame; the
+    largest over a (T, d, d) stack of frames."""
     v = np.asarray(vectors, dtype=complex)
-    return float(np.max(np.abs(v @ dagger(v) - np.eye(v.shape[0]))))
+    return float(np.max(np.abs(v @ dagger(v) - np.eye(v.shape[-1]))))
 
 
 def hermiticity_defect(a: np.ndarray):

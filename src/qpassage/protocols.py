@@ -39,7 +39,9 @@ Step Hamiltonians, drive coefficients and passage vectors take a float t or
 an array of times; an array gives stacks with the time axis in front.  The
 runner hands the propagators the callable t -> build_step_hamiltonian(step,
 model, t, mode), which they call once per block of grid intervals, and runs
-the passage residual over the same blocks.  `run_protocol_kappas` runs one
+the passage residual over the same blocks.  It stores no trajectory: its
+observer reads the label populations (diagonal entries) and both fidelities
+out of each block the propagators hand it.  `run_protocol_kappas` runs one
 plan for several decay rates at once: the open runs as one density-matrix
 stack, the closed ones as one pure-state run, one residual pass per step.
 """
@@ -504,25 +506,56 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
 
 
 class _Track:
-    """Populations, fidelities and step records of one run, step by step."""
+    """Observer of one propagation, the pure run or the density-matrix stack:
+    the label populations and both fidelities block by block, and a record
+    per step.  Stack series carry the member axis in front."""
 
-    def __init__(self, plan: ProtocolPlan):
-        self.pops: dict[str, list] = {name: [] for name in plan.labels}
+    def __init__(self, plan: ProtocolPlan, density: bool):
+        self.plan = plan
+        self.density = density
+        self.labels = np.array(list(plan.labels.values()))
+        self.pops: list[np.ndarray] = []   # (..., n, labels) per block
         self.fid_step: list[np.ndarray] = []
         self.fid_final: list[np.ndarray] = []
         self.records: list[dict] = []
 
-    def add(self, states: np.ndarray, first: int, step: ProtocolStep, plan: ProtocolPlan,
-            kets: dict) -> None:
-        for name, ket in kets.items():
-            self.pops[name].append(populations(states[first:], ket))
-        self.fid_step.append(populations(states[first:], step.target))
-        self.fid_final.append(populations(states[first:], plan.final_target))
+    def start(self, step: ProtocolStep, first: int) -> None:
+        """Observe `step` next, from its grid node `first` on."""
+        self.step, self.skip = step, first
+
+    def __call__(self, first: int, states: np.ndarray) -> None:
+        if first < self.skip:
+            return
+        # a product-basis population is a diagonal entry; the fancy index
+        # copies them out of the propagator's reused buffer
+        k = self.labels
+        self.pops.append(states[..., k, k].real if self.density
+                         else np.abs(states[..., k]) ** 2)
+        self.fid_step.append(populations(states, self.step.target))
+        self.fid_final.append(populations(states, self.plan.final_target))
+
+    def finish(self, final: np.ndarray) -> None:
+        """Record the step from its final state (one per member for a stack)."""
         self.records.append({
-            "name": step.name,
-            "t_end": step.t_start + step.duration,
-            "target_fidelity": float(populations(states[-1:], step.target)[0]),
+            "name": self.step.name,
+            "t_end": self.step.t_start + self.step.duration,
+            "target_fidelity": populations(final[..., None, :, :] if self.density
+                                           else final[None], self.step.target)[..., 0],
         })
+
+    def series(self, member: int | None):
+        """Populations, step and final fidelities, and step records of one run:
+        a stack member, or the pure run for None."""
+        def pick(a):
+            return a if member is None else a[member]
+
+        def join(chunks):
+            return np.concatenate([pick(c) for c in chunks])
+
+        pops = dict(zip(self.plan.labels, join(self.pops).T.copy()))
+        records = [dict(record, target_fidelity=float(pick(record["target_fidelity"])))
+                   for record in self.records]
+        return pops, join(self.fid_step), join(self.fid_final), records
 
 
 def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
@@ -564,17 +597,14 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     rates = np.array([kappas[i] for i in stacked])
     dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, plan.qubits, q), rates)
                    for q in range(plan.qubits)] if stacked else []
-    pure_track = _Track(plan)
-    tracks = {i: pure_track for i in pure}
-    tracks.update((i, _Track(plan)) for i in stacked)
+    pure_track = _Track(plan, density=False)
+    stack_track = _Track(plan, density=True)
     times_out: list[np.ndarray] = []
     residual_out: list[np.ndarray] = []
     norm_drift = 0.0
     trace_drift = np.zeros(len(stacked))
     min_eig = np.ones(len(stacked))
     residual_scale = 0.0
-
-    kets = {name: product_state(name) for name in plan.labels}
 
     for step in plan.steps:
         def h_local(t, _step=step):
@@ -593,25 +623,25 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
         if pure:
+            pure_track.start(step, first)
             try:
-                traj = propagate_schrodinger(h_local, psi, grid)
+                traj = propagate_schrodinger(h_local, psi, grid, observe=pure_track)
             except (StepSizeError, ValueError) as exc:
                 raise _failed_at(exc, step, kappas[pure[0]])
             norm_drift = max(norm_drift, traj.norm_drift)
-            psi = traj.final.copy()  # a view would keep the whole trajectory alive
-            pure_track.add(traj.states, first, step, plan, kets)
+            psi = traj.final
+            pure_track.finish(psi)
         if stacked:
+            stack_track.start(step, first)
             try:
-                traj = propagate_lindblad(h_local, dissipators, rho, grid)
+                traj = propagate_lindblad(h_local, dissipators, rho, grid, observe=stack_track)
             except (StepSizeError, ValueError) as exc:
                 member = getattr(exc, "member", None) or 0
                 raise _failed_at(exc, step, kappas[stacked[member]])
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
-            rho = traj.final.copy()
-            for member, i in enumerate(stacked):
-                tracks[i].add(traj.matrices[member], first, step, plan, kets)
-        del traj  # released before the next step propagates
+            rho = traj.final
+            stack_track.finish(rho)
 
         if compute_residual:
             ts = grid.times[first:]
@@ -624,21 +654,21 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     times = np.concatenate(times_out)
     results = []
     for i in range(len(kappas)):
-        track = tracks[i]
-        pops = {name: np.concatenate(chunks) for name, chunks in track.pops.items()}
+        member = stacked.index(i) if i in stacked else None
+        track = pure_track if member is None else stack_track
+        pops, fid_step, fid_final, records = track.series(member)
         diagnostics = {
             "population_sum_max": float(np.max(sum(pops.values()))),
             "mode": mode,
         }
-        if i in stacked:
-            member = stacked.index(i)
+        if member is None:
+            diagnostics["norm_drift"] = norm_drift
+            final_state = psi.copy()
+        else:
             diagnostics["trace_drift"] = float(trace_drift[member])
             diagnostics["min_eigenvalue"] = float(min_eig[member])
             final_state = rho[member].copy()
-        else:
-            diagnostics["norm_drift"] = norm_drift
-            final_state = psi.copy()
-        auxiliary = {"fidelity_final": np.concatenate(track.fid_final)}
+        auxiliary = {"fidelity_final": fid_final}
         if compute_residual:
             residual = np.concatenate(residual_out)
             auxiliary["residual"] = residual
@@ -646,9 +676,9 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             diagnostics["max_residual_relative"] = float(np.max(residual)
                                                          / max(residual_scale, 1e-300))
         results.append(SimulationResult(
-            times=times.copy(), populations=pops, fidelity=np.concatenate(track.fid_step),
-            final_state=final_state, diagnostics=diagnostics,
-            steps=[dict(record) for record in track.records], auxiliary=auxiliary))
+            times=times.copy(), populations=pops, fidelity=fid_step,
+            final_state=final_state, diagnostics=diagnostics, steps=records,
+            auxiliary=auxiliary))
     return results
 
 

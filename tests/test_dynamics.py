@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import (DensityTrajectory, Dissipator, StepSizeError, TimeGrid,
+from qpassage.dynamics import (BLOCK, DensityTrajectory, Dissipator, StepSizeError, TimeGrid,
                                _compile_dissipators, _lindblad_rhs, gd_matrices,
                                populations, propagate_lindblad, propagate_schrodinger,
                                reconstruct_evolution, von_neumann_residual)
@@ -259,6 +259,56 @@ class TestDensityStack:
         with pytest.raises(ValueError, match="rate"):
             propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, rate)],
                                rho0, TimeGrid(0, 1, 10))
+
+
+class TestObserver:
+    """Node 0, then one call per block, from one reused buffer."""
+
+    @staticmethod
+    def _propagate(kind, steps, observe=None):
+        rng = np.random.default_rng(11)
+        h = _stack_hamiltonian(rng, 4)
+        grid = TimeGrid(0.0, 0.6, steps)
+        if kind == "pure":
+            psi0 = _random_complex(rng, 4)
+            return propagate_schrodinger(h, psi0 / np.linalg.norm(psi0), grid, observe=observe)
+        rho0 = np.array([_random_density(rng, 4) for _ in range(3)])
+        rates = np.array([0.0, 0.4, 1.1])
+        if kind == "density":
+            rho0, rates = rho0[1], 0.4
+        ops = [embed_qubit_operator(SIGMA_MINUS, 2, q) for q in range(2)]
+        return propagate_lindblad(h, [Dissipator(op, rates) for op in ops], rho0, grid,
+                                  observe=observe)
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("kind, members, core", [("pure", (), (4,)), ("density", (), (4, 4)),
+                                                     ("stack", (3,), (4, 4))])
+    def test_blocks_cover_the_grid_once_and_equal_the_trajectory(self, kind, members, core,
+                                                                 steps):
+        calls = []
+        observed = self._propagate(
+            kind, steps, lambda first, states: calls.append((first, states.copy(), states)))
+        stored = self._propagate(kind, steps)
+        time_axis = -len(core) - 1
+        sizes = [block.shape[time_axis] for _, block, _ in calls]
+        indices = np.concatenate([np.arange(first, first + n)
+                                  for (first, _, _), n in zip(calls, sizes)])
+        assert np.array_equal(indices, np.arange(steps + 1))
+        assert sizes[0] == 1 and max(sizes[1:]) <= BLOCK
+        for (_, block, view), n in zip(calls, sizes):
+            assert block.shape == members + (n,) + core
+            assert np.shares_memory(view, calls[0][2])  # one buffer, reused
+        blocks = np.concatenate([block for _, block, _ in calls], axis=time_axis)
+        trajectory = stored.states if kind == "pure" else stored.matrices
+        assert np.array_equal(blocks, trajectory)
+        # with an observer only the end node comes back, with the same diagnostics
+        assert np.array_equal(observed.times, stored.times[-1:])
+        assert np.array_equal(observed.final, stored.final)
+        if kind == "pure":
+            assert observed.norm_drift == stored.norm_drift
+        else:
+            assert np.array_equal(observed.trace_drift, stored.trace_drift)
+            assert np.array_equal(observed.min_eigenvalue, stored.min_eigenvalue)
 
 
 class TestResidual:

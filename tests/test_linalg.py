@@ -10,7 +10,9 @@ from qpassage.linalg import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
                              embed_qubit_operator, expm_hermitian, gram_matrix,
                              kron)
 
-from helpers import kron_oracle, taylor_expm, unitarity_defect
+from qpassage.ancillary import SubspaceLayout, build_frame
+
+from helpers import kron_oracle, random_schedule_set, taylor_expm, unitarity_defect
 
 RNG = np.random.default_rng(20240901)
 
@@ -78,6 +80,18 @@ class TestChecks:
         q, _ = np.linalg.qr(random_complex((5, 5)))
         assert np.max(np.abs(gram_matrix(q) - np.eye(5))) <= 1e-12
         assert completeness_defect(q) <= 1e-12
+
+    def test_completeness_of_a_frame_stack_is_its_worst_member(self):
+        layout = SubspaceLayout(2, 3)
+        schedules = random_schedule_set(np.random.default_rng(5), layout)
+        times = np.linspace(0.1, 0.9, 4)  # four frames of dimension five
+        vectors = build_frame(layout, schedules, times).vectors
+        assert vectors.shape == (4, 5, 5)
+        worst = max(completeness_defect(v) for v in vectors)
+        assert completeness_defect(vectors) == worst <= 1e-12
+        broken = vectors.copy()
+        broken[2, :, 0] *= 1.5
+        assert completeness_defect(broken) == completeness_defect(broken[2]) > 0.2
 
     def test_hermitian_check(self):
         h = random_complex((4, 4))

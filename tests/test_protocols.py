@@ -1,5 +1,7 @@
 """Bell/GHZ step Hamiltonians, plans, and closed-system protocol runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -8,7 +10,9 @@ from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, QubitModel,
                                 build_step_hamiltonian, diagnostics_ok, plan_bell,
                                 plan_bell_reverse, plan_ghz, product_index,
                                 product_state, run_protocol, run_protocol_kappas)
-from qpassage.dynamics import StepSizeError
+from qpassage.dynamics import (Dissipator, StepSizeError, TimeGrid, populations,
+                               propagate_lindblad, propagate_schrodinger)
+from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
 
 
@@ -262,6 +266,55 @@ class TestNoisyRuns:
         assert res.diagnostics["trace_drift"] <= 1e-7
         assert res.diagnostics["min_eigenvalue"] >= -1e-7
         assert diagnostics_ok(res)
+
+
+class TestStreamedSeries:
+    @pytest.mark.parametrize("kappa", [0.0, 0.0145])
+    def test_series_equal_those_of_the_stored_trajectories(self, kappa):
+        # 150 intervals per step: two full blocks and a partial one
+        model = QubitModel(qubits=3, omega=CALIBRATED_OMEGA_T, kappa=kappa)
+        plan = plan_ghz(model)
+        res = run_protocol(plan, model, noise=True, grid_steps=150, compute_residual=False)
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, 3, q), kappa) for q in range(3)]
+        state = plan.initial if kappa == 0 else outer(plan.initial)
+        pops = {name: [] for name in plan.labels}
+        fidelity = []
+        for n, step in enumerate(plan.steps):
+            def h(t, _step=step):
+                return build_step_hamiltonian(_step, model, t)
+
+            grid = TimeGrid(0.0, step.duration, 150)
+            if kappa == 0:
+                traj = propagate_schrodinger(h, state, grid)
+                states = traj.states
+            else:
+                traj = propagate_lindblad(h, channels, state, grid)
+                states = traj.matrices
+            states = states[0 if n == 0 else 1:]
+            for name in plan.labels:
+                pops[name].append(populations(states, product_state(name)))
+            fidelity.append(populations(states, step.target))
+            state = traj.final
+        for name in plan.labels:
+            assert np.array_equal(res.populations[name], np.concatenate(pops[name]))
+        assert np.array_equal(res.fidelity, np.concatenate(fidelity))
+        assert np.array_equal(res.final_state, state)
+
+
+class TestMemory:
+    def test_open_ghz5_run_keeps_no_trajectory(self):
+        # one (2001, 32, 32) complex trajectory alone would be 31.3 MiB
+        model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
+        plan = plan_ghz(model)
+        tracemalloc.start()
+        try:
+            res = run_protocol(plan, model, noise=True, grid_steps=2000,
+                               compute_residual=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739605897548
 
 
 def _assert_same_result(got, want):
