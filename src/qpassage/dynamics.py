@@ -14,7 +14,7 @@ means the step size is wrong and should fail loudly.
 The channels are compiled once per propagation.  K = sum_j rate_j L_j+ L_j
 folds into the effective Hamiltonian H_eff = H - (i/2) K, and with
 G = -i H_eff the commutator and anticommutator become G rho + (G rho)+: one
-d x d product per right-hand side whatever the channel count.  The identity
+product G rho per right-hand side whatever the channel count.  The identity
 holds for Hermitian rho, and every RK4 stage input is one: the state is
 re-Hermitized after each step, and a stage adds to it G rho + (G rho)+,
 Hermitian by construction, and the jump sum, Hermitian up to the order its
@@ -37,12 +37,22 @@ order, among those failing at the earliest grid step; the exception carries
 its index as the `member` attribute.
 
 Both propagators take the Hamiltonian as a callable of time that accepts an
-array of times and returns the stack of matrices, shape (len(t), d, d); a
-time-independent Hamiltonian may return one (d, d) matrix, which is
-broadcast.  They call it once per block of BLOCK grid intervals (closed runs
-at the interval midpoints, open runs at the nodes and midpoints of the
-block), so the fields behind H are evaluated on whole arrays, and closed runs
-exponentiate a block with one batched eigendecomposition.
+array of times and returns its matrices there, in one of two forms.  A
+(len(t), S, b, b) stack of blocks says that H is block diagonal over S
+consecutive groups of b levels of the state (S b = d): block s acts on
+levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
+stack is the S = 1 case of the same contract, and a time-independent (d, d)
+matrix is broadcast.  The propagators call it once per block of BLOCK grid
+intervals (closed runs at the interval midpoints, open runs at the nodes and
+midpoints of the block), so the fields behind H are evaluated on whole
+arrays.  Closed runs exponentiate a block of times with one batched
+eigendecomposition of all its S-by-b-by-b blocks and advance the state group
+by group; open runs form G = -i H_eff per group, which needs the compiled
+decay K to be block diagonal over the same groups (a K that couples two
+groups raises ValueError rather than a silent dense fallback), and take
+G rho as S products of (b, b) by (b, d) rows.  Ordering the levels so that H
+falls into groups is the caller's business; with S = 1 the arithmetic is
+the dense one.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
@@ -185,10 +195,19 @@ class SimulationResult:
     auxiliary: dict = field(default_factory=dict)
 
 
-def _hamiltonian_stack(hamiltonian: Callable, times: np.ndarray) -> np.ndarray:
-    """H at every entry of `times` as a (len(times), d, d) complex stack."""
+def _hamiltonian_blocks(hamiltonian: Callable, times: np.ndarray, dim: int) -> np.ndarray:
+    """H at every entry of `times` as a (len(times), S, b, b) complex stack of
+    blocks over S groups of b levels, S = 1 for a dense H (see the module
+    docstring)."""
     h = np.asarray(hamiltonian(times), dtype=complex)
-    return np.broadcast_to(h, times.shape + h.shape[-2:])
+    if h.ndim < 4:
+        h = h[..., None, :, :]
+    h = np.broadcast_to(h, times.shape + h.shape[-3:])
+    groups, size = h.shape[-3], h.shape[-1]
+    if h.shape[-2] != size or groups * size != dim:
+        raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
+                         f"the state's {dim} levels")
+    return h
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -206,9 +225,12 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     """Midpoint-exponential propagation of a pure state.
 
     H is evaluated at the interval midpoints, one block of BLOCK of them per
-    call (see the module docstring for the callable's contract), and must be
-    Hermitian to 1e-10 (relative); the propagator itself is unitary up to
-    round-off, so norm drift only reflects accumulated floating-point error.
+    call, as a dense matrix or as its blocks over S consecutive groups of the
+    state's levels (see the module docstring for the callable's contract).
+    It must be Hermitian to 1e-10 (relative); each step exponentiates the
+    S blocks and advances psi group by group, so the propagator is unitary
+    up to round-off and norm drift only reflects accumulated floating-point
+    error.
     `observe(first, states)` receives node 0 and then each block's nodes as
     an (n, d) view of a reused buffer (copy what you keep); with it the
     result holds only the final node, without it every node.
@@ -227,15 +249,20 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     drift = 0.0
     for start in range(0, grid.steps, BLOCK):
         t_mid = mids[start:start + BLOCK]
-        h = _hamiltonian_stack(hamiltonian, t_mid)
-        bad = hermiticity_defect(h) > 1e-10
+        h = _hamiltonian_blocks(hamiltonian, t_mid, psi.size)
+        bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
         if np.any(bad):
             raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
+        nodes = buf[:t_mid.size]
+        grouped = nodes.reshape(h.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
+        psi = psi.reshape(grouped.shape[1:])
         for j, u in enumerate(expm_hermitian(h, -1j * dt)):
             psi = u @ psi
-            buf[j] = psi
-            drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-        observe(start + 1, buf[:t_mid.size])
+            grouped[j] = psi
+        # frobenius sums each node's squares as np.linalg.norm does
+        drift = max(drift, float(np.max(np.abs(frobenius(nodes[:, None, :]) - 1.0))))
+        observe(start + 1, nodes)
+    psi = psi.reshape(-1)
     if out is None:
         return StateTrajectory(times=times[-1:], states=psi[None], norm_drift=drift)
     return StateTrajectory(times=times, states=out, norm_drift=drift)
@@ -275,13 +302,30 @@ def _compile_dissipators(dissipators: list[Dissipator], dim: int, members: int =
 
 
 def _lindblad_rhs(g: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
-    """drho/dt for a (K, d, d) stack of Hermitian rho, with g = -i H_eff
-    (one (d, d) matrix or one per member)."""
+    """drho/dt for a (K, d, d) stack of Hermitian rho, with g = -i H_eff per
+    member as its (S, b, b) blocks over S consecutive groups of b levels, or
+    as one (d, d) matrix (one group, whose product needs no group axis)."""
     bins, src, weight = jumps
     terms = weight * rho.reshape(len(rho), -1)[:, src]
     jump = np.bincount(bins, terms.view(float).ravel(), 2 * rho.size).view(complex)
-    a = g @ rho
+    if g.ndim == rho.ndim:
+        a = g @ rho
+    else:
+        a = (g @ rho.reshape((len(rho),) + g.shape[-3:-1] + (-1,))).reshape(rho.shape)
     return a + a.conj().swapaxes(1, 2) + jump.reshape(rho.shape)
+
+
+def _decay_blocks(decay: np.ndarray, groups: int) -> np.ndarray:
+    """The (K, d, d) decay stack as its (K, S, b, b) blocks over S = `groups`
+    consecutive groups of levels, ready to meet H's (S, b, b) blocks; a decay
+    that couples two groups raises ValueError."""
+    members, dim = decay.shape[0], decay.shape[-1]
+    size = dim // groups
+    blocks = np.einsum("msisj->msij", decay.reshape(members, groups, size, groups, size))
+    if np.count_nonzero(blocks) != np.count_nonzero(decay):
+        raise ValueError(f"the decay operator couples levels of different groups of the "
+                         f"Hamiltonian's {groups} blocks of {size} levels")
+    return blocks
 
 
 def _check_members(rho: np.ndarray) -> None:
@@ -301,7 +345,10 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
 
     `rho0` is one (d, d) density matrix or a (K, d, d) stack of them (see the
     module docstring).  H is evaluated once per block of BLOCK intervals, at
-    its nodes and midpoints in time order, for all members at once.  Raises
+    its nodes and midpoints in time order, for all members at once, as a
+    dense matrix or as its blocks over S consecutive groups of the levels;
+    G = -i (H - (i/2) K) is then formed per group, and a decay K that couples
+    two groups raises ValueError.  Raises
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
     its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
     -1e-7; both indicate the grid is too coarse for the requested dynamics.
@@ -342,7 +389,10 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
         t_block = np.empty(2 * (stop - start) + 1)
         t_block[0::2] = times[start:stop + 1]
         t_block[1::2] = times[start:stop] + 0.5 * dt
-        g = -1j * (_hamiltonian_stack(hamiltonian, t_block)[:, None] - 0.5j * decay)
+        h = _hamiltonian_blocks(hamiltonian, t_block, dim)
+        g = -1j * (h[:, None] - 0.5j * _decay_blocks(decay, h.shape[-3]))
+        if h.shape[-3] == 1:  # one group: a plain (d, d) product, without reshapes
+            g = g[:, :, 0]
         for i in range(start, stop):
             left = 2 * (i - start)
             k1 = _lindblad_rhs(g[left], rho, jumps)
@@ -429,7 +479,13 @@ def reconstruct_evolution(frames, phases) -> np.ndarray:
 def populations(states: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """|<ket|psi(t)>|^2 along pure states (T, d), or <ket|rho(t)|ket> along
     density matrices (T, d, d) or a stack of them (K, T, d, d); against a
-    target ket this is the fidelity."""
+    target ket this is the fidelity.  An (a, d) stack of kets gives the a
+    series in front: one product for density matrices, one per ket for pure
+    states, whose two-ket product would round differently."""
+    ket = np.asarray(ket)
+    kets = ket.reshape(-1, ket.shape[-1])
     if states.ndim == 2:
-        return np.abs(states @ np.conj(ket)) ** 2
-    return np.real(np.einsum("i,...ij,j->...", np.conj(ket), states, ket))
+        out = np.array([np.abs(states @ np.conj(k)) ** 2 for k in kets])
+    else:
+        out = np.real(np.einsum("ai,...ij,aj->a...", np.conj(kets), states, kets))
+    return out.reshape(ket.shape[:-1] + out.shape[1:])

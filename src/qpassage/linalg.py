@@ -3,9 +3,12 @@
 Operators are plain (d, d) complex numpy arrays, states are length-d complex
 vectors, density matrices are (d, d) arrays.  `dagger`, `frobenius`,
 `expm_hermitian` and `hermiticity_defect` also take stacks (..., d, d) and
-act on the last two axes.  System dimensions stay small
-(at most 2**6), so dense routines are always adequate; there is no sparse or
-GPU path.
+act on the last two axes.  Registers stay small enough for dense routines,
+but a protocol step's Hamiltonian is block diagonal over the configurations
+of its spectator qubits, so the propagators take it as a stack of (b, b)
+blocks, b <= 4, and these routines run on that stack as on any other: an
+n-qubit step costs d/b small eigendecompositions instead of one of size
+d = 2**n.  There is no sparse or GPU path.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "check_hermitian",
     "check_state_vector",
     "check_density_matrix",
+    "StateCheckError",
     "embed_qubit_operator",
     "SIGMA_X",
     "SIGMA_Y",
@@ -106,14 +110,26 @@ def completeness_defect(vectors: np.ndarray) -> float:
     return float(np.max(np.abs(v @ dagger(v) - np.eye(v.shape[-1]))))
 
 
-def hermiticity_defect(a: np.ndarray):
+def hermiticity_defect(a: np.ndarray, axis: tuple = (-2, -1)):
     """max|A - A^dag| relative to max|A| (zero matrix gives zero); one value
-    per matrix of a stack."""
+    per matrix of a stack.  `axis=(-3, -2, -1)` takes each block-diagonal
+    operator of a stack of (S, b, b) blocks as one A."""
     a = np.asarray(a, dtype=complex)
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    defect = np.max(np.abs(a - dagger(a)), axis=(-2, -1))
+    scale = np.max(np.abs(a), axis=axis)
+    defect = np.max(np.abs(a - dagger(a)), axis=axis)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(scale == 0.0, 0.0, defect / scale)[()]
+
+
+class StateCheckError(ValueError):
+    """A state failed a validity check: `value` is the measured quantity (a
+    defect, a drift or the smallest eigenvalue) and `bound` the tolerance it
+    broke."""
+
+    def __init__(self, message: str, value: float, bound: float):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL.hermiticity, what: str = "operator") -> np.ndarray:
@@ -127,7 +143,8 @@ def check_state_vector(psi: np.ndarray, tol: float = TOL.state_norm) -> np.ndarr
     psi = np.asarray(psi, dtype=complex)
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > tol:
-        raise ValueError(f"state vector is not normalized (|norm-1| = {drift:.3e})")
+        raise StateCheckError(f"state vector is not normalized (|norm-1| = {drift:.3e})",
+                              drift, tol)
     return psi
 
 
@@ -136,14 +153,18 @@ def check_density_matrix(rho: np.ndarray,
                          trace_tol: float = TOL.density_trace,
                          pos_tol: float = TOL.density_positivity) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if hermiticity_defect(rho) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
+    defect = hermiticity_defect(rho)
+    if defect > herm_tol:
+        raise StateCheckError("density matrix is not Hermitian within tolerance",
+                              defect, herm_tol)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr:.12f} deviates from 1 beyond {trace_tol:.1e}")
+        raise StateCheckError(f"density matrix trace {tr:.12f} deviates from 1 beyond "
+                              f"{trace_tol:.1e}", abs(tr - 1.0), trace_tol)
     smallest = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
     if smallest < -pos_tol:
-        raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below -{pos_tol:.1e}")
+        raise StateCheckError(f"density matrix has eigenvalue {smallest:.3e} below "
+                              f"-{pos_tol:.1e}", smallest, pos_tol)
     return rho
 
 

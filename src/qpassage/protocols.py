@@ -36,19 +36,35 @@ rotation only multiplies each lowering operator by a phase, which cancels
 inside every dissipator term.
 
 Step Hamiltonians, drive coefficients and passage vectors take a float t or
-an array of times; an array gives stacks with the time axis in front.  The
-runner hands the propagators the callable t -> build_step_hamiltonian(step,
-model, t, mode), which they call once per block of grid intervals, and runs
-the passage residual over the same blocks.  It stores no trajectory: its
-observer reads the label populations (diagonal entries) and both fidelities
-out of each block the propagators hand it.  `run_protocol_kappas` runs one
-plan for several decay rates at once: the open runs as one density-matrix
-stack, the closed ones as one pure-state run, one residual pass per step.
+an array of times; an array gives stacks with the time axis in front.
+
+A step drives at most two qubits and never flips the others, so in its level
+order `ProtocolStep.order` (spectator bits major, driven bits minor) its
+Hamiltonian is block diagonal over d/b groups of b = 2**len(drives) <= 4
+levels.  `build_step_blocks` assembles those blocks and
+`build_step_hamiltonian` scatters them into the dense product-basis matrix,
+the one builder behind the residual, the step-consistency check and the
+public API.
+
+The runner carries the states into each step's order at the step's start
+and back at its end, and hands the propagators the blocks: closed runs
+always, open runs from OPEN_GROUPS_MIN_DIM levels on (below it they keep
+product order and the dense matrix, whose one product is faster there).
+The propagators evaluate H once per block of grid intervals, and the
+runner runs the passage residual on the dense matrix over the same blocks.
+It stores no trajectory: its observer reads the label populations (diagonal
+entries) and both fidelities out of each block the propagators hand it.
+`run_protocol_kappas` runs one plan for several decay rates at once: the
+open runs as one density-matrix stack, the closed ones as one pure-state
+run, one residual pass per step.  A step that hands its state on closes
+with its successor's entry check, so a failure names the step that made
+the state.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +73,8 @@ from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (BLOCK, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        populations, propagate_lindblad, propagate_schrodinger,
                        reconstruct_evolution, von_neumann_residual)
-from .linalg import SIGMA_MINUS, dagger, embed_qubit_operator, frobenius, outer
+from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
+                     dagger, embed_qubit_operator, frobenius, outer)
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
 from .tolerances import TOL
@@ -72,6 +89,7 @@ __all__ = [
     "plan_bell",
     "plan_bell_reverse",
     "plan_ghz",
+    "build_step_blocks",
     "build_step_hamiltonian",
     "run_protocol",
     "run_protocol_kappas",
@@ -93,6 +111,11 @@ DEFAULT_J_OVER_OMEGA = 0.1
 _RULES = {"-omega+J": 1, "-omega": 0, "-omega-J": -1}
 
 _TRANSFER_GRID = 400  # phase-quadrature intervals behind a step's transfer map
+
+# Register dimension from which open runs propagate in the step order's
+# groups; below it the density-matrix stack keeps the product order and the
+# dense product G rho, which is faster for small d (see CHANGES.md).
+OPEN_GROUPS_MIN_DIM = 32
 
 
 class ProtocolError(ValueError):
@@ -154,10 +177,19 @@ class ProtocolStep:
     The reduced model (layout, schedules) generates the drive coefficients;
     `embed` maps its levels onto product-basis indices and `rep` maps each
     driven qubit to the (row, col) reduced matrix element that carries the
-    qubit's drive coefficient.  `lines` holds, per driven qubit, the
-    (qubit, rows, cols, n) of all its raising transitions: in the frame
-    rotating with the static Hamiltonian a transition oscillates at n*J, so
-    effective mode keeps the n = 0 lines.
+    qubit's drive coefficient.
+
+    `order` is the step's level order: position p holds product index
+    order[p], with the spectator qubits' bits as the major index and the
+    driven qubits' bits as the minor one.  Every transition of the step flips
+    driven qubits only and its diagonal lives on the embedded levels, so in
+    this order the step Hamiltonian is block diagonal over S = d/b
+    consecutive groups of b = 2**len(drives) levels, one per configuration
+    of the spectators.  `lines` holds, per driven qubit, the
+    (qubit, groups, rows, cols, n) of all its raising transitions, each as
+    its group and its row and column inside the group: in the frame rotating
+    with the static Hamiltonian a transition oscillates at n*J, so effective
+    mode keeps the n = 0 lines.
     """
 
     name: str
@@ -173,14 +205,29 @@ class ProtocolStep:
     schedules: ScheduleSet
     embed: tuple
     rep: dict
+    order: np.ndarray = field(init=False)
     lines: tuple = field(init=False)
 
     def __post_init__(self):
+        driven = sorted(self.drives)
+        spectators = [q for q in range(self.qubits) if q not in driven]
+        levels = np.arange(self.dim).reshape((2,) * self.qubits)
+        self.order = levels.transpose(spectators + driven).ravel()
         self.lines = _transition_lines(self)
 
     @property
     def dim(self) -> int:
         return 2 ** self.qubits
+
+    @property
+    def block(self) -> int:
+        """Levels per group of the step order, b = 2**len(drives)."""
+        return 2 ** len(self.drives)
+
+    @property
+    def position(self) -> np.ndarray:
+        """Position in the step order of each product index (inverse of `order`)."""
+        return np.argsort(self.order)
 
     def reduced_hamiltonian(self, t) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t)
@@ -217,7 +264,8 @@ class ProtocolStep:
 
 
 def _transition_lines(step: ProtocolStep) -> tuple:
-    """Per driven qubit: (qubit, rows, cols, n) of its raising transitions.
+    """Per driven qubit: (qubit, groups, rows, cols, n) of its raising
+    transitions, in the blocks of the step order.
 
     The drive frequency rule contributes n = +1, 0, -1 and each coupling
     partner another +1 in |e> or -1 in |g>.
@@ -238,7 +286,9 @@ def _transition_lines(step: ProtocolStep) -> tuple:
             rows.append(col & ~(1 << (n_qubits - 1 - q)))
             cols.append(col)
             ns.append(n)
-        lines.append((q, np.array(rows), np.array(cols), np.array(ns)))
+        rows, cols = step.position[rows], step.position[cols]
+        size = step.block
+        lines.append((q, rows // size, rows % size, cols % size, np.array(ns)))
     return tuple(lines)
 
 
@@ -471,16 +521,16 @@ def plan_ghz(model: QubitModel, n_qubits: int | None = None,
 # Hamiltonians and execution
 # ---------------------------------------------------------------------------
 
-def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
-                           t, mode: str = "effective") -> np.ndarray:
-    """Full-register Hamiltonian of one step at local time t.
+def build_step_blocks(step: ProtocolStep, model: QubitModel | None,
+                      t, mode: str = "effective") -> np.ndarray:
+    """The step Hamiltonian at local time t as its (S, b, b) blocks over the
+    groups of the step order (see ProtocolStep), which is how the
+    propagators take it; an array of times puts its shape in front.
 
-    A float t gives one (d, d) matrix; an array of times gives the stack with
-    the shape of t in front, which is how the propagators call it.  Each
-    transition line's coefficient is multiplied by exp(i n J t): rotating-frame
-    mode needs a model with the omega*T scale and keeps every line, effective
-    mode keeps the co-rotating n = 0 lines only.  Any detuning of the reduced
-    model rides on its embedded levels.
+    Each transition line's coefficient is multiplied by exp(i n J t):
+    rotating-frame mode needs a model with the omega*T scale and keeps every
+    line, effective mode keeps the co-rotating n = 0 lines only.  Any
+    detuning of the reduced model rides on its embedded levels.
     """
     if mode == "rotating-frame":
         if model is None or model.omega is None:
@@ -492,16 +542,32 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
         raise ProtocolError(f"unknown Hamiltonian mode {mode!r}")
     t = np.asarray(t, dtype=float)
     h_red = step.reduced_hamiltonian(t)
-    h = np.zeros(t.shape + (step.dim, step.dim), dtype=complex)
-    for q, rows, cols, n in step.lines:
+    size = step.block
+    h = np.zeros(t.shape + (step.dim // size, size, size), dtype=complex)
+    for q, groups, rows, cols, n in step.lines:
         if mode == "effective":
             keep = n == 0
-            rows, cols, n = rows[keep], cols[keep], n[keep]
+            groups, rows, cols, n = groups[keep], rows[keep], cols[keep], n[keep]
         c = h_red[(..., *step.rep[q])]
-        h[..., rows, cols] += c[..., None] * np.exp(1j * (n * j) * t[..., None])
+        h[..., groups, rows, cols] += c[..., None] * np.exp(1j * (n * j) * t[..., None])
     h += dagger(h)
-    idx = list(step.embed)
-    h[..., idx, idx] += np.diagonal(h_red, axis1=-2, axis2=-1).real
+    embed = step.position[list(step.embed)]
+    h[..., embed // size, embed % size, embed % size] += np.diagonal(h_red, axis1=-2,
+                                                                   axis2=-1).real
+    return h
+
+
+def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
+                           t, mode: str = "effective") -> np.ndarray:
+    """Full-register Hamiltonian of one step at local time t, in the product
+    basis: the blocks of :func:`build_step_blocks` scattered onto their
+    groups' levels, zero between groups.  A float t gives one (d, d) matrix;
+    an array of times gives the stack with the shape of t in front.
+    """
+    blocks = build_step_blocks(step, model, t, mode)
+    groups = step.order.reshape(-1, step.block)
+    h = np.zeros(blocks.shape[:-3] + (step.dim, step.dim), dtype=complex)
+    h[..., groups[:, :, None], groups[:, None, :]] = blocks
     return h
 
 
@@ -519,20 +585,24 @@ class _Track:
         self.fid_final: list[np.ndarray] = []
         self.records: list[dict] = []
 
-    def start(self, step: ProtocolStep, first: int) -> None:
-        """Observe `step` next, from its grid node `first` on."""
+    def start(self, step: ProtocolStep, first: int, order: np.ndarray) -> None:
+        """Observe `step` next, from its grid node `first` on, its states'
+        levels being the product indices in `order`."""
         self.step, self.skip = step, first
+        self.index = np.argsort(order)[self.labels]
+        self.targets = np.array([step.target[order], self.plan.final_target[order]])
 
     def __call__(self, first: int, states: np.ndarray) -> None:
         if first < self.skip:
             return
         # a product-basis population is a diagonal entry; the fancy index
         # copies them out of the propagator's reused buffer
-        k = self.labels
+        k = self.index
         self.pops.append(states[..., k, k].real if self.density
                          else np.abs(states[..., k]) ** 2)
-        self.fid_step.append(populations(states, self.step.target))
-        self.fid_final.append(populations(states, self.plan.final_target))
+        fid_step, fid_final = populations(states, self.targets)
+        self.fid_step.append(fid_step)
+        self.fid_final.append(fid_final)
 
     def finish(self, final: np.ndarray) -> None:
         """Record the step from its final state (one per member for a stack)."""
@@ -540,7 +610,7 @@ class _Track:
             "name": self.step.name,
             "t_end": self.step.t_start + self.step.duration,
             "target_fidelity": populations(final[..., None, :, :] if self.density
-                                           else final[None], self.step.target)[..., 0],
+                                           else final[None], self.targets[0])[..., 0],
         })
 
     def series(self, member: int | None):
@@ -564,6 +634,28 @@ def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
     exc.args = (f"step {step.name!r}: {exc}",) + exc.args[1:]
     exc.kappa = kappa
     return exc
+
+
+def _check_handoff(step: ProtocolStep, grid_steps: int, states: np.ndarray, kappas) -> None:
+    """Close `step` with the entry check its successor applies to each state
+    it hands on (a pure state or a stack of density matrices, one per rate in
+    `kappas`), so that a failure names the step that produced the state.
+
+    The failing quantity is the step's integration error, which for RK4
+    shrinks as dt^5, so the StepSizeError names the grid that law predicts
+    would bring it within its bound.
+    """
+    for member, (state, kappa) in enumerate(zip(states, kappas)):
+        try:
+            if state.ndim == 1:
+                check_state_vector(state)
+            else:
+                check_density_matrix(state)
+        except StateCheckError as exc:
+            grid = math.ceil(grid_steps * (abs(exc.value) / exc.bound) ** 0.2)
+            raise _failed_at(StepSizeError(
+                f"{exc} at the step's end (kappa_T={kappa:g}); by the dt^5 law of its "
+                f"error a grid of {grid} steps would clear it", member), step, kappa)
 
 
 def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str = "effective",
@@ -595,8 +687,9 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     psi = plan.initial.copy()
     rho = np.array([outer(plan.initial)] * len(stacked))
     rates = np.array([kappas[i] for i in stacked])
-    dissipators = [Dissipator(embed_qubit_operator(SIGMA_MINUS, plan.qubits, q), rates)
-                   for q in range(plan.qubits)] if stacked else []
+    lowering = [embed_qubit_operator(SIGMA_MINUS, plan.qubits, q) for q in range(plan.qubits)]
+    grouped_open = 2 ** plan.qubits >= OPEN_GROUPS_MIN_DIM
+    product_order = np.arange(2 ** plan.qubits)
     pure_track = _Track(plan, density=False)
     stack_track = _Track(plan, density=True)
     times_out: list[np.ndarray] = []
@@ -610,6 +703,11 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         def h_local(t, _step=step):
             return build_step_hamiltonian(_step, model, t, mode=mode)
 
+        def h_blocks(t, _step=step):
+            return build_step_blocks(_step, model, t, mode=mode)
+
+        hands_on = step is not plan.steps[-1]
+
         if mode == "rotating-frame" and strict and step.couplings:
             coefficients = step.drive_coefficients(np.linspace(0, step.duration, 101))
             peak = max(float(np.max(np.abs(c))) for c in coefficients.values())
@@ -622,26 +720,38 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         grid = TimeGrid(0.0, step.duration, grid_steps)
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
+        # each propagation runs in its order of levels; the states go back to
+        # product order at the step's end
         if pure:
-            pure_track.start(step, first)
+            order = step.order
+            pure_track.start(step, first, order)
             try:
-                traj = propagate_schrodinger(h_local, psi, grid, observe=pure_track)
+                traj = propagate_schrodinger(h_blocks, psi[order], grid, observe=pure_track)
             except (StepSizeError, ValueError) as exc:
                 raise _failed_at(exc, step, kappas[pure[0]])
             norm_drift = max(norm_drift, traj.norm_drift)
-            psi = traj.final
-            pure_track.finish(psi)
+            pure_track.finish(traj.final)
+            psi = traj.final[step.position]
+            if hands_on:
+                _check_handoff(step, grid_steps, psi[None], [kappas[pure[0]]])
         if stacked:
-            stack_track.start(step, first)
+            order = step.order if grouped_open else product_order
+            stack_track.start(step, first, order)
+            dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
             try:
-                traj = propagate_lindblad(h_local, dissipators, rho, grid, observe=stack_track)
+                traj = propagate_lindblad(h_blocks if grouped_open else h_local, dissipators,
+                                          rho[:, order[:, None], order], grid,
+                                          observe=stack_track)
             except (StepSizeError, ValueError) as exc:
                 member = getattr(exc, "member", None) or 0
                 raise _failed_at(exc, step, kappas[stacked[member]])
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
-            rho = traj.final
-            stack_track.finish(rho)
+            stack_track.finish(traj.final)
+            back = np.argsort(order)
+            rho = traj.final[:, back[:, None], back]
+            if hands_on:
+                _check_handoff(step, grid_steps, rho, [kappas[i] for i in stacked])
 
         if compute_residual:
             ts = grid.times[first:]

@@ -5,7 +5,8 @@ a stack; a scalar t returns one value.  The scalar loop is the reference
 here: every stacked result must equal the loop over its times bit for bit,
 and an error must name the same (first) offending time.  The propagators
 evaluate H in blocks of BLOCK intervals, so their block edges are checked
-against a plain step-by-step loop.
+against a plain step-by-step loop.  A block-diagonal H given as its blocks
+over groups of levels must propagate as the same H given dense.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, _compile_dissipators,
                                _lindblad_rhs, propagate_lindblad, propagate_schrodinger,
                                von_neumann_residual)
-from qpassage.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, expm_hermitian, outer
+from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
+                             expm_hermitian, outer)
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_hamiltonian,
                                 plan_bell, plan_ghz)
 from qpassage.schedules import ParameterSchedule, ScheduleDomainError, ScheduleSet
@@ -310,3 +312,82 @@ class TestPropagatorBlocks:
             else:
                 propagate_schrodinger(h, np.array([0.0, 0.0, 1.0]), grid)
         assert f"SingularScheduleError: {err.value}" == expected
+
+
+def _grouped_drive(groups, size, seed):
+    """A random time-dependent H, block diagonal over `groups` consecutive
+    groups of `size` levels, as a callable giving its blocks and one giving
+    the dense matrix."""
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, 2, groups, size, size))
+    a, b = 0.1 * (parts[:, 0] + 1j * parts[:, 1])
+    a, b = a + dagger(a), b + dagger(b)
+
+    def blocks(t):
+        t = np.asarray(t)[..., None, None, None]
+        return a + np.sin(3.1 * t) * b
+
+    def dense(t):
+        stack = blocks(t)
+        out = np.zeros(stack.shape[:-3] + (groups * size,) * 2, dtype=complex)
+        for g in range(groups):
+            level = slice(g * size, (g + 1) * size)
+            out[..., level, level] = stack[..., g, :, :]
+        return out
+
+    return blocks, dense
+
+
+def _random_state(rng, dim, members=None):
+    psi = rng.normal(size=(dim,)) + 1j * rng.normal(size=(dim,))
+    psi /= np.linalg.norm(psi)
+    if members is None:
+        return psi
+    rho = rng.normal(size=(members, dim, dim)) + 1j * rng.normal(size=(members, dim, dim))
+    rho = rho @ dagger(rho)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+class TestGroupedHamiltonian:
+    """Three qubits (d = 8) in groups of 4 or 2 levels, decaying through
+    their lowering operators, whose K = sum L+L is diagonal."""
+
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_schrodinger_blocks_equal_the_dense_matrix(self, steps, size):
+        blocks, dense = _grouped_drive(8 // size, size, seed=steps)
+        psi0 = _random_state(np.random.default_rng(steps), 8)
+        grid = TimeGrid(0.0, 0.3, steps)
+        grouped = propagate_schrodinger(blocks, psi0, grid)
+        plain = propagate_schrodinger(dense, psi0, grid)
+        assert np.max(np.abs(grouped.states - plain.states)) <= 1e-13
+
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_lindblad_blocks_equal_the_dense_matrix(self, steps, members, size):
+        blocks, dense = _grouped_drive(8 // size, size, seed=steps)
+        rho0 = _random_state(np.random.default_rng(steps), 8, members)
+        rates = np.linspace(0.2, 0.6, members)
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, 3, q), rates)
+                    for q in range(3)]
+        grid = TimeGrid(0.0, 0.3, steps)
+        grouped = propagate_lindblad(blocks, channels, rho0, grid)
+        plain = propagate_lindblad(dense, channels, rho0, grid)
+        assert np.max(np.abs(grouped.matrices - plain.matrices)) <= 1e-13
+
+    def test_a_decay_coupling_two_groups_is_rejected(self):
+        blocks, dense = _grouped_drive(2, 4, seed=5)
+        jump = np.zeros((8, 8), dtype=complex)
+        jump[0, 0] = jump[0, 4] = 1.0   # K = L+L couples level 0 to level 4
+        rho0 = _random_state(np.random.default_rng(5), 8, 1)
+        grid = TimeGrid(0.0, 0.3, 10)
+        with pytest.raises(ValueError, match="couples levels of different groups"):
+            propagate_lindblad(blocks, [Dissipator(jump, 0.3)], rho0, grid)
+        propagate_lindblad(dense, [Dissipator(jump, 0.3)], rho0, grid)  # S = 1 is fine
+
+    def test_blocks_must_cover_the_state(self):
+        blocks, _ = _grouped_drive(2, 2, seed=5)
+        with pytest.raises(ValueError, match="do not cover"):
+            propagate_schrodinger(blocks, _random_state(np.random.default_rng(5), 8),
+                                  TimeGrid(0.0, 0.3, 10))

@@ -216,17 +216,19 @@ class TestRunCommand:
         assert not (out / "manifest.json").exists()
 
     def test_handoff_failure_names_its_step(self, tmp_path, capsys):
-        # the open rotating-frame state that the split step hands on fails the
-        # convert step's entry check (RK4 truncation error at grid 2000); the
-        # line names the step whose propagation failed, as a StepSizeError does
+        # the open rotating-frame state that the split step hands on would fail
+        # the convert step's entry check (RK4 truncation error at grid 2000);
+        # the split step closes with that check, so the line names the step
+        # that produced the state and the grid the dt^5 law predicts clears it
         out = tmp_path / "out"
         text = GHZ_CFG.format(grid=2000, kappa="0.0, 0.0145", out=out)
         cfg = write_cfg(tmp_path, text + "mode = rotating-frame\nomega_T = 2900\n")
         assert main(["run", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: run failed at kappa_T=0.0145: step 'convert': "
+        assert err[0].startswith("error: run failed at kappa_T=0.0145: step 'split': "
                                  "density matrix has eigenvalue ")
+        assert "below -1.0e-08" in err[0] and "a grid of 2035 steps" in err[0]
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])

@@ -10,7 +10,14 @@ and N <= 5 working levels and the controls over every schedule kind:
   kinds, the two cross-subspace members are exact passages of the assembled
   H (the projector residual vanishes relative to ||H||), the assistant
   members are eigenvectors with eigenvalue Delta, the working members are
-  dark, and H has the expected bright-basis block form.
+  dark, and H has the expected bright-basis block form;
+* every step of the Bell and GHZ3-6 plans, in both Hamiltonian modes and at
+  any time, leaves its spectator qubits alone: its dense H vanishes between
+  levels of different spectator configurations and is the scatter of the
+  blocks the propagators get in the step order.
+
+CI runs this file with RuntimeWarning as an error, so an overflow or an
+invalid value in any of this arithmetic fails it.
 """
 
 import numpy as np
@@ -20,6 +27,8 @@ from hypothesis import strategies as st
 from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import von_neumann_residual
 from qpassage.linalg import completeness_defect, frobenius
+from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_blocks,
+                                build_step_hamiltonian, plan_bell, plan_ghz)
 from qpassage.schedules import (ParameterSchedule, ScheduleSet, cascade_symbols,
                                 required_symbols)
 from qpassage.synthesis import assemble_hamiltonian, block_form_defect, master_envelope
@@ -117,3 +126,44 @@ def test_dark_members_and_block_form(system, inner):
         for k in range(m_rows, m_rows + layout.working_levels - 1):
             assert np.linalg.norm(h @ frame.column(k)) / scale <= TOL.dark_state
         assert block_form_defect(frame, h, delta, omega, vphi) <= TOL.dark_state
+
+
+def _plan(qubits):
+    model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
+    return model, plan_bell(model) if qubits == 2 else plan_ghz(model)
+
+
+PLANS = {qubits: _plan(qubits) for qubits in range(2, 7)}
+STEPS = [(qubits, index) for qubits, (_, plan) in PLANS.items()
+         for index in range(len(plan.steps))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(STEPS), mode=st.sampled_from(["effective", "rotating-frame"]),
+       inner=instants)
+def test_step_hamiltonian_lives_in_its_spectator_sectors(which, mode, inner):
+    qubits, index = which
+    model, plan = PLANS[qubits]
+    step = plan.steps[index]
+    ts = np.array(inner) * step.duration
+    dim, size = step.dim, 2 ** len(step.drives)
+    spectators = [q for q in range(qubits) if q not in step.drives]
+
+    def sector(level):
+        return tuple((level >> (qubits - 1 - q)) & 1 for q in spectators)
+
+    # the step order is a permutation whose groups are spectator sectors
+    assert sorted(step.order) == list(range(dim))
+    groups = step.order.reshape(-1, size)
+    assert all(len({sector(level) for level in group}) == 1 for group in groups)
+    assert len({sector(group[0]) for group in groups}) == dim // size
+
+    h = build_step_hamiltonian(step, model, ts, mode)
+    apart = np.array([[sector(i) != sector(j) for j in range(dim)] for i in range(dim)])
+    assert not np.any(h[..., apart])
+    blocks = build_step_blocks(step, model, ts, mode)
+    assert blocks.shape == ts.shape + (dim // size, size, size)
+    scattered = np.zeros_like(h)
+    for group, block in zip(groups, np.moveaxis(blocks, -3, 0)):
+        scattered[..., group[:, None], group[None, :]] = block
+    assert np.array_equal(h, scattered)

@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import trapezoid
 
 from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, QubitModel,
-                                build_step_hamiltonian, diagnostics_ok, plan_bell,
-                                plan_bell_reverse, plan_ghz, product_index,
-                                product_state, run_protocol, run_protocol_kappas)
+                                build_step_blocks, build_step_hamiltonian, diagnostics_ok,
+                                plan_bell, plan_bell_reverse, plan_ghz, product_index,
+                                product_state, run_protocol, run_protocol_kappas,
+                                _check_handoff)
 from qpassage.dynamics import (Dissipator, StepSizeError, TimeGrid, populations,
                                propagate_lindblad, propagate_schrodinger)
 from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
@@ -280,21 +281,26 @@ class TestStreamedSeries:
         pops = {name: [] for name in plan.labels}
         fidelity = []
         for n, step in enumerate(plan.steps):
-            def h(t, _step=step):
-                return build_step_hamiltonian(_step, model, t)
-
+            # the closed run propagates each step's blocks in the step order;
+            # the open one, at d = 8 below OPEN_GROUPS_MIN_DIM, the dense H
             grid = TimeGrid(0.0, step.duration, 150)
             if kappa == 0:
-                traj = propagate_schrodinger(h, state, grid)
+                order = step.order
+                traj = propagate_schrodinger(
+                    lambda t, _step=step: build_step_blocks(_step, model, t), state[order], grid)
                 states = traj.states
+                state = traj.final[np.argsort(order)]
             else:
-                traj = propagate_lindblad(h, channels, state, grid)
+                order = np.arange(step.dim)
+                traj = propagate_lindblad(
+                    lambda t, _step=step: build_step_hamiltonian(_step, model, t), channels,
+                    state, grid)
                 states = traj.matrices
+                state = traj.final
             states = states[0 if n == 0 else 1:]
             for name in plan.labels:
-                pops[name].append(populations(states, product_state(name)))
-            fidelity.append(populations(states, step.target))
-            state = traj.final
+                pops[name].append(populations(states, product_state(name)[order]))
+            fidelity.append(populations(states, step.target[order]))
         for name in plan.labels:
             assert np.array_equal(res.populations[name], np.concatenate(pops[name]))
         assert np.array_equal(res.fidelity, np.concatenate(fidelity))
@@ -329,6 +335,31 @@ def _assert_same_result(got, want):
     assert got.auxiliary.keys() == want.auxiliary.keys()
     for key in want.auxiliary:
         assert np.array_equal(got.auxiliary[key], want.auxiliary[key])
+
+
+class TestHandoff:
+    """A step closes with its successor's entry check on the state it hands on."""
+
+    def test_a_denormalized_pure_state_fails_in_the_step_that_made_it(self):
+        plan = plan_bell(QubitModel(qubits=2))
+        psi = plan.steps[0].target * (1.0 + 1e-9)   # |norm - 1| = 1e-9, bound 1e-10
+        with pytest.raises(StepSizeError, match="^step 'split': state vector is not "
+                                                "normalized") as err:
+            _check_handoff(plan.steps[0], 1000, psi[None], [0.0])
+        # the dt^5 law: 1000 * (1e-9 / 1e-10) ** (1/5) = 1584.9
+        assert "(kappa_T=0); by the dt^5 law of its error a grid of 1585 steps" in str(err.value)
+        assert err.value.kappa == 0.0
+
+    def test_a_stack_failure_names_its_member_and_rate(self):
+        plan = plan_bell(QubitModel(qubits=2))
+        good = outer(plan.steps[0].target)
+        bad = np.diag([0.5 + 2e-8, 0.5, 0.0, -2e-8]).astype(complex)  # eigenvalue -2e-8
+        with pytest.raises(StepSizeError, match="^step 'split': density matrix has "
+                                                "eigenvalue -2.000e-08 below -1.0e-08") as err:
+            _check_handoff(plan.steps[0], 2000, np.array([good, bad]), [0.0145, 0.145])
+        assert err.value.kappa == 0.145 and err.value.member == 1
+        assert "a grid of 2298 steps" in str(err.value)   # 2000 * 2 ** (1/5) = 2297.4
+        _check_handoff(plan.steps[0], 2000, np.array([good, good]), [0.0145, 0.145])
 
 
 class TestIntegratedKappas:
