@@ -52,7 +52,9 @@ decay K to be block diagonal over the same groups (a K that couples two
 groups raises ValueError rather than a silent dense fallback), and take
 G rho as S products of (b, b) by (b, d) rows.  Ordering the levels so that H
 falls into groups is the caller's business; with S = 1 the arithmetic is
-the dense one.
+the dense one.  `von_neumann_residual` takes H in the same two forms.  Both
+propagators reject an H that is not finite, naming the first time at which
+it is not.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
@@ -143,8 +145,9 @@ class Dissipator:
     rate: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.rate) < 0):
-            raise ValueError("dissipation rate must be non-negative")
+        rate = np.asarray(self.rate, dtype=float)
+        if not np.all((rate >= 0) & np.isfinite(rate)):
+            raise ValueError("dissipation rate must be finite and non-negative")
 
 
 @dataclass
@@ -207,6 +210,9 @@ def _hamiltonian_blocks(hamiltonian: Callable, times: np.ndarray, dim: int) -> n
     if h.shape[-2] != size or groups * size != dim:
         raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
                          f"the state's {dim} levels")
+    bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
+    if np.any(bad):
+        raise ValueError(f"Hamiltonian is not finite at t = {times[np.argmax(bad)]:.6f}")
     return h
 
 
@@ -430,9 +436,11 @@ def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
     `dv` is dv/dt at the same instant, so dP/dt = |dv><v| + |v><dv|.  A
     vanishing residual is the exact transitionless-evolution condition for
     the state P projects onto.  Stacks v, dv of shape (..., d) and h of shape
-    (..., d, d) give one residual per instant.
+    (..., d, d) give one residual per instant.  H may also come as its
+    (..., S, b, b) blocks over S consecutive groups of b levels of v, the
+    propagators' contract (see the module docstring).
     """
-    hv = (h @ v[..., None])[..., 0]
+    hv = (h @ v.reshape(h.shape[:-1] + (1,))).reshape(v.shape)
     v_bra = np.conj(v)[..., None, :]
     mat = (dv[..., :, None] * v_bra + v[..., :, None] * np.conj(dv)[..., None, :]
            + 1j * (hv[..., :, None] * v_bra - v[..., :, None] * np.conj(hv)[..., None, :]))

@@ -41,17 +41,15 @@ an array of times; an array gives stacks with the time axis in front.
 A step drives at most two qubits and never flips the others, so in its level
 order `ProtocolStep.order` (spectator bits major, driven bits minor) its
 Hamiltonian is block diagonal over d/b groups of b = 2**len(drives) <= 4
-levels.  `build_step_blocks` assembles those blocks and
-`build_step_hamiltonian` scatters them into the dense product-basis matrix,
-the one builder behind the residual, the step-consistency check and the
-public API.
+levels.  `build_step_blocks` assembles those blocks, the one form of H the
+runner uses; `build_step_hamiltonian` scatters them into the dense
+product-basis matrix for the step-consistency check and the public API.
 
 The runner carries the states into each step's order at the step's start
-and back at its end, and hands the propagators the blocks: closed runs
-always, open runs from OPEN_GROUPS_MIN_DIM levels on (below it they keep
-product order and the dense matrix, whose one product is faster there).
-The propagators evaluate H once per block of grid intervals, and the
-runner runs the passage residual on the dense matrix over the same blocks.
+and back at its end, and hands the propagators the blocks, closed and open
+runs alike.  The propagators evaluate H once per block of grid intervals,
+and the runner evaluates the passage residual over the same blocks of
+intervals, on H's groups and the passage vectors taken into the step order.
 It stores no trajectory: its observer reads the label populations (diagonal
 entries) and both fidelities out of each block the propagators hand it.
 `run_protocol_kappas` runs one plan for several decay rates at once: the
@@ -112,11 +110,6 @@ _RULES = {"-omega+J": 1, "-omega": 0, "-omega-J": -1}
 
 _TRANSFER_GRID = 400  # phase-quadrature intervals behind a step's transfer map
 
-# Register dimension from which open runs propagate in the step order's
-# groups; below it the density-matrix stack keeps the product order and the
-# dense product G rho, which is faster for small d (see CHANGES.md).
-OPEN_GROUPS_MIN_DIM = 32
-
 
 class ProtocolError(ValueError):
     pass
@@ -155,10 +148,13 @@ class QubitModel:
     def __post_init__(self):
         if self.qubits < 2:
             raise ProtocolError("protocols need at least two qubits")
-        if self.kappa < 0:
-            raise ProtocolError("decay rate must be non-negative")
-        if self.j_over_omega < 0:
-            raise ProtocolError("coupling ratio must be non-negative")
+        # the comparisons are written so that nan fails them
+        if not 0 <= self.kappa < math.inf:
+            raise ProtocolError("decay rate must be finite and non-negative")
+        if self.omega is not None and not 0 < self.omega < math.inf:
+            raise ProtocolError("omega*T scale must be finite and positive")
+        if not 0 <= self.j_over_omega < math.inf:
+            raise ProtocolError("coupling ratio must be finite and non-negative")
 
     @property
     def j_coupling(self) -> float:
@@ -585,12 +581,12 @@ class _Track:
         self.fid_final: list[np.ndarray] = []
         self.records: list[dict] = []
 
-    def start(self, step: ProtocolStep, first: int, order: np.ndarray) -> None:
+    def start(self, step: ProtocolStep, first: int) -> None:
         """Observe `step` next, from its grid node `first` on, its states'
-        levels being the product indices in `order`."""
+        levels being in the step order."""
         self.step, self.skip = step, first
-        self.index = np.argsort(order)[self.labels]
-        self.targets = np.array([step.target[order], self.plan.final_target[order]])
+        self.index = step.position[self.labels]
+        self.targets = np.array([step.target[step.order], self.plan.final_target[step.order]])
 
     def __call__(self, first: int, states: np.ndarray) -> None:
         if first < self.skip:
@@ -679,8 +675,8 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ProtocolError("no decay rate to run")
-    if any(k < 0 for k in kappas):
-        raise ProtocolError("decay rate must be non-negative")
+    if not all(0 <= k < math.inf for k in kappas):  # nan fails the comparison
+        raise ProtocolError("decay rate must be finite and non-negative")
     stacked = [i for i, k in enumerate(kappas) if noise and k > 0.0]
     pure = [i for i in range(len(kappas)) if i not in stacked]
 
@@ -688,8 +684,6 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     rho = np.array([outer(plan.initial)] * len(stacked))
     rates = np.array([kappas[i] for i in stacked])
     lowering = [embed_qubit_operator(SIGMA_MINUS, plan.qubits, q) for q in range(plan.qubits)]
-    grouped_open = 2 ** plan.qubits >= OPEN_GROUPS_MIN_DIM
-    product_order = np.arange(2 ** plan.qubits)
     pure_track = _Track(plan, density=False)
     stack_track = _Track(plan, density=True)
     times_out: list[np.ndarray] = []
@@ -700,9 +694,6 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     residual_scale = 0.0
 
     for step in plan.steps:
-        def h_local(t, _step=step):
-            return build_step_hamiltonian(_step, model, t, mode=mode)
-
         def h_blocks(t, _step=step):
             return build_step_blocks(_step, model, t, mode=mode)
 
@@ -720,35 +711,32 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         grid = TimeGrid(0.0, step.duration, grid_steps)
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
-        # each propagation runs in its order of levels; the states go back to
+        # each propagation runs in the step order; the states go back to
         # product order at the step's end
+        order, back = step.order, step.position
         if pure:
-            order = step.order
-            pure_track.start(step, first, order)
+            pure_track.start(step, first)
             try:
                 traj = propagate_schrodinger(h_blocks, psi[order], grid, observe=pure_track)
             except (StepSizeError, ValueError) as exc:
                 raise _failed_at(exc, step, kappas[pure[0]])
             norm_drift = max(norm_drift, traj.norm_drift)
             pure_track.finish(traj.final)
-            psi = traj.final[step.position]
+            psi = traj.final[back]
             if hands_on:
                 _check_handoff(step, grid_steps, psi[None], [kappas[pure[0]]])
         if stacked:
-            order = step.order if grouped_open else product_order
-            stack_track.start(step, first, order)
+            stack_track.start(step, first)
             dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
             try:
-                traj = propagate_lindblad(h_blocks if grouped_open else h_local, dissipators,
-                                          rho[:, order[:, None], order], grid,
-                                          observe=stack_track)
+                traj = propagate_lindblad(h_blocks, dissipators, rho[:, order[:, None], order],
+                                          grid, observe=stack_track)
             except (StepSizeError, ValueError) as exc:
                 member = getattr(exc, "member", None) or 0
                 raise _failed_at(exc, step, kappas[stacked[member]])
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
             stack_track.finish(traj.final)
-            back = np.argsort(order)
             rho = traj.final[:, back[:, None], back]
             if hands_on:
                 _check_handoff(step, grid_steps, rho, [kappas[i] for i in stacked])
@@ -756,10 +744,12 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         if compute_residual:
             ts = grid.times[first:]
             residual_out.append(np.concatenate([
-                von_neumann_residual(*step.passage_vectors(block), h_local(block))
+                von_neumann_residual(*(x[..., order] for x in step.passage_vectors(block)),
+                                     h_blocks(block))
                 for block in np.split(ts, range(BLOCK, ts.size, BLOCK))]))
-            h_mid = h_local(0.5 * step.duration)
-            residual_scale = max(residual_scale, frobenius(h_mid))
+            # the blocks' rows stacked into one matrix keep the dense H's norm
+            h_mid = h_blocks(0.5 * step.duration)
+            residual_scale = max(residual_scale, frobenius(h_mid.reshape(-1, step.block)))
 
     times = np.concatenate(times_out)
     results = []

@@ -21,7 +21,7 @@ from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, _compile_dissipators
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
                              expm_hermitian, outer)
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_hamiltonian,
-                                plan_bell, plan_ghz)
+                                plan_bell, plan_ghz, run_protocol)
 from qpassage.schedules import ParameterSchedule, ScheduleDomainError, ScheduleSet
 from qpassage.synthesis import (SingularScheduleError, assemble_hamiltonian, channel_fields,
                                 convert_dark_state, master_envelope)
@@ -192,6 +192,36 @@ class TestSteps:
             von_neumann_residual(*x, build_step_hamiltonian(step, model, t))
             for x, t in zip(loop, ts)])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("step", [s for s in _protocol_steps() if "ghz4" in s.id])
+    def test_residual_on_blocks_equals_the_dense_product_order_form(self, step, seed):
+        # random Hermitian blocks over the step's groups (b = 4 and b = 2),
+        # scattered onto their product-basis levels for the dense form
+        rng = np.random.default_rng(seed)
+        count, groups = 9, step.order.reshape(-1, step.block)
+        a = (rng.normal(size=(count,) + groups.shape + (step.block,))
+             + 1j * rng.normal(size=(count,) + groups.shape + (step.block,)))
+        blocks = a + dagger(a)
+        dense = np.zeros((count, step.dim, step.dim), dtype=complex)
+        dense[:, groups[:, :, None], groups[:, None, :]] = blocks
+        v, dv = (rng.normal(size=(count, step.dim)) + 1j * rng.normal(size=(count, step.dim))
+                 for _ in range(2))
+        want = von_neumann_residual(v, dv, dense)
+        got = von_neumann_residual(v[:, step.order], dv[:, step.order], blocks)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    @pytest.mark.parametrize("mode", ["effective", "rotating-frame"])
+    def test_run_residual_equals_the_dense_product_order_form(self, mode):
+        model = QubitModel(3, omega=CALIBRATED_OMEGA_T)
+        plan = plan_ghz(model)
+        res = run_protocol(plan, model, mode=mode, grid_steps=150)
+        want = []
+        for n, step in enumerate(plan.steps):
+            ts = TimeGrid(0.0, step.duration, 150).times[0 if n == 0 else 1:]
+            want.append(von_neumann_residual(*step.passage_vectors(ts),
+                                             build_step_hamiltonian(step, model, ts, mode)))
+        assert np.max(np.abs(res.auxiliary["residual"] - np.concatenate(want))) <= 1e-14
+
 
 class TestFrames:
     @settings(max_examples=60, deadline=None)
@@ -282,6 +312,24 @@ class TestPropagatorBlocks:
         grid = TimeGrid(0.0, 1.0, 200)  # midpoints 0.0025 + 0.005 k; the third block has 0.8
         with pytest.raises(ValueError, match=r"not Hermitian at t = 0\.802500$"):
             propagate_schrodinger(h, np.array([1.0, 0.0]), grid)
+
+    @pytest.mark.parametrize("open_system", [False, True])
+    def test_non_finite_h_in_a_later_block_names_its_time(self, open_system):
+        def h(t):
+            stack = _drive(t).astype(complex)
+            stack[..., 1, 1] += np.where(np.asarray(t) > 0.8126, np.nan, 0.0)
+            return stack
+
+        # closed runs probe the midpoints 0.0025 + 0.005 k, open runs the
+        # nodes 0.005 k too; the third block holds the first of each past 0.8126
+        grid = TimeGrid(0.0, 1.0, 200)
+        first = "0.815000" if open_system else "0.817500"
+        with pytest.raises(ValueError, match=rf"not finite at t = {first}$"):
+            if open_system:
+                propagate_lindblad(h, [Dissipator(SIGMA_MINUS, 0.3)],
+                                   np.diag([1.0, 0.0]).astype(complex), grid)
+            else:
+                propagate_schrodinger(h, np.array([1.0, 0.0]), grid)
 
     @pytest.mark.parametrize("open_system", [False, True])
     def test_singular_schedule_in_a_later_block_names_its_time(self, open_system):

@@ -56,6 +56,12 @@ class TestSchrodinger:
             propagate_schrodinger(lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
                                   np.array([1.0, 0.0]), TimeGrid(0, 1, 10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_hamiltonian(self, bad):
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.025000$"):
+            propagate_schrodinger(lambda t: np.full((2, 2), bad), np.array([1.0, 0.0]),
+                                  TimeGrid(0, 1, 20))
+
 
 class TestLindblad:
     def test_single_qubit_decay_matches_analytic_law(self):
@@ -91,6 +97,17 @@ class TestLindblad:
     def test_rate_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             Dissipator(SIGMA_MINUS, -0.1)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, np.array([0.1, np.nan])])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Dissipator(SIGMA_MINUS, rate)
+
+    def test_rejects_a_non_finite_hamiltonian(self):
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.000000$"):
+            propagate_lindblad(lambda t: np.full((2, 2), np.nan),
+                               [Dissipator(SIGMA_MINUS, 0.1)],
+                               np.diag([1.0, 0.0]).astype(complex), TimeGrid(0, 1, 20))
 
     def test_dephasing_coherence_matches_analytic_law(self):
         # H = (w/2) sigma_z and L = sigma_z at rate g: rho_eg(t) = rho_eg(0) e^{-i w t - 2 g t}

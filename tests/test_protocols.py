@@ -172,6 +172,18 @@ class TestPlans:
         with pytest.raises(ProtocolError):
             QubitModel(qubits=2, kappa=-0.1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kappa", float("nan"), "decay rate must be finite and non-negative"),
+        ("kappa", float("inf"), "decay rate must be finite and non-negative"),
+        ("omega", float("nan"), r"omega\*T scale must be finite and positive"),
+        ("omega", float("inf"), r"omega\*T scale must be finite and positive"),
+        ("omega", 0.0, r"omega\*T scale must be finite and positive"),
+        ("j_over_omega", float("nan"), "coupling ratio must be finite and non-negative"),
+    ])
+    def test_model_rejects_non_finite_parameters(self, field, value, message):
+        with pytest.raises(ProtocolError, match=message):
+            QubitModel(qubits=2, **{field: value})
+
     @pytest.mark.parametrize("boundary", ["caption", "text"])
     def test_both_split_boundary_choices_ship(self, boundary):
         plan = plan_bell(QubitModel(qubits=2), boundary=boundary)
@@ -270,19 +282,23 @@ class TestNoisyRuns:
 
 
 class TestStreamedSeries:
-    @pytest.mark.parametrize("kappa", [0.0, 0.0145])
-    def test_series_equal_those_of_the_stored_trajectories(self, kappa):
+    @pytest.mark.parametrize("qubits, kappa", [(3, 0.0), (3, 0.0145), (4, 0.0), (4, 0.0145)],
+                             ids=["0.0", "0.0145", "ghz4-0.0", "ghz4-0.0145"])
+    def test_series_equal_those_of_the_stored_trajectories(self, qubits, kappa):
         # 150 intervals per step: two full blocks and a partial one
-        model = QubitModel(qubits=3, omega=CALIBRATED_OMEGA_T, kappa=kappa)
+        model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T, kappa=kappa)
         plan = plan_ghz(model)
         res = run_protocol(plan, model, noise=True, grid_steps=150, compute_residual=False)
-        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, 3, q), kappa) for q in range(3)]
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q), kappa)
+                    for q in range(qubits)]
         state = plan.initial if kappa == 0 else outer(plan.initial)
         pops = {name: [] for name in plan.labels}
         fidelity = []
         for n, step in enumerate(plan.steps):
-            # the closed run propagates each step's blocks in the step order;
-            # the open one, at d = 8 below OPEN_GROUPS_MIN_DIM, the dense H
+            # the closed oracle propagates each step's blocks in the step
+            # order, as the run does; the open one propagates the dense H in
+            # product order, so the open case checks the run's grouped stack
+            # against the dense path bit for bit
             grid = TimeGrid(0.0, step.duration, 150)
             if kappa == 0:
                 order = step.order
@@ -397,3 +413,11 @@ class TestIntegratedKappas:
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError):
             run_protocol_kappas(plan_bell(model), model, kappas, noise=True)
+
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_rates_are_rejected_not_run_closed(self, kappa, noise):
+        model = QubitModel(qubits=2)
+        with pytest.raises(ProtocolError, match="decay rate must be finite and non-negative"):
+            run_protocol_kappas(plan_bell(model), model, [0.0145, kappa], noise=noise,
+                                grid_steps=200)
