@@ -25,8 +25,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import (MIN_GRID, SWEEPABLE, ConfigError, RunConfig, check_grid, finite_float,
-                     load_config)
+from .config import SWEEPABLE, ConfigError, RunConfig, finite_float, load_config
 from .io import write_csv, write_manifest, write_timings, write_trajectory_csv
 from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
                         plan_ghz, run_protocol_kappas)
@@ -50,8 +49,7 @@ def _build_plan(config: RunConfig):
 def _execute(config: RunConfig, model, plan, kappas) -> list:
     """One result per kappa_T value, integrated together; a failure carries
     the kappa_T it names as its `kappa` attribute."""
-    return run_protocol_kappas(plan, model, kappas, mode=config.mode, noise=True,
-                               grid_steps=config.grid)
+    return run_protocol_kappas(plan, model, kappas, mode=config.mode, grid_steps=config.grid)
 
 
 def _output_dir(config: RunConfig) -> Path | None:
@@ -89,11 +87,11 @@ def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: s
 def _load(config_path, out: str | None, grid: int | None) -> RunConfig:
     """The config with the command-line overrides, which obey the file's rules."""
     config = load_config(config_path)
-    if out is not None:
-        config.out = out
-    if grid is not None:
-        config.grid = check_grid(grid, "--grid")
-    return config
+    flags = {name: value for name, value in (("out", out), ("grid", grid)) if value is not None}
+    try:
+        return dataclasses.replace(config, **flags)
+    except ConfigError as exc:  # only the grid has a rule
+        raise exc.at("--grid") from None
 
 
 def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int:
@@ -105,7 +103,7 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
         return 2
     try:
         model, plan = _build_plan(config)
-    except ValueError as exc:  # protocol, synthesis and schedule errors alike
+    except (ValueError, MemoryError) as exc:  # a bad plan, or one too large to allocate
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
@@ -135,19 +133,6 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
     return 0 if all(rec["ok"] for rec in records) else 1
 
 
-def _sweep_value_error(param: str, config: RunConfig, values: list) -> str:
-    """Why the sweep cannot run, or '' when it can."""
-    if param == "omega_T" and config.mode == "effective":
-        return "omega_T does not enter effective mode; sweep it with mode = rotating-frame"
-    if param == "kappa_T" and any(v < 0 for v in values):
-        return "kappa_T values must be non-negative"
-    if param == "omega_T" and any(v <= 0 for v in values):
-        return "omega_T values must be positive"
-    if param == "grid" and any(v != int(v) or v < MIN_GRID for v in values):
-        return f"grid values must be whole numbers of at least {MIN_GRID} steps"
-    return ""
-
-
 def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
               grid: int | None = None) -> int:
     try:
@@ -167,25 +152,29 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
     if not values:
         print("error: empty --values list", file=sys.stderr)
         return 2
-    problem = _sweep_value_error(param, config, values)
-    if problem:
-        print(f"error: {config_path}: {problem}", file=sys.stderr)
+    if param == "omega_T" and config.mode == "effective":
+        print(f"error: {config_path}: omega_T does not enter effective mode; sweep it with "
+              "mode = rotating-frame", file=sys.stderr)
+        return 2
+    # each variant obeys the file's rules; a kappa_T sweep integrates its
+    # values together, as `run` does
+    try:
+        if param == "kappa_T":
+            batches = [(dataclasses.replace(config, kappa_T=tuple(values)), values)]
+        else:
+            batches = [(dataclasses.replace(config, **{param: v}), [v]) for v in values]
+    except ConfigError as exc:
+        print(f"error: {exc.at(config_path)}", file=sys.stderr)
         return 2
 
     out_dir = _output_dir(config)
     if out_dir is None:
         return 2
-    # a kappa_T sweep integrates its values together, as `run` does
-    if param == "kappa_T":
-        batches = [(config, values)]
-    else:
-        batches = [(dataclasses.replace(config, **{param: int(v) if param == "grid" else v}),
-                    [v]) for v in values]
     rows = []
     for variant, batch in batches:
         try:
             model, plan = _build_plan(variant)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             print(f"error: {config_path}: {param}={batch[0]:g}: {exc}", file=sys.stderr)
             return 2
         kappas = batch if param == "kappa_T" else variant.kappa_T[:1]

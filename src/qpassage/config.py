@@ -11,8 +11,13 @@ The format is line oriented:
 
 Keys live either at the top level or inside a [section]; '#' starts a comment;
 lists are comma separated.  Schedule overrides use "kind: key=value, ..." with
-the kinds and parameters of :mod:`qpassage.schedules`.  Parse and validation
-errors carry the file path and line number.
+the kinds and parameters of :mod:`qpassage.schedules`.
+
+The parser only converts each key's text; the rules a run's parameters obey
+live in :class:`RunConfig` itself, so a config built from a file, with
+command-line overrides or as a sweep variant through `dataclasses.replace`
+passes the same checks.  Errors carry the file path and the line number of
+the key at fault.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from dataclasses import dataclass, field
 
 from .schedules import ParameterSchedule
 
-__all__ = ["ConfigError", "RunConfig", "check_grid", "finite_float", "parse_config_text",
-           "load_config"]
+__all__ = ["ConfigError", "RunConfig", "finite_float", "parse_config_text", "load_config"]
 
 PROTOCOLS = ("bell", "bell-reverse", "ghz")
 MODES = ("effective", "rotating-frame")
@@ -33,11 +37,21 @@ MIN_GRID = 10
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, path: str = "<config>", line: int | None = None):
+    """A configuration problem: `message` anchored at `path` (and `line`);
+    `key` names the RunConfig field a rule refused, when one did."""
+
+    def __init__(self, message: str, path: str = "<config>", line: int | None = None,
+                 key: str | None = None):
         anchor = f"{path}:{line}" if line is not None else path
         super().__init__(f"{anchor}: {message}")
+        self.message = message
         self.path = path
         self.line = line
+        self.key = key
+
+    def at(self, path: str, line: int | None = None) -> "ConfigError":
+        """The same error anchored at `path` (and `line`)."""
+        return ConfigError(self.message, path, line, key=self.key)
 
 
 @dataclass
@@ -55,6 +69,35 @@ class RunConfig:
     boundary: str = "caption"
     out: str = "runs"
     schedule_overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Every rule a run's parameters obey, in the order a file is checked;
+        each comparison is written so that nan fails it."""
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}",
+                              key="protocol")
+        if not self.duration > 0:
+            raise ConfigError("duration must be positive", key="duration")
+        if self.protocol in ("bell", "bell-reverse") and self.qubits != 2:
+            raise ConfigError("bell protocols run on exactly two qubits", key="qubits")
+        if self.protocol == "ghz" and not self.qubits >= 3:
+            raise ConfigError("the ghz protocol needs at least three qubits", key="qubits")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}", key="mode")
+        if not all(k >= 0 for k in self.kappa_T):
+            raise ConfigError("kappa_T values must be non-negative", key="kappa_T")
+        if self.mode == "rotating-frame" and self.omega_T is None:
+            raise ConfigError("rotating-frame mode requires omega_T", key="mode")
+        if self.omega_T is not None and not self.omega_T > 0:
+            raise ConfigError("omega_T must be positive", key="omega_T")
+        if not (isinstance(self.grid, int) or float(self.grid).is_integer()):
+            raise ConfigError("grid must be a whole number of steps", key="grid")
+        if not self.grid >= MIN_GRID:
+            raise ConfigError(f"grid must be at least {MIN_GRID} steps", key="grid")
+        self.grid = int(self.grid)
+        if self.boundary not in BOUNDARIES:
+            raise ConfigError(f"unknown boundary {self.boundary!r}; expected one of "
+                              f"{BOUNDARIES}", key="boundary")
 
     def echo(self) -> dict:
         """The keys that shape the results; `out` only says where they go."""
@@ -110,24 +153,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _take(table: dict, key: str, path: str, convert, default=None, required=False):
-    """Pop `key` and convert its text; a float key goes through finite_float,
-    and any conversion error becomes a ConfigError anchored at the key's line."""
-    if convert is float:
-        convert = finite_float
-    if key not in table:
-        if required:
-            raise ConfigError(f"missing required key {key!r}", path, 1)
-        return default
-    value, lineno = table.pop(key)
-    try:
-        return convert(value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from None
-
-
 def _float_list(text: str) -> tuple:
     values = tuple(finite_float(part) for part in text.split(",") if part.strip())
     if not values:
@@ -159,72 +184,43 @@ def _parse_schedule(text: str) -> ParameterSchedule:
                      "supported in config files)")
 
 
+# how each top-level key's text becomes its RunConfig field; the rules follow
+# in RunConfig itself
+_CONVERTERS = {
+    "protocol": str,
+    "duration": finite_float,
+    "qubits": int,
+    "mode": str,
+    "grid": int,
+    "kappa_T": _float_list,
+    "omega_T": finite_float,
+    "j_over_omega": finite_float,
+    "boundary": str,
+    "out": str,
+}
+
+
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     sections = _raw_sections(text, path)
     section_lines = sections.pop("__section_lines__")
     top = sections.pop("", {})
 
-    def line_of(key):
-        return top[key][1] if key in top else None
-
-    protocol = _take(top, "protocol", path, str, required=True)
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}",
-                          path, 1)
-    duration_line = line_of("duration")
-    duration = _take(top, "duration", path, float, required=True)
-    if duration <= 0:
-        raise ConfigError("duration must be positive", path, duration_line)
-
-    default_qubits = 3 if protocol == "ghz" else 2
-    qubits_line = line_of("qubits")
-    qubits = _take(top, "qubits", path, int, default=default_qubits)
-    if protocol in ("bell", "bell-reverse") and qubits != 2:
-        raise ConfigError("bell protocols run on exactly two qubits", path, qubits_line)
-    if protocol == "ghz" and qubits < 3:
-        raise ConfigError("the ghz protocol needs at least three qubits", path, qubits_line)
-
-    mode_line = line_of("mode")
-    mode = _take(top, "mode", path, str, default="effective")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}", path, mode_line)
-
-    kappa_line = line_of("kappa_T")
-    kappa_T = _take(top, "kappa_T", path, _float_list, default=(0.0,))
-    if any(k < 0 for k in kappa_T):
-        raise ConfigError("kappa_T values must be non-negative", path, kappa_line)
-
-    omega_line = line_of("omega_T")
-    omega_T = _take(top, "omega_T", path, float, default=None)
-    if mode == "rotating-frame" and omega_T is None:
-        raise ConfigError("rotating-frame mode requires omega_T", path, mode_line or 1)
-    if omega_T is not None and omega_T <= 0:
-        raise ConfigError("omega_T must be positive", path, omega_line)
-
-    grid_line = line_of("grid")
-    grid = check_grid(_take(top, "grid", path, int, default=2000), path, grid_line)
-
-    boundary_line = line_of("boundary")
-    boundary = _take(top, "boundary", path, str, default="caption")
-    if boundary not in BOUNDARIES:
-        raise ConfigError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}",
-                          path, boundary_line)
-
-    config = RunConfig(
-        protocol=protocol,
-        duration=duration,
-        qubits=qubits,
-        mode=mode,
-        grid=grid,
-        kappa_T=kappa_T,
-        omega_T=omega_T,
-        j_over_omega=_take(top, "j_over_omega", path, float, default=0.1),
-        boundary=boundary,
-        out=_take(top, "out", path, str, default="runs"),
-    )
-    if top:
-        key = next(iter(top))
-        raise ConfigError(f"unknown key {key!r}", path, top[key][1])
+    for key in ("protocol", "duration"):
+        if key not in top:
+            raise ConfigError(f"missing required key {key!r}", path, 1)
+    values = {}
+    for key, (value, lineno) in top.items():
+        if key not in _CONVERTERS:
+            raise ConfigError(f"unknown key {key!r}", path, lineno)
+        try:
+            values[key] = _CONVERTERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from None
+    values.setdefault("qubits", 3 if values["protocol"] == "ghz" else 2)
+    try:
+        config = RunConfig(**values)
+    except ConfigError as exc:
+        raise exc.at(path, top[exc.key][1] if exc.key in top else None) from None
 
     overrides = sections.pop("schedules", {})
     for symbol, (value, lineno) in overrides.items():
@@ -237,13 +233,6 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         name = next(iter(sections))
         raise ConfigError(f"unknown section [{name}]", path, section_lines.get(name))
     return config
-
-
-def check_grid(grid: int, path: str = "<config>", line: int | None = None) -> int:
-    """The grid rule shared by the config key and the --grid flags."""
-    if grid < MIN_GRID:
-        raise ConfigError(f"grid must be at least {MIN_GRID} steps", path, line)
-    return grid
 
 
 def load_config(path) -> RunConfig:

@@ -417,8 +417,8 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                 min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho)[:, 0])
         observe(start + 1, nodes[..., :stop - start, :, :])
 
-    if np.any(min_eig < -TOL.positivity_drift):
-        k = int(np.argmax(min_eig < -TOL.positivity_drift))
+    if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
+        k = int(np.argmax(~(min_eig >= -TOL.positivity_drift)))
         raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}; "
                             "increase the number of grid steps", None if single else k)
     if out is None:

@@ -142,7 +142,7 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermiticity, what: str = "op
 def check_state_vector(psi: np.ndarray, tol: float = TOL.state_norm) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > tol:
+    if not drift <= tol:  # written so that nan fails it
         raise StateCheckError(f"state vector is not normalized (|norm-1| = {drift:.3e})",
                               drift, tol)
     return psi
@@ -154,15 +154,15 @@ def check_density_matrix(rho: np.ndarray,
                          pos_tol: float = TOL.density_positivity) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if not defect <= herm_tol:  # each check is written so that nan fails it
         raise StateCheckError("density matrix is not Hermitian within tolerance",
                               defect, herm_tol)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise StateCheckError(f"density matrix trace {tr:.12f} deviates from 1 beyond "
                               f"{trace_tol:.1e}", abs(tr - 1.0), trace_tol)
     smallest = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
-    if smallest < -pos_tol:
+    if not smallest >= -pos_tol:
         raise StateCheckError(f"density matrix has eigenvalue {smallest:.3e} below "
                               f"-{pos_tol:.1e}", smallest, pos_tol)
     return rho

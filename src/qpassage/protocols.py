@@ -639,7 +639,7 @@ def _check_handoff(step: ProtocolStep, grid_steps: int, states: np.ndarray, kapp
 
     The failing quantity is the step's integration error, which for RK4
     shrinks as dt^5, so the StepSizeError names the grid that law predicts
-    would bring it within its bound.
+    would bring it within its bound; a nan or inf quantity names none.
     """
     for member, (state, kappa) in enumerate(zip(states, kappas)):
         try:
@@ -648,21 +648,22 @@ def _check_handoff(step: ProtocolStep, grid_steps: int, states: np.ndarray, kapp
             else:
                 check_density_matrix(state)
         except StateCheckError as exc:
-            grid = math.ceil(grid_steps * (abs(exc.value) / exc.bound) ** 0.2)
-            raise _failed_at(StepSizeError(
-                f"{exc} at the step's end (kappa_T={kappa:g}); by the dt^5 law of its "
-                f"error a grid of {grid} steps would clear it", member), step, kappa)
+            message = f"{exc} at the step's end (kappa_T={kappa:g})"
+            if math.isfinite(exc.value):
+                grid = math.ceil(grid_steps * (abs(exc.value) / exc.bound) ** 0.2)
+                message += f"; by the dt^5 law of its error a grid of {grid} steps would clear it"
+            raise _failed_at(StepSizeError(message, member), step, kappa)
 
 
 def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str = "effective",
-                        noise: bool = False, grid_steps: int = 2000, strict: bool = True,
+                        grid_steps: int = 2000, strict: bool = True,
                         compute_residual: bool = True) -> list[SimulationResult]:
     """Run a plan once per per-qubit decay rate in `kappas` (the model's own
     kappa is not used) and return one result per rate, in order.
 
-    All runs share the step Hamiltonians, so they integrate together: with
-    noise on, the runs with kappa > 0 are one (K, d, d) density-matrix stack,
-    carried through each step by one `propagate_lindblad` call, and the others
+    All runs share the step Hamiltonians, so they integrate together: the
+    runs with kappa > 0 are one (K, d, d) density-matrix stack, carried
+    through each step by one `propagate_lindblad` call, and the closed ones
     share one pure-state run; the passage residual is computed once per step
     for all of them.  Each result equals, bit for bit, what a run of that one
     rate gives.  A propagation failure keeps its type, names its step in its
@@ -677,7 +678,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         raise ProtocolError("no decay rate to run")
     if not all(0 <= k < math.inf for k in kappas):  # nan fails the comparison
         raise ProtocolError("decay rate must be finite and non-negative")
-    stacked = [i for i, k in enumerate(kappas) if noise and k > 0.0]
+    stacked = [i for i, k in enumerate(kappas) if k > 0.0]
     pure = [i for i in range(len(kappas)) if i not in stacked]
 
     psi = plan.initial.copy()
@@ -794,8 +795,8 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
     steps that rely on it in rotating-frame mode.  This is the one-rate case
     of :func:`run_protocol_kappas`.
     """
-    return run_protocol_kappas(plan, model, [model.kappa], mode, noise, grid_steps, strict,
-                               compute_residual)[0]
+    return run_protocol_kappas(plan, model, [model.kappa if noise else 0.0], mode, grid_steps,
+                               strict, compute_residual)[0]
 
 
 def diagnostics_ok(result: SimulationResult, mode: str = "effective") -> bool:

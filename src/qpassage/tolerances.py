@@ -17,8 +17,6 @@ class Tolerances:
     density_hermiticity: float = 1e-10
     density_trace: float = 1e-8
     density_positivity: float = 1e-8  # eigenvalues >= -tol
-    expm_relative: float = 1e-12      # matrix exponential, ||scale*A|| <= 10
-    unitarity: float = 1e-11          # ||U+U - 1||_F for anti-Hermitian exponents
 
     # ancillary frame
     frame_orthonormality: float = 1e-12  # Gram and completeness defects
@@ -26,7 +24,6 @@ class Tolerances:
     # synthesis / passage verification
     passage_residual: float = 1e-8    # relative to ||H||_F
     dark_state: float = 1e-10         # ||H mu|| relative to ||H||
-    block_form: float = 1e-10         # bright-basis expansion residual
     schedule_singularity: float = 1e-3  # |sin| floor under a moving mixing angle
 
     # propagation

@@ -8,7 +8,7 @@ import pytest
 
 from qpassage import cli, protocols
 from qpassage.cli import main
-from qpassage.config import ConfigError, parse_config_text
+from qpassage.config import ConfigError, RunConfig, parse_config_text
 
 BELL_CFG = """\
 protocol = bell
@@ -123,6 +123,67 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert "[extras]" in str(err.value)
+
+
+NAN = float("nan")
+VALID = {"protocol": "bell", "duration": 1.0, "qubits": 2}
+
+
+class TestRunConfigRules:
+    """RunConfig checks itself, so every way of building one obeys the rules."""
+
+    @pytest.mark.parametrize("changes, key, message", [
+        ({"protocol": "qft"}, "protocol", "unknown protocol 'qft'"),
+        ({"duration": 0.0}, "duration", "duration must be positive"),
+        ({"duration": NAN}, "duration", "duration must be positive"),
+        ({"qubits": 3}, "qubits", "bell protocols run on exactly two qubits"),
+        ({"protocol": "ghz", "qubits": 2}, "qubits", "the ghz protocol needs at least three"),
+        ({"protocol": "ghz", "qubits": NAN}, "qubits", "the ghz protocol needs at least three"),
+        ({"mode": "lab"}, "mode", "unknown mode 'lab'"),
+        ({"kappa_T": (0.0, -0.1)}, "kappa_T", "kappa_T values must be non-negative"),
+        ({"kappa_T": (NAN,)}, "kappa_T", "kappa_T values must be non-negative"),
+        ({"mode": "rotating-frame"}, "mode", "rotating-frame mode requires omega_T"),
+        ({"omega_T": 0.0}, "omega_T", "omega_T must be positive"),
+        ({"omega_T": NAN}, "omega_T", "omega_T must be positive"),
+        ({"grid": 10.5}, "grid", "grid must be a whole number of steps"),
+        ({"grid": NAN}, "grid", "grid must be a whole number of steps"),
+        ({"grid": 5}, "grid", "grid must be at least 10 steps"),
+        ({"boundary": "edge"}, "boundary", "unknown boundary 'edge'"),
+    ])
+    def test_construction_and_replace_apply_each_rule(self, changes, key, message):
+        builders = (lambda: RunConfig(**{**VALID, **changes}),
+                    lambda: dataclasses.replace(RunConfig(**VALID), **changes))
+        for build in builders:
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.key == key
+            assert err.value.message.startswith(message)
+            assert str(err.value) == f"<config>: {err.value.message}"
+
+    def test_whole_grids_are_stored_as_int(self):
+        config = dataclasses.replace(RunConfig(**VALID), grid=500.0)
+        assert config.grid == 500 and type(config.grid) is int
+        # an int too large for a float still passes the whole-number rule
+        assert RunConfig(**VALID, grid=10 ** 400).grid == 10 ** 400
+
+    def test_at_reanchors_the_same_error(self):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**VALID, grid=5)
+        moved = err.value.at("bell.cfg", 7)
+        assert str(moved) == "bell.cfg:7: grid must be at least 10 steps"
+        assert (moved.key, moved.path, moved.line) == ("grid", "bell.cfg", 7)
+        assert str(err.value.at("--grid")) == "--grid: grid must be at least 10 steps"
+
+    @pytest.mark.parametrize("text, line", [
+        ("protocol = bell\nduration = 1.0\n\n# comment\ngrid = 5\n",
+         "bad.cfg:5: grid must be at least 10 steps"),
+        ("duration = 1.0\n# comment\nprotocol = qft\n",
+         "bad.cfg:3: unknown protocol 'qft'; expected one of ('bell', 'bell-reverse', 'ghz')"),
+    ])
+    def test_a_file_rule_failure_names_the_key_line(self, text, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, path="bad.cfg")
+        assert str(err.value) == line
 
 
 class TestRunCommand:
@@ -294,6 +355,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and reason in err[0]
 
+    @pytest.mark.parametrize("values, reason", [
+        ("10.5", "grid must be a whole number of steps"),
+        ("500,5", "grid must be at least 10 steps"),
+    ])
+    def test_grid_values_obey_the_config_rule(self, tmp_path, capsys, monkeypatch,
+                                              values, reason):
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=out))
+        assert main(["sweep", cfg, "--param", "grid", "--values", values]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: {reason}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("param, values", [
         ("kappa_T", "0.0, nan"), ("grid", "nan"), ("grid", "inf"), ("omega_T", "nan"),
         ("omega_T", "2900,-inf"),
@@ -375,6 +449,18 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "file" / "sub")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write to output directory")
+
+    def test_unallocatable_plan_exits_two(self, tmp_path, capsys):
+        # 2**50 amplitudes need 16 PiB, beyond any address space, so numpy
+        # refuses the first state vector at once
+        text = GHZ_CFG.format(grid=100, kappa="0.0", out=tmp_path / "o").replace(
+            "qubits = 3", "qubits = 50")
+        cfg = write_cfg(tmp_path, text)
+        for argv in (["run", cfg], ["sweep", cfg, "--param", "grid", "--values", "100"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
+            assert "Unable to allocate" in err[0]
 
     def test_grid_sweep_converges(self, tmp_path):
         out = tmp_path / "out"

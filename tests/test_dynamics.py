@@ -10,7 +10,8 @@ from qpassage.dynamics import (BLOCK, DensityTrajectory, Dissipator, StepSizeErr
                                _compile_dissipators, _lindblad_rhs, gd_matrices,
                                populations, propagate_lindblad, propagate_schrodinger,
                                reconstruct_evolution, von_neumann_residual)
-from qpassage.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator, outer
+from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
+                             embed_qubit_operator, outer)
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
@@ -62,6 +63,11 @@ class TestSchrodinger:
             propagate_schrodinger(lambda t: np.full((2, 2), bad), np.array([1.0, 0.0]),
                                   TimeGrid(0, 1, 20))
 
+    def test_rejects_a_nan_initial_state(self):
+        with pytest.raises(StateCheckError, match="not normalized"):
+            propagate_schrodinger(lambda t: np.zeros((2, 2)), np.array([np.nan, 0.0]),
+                                  TimeGrid(0, 1, 10))
+
 
 class TestLindblad:
     def test_single_qubit_decay_matches_analytic_law(self):
@@ -108,6 +114,24 @@ class TestLindblad:
             propagate_lindblad(lambda t: np.full((2, 2), np.nan),
                                [Dissipator(SIGMA_MINUS, 0.1)],
                                np.diag([1.0, 0.0]).astype(complex), TimeGrid(0, 1, 20))
+
+    def test_rejects_a_nan_initial_state(self):
+        with pytest.raises(StateCheckError, match="not Hermitian"):
+            propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, 0.1)],
+                               np.diag([np.nan, 0.0]), TimeGrid(0, 1, 10))
+        stack = np.array([np.diag([1.0, 0.0]), np.diag([np.nan, 0.0])])
+        with pytest.raises(StateCheckError) as err:
+            propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, 0.1)],
+                               stack, TimeGrid(0, 1, 10))
+        assert err.value.member == 1
+
+    def test_a_state_that_overflows_to_nan_fails_the_eigenvalue_gate(self):
+        # an absurd rate overflows RK4 to inf and then nan; the run must end
+        # in an error, not return the nan state
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepSizeError, match="eigenvalue reached nan"):
+            propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, 1e200)],
+                               np.diag([1.0, 0.0]), TimeGrid(0, 1, 10))
 
     def test_dephasing_coherence_matches_analytic_law(self):
         # H = (w/2) sigma_z and L = sigma_z at rate g: rho_eg(t) = rho_eg(0) e^{-i w t - 2 g t}

@@ -8,7 +8,7 @@ from qpassage.linalg import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
                              check_density_matrix, check_hermitian,
                              check_state_vector, completeness_defect, dagger,
                              embed_qubit_operator, expm_hermitian, gram_matrix,
-                             kron)
+                             kron, StateCheckError)
 
 from qpassage.ancillary import SubspaceLayout, build_frame
 
@@ -112,6 +112,19 @@ class TestChecks:
             check_density_matrix(1.5 * rho)
         with pytest.raises(ValueError):
             check_density_matrix(rho - 0.1 * np.eye(5) / 5 + 0.1 * np.diag([1, -1, 0, 0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0)])
+    def test_nan_states_fail_the_checks(self, bad):
+        with pytest.raises(StateCheckError, match="not normalized") as err:
+            check_state_vector(np.array([bad, 0.0]))
+        assert np.isnan(err.value.value)
+        with pytest.raises(StateCheckError, match="not Hermitian") as err:
+            check_density_matrix(np.diag([bad, 0.0]))
+        assert np.isnan(err.value.value)
+        coherent = np.full((2, 2), 0.5, dtype=complex)
+        coherent[0, 1] = coherent[1, 0] = bad  # a nan off the diagonal leaves the trace at 1
+        with pytest.raises(StateCheckError):
+            check_density_matrix(coherent)
 
     def test_embed_qubit_operator(self):
         # basis order per qubit is (|e>, |g>), qubit 0 most significant,

@@ -377,6 +377,20 @@ class TestHandoff:
         assert "a grid of 2298 steps" in str(err.value)   # 2000 * 2 ** (1/5) = 2297.4
         _check_handoff(plan.steps[0], 2000, np.array([good, good]), [0.0145, 0.145])
 
+    def test_a_nan_state_fails_and_names_no_grid(self):
+        plan = plan_bell(QubitModel(qubits=2))
+        psi = plan.steps[0].target.copy()
+        psi[0] = np.nan
+        with pytest.raises(StepSizeError, match="^step 'split': state vector is not "
+                                                "normalized") as err:
+            _check_handoff(plan.steps[0], 1000, psi[None], [0.0])
+        assert str(err.value).endswith("at the step's end (kappa_T=0)")
+        rho = outer(plan.steps[0].target)
+        rho[1, 2] = rho[2, 1] = np.nan
+        with pytest.raises(StepSizeError, match="not Hermitian") as err:
+            _check_handoff(plan.steps[0], 2000, np.array([rho]), [0.0145])
+        assert "grid" not in str(err.value) and err.value.kappa == 0.0145
+
 
 class TestIntegratedKappas:
     @pytest.mark.parametrize("qubits, kappas", [
@@ -387,7 +401,7 @@ class TestIntegratedKappas:
     def test_each_rate_equals_its_own_run_bit_for_bit(self, qubits, kappas):
         model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
         plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
-        together = run_protocol_kappas(plan, model, kappas, noise=True, grid_steps=300)
+        together = run_protocol_kappas(plan, model, kappas, grid_steps=300)
         assert len(together) == len(kappas)
         for kappa, got in zip(kappas, together):
             alone = run_protocol(plan, model.with_kappa(kappa), noise=kappa > 0,
@@ -398,26 +412,24 @@ class TestIntegratedKappas:
         model = QubitModel(qubits=2)
         plan = plan_bell(model)
         closed = run_protocol(plan, model, grid_steps=200)
-        for got in run_protocol_kappas(plan, model, (0.0, 0.1), grid_steps=200):
+        for kappa in (0.0, 0.1):
+            got = run_protocol(plan, model.with_kappa(kappa), noise=False, grid_steps=200)
             _assert_same_result(got, closed)
 
     def test_a_failure_carries_the_rate_it_names(self):
         model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': ") as err:
-            run_protocol_kappas(plan_bell(model), model, (0.0, 0.0145, 30.0), noise=True,
-                                grid_steps=15)
+            run_protocol_kappas(plan_bell(model), model, (0.0, 0.0145, 30.0), grid_steps=15)
         assert err.value.kappa == 30.0
 
     @pytest.mark.parametrize("kappas", [(0.0, -0.1), ()])
     def test_bad_rate_lists_rejected(self, kappas):
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError):
-            run_protocol_kappas(plan_bell(model), model, kappas, noise=True)
+            run_protocol_kappas(plan_bell(model), model, kappas)
 
-    @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
-    def test_non_finite_rates_are_rejected_not_run_closed(self, kappa, noise):
+    def test_non_finite_rates_are_rejected_not_run_closed(self, kappa):
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError, match="decay rate must be finite and non-negative"):
-            run_protocol_kappas(plan_bell(model), model, [0.0145, kappa], noise=noise,
-                                grid_steps=200)
+            run_protocol_kappas(plan_bell(model), model, [0.0145, kappa], grid_steps=200)

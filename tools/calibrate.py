@@ -34,7 +34,7 @@ def fidelities(omega_t: float, grid: int) -> list[float]:
         ratios = sorted({ratio for name, ratio, *_ in REFERENCE if name == protocol})
         model = QubitModel(qubits=qubits, omega=omega_t)
         results = run_protocol_kappas(planner(model), model, [r * omega_t for r in ratios],
-                                      noise=True, compute_residual=False, grid_steps=grid)
+                                      compute_residual=False, grid_steps=grid)
         runs.update(((protocol, ratio), result) for ratio, result in zip(ratios, results))
     return [runs[(protocol, ratio)].steps[step_index]["target_fidelity"]
             for protocol, ratio, step_index, _, _ in REFERENCE]
