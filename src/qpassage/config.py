@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .schedules import ParameterSchedule
 
 __all__ = ["ConfigError", "RunConfig", "finite_float", "parse_config_text", "load_config"]
@@ -34,6 +36,7 @@ MODES = ("effective", "rotating-frame")
 BOUNDARIES = ("caption", "text")
 SWEEPABLE = ("kappa_T", "omega_T", "grid")
 MIN_GRID = 10
+MAX_GRID = np.iinfo(np.intp).max // 8  # the grid+1 nodes fit one float64 array
 
 
 class ConfigError(ValueError):
@@ -94,6 +97,8 @@ class RunConfig:
             raise ConfigError("grid must be a whole number of steps", key="grid")
         if not self.grid >= MIN_GRID:
             raise ConfigError(f"grid must be at least {MIN_GRID} steps", key="grid")
+        if not self.grid < MAX_GRID:
+            raise ConfigError(f"grid must be below {MAX_GRID} steps", key="grid")
         self.grid = int(self.grid)
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"unknown boundary {self.boundary!r}; expected one of "

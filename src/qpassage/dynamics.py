@@ -1,36 +1,35 @@
 """Closed- and open-system propagation plus passage diagnostics.
 
 Closed dynamics uses a midpoint exponential propagator, exp(-i H(t_mid) dt)
-per step, which is unitary by construction.  Open dynamics integrates
+per step, which is unitary by construction.  Open dynamics solves
 
     drho/dt = -i[H(t), rho] + sum_j (rate_j / 2) * (2 L_j rho L_j+
                                                     - L_j+ L_j rho - rho L_j+ L_j)
 
-with classic RK4, re-Hermitizing the state each step.  With that convention a
-single decaying qubit loses excited population as exp(-rate * t).  Positivity
-is monitored at checkpoints, never enforced: a violation beyond tolerance
-means the step size is wrong and should fail loudly.
-
-The channels are compiled once per propagation.  K = sum_j rate_j L_j+ L_j
-folds into the effective Hamiltonian H_eff = H - (i/2) K, and with
-G = -i H_eff the commutator and anticommutator become G rho + (G rho)+: one
-product G rho per right-hand side whatever the channel count.  The identity
-holds for Hermitian rho, and every RK4 stage input is one: the state is
-re-Hermitized after each step, and a stage adds to it G rho + (G rho)+,
-Hermitian by construction, and the jump sum, Hermitian up to the order its
-terms are summed in.  The jump sum sum_j rate_j L_j rho L_j+ is kept as
-flat (src, weight) pairs, one per pair of nonzeros of each L_j, gathered from
-rho and scattered by one bincount over the float view of the complex terms;
-it costs O(sum_j nnz(L_j)^2), d^2/4 per qubit lowering operator and the dense
-superoperator for a dense L.
+for qubit lowering operators L_j = |g><e| by a Strang split step,
+rho <- D(dt/2) U D(dt/2) rho.  U rho = u rho u+ with the closed run's
+midpoint exponential u, and D(tau) is the exact solution of the decay part
+over tau: on each qubit the amplitude-damping channel with
+p = 1 - exp(-rate tau), which moves p of the excited population to the
+ground state and scales the coherences between them by sqrt(1 - p).  Both
+factors are completely positive and trace preserving, so the state stays a
+density matrix up to round-off on any grid; the step is second order in dt,
+like the closed one.  With this convention a single decaying qubit loses
+excited population as exp(-rate * t), exactly.  The qubits' channels
+commute, so D is one strided feed per decaying qubit,
+rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
+Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
+propagator carries sigma = U D rho, so a step damps once by D(dt), and
+damps the nodes it hands out once by D(dt/2).  Positivity and trace are
+still checked, never enforced: a violation beyond tolerance fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
-(K, d, d), through one RK4 loop.  The members share H and the jump operators;
-each `Dissipator.rate` is one rate for all of them or an array of K rates, one
-per member.  Every member gets exactly the arithmetic of a single-matrix run
-with its own rates, so member k of a stack equals that run bit for bit, and
-every check (trace drift, checkpoint eigenvalues, the initial density-matrix
-check) runs per member.  Each member fails where its own run would: on trace
+(K, d, d).  The members share H and the channels; each `Dissipator.rate`
+is one rate for all of them or an array of K rates, one per member.  Every
+member gets exactly the arithmetic of a single-matrix run with its own
+rates, so member k of a stack equals that run bit for bit, and every check
+(trace drift, checkpoint eigenvalues, the initial density-matrix check)
+runs per member.  Each member fails where its own run would: on trace
 drift at the step where it trips, on a checkpoint eigenvalue when the
 propagation ends.  The error raised is that of the first member, in stack
 order, among those failing at the earliest grid step; the exception carries
@@ -43,18 +42,15 @@ consecutive groups of b levels of the state (S b = d): block s acts on
 levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
 stack is the S = 1 case of the same contract, and a time-independent (d, d)
 matrix is broadcast.  The propagators call it once per block of BLOCK grid
-intervals (closed runs at the interval midpoints, open runs at the nodes and
-midpoints of the block), so the fields behind H are evaluated on whole
-arrays.  Closed runs exponentiate a block of times with one batched
-eigendecomposition of all its S-by-b-by-b blocks and advance the state group
-by group; open runs form G = -i H_eff per group, which needs the compiled
-decay K to be block diagonal over the same groups (a K that couples two
-groups raises ValueError rather than a silent dense fallback), and take
-G rho as S products of (b, b) by (b, d) rows.  Ordering the levels so that H
-falls into groups is the caller's business; with S = 1 the arithmetic is
-the dense one.  `von_neumann_residual` takes H in the same two forms.  Both
-propagators reject an H that is not finite, naming the first time at which
-it is not.
+intervals, at the interval midpoints, so the fields behind H are evaluated
+on whole arrays, and exponentiate the block of times with one batched
+eigendecomposition of all its S-by-b-by-b blocks.  Closed runs advance the
+state group by group; open runs take u rho u+ as two grouped products of
+(b, b) blocks by (b, d) rows.  Ordering the levels so that H falls into
+groups is the caller's business; with S = 1 the arithmetic is the dense
+one.  `von_neumann_residual` takes H in the same two forms.  Both
+propagators reject an H that is not finite or not Hermitian, naming the
+first time at which it is not.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
@@ -102,7 +98,7 @@ CHECKPOINTS = 10  # positivity checks per open propagation
 
 
 class StepSizeError(RuntimeError):
-    """Integration diagnostics exceeded their hard bounds; use more steps.
+    """Integration diagnostics exceeded their hard bounds.
 
     `member` is the index of the failing member of a density-matrix stack,
     None for a single state.
@@ -139,7 +135,8 @@ class TimeGrid:
 @dataclass(frozen=True, eq=False)
 class Dissipator:
     """One Lindblad channel: a jump operator acting in the full space and its
-    rate, or for a stack of density matrices an array of one rate per member."""
+    rate, or for a stack of density matrices an array of one rate per member.
+    `propagate_lindblad` takes qubit lowering operators only."""
 
     operator: np.ndarray
     rate: float | np.ndarray
@@ -198,22 +195,26 @@ class SimulationResult:
     auxiliary: dict = field(default_factory=dict)
 
 
-def _hamiltonian_blocks(hamiltonian: Callable, times: np.ndarray, dim: int) -> np.ndarray:
-    """H at every entry of `times` as a (len(times), S, b, b) complex stack of
-    blocks over S groups of b levels, S = 1 for a dense H (see the module
-    docstring)."""
-    h = np.asarray(hamiltonian(times), dtype=complex)
+def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: float) -> np.ndarray:
+    """exp(-i H dt) at every midpoint of `t_mid` as a (len(t_mid), S, b, b)
+    stack of blocks over S groups of b levels, S = 1 for a dense H (see the
+    module docstring); an H that is not finite or not Hermitian to 1e-10
+    (relative) raises ValueError naming its first such time."""
+    h = np.asarray(hamiltonian(t_mid), dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
-    h = np.broadcast_to(h, times.shape + h.shape[-3:])
+    h = np.broadcast_to(h, t_mid.shape + h.shape[-3:])
     groups, size = h.shape[-3], h.shape[-1]
     if h.shape[-2] != size or groups * size != dim:
         raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
                          f"the state's {dim} levels")
     bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
     if np.any(bad):
-        raise ValueError(f"Hamiltonian is not finite at t = {times[np.argmax(bad)]:.6f}")
-    return h
+        raise ValueError(f"Hamiltonian is not finite at t = {t_mid[np.argmax(bad)]:.6f}")
+    bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
+    if np.any(bad):
+        raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
+    return expm_hermitian(h, -1j * dt)
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -254,16 +255,12 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     mids = times[:-1] + 0.5 * dt
     drift = 0.0
     for start in range(0, grid.steps, BLOCK):
-        t_mid = mids[start:start + BLOCK]
-        h = _hamiltonian_blocks(hamiltonian, t_mid, psi.size)
-        bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
-        if np.any(bad):
-            raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-        nodes = buf[:t_mid.size]
-        grouped = nodes.reshape(h.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
+        u = _step_unitaries(hamiltonian, mids[start:start + BLOCK], psi.size, dt)
+        nodes = buf[:len(u)]
+        grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
         psi = psi.reshape(grouped.shape[1:])
-        for j, u in enumerate(expm_hermitian(h, -1j * dt)):
-            psi = u @ psi
+        for j, step in enumerate(u):
+            psi = step @ psi
             grouped[j] = psi
         # frobenius sums each node's squares as np.linalg.norm does
         drift = max(drift, float(np.max(np.abs(frobenius(nodes[:, None, :]) - 1.0))))
@@ -274,64 +271,60 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     return StateTrajectory(times=times, states=out, norm_drift=drift)
 
 
-def _compile_dissipators(dissipators: list[Dissipator], dim: int, members: int = 1):
-    """Per member k, K_k = sum_j rate_jk L_j+ L_j, and the jump sum as a
-    gather-scatter triple (bins, src, weight).
+def _bits(x: np.ndarray, mask: int) -> np.ndarray:
+    """A view of the (..., d, d) array `x` with the bit `mask` of the row and
+    of the column index as axes of their own: (..., A, 2, mask, A, 2, mask)."""
+    dim = x.shape[-1]
+    return x.reshape(x.shape[:-2] + (dim // (2 * mask), 2, mask) * 2)
 
-    (L rho L+)[a, b] = sum L[a, i] conj(L[b, j]) rho[i, j] over the nonzeros
-    L[a, i] and L[b, j], so each pair of nonzeros adds rho.flat[i*d + j] with
-    weight rate L[a, i] conj(L[b, j]) into entry a*d + b.  `weight` is
-    (members, n); `bins` holds, for each member and pair, the positions of
-    the real and imaginary parts of its destination entry in the float view
-    of a (members, d, d) complex stack.
-    """
-    decay = np.zeros((members, dim, dim), dtype=complex)
-    dst, src, weight = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty((members, 0))]
-    for d in dissipators:
-        op = np.asarray(d.operator, dtype=complex)
+
+def _decay_rates(dissipators: list[Dissipator], dim: int, members: int) -> dict:
+    """{mask: (members,) summed rate} over the channels, each keyed by the bit
+    `mask` of the level index its lowering operator flips from e (0) to g (1);
+    any other operator raises ValueError naming its channel."""
+    rates: dict = {}
+    for j, d in enumerate(dissipators):
+        op = np.asarray(d.operator)
         if op.shape != (dim, dim):
             raise ValueError(f"jump operator has shape {op.shape}; the state needs {(dim, dim)}")
         rate = np.asarray(d.rate, dtype=float)
         if rate.shape not in ((), (members,)):
             raise ValueError(f"dissipation rate has shape {rate.shape}; "
                              f"the state stack needs {members} rates")
-        rate = np.broadcast_to(rate, (members,))
-        decay += rate[:, None, None] * (dagger(op) @ op)
         rows, cols = np.nonzero(op)
-        vals = op[rows, cols]
-        dst.append((rows[:, None] * dim + rows).ravel())
-        src.append((cols[:, None] * dim + cols).ravel())
-        weight.append(rate[:, None] * np.outer(vals, np.conj(vals)).ravel())
-    dst = np.concatenate(dst) + dim * dim * np.arange(members)[:, None]
-    bins = (2 * dst[..., None] + np.arange(2)).ravel()
-    return decay, (bins, np.concatenate(src), np.concatenate(weight, axis=1))
+        mask = int(rows[0] ^ cols[0]) if rows.size else 0
+        lowering = np.zeros((dim, dim))
+        if mask and not mask & (mask - 1) and dim % (2 * mask) == 0:
+            excited = np.flatnonzero(np.arange(dim) & mask == 0)
+            lowering[excited + mask, excited] = 1.0
+        if not (mask and np.array_equal(op, lowering)):
+            raise ValueError(f"dissipator {j} is not a qubit lowering operator |g><e|; "
+                             "propagate_lindblad supports only those, in any bit order")
+        rates[mask] = rates.get(mask, 0.0) + np.broadcast_to(rate, (members,))
+    return rates
 
 
-def _lindblad_rhs(g: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
-    """drho/dt for a (K, d, d) stack of Hermitian rho, with g = -i H_eff per
-    member as its (S, b, b) blocks over S consecutive groups of b levels, or
-    as one (d, d) matrix (one group, whose product needs no group axis)."""
-    bins, src, weight = jumps
-    terms = weight * rho.reshape(len(rho), -1)[:, src]
-    jump = np.bincount(bins, terms.view(float).ravel(), 2 * rho.size).view(complex)
-    if g.ndim == rho.ndim:
-        a = g @ rho
-    else:
-        a = (g @ rho.reshape((len(rho),) + g.shape[-3:-1] + (-1,))).reshape(rho.shape)
-    return a + a.conj().swapaxes(1, 2) + jump.reshape(rho.shape)
+def _damping(rates: dict, tau: float, members: int, dim: int) -> tuple:
+    """D(tau) as its feeds [(mask, p)], p = 1 - exp(-rate tau) shaped to
+    broadcast over a (K, n, ...) view of `_bits`, and its (K, 1, d, d) weight."""
+    feeds = []
+    weight = np.ones((members, 1, dim, dim))
+    for mask, rate in rates.items():
+        keep = np.exp(-rate * tau).reshape((members,) + (1,) * 5)
+        feeds.append((mask, 1.0 - keep))  # exact for keep >= 1/2, so p + keep = 1
+        w = _bits(weight, mask)
+        w[..., 0, :, :, 0, :] *= keep
+        w[..., 0, :, :, 1, :] *= np.sqrt(keep)
+        w[..., 1, :, :, 0, :] *= np.sqrt(keep)
+    return feeds, weight
 
 
-def _decay_blocks(decay: np.ndarray, groups: int) -> np.ndarray:
-    """The (K, d, d) decay stack as its (K, S, b, b) blocks over S = `groups`
-    consecutive groups of levels, ready to meet H's (S, b, b) blocks; a decay
-    that couples two groups raises ValueError."""
-    members, dim = decay.shape[0], decay.shape[-1]
-    size = dim // groups
-    blocks = np.einsum("msisj->msij", decay.reshape(members, groups, size, groups, size))
-    if np.count_nonzero(blocks) != np.count_nonzero(decay):
-        raise ValueError(f"the decay operator couples levels of different groups of the "
-                         f"Hamiltonian's {groups} blocks of {size} levels")
-    return blocks
+def _damp(x: np.ndarray, feeds: list, weight: np.ndarray) -> None:
+    """Apply D in place to the (K, n, d, d) array `x` (see `_damping`)."""
+    for mask, p in feeds:
+        v = _bits(x, mask)
+        v[..., 1, :, :, 1, :] += p * v[..., 0, :, :, 0, :]
+    x *= weight
 
 
 def _check_members(rho: np.ndarray) -> None:
@@ -347,17 +340,18 @@ def _check_members(rho: np.ndarray) -> None:
 def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
                        dissipators: list[Dissipator], rho0: np.ndarray,
                        grid: TimeGrid, observe: Callable | None = None) -> DensityTrajectory:
-    """RK4 integration of the master equation with per-step re-Hermitization.
+    """Strang split steps rho <- D(dt/2) U D(dt/2) rho of the master equation.
 
-    `rho0` is one (d, d) density matrix or a (K, d, d) stack of them (see the
-    module docstring).  H is evaluated once per block of BLOCK intervals, at
-    its nodes and midpoints in time order, for all members at once, as a
-    dense matrix or as its blocks over S consecutive groups of the levels;
-    G = -i (H - (i/2) K) is then formed per group, and a decay K that couples
-    two groups raises ValueError.  Raises
+    `rho0` is one (d, d) density matrix or a (K, d, d) stack of them, and
+    every channel's operator must be a qubit lowering operator |g><e|
+    embedded in the d levels, in any bit order; any other operator raises
+    ValueError naming its channel (see the module docstring).  H is
+    evaluated once per block of BLOCK intervals, at their midpoints, for all
+    members at once, as a dense matrix or as its blocks over S consecutive
+    groups of the levels, and must be Hermitian to 1e-10 (relative).  Raises
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
     its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
-    -1e-7; both indicate the grid is too coarse for the requested dynamics.
+    -1e-7; a nan fails both.
     `observe(first, states)` receives node 0 and then each block's nodes as
     an (n, d, d) view, (K, n, d, d) for a stack, of a reused buffer (copy
     what you keep); with it the result holds only the final node, without it
@@ -374,7 +368,9 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     else:
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
     members, dim = rho.shape[0], rho.shape[-1]
-    decay, jumps = _compile_dissipators(dissipators, dim, members)
+    rates = _decay_rates(dissipators, dim, members)
+    dt = grid.dt
+    half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times
     out = None
     if observe is None:
@@ -384,43 +380,44 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     nodes = buf[0] if single else buf
     buf[:, 0] = rho
     observe(0, nodes[..., :1, :, :])
-    dt = grid.dt
+    mids = times[:-1] + 0.5 * dt
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
 
+    sigma, damping = rho, half  # the first step damps by dt/2, every later one by dt
     for start in range(0, grid.steps, BLOCK):
-        stop = min(start + BLOCK, grid.steps)
-        # the block's nodes at even and its midpoints at odd positions, in time order
-        t_block = np.empty(2 * (stop - start) + 1)
-        t_block[0::2] = times[start:stop + 1]
-        t_block[1::2] = times[start:stop] + 0.5 * dt
-        h = _hamiltonian_blocks(hamiltonian, t_block, dim)
-        g = -1j * (h[:, None] - 0.5j * _decay_blocks(decay, h.shape[-3]))
-        if h.shape[-3] == 1:  # one group: a plain (d, d) product, without reshapes
-            g = g[:, :, 0]
-        for i in range(start, stop):
-            left = 2 * (i - start)
-            k1 = _lindblad_rhs(g[left], rho, jumps)
-            k2 = _lindblad_rhs(g[left + 1], rho + 0.5 * dt * k1, jumps)
-            k3 = _lindblad_rhs(g[left + 1], rho + 0.5 * dt * k2, jumps)
-            k4 = _lindblad_rhs(g[left + 2], rho + dt * k3, jumps)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-            buf[:, i - start] = rho
-            drift = np.maximum(drift, np.abs(rho.trace(axis1=1, axis2=2).real - 1.0))
-            if (drift > TOL.trace_drift_error).any():
-                k = int(np.argmax(drift > TOL.trace_drift_error))
-                raise StepSizeError(f"trace drifted by {drift[k]:.3e} at t = {times[i + 1]:.6f}; "
-                                    "increase the number of grid steps", None if single else k)
-            if (i + 1) % check_every == 0 or i + 1 == grid.steps:
-                min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho)[:, 0])
-        observe(start + 1, nodes[..., :stop - start, :, :])
+        u = _step_unitaries(hamiltonian, mids[start:start + BLOCK], dim, dt)
+        rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
+        for j, (step, step_conj) in enumerate(zip(u, u.conj())):
+            _damp(sigma[:, None], *damping)
+            damping = full
+            # u sigma u+ = conj(conj(u) (u sigma)^T) for a Hermitian sigma
+            left = (step @ sigma.reshape(rows)).reshape(rho.shape)
+            sigma = np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows)).reshape(rho.shape)
+            buf[:, j] = sigma
+        block = buf[:, :len(u)]
+        _damp(block, *half)
+        node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
+        bad = ~(node_drift <= TOL.trace_drift_error)  # written so that nan fails it
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            k = int(np.argmax(bad[:, j]))
+            raise StepSizeError(f"trace drifted by {node_drift[k, j]:.3e} at "
+                                f"t = {times[start + j + 1]:.6f}", None if single else k)
+        drift = np.maximum(drift, node_drift.max(axis=1))
+        index = np.arange(start + 1, start + len(u) + 1)
+        checked = (index % check_every == 0) | (index == grid.steps)
+        if checked.any():
+            smallest = np.linalg.eigvalsh(block[:, checked])[..., 0]
+            min_eig = np.minimum(min_eig, smallest.min(axis=1))
+        observe(start + 1, nodes[..., :len(u), :, :])
 
     if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
         k = int(np.argmax(~(min_eig >= -TOL.positivity_drift)))
-        raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}; "
-                            "increase the number of grid steps", None if single else k)
+        raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}",
+                            None if single else k)
+    rho = block[:, -1].copy()
     if out is None:
         times, out = times[-1:], rho[:, None]
     if single:

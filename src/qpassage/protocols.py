@@ -632,15 +632,10 @@ def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
     return exc
 
 
-def _check_handoff(step: ProtocolStep, grid_steps: int, states: np.ndarray, kappas) -> None:
+def _check_handoff(step: ProtocolStep, states: np.ndarray, kappas) -> None:
     """Close `step` with the entry check its successor applies to each state
     it hands on (a pure state or a stack of density matrices, one per rate in
-    `kappas`), so that a failure names the step that produced the state.
-
-    The failing quantity is the step's integration error, which for RK4
-    shrinks as dt^5, so the StepSizeError names the grid that law predicts
-    would bring it within its bound; a nan or inf quantity names none.
-    """
+    `kappas`), so that a failure names the step that produced the state."""
     for member, (state, kappa) in enumerate(zip(states, kappas)):
         try:
             if state.ndim == 1:
@@ -648,11 +643,8 @@ def _check_handoff(step: ProtocolStep, grid_steps: int, states: np.ndarray, kapp
             else:
                 check_density_matrix(state)
         except StateCheckError as exc:
-            message = f"{exc} at the step's end (kappa_T={kappa:g})"
-            if math.isfinite(exc.value):
-                grid = math.ceil(grid_steps * (abs(exc.value) / exc.bound) ** 0.2)
-                message += f"; by the dt^5 law of its error a grid of {grid} steps would clear it"
-            raise _failed_at(StepSizeError(message, member), step, kappa)
+            raise _failed_at(StepSizeError(f"{exc} at the step's end (kappa_T={kappa:g})",
+                                           member), step, kappa)
 
 
 def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str = "effective",
@@ -725,7 +717,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             pure_track.finish(traj.final)
             psi = traj.final[back]
             if hands_on:
-                _check_handoff(step, grid_steps, psi[None], [kappas[pure[0]]])
+                _check_handoff(step, psi[None], [kappas[pure[0]]])
         if stacked:
             stack_track.start(step, first)
             dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
@@ -740,7 +732,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             stack_track.finish(traj.final)
             rho = traj.final[:, back[:, None], back]
             if hands_on:
-                _check_handoff(step, grid_steps, rho, [kappas[i] for i in stacked])
+                _check_handoff(step, rho, [kappas[i] for i in stacked])
 
         if compute_residual:
             ts = grid.times[first:]

@@ -2,13 +2,18 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: the Kronecker and Gram oracles are explicit element loops, the matrix
-exponential oracle is a truncated Taylor series, and the propagation oracle
+exponential oracle is a truncated Taylor series, the propagation oracle
 steps the Schrodinger equation directly so reconstructed evolution operators
-and generated phases can be compared against raw integration.
+and generated phases can be compared against raw integration, and the
+master-equation oracle is classic RK4 on the textbook right-hand side with
+dense matrices and any jump operators.
 """
+
+import dataclasses
 
 import numpy as np
 
+from qpassage import dynamics, protocols
 from qpassage.ancillary import SubspaceLayout
 from qpassage.linalg import dagger
 from qpassage.schedules import ParameterSchedule, ScheduleSet
@@ -68,6 +73,50 @@ def brute_force_unitaries(hamiltonian, dim: int, t0: float, t1: float,
         u = expm_hermitian(h, -1j * dt) @ u
         out[i + 1] = u
     return times, out
+
+
+def lindblad_rk4(hamiltonian, dissipators, rho0: np.ndarray, grid) -> np.ndarray:
+    """Every node of classic RK4 on drho/dt = -i[H, rho] + sum_j rate_j
+    (L_j rho L_j+ - {L_j+ L_j, rho}/2), dense, one density matrix; H is a
+    callable of one time returning a (d, d) matrix."""
+    def rhs(t, rho):
+        h = np.asarray(hamiltonian(t), dtype=complex)
+        out = -1j * (h @ rho - rho @ h)
+        for d in dissipators:
+            op = np.asarray(d.operator, dtype=complex)
+            decay = dagger(op) @ op
+            out = out + d.rate * (op @ rho @ dagger(op) - 0.5 * (decay @ rho + rho @ decay))
+        return out
+
+    times, dt = grid.times, grid.dt
+    out = np.empty((times.size,) + rho0.shape, dtype=complex)
+    out[0] = rho = np.asarray(rho0, dtype=complex)
+    for i, t in enumerate(times[:-1]):
+        k1 = rhs(t, rho)
+        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        out[i + 1] = rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def fail_trace_gate(monkeypatch, kappa: float) -> None:
+    """Make the protocol runner's open runs at rate `kappa`, and only those,
+    fail propagate_lindblad's per-step trace gate at the first node.
+
+    The split step keeps the trace on any grid, so nothing trips the gate
+    unaided: the gate is tightened to 1e-9 and those members start with their
+    trace raised by 5e-9, inside the entry check's 1e-8.
+    """
+    monkeypatch.setattr(dynamics, "TOL", dataclasses.replace(dynamics.TOL,
+                                                             trace_drift_error=1e-9))
+
+    def propagate(hamiltonian, dissipators, rho0, grid, observe=None):
+        raised = np.where(dissipators[0].rate == kappa, 1.0 + 5e-9, 1.0)
+        return dynamics.propagate_lindblad(hamiltonian, dissipators,
+                                           rho0 * raised[:, None, None], grid, observe)
+
+    monkeypatch.setattr(protocols, "propagate_lindblad", propagate)
 
 
 def random_layout(rng, max_assistant: int = 3, max_working: int = 4) -> SubspaceLayout:

@@ -5,8 +5,10 @@ a stack; a scalar t returns one value.  The scalar loop is the reference
 here: every stacked result must equal the loop over its times bit for bit,
 and an error must name the same (first) offending time.  The propagators
 evaluate H in blocks of BLOCK intervals, so their block edges are checked
-against a plain step-by-step loop.  A block-diagonal H given as its blocks
-over groups of levels must propagate as the same H given dense.
+against a plain step-by-step loop: bit for bit for the closed one, within
+the split step's own dt^2 error of the RK4 oracle for the open one.  A
+block-diagonal H given as its blocks over groups of levels must propagate as
+the same H given dense.
 """
 
 import numpy as np
@@ -15,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, _compile_dissipators,
-                               _lindblad_rhs, propagate_lindblad, propagate_schrodinger,
-                               von_neumann_residual)
+from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, propagate_lindblad,
+                               propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
                              expm_hermitian, outer)
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_hamiltonian,
@@ -26,7 +27,7 @@ from qpassage.schedules import ParameterSchedule, ScheduleDomainError, ScheduleS
 from qpassage.synthesis import (SingularScheduleError, assemble_hamiltonian, channel_fields,
                                 convert_dark_state, master_envelope)
 
-from helpers import random_schedule_set
+from helpers import lindblad_rk4, random_schedule_set
 
 
 def _times(duration, inner):
@@ -263,25 +264,6 @@ def _schrodinger_loop(hamiltonian, psi0, grid):
     return np.array(out)
 
 
-def _lindblad_loop(hamiltonian, dissipators, rho0, grid):
-    decay, jumps = _compile_dissipators(dissipators, rho0.shape[0])
-    times, dt = grid.times, grid.dt
-
-    def rhs(t, rho):
-        return _lindblad_rhs(-1j * (hamiltonian(t) - 0.5j * decay), rho, jumps)
-
-    out = [rho0[None]]
-    for t in times[:-1]:
-        rho = out[-1]
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(0.5 * (rho + dagger(rho)))
-    return np.array(out)[:, 0]
-
-
 BLOCK_EDGES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]
 
 
@@ -301,7 +283,10 @@ class TestPropagatorBlocks:
         channels = [Dissipator(SIGMA_MINUS, 0.3)]
         traj = propagate_lindblad(_drive, channels, rho0, grid)
         assert traj.matrices.shape == (steps + 1, 2, 2)
-        assert np.array_equal(traj.matrices, _lindblad_loop(_drive, channels, rho0, grid))
+        # the gap is 0.121-0.130 dt^2 on every grid here; an H taken at the
+        # wrong time on a block edge would add an O(dt) error
+        gap = np.max(np.abs(traj.matrices - lindblad_rk4(_drive, channels, rho0, grid)))
+        assert gap <= 0.14 * grid.dt ** 2
 
     def test_non_hermitian_h_in_a_later_block_names_its_time(self):
         def h(t):
@@ -320,11 +305,10 @@ class TestPropagatorBlocks:
             stack[..., 1, 1] += np.where(np.asarray(t) > 0.8126, np.nan, 0.0)
             return stack
 
-        # closed runs probe the midpoints 0.0025 + 0.005 k, open runs the
-        # nodes 0.005 k too; the third block holds the first of each past 0.8126
+        # both propagators probe the midpoints 0.0025 + 0.005 k; the third
+        # block holds the first past 0.8126
         grid = TimeGrid(0.0, 1.0, 200)
-        first = "0.815000" if open_system else "0.817500"
-        with pytest.raises(ValueError, match=rf"not finite at t = {first}$"):
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.817500$"):
             if open_system:
                 propagate_lindblad(h, [Dissipator(SIGMA_MINUS, 0.3)],
                                    np.diag([1.0, 0.0]).astype(complex), grid)
@@ -348,9 +332,7 @@ class TestPropagatorBlocks:
             return assemble_hamiltonian(layout, sset, t)
 
         grid = TimeGrid(0.0, 1.0, 400)
-        times = grid.times
-        probes = (np.concatenate([[t, t + 0.5 * grid.dt] for t in times[:-1]]) if open_system
-                  else times[:-1] + 0.5 * grid.dt)
+        probes = grid.times[:-1] + 0.5 * grid.dt  # both propagators probe the midpoints
         expected = next(x for x in (_outcome(h, t) for t in probes) if isinstance(x, str))
         assert expected.startswith("SingularScheduleError")
         assert float(expected.split("at t = ")[1].split()[0]) > 0.5  # not the first block
@@ -398,7 +380,7 @@ def _random_state(rng, dim, members=None):
 
 class TestGroupedHamiltonian:
     """Three qubits (d = 8) in groups of 4 or 2 levels, decaying through
-    their lowering operators, whose K = sum L+L is diagonal."""
+    their lowering operators."""
 
     @pytest.mark.parametrize("steps", BLOCK_EDGES)
     @pytest.mark.parametrize("size", [2, 4])
@@ -423,16 +405,6 @@ class TestGroupedHamiltonian:
         grouped = propagate_lindblad(blocks, channels, rho0, grid)
         plain = propagate_lindblad(dense, channels, rho0, grid)
         assert np.max(np.abs(grouped.matrices - plain.matrices)) <= 1e-13
-
-    def test_a_decay_coupling_two_groups_is_rejected(self):
-        blocks, dense = _grouped_drive(2, 4, seed=5)
-        jump = np.zeros((8, 8), dtype=complex)
-        jump[0, 0] = jump[0, 4] = 1.0   # K = L+L couples level 0 to level 4
-        rho0 = _random_state(np.random.default_rng(5), 8, 1)
-        grid = TimeGrid(0.0, 0.3, 10)
-        with pytest.raises(ValueError, match="couples levels of different groups"):
-            propagate_lindblad(blocks, [Dissipator(jump, 0.3)], rho0, grid)
-        propagate_lindblad(dense, [Dissipator(jump, 0.3)], rho0, grid)  # S = 1 is fine
 
     def test_blocks_must_cover_the_state(self):
         blocks, _ = _grouped_drive(2, 2, seed=5)

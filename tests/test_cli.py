@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpassage import cli, protocols
 from qpassage.cli import main
-from qpassage.config import ConfigError, RunConfig, parse_config_text
+from qpassage.config import MAX_GRID, ConfigError, RunConfig, parse_config_text
+
+from helpers import fail_trace_gate
 
 BELL_CFG = """\
 protocol = bell
@@ -148,6 +151,8 @@ class TestRunConfigRules:
         ({"grid": 10.5}, "grid", "grid must be a whole number of steps"),
         ({"grid": NAN}, "grid", "grid must be a whole number of steps"),
         ({"grid": 5}, "grid", "grid must be at least 10 steps"),
+        ({"grid": 10 ** 400}, "grid", "grid must be below"),
+        ({"grid": 1e300}, "grid", "grid must be below"),
         ({"boundary": "edge"}, "boundary", "unknown boundary 'edge'"),
     ])
     def test_construction_and_replace_apply_each_rule(self, changes, key, message):
@@ -163,8 +168,8 @@ class TestRunConfigRules:
     def test_whole_grids_are_stored_as_int(self):
         config = dataclasses.replace(RunConfig(**VALID), grid=500.0)
         assert config.grid == 500 and type(config.grid) is int
-        # an int too large for a float still passes the whole-number rule
-        assert RunConfig(**VALID, grid=10 ** 400).grid == 10 ** 400
+        # the largest grid whose nodes fit one float64 array
+        assert RunConfig(**VALID, grid=MAX_GRID - 1).grid == MAX_GRID - 1
 
     def test_at_reanchors_the_same_error(self):
         with pytest.raises(ConfigError) as err:
@@ -261,8 +266,9 @@ class TestRunCommand:
         assert main(["run", cfg]) == 2
         assert "target" in capsys.readouterr().err
 
-    def test_coarse_grid_diagnostic_failure_exits_one(self, tmp_path, capsys):
-        # an absurd decay rate on a tiny grid trips the step-size guard
+    def test_coarse_grid_diagnostic_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the runs at rate 30 trip the propagator's trace gate
+        fail_trace_gate(monkeypatch, 30.0)
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=15, kappa="30.0", out=out))
         assert main(["run", cfg]) == 1
@@ -276,21 +282,16 @@ class TestRunCommand:
         assert err[0].startswith("error: run failed at kappa_T=30: step 'split': ")
         assert not (out / "manifest.json").exists()
 
-    def test_handoff_failure_names_its_step(self, tmp_path, capsys):
-        # the open rotating-frame state that the split step hands on would fail
-        # the convert step's entry check (RK4 truncation error at grid 2000);
-        # the split step closes with that check, so the line names the step
-        # that produced the state and the grid the dt^5 law predicts clears it
+    def test_rotating_frame_ghz3_runs_through(self, tmp_path, capsys):
+        # every open state stays a density matrix, so the rotating-frame runs
+        # hand each step's state on and pass every diagnostic
         out = tmp_path / "out"
-        text = GHZ_CFG.format(grid=2000, kappa="0.0, 0.0145", out=out)
-        cfg = write_cfg(tmp_path, text + "mode = rotating-frame\nomega_T = 2900\n")
-        assert main(["run", cfg]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: run failed at kappa_T=0.0145: step 'split': "
-                                 "density matrix has eigenvalue ")
-        assert "below -1.0e-08" in err[0] and "a grid of 2035 steps" in err[0]
-        assert not (out / "manifest.json").exists()
+        config = Path(__file__).resolve().parents[1] / "configs" / "ghz3-rotating.cfg"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [run["kappa_T"] for run in runs] == [0.0, 0.0145]
+        assert all(run["ok"] for run in runs)
 
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])
     def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
@@ -299,6 +300,21 @@ class TestRunCommand:
         assert main(["run", cfg, "--grid", grid]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --grid: grid must be at least 10 steps"]
+        assert not out.exists()
+
+    def test_a_grid_too_large_for_one_array_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "out"
+        huge = "1" + "0" * 399
+        rule = f"grid must be below {MAX_GRID} steps"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=huge, kappa="0.0", out=out))
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:3: {rule}"]
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=out))
+        assert main(["run", cfg, "--grid", huge]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --grid: {rule}"]
+        assert main(["run", cfg, "--grid", str(MAX_GRID)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --grid: {rule}"]
         assert not out.exists()
 
 
@@ -358,6 +374,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("values, reason", [
         ("10.5", "grid must be a whole number of steps"),
         ("500,5", "grid must be at least 10 steps"),
+        ("1e300", f"grid must be below {MAX_GRID} steps"),
     ])
     def test_grid_values_obey_the_config_rule(self, tmp_path, capsys, monkeypatch,
                                               values, reason):
@@ -369,8 +386,8 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("param, values", [
-        ("kappa_T", "0.0, nan"), ("grid", "nan"), ("grid", "inf"), ("omega_T", "nan"),
-        ("omega_T", "2900,-inf"),
+        ("kappa_T", "0.0, nan"), ("grid", "nan"), ("grid", "inf"), ("grid", "1" + "0" * 399),
+        ("omega_T", "nan"), ("omega_T", "2900,-inf"),
     ])
     def test_non_finite_sweep_values_exit_two(self, tmp_path, capsys, param, values):
         text = BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o")
@@ -389,7 +406,8 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "kappa_T=0" in err[0] and "target" in err[0]
 
-    def test_propagation_failure_exits_one(self, tmp_path, capsys):
+    def test_propagation_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        fail_trace_gate(monkeypatch, 3.0)
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=10, kappa="0.5", out=tmp_path / "o"))
         assert main(["sweep", cfg, "--param", "kappa_T", "--values", "3.0"]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -415,7 +433,8 @@ class TestSweepCommand:
         # each row is the one its value gives alone, to the last digit
         assert tables[0] == tables[1] + tables[2][1:] + tables[3][1:]
 
-    def test_failing_value_of_a_kappa_sweep_is_named(self, tmp_path, capsys):
+    def test_failing_value_of_a_kappa_sweep_is_named(self, tmp_path, capsys, monkeypatch):
+        fail_trace_gate(monkeypatch, 3.0)
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=10, kappa="0.0", out=tmp_path / "o"))
         assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0,3.0,0.0145"]) == 1
         err = capsys.readouterr().err.splitlines()
