@@ -8,7 +8,8 @@
 trajectory CSV per value plus a manifest.json (and the wall-clock duration in
 timings.json), and exits 0 only when every run's integration diagnostics stay
 inside their bounds (1 on a diagnostic failure, 2 on configuration problems,
-an unwritable output directory included).  `sweep`
+an unwritable output directory and a plan or grid too large to allocate
+included).  `sweep`
 repeats a run over one parameter and emits a summary table, with the same
 exit codes; fidelity must be non-increasing in kappa_T.  `verify` runs the
 randomized oracle suites.
@@ -112,6 +113,9 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
         return 2
     try:
         results = _execute(config, model, plan, config.kappa_T)
+    except MemoryError as exc:  # a grid too fine to allocate
+        print(f"error: {config_path}: grid={config.grid}: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         kappa = getattr(exc, "kappa", config.kappa_T[0])
         print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
@@ -180,6 +184,9 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
         kappas = batch if param == "kappa_T" else variant.kappa_T[:1]
         try:
             results = _execute(variant, model, plan, kappas)
+        except MemoryError as exc:
+            print(f"error: {config_path}: grid={variant.grid}: {exc}", file=sys.stderr)
+            return 2
         except Exception as exc:
             failed = getattr(exc, "kappa", batch[0]) if param == "kappa_T" else batch[0]
             print(f"error: run failed at {param}={failed:g}: {exc}", file=sys.stderr)

@@ -19,8 +19,9 @@ excited population as exp(-rate * t), exactly.  The qubits' channels
 commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
-propagator carries sigma = U D rho, so a step damps once by D(dt), and
-damps the nodes it hands out once by D(dt/2).  Positivity and trace are
+propagator carries sigma = U D rho in one buffer, so a step damps it in
+place once by D(dt), through views bound once per propagation, and damps
+the nodes it hands out once by D(dt/2).  Positivity and trace are
 still checked, never enforced: a violation beyond tolerance fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
@@ -43,14 +44,16 @@ levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
 stack is the S = 1 case of the same contract, and a time-independent (d, d)
 matrix is broadcast.  The propagators call it once per block of BLOCK grid
 intervals, at the interval midpoints, so the fields behind H are evaluated
-on whole arrays, and exponentiate the block of times with one batched
-eigendecomposition of all its S-by-b-by-b blocks.  Closed runs advance the
-state group by group; open runs take u rho u+ as two grouped products of
-(b, b) blocks by (b, d) rows.  Ordering the levels so that H falls into
-groups is the caller's business; with S = 1 the arithmetic is the dense
-one.  `von_neumann_residual` takes H in the same two forms.  Both
-propagators reject an H that is not finite or not Hermitian, naming the
-first time at which it is not.
+on whole arrays, and exponentiate each distinct block once: groups whose
+b-by-b blocks hold the same bytes at every time of the block are
+exponentiated once for all of them, which gives the bits of exponentiating
+every group (a protocol step's d/b spectator groups hold at most two
+distinct blocks).  Closed runs advance the state group by group; open runs
+take u rho u+ as two grouped products of (b, b) blocks by (b, d) rows.
+Ordering the levels so that H falls into groups is the caller's business;
+with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
+H in the same two forms.  Both propagators reject an H that is not finite
+or not Hermitian, naming the first time at which it is not.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
@@ -199,7 +202,10 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     """exp(-i H dt) at every midpoint of `t_mid` as a (len(t_mid), S, b, b)
     stack of blocks over S groups of b levels, S = 1 for a dense H (see the
     module docstring); an H that is not finite or not Hermitian to 1e-10
-    (relative) raises ValueError naming its first such time."""
+    (relative) raises ValueError naming its first such time.  Groups whose
+    (len(t_mid), b, b) columns hold equal bytes are exponentiated once, in
+    one call for all distinct columns; equal bytes give equal bits, so the
+    result is that of exponentiating every group."""
     h = np.asarray(hamiltonian(t_mid), dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
@@ -214,7 +220,10 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-    return expm_hermitian(h, -1j * dt)
+    slot: dict = {}  # the bytes of a group's (T, b, b) column -> its distinct index
+    which = [slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)]
+    u = expm_hermitian(h[:, [which.index(i) for i in range(len(slot))]], -1j * dt)
+    return u[:, which]
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -319,12 +328,23 @@ def _damping(rates: dict, tau: float, members: int, dim: int) -> tuple:
     return feeds, weight
 
 
-def _damp(x: np.ndarray, feeds: list, weight: np.ndarray) -> None:
-    """Apply D in place to the (K, n, d, d) array `x` (see `_damping`)."""
+def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
+    """D (see `_damping`) bound to the (K, n, d, d) array `x`: each call
+    applies it to x in place, through views of x and one scratch array that
+    are made here, once."""
+    scratch = np.empty(x.size // 4, dtype=complex)
+    bound = []
     for mask, p in feeds:
         v = _bits(x, mask)
-        v[..., 1, :, :, 1, :] += p * v[..., 0, :, :, 0, :]
-    x *= weight
+        ee = v[..., 0, :, :, 0, :]
+        bound.append((v[..., 1, :, :, 1, :], ee, p, scratch.reshape(ee.shape)))
+
+    def damp() -> None:
+        for gg, ee, p, fed in bound:
+            np.multiply(p, ee, out=fed)
+            gg += fed
+        np.multiply(x, weight, out=x)
+    return damp
 
 
 def _check_members(rho: np.ndarray) -> None:
@@ -385,19 +405,20 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
 
-    sigma, damping = rho, half  # the first step damps by dt/2, every later one by dt
+    sigma = rho  # carried in place; the first step damps by dt/2, every later one by dt
+    damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
     for start in range(0, grid.steps, BLOCK):
         u = _step_unitaries(hamiltonian, mids[start:start + BLOCK], dim, dt)
         rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
         for j, (step, step_conj) in enumerate(zip(u, u.conj())):
-            _damp(sigma[:, None], *damping)
-            damping = full
+            damp()
+            damp = damp_full
             # u sigma u+ = conj(conj(u) (u sigma)^T) for a Hermitian sigma
             left = (step @ sigma.reshape(rows)).reshape(rho.shape)
-            sigma = np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows)).reshape(rho.shape)
+            np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows), out=sigma.reshape(rows))
             buf[:, j] = sigma
         block = buf[:, :len(u)]
-        _damp(block, *half)
+        _damper(block, *half)()
         node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
         bad = ~(node_drift <= TOL.trace_drift_error)  # written so that nan fails it
         if bad.any():

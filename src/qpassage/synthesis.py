@@ -62,7 +62,8 @@ __all__ = [
     "block_form_defect",
 ]
 
-_CONSTANCY_TOL = 1e-12
+_CONSTANCY_TOL = 1e-12  # drift below which a control counts as constant
+_COT_RATE_TOL = 1e-14  # times 1/T: the rate below which Delta drops its cot(2 phi) term
 
 
 class SynthesisError(ValueError):
@@ -80,7 +81,11 @@ class SingularScheduleError(SynthesisError):
 def master_envelope(schedules: ScheduleSet, t):
     """Return (Omega, Delta, varphi) at t, a float or an array of times.
 
-    Raises :class:`SingularScheduleError` where the formulas are undefined:
+    The mixing angle counts as static where |phi'| T <= 1e-12, T the
+    schedules' duration (phi drifts by at most 1e-12 rad over the step), and
+    Delta drops its cot(2 phi) term where that term's rate is below 1e-14 / T,
+    so neither threshold depends on the unit of time.  Raises
+    :class:`SingularScheduleError` where the formulas are undefined:
     |sin(varphi+alpha)| below the singularity floor while the mixing angle
     moves, or cot(2 phi) needed while 2 phi sits at a multiple of pi.  The
     message names the first such time.
@@ -91,11 +96,11 @@ def master_envelope(schedules: ScheduleSet, t):
     vphi = schedules.value("varphi", t)
 
     s = np.sin(vphi + alpha)
-    moving = np.abs(dphi) > 1e-12
+    moving = np.abs(dphi) * schedules.duration > _CONSTANCY_TOL
     flat = np.abs(s) < TOL.schedule_singularity
     w = _divide(dphi * np.cos(vphi + alpha), s, moving & ~flat)
     s2 = np.sin(2.0 * phi)
-    needs_cot = ~(np.abs(w) < 1e-14)
+    needs_cot = ~(np.abs(w) * schedules.duration < _COT_RATE_TOL)
     divergent = needs_cot & (np.abs(s2) < TOL.schedule_singularity)
     bad = (moving & flat) | divergent
     if np.any(bad):

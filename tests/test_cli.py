@@ -481,6 +481,20 @@ class TestSweepCommand:
             assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
             assert "Unable to allocate" in err[0]
 
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
+        # 10**18 nodes pass the grid rule, but their float64 array needs
+        # 6.94 EiB, so numpy refuses it at once and nothing is propagated
+        grid = "1000000000000000000"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0, 0.0145",
+                                                  out=tmp_path / "o"))
+        for argv in (["run", cfg, "--grid", grid],
+                     ["sweep", cfg, "--param", "grid", "--values", grid]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: grid={grid}: ")
+            assert "Unable to allocate" in err[0] and captured.out == ""
+
     def test_grid_sweep_converges(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=400, kappa="0.0725", out=out))

@@ -14,7 +14,7 @@ from qpassage.dynamics import (BLOCK, DensityTrajectory, Dissipator, StepSizeErr
                                propagate_schrodinger, reconstruct_evolution,
                                von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
-                             embed_qubit_operator, outer)
+                             embed_qubit_operator, expm_hermitian, outer)
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
@@ -70,6 +70,50 @@ class TestSchrodinger:
         with pytest.raises(StateCheckError, match="not normalized"):
             propagate_schrodinger(lambda t: np.zeros((2, 2)), np.array([np.nan, 0.0]),
                                   TimeGrid(0, 1, 10))
+
+
+class TestDistinctBlocks:
+    """`_step_unitaries` exponentiates each distinct group of an H stack once
+    and must give the bits of exponentiating every group."""
+
+    @staticmethod
+    def _unitaries(monkeypatch, h, times):
+        seen = []
+
+        def counted(blocks, scale):
+            seen.append(blocks.shape[1])
+            return expm_hermitian(blocks, scale)
+
+        monkeypatch.setattr(dynamics, "expm_hermitian", counted)
+        groups, size = h.shape[1], h.shape[-1]
+        return dynamics._step_unitaries(lambda t: h, times, groups * size, 0.01), seen
+
+    @pytest.mark.parametrize("classes", [[0, 0, 0, 0], [0, 1, 1, 0, 2, 1], [0, 1, 2, 3], [0]],
+                             ids=["all-equal", "mixed", "all-distinct", "one-group"])
+    def test_equals_the_whole_stack(self, monkeypatch, classes):
+        rng = np.random.default_rng(len(classes))
+        a = _random_complex(rng, (5, max(classes) + 1, 4, 4))
+        h = (a + dagger(a))[:, classes]
+        u, seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 5))
+        assert np.array_equal(u, expm_hermitian(h, -0.01j))
+        assert seen == [max(classes) + 1]
+
+    def test_a_negative_zero_keeps_its_group_apart(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = _random_complex(rng, (4, 1, 2, 2))
+        h = np.concatenate([a + dagger(a)] * 2, axis=1)
+        h.imag[:, 1, [0, 1], [0, 1]] = -0.0  # equal values, other bytes
+        u, seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 4))
+        assert np.array_equal(u, expm_hermitian(h, -0.01j)) and seen == [2]
+
+    @pytest.mark.parametrize("flaw, message", [(np.nan, "finite"), (1.0, "Hermitian")])
+    def test_a_flaw_in_a_later_group_names_its_first_time(self, flaw, message):
+        times = np.linspace(0.1, 0.9, 5)
+        h = np.zeros((5, 3, 2, 2), dtype=complex)
+        h[4, 0, 0, 1] = flaw  # the first group fails only at the last time
+        h[2, 2, 1, 0] = flaw
+        with pytest.raises(ValueError, match=rf"^Hamiltonian is not {message} at t = 0\.500000$"):
+            dynamics._step_unitaries(lambda t: h, times, 6, 0.01)
 
 
 class TestLindblad:
@@ -160,6 +204,18 @@ class TestLindblad:
             [Dissipator(op[np.ix_(order, order)], r) for op, r in zip(ops, (0.3, 0.9, 1.4))],
             rho0[np.ix_(order, order)], grid)
         assert np.max(np.abs(permuted.final - plain.final[np.ix_(order, order)])) <= 1e-13
+
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_the_callers_state_is_left_alone(self, members):
+        # the propagator carries its state in one buffer, damped in place
+        rng = np.random.default_rng(5)
+        rho0 = _random_density(rng, 4)
+        if members:
+            rho0 = np.array([_random_density(rng, 4) for _ in range(members)])
+        kept = rho0.copy()
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, 2, q), 0.7) for q in range(2)]
+        traj = propagate_lindblad(_stack_hamiltonian(rng, 4), channels, rho0, TimeGrid(0, 1, 70))
+        assert np.array_equal(rho0, kept) and not np.array_equal(traj.final, kept)
 
     def test_operator_of_the_wrong_dimension_is_rejected(self):
         with pytest.raises(ValueError, match="shape"):

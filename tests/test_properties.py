@@ -14,7 +14,10 @@ and N <= 5 working levels and the controls over every schedule kind:
 * every step of the Bell and GHZ3-6 plans, in both Hamiltonian modes and at
   any time, leaves its spectator qubits alone: its dense H vanishes between
   levels of different spectator configurations and is the scatter of the
-  blocks the propagators get in the step order.
+  blocks the propagators get in the step order;
+* the step exponentials, which exponentiate each distinct group of a block
+  stack once, equal bit for bit those of every group, for any pattern of
+  repeated groups, signed zeros included.
 
 CI runs this file with RuntimeWarning as an error, so an overflow or an
 invalid value in any of this arithmetic fails it.
@@ -25,13 +28,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import von_neumann_residual
-from qpassage.linalg import completeness_defect, frobenius
+from qpassage.dynamics import _step_unitaries, von_neumann_residual
+from qpassage.linalg import completeness_defect, expm_hermitian, frobenius
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_blocks,
                                 build_step_hamiltonian, plan_bell, plan_ghz)
 from qpassage.schedules import (ParameterSchedule, ScheduleSet, cascade_symbols,
                                 required_symbols)
-from qpassage.synthesis import assemble_hamiltonian, block_form_defect, master_envelope
+from qpassage.synthesis import (_CONSTANCY_TOL, _COT_RATE_TOL, assemble_hamiltonian,
+                                block_form_defect, master_envelope)
 from qpassage.tolerances import TOL
 
 ANALYTIC = ("constant", "cosine-ramp", "linear-ramp")
@@ -75,13 +79,16 @@ def systems(draw, kinds, static_cascade):
 def _regular_times(sset, ts):
     """The times at which the drive formulas are exact and well away from
     their singularities: |sin(varphi + alpha)| and |sin(2 phi)| at least
-    0.05, and phi either static or moving clearly faster than the 1e-12 drift
-    that the envelope treats as static."""
+    0.05, and phi either static or moving with nothing of the envelope
+    dropped: not below its static drift, |phi'| T <= 1e-12, and not with the
+    rate w of Delta's cot(2 phi) term below 1e-14 / T."""
     phi, dphi = sset.pair("phi", ts)
     cross = sset.value("varphi", ts) + sset.value("alpha", ts)
-    keep = ((np.abs(np.sin(cross)) >= 0.05) & (np.abs(np.sin(2.0 * phi)) >= 0.05)
-            & ((dphi == 0.0) | (np.abs(dphi) > 1e-9)))
-    return ts[keep]
+    keep = (np.abs(np.sin(cross)) >= 0.05) & (np.abs(np.sin(2.0 * phi)) >= 0.05)
+    ts, dphi, cross = ts[keep], dphi[keep], cross[keep]
+    w = dphi * np.cos(cross) / np.sin(cross)
+    moving = np.abs(dphi) * sset.duration > _CONSTANCY_TOL
+    return ts[(dphi == 0.0) | (moving & ~(np.abs(w) * sset.duration < _COT_RATE_TOL))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,3 +174,20 @@ def test_step_hamiltonian_lives_in_its_spectator_sectors(which, mode, inner):
     for group, block in zip(groups, np.moveaxis(blocks, -3, 0)):
         scattered[..., group[:, None], group[None, :]] = block
     assert np.array_equal(h, scattered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       size=st.sampled_from([1, 2, 4]), nodes=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), signed=st.lists(st.booleans(), min_size=12,
+                                                         max_size=12))
+def test_step_exponentials_equal_those_of_every_group(classes, size, nodes, seed, signed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(nodes, 5, size, size)) + 1j * rng.normal(size=(nodes, 5, size, size))
+    h = (a + np.conj(a).swapaxes(-1, -2))[:, classes]
+    diagonal = np.arange(size)
+    for group in np.flatnonzero(signed[:len(classes)]):
+        h.imag[:, group, diagonal, diagonal] = -0.0  # an equal block in other bytes
+    times = np.linspace(0.0, 1.0, nodes)
+    u = _step_unitaries(lambda t: h, times, len(classes) * size, 0.01)
+    assert np.array_equal(u, expm_hermitian(h, -0.01j))

@@ -72,6 +72,17 @@ class TestFieldValues:
             _, delta, _ = master_envelope(schedules, t)
             assert abs(delta - 0.7) <= 1e-8
 
+    @pytest.mark.parametrize("duration", [1e-3, 1.0, 1e3])
+    def test_a_static_mixing_angle_is_judged_over_the_step(self, duration):
+        # phi drifting by 5e-13 rad over the step counts as static (Delta
+        # keeps no cot term), by 5e-12 rad as moving, in any unit of time
+        for drift, static in ((5e-13, True), (5e-12, False)):
+            schedules = bell_step_schedules(alpha=0.0, duration=duration).replace(
+                phi=ParameterSchedule.linear_ramp(np.pi / 8, drift / duration, duration),
+                varphi=ParameterSchedule.constant(np.pi / 3, duration))
+            _, delta, _ = master_envelope(schedules, 0.5 * duration)
+            assert (delta == 0.0) == static
+
     def test_balanced_two_assistant_levels(self):
         # ttheta_0 = theta_0 = pi/4 splits the master envelope evenly and the
         # channel ratio between the two assistant levels is -tan(ttheta_0)
