@@ -9,10 +9,10 @@ trajectory CSV per value plus a manifest.json (and the wall-clock duration in
 timings.json), and exits 0 only when every run's integration diagnostics stay
 inside their bounds (1 on a diagnostic failure, 2 on configuration problems,
 an unwritable output directory and a plan or grid too large to allocate
-included).  `sweep`
-repeats a run over one parameter and emits a summary table, with the same
-exit codes; fidelity must be non-increasing in kappa_T.  `verify` runs the
-randomized oracle suites.
+included).  `sweep` repeats a run over one parameter, planned once, and emits
+a summary table, with the same exit codes; fidelity must be non-increasing in
+kappa_T.  `verify` runs the randomized oracle suites.  Every refusal is
+raised, and `main` alone prints its one `error:` line and picks the exit code.
 """
 
 from __future__ import annotations
@@ -32,30 +32,43 @@ from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse
                         plan_ghz, run_protocol_kappas)
 from .verify import run_verification
 
-__all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
+__all__ = ["main"]
 
 
-def _build_plan(config: RunConfig):
-    """The config's qubit model and its protocol plan."""
-    model = QubitModel(qubits=config.qubits, omega=config.omega_T,
-                       j_over_omega=config.j_over_omega)
+class _Refusal(Exception):
+    """One `error:` line and its exit code: 1 for a failed run, else 2."""
+
+    def __init__(self, line: str, code: int = 2):
+        super().__init__(line)
+        self.code = code
+
+
+def _model(config: RunConfig) -> QubitModel:
+    return QubitModel(qubits=config.qubits, omega=config.omega_T,
+                      j_over_omega=config.j_over_omega)
+
+
+def _prepare(config_path, config: RunConfig, where: str = ""):
+    """The config's plan, then its output directory, created if needed, so a
+    refused plan leaves no directory; `where` prefixes a plan refusal."""
+    prefix = f"{config_path}: {where}"
     overrides = config.schedule_overrides or None
-    if config.protocol == "bell":
-        return model, plan_bell(model, 1.0, config.boundary, overrides)
-    if config.protocol == "bell-reverse":
-        return model, plan_bell_reverse(model, 1.0, overrides)
-    return model, plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
+    try:
+        model = _model(config)
+        if config.protocol == "bell":
+            plan = plan_bell(model, 1.0, config.boundary, overrides)
+        elif config.protocol == "bell-reverse":
+            plan = plan_bell_reverse(model, 1.0, overrides)
+        else:
+            plan = plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
+    except (ValueError, MemoryError) as exc:  # a bad plan, or one too large to allocate
+        raise _Refusal(f"{prefix}{exc}") from None
+    declared = set().union(*(step.schedules.table for step in plan.steps))
+    for symbol in config.schedule_overrides:
+        if symbol not in declared:
+            raise _Refusal(f"{prefix}schedule override {symbol!r} matches no step of "
+                           f"the {config.protocol} plan")
 
-
-def _execute(config: RunConfig, model, plan, kappas) -> list:
-    """One result per kappa_T value, integrated together; a failure carries
-    the kappa_T it names as its `kappa` attribute."""
-    return run_protocol_kappas(plan, model, kappas, mode=config.mode, grid_steps=config.grid)
-
-
-def _output_dir(config: RunConfig) -> Path | None:
-    """The output directory, created if needed; None, after one error line,
-    when it cannot be created or written."""
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -63,10 +76,23 @@ def _output_dir(config: RunConfig) -> Path | None:
     except OSError as exc:
         problem = exc.strerror or str(exc)
     if problem:
-        print(f"error: cannot write to output directory {str(out_dir)!r}: {problem}",
-              file=sys.stderr)
-        return None
-    return out_dir
+        raise _Refusal(f"cannot write to output directory {str(out_dir)!r}: {problem}")
+    return plan, out_dir
+
+
+def _integrate(config_path, config: RunConfig, plan, param="kappa_T", value=None) -> list:
+    """One result per kappa_T value, integrated together; only the first when
+    `value`, a sweep's value of `param`, is given.  A failure names the
+    kappa_T it carries, or `value`."""
+    kappas = config.kappa_T if value is None else config.kappa_T[:1]
+    try:
+        return run_protocol_kappas(plan, _model(config), kappas, mode=config.mode,
+                                   grid_steps=config.grid)
+    except MemoryError as exc:  # a grid too fine to allocate
+        raise _Refusal(f"{config_path}: grid={config.grid}: {exc}") from None
+    except Exception as exc:
+        failed = getattr(exc, "kappa", kappas[0]) if value is None else value
+        raise _Refusal(f"run failed at {param}={failed:g}: {exc}", 1) from None
 
 
 def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: str) -> dict:
@@ -85,41 +111,26 @@ def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: s
     }
 
 
-def _load(config_path, out: str | None, grid: int | None) -> RunConfig:
-    """The config with the command-line overrides, which obey the file's rules."""
-    config = load_config(config_path)
-    flags = {name: value for name, value in (("out", out), ("grid", grid)) if value is not None}
+def _replace(config: RunConfig, anchor: str, **changes) -> RunConfig:
+    """`config` with `changes`, which obey the file's rules; a refusal is
+    anchored at `anchor`."""
     try:
-        return dataclasses.replace(config, **flags)
-    except ConfigError as exc:  # only the grid has a rule
-        raise exc.at("--grid") from None
-
-
-def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int:
-    started = time.time()
-    try:
-        config = _load(config_path, out, grid)
+        return dataclasses.replace(config, **changes)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model, plan = _build_plan(config)
-    except (ValueError, MemoryError) as exc:  # a bad plan, or one too large to allocate
-        print(f"error: {config_path}: {exc}", file=sys.stderr)
-        return 2
+        raise exc.at(anchor) from None
 
-    out_dir = _output_dir(config)
-    if out_dir is None:
-        return 2
-    try:
-        results = _execute(config, model, plan, config.kappa_T)
-    except MemoryError as exc:  # a grid too fine to allocate
-        print(f"error: {config_path}: grid={config.grid}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        kappa = getattr(exc, "kappa", config.kappa_T[0])
-        print(f"error: run failed at kappa_T={kappa:g}: {exc}", file=sys.stderr)
-        return 1
+
+def _load(config_path, out: str | None, grid: int | None) -> RunConfig:
+    """The config with the command-line overrides; only the grid has a rule."""
+    flags = {name: value for name, value in (("out", out), ("grid", grid)) if value is not None}
+    return _replace(load_config(config_path), "--grid", **flags)
+
+
+def _run(config_path, out: str | None, grid: int | None) -> int:
+    started = time.time()
+    config = _load(config_path, out, grid)
+    plan, out_dir = _prepare(config_path, config)
+    results = _integrate(config_path, config, plan)
 
     records = []
     for index, (kappa, result) in enumerate(zip(config.kappa_T, results)):
@@ -137,63 +148,35 @@ def cmd_run(config_path, out: str | None = None, grid: int | None = None) -> int
     return 0 if all(rec["ok"] for rec in records) else 1
 
 
-def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
-              grid: int | None = None) -> int:
-    try:
-        config = _load(config_path, out, grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _sweep(config_path, param: str, values_text: str, out: str | None,
+           grid: int | None) -> int:
+    config = _load(config_path, out, grid)
     if param not in SWEEPABLE:
-        print(f"error: unknown sweep parameter {param!r}; expected one of {SWEEPABLE}",
-              file=sys.stderr)
-        return 2
+        raise _Refusal(f"unknown sweep parameter {param!r}; expected one of {SWEEPABLE}")
     try:
         values = [finite_float(v) for v in values_text.split(",") if v.strip()]
     except ValueError as exc:
-        print(f"error: bad --values list {values_text!r}: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"bad --values list {values_text!r}: {exc}") from None
     if not values:
-        print("error: empty --values list", file=sys.stderr)
-        return 2
+        raise _Refusal("empty --values list")
     if param == "omega_T" and config.mode == "effective":
-        print(f"error: {config_path}: omega_T does not enter effective mode; sweep it with "
-              "mode = rotating-frame", file=sys.stderr)
-        return 2
+        raise _Refusal(f"{config_path}: omega_T does not enter effective mode; sweep it "
+                       "with mode = rotating-frame")
     # each variant obeys the file's rules; a kappa_T sweep integrates its
     # values together, as `run` does
-    try:
-        if param == "kappa_T":
-            batches = [(dataclasses.replace(config, kappa_T=tuple(values)), values)]
-        else:
-            batches = [(dataclasses.replace(config, **{param: v}), [v]) for v in values]
-    except ConfigError as exc:
-        print(f"error: {exc.at(config_path)}", file=sys.stderr)
-        return 2
-
-    out_dir = _output_dir(config)
-    if out_dir is None:
-        return 2
+    if param == "kappa_T":
+        variants = [(_replace(config, config_path, kappa_T=tuple(values)), None)]
+    else:
+        variants = [(_replace(config, config_path, **{param: v}), v) for v in values]
+    # no sweepable value enters the plan, so one plan serves every variant
+    plan, out_dir = _prepare(config_path, config, f"{param}={values[0]:g}: ")
     rows = []
-    for variant, batch in batches:
-        try:
-            model, plan = _build_plan(variant)
-        except (ValueError, MemoryError) as exc:
-            print(f"error: {config_path}: {param}={batch[0]:g}: {exc}", file=sys.stderr)
-            return 2
-        kappas = batch if param == "kappa_T" else variant.kappa_T[:1]
-        try:
-            results = _execute(variant, model, plan, kappas)
-        except MemoryError as exc:
-            print(f"error: {config_path}: grid={variant.grid}: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:
-            failed = getattr(exc, "kappa", batch[0]) if param == "kappa_T" else batch[0]
-            print(f"error: run failed at {param}={failed:g}: {exc}", file=sys.stderr)
-            return 1
-        rows += [(value, float(result.auxiliary["fidelity_final"][-1]),
+    for variant, value in variants:
+        results = _integrate(config_path, variant, plan, param, value)
+        swept = variant.kappa_T if value is None else [value]
+        rows += [(v, float(result.auxiliary["fidelity_final"][-1]),
                   float(result.diagnostics.get("max_residual", 0.0)),
-                  diagnostics_ok(result, variant.mode)) for value, result in zip(batch, results)]
+                  diagnostics_ok(result, variant.mode)) for v, result in zip(swept, results)]
 
     table_path = out_dir / f"sweep-{param}.csv"
     write_csv(table_path, [param, "final_fidelity", "max_residual"],
@@ -208,24 +191,19 @@ def cmd_sweep(config_path, param: str, values_text: str, out: str | None = None,
         ordered = sorted(rows, key=lambda r: r[0])
         for (va, fa, _, _), (vb, fb, _, _) in zip(ordered, ordered[1:]):
             if fb > fa + 1e-9:
-                print(f"error: fidelity is not monotone in kappa_T "
-                      f"({fa:.6f} at {va:g} -> {fb:.6f} at {vb:g})", file=sys.stderr)
-                return 1
+                raise _Refusal(f"fidelity is not monotone in kappa_T "
+                               f"({fa:.6f} at {va:g} -> {fb:.6f} at {vb:g})", 1)
     return 0 if all(ok for *_, ok in rows) else 1
 
 
-def cmd_verify(seed: int, max_m: int, max_n: int, instances: int = 3,
-               inject_detuning: float = 0.0) -> int:
+def _verify(seed: int, max_m: int, max_n: int, instances: int,
+            inject_detuning: float) -> int:
     if instances < 1:
-        print(f"error: --instances must be at least 1, got {instances}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"--instances must be at least 1, got {instances}")
     if seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {seed}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"--seed must be a non-negative integer, got {seed}")
     if not math.isfinite(inject_detuning):
-        print(f"error: --inject-detuning must be finite, got {inject_detuning}",
-              file=sys.stderr)
-        return 2
+        raise _Refusal(f"--inject-detuning must be finite, got {inject_detuning}")
     sizes = [(m, n) for m in range(1, max_m + 1) for n in range(2, max_n + 1)]
     report = run_verification(seed, sizes, instances=instances,
                               inject_detuning=inject_detuning)
@@ -270,12 +248,16 @@ def main(argv=None) -> int:
                                "that the residual suite catches it")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out, args.grid)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.param, args.values, args.out, args.grid)
-    return cmd_verify(args.seed, args.max_m, args.max_n, args.instances,
-                      args.inject_detuning)
+    try:
+        if args.command == "run":
+            return _run(args.config, args.out, args.grid)
+        if args.command == "sweep":
+            return _sweep(args.config, args.param, args.values, args.out, args.grid)
+        return _verify(args.seed, args.max_m, args.max_n, args.instances,
+                       args.inject_detuning)
+    except (ConfigError, _Refusal) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "code", 2)
 
 
 if __name__ == "__main__":

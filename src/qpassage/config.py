@@ -11,7 +11,7 @@ The format is line oriented:
 
 Keys live either at the top level or inside a [section]; '#' starts a comment;
 lists are comma separated.  Schedule overrides use "kind: key=value, ..." with
-the kinds and parameters of :mod:`qpassage.schedules`.
+the kinds and parameters of :mod:`qpassage.schedules`, less the step's `duration`.
 
 The parser only converts each key's text; the rules a run's parameters obey
 live in :class:`RunConfig` itself, so a config built from a file, with
@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("rotating-frame mode requires omega_T", key="mode")
         if self.omega_T is not None and not self.omega_T > 0:
             raise ConfigError("omega_T must be positive", key="omega_T")
+        if not 0 <= self.j_over_omega < math.inf:
+            raise ConfigError("j_over_omega must be finite and non-negative", key="j_over_omega")
         if not (isinstance(self.grid, int) or float(self.grid).is_integer()):
             raise ConfigError("grid must be a whole number of steps", key="grid")
         if not self.grid >= MIN_GRID:
@@ -178,6 +180,8 @@ def _parse_schedule(text: str) -> ParameterSchedule:
         if "=" not in chunk:
             raise ValueError(f"expected key=value in schedule parameters, got {chunk!r}")
         name, value = (part.strip() for part in chunk.split("=", 1))
+        if name == "duration":
+            raise ValueError("an override takes the duration of each step it replaces")
         params[name] = finite_float(value)
     if kind == "constant":
         return ParameterSchedule.constant(params.pop("value"), **params)
@@ -244,6 +248,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from None
     return parse_config_text(text, str(path))

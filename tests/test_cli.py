@@ -121,6 +121,26 @@ class TestConfigParsing:
         assert len(err) == 1 and "run.cfg:4: bad schedule override" in err[0]
         assert "is not a finite number" in err[0]
 
+    def test_override_duration_is_refused_at_its_line(self, tmp_path, capsys):
+        # each override is re-timed to the step it replaces, so a duration
+        # would silently do nothing
+        out = tmp_path / "out"
+        text = (BELL_CFG.format(grid=100, kappa="0.0", out=out)
+                + "[schedules]\nalpha = constant: value=3.141592653589793, duration=5\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {cfg}:7: bad schedule override for 'alpha': ")
+        assert "duration" in err[0] and not out.exists()
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfeprotocol = bell\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: cannot read config: ")
+
     def test_unknown_section_rejected(self):
         text = "protocol = bell\nduration = 1.0\n[extras]\nx = 1\n"
         with pytest.raises(ConfigError) as err:
@@ -154,6 +174,8 @@ class TestRunConfigRules:
         ({"grid": 10 ** 400}, "grid", "grid must be below"),
         ({"grid": 1e300}, "grid", "grid must be below"),
         ({"boundary": "edge"}, "boundary", "unknown boundary 'edge'"),
+        ({"j_over_omega": -1.0}, "j_over_omega", "j_over_omega must be finite and non-negative"),
+        ({"j_over_omega": NAN}, "j_over_omega", "j_over_omega must be finite and non-negative"),
     ])
     def test_construction_and_replace_apply_each_rule(self, changes, key, message):
         builders = (lambda: RunConfig(**{**VALID, **changes}),
@@ -184,6 +206,8 @@ class TestRunConfigRules:
          "bad.cfg:5: grid must be at least 10 steps"),
         ("duration = 1.0\n# comment\nprotocol = qft\n",
          "bad.cfg:3: unknown protocol 'qft'; expected one of ('bell', 'bell-reverse', 'ghz')"),
+        ("protocol = bell\nduration = 1.0\nj_over_omega = -1\n",
+         "bad.cfg:3: j_over_omega must be finite and non-negative"),
     ])
     def test_a_file_rule_failure_names_the_key_line(self, text, line):
         with pytest.raises(ConfigError) as err:
@@ -265,6 +289,20 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", cfg]) == 2
         assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symbol", ["beta", "phii"])
+    def test_override_no_step_declares_exits_two(self, tmp_path, capsys, monkeypatch, symbol):
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "out"
+        text = (BELL_CFG.format(grid=100, kappa="0.0", out=out)
+                + f"[schedules]\n{symbol} = constant: value=1\n")
+        cfg = write_cfg(tmp_path, text)
+        for argv in (["run", cfg], ["sweep", cfg, "--param", "grid", "--values", "100"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
+            assert f"schedule override {symbol!r} matches no step" in err[0]
+        assert not out.exists()
 
     def test_coarse_grid_diagnostic_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         # the runs at rate 30 trip the propagator's trace gate
@@ -405,6 +443,40 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "kappa_T=0" in err[0] and "target" in err[0]
+
+    def test_refused_plan_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = (BELL_CFG.format(grid=300, kappa="0.0", out=out)
+                + "[schedules]\ntheta_0 = constant: value=0.3\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", cfg, "--param", "grid", "--values", "100,200"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: grid=100: ")
+        assert "target" in err[0] and not out.exists()
+
+    def test_a_bad_plan_is_reported_before_a_bad_output_directory(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("a regular file\n")
+        text = (BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "file" / "sub")
+                + "[schedules]\ntheta_0 = constant: value=0.3\n")
+        cfg = write_cfg(tmp_path, text)
+        for argv in (["run", cfg], ["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "target" in err[0]
+
+    def test_a_sweep_plans_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return protocols.plan_bell(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "plan_bell", counted)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=out))
+        assert main(["sweep", cfg, "--param", "grid", "--values", "100,200,300,400"]) == 0
+        assert len(calls) == 1
+        assert len((out / "sweep-grid.csv").read_text().splitlines()) == 5
 
     def test_propagation_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         fail_trace_gate(monkeypatch, 3.0)
