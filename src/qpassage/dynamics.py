@@ -315,17 +315,20 @@ def _decay_rates(dissipators: list[Dissipator], dim: int, members: int) -> dict:
 
 def _damping(rates: dict, tau: float, members: int, dim: int) -> tuple:
     """D(tau) as its feeds [(mask, p)], p = 1 - exp(-rate tau) shaped to
-    broadcast over a (K, n, ...) view of `_bits`, and its (K, 1, d, d) weight."""
+    broadcast over a (K, n, ...) view of `_bits`, and its (K, 1, d, d) weight.
+    p and the weight come back complex, cast once here rather than to x+0j
+    inside every product with the complex state, which gives the same bits."""
     feeds = []
     weight = np.ones((members, 1, dim, dim))
     for mask, rate in rates.items():
         keep = np.exp(-rate * tau).reshape((members,) + (1,) * 5)
-        feeds.append((mask, 1.0 - keep))  # exact for keep >= 1/2, so p + keep = 1
+        # exact for keep >= 1/2, so p + keep = 1
+        feeds.append((mask, (1.0 - keep).astype(complex)))
         w = _bits(weight, mask)
         w[..., 0, :, :, 0, :] *= keep
         w[..., 0, :, :, 1, :] *= np.sqrt(keep)
         w[..., 1, :, :, 0, :] *= np.sqrt(keep)
-    return feeds, weight
+    return feeds, weight.astype(complex)
 
 
 def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:

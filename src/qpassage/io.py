@@ -1,8 +1,9 @@
 """Artifact writers: CSV tables, the run manifest and its timings.
 
-Numbers are written with 17 significant digits in scientific notation and
-files use LF line endings, so identical runs produce byte-identical CSVs and
-manifests; the wall-clock duration goes to the separate timings file.
+CSV numbers are written as %.17e, 18 significant digits in scientific
+notation, manifest numbers as JSON's shortest round-trip form, and files use
+LF line endings, so identical runs produce byte-identical CSVs and manifests;
+the wall-clock duration goes to the separate timings file.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ import numpy as np
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import von_neumann_residual
 from .io import write_csv
+from .linalg import frobenius
 from .schedules import ScheduleSet, cascade_symbols
 from .tolerances import TOL
 
@@ -475,7 +476,7 @@ class ReductionReport:
     notes: list = field(default_factory=list)
 
 
-def _special_case_channels(layout: SubspaceLayout, schedules: ScheduleSet, t: float):
+def _special_case_channels(layout: SubspaceLayout, schedules: ScheduleSet, t):
     """Independently coded drive formulas for one or two assistant levels.
 
     Written out without the general seed conventions so the cross-check
@@ -483,34 +484,36 @@ def _special_case_channels(layout: SubspaceLayout, schedules: ScheduleSet, t: fl
     n' = n .. N-2; the variant ending at N-1 found in some write-ups refers
     to an angle theta_{N-1} that the cascade never defines, so it is only
     executable under the convention sin(theta_{N-1}) = 1, which makes it
-    identical to this form.
+    identical to this form.  Returns (amp[m, n], phase[m, n], Delta); for an
+    array of times each gains the shape of t in front.
     """
     n_levels = layout.working_levels
     omega, delta, vphi = master_envelope(schedules, t)
+    omega = np.asarray(omega)[..., None]
 
     thetas = [schedules.value(f"theta_{k}", t) for k in range(n_levels - 1)]
     alphas = [schedules.value(f"alpha_{k}", t) for k in range(n_levels - 1)]
-    work_amp = np.empty(n_levels)
-    work_phase = np.empty(n_levels)
+    work_amp = np.empty(np.shape(t) + (n_levels,))
+    work_phase = np.empty_like(work_amp)
     for n in range(n_levels):
         prod = 1.0
         for k in range(n, n_levels - 1):
             prod *= np.sin(thetas[k])
         lead = 1.0 if n == 0 else np.cos(thetas[n - 1])
-        work_amp[n] = lead * prod
-        work_phase[n] = vphi + (0.0 if n == 0 else alphas[n - 1])
+        work_amp[..., n] = lead * prod
+        work_phase[..., n] = vphi + (0.0 if n == 0 else alphas[n - 1])
 
     if layout.assistant_levels == 1:
-        amp = omega * work_amp[None, :]
-        phase = work_phase[None, :].copy()
+        amp = (omega * work_amp)[..., None, :]
+        phase = work_phase[..., None, :].copy()
     else:
-        ttheta0 = schedules.value("ttheta_0", t)
-        talpha0 = schedules.value("talpha_0", t)
-        amp = np.vstack([
+        ttheta0 = np.asarray(schedules.value("ttheta_0", t))[..., None]
+        talpha0 = np.asarray(schedules.value("talpha_0", t))[..., None]
+        amp = np.stack([
             omega * np.cos(ttheta0) * work_amp,
             -omega * np.sin(ttheta0) * work_amp,
-        ])
-        phase = np.vstack([work_phase, work_phase - talpha0])
+        ], axis=-2)
+        phase = np.stack([work_phase, work_phase - talpha0], axis=-2)
     return amp, phase, delta
 
 
@@ -521,45 +524,40 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     Valid for one or two assistant levels.  Beyond the element-wise
     comparison, the special-case fields are assembled into a Hamiltonian and
     checked against the passage-projector residual, which is what settles the
-    working-side product limit.
+    working-side product limit.  Both passes take their times as one array,
+    and a NaN anywhere makes its maximum NaN.
     """
     if layout.assistant_levels not in (1, 2):
         raise SynthesisError("the special-case formulas cover one or two assistant levels only")
 
     times = np.linspace(0.0, schedules.duration, grid + 1)
-    max_amp = 0.0
-    max_coeff = 0.0
-    g_amps, g_phases, g_deltas, _, _ = channel_fields(layout, schedules, times)
-    for t, g_amp, g_phase, g_delta in zip(times, g_amps, g_phases, g_deltas):
-        s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, t)
-        max_amp = max(max_amp, float(np.max(np.abs(np.abs(g_amp) - np.abs(s_amp)))))
-        g_coeff = g_amp * np.exp(1j * g_phase)
-        s_coeff = s_amp * np.exp(1j * s_phase)
-        max_coeff = max(max_coeff, float(np.max(np.abs(g_coeff - s_coeff))),
-                        abs(g_delta - s_delta))
+    g_amp, g_phase, g_delta, _, _ = channel_fields(layout, schedules, times)
+    s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, times)
+    max_amp = float(np.max(np.abs(np.abs(g_amp) - np.abs(s_amp))))
+    g_coeff = g_amp * np.exp(1j * g_phase)
+    s_coeff = s_amp * np.exp(1j * s_phase)
+    max_coeff = float(np.maximum(np.max(np.abs(g_coeff - s_coeff)),
+                                 np.max(np.abs(g_delta - s_delta))))
 
-    def special_h(t: float) -> np.ndarray:
+    def special_h(t) -> np.ndarray:
         s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, t)
-        dim = layout.dim
-        h = np.zeros((dim, dim), dtype=complex)
-        for m in range(layout.assistant_levels):
-            h[m, m] = s_delta
-            for n in range(layout.working_levels):
-                c = s_amp[m, n] * np.exp(1j * s_phase[m, n])
-                h[layout.assistant_index(m), layout.working_index(n)] += c
-                h[layout.working_index(n), layout.assistant_index(m)] += np.conj(c)
+        m_levels, dim = layout.assistant_levels, layout.dim
+        h = np.zeros(np.shape(t) + (dim, dim), dtype=complex)
+        for m in range(m_levels):
+            h[..., m, m] = s_delta
+        c = s_amp * np.exp(1j * s_phase)
+        h[..., :m_levels, m_levels:] += c
+        h[..., m_levels:, :m_levels] += np.conj(np.swapaxes(c, -1, -2))
         return h
 
-    h_scale = 0.0
-    residual_max = 0.0
     margin = schedules.duration * 1e-3
-    for t in np.linspace(margin, schedules.duration - margin, residual_times):
-        frame = build_frame(layout, schedules, t)
-        h = special_h(t)
-        h_scale = max(h_scale, float(np.linalg.norm(h)))
-        for col in (-2, -1):
-            residual_max = max(residual_max, von_neumann_residual(
-                frame.column(col), frame.derivatives[:, col], h))
+    ts = np.linspace(margin, schedules.duration - margin, residual_times)
+    frame = build_frame(layout, schedules, ts)
+    h = special_h(ts)
+    h_scale = float(np.max(frobenius(h), initial=0.0))
+    residual_max = float(np.max([von_neumann_residual(frame.column(col),
+                                                      frame.derivatives[..., col], h)
+                                 for col in (-2, -1)], initial=0.0))
 
     notes = [
         "working-side product limit N-2 confirmed by the projector residual; "

@@ -18,7 +18,8 @@ from qpassage.synthesis import (SingularScheduleError, SynthesisError,
                                 assemble_hamiltonian, block_form_defect,
                                 channel_fields, convert_dark_state,
                                 _cumulative_trapezoid, generated_phases, master_envelope,
-                                reduction_crosscheck, synthesize_general)
+                                reduction_crosscheck, _special_case_channels,
+                                synthesize_general)
 
 from helpers import brute_force_unitaries, random_layout, random_schedule_set
 
@@ -472,6 +473,21 @@ class TestReduction:
         report = reduction_crosscheck(layout, random_schedule_set(np.random.default_rng(23), layout))
         assert report.agreement
         assert any("product limit" in note or "N-2" in note for note in report.notes)
+
+    @pytest.mark.parametrize("m_levels", [1, 2])
+    @pytest.mark.parametrize("n_levels", [2, 3, 4])
+    def test_special_case_formulas_on_an_array_equal_the_scalar_loop_bit_for_bit(
+            self, m_levels, n_levels):
+        layout = SubspaceLayout(m_levels, n_levels)
+        rng = np.random.default_rng(10 * m_levels + n_levels)
+        schedules = random_schedule_set(rng, layout, cross_phase_locked=False)
+        ts = np.concatenate([[0.5], rng.uniform(0.05, 0.95, 30)])
+        stacked = _special_case_channels(layout, schedules, ts)
+        loop = [_special_case_channels(layout, schedules, t) for t in ts]
+        for got, want in zip(stacked, zip(*loop)):
+            want = np.array(want)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # sign bits of zeros included
 
     def test_three_assistant_levels_rejected(self):
         layout = SubspaceLayout(3, 2)

@@ -1,8 +1,11 @@
-"""The verification suites fail, rather than pass, on a NaN."""
+"""The verification suites fail, rather than pass, on a NaN; the brute-force
+oracle's tree product agrees with a plain sequential one; reports repeat."""
 
 import numpy as np
 
-from qpassage.verify import SuiteResult, _worst, run_verification
+from qpassage import verify
+from qpassage.linalg import dagger, expm_hermitian
+from qpassage.verify import SuiteResult, _brute_force, _worst, run_verification
 
 
 def test_a_non_finite_error_fails_the_suite():
@@ -25,3 +28,43 @@ def test_nan_detuning_fails_the_residual_suite():
     assert np.isnan(residual.max_error) and not residual.passed
     assert not report.passed
     assert "FAIL  passage-residual" in report.format()
+
+
+def test_the_brute_force_oracle_returns_exactly_the_requested_products(monkeypatch):
+    # a random H per interval, each step an O(1) rotation, so that no two
+    # steps commute and a product taken in the wrong order cannot pass
+    rng = np.random.default_rng(4)
+    dim, intervals = 5, 3000
+    a = rng.normal(size=(intervals, dim, dim)) + 1j * rng.normal(size=(intervals, dim, dim))
+    hs = (a + dagger(a)) * intervals / 4
+
+    def hamiltonian(mid):
+        return hs[np.floor(mid * intervals).astype(int)]
+
+    times = np.linspace(0.0, 1.0, intervals + 1)
+    calls = []
+
+    def counted(h, scale):
+        calls.append(len(h))
+        return expm_hermitian(h, scale)
+
+    monkeypatch.setattr(verify, "expm_hermitian", counted)
+    at = [1500, 1536, 3000]  # inside a block, on a block boundary, the last node
+    got = _brute_force(hamiltonian, dim, times, at)
+    assert len(got) == len(at)
+    assert calls == [verify._ORACLE_BLOCK] * 11 + [intervals - 11 * verify._ORACLE_BLOCK]
+
+    steps = expm_hermitian(hs, -1j * np.diff(times))
+    u = np.eye(dim, dtype=complex)
+    sequential = [u]
+    for step in steps:
+        u = step @ u
+        sequential.append(u)
+    for k, product in zip(at, got):
+        assert np.max(np.abs(product - sequential[k])) <= 1e-12
+
+
+def test_one_seed_formats_identical_reports():
+    sizes = [(1, 2), (2, 3)]
+    first = run_verification(7, sizes, instances=1).format()
+    assert run_verification(7, sizes, instances=1).format() == first
