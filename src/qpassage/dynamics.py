@@ -42,14 +42,16 @@ array of times and returns its matrices there, in one of two forms.  A
 consecutive groups of b levels of the state (S b = d): block s acts on
 levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
 stack is the S = 1 case of the same contract, and a time-independent (d, d)
-matrix is broadcast.  The propagators call it once per block of BLOCK grid
+matrix is broadcast.  The propagators call it once per span of SPAN grid
 intervals, at the interval midpoints, so the fields behind H are evaluated
-on whole arrays, and exponentiate each distinct block once: groups whose
-b-by-b blocks hold the same bytes at every time of the block are
+on whole arrays, and exponentiate each distinct block once per span: groups
+whose b-by-b blocks hold the same bytes at every time of the span are
 exponentiated once for all of them, which gives the bits of exponentiating
 every group (a protocol step's d/b spectator groups hold at most two
-distinct blocks).  Closed runs advance the state group by group; open runs
-take u rho u+ as two grouped products of (b, b) blocks by (b, d) rows.
+distinct blocks).  H is taken at the same midpoints whatever the span, so
+SPAN moves no bit of a result.  Closed runs advance the state group by
+group; open runs take u rho u+ as two grouped products of (b, b) blocks by
+(b, d) rows.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
 H in the same two forms.  Both propagators reject an H that is not finite
@@ -57,8 +59,9 @@ or not Hermitian, naming the first time at which it is not.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
-and then once per block with that block's nodes, `first` being the grid index
-of the first of them; the indices cover 0 ... steps once each, in order.
+and then once per block of at most BLOCK nodes (SPAN / BLOCK blocks per
+span) with that block's nodes, `first` being the grid index of the first
+of them; the indices cover 0 ... steps once each, in order.
 `states` is a view of one buffer the propagator reuses for every call, shape
 (n, d) for a pure state, (n, d, d) for one density matrix and (K, n, d, d)
 for a stack, so an observer must copy whatever it keeps.  Without an
@@ -80,6 +83,7 @@ from .tolerances import TOL
 
 __all__ = [
     "BLOCK",
+    "SPAN",
     "CHECKPOINTS",
     "TimeGrid",
     "Dissipator",
@@ -96,7 +100,8 @@ __all__ = [
 ]
 
 
-BLOCK = 64  # grid intervals per Hamiltonian evaluation
+BLOCK = 64  # grid nodes per state block handed to an observer
+SPAN = 256  # grid intervals per Hamiltonian evaluation, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
 
 
@@ -226,6 +231,15 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     return u[:, which]
 
 
+def _unitary_blocks(hamiltonian: Callable, mids: np.ndarray, dim: int, dt: float):
+    """(start, u) for each block of BLOCK intervals from grid interval `start`
+    on, u the block's `_step_unitaries`, computed once per span of SPAN."""
+    for span in range(0, mids.size, SPAN):
+        u = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, dt)
+        for first in range(0, len(u), BLOCK):
+            yield span + first, u[first:first + BLOCK]
+
+
 def _recorder(out: np.ndarray, core: int) -> Callable:
     """The default observer: copies each block into `out`, whose time axis
     comes before its `core` state axes."""
@@ -240,16 +254,17 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
                           observe: Callable | None = None) -> StateTrajectory:
     """Midpoint-exponential propagation of a pure state.
 
-    H is evaluated at the interval midpoints, one block of BLOCK of them per
+    H is evaluated at the interval midpoints, one span of SPAN of them per
     call, as a dense matrix or as its blocks over S consecutive groups of the
     state's levels (see the module docstring for the callable's contract).
     It must be Hermitian to 1e-10 (relative); each step exponentiates the
     S blocks and advances psi group by group, so the propagator is unitary
     up to round-off and norm drift only reflects accumulated floating-point
     error.
-    `observe(first, states)` receives node 0 and then each block's nodes as
-    an (n, d) view of a reused buffer (copy what you keep); with it the
-    result holds only the final node, without it every node.
+    `observe(first, states)` receives node 0 and then each block's nodes,
+    at most BLOCK of them, as an (n, d) view of a reused buffer (copy what
+    you keep); with it the result holds only the final node, without it
+    every node.
     """
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
@@ -263,8 +278,7 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     dt = grid.dt
     mids = times[:-1] + 0.5 * dt
     drift = 0.0
-    for start in range(0, grid.steps, BLOCK):
-        u = _step_unitaries(hamiltonian, mids[start:start + BLOCK], psi.size, dt)
+    for start, u in _unitary_blocks(hamiltonian, mids, psi.size, dt):
         nodes = buf[:len(u)]
         grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
         psi = psi.reshape(grouped.shape[1:])
@@ -369,17 +383,18 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     every channel's operator must be a qubit lowering operator |g><e|
     embedded in the d levels, in any bit order; any other operator raises
     ValueError naming its channel (see the module docstring).  H is
-    evaluated once per block of BLOCK intervals, at their midpoints, for all
+    evaluated once per span of SPAN intervals, at their midpoints, for all
     members at once, as a dense matrix or as its blocks over S consecutive
     groups of the levels, and must be Hermitian to 1e-10 (relative).  Raises
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
     its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
     -1e-7; a nan fails both.
-    `observe(first, states)` receives node 0 and then each block's nodes as
-    an (n, d, d) view, (K, n, d, d) for a stack, of a reused buffer (copy
-    what you keep); with it the result holds only the final node, without it
-    every node.  A block is observed only once all its steps passed the
-    trace check; the eigenvalue check comes after the last block.
+    `observe(first, states)` receives node 0 and then each block's nodes,
+    at most BLOCK of them, as an (n, d, d) view, (K, n, d, d) for a stack,
+    of a reused buffer (copy what you keep); with it the result holds only
+    the final node, without it every node.  A block is observed only once
+    all its steps passed the trace check; the eigenvalue check comes after
+    the last block.
     """
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
@@ -410,8 +425,7 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
 
     sigma = rho  # carried in place; the first step damps by dt/2, every later one by dt
     damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
-    for start in range(0, grid.steps, BLOCK):
-        u = _step_unitaries(hamiltonian, mids[start:start + BLOCK], dim, dt)
+    for start, u in _unitary_blocks(hamiltonian, mids, dim, dt):
         rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
         for j, (step, step_conj) in enumerate(zip(u, u.conj())):
             damp()

@@ -47,9 +47,10 @@ product-basis matrix for the step-consistency check and the public API.
 
 The runner carries the states into each step's order at the step's start
 and back at its end, and hands the propagators the blocks, closed and open
-runs alike.  The propagators evaluate H once per block of grid intervals,
-and the runner evaluates the passage residual over the same blocks of
-intervals, on H's groups and the passage vectors taken into the step order.
+runs alike.  The propagators evaluate H once per span of SPAN grid
+intervals.  For the passage residual the runner takes H's groups and the
+passage vectors, in the step order, once per span of SPAN nodes, and forms
+the residual's (n, d, d) matrices on at most BLOCK nodes at a time.
 It stores no trajectory: its observer reads the label populations (diagonal
 entries) and both fidelities out of each block the propagators hand it.
 `run_protocol_kappas` runs one plan for several decay rates at once: the
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (BLOCK, Dissipator, SimulationResult, StepSizeError, TimeGrid,
+from .dynamics import (BLOCK, SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        populations, propagate_lindblad, propagate_schrodinger,
                        reconstruct_evolution, von_neumann_residual)
 from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
@@ -736,10 +737,12 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
 
         if compute_residual:
             ts = grid.times[first:]
-            residual_out.append(np.concatenate([
-                von_neumann_residual(*(x[..., order] for x in step.passage_vectors(block)),
-                                     h_blocks(block))
-                for block in np.split(ts, range(BLOCK, ts.size, BLOCK))]))
+            for span in np.split(ts, range(SPAN, ts.size, SPAN)):
+                v, dv = (x[..., order] for x in step.passage_vectors(span))
+                h = h_blocks(span)
+                residual_out += [von_neumann_residual(v[i:i + BLOCK], dv[i:i + BLOCK],
+                                                      h[i:i + BLOCK])
+                                 for i in range(0, span.size, BLOCK)]
             # the blocks' rows stacked into one matrix keep the dense H's norm
             h_mid = h_blocks(0.5 * step.duration)
             residual_scale = max(residual_scale, frobenius(h_mid.reshape(-1, step.block)))

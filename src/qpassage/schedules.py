@@ -121,7 +121,13 @@ class ParameterSchedule:
         return self.kind == "constant"
 
     def _check_domain(self, t: np.ndarray) -> None:
-        bad = (t < -_DOMAIN_SLACK) | (t > self.duration + _DOMAIN_SLACK)
+        """Refuse t outside the domain, naming its first such time in array
+        order; a nan passes.  The NaN-ignoring min/max test is the fast path."""
+        high = self.duration + _DOMAIN_SLACK
+        if t.size and np.fmin.reduce(t, axis=None) >= -_DOMAIN_SLACK \
+                and np.fmax.reduce(t, axis=None) <= high:
+            return
+        bad = (t < -_DOMAIN_SLACK) | (t > high)
         if np.any(bad):
             first = float(t.flat[np.argmax(bad)])
             raise ScheduleDomainError(

@@ -4,11 +4,11 @@ Fields, Hamiltonians, frames and residuals take an array of times and return
 a stack; a scalar t returns one value.  The scalar loop is the reference
 here: every stacked result must equal the loop over its times bit for bit,
 and an error must name the same (first) offending time.  The propagators
-evaluate H in blocks of BLOCK intervals, so their block edges are checked
-against a plain step-by-step loop: bit for bit for the closed one, within
-the split step's own dt^2 error of the RK4 oracle for the open one.  A
-block-diagonal H given as its blocks over groups of levels must propagate as
-the same H given dense.
+evaluate H once per span of SPAN intervals and hand out blocks of BLOCK
+nodes, so the edges of both are checked against a plain step-by-step loop:
+bit for bit for the closed one, within the split step's own dt^2 error of
+the RK4 oracle for the open one.  A block-diagonal H given as its blocks
+over groups of levels must propagate as the same H given dense.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, propagate_lindblad,
+from qpassage.dynamics import (BLOCK, SPAN, Dissipator, TimeGrid, propagate_lindblad,
                                propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
                              expm_hermitian, outer)
@@ -265,10 +265,11 @@ def _schrodinger_loop(hamiltonian, psi0, grid):
 
 
 BLOCK_EDGES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]
+SPAN_EDGES = [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 5]
 
 
 class TestPropagatorBlocks:
-    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("steps", BLOCK_EDGES + SPAN_EDGES)
     def test_schrodinger_blocks_match_the_step_loop(self, steps):
         psi0 = np.array([0.6, 0.8j])
         grid = TimeGrid(0.0, 0.9, steps)
@@ -276,7 +277,7 @@ class TestPropagatorBlocks:
         assert traj.states.shape == (steps + 1, 2)
         assert np.array_equal(traj.states, _schrodinger_loop(_drive, psi0, grid))
 
-    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("steps", BLOCK_EDGES + SPAN_EDGES)
     def test_lindblad_blocks_match_the_step_loop(self, steps):
         rho0 = outer(np.array([0.6, 0.8j]))
         grid = TimeGrid(0.0, 0.9, steps)
@@ -382,7 +383,7 @@ class TestGroupedHamiltonian:
     """Three qubits (d = 8) in groups of 4 or 2 levels, decaying through
     their lowering operators."""
 
-    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("steps", BLOCK_EDGES + SPAN_EDGES)
     @pytest.mark.parametrize("size", [2, 4])
     def test_schrodinger_blocks_equal_the_dense_matrix(self, steps, size):
         blocks, dense = _grouped_drive(8 // size, size, seed=steps)
@@ -392,7 +393,7 @@ class TestGroupedHamiltonian:
         plain = propagate_schrodinger(dense, psi0, grid)
         assert np.max(np.abs(grouped.states - plain.states)) <= 1e-13
 
-    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("steps", BLOCK_EDGES + SPAN_EDGES)
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("size", [2, 4])
     def test_lindblad_blocks_equal_the_dense_matrix(self, steps, members, size):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qpassage import dynamics
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import (BLOCK, DensityTrajectory, Dissipator, StepSizeError, TimeGrid,
-                               gd_matrices, populations, propagate_lindblad,
+from qpassage.dynamics import (BLOCK, SPAN, DensityTrajectory, Dissipator, StepSizeError,
+                               TimeGrid, gd_matrices, populations, propagate_lindblad,
                                propagate_schrodinger, reconstruct_evolution,
                                von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
@@ -372,12 +372,13 @@ class TestDensityStack:
 
 
 class TestObserver:
-    """Node 0, then one call per block, from one reused buffer."""
+    """Node 0, then one call per block, from one reused buffer; H once per span."""
 
     @staticmethod
-    def _propagate(kind, steps, observe=None):
+    def _propagate(kind, steps, observe=None, hamiltonian=None):
         rng = np.random.default_rng(11)
-        h = _stack_hamiltonian(rng, 4)
+        h = _stack_hamiltonian(rng, 4)  # drawn either way, so the states stay the same
+        h = hamiltonian or h
         grid = TimeGrid(0.0, 0.6, steps)
         if kind == "pure":
             psi0 = _random_complex(rng, 4)
@@ -389,6 +390,25 @@ class TestObserver:
         ops = [embed_qubit_operator(SIGMA_MINUS, 2, q) for q in range(2)]
         return propagate_lindblad(h, [Dissipator(op, rates) for op in ops], rho0, grid,
                                   observe=observe)
+
+    @pytest.mark.parametrize("steps", [1, 63, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 5])
+    @pytest.mark.parametrize("kind", ["pure", "density", "stack"])
+    def test_h_is_called_once_per_span_at_the_midpoints(self, kind, steps):
+        h = _stack_hamiltonian(np.random.default_rng(11), 4)
+        asked, sizes = [], []
+        node_axis = -2 if kind == "pure" else -3
+
+        def counted(t):
+            asked.append(np.array(t))
+            return h(t)
+
+        self._propagate(kind, steps, lambda first, states: sizes.append(states.shape[node_axis]),
+                        hamiltonian=counted)
+        grid = TimeGrid(0.0, 0.6, steps)
+        assert len(asked) == -(-steps // SPAN)
+        assert [t.size for t in asked[:-1]] == [SPAN] * (len(asked) - 1)
+        assert np.array_equal(np.concatenate(asked), grid.times[:-1] + 0.5 * grid.dt)
+        assert sizes[0] == 1 and max(sizes[1:]) <= BLOCK and sum(sizes) == steps + 1
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("kind, members, core", [("pure", (), (4,)), ("density", (), (4, 4)),

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, QubitModel,
+from qpassage import protocols
+from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep, QubitModel,
                                 build_step_blocks, build_step_hamiltonian, diagnostics_ok,
                                 plan_bell, plan_bell_reverse, plan_ghz, product_index,
                                 product_state, run_protocol, run_protocol_kappas,
                                 _check_handoff)
-from qpassage.dynamics import (Dissipator, StepSizeError, TimeGrid, populations,
-                               propagate_lindblad, propagate_schrodinger)
+from qpassage.dynamics import (BLOCK, SPAN, Dissipator, StepSizeError, TimeGrid, populations,
+                               propagate_lindblad, propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
 
@@ -337,6 +338,30 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585095471
+
+    def test_the_residual_forms_its_matrices_on_at_most_block_nodes(self, monkeypatch):
+        # (n, d, d) residual matrices on a whole span would be 4 MiB at d = 32
+        model = QubitModel(qubits=5)
+        plan = plan_ghz(model)
+        nodes, spans = [], {}
+        passage_vectors = ProtocolStep.passage_vectors
+
+        def counted_vectors(step, t):
+            spans.setdefault(step.name, []).append(np.size(t))
+            return passage_vectors(step, t)
+
+        def counted_residual(v, dv, h):
+            nodes.append(len(v))
+            return von_neumann_residual(v, dv, h)
+
+        monkeypatch.setattr(ProtocolStep, "passage_vectors", counted_vectors)
+        monkeypatch.setattr(protocols, "von_neumann_residual", counted_residual)
+        grid = 2 * SPAN + 5
+        res = run_protocol(plan, model, grid_steps=grid)
+        assert max(nodes) <= BLOCK and sum(nodes) == res.times.size
+        assert list(spans) == [step.name for step in plan.steps]
+        for first, sizes in zip([grid + 1] + [grid] * 4, spans.values()):
+            assert sizes == [SPAN, SPAN, first - 2 * SPAN]
 
 
 def _assert_same_result(got, want):

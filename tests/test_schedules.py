@@ -46,6 +46,24 @@ class TestEval:
         with pytest.raises(ScheduleDomainError):
             s.eval(1.1)
 
+    @pytest.mark.parametrize("kind", ["constant", "cosine-ramp"])
+    def test_domain_error_names_the_first_offender_past_a_nan(self, kind):
+        s = ParameterSchedule(kind=kind, duration=1.0, amplitude=1.0)
+        ts = np.array([[0.2, np.nan], [1.25, 0.5], [-0.5, np.nan]])
+        with pytest.raises(ScheduleDomainError,
+                           match=r"^t = 1\.25 outside schedule domain \[0, 1\.0\]$"):
+            s.eval(ts)
+        with pytest.raises(ScheduleDomainError, match=r"^t = -0\.5 outside"):
+            s.eval(np.array([np.nan, -0.5, 2.0]))
+
+    def test_nan_empty_and_edge_times_pass_the_domain_check(self):
+        s = ParameterSchedule.constant(0.7, duration=2.0)
+        for ts in (np.array([np.nan, np.nan]), np.array([]), np.zeros((0, 3)),
+                   np.array([-1e-9, 2.0 + 1e-9, np.nan])):
+            value, deriv = s.eval(ts)
+            assert value.shape == deriv.shape == ts.shape
+        assert s.eval(np.nan) == (0.7, 0.0)
+
     def test_bad_kind_and_bad_samples(self):
         with pytest.raises(ScheduleError):
             ParameterSchedule(kind="spline")

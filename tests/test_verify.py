@@ -5,6 +5,7 @@ import numpy as np
 
 from qpassage import verify
 from qpassage.linalg import dagger, expm_hermitian
+from qpassage.synthesis import synthesize_general
 from qpassage.verify import SuiteResult, _brute_force, _worst, run_verification
 
 
@@ -68,3 +69,18 @@ def test_one_seed_formats_identical_reports():
     sizes = [(1, 2), (2, 3)]
     first = run_verification(7, sizes, instances=1).format()
     assert run_verification(7, sizes, instances=1).format() == first
+
+
+def test_each_case_is_synthesized_once_and_reconstructed_without_the_injection(monkeypatch):
+    grids = []
+
+    def counted(layout, schedules, grid):
+        grids.append(grid)
+        return synthesize_general(layout, schedules, grid=grid)
+
+    monkeypatch.setattr(verify, "synthesize_general", counted)
+    report = run_verification(5, [(1, 2), (2, 2)], instances=2, inject_detuning=0.3)
+    suites = {s.name: s for s in report.suites}
+    assert grids.count(verify._GRID) == 4  # one plan per case
+    assert not suites["passage-residual"].passed
+    assert suites["evolution-reconstruction"].passed
