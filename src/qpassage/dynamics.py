@@ -57,6 +57,10 @@ with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
 H in the same two forms.  Both propagators reject an H that is not finite
 or not Hermitian, naming the first time at which it is not.
 
+Each propagator is one run of a private driver, `_propagate`, that hands
+each block of step unitaries to every run it carries, so the protocol
+runner's pure state and density stack advance on one stream of them.
+
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
 and then once per block of at most BLOCK nodes (SPAN / BLOCK blocks per
@@ -231,15 +235,6 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     return u[:, which]
 
 
-def _unitary_blocks(hamiltonian: Callable, mids: np.ndarray, dim: int, dt: float):
-    """(start, u) for each block of BLOCK intervals from grid interval `start`
-    on, u the block's `_step_unitaries`, computed once per span of SPAN."""
-    for span in range(0, mids.size, SPAN):
-        u = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, dt)
-        for first in range(0, len(u), BLOCK):
-            yield span + first, u[first:first + BLOCK]
-
-
 def _recorder(out: np.ndarray, core: int) -> Callable:
     """The default observer: copies each block into `out`, whose time axis
     comes before its `core` state axes."""
@@ -247,6 +242,55 @@ def _recorder(out: np.ndarray, core: int) -> Callable:
         time = slice(first, first + states.shape[-core - 1])
         out[(..., time) + (slice(None),) * core] = states
     return observe
+
+
+def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> list:
+    """Advance each of `runs`, (advance, finish) pairs, over `grid` on one
+    stream of step unitaries of H, whose blocks cover `dim` levels, and return
+    each run's finish().  Each block of at most BLOCK of a span's unitaries
+    goes to every run in turn as advance(start, u), `start` being the grid
+    interval of u[0]; a failure in H or in any run stops them all."""
+    mids = grid.times[:-1] + 0.5 * grid.dt
+    for span in range(0, mids.size, SPAN):
+        u = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, grid.dt)
+        for first in range(0, len(u), BLOCK):
+            for advance, _ in runs:
+                advance(span + first, u[first:first + BLOCK])
+    return [finish() for _, finish in runs]
+
+
+def _schrodinger_run(psi0: np.ndarray, grid: TimeGrid, observe: Callable | None = None) -> tuple:
+    """The run of `propagate_schrodinger` as an (advance, finish) pair for
+    `_propagate`: the entry check and node 0 happen here, finish() returns
+    the StateTrajectory."""
+    psi = check_state_vector(psi0).astype(complex)
+    times = grid.times
+    out = None
+    if observe is None:
+        out = np.empty((times.size, psi.size), dtype=complex)
+        observe = _recorder(out, 1)
+    buf = np.empty((min(BLOCK, grid.steps), psi.size), dtype=complex)
+    buf[0] = psi
+    observe(0, buf[:1])
+    drift = 0.0
+
+    def advance(start: int, u: np.ndarray) -> None:
+        nonlocal psi, drift
+        nodes = buf[:len(u)]
+        grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
+        psi = psi.reshape(grouped.shape[1:])
+        for j, step in enumerate(u):
+            psi = step @ psi
+            grouped[j] = psi
+        # frobenius sums each node's squares as np.linalg.norm does
+        drift = max(drift, float(np.max(np.abs(frobenius(nodes[:, None, :]) - 1.0))))
+        observe(start + 1, nodes)
+
+    def finish() -> StateTrajectory:
+        if out is None:
+            return StateTrajectory(times[-1:], psi.reshape(1, -1), drift)
+        return StateTrajectory(times, out, drift)
+    return advance, finish
 
 
 def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
@@ -266,32 +310,8 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     you keep); with it the result holds only the final node, without it
     every node.
     """
-    psi = check_state_vector(psi0).astype(complex)
-    times = grid.times
-    out = None
-    if observe is None:
-        out = np.empty((times.size, psi.size), dtype=complex)
-        observe = _recorder(out, 1)
-    buf = np.empty((min(BLOCK, grid.steps), psi.size), dtype=complex)
-    buf[0] = psi
-    observe(0, buf[:1])
-    dt = grid.dt
-    mids = times[:-1] + 0.5 * dt
-    drift = 0.0
-    for start, u in _unitary_blocks(hamiltonian, mids, psi.size, dt):
-        nodes = buf[:len(u)]
-        grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
-        psi = psi.reshape(grouped.shape[1:])
-        for j, step in enumerate(u):
-            psi = step @ psi
-            grouped[j] = psi
-        # frobenius sums each node's squares as np.linalg.norm does
-        drift = max(drift, float(np.max(np.abs(frobenius(nodes[:, None, :]) - 1.0))))
-        observe(start + 1, nodes)
-    psi = psi.reshape(-1)
-    if out is None:
-        return StateTrajectory(times=times[-1:], states=psi[None], norm_drift=drift)
-    return StateTrajectory(times=times, states=out, norm_drift=drift)
+    run = _schrodinger_run(psi0, grid, observe)
+    return _propagate(hamiltonian, grid, np.size(psi0), [run])[0]
 
 
 def _bits(x: np.ndarray, mask: int) -> np.ndarray:
@@ -374,28 +394,12 @@ def _check_members(rho: np.ndarray) -> None:
             raise
 
 
-def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
-                       dissipators: list[Dissipator], rho0: np.ndarray,
-                       grid: TimeGrid, observe: Callable | None = None) -> DensityTrajectory:
-    """Strang split steps rho <- D(dt/2) U D(dt/2) rho of the master equation.
-
-    `rho0` is one (d, d) density matrix or a (K, d, d) stack of them, and
-    every channel's operator must be a qubit lowering operator |g><e|
-    embedded in the d levels, in any bit order; any other operator raises
-    ValueError naming its channel (see the module docstring).  H is
-    evaluated once per span of SPAN intervals, at their midpoints, for all
-    members at once, as a dense matrix or as its blocks over S consecutive
-    groups of the levels, and must be Hermitian to 1e-10 (relative).  Raises
-    :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
-    its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
-    -1e-7; a nan fails both.
-    `observe(first, states)` receives node 0 and then each block's nodes,
-    at most BLOCK of them, as an (n, d, d) view, (K, n, d, d) for a stack,
-    of a reused buffer (copy what you keep); with it the result holds only
-    the final node, without it every node.  A block is observed only once
-    all its steps passed the trace check; the eigenvalue check comes after
-    the last block.
-    """
+def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
+                  observe: Callable | None = None) -> tuple:
+    """The run of `propagate_lindblad` as an (advance, finish) pair for
+    `_propagate`: the entry checks and node 0 happen here, advance() raises
+    the trace gate at the block that trips it, finish() the checkpoint
+    eigenvalue gate, and returns the DensityTrajectory."""
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
     if single:
@@ -418,14 +422,16 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     nodes = buf[0] if single else buf
     buf[:, 0] = rho
     observe(0, nodes[..., :1, :, :])
-    mids = times[:-1] + 0.5 * dt
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
 
     sigma = rho  # carried in place; the first step damps by dt/2, every later one by dt
     damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
-    for start, u in _unitary_blocks(hamiltonian, mids, dim, dt):
+    block = buf[:, :1]  # the last block advanced; its last node is the final state
+
+    def advance(start: int, u: np.ndarray) -> None:
+        nonlocal damp, drift, min_eig, block
         rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
         for j, (step, step_conj) in enumerate(zip(u, u.conj())):
             damp()
@@ -451,18 +457,42 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
             min_eig = np.minimum(min_eig, smallest.min(axis=1))
         observe(start + 1, nodes[..., :len(u), :, :])
 
-    if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
-        k = int(np.argmax(~(min_eig >= -TOL.positivity_drift)))
-        raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}",
-                            None if single else k)
-    rho = block[:, -1].copy()
-    if out is None:
-        times, out = times[-1:], rho[:, None]
-    if single:
-        return DensityTrajectory(times=times, matrices=out[0], trace_drift=float(drift[0]),
-                                 min_eigenvalue=float(min_eig[0]))
-    return DensityTrajectory(times=times, matrices=out, trace_drift=drift,
-                             min_eigenvalue=min_eig)
+    def finish() -> DensityTrajectory:
+        if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
+            k = int(np.argmax(~(min_eig >= -TOL.positivity_drift)))
+            raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}",
+                                None if single else k)
+        kept, matrices = (times, out) if out is not None else (times[-1:], block[:, -1:].copy())
+        if single:
+            return DensityTrajectory(kept, matrices[0], float(drift[0]), float(min_eig[0]))
+        return DensityTrajectory(kept, matrices, drift, min_eig)
+    return advance, finish
+
+
+def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
+                       dissipators: list[Dissipator], rho0: np.ndarray,
+                       grid: TimeGrid, observe: Callable | None = None) -> DensityTrajectory:
+    """Strang split steps rho <- D(dt/2) U D(dt/2) rho of the master equation.
+
+    `rho0` is one (d, d) density matrix or a (K, d, d) stack of them, and
+    every channel's operator must be a qubit lowering operator |g><e|
+    embedded in the d levels, in any bit order; any other operator raises
+    ValueError naming its channel (see the module docstring).  H is
+    evaluated once per span of SPAN intervals, at their midpoints, for all
+    members at once, as a dense matrix or as its blocks over S consecutive
+    groups of the levels, and must be Hermitian to 1e-10 (relative).  Raises
+    :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
+    its smallest eigenvalue at one of CHECKPOINTS checkpoints falls below
+    -1e-7; a nan fails both.
+    `observe(first, states)` receives node 0 and then each block's nodes,
+    at most BLOCK of them, as an (n, d, d) view, (K, n, d, d) for a stack,
+    of a reused buffer (copy what you keep); with it the result holds only
+    the final node, without it every node.  A block is observed only once
+    all its steps passed the trace check; the eigenvalue check comes after
+    the last block.
+    """
+    run = _lindblad_run(dissipators, rho0, grid, observe)
+    return _propagate(hamiltonian, grid, np.shape(rho0)[-1], [run])[0]
 
 
 def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):

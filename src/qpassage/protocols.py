@@ -46,13 +46,14 @@ runner uses; `build_step_hamiltonian` scatters them into the dense
 product-basis matrix for the step-consistency check and the public API.
 
 The runner carries the states into each step's order at the step's start
-and back at its end, and hands the propagators the blocks, closed and open
-runs alike.  The propagators evaluate H once per span of SPAN grid
-intervals.  For the passage residual the runner takes H's groups and the
-passage vectors, in the step order, once per span of SPAN nodes, and forms
-the residual's (n, d, d) matrices on at most BLOCK nodes at a time.
-It stores no trajectory: its observer reads the label populations (diagonal
-entries) and both fidelities out of each block the propagators hand it.
+and back at its end.  Each step is one propagation (`dynamics._propagate`):
+it evaluates and exponentiates the blocks once per span of SPAN grid
+intervals and advances the closed run and the open stack on that one stream
+of step unitaries.  For the passage residual the runner takes H's groups
+and the passage vectors, in the step order, once per span of SPAN nodes,
+and forms the residual's (n, d, d) matrices on at most BLOCK nodes at a
+time.  It stores no trajectory: its observer reads the label populations
+(diagonal entries) and both fidelities out of each block the runs hand it.
 `run_protocol_kappas` runs one plan for several decay rates at once: the
 open runs as one density-matrix stack, the closed ones as one pure-state
 run, one residual pass per step.  A step that hands its state on closes
@@ -70,7 +71,7 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (BLOCK, SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
-                       populations, propagate_lindblad, propagate_schrodinger,
+                       _lindblad_run, _propagate, _schrodinger_run, populations,
                        reconstruct_evolution, von_neumann_residual)
 from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
                      dagger, embed_qubit_operator, frobenius, outer)
@@ -573,9 +574,8 @@ class _Track:
     the label populations and both fidelities block by block, and a record
     per step.  Stack series carry the member axis in front."""
 
-    def __init__(self, plan: ProtocolPlan, density: bool):
+    def __init__(self, plan: ProtocolPlan):
         self.plan = plan
-        self.density = density
         self.labels = np.array(list(plan.labels.values()))
         self.pops: list[np.ndarray] = []   # (..., n, labels) per block
         self.fid_step: list[np.ndarray] = []
@@ -595,8 +595,8 @@ class _Track:
         # a product-basis population is a diagonal entry; the fancy index
         # copies them out of the propagator's reused buffer
         k = self.index
-        self.pops.append(states[..., k, k].real if self.density
-                         else np.abs(states[..., k]) ** 2)
+        self.pops.append(np.abs(states[..., k]) ** 2 if states.ndim == 2
+                         else states[..., k, k].real)
         fid_step, fid_final = populations(states, self.targets)
         self.fid_step.append(fid_step)
         self.fid_final.append(fid_final)
@@ -606,8 +606,8 @@ class _Track:
         self.records.append({
             "name": self.step.name,
             "t_end": self.step.t_start + self.step.duration,
-            "target_fidelity": populations(final[..., None, :, :] if self.density
-                                           else final[None], self.targets[0])[..., 0],
+            "target_fidelity": populations(final[None] if final.ndim == 1
+                                           else final[..., None, :, :], self.targets[0])[..., 0],
         })
 
     def series(self, member: int | None):
@@ -655,14 +655,17 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     kappa is not used) and return one result per rate, in order.
 
     All runs share the step Hamiltonians, so they integrate together: the
-    runs with kappa > 0 are one (K, d, d) density-matrix stack, carried
-    through each step by one `propagate_lindblad` call, and the closed ones
-    share one pure-state run; the passage residual is computed once per step
-    for all of them.  Each result equals, bit for bit, what a run of that one
-    rate gives.  A propagation failure keeps its type, names its step in its
-    message and is raised with a `kappa` attribute, the kappa_T of the run it
-    names: for a stack failure, the first run in the order of `kappas` among
-    those failing at the earliest grid step.
+    runs with kappa > 0 are one (K, d, d) density-matrix stack, the closed
+    ones share one pure-state run, and each step advances both on one stream
+    of step unitaries, H being evaluated and exponentiated once; the passage
+    residual is computed once per step for all of them.  Each result equals,
+    bit for bit, what a run of that one rate gives.  A propagation failure
+    keeps its type, names its step in its message and is raised with a
+    `kappa` attribute, the kappa_T of the run it names: for a stack failure,
+    the first run in the order of `kappas` among those failing at the
+    earliest grid step; for a failure of H, the first closed run, or the
+    first open one if none is closed.  Within a step, failures in the
+    propagation come before the hand-off checks of its end.
     """
     if model.qubits != plan.qubits:
         raise ProtocolError("model and plan disagree on the qubit count")
@@ -678,8 +681,8 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     rho = np.array([outer(plan.initial)] * len(stacked))
     rates = np.array([kappas[i] for i in stacked])
     lowering = [embed_qubit_operator(SIGMA_MINUS, plan.qubits, q) for q in range(plan.qubits)]
-    pure_track = _Track(plan, density=False)
-    stack_track = _Track(plan, density=True)
+    pure_track = _Track(plan)
+    stack_track = _Track(plan)
     times_out: list[np.ndarray] = []
     residual_out: list[np.ndarray] = []
     norm_drift = 0.0
@@ -708,26 +711,29 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         # each propagation runs in the step order; the states go back to
         # product order at the step's end
         order, back = step.order, step.position
+        pure_track.start(step, first)
+        stack_track.start(step, first)
+        try:
+            runs = [_schrodinger_run(psi[order], grid, pure_track)] if pure else []
+            if stacked:
+                dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
+                runs.append(_lindblad_run(dissipators, rho[:, order[:, None], order], grid,
+                                          stack_track))
+            done = _propagate(h_blocks, grid, step.dim, runs)
+        except (StepSizeError, ValueError) as exc:
+            # a stack failure names its member; one in H, the first run it stops
+            member = getattr(exc, "member", None)
+            raise _failed_at(exc, step, kappas[(pure or stacked)[0] if member is None
+                                               else stacked[member]])
         if pure:
-            pure_track.start(step, first)
-            try:
-                traj = propagate_schrodinger(h_blocks, psi[order], grid, observe=pure_track)
-            except (StepSizeError, ValueError) as exc:
-                raise _failed_at(exc, step, kappas[pure[0]])
+            traj = done[0]
             norm_drift = max(norm_drift, traj.norm_drift)
             pure_track.finish(traj.final)
             psi = traj.final[back]
             if hands_on:
                 _check_handoff(step, psi[None], [kappas[pure[0]]])
         if stacked:
-            stack_track.start(step, first)
-            dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
-            try:
-                traj = propagate_lindblad(h_blocks, dissipators, rho[:, order[:, None], order],
-                                          grid, observe=stack_track)
-            except (StepSizeError, ValueError) as exc:
-                member = getattr(exc, "member", None) or 0
-                raise _failed_at(exc, step, kappas[stacked[member]])
+            traj = done[-1]
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
             stack_track.finish(traj.final)

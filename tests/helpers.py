@@ -102,7 +102,7 @@ def lindblad_rk4(hamiltonian, dissipators, rho0: np.ndarray, grid) -> np.ndarray
 
 def fail_trace_gate(monkeypatch, kappa: float) -> None:
     """Make the protocol runner's open runs at rate `kappa`, and only those,
-    fail propagate_lindblad's per-step trace gate at the first node.
+    fail the density stack's per-step trace gate at the first node.
 
     The split step keeps the trace on any grid, so nothing trips the gate
     unaided: the gate is tightened to 1e-9 and those members start with their
@@ -111,12 +111,11 @@ def fail_trace_gate(monkeypatch, kappa: float) -> None:
     monkeypatch.setattr(dynamics, "TOL", dataclasses.replace(dynamics.TOL,
                                                              trace_drift_error=1e-9))
 
-    def propagate(hamiltonian, dissipators, rho0, grid, observe=None):
+    def stack_run(dissipators, rho0, grid, observe=None):
         raised = np.where(dissipators[0].rate == kappa, 1.0 + 5e-9, 1.0)
-        return dynamics.propagate_lindblad(hamiltonian, dissipators,
-                                           rho0 * raised[:, None, None], grid, observe)
+        return dynamics._lindblad_run(dissipators, rho0 * raised[:, None, None], grid, observe)
 
-    monkeypatch.setattr(protocols, "propagate_lindblad", propagate)
+    monkeypatch.setattr(protocols, "_lindblad_run", stack_run)
 
 
 def random_layout(rng, max_assistant: int = 3, max_working: int = 4) -> SubspaceLayout:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from qpassage import protocols
+from qpassage import dynamics, protocols
 from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep, QubitModel,
                                 build_step_blocks, build_step_hamiltonian, diagnostics_ok,
                                 plan_bell, plan_bell_reverse, plan_ghz, product_index,
@@ -14,7 +14,7 @@ from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep,
                                 _check_handoff)
 from qpassage.dynamics import (BLOCK, SPAN, Dissipator, StepSizeError, TimeGrid, populations,
                                propagate_lindblad, propagate_schrodinger, von_neumann_residual)
-from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
+from qpassage.linalg import SIGMA_MINUS, StateCheckError, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
 
 from helpers import fail_trace_gate
@@ -445,6 +445,52 @@ class TestIntegratedKappas:
         model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': ") as err:
             run_protocol_kappas(plan_bell(model), model, (0.0, 0.0145, 30.0), grid_steps=15)
+        assert err.value.kappa == 30.0
+
+    @pytest.mark.parametrize("kappas, calls", [((0.0, 0.0145), 4), ((0.0,), 4),
+                                               ((0.0145,), 4), ((0.0145, 0.0, 0.145), 4)])
+    def test_closed_and_open_runs_share_one_stream_of_unitaries(self, monkeypatch,
+                                                                 kappas, calls):
+        # grid 300 is two spans of H per step, and the Bell plan has two steps
+        seen = []
+        step_unitaries = dynamics._step_unitaries
+
+        def counted(hamiltonian, t_mid, dim, dt):
+            seen.append(t_mid.size)
+            return step_unitaries(hamiltonian, t_mid, dim, dt)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        model = QubitModel(qubits=2)
+        run_protocol_kappas(plan_bell(model), model, kappas, grid_steps=300,
+                            compute_residual=False)
+        assert len(seen) == calls and sum(seen) == 2 * 300
+
+    @pytest.mark.parametrize("kappas, named", [((0.145, 0.0), 0.0), ((0.145, 0.0145), 0.145)])
+    def test_a_hamiltonian_failure_names_the_first_run_it_stops(self, monkeypatch,
+                                                                 kappas, named):
+        # the closed run when there is one, else the first open run
+        def broken(step, model, t, mode="effective"):
+            return np.full(np.shape(t) + (step.dim // step.block, step.block, step.block),
+                           np.nan)
+
+        monkeypatch.setattr(protocols, "build_step_blocks", broken)
+        model = QubitModel(qubits=2)
+        with pytest.raises(ValueError, match="^step 'split': Hamiltonian is not finite "
+                                             "at t = ") as err:
+            run_protocol_kappas(plan_bell(model), model, kappas, grid_steps=100)
+        assert err.value.kappa == named
+
+    def test_a_failure_inside_the_step_beats_a_hand_off_failure(self, monkeypatch):
+        # the closed state fails its hand-off check at the end of the split
+        # step, the open run at rate 30 its trace gate inside that step
+        def refuse(psi):
+            raise StateCheckError("state vector is not normalized", 1.0, 0.0)
+
+        fail_trace_gate(monkeypatch, 30.0)
+        monkeypatch.setattr(protocols, "check_state_vector", refuse)
+        model = QubitModel(qubits=2)
+        with pytest.raises(StepSizeError, match="^step 'split': trace drifted") as err:
+            run_protocol_kappas(plan_bell(model), model, (0.0, 30.0), grid_steps=15)
         assert err.value.kappa == 30.0
 
     @pytest.mark.parametrize("kappas", [(0.0, -0.1), ()])
