@@ -4,17 +4,20 @@ Extracts the tree committed at REF into a temporary directory, then runs the
 same commands in it and in this working tree, each with its own `src` first
 on PYTHONPATH:
 
-* `qpassage run` on every `configs/*.cfg`, at `--grid N` and at the
-  config's own grid;
-* `qpassage sweep configs/bell.cfg --param kappa_T` at `--grid N`;
+* `qpassage run` on every `configs/*.cfg`, at grid 257 (one full span of
+  Hamiltonian evaluations plus one interval per step) and at the config's
+  own grid;
+* `qpassage sweep configs/bell.cfg --param kappa_T` at grid 257;
 * `qpassage verify --seed 1`, whose report is its standard output.
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
 each command's exit code and error output.  One `same` or `DIFF` line is
-printed per artifact; the exit code is 1 if any differs, else 0.  Comparing
-against `HEAD` with a clean tree checks that two identical runs agree.
+printed per artifact, and one `FAIL` line per command of the working tree
+that exits nonzero; the exit code is 1 if anything differs or fails, else 0.
+Comparing against `HEAD` with a clean tree checks that every command succeeds
+and that two identical runs agree.
 
-Run:  python tools/cmp_runs.py REF [--grid N]
+Run:  python tools/cmp_runs.py REF
 """
 
 import argparse
@@ -27,32 +30,35 @@ from pathlib import Path
 
 WORK = Path(__file__).resolve().parents[1]
 MAIN = "import sys; from qpassage.cli import main; sys.exit(main())"
+GRID = "257"
 SWEEP = ["sweep", "configs/bell.cfg", "--param", "kappa_T", "--values", "0.0145,0.0725,0.145"]
 
 
-def commands(tree: Path, grid: int) -> dict:
+def commands(tree: Path) -> dict:
     """{name: argv} for the runs compared, the configs being those of `tree`."""
     jobs = {}
     for config in sorted((tree / "configs").glob("*.cfg")):
         path = f"configs/{config.name}"
-        jobs[f"{config.stem}-grid{grid}"] = ["run", path, "--grid", str(grid)]
+        jobs[f"{config.stem}-grid{GRID}"] = ["run", path, "--grid", GRID]
         jobs[f"{config.stem}-own-grid"] = ["run", path]
-    jobs[f"sweep-kappa_T-grid{grid}"] = SWEEP + ["--grid", str(grid)]
+    jobs[f"sweep-kappa_T-grid{GRID}"] = SWEEP + ["--grid", GRID]
     jobs["verify-seed1"] = ["verify", "--seed", "1"]
     return jobs
 
 
-def run_all(tree: Path, out: Path, grid: int) -> None:
+def run_all(tree: Path, out: Path) -> dict:
     """Run every command of `tree` from its root, each writing into its own
     directory under `out`: the artifacts, `report.txt` (standard output of
     verify only, since run and sweep print their output paths) and
-    `status.txt` (exit code and error output)."""
+    `status.txt` (exit code and error output).  Returns {name: exit code} of
+    the commands that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     where = subprocess.run([sys.executable, "-c", "import qpassage; print(qpassage.__file__)"],
                            cwd=tree, env=env, capture_output=True, text=True, check=True)
     if not Path(where.stdout.strip()).is_relative_to(tree / "src"):
         sys.exit(f"error: {tree} imports qpassage from {where.stdout.strip()}")
-    for name, argv in commands(tree, grid).items():
+    failed = {}
+    for name, argv in commands(tree).items():
         target = out / name
         if argv[0] != "verify":
             argv = argv + ["--out", str(target)]
@@ -65,6 +71,9 @@ def run_all(tree: Path, out: Path, grid: int) -> None:
         status = f"exit {done.returncode}\n{done.stderr}".replace(str(out), "<out>")
         (target / "status.txt").write_text(status)
         (target / "timings.json").unlink(missing_ok=True)  # wall-clock time differs
+        if done.returncode:
+            failed[name] = done.returncode
+    return failed
 
 
 def compare(ref: Path, work: Path) -> bool:
@@ -88,8 +97,6 @@ def compare(ref: Path, work: Path) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against, e.g. HEAD or main")
-    parser.add_argument("--grid", type=int, default=257,
-                        help="grid of the extra config runs and of the sweep (default 257)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="cmp_runs-") as tmp:
         tmp = Path(tmp)
@@ -99,9 +106,12 @@ def main() -> int:
         if archive.returncode:
             sys.exit(f"error: git archive {args.ref}: {archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
-        for tree, side in ((ref_tree, "ref-out"), (WORK, "work-out")):
-            run_all(tree, tmp / side, args.grid)
-        return 0 if compare(tmp / "ref-out", tmp / "work-out") else 1
+        run_all(ref_tree, tmp / "ref-out")
+        failed = run_all(WORK, tmp / "work-out")
+        same = compare(tmp / "ref-out", tmp / "work-out")
+        for name, code in failed.items():
+            print(f"FAIL {name} (exit {code})")
+        return 0 if same and not failed else 1
 
 
 if __name__ == "__main__":
