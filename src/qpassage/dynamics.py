@@ -20,9 +20,14 @@ commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
 propagator carries sigma = U D rho in one buffer, so a step damps it in
-place once by D(dt), through views bound once per propagation, and damps
-the nodes it hands out once by D(dt/2).  Positivity and trace are
-still checked, never enforced: a violation beyond tolerance fails loudly.
+place once by D(dt), through views bound once per propagation.  A node
+rho = D(dt/2) sigma is formed only where it is needed: at the positivity
+checkpoints and the end.  Every value read from a node is linear in rho,
+tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull its observables
+back through the adjoint channel D+ once per propagation and read sigma
+(the Heisenberg picture, `_heisenberg`); `propagate_lindblad` damps a copy
+of each block for its observer instead.  Positivity and trace are still
+checked, never enforced: a violation beyond tolerance fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
@@ -384,6 +389,38 @@ def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
     return damp
 
 
+def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray) -> np.ndarray:
+    """D+(O) for each of the (a, d, d) `observables` O, with D given by its
+    feeds and weight (see `_damping`): the (K, a, d, d) operators, one set
+    per member, with tr(D+(O) sigma) = tr(O D(sigma)).  D applies the
+    weight after the feeds, so D+ applies it first, then the feeds' adjoints
+    ee += p gg in reverse order."""
+    out = observables * weight
+    for mask, p in reversed(feeds):
+        v = _bits(out, mask)
+        v[..., 0, :, :, 0, :] += p * v[..., 1, :, :, 1, :]
+    return out
+
+
+def _damped(observe: Callable, single: bool, rows: int) -> Callable:
+    """The public observer contract over an open run's sigma nodes (see
+    `_lindblad_run`): each block is copied into one buffer of `rows` nodes,
+    reused for every call, damped there and handed to `observe` as (n, d, d),
+    or (K, n, d, d) for a stack."""
+    buf = None
+
+    def read(first: int, sigma: np.ndarray, damping: tuple | None) -> None:
+        nonlocal buf
+        if buf is None:
+            buf = np.empty(sigma.shape[:1] + (rows,) + sigma.shape[2:], dtype=complex)
+        nodes = buf[:, :sigma.shape[1]]
+        nodes[...] = sigma
+        if damping is not None:
+            _damper(nodes, *damping)()
+        observe(first, nodes[0] if single else nodes)
+    return read
+
+
 def _check_members(rho: np.ndarray) -> None:
     """check_density_matrix on every member; a failure names its member."""
     for k, member in enumerate(rho):
@@ -395,11 +432,18 @@ def _check_members(rho: np.ndarray) -> None:
 
 
 def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
-                  observe: Callable | None = None) -> tuple:
+                  observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
     `_propagate`: the entry checks and node 0 happen here, advance() raises
     the trace gate at the block that trips it, finish() the checkpoint
-    eigenvalue gate, and returns the DensityTrajectory."""
+    eigenvalue gate, and returns the DensityTrajectory of the final node.
+
+    `observe(first, sigma, damping)` gets node 0 as the (K, 1, d, d) stack
+    itself with damping None, then each block's (K, n, d, d) nodes sigma,
+    undamped, in one reused buffer, with damping the (feeds, weight) of
+    D(dt/2) that makes them the nodes rho (see `_damping`).  The trace gate
+    reads every sigma node and every damped node; only the checkpoint nodes
+    and the final one are damped, for the eigenvalue gate and the result."""
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
     if single:
@@ -414,24 +458,19 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     dt = grid.dt
     half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times
-    out = None
-    if observe is None:
-        out = np.empty((members, times.size, dim, dim), dtype=complex)
-        observe = _recorder(out[0] if single else out, 2)
     buf = np.empty((members, min(BLOCK, grid.steps), dim, dim), dtype=complex)
-    nodes = buf[0] if single else buf
     buf[:, 0] = rho
-    observe(0, nodes[..., :1, :, :])
+    observe(0, buf[:, :1], None)
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
 
     sigma = rho  # carried in place; the first step damps by dt/2, every later one by dt
     damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
-    block = buf[:, :1]  # the last block advanced; its last node is the final state
+    final = None  # the last damped node; after the last block, the final state
 
     def advance(start: int, u: np.ndarray) -> None:
-        nonlocal damp, drift, min_eig, block
+        nonlocal damp, drift, min_eig, final
         rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
         for j, (step, step_conj) in enumerate(zip(u, u.conj())):
             damp()
@@ -441,8 +480,14 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
             np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows), out=sigma.reshape(rows))
             buf[:, j] = sigma
         block = buf[:, :len(u)]
-        _damper(block, *half)()
+        index = np.arange(start + 1, start + len(u) + 1)
+        checked = (index % check_every == 0) | (index == grid.steps)
+        damped = block[:, checked]
+        if checked.any():
+            _damper(damped, *half)()
         node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
+        node_drift[:, checked] = np.maximum(node_drift[:, checked],
+                                            np.abs(damped.trace(axis1=2, axis2=3).real - 1.0))
         bad = ~(node_drift <= TOL.trace_drift_error)  # written so that nan fails it
         if bad.any():
             j = int(np.argmax(bad.any(axis=0)))
@@ -450,22 +495,19 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
             raise StepSizeError(f"trace drifted by {node_drift[k, j]:.3e} at "
                                 f"t = {times[start + j + 1]:.6f}", None if single else k)
         drift = np.maximum(drift, node_drift.max(axis=1))
-        index = np.arange(start + 1, start + len(u) + 1)
-        checked = (index % check_every == 0) | (index == grid.steps)
         if checked.any():
-            smallest = np.linalg.eigvalsh(block[:, checked])[..., 0]
-            min_eig = np.minimum(min_eig, smallest.min(axis=1))
-        observe(start + 1, nodes[..., :len(u), :, :])
+            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(damped)[..., 0].min(axis=1))
+            final = damped[:, -1:]
+        observe(start + 1, block, half)
 
     def finish() -> DensityTrajectory:
         if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
             k = int(np.argmax(~(min_eig >= -TOL.positivity_drift)))
             raise StepSizeError(f"density matrix eigenvalue reached {min_eig[k]:.3e}",
                                 None if single else k)
-        kept, matrices = (times, out) if out is not None else (times[-1:], block[:, -1:].copy())
         if single:
-            return DensityTrajectory(kept, matrices[0], float(drift[0]), float(min_eig[0]))
-        return DensityTrajectory(kept, matrices, drift, min_eig)
+            return DensityTrajectory(times[-1:], final[0], float(drift[0]), float(min_eig[0]))
+        return DensityTrajectory(times[-1:], final, drift, min_eig)
     return advance, finish
 
 
@@ -491,8 +533,17 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     all its steps passed the trace check; the eigenvalue check comes after
     the last block.
     """
-    run = _lindblad_run(dissipators, rho0, grid, observe)
-    return _propagate(hamiltonian, grid, np.shape(rho0)[-1], [run])[0]
+    shape = np.shape(rho0)
+    out = None
+    if observe is None:
+        out = np.empty(shape[:-2] + (grid.steps + 1,) + shape[-2:], dtype=complex)
+        observe = _recorder(out, 2)
+    run = _lindblad_run(dissipators, rho0, grid,
+                        _damped(observe, len(shape) == 2, min(BLOCK, grid.steps)))
+    traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
+    if out is not None:
+        traj.times, traj.matrices = grid.times, out
+    return traj
 
 
 def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):

@@ -53,7 +53,8 @@ of step unitaries.  For the passage residual the runner takes H's groups
 and the passage vectors, in the step order, once per span of SPAN nodes,
 and forms the residual's (n, d, d) matrices on at most BLOCK nodes at a
 time.  It stores no trajectory: its observer reads the label populations
-(diagonal entries) and both fidelities out of each block the runs hand it.
+and both fidelities out of each block the runs hand it, the open stack's
+in the Heisenberg picture (see `_Track`).
 `run_protocol_kappas` runs one plan for several decay rates at once: the
 open runs as one density-matrix stack, the closed ones as one pure-state
 run, one residual pass per step.  A step that hands its state on closes
@@ -71,8 +72,8 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (BLOCK, SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
-                       _lindblad_run, _propagate, _schrodinger_run, populations,
-                       reconstruct_evolution, von_neumann_residual)
+                       _heisenberg, _lindblad_run, _propagate, _schrodinger_run,
+                       populations, reconstruct_evolution, von_neumann_residual)
 from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
                      dagger, embed_qubit_operator, frobenius, outer)
 from .schedules import ParameterSchedule, ScheduleSet
@@ -572,7 +573,14 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
 class _Track:
     """Observer of one propagation, the pure run or the density-matrix stack:
     the label populations and both fidelities block by block, and a record
-    per step.  Stack series carry the member axis in front."""
+    per step.  Stack series carry the member axis in front.
+
+    The stack is read in the Heisenberg picture: its run hands over the
+    undamped nodes sigma with the damping D that makes them the nodes (see
+    `dynamics._lindblad_run`), and the track pulls the label and target
+    projectors back through D+ once per step, keeping only the entries of
+    sigma they read.  A block is then read by one gather of those entries
+    and one product."""
 
     def __init__(self, plan: ProtocolPlan):
         self.plan = plan
@@ -588,18 +596,42 @@ class _Track:
         self.step, self.skip = step, first
         self.index = step.position[self.labels]
         self.targets = np.array([step.target[step.order], self.plan.final_target[step.order]])
+        self.reader = None  # (damping, support, coefficients) of the last stack block
 
-    def __call__(self, first: int, states: np.ndarray) -> None:
+    def __call__(self, first: int, states: np.ndarray, damping: tuple | None = None) -> None:
         if first < self.skip:
             return
-        # a product-basis population is a diagonal entry; the fancy index
-        # copies them out of the propagator's reused buffer
-        k = self.index
-        self.pops.append(np.abs(states[..., k]) ** 2 if states.ndim == 2
-                         else states[..., k, k].real)
-        fid_step, fid_final = populations(states, self.targets)
+        if states.ndim == 2:
+            # a product-basis population is an amplitude's squared modulus;
+            # the fancy index copies them out of the propagator's reused buffer
+            self.pops.append(np.abs(states[..., self.index]) ** 2)
+            fid_step, fid_final = populations(states, self.targets)
+        else:
+            if self.reader is None or self.reader[0] is not damping:
+                self.reader = (damping,) + self._pulled_back(damping)
+            _, support, coefficients = self.reader
+            entries = states.reshape(states.shape[:2] + (-1,)).view(float)[..., support]
+            values = entries @ coefficients   # (K, n, labels + 2)
+            self.pops.append(values[..., :-2])
+            fid_step, fid_final = values[..., -2], values[..., -1]
         self.fid_step.append(fid_step)
         self.fid_final.append(fid_final)
+
+    def _pulled_back(self, damping: tuple | None) -> tuple:
+        """The label and target projectors O pulled back through the damping
+        (None: none) as a real linear map of sigma: the entries it reads, as
+        indices into the float view of each flattened sigma, and their
+        coefficients in tr(D+(O) sigma), (..., entries, labels + 2)."""
+        kets = np.concatenate([np.eye(self.step.dim)[self.index], self.targets])
+        projectors = kets[:, :, None] * np.conj(kets[:, None, :])
+        if damping is not None:
+            projectors = _heisenberg(projectors, *damping)
+        # tr(O sigma) = sum_ij O_ji sigma_ij, and O_ji = conj(O_ij) for a
+        # Hermitian O, so its real part pairs Re O_ij with Re sigma_ij and
+        # Im O_ij with Im sigma_ij: the float views of O and sigma line up
+        flat = projectors.reshape(projectors.shape[:-2] + (-1,)).view(float)
+        support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
+        return support, flat[..., support].swapaxes(-1, -2)
 
     def finish(self, final: np.ndarray) -> None:
         """Record the step from its final state (one per member for a stack)."""

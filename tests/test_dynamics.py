@@ -222,6 +222,68 @@ class TestLindblad:
             propagate_lindblad(lambda t: np.zeros((4, 4)), [Dissipator(SIGMA_MINUS, 1.0)],
                                np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TimeGrid(0, 1, 10))
 
+    @pytest.mark.parametrize("rho0, leak, half_only, at", [
+        (np.diag([1.0, 0.0]), 1e-6, False, r"0\.\d{6}"),
+        # from the ground state sigma's one D(dt/2) feeds nothing, so only
+        # the damped checkpoint nodes (every 20 steps) carry the leak
+        (np.diag([0.0, 1.0]), 1e-2, True, r"0\.100000"),
+    ], ids=["every-damping", "read-damping-only"])
+    def test_a_damping_that_leaks_trace_fails_the_trace_gate(self, monkeypatch, rho0, leak,
+                                                             half_only, at):
+        # p + keep = 1 holds in arithmetic; the gate reads the trace instead
+        # of resting on it.  A driven qubit decaying at rate 10 moves over a
+        # whole unit of population through the channel in the run, so a leak
+        # of 1e-6 in every damping passes the gate's 1e-6.
+        damping = dynamics._damping
+        grid = TimeGrid(0, 1, 200)
+
+        def leaky(rates, tau, members, dim):
+            feeds, weight = damping(rates, tau, members, dim)
+            if half_only and tau == grid.dt:
+                return feeds, weight
+            return [(mask, p * (1.0 + leak)) for mask, p in feeds], weight
+
+        def run():
+            return propagate_lindblad(lambda t: 3.0 * SIGMA_X, [Dissipator(SIGMA_MINUS, 10.0)],
+                                      rho0, grid)
+
+        assert run().trace_drift <= 1e-12
+        monkeypatch.setattr(dynamics, "_damping", leaky)
+        with pytest.raises(StepSizeError,
+                           match=rf"^trace drifted by \d\.\d{{3}}e-0\d at t = {at}$"):
+            run()
+
+
+class TestHeisenberg:
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+    def test_pulled_back_observables_read_sigma_as_the_damped_nodes(self, qubits, members):
+        # tr(D+(O) sigma) against <v|D(sigma)|v>, D being D(tau) of lowering
+        # operators in a permuted bit order, as a protocol step passes them
+        rng = np.random.default_rng(100 * qubits + members)
+        dim = 2 ** qubits
+        order = np.arange(dim).reshape((2,) * qubits).transpose(rng.permutation(qubits)).ravel()
+        rates = rng.uniform(0.0, 3.0, size=(qubits, members))
+        if qubits > 1:
+            rates[0] = 0.0  # a qubit that does not decay
+        if members > 1:
+            rates[:, 1] = 0.0  # a member that does not decay
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q)[np.ix_(order, order)],
+                               rate) for q, rate in enumerate(rates)]
+        damping = dynamics._damping(dynamics._decay_rates(channels, dim, members), 0.35,
+                                    members, dim)
+        sigma = np.array([[_random_density(rng, dim) for _ in range(5)]
+                          for _ in range(members)])
+        kets = np.concatenate([np.eye(dim)[rng.permutation(dim)[:3]],
+                               _random_complex(rng, (2, dim))])
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        rho = sigma.copy()
+        dynamics._damper(rho, *damping)()
+        pulled = dynamics._heisenberg(kets[:, :, None] * np.conj(kets[:, None, :]), *damping)
+        assert pulled.shape == (members, len(kets), dim, dim)
+        got = np.einsum("kaji,knij->akn", pulled, sigma).real
+        assert np.max(np.abs(got - populations(rho, kets))) <= 1e-15
+
 
 class TestSplitStep:
     def test_converges_at_second_order_to_the_rk4_oracle(self):

@@ -14,6 +14,12 @@ Every CSV, manifest, sweep table and report is compared byte for byte, as is
 each command's exit code and error output.  One `same` or `DIFF` line is
 printed per artifact, and one `FAIL` line per command of the working tree
 that exits nonzero; the exit code is 1 if anything differs or fails, else 0.
+A `DIFF` line of a CSV or JSON file of the same shape on both sides (same
+header and row count, or same keys and list lengths) ends with the largest
+absolute difference of each numeric column or field that moved, e.g.
+`(max |Δ| F 4.4e-16, runs.final_fidelity 1.1e-16)`, then the names of the
+non-numeric ones that differ; a JSON field is named by its keys, list
+positions left out, so it spans every run of a manifest.
 Comparing against `HEAD` with a clean tree checks that every command succeeds
 and that two identical runs agree.
 
@@ -21,7 +27,9 @@ Run:  python tools/cmp_runs.py REF
 """
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +84,76 @@ def run_all(tree: Path, out: Path) -> dict:
     return failed
 
 
+def _leaves(a, b, path: str = ""):
+    """(path, a, b) for each pair of leaves of the JSON values a and b;
+    ValueError if their keys or list lengths differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise ValueError("keys differ")
+        for key in a:
+            yield from _leaves(a[key], b[key], f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise ValueError("lengths differ")
+        for x, y in zip(a, b):
+            yield from _leaves(x, y, path)
+    else:
+        yield path, a, b
+
+
+def _cells(a: Path, b: Path):
+    """(column, a, b) for each pair of cells of the CSV files a and b;
+    ValueError if their headers or row counts differ."""
+    rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        raise ValueError("shapes differ")
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        if len(row_a) != len(row_b):
+            raise ValueError("shapes differ")
+        yield from zip(rows_a[0], row_a, row_b)
+
+
+def _number(x) -> float | None:
+    """A CSV cell or JSON value as a float; None for a flag or a non-number."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def moves(a: Path, b: Path) -> str:
+    """' (max |Δ| name value, ...)' over the numeric columns or fields that
+    differ between the CSV or JSON files a and b of one shape, followed by
+    '; also differ: name, ...' for the others that differ, else ''."""
+    largest: dict = {}
+    other: dict = {}  # an ordered set of the non-numeric names
+    try:
+        if a.suffix == ".csv":
+            pairs = list(_cells(a, b))
+        elif a.suffix == ".json":
+            pairs = list(_leaves(json.loads(a.read_text()), json.loads(b.read_text())))
+        else:
+            return ""
+    except ValueError:  # of different shapes, or not JSON
+        return ""
+    for name, x, y in pairs:
+        if x == y:
+            continue
+        x, y = _number(x), _number(y)
+        if x is None or y is None:
+            other[name] = None
+        else:
+            largest[name] = max(largest.get(name, 0.0), abs(x - y))
+    parts = []
+    if largest:
+        parts.append("max |Δ| " + ", ".join(f"{name} {d:.1e}" for name, d in largest.items()))
+    if other:
+        parts.append("also differ: " + ", ".join(other))
+    return f" ({'; '.join(parts)})" if parts else ""
+
+
 def compare(ref: Path, work: Path) -> bool:
     """Print one line per artifact of either side; True if all are the same."""
     names = sorted({p.relative_to(ref) for p in ref.rglob("*") if p.is_file()}
@@ -89,7 +167,7 @@ def compare(ref: Path, work: Path) -> bool:
         elif filecmp.cmp(a, b, shallow=False):
             print(f"same {name}")
         else:
-            print(f"DIFF {name}")
+            print(f"DIFF {name}{moves(a, b)}")
             same = False
     return same
 
