@@ -95,6 +95,12 @@ def _integrate(config_path, config: RunConfig, plan, param="kappa_T", value=None
         raise _Refusal(f"run failed at {param}={failed:g}: {exc}", 1) from None
 
 
+def _final_fidelity(result) -> float:
+    """The run's final fidelity as its last step record holds it: the final
+    target is the last step's, read off the (damped) final node."""
+    return result.steps[-1]["target_fidelity"]
+
+
 def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: str) -> dict:
     ok = diagnostics_ok(result, config.mode)
     return {
@@ -102,7 +108,7 @@ def _run_record(config: RunConfig, index: int, kappa: float, result, csv_name: s
         "protocol": config.protocol,
         "mode": config.mode,
         "kappa_T": kappa,
-        "final_fidelity": float(result.auxiliary["fidelity_final"][-1]),
+        "final_fidelity": _final_fidelity(result),
         "step_fidelities": {s["name"]: s["target_fidelity"] for s in result.steps},
         "diagnostics": {k: v for k, v in result.diagnostics.items()
                         if isinstance(v, (int, float, str))},
@@ -174,7 +180,7 @@ def _sweep(config_path, param: str, values_text: str, out: str | None,
     for variant, value in variants:
         results = _integrate(config_path, variant, plan, param, value)
         swept = variant.kappa_T if value is None else [value]
-        rows += [(v, float(result.auxiliary["fidelity_final"][-1]),
+        rows += [(v, _final_fidelity(result),
                   float(result.diagnostics.get("max_residual", 0.0)),
                   diagnostics_ok(result, variant.mode)) for v, result in zip(swept, results)]
 

@@ -19,8 +19,15 @@ excited population as exp(-rate * t), exactly.  The qubits' channels
 commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
-propagator carries sigma = U D rho in one buffer, so a step damps it in
-place once by D(dt), through views bound once per propagation.  A node
+propagator carries sigma = U D rho in one buffer and advances it in one of
+two forms, chosen by the size d alone.  Above DENSE levels a step damps it
+in place once by D(dt), through views bound once per propagation, then
+takes u sigma u+ group by group (see below).  Up to DENSE levels, where a
+step costs numpy's fixed per-call time rather than arithmetic, D(dt) is
+compiled once per propagation into its Liouville matrix, one d^2 x d^2
+matrix per member made by applying D to the d^2 basis matrices, and a step
+is three dense products: vec(sigma) by that matrix, then by u and by u+
+whole.  The two forms agree to round-off.  A node
 rho = D(dt/2) sigma is formed only where it is needed: at the positivity
 checkpoints and the end.  Every value read from a node is linear in rho,
 tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull its observables
@@ -55,8 +62,9 @@ exponentiated once for all of them, which gives the bits of exponentiating
 every group (a protocol step's d/b spectator groups hold at most two
 distinct blocks).  H is taken at the same midpoints whatever the span, so
 SPAN moves no bit of a result.  Closed runs advance the state group by
-group; open runs take u rho u+ as two grouped products of (b, b) blocks by
-(b, d) rows.
+group; open runs above DENSE levels take u rho u+ as two grouped products
+of (b, b) blocks by (b, d) rows, and up to DENSE levels scatter the blocks
+into dense u and u+ once per block of steps.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
 H in the same two forms.  Both propagators reject an H that is not finite
@@ -112,6 +120,7 @@ __all__ = [
 BLOCK = 64  # grid nodes per state block handed to an observer
 SPAN = 256  # grid intervals per Hamiltonian evaluation, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
+DENSE = 8  # largest d whose open steps take the dense form (see _lindblad_run)
 
 
 class StepSizeError(RuntimeError):
@@ -389,6 +398,16 @@ def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
     return damp
 
 
+def _liouville(damping: tuple, members: int, dim: int) -> np.ndarray:
+    """D (see `_damping`) as its (K, d^2, d^2) matrices M, one per member,
+    with vec(D(x)) = vec(x) @ M for x flattened in C order: row (i, j) of M
+    is D(|i><j|), made by `_damper` itself, so D keeps one definition."""
+    basis = np.empty((members, dim * dim, dim, dim), dtype=complex)
+    basis[:] = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    _damper(basis, *damping)()
+    return basis.reshape(members, dim * dim, dim * dim)
+
+
 def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray) -> np.ndarray:
     """D+(O) for each of the (a, d, d) `observables` O, with D given by its
     feeds and weight (see `_damping`): the (K, a, d, d) operators, one set
@@ -431,6 +450,54 @@ def _check_members(rho: np.ndarray) -> None:
             raise
 
 
+def _grouped_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -> Callable:
+    """The split steps of a block of step unitaries u, (n, S, b, b), on the
+    (K, d, d) stack sigma, in place, node j going to buf[:, j]: each damps
+    sigma through `_damper`'s views, by `half` (D(dt/2)) at the first step
+    and `full` (D(dt)) after it, then takes u sigma u+ as two grouped
+    products of the blocks with sigma's (S, b, d) rows."""
+    damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
+
+    def steps(u: np.ndarray) -> None:
+        nonlocal damp
+        rows = sigma.shape[:1] + u.shape[1:3] + sigma.shape[-1:]
+        for j, (step, step_conj) in enumerate(zip(u, u.conj())):
+            damp()
+            damp = damp_full
+            # u sigma u+ = conj(conj(u) (u sigma)^T) for a Hermitian sigma
+            left = (step @ sigma.reshape(rows)).reshape(sigma.shape)
+            np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows), out=sigma.reshape(rows))
+            buf[:, j] = sigma
+    return steps
+
+
+def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -> Callable:
+    """`_grouped_steps` in three dense products per step: vec(sigma) by the
+    (K, d^2, d^2) Liouville matrix of D (`_liouville`, compiled once), then
+    by u and by u+ whole, each scattered from the blocks once per block."""
+    members, dim = sigma.shape[0], sigma.shape[-1]
+    liouville, liouville_full = (_liouville(damping, members, dim) for damping in (half, full))
+    vec = sigma.reshape(members, 1, dim * dim)
+    damped = np.empty_like(sigma)
+    left = np.empty_like(sigma)
+    whole = np.zeros((2, buf.shape[1], dim, dim), dtype=complex)  # u and u+ of each step
+
+    def steps(u: np.ndarray) -> None:
+        nonlocal liouville
+        n, groups, size = u.shape[:3]
+        diagonal = whole[:, :n].reshape(2, n, groups, size, groups, size)
+        for s in range(groups):
+            diagonal[0, :, s, :, s] = u[:, s]
+            diagonal[1, :, s, :, s] = u[:, s].conj().swapaxes(1, 2)
+        for j in range(n):
+            np.matmul(vec, liouville, out=damped.reshape(vec.shape))
+            liouville = liouville_full
+            np.matmul(whole[0, j], damped, out=left)
+            np.matmul(left, whole[1, j], out=sigma)
+            buf[:, j] = sigma
+    return steps
+
+
 def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
                   observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
@@ -443,13 +510,19 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     undamped, in one reused buffer, with damping the (feeds, weight) of
     D(dt/2) that makes them the nodes rho (see `_damping`).  The trace gate
     reads every sigma node and every damped node; only the checkpoint nodes
-    and the final one are damped, for the eigenvalue gate and the result."""
+    and the final one are damped, for the eigenvalue gate and the result.
+
+    The steps take one of two forms, chosen by d alone: up to DENSE levels
+    `_dense_steps` (three dense products, D as its compiled Liouville
+    matrices), above it `_grouped_steps` (D in place through `_damper`'s
+    views, u sigma u+ by groups).  At d = 16 the dense form measured slower,
+    its d^2 x d^2 product growing as d^4, so DENSE is 8."""
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
     if single:
-        rho = check_density_matrix(rho0).astype(complex)[None]
+        rho = check_density_matrix(rho0).astype(complex, order="C")[None]
     elif rho0.ndim == 3:
-        rho = rho0.astype(complex)
+        rho = rho0.astype(complex, order="C")
         _check_members(rho)
     else:
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
@@ -465,20 +538,13 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
 
-    sigma = rho  # carried in place; the first step damps by dt/2, every later one by dt
-    damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
+    # rho is carried in place as sigma; the first step damps by dt/2, every later one by dt
+    steps = (_dense_steps if dim <= DENSE else _grouped_steps)(rho, half, full, buf)
     final = None  # the last damped node; after the last block, the final state
 
     def advance(start: int, u: np.ndarray) -> None:
-        nonlocal damp, drift, min_eig, final
-        rows = (members,) + u.shape[1:3] + (dim,)  # each member as S groups of b rows
-        for j, (step, step_conj) in enumerate(zip(u, u.conj())):
-            damp()
-            damp = damp_full
-            # u sigma u+ = conj(conj(u) (u sigma)^T) for a Hermitian sigma
-            left = (step @ sigma.reshape(rows)).reshape(rho.shape)
-            np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows), out=sigma.reshape(rows))
-            buf[:, j] = sigma
+        nonlocal drift, min_eig, final
+        steps(u)
         block = buf[:, :len(u)]
         index = np.arange(start + 1, start + len(u) + 1)
         checked = (index % check_every == 0) | (index == grid.steps)

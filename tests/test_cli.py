@@ -31,6 +31,9 @@ out = {out}
 """
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -238,6 +241,21 @@ class TestRunCommand:
         assert kappas == [0.0, 0.0435]
         assert (out / "ghz-00.csv").exists() and (out / "ghz-01.csv").exists()
 
+    @pytest.mark.parametrize("name, last_step", [("bell", "convert"), ("ghz3", "raise-3")])
+    def test_final_fidelity_is_the_last_step_fidelity(self, tmp_path, name, last_step):
+        # the manifest, the sweep table and the step records all read the
+        # final fidelity off the damped final node
+        config = str(CONFIGS / f"{name}.cfg")
+        assert main(["run", config, "--grid", "257", "--out", str(tmp_path)]) == 0
+        runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        for run in runs:
+            assert run["final_fidelity"] == run["step_fidelities"][last_step]
+        kappas = ",".join(repr(run["kappa_T"]) for run in runs)
+        assert main(["sweep", config, "--param", "kappa_T", "--values", kappas,
+                     "--grid", "257", "--out", str(tmp_path)]) == 0
+        table = np.loadtxt(tmp_path / "sweep-kappa_T.csv", delimiter=",", skiprows=1)
+        assert table[:, 1].tolist() == [run["final_fidelity"] for run in runs]
+
     def test_missing_duration_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "protocol = bell\nout = x\n")
         assert main(["run", cfg]) == 2
@@ -324,7 +342,7 @@ class TestRunCommand:
         # every open state stays a density matrix, so the rotating-frame runs
         # hand each step's state on and pass every diagnostic
         out = tmp_path / "out"
-        config = Path(__file__).resolve().parents[1] / "configs" / "ghz3-rotating.cfg"
+        config = CONFIGS / "ghz3-rotating.cfg"
         assert main(["run", str(config), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         runs = json.loads((out / "manifest.json").read_text())["runs"]

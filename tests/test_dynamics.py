@@ -433,6 +433,110 @@ class TestDensityStack:
                                rho0, TimeGrid(0, 1, 10))
 
 
+class TestDenseSteps:
+    """Up to DENSE levels an open step is three dense products, D being its
+    compiled Liouville matrices; DENSE = 0 forces the grouped steps, the
+    oracle here."""
+
+    @staticmethod
+    def _channels(rng, qubits, members):
+        # lowering masks in a permuted bit order, a qubit that does not decay
+        # and a member that does not decay
+        dim = 2 ** qubits
+        order = np.arange(dim).reshape((2,) * qubits).transpose(rng.permutation(qubits)).ravel()
+        rates = rng.uniform(0.2, 3.0, size=(qubits, members))
+        if qubits > 1:
+            rates[0] = 0.0
+        if members > 1:
+            rates[:, 1] = 0.0
+        return [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q)[np.ix_(order, order)],
+                           rate if members > 1 else rate[0]) for q, rate in enumerate(rates)]
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("qubits, groups", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 4)])
+    def test_equals_the_grouped_steps(self, monkeypatch, qubits, groups, members):
+        rng = np.random.default_rng(10 * qubits + groups + members)
+        dim, size = 2 ** qubits, 2 ** qubits // groups
+        a, b = (_random_complex(rng, (groups, size, size)) for _ in range(2))
+        h0, h1 = a + dagger(a), b + dagger(b)
+        channels = self._channels(rng, qubits, members)
+        rho0 = np.array([_random_density(rng, dim) for _ in range(members)])
+        if members == 1:
+            rho0 = rho0[0]
+
+        def run():
+            return propagate_lindblad(
+                lambda t: h0 + np.cos(np.asarray(t))[..., None, None, None] * h1, channels,
+                rho0, TimeGrid(0.0, 1.0, 200))
+
+        assert dim <= dynamics.DENSE
+        dense = run()
+        monkeypatch.setattr(dynamics, "DENSE", 0)
+        grouped = run()
+        assert np.max(np.abs(dense.matrices - grouped.matrices)) <= 1e-14
+        assert np.max(np.abs(dense.final - grouped.final)) <= 1e-14
+        assert np.max(np.abs(dense.trace_drift - grouped.trace_drift)) <= 1e-14
+        assert np.max(np.abs(dense.min_eigenvalue - grouped.min_eigenvalue)) <= 1e-14
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_the_liouville_matrix_is_the_damper(self, qubits, members):
+        rng = np.random.default_rng(100 * qubits + members)
+        dim = 2 ** qubits
+        damping = dynamics._damping(dynamics._decay_rates(self._channels(rng, qubits, members),
+                                                          dim, members), 0.35, members, dim)
+        sigma = np.array([[_random_density(rng, dim) for _ in range(5)]
+                          for _ in range(members)])
+        want = sigma.copy()
+        dynamics._damper(want, *damping)()
+        got = sigma.reshape(members, 5, dim * dim) @ dynamics._liouville(damping, members, dim)
+        # its sums round in another order: at most two units in the last
+        # place of an entry in [0.5, 1)
+        assert np.max(np.abs(got.reshape(sigma.shape) - want)) <= 2.3e-16
+
+    def test_a_stack_in_any_memory_order_steps_alike(self):
+        # the dense steps read sigma through a flat view of its buffer
+        rng = np.random.default_rng(8)
+        rho0 = np.array([_random_density(rng, 4) for _ in range(3)])
+        h = _stack_hamiltonian(rng, 4)
+        channels = self._channels(rng, 2, 3)
+        grid = TimeGrid(0.0, 1.0, 70)
+        want = propagate_lindblad(h, channels, rho0, grid)
+        got = propagate_lindblad(h, channels, np.asfortranarray(rho0), grid)
+        assert np.array_equal(got.matrices, want.matrices)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_a_small_run_damps_no_step_in_place(self, monkeypatch, dense):
+        # the dense steps bind the damper only to compile D(dt/2) and D(dt)
+        # from the d^2 basis matrices, then to damp the checkpoint nodes, the
+        # last being the final one; the grouped steps damp sigma every step
+        rng = np.random.default_rng(3)
+        damped = []
+        damper = dynamics._damper
+
+        def counted_damper(x, feeds, weight):
+            damp = damper(x, feeds, weight)
+
+            def counted():
+                damped.append(x.shape[1])
+                damp()
+            return counted
+
+        monkeypatch.setattr(dynamics, "_damper", counted_damper)
+        if not dense:
+            monkeypatch.setattr(dynamics, "DENSE", 0)
+        channels = self._channels(rng, 3, 2)
+        grid = TimeGrid(0.0, 1.0, 200)
+        run = dynamics._lindblad_run(channels, np.array([_random_density(rng, 8)] * 2), grid,
+                                     lambda first, sigma, damping: None)
+        dynamics._propagate(_stack_hamiltonian(rng, 8), grid, 8, [run])
+        if dense:
+            assert damped[:2] == [64, 64] and sum(damped[2:]) == dynamics.CHECKPOINTS
+            assert len(damped) <= 2 + -(-grid.steps // BLOCK)
+        else:
+            assert len(damped) >= grid.steps
+
+
 class TestObserver:
     """Node 0, then one call per block, from one reused buffer; H once per span."""
 

@@ -253,6 +253,17 @@ class TestRotatingFrameRuns:
         assert fidelities[0] < fidelities[1] < fidelities[2]
         assert fidelities[2] >= 0.995
 
+    def test_open_ghz3_step_fidelities_are_pinned(self):
+        # the benchmark's rotating-frame GHZ3 open run, whose own check
+        # accepts any fidelity in [0, 1]
+        model = QubitModel(qubits=3, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
+        res = run_protocol(plan_ghz(model), model, mode="rotating-frame", noise=True,
+                           grid_steps=2000, strict=True, compute_residual=False)
+        assert diagnostics_ok(res, "rotating-frame")
+        got = {record["name"]: record["target_fidelity"] for record in res.steps}
+        assert got == pytest.approx({"split": 0.9963562573676489, "convert": 0.9820735203987985,
+                                     "raise-3": 0.9661303297706736}, abs=1e-9)
+
     def test_strict_mode_rejects_weak_coupling(self):
         model = QubitModel(qubits=2, omega=20.0)  # J = 2, far below 10x Rabi
         plan = plan_bell(model)
