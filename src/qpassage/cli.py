@@ -28,8 +28,8 @@ from pathlib import Path
 from . import __version__
 from .config import SWEEPABLE, ConfigError, RunConfig, finite_float, load_config
 from .io import write_csv, write_manifest, write_timings, write_trajectory_csv
-from .protocols import (QubitModel, diagnostics_ok, plan_bell, plan_bell_reverse,
-                        plan_ghz, run_protocol_kappas)
+from .protocols import (ProtocolError, QubitModel, check_strong_coupling, diagnostics_ok,
+                        plan_bell, plan_bell_reverse, plan_ghz, run_protocol_kappas)
 from .verify import run_verification
 
 __all__ = ["main"]
@@ -48,9 +48,12 @@ def _model(config: RunConfig) -> QubitModel:
                       j_over_omega=config.j_over_omega)
 
 
-def _prepare(config_path, config: RunConfig, where: str = ""):
+def _prepare(config_path, config: RunConfig, where: str = "", variants=()):
     """The config's plan, then its output directory, created if needed, so a
-    refused plan leaves no directory; `where` prefixes a plan refusal."""
+    refused plan leaves no directory; `where` prefixes a plan refusal.  The
+    plan's strong-coupling rule is checked here too, before anything is
+    integrated, on the config of each (config, value) pair of a sweep's
+    `variants`, or on `config` itself; its refusal names J."""
     prefix = f"{config_path}: {where}"
     overrides = config.schedule_overrides or None
     try:
@@ -68,6 +71,11 @@ def _prepare(config_path, config: RunConfig, where: str = ""):
         if symbol not in declared:
             raise _Refusal(f"{prefix}schedule override {symbol!r} matches no step of "
                            f"the {config.protocol} plan")
+    for variant, _ in variants or [(config, None)]:
+        try:
+            check_strong_coupling(plan, _model(variant), variant.mode)
+        except ProtocolError as exc:
+            raise _Refusal(f"{config_path}: {exc}") from None
 
     out_dir = Path(config.out)
     try:
@@ -175,7 +183,7 @@ def _sweep(config_path, param: str, values_text: str, out: str | None,
     else:
         variants = [(_replace(config, config_path, **{param: v}), v) for v in values]
     # no sweepable value enters the plan, so one plan serves every variant
-    plan, out_dir = _prepare(config_path, config, f"{param}={values[0]:g}: ")
+    plan, out_dir = _prepare(config_path, config, f"{param}={values[0]:g}: ", variants)
     rows = []
     for variant, value in variants:
         results = _integrate(config_path, variant, plan, param, value)

@@ -32,8 +32,8 @@ rho = D(dt/2) sigma is formed only where it is needed: at the positivity
 checkpoints and the end.  Every value read from a node is linear in rho,
 tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull its observables
 back through the adjoint channel D+ once per propagation and read sigma
-(the Heisenberg picture, `_heisenberg`); `propagate_lindblad` damps a copy
-of each block for its observer instead.  Positivity and trace are still
+(the Heisenberg picture, `_heisenberg`); `propagate_lindblad` damps each
+block in place for its observer instead.  Positivity and trace are still
 checked, never enforced: a violation beyond tolerance fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
@@ -421,22 +421,15 @@ def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray) -> np.
     return out
 
 
-def _damped(observe: Callable, single: bool, rows: int) -> Callable:
+def _damped(observe: Callable, single: bool) -> Callable:
     """The public observer contract over an open run's sigma nodes (see
-    `_lindblad_run`): each block is copied into one buffer of `rows` nodes,
-    reused for every call, damped there and handed to `observe` as (n, d, d),
-    or (K, n, d, d) for a stack."""
-    buf = None
-
+    `_lindblad_run`): each block is damped in place, in the run's own
+    buffer, and handed to `observe` as (n, d, d), or (K, n, d, d) for a
+    stack."""
     def read(first: int, sigma: np.ndarray, damping: tuple | None) -> None:
-        nonlocal buf
-        if buf is None:
-            buf = np.empty(sigma.shape[:1] + (rows,) + sigma.shape[2:], dtype=complex)
-        nodes = buf[:, :sigma.shape[1]]
-        nodes[...] = sigma
         if damping is not None:
-            _damper(nodes, *damping)()
-        observe(first, nodes[0] if single else nodes)
+            _damper(sigma, *damping)()
+        observe(first, sigma[0] if single else sigma)
     return read
 
 
@@ -508,9 +501,11 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     `observe(first, sigma, damping)` gets node 0 as the (K, 1, d, d) stack
     itself with damping None, then each block's (K, n, d, d) nodes sigma,
     undamped, in one reused buffer, with damping the (feeds, weight) of
-    D(dt/2) that makes them the nodes rho (see `_damping`).  The trace gate
-    reads every sigma node and every damped node; only the checkpoint nodes
-    and the final one are damped, for the eigenvalue gate and the result.
+    D(dt/2) that makes them the nodes rho (see `_damping`).  The observer
+    may overwrite the block: the run reads nothing of it after the call,
+    and the next steps overwrite it.  The trace gate reads every sigma node
+    and every damped node; only the checkpoint nodes and the final one are
+    damped, for the eigenvalue gate and the result, in copies of their own.
 
     The steps take one of two forms, chosen by d alone: up to DENSE levels
     `_dense_steps` (three dense products, D as its compiled Liouville
@@ -604,8 +599,7 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     if observe is None:
         out = np.empty(shape[:-2] + (grid.steps + 1,) + shape[-2:], dtype=complex)
         observe = _recorder(out, 2)
-    run = _lindblad_run(dissipators, rho0, grid,
-                        _damped(observe, len(shape) == 2, min(BLOCK, grid.steps)))
+    run = _lindblad_run(dissipators, rho0, grid, _damped(observe, len(shape) == 2))
     traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
     if out is not None:
         traj.times, traj.matrices = grid.times, out
@@ -621,12 +615,24 @@ def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
     (..., d, d) give one residual per instant.  H may also come as its
     (..., S, b, b) blocks over S consecutive groups of b levels of v, the
     propagators' contract (see the module docstring).
+
+    The d x d matrix M = dP/dt + i [H, P] is never formed: with
+    a = dv + i H v it is |a><v| + |v><a|, of rank two.  Splitting a into its
+    part along v, v c / n with n = <v|v> and c = <v|a>, and the rest
+    a_perp = a - v c / n leaves three mutually orthogonal terms, so
+
+        ||M||_F^2 = 2 n ||a_perp||^2 + 4 (Re c)^2,
+
+    O(d) per instant beyond H v.  The shorter 2 n ||a||^2 + 2 Re(c^2) is the
+    same number in exact arithmetic, but on an exact passage a is close to
+    i lambda v and its two terms cancel, leaving round-off of ~1e-8 lambda n,
+    the size of the relative residual bound itself.  v = 0 gives 0.
     """
-    hv = (h @ v.reshape(h.shape[:-1] + (1,))).reshape(v.shape)
-    v_bra = np.conj(v)[..., None, :]
-    mat = (dv[..., :, None] * v_bra + v[..., :, None] * np.conj(dv)[..., None, :]
-           + 1j * (hv[..., :, None] * v_bra - v[..., :, None] * np.conj(hv)[..., None, :]))
-    return frobenius(mat)
+    a = dv + 1j * (h @ v.reshape(h.shape[:-1] + (1,))).reshape(v.shape)
+    n = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
+    c = np.sum(np.conj(v) * a, axis=-1)
+    perp = a - v * np.divide(c, n, out=np.zeros_like(c), where=n > 0)[..., None]
+    return np.sqrt(2.0 * n * np.sum(perp.real ** 2 + perp.imag ** 2, axis=-1) + 4.0 * c.real ** 2)
 
 
 def gd_matrices(frame, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -51,10 +51,10 @@ it evaluates and exponentiates the blocks once per span of SPAN grid
 intervals and advances the closed run and the open stack on that one stream
 of step unitaries.  For the passage residual the runner takes H's groups
 and the passage vectors, in the step order, once per span of SPAN nodes,
-and forms the residual's (n, d, d) matrices on at most BLOCK nodes at a
-time.  It stores no trajectory: its observer reads the label populations
-and both fidelities out of each block the runs hand it, the open stack's
-in the Heisenberg picture (see `_Track`).
+and evaluates the residual's closed form on the whole span, so that pass
+holds O(SPAN d b) numbers.  It stores no trajectory: its observer reads
+the label populations and both fidelities out of each block the runs hand
+it, the open stack's in the Heisenberg picture (see `_Track`).
 `run_protocol_kappas` runs one plan for several decay rates at once: the
 open runs as one density-matrix stack, the closed ones as one pure-state
 run, one residual pass per step.  A step that hands its state on closes
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (BLOCK, SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
+from .dynamics import (SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        _heisenberg, _lindblad_run, _propagate, _schrodinger_run,
                        populations, reconstruct_evolution, von_neumann_residual)
 from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
@@ -92,6 +92,7 @@ __all__ = [
     "plan_ghz",
     "build_step_blocks",
     "build_step_hamiltonian",
+    "check_strong_coupling",
     "run_protocol",
     "run_protocol_kappas",
     "CALIBRATED_OMEGA_T",
@@ -680,6 +681,21 @@ def _check_handoff(step: ProtocolStep, states: np.ndarray, kappas) -> None:
                                            member), step, kappa)
 
 
+def check_strong_coupling(plan: ProtocolPlan, model: QubitModel, mode: str) -> None:
+    """Refuse a rotating-frame run whose coupling is too weak: every step with
+    an active coupling relies on J >= 10x its peak Rabi amplitude, and the
+    first step that does not get it raises ProtocolError.  Effective mode
+    has no such rule."""
+    for step in plan.steps:
+        if mode == "rotating-frame" and step.couplings:
+            coefficients = step.drive_coefficients(np.linspace(0, step.duration, 101))
+            peak = max(float(np.max(np.abs(c))) for c in coefficients.values())
+            if model.j_coupling < 10.0 * peak:
+                raise ProtocolError(f"step {step.name!r} relies on a strong coupling; "
+                                    f"J = {model.j_coupling:.3g} is below 10x the peak Rabi "
+                                    f"amplitude {peak:.3g}")
+
+
 def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str = "effective",
                         grid_steps: int = 2000, strict: bool = True,
                         compute_residual: bool = True) -> list[SimulationResult]:
@@ -697,7 +713,9 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     the first run in the order of `kappas` among those failing at the
     earliest grid step; for a failure of H, the first closed run, or the
     first open one if none is closed.  Within a step, failures in the
-    propagation come before the hand-off checks of its end.
+    propagation come before the hand-off checks of its end.  With `strict`,
+    :func:`check_strong_coupling` refuses the whole plan before any step
+    is propagated.
     """
     if model.qubits != plan.qubits:
         raise ProtocolError("model and plan disagree on the qubit count")
@@ -706,6 +724,8 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         raise ProtocolError("no decay rate to run")
     if not all(0 <= k < math.inf for k in kappas):  # nan fails the comparison
         raise ProtocolError("decay rate must be finite and non-negative")
+    if strict:
+        check_strong_coupling(plan, model, mode)
     stacked = [i for i, k in enumerate(kappas) if k > 0.0]
     pure = [i for i in range(len(kappas)) if i not in stacked]
 
@@ -727,16 +747,6 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             return build_step_blocks(_step, model, t, mode=mode)
 
         hands_on = step is not plan.steps[-1]
-
-        if mode == "rotating-frame" and strict and step.couplings:
-            coefficients = step.drive_coefficients(np.linspace(0, step.duration, 101))
-            peak = max(float(np.max(np.abs(c))) for c in coefficients.values())
-            if model.j_coupling < 10.0 * peak:
-                raise ProtocolError(
-                    f"step {step.name!r} relies on a strong coupling; "
-                    f"J = {model.j_coupling:.3g} is below 10x the peak Rabi "
-                    f"amplitude {peak:.3g}")
-
         grid = TimeGrid(0.0, step.duration, grid_steps)
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
@@ -777,10 +787,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             ts = grid.times[first:]
             for span in np.split(ts, range(SPAN, ts.size, SPAN)):
                 v, dv = (x[..., order] for x in step.passage_vectors(span))
-                h = h_blocks(span)
-                residual_out += [von_neumann_residual(v[i:i + BLOCK], dv[i:i + BLOCK],
-                                                      h[i:i + BLOCK])
-                                 for i in range(0, span.size, BLOCK)]
+                residual_out.append(von_neumann_residual(v, dv, h_blocks(span)))
             # the blocks' rows stacked into one matrix keep the dense H's norm
             h_mid = h_blocks(0.5 * step.duration)
             residual_scale = max(residual_scale, frobenius(h_mid.reshape(-1, step.block)))

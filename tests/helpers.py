@@ -6,7 +6,8 @@ exponential oracle is a truncated Taylor series, the propagation oracle
 steps the Schrodinger equation directly so reconstructed evolution operators
 and generated phases can be compared against raw integration, and the
 master-equation oracle is classic RK4 on the textbook right-hand side with
-dense matrices and any jump operators.
+dense matrices and any jump operators.  The passage-residual oracle forms
+the whole matrix dP/dt + i[H, P] and takes its Frobenius norm.
 """
 
 import dataclasses
@@ -98,6 +99,17 @@ def lindblad_rk4(hamiltonian, dissipators, rho0: np.ndarray, grid) -> np.ndarray
         k4 = rhs(t + dt, rho + dt * k3)
         out[i + 1] = rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out
+
+
+def residual_matrix_oracle(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
+    """|| dP/dt + i[H, P] ||_F for P = |v><v| from the (..., d, d) matrix
+    itself, built from four outer products; H dense or as (..., S, b, b)
+    blocks, as `von_neumann_residual` takes it."""
+    hv = (h @ v.reshape(h.shape[:-1] + (1,))).reshape(v.shape)
+    v_bra = np.conj(v)[..., None, :]
+    mat = (dv[..., :, None] * v_bra + v[..., :, None] * np.conj(dv)[..., None, :]
+           + 1j * (hv[..., :, None] * v_bra - v[..., :, None] * np.conj(hv)[..., None, :]))
+    return np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1)))
 
 
 def fail_trace_gate(monkeypatch, kappa: float) -> None:

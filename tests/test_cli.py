@@ -349,6 +349,38 @@ class TestRunCommand:
         assert [run["kappa_T"] for run in runs] == [0.0, 0.0145]
         assert all(run["ok"] for run in runs)
 
+    def test_bell_cfg_residuals_are_pinned(self, tmp_path):
+        # the residual's own round-off on the shipped config, to the bit
+        assert main(["run", str(CONFIGS / "bell.cfg"), "--out", str(tmp_path)]) == 0
+        runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        assert len(runs) == 4
+        for run in runs:
+            assert run["diagnostics"]["max_residual"] == 1.2122979617405458e-15
+            assert run["diagnostics"]["max_residual_relative"] == 4.913258576429824e-16
+
+    def test_weak_coupling_exits_two_before_integrating(self, tmp_path, capsys, monkeypatch):
+        # J = 20 is strong enough for split but not for raise-3
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "out"
+        text = (GHZ_CFG.format(grid=200, kappa="0.0, 0.0145", out=out)
+                + "mode = rotating-frame\nomega_T = 200\nj_over_omega = 0.1\n")
+        cfg = write_cfg(tmp_path, text)
+        refusal = (f"error: {cfg}: step 'raise-3' relies on a strong coupling; J = 20 is "
+                   "below 10x the peak Rabi amplitude 2.47")
+        for argv in (["run", cfg],
+                     ["sweep", cfg, "--param", "kappa_T", "--values", "0,0.1"],
+                     ["sweep", cfg, "--param", "grid", "--values", "100,200"],
+                     ["sweep", cfg, "--param", "omega_T", "--values", "2900,200"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [refusal]
+            assert captured.out == ""
+            assert not out.exists()
+        # the rule applies to the variants that run, not to the file's own omega_T
+        monkeypatch.undo()
+        assert main(["sweep", cfg, "--param", "omega_T", "--values", "2900", "--grid", "50"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])
     def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
         out = tmp_path / "out"

@@ -15,10 +15,12 @@ from qpassage.dynamics import (BLOCK, SPAN, DensityTrajectory, Dissipator, StepS
                                von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
                              embed_qubit_operator, expm_hermitian, outer)
+from qpassage.protocols import QubitModel, plan_ghz
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
-from helpers import brute_force_unitaries, lindblad_rk4, random_schedule_set
+from helpers import (brute_force_unitaries, lindblad_rk4, random_schedule_set,
+                     residual_matrix_oracle)
 
 
 class TestSchrodinger:
@@ -607,7 +609,68 @@ class TestObserver:
             assert np.array_equal(observed.min_eigenvalue, stored.min_eigenvalue)
 
 
+def _random_residual_inputs(rng, count, dim):
+    """Random v (norms well away from 1), dv and Hermitian H, count of each."""
+    v, dv = (rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+             for _ in range(2))
+    v *= rng.uniform(0.1, 10.0, size=(count, 1))
+    a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return v, dv, a + dagger(a)
+
+
 class TestResidual:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 32])
+    def test_closed_form_matches_the_matrix_oracle(self, dim):
+        v, dv, h = _random_residual_inputs(np.random.default_rng(dim), 40, dim)
+        got = von_neumann_residual(v, dv, h)
+        want = residual_matrix_oracle(v, dv, h)
+        assert got.shape == (40,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_closed_form_matches_the_matrix_oracle_on_blocks_in_the_step_order(self):
+        # the raise step of GHZ4: b = 2 levels per group, spectators 0, 1 and 3
+        step = plan_ghz(QubitModel(4)).steps[-1]
+        rng = np.random.default_rng(7)
+        groups = step.order.reshape(-1, step.block)
+        v, dv, _ = _random_residual_inputs(rng, 30, step.dim)
+        a = (rng.normal(size=(30,) + groups.shape + (step.block,))
+             + 1j * rng.normal(size=(30,) + groups.shape + (step.block,)))
+        blocks = a + dagger(a)
+        dense = np.zeros((30, step.dim, step.dim), dtype=complex)
+        dense[:, groups[:, :, None], groups[:, None, :]] = blocks
+        want = residual_matrix_oracle(v, dv, dense)
+        for got in (von_neumann_residual(v[:, step.order], dv[:, step.order], blocks),
+                    residual_matrix_oracle(v[:, step.order], dv[:, step.order], blocks)):
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_near_exact_passage_keeps_its_residual_to_round_off(self):
+        # a = dv + i H v = i lambda v + eps: the exact residual is that of
+        # |eps><v| + |v><eps|, about 1e-9 here, while the terms of the short
+        # formula 2 n ||a||^2 + 2 Re(c^2) are each ~(lambda n)^2 = 2.6e5
+        rng = np.random.default_rng(11)
+        lam, dim = 100.0, 8
+        v, eps, _ = _random_residual_inputs(rng, 50, dim)
+        v /= np.linalg.norm(v, axis=1)[:, None] / 2.0
+        eps *= 1e-10
+        h = np.broadcast_to(lam * np.eye(dim), (50, dim, dim))
+        exact = residual_matrix_oracle(v, eps, np.zeros_like(h))
+        got = von_neumann_residual(v, eps, h)
+        assert np.max(np.abs(got - exact)) <= np.finfo(float).eps * lam * 4.0  # n = 4
+        # the short formula misses by ~sqrt(eps) lambda n, 1e4 times the residual
+        a = eps + 1j * lam * v
+        n, c = np.sum(np.abs(v) ** 2, axis=1), np.sum(np.conj(v) * a, axis=1)
+        short = np.sqrt(np.abs(2 * n * np.sum(np.abs(a) ** 2, axis=1) + 2 * (c ** 2).real))
+        assert np.max(np.abs(short - exact)) > 1e3 * np.max(exact)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_vector_has_zero_residual_without_warnings(self):
+        h = np.array([[1.0, 2.0j], [-2.0j, 0.5]])
+        dv = np.array([1.0, 1.0j])
+        assert von_neumann_residual(np.zeros(2, dtype=complex), dv, h) == 0.0
+        v = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        got = von_neumann_residual(v, np.array([dv, dv]), np.array([h, h]))
+        assert got[0] == 0.0 and abs(got[1] - residual_matrix_oracle(v[1], dv, h)) <= 1e-15
+
     def test_static_dark_state_has_zero_residual(self):
         h = np.diag([1.0, 0.0]).astype(complex)  # annihilates |1>
         v = np.array([0.0, 1.0], dtype=complex)

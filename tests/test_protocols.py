@@ -12,7 +12,7 @@ from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep,
                                 plan_bell, plan_bell_reverse, plan_ghz, product_index,
                                 product_state, run_protocol, run_protocol_kappas,
                                 _check_handoff)
-from qpassage.dynamics import (BLOCK, SPAN, Dissipator, StepSizeError, TimeGrid, populations,
+from qpassage.dynamics import (SPAN, Dissipator, StepSizeError, TimeGrid, populations,
                                propagate_lindblad, propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import SIGMA_MINUS, StateCheckError, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
@@ -270,6 +270,27 @@ class TestRotatingFrameRuns:
         with pytest.raises(ProtocolError):
             run_protocol(plan, model, mode="rotating-frame", grid_steps=200)
 
+    def test_weak_coupling_is_refused_before_any_step_propagates(self, monkeypatch):
+        # J = 20: split's peak Rabi amplitude 1.745 passes the 10x rule and
+        # raise-3's 2.467 fails it, so a check per step would integrate split
+        # and convert first
+        model = QubitModel(qubits=3, omega=200.0)
+        plan = plan_ghz(model)
+
+        def must_not_propagate(*args):
+            raise AssertionError("a step was propagated before the coupling check")
+
+        monkeypatch.setattr(protocols, "_propagate", must_not_propagate)
+        with pytest.raises(ProtocolError, match=r"^step 'raise-3' relies on a strong coupling; "
+                                                r"J = 20 is below 10x the peak Rabi amplitude "
+                                                r"2\.47$"):
+            run_protocol_kappas(plan, model, [0.0, 0.0145], mode="rotating-frame")
+        monkeypatch.undo()
+        # strict=False runs it anyway
+        res = run_protocol_kappas(plan, model, [0.0], mode="rotating-frame", grid_steps=50,
+                                  strict=False, compute_residual=False)
+        assert [record["name"] for record in res[0].steps] == ["split", "convert", "raise-3"]
+
     def test_unknown_mode_rejected(self):
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError):
@@ -378,11 +399,11 @@ class TestMemory:
         assert sum(damped) <= (dynamics.CHECKPOINTS + 2) * len(plan.steps)
         assert len(dense) <= len(plan.steps)  # the step records only
 
-    def test_the_residual_forms_its_matrices_on_at_most_block_nodes(self, monkeypatch):
+    def test_the_residual_takes_one_call_per_span_and_no_matrices(self, monkeypatch):
         # (n, d, d) residual matrices on a whole span would be 4 MiB at d = 32
         model = QubitModel(qubits=5)
         plan = plan_ghz(model)
-        nodes, spans = [], {}
+        nodes, peaks, spans = [], [], {}
         passage_vectors = ProtocolStep.passage_vectors
 
         def counted_vectors(step, t):
@@ -391,16 +412,23 @@ class TestMemory:
 
         def counted_residual(v, dv, h):
             nodes.append(len(v))
-            return von_neumann_residual(v, dv, h)
+            tracemalloc.start()
+            try:
+                return von_neumann_residual(v, dv, h)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
 
         monkeypatch.setattr(ProtocolStep, "passage_vectors", counted_vectors)
         monkeypatch.setattr(protocols, "von_neumann_residual", counted_residual)
         grid = 2 * SPAN + 5
         res = run_protocol(plan, model, grid_steps=grid)
-        assert max(nodes) <= BLOCK and sum(nodes) == res.times.size
         assert list(spans) == [step.name for step in plan.steps]
         for first, sizes in zip([grid + 1] + [grid] * 4, spans.values()):
             assert sizes == [SPAN, SPAN, first - 2 * SPAN]
+        assert nodes == [size for sizes in spans.values() for size in sizes]
+        assert sum(nodes) == res.times.size
+        assert max(peaks) < SPAN * plan.steps[0].dim ** 2 * 16 / 4
 
 
 def _assert_same_result(got, want):
