@@ -48,13 +48,13 @@ def _model(config: RunConfig) -> QubitModel:
                       j_over_omega=config.j_over_omega)
 
 
-def _prepare(config_path, config: RunConfig, where: str = "", variants=()):
+def _prepare(config_path, config: RunConfig, variants=()):
     """The config's plan, then its output directory, created if needed, so a
-    refused plan leaves no directory; `where` prefixes a plan refusal.  The
-    plan's strong-coupling rule is checked here too, before anything is
-    integrated, on the config of each (config, value) pair of a sweep's
-    `variants`, or on `config` itself; its refusal names J."""
-    prefix = f"{config_path}: {where}"
+    refused plan leaves no directory.  No sweepable value enters the plan, so
+    no refusal names one.  The plan's strong-coupling rule is checked here
+    too, before anything is integrated, on the config of each
+    (config, value) pair of a sweep's `variants`, or on `config` itself; its
+    refusal names J."""
     overrides = config.schedule_overrides or None
     try:
         model = _model(config)
@@ -65,11 +65,11 @@ def _prepare(config_path, config: RunConfig, where: str = "", variants=()):
         else:
             plan = plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
     except (ValueError, MemoryError) as exc:  # a bad plan, or one too large to allocate
-        raise _Refusal(f"{prefix}{exc}") from None
+        raise _Refusal(f"{config_path}: {exc}") from None
     declared = set().union(*(step.schedules.table for step in plan.steps))
     for symbol in config.schedule_overrides:
         if symbol not in declared:
-            raise _Refusal(f"{prefix}schedule override {symbol!r} matches no step of "
+            raise _Refusal(f"{config_path}: schedule override {symbol!r} matches no step of "
                            f"the {config.protocol} plan")
     for variant, _ in variants or [(config, None)]:
         try:
@@ -105,7 +105,7 @@ def _integrate(config_path, config: RunConfig, plan, param="kappa_T", value=None
 
 def _final_fidelity(result) -> float:
     """The run's final fidelity as its last step record holds it: the final
-    target is the last step's, read off the (damped) final node."""
+    target is the last step's, so this is the trajectory CSV's last F."""
     return result.steps[-1]["target_fidelity"]
 
 
@@ -183,7 +183,7 @@ def _sweep(config_path, param: str, values_text: str, out: str | None,
     else:
         variants = [(_replace(config, config_path, **{param: v}), v) for v in values]
     # no sweepable value enters the plan, so one plan serves every variant
-    plan, out_dir = _prepare(config_path, config, f"{param}={values[0]:g}: ", variants)
+    plan, out_dir = _prepare(config_path, config, variants)
     rows = []
     for variant, value in variants:
         results = _integrate(config_path, variant, plan, param, value)

@@ -72,7 +72,9 @@ or not Hermitian, naming the first time at which it is not.
 
 Each propagator is one run of a private driver, `_propagate`, that hands
 each block of step unitaries to every run it carries, so the protocol
-runner's pure state and density stack advance on one stream of them.
+runner's pure state and density stack advance on one stream of them.  A
+run checks its entry state when it is built, before any step; for a state
+one protocol step hands the next, that is the only check.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
@@ -275,8 +277,8 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
 
 def _schrodinger_run(psi0: np.ndarray, grid: TimeGrid, observe: Callable | None = None) -> tuple:
     """The run of `propagate_schrodinger` as an (advance, finish) pair for
-    `_propagate`: the entry check and node 0 happen here, finish() returns
-    the StateTrajectory."""
+    `_propagate`: the entry check (check_state_vector) and node 0 happen
+    here, finish() returns the StateTrajectory."""
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
     out = None
@@ -494,9 +496,10 @@ def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -
 def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
                   observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
-    `_propagate`: the entry checks and node 0 happen here, advance() raises
-    the trace gate at the block that trips it, finish() the checkpoint
-    eigenvalue gate, and returns the DensityTrajectory of the final node.
+    `_propagate`: the entry checks (`_check_members` on a stack, naming a
+    failing member) and node 0 happen here, advance() raises the trace gate
+    at the block that trips it, finish() the checkpoint eigenvalue gate, and
+    returns the DensityTrajectory of the final node.
 
     `observe(first, sigma, damping)` gets node 0 as the (K, 1, d, d) stack
     itself with damping None, then each block's (K, n, d, d) nodes sigma,

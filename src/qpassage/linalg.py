@@ -27,7 +27,6 @@ __all__ = [
     "gram_matrix",
     "completeness_defect",
     "hermiticity_defect",
-    "check_hermitian",
     "check_state_vector",
     "check_density_matrix",
     "StateCheckError",
@@ -132,39 +131,29 @@ class StateCheckError(ValueError):
         self.bound = bound
 
 
-def check_hermitian(a: np.ndarray, tol: float = TOL.hermiticity, what: str = "operator") -> np.ndarray:
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"{what} is not Hermitian (relative defect {defect:.3e} > {tol:.1e})")
-    return a
-
-
-def check_state_vector(psi: np.ndarray, tol: float = TOL.state_norm) -> np.ndarray:
+def check_state_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if not drift <= tol:  # written so that nan fails it
+    if not drift <= TOL.state_norm:  # written so that nan fails it
         raise StateCheckError(f"state vector is not normalized (|norm-1| = {drift:.3e})",
-                              drift, tol)
+                              drift, TOL.state_norm)
     return psi
 
 
-def check_density_matrix(rho: np.ndarray,
-                         herm_tol: float = TOL.density_hermiticity,
-                         trace_tol: float = TOL.density_trace,
-                         pos_tol: float = TOL.density_positivity) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     defect = hermiticity_defect(rho)
-    if not defect <= herm_tol:  # each check is written so that nan fails it
+    if not defect <= TOL.density_hermiticity:  # each check is written so that nan fails it
         raise StateCheckError("density matrix is not Hermitian within tolerance",
-                              defect, herm_tol)
+                              defect, TOL.density_hermiticity)
     tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= trace_tol:
+    if not abs(tr - 1.0) <= TOL.density_trace:
         raise StateCheckError(f"density matrix trace {tr:.12f} deviates from 1 beyond "
-                              f"{trace_tol:.1e}", abs(tr - 1.0), trace_tol)
+                              f"{TOL.density_trace:.1e}", abs(tr - 1.0), TOL.density_trace)
     smallest = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
-    if not smallest >= -pos_tol:
+    if not smallest >= -TOL.density_positivity:
         raise StateCheckError(f"density matrix has eigenvalue {smallest:.3e} below "
-                              f"-{pos_tol:.1e}", smallest, pos_tol)
+                              f"-{TOL.density_positivity:.1e}", smallest, TOL.density_positivity)
     return rho
 
 

@@ -54,12 +54,13 @@ and the passage vectors, in the step order, once per span of SPAN nodes,
 and evaluates the residual's closed form on the whole span, so that pass
 holds O(SPAN d b) numbers.  It stores no trajectory: its observer reads
 the label populations and both fidelities out of each block the runs hand
-it, the open stack's in the Heisenberg picture (see `_Track`).
+it, the open stack's in the Heisenberg picture (see `_Track`), and a
+step's record takes its fidelity from that series at the step's last node.
 `run_protocol_kappas` runs one plan for several decay rates at once: the
 open runs as one density-matrix stack, the closed ones as one pure-state
-run, one residual pass per step.  A step that hands its state on closes
-with its successor's entry check, so a failure names the step that made
-the state.
+run, one residual pass per step.  The state a step hands on is checked
+once, by its successor's entry checks, and a failure there names the step
+that made the state.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        _heisenberg, _lindblad_run, _propagate, _schrodinger_run,
                        populations, reconstruct_evolution, von_neumann_residual)
-from .linalg import (SIGMA_MINUS, StateCheckError, check_density_matrix, check_state_vector,
-                     dagger, embed_qubit_operator, frobenius, outer)
+from .linalg import (SIGMA_MINUS, StateCheckError, dagger, embed_qubit_operator, frobenius,
+                     outer)
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
 from .tolerances import TOL
@@ -255,7 +256,7 @@ class ProtocolStep:
         embedded block): the evolution operator of its frame members and
         their phases, reconstructed on the step's two end frames."""
         plan = synthesize_general(self.layout, self.schedules, grid=_TRANSFER_GRID)
-        phases = generated_phases(self.layout, self.schedules, plan).as_matrix()[:, [0, -1]]
+        phases = generated_phases(plan).as_matrix()[:, [0, -1]]
         ends = [build_frame(self.layout, self.schedules, t) for t in (0.0, self.duration)]
         idx = list(self.embed)
         u = np.eye(self.dim, dtype=complex)
@@ -574,7 +575,8 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
 class _Track:
     """Observer of one propagation, the pure run or the density-matrix stack:
     the label populations and both fidelities block by block, and a record
-    per step.  Stack series carry the member axis in front.
+    per step, whose fidelity is the step-fidelity series' value at the
+    step's last node.  Stack series carry the member axis in front.
 
     The stack is read in the Heisenberg picture: its run hands over the
     undamped nodes sigma with the damping D that makes them the nodes (see
@@ -634,13 +636,13 @@ class _Track:
         support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
         return support, flat[..., support].swapaxes(-1, -2)
 
-    def finish(self, final: np.ndarray) -> None:
-        """Record the step from its final state (one per member for a stack)."""
+    def finish(self) -> None:
+        """Record the step, its fidelity read off the series at its last node
+        (one per member for a stack)."""
         self.records.append({
             "name": self.step.name,
             "t_end": self.step.t_start + self.step.duration,
-            "target_fidelity": populations(final[None] if final.ndim == 1
-                                           else final[..., None, :, :], self.targets[0])[..., 0],
+            "target_fidelity": self.fid_step[-1][..., -1],
         })
 
     def series(self, member: int | None):
@@ -664,21 +666,6 @@ def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
     exc.args = (f"step {step.name!r}: {exc}",) + exc.args[1:]
     exc.kappa = kappa
     return exc
-
-
-def _check_handoff(step: ProtocolStep, states: np.ndarray, kappas) -> None:
-    """Close `step` with the entry check its successor applies to each state
-    it hands on (a pure state or a stack of density matrices, one per rate in
-    `kappas`), so that a failure names the step that produced the state."""
-    for member, (state, kappa) in enumerate(zip(states, kappas)):
-        try:
-            if state.ndim == 1:
-                check_state_vector(state)
-            else:
-                check_density_matrix(state)
-        except StateCheckError as exc:
-            raise _failed_at(StepSizeError(f"{exc} at the step's end (kappa_T={kappa:g})",
-                                           member), step, kappa)
 
 
 def check_strong_coupling(plan: ProtocolPlan, model: QubitModel, mode: str) -> None:
@@ -712,10 +699,14 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     `kappa` attribute, the kappa_T of the run it names: for a stack failure,
     the first run in the order of `kappas` among those failing at the
     earliest grid step; for a failure of H, the first closed run, or the
-    first open one if none is closed.  Within a step, failures in the
-    propagation come before the hand-off checks of its end.  With `strict`,
-    :func:`check_strong_coupling` refuses the whole plan before any step
-    is propagated.
+    first open one if none is closed.  The state a step hands on is checked
+    once, by the next step's entry checks, the closed state's first, then
+    the open members' in order; a refusal there is raised as a StepSizeError
+    that names the step that made the state, carries `member` and `kappa`
+    and ends "at the step's end (kappa_T=...)".  So within a step, failures
+    in the propagation come before those of the state it hands on.  With
+    `strict`, :func:`check_strong_coupling` refuses the whole plan before
+    any step is propagated.
     """
     if model.qubits != plan.qubits:
         raise ProtocolError("model and plan disagree on the qubit count")
@@ -742,11 +733,10 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     min_eig = np.ones(len(stacked))
     residual_scale = 0.0
 
-    for step in plan.steps:
+    for k, step in enumerate(plan.steps):
         def h_blocks(t, _step=step):
             return build_step_blocks(_step, model, t, mode=mode)
 
-        hands_on = step is not plan.steps[-1]
         grid = TimeGrid(0.0, step.duration, grid_steps)
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
@@ -765,23 +755,23 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         except (StepSizeError, ValueError) as exc:
             # a stack failure names its member; one in H, the first run it stops
             member = getattr(exc, "member", None)
-            raise _failed_at(exc, step, kappas[(pure or stacked)[0] if member is None
-                                               else stacked[member]])
+            kappa = kappas[(pure or stacked)[0] if member is None else stacked[member]]
+            if isinstance(exc, StateCheckError) and k > 0:
+                # an entry check refused the state the previous step handed on
+                raise _failed_at(StepSizeError(f"{exc} at the step's end (kappa_T={kappa:g})",
+                                               member), plan.steps[k - 1], kappa)
+            raise _failed_at(exc, step, kappa)
         if pure:
             traj = done[0]
             norm_drift = max(norm_drift, traj.norm_drift)
-            pure_track.finish(traj.final)
+            pure_track.finish()
             psi = traj.final[back]
-            if hands_on:
-                _check_handoff(step, psi[None], [kappas[pure[0]]])
         if stacked:
             traj = done[-1]
             trace_drift = np.maximum(trace_drift, traj.trace_drift)
             min_eig = np.minimum(min_eig, traj.min_eigenvalue)
-            stack_track.finish(traj.final)
+            stack_track.finish()
             rho = traj.final[:, back[:, None], back]
-            if hands_on:
-                _check_handoff(step, rho, [kappas[i] for i in stacked])
 
         if compute_residual:
             ts = grid.times[first:]

@@ -386,20 +386,16 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def generated_phases(layout: SubspaceLayout, schedules: ScheduleSet,
-                     plan: DrivePlan) -> GeneratedPhases:
-    """Integrate the geometric-minus-dynamical phase of every frame member.
+def generated_phases(plan: DrivePlan) -> GeneratedPhases:
+    """Integrate the geometric-minus-dynamical phase of every frame member of
+    the plan's layout.
 
     The integrand of the lower passage is
         alpha' sin^2(phi) - Delta sin^2(phi) + Omega sin(2 phi) cos(varphi+alpha)
     and the upper passage carries integral(alpha' - Delta) minus that.
     Quadrature is trapezoidal on the plan's grid.
     """
-    if plan.layout != layout:
-        raise SynthesisError("plan was synthesized for a different layout")
-    if plan.schedules is not schedules and plan.schedules != schedules:
-        raise SynthesisError("plan was synthesized from different schedules")
-    ts = plan.times
+    layout, schedules, ts = plan.layout, plan.schedules, plan.times
 
     phi, _ = schedules.pair("phi", ts)
     alpha, dalpha = schedules.pair("alpha", ts)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # linear algebra / state validity
-    hermiticity: float = 1e-12        # relative, Hermitian-tagged operators
     state_norm: float = 1e-10         # | ||psi|| - 1 |
     density_hermiticity: float = 1e-10
     density_trace: float = 1e-8

@@ -209,7 +209,7 @@ def run_verification(seed: int, sizes, instances: int = 3,
     # reconstructed evolution against direct integration
     err = 0.0
     for (layout, schedules), plan in zip(cases, plans):
-        phases = generated_phases(layout, schedules, plan)
+        phases = generated_phases(plan)
         u_rec = reconstruct_evolution(build_frame(layout, schedules, plan.times), phases)
         fine = np.linspace(0.0, 1.0, 10 * _GRID + 1)
         nodes = (_GRID // 2, _GRID)

@@ -160,7 +160,7 @@ def test_criterion_05_evolution_operator_oracle():
         schedules = random_schedule_set(rng, layout)
         grid = 250
         plan = synthesize_general(layout, schedules, grid=grid)
-        phases = generated_phases(layout, schedules, plan)
+        phases = generated_phases(plan)
         frames = [build_frame(layout, schedules, t) for t in plan.times]
         u_rec = reconstruct_evolution(frames, phases)
         _, u_bf = brute_force_unitaries(plan.hamiltonian, layout.dim, 0.0, 1.0, 10 * grid)

@@ -244,7 +244,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("name, last_step", [("bell", "convert"), ("ghz3", "raise-3")])
     def test_final_fidelity_is_the_last_step_fidelity(self, tmp_path, name, last_step):
         # the manifest, the sweep table and the step records all read the
-        # final fidelity off the damped final node
+        # final fidelity off the step-fidelity series at the last node
         config = str(CONFIGS / f"{name}.cfg")
         assert main(["run", config, "--grid", "257", "--out", str(tmp_path)]) == 0
         runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
@@ -255,6 +255,21 @@ class TestRunCommand:
                      "--grid", "257", "--out", str(tmp_path)]) == 0
         table = np.loadtxt(tmp_path / "sweep-kappa_T.csv", delimiter=",", skiprows=1)
         assert table[:, 1].tolist() == [run["final_fidelity"] for run in runs]
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_step_fidelities_are_the_csv_f_at_the_step_ends(self, tmp_path, config):
+        assert main(["run", str(config), "--grid", "257", "--out", str(tmp_path)]) == 0
+        for run in json.loads((tmp_path / "manifest.json").read_text())["runs"]:
+            with open(tmp_path / run["csv"]) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                f = [float(line.split(",")[header.index("F")]) for line in fh]
+            # the manifest sorts its keys; the steps run in this order
+            steps = [name for name in ("split", "convert", "raise-3", "raise-4", "raise-5")
+                     if name in run["step_fidelities"]]
+            assert len(steps) == len(run["step_fidelities"])
+            ends = [f[257 * (k + 1)] for k in range(len(steps))]
+            assert [run["step_fidelities"][name] for name in steps] == ends
+            assert run["final_fidelity"] == f[-1]
 
     def test_missing_duration_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "protocol = bell\nout = x\n")
@@ -492,7 +507,8 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "kappa_T=0" in err[0] and "target" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: step 'split': ")
+        assert "target" in err[0]
 
     def test_refused_plan_leaves_no_output_directory(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -501,7 +517,7 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["sweep", cfg, "--param", "grid", "--values", "100,200"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: grid=100: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: step 'split': ")
         assert "target" in err[0] and not out.exists()
 
     def test_a_bad_plan_is_reported_before_a_bad_output_directory(self, tmp_path, capsys):

@@ -740,7 +740,7 @@ class TestReconstruction:
         layout = SubspaceLayout(1, 2)
         schedules = random_schedule_set(np.random.default_rng(6), layout)
         plan = synthesize_general(layout, schedules, grid=50)
-        phases = generated_phases(layout, schedules, plan)
+        phases = generated_phases(plan)
         frames = [build_frame(layout, schedules, t) for t in plan.times]
         u = reconstruct_evolution(frames, phases)
         assert np.allclose(u[0], np.eye(3), atol=1e-12)
@@ -749,7 +749,7 @@ class TestReconstruction:
         layout = SubspaceLayout(2, 2)
         schedules = random_schedule_set(np.random.default_rng(8), layout)
         plan = synthesize_general(layout, schedules, grid=400)
-        phases = generated_phases(layout, schedules, plan)
+        phases = generated_phases(plan)
         frames = [build_frame(layout, schedules, t) for t in plan.times]
         u_rec = reconstruct_evolution(frames, phases)
         _, u_bf = brute_force_unitaries(plan.hamiltonian, layout.dim, 0.0, 1.0, 4000)
@@ -760,7 +760,7 @@ class TestReconstruction:
         layout = SubspaceLayout(1, 2)
         schedules = random_schedule_set(np.random.default_rng(9), layout)
         plan = synthesize_general(layout, schedules, grid=50)
-        phases = generated_phases(layout, schedules, plan)
+        phases = generated_phases(plan)
         frames = [build_frame(layout, schedules, t) for t in plan.times[:-1]]
         with pytest.raises(ValueError):
             reconstruct_evolution(frames, phases)

@@ -5,10 +5,9 @@ import pytest
 import scipy.linalg
 
 from qpassage.linalg import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
-                             check_density_matrix, check_hermitian,
-                             check_state_vector, completeness_defect, dagger,
-                             embed_qubit_operator, expm_hermitian, gram_matrix,
-                             kron, StateCheckError)
+                             check_density_matrix, check_state_vector,
+                             completeness_defect, dagger, embed_qubit_operator,
+                             expm_hermitian, gram_matrix, kron, StateCheckError)
 
 from qpassage.ancillary import SubspaceLayout, build_frame
 
@@ -92,13 +91,6 @@ class TestChecks:
         broken = vectors.copy()
         broken[2, :, 0] *= 1.5
         assert completeness_defect(broken) == completeness_defect(broken[2]) > 0.2
-
-    def test_hermitian_check(self):
-        h = random_complex((4, 4))
-        h = h + dagger(h)
-        check_hermitian(h)
-        with pytest.raises(ValueError):
-            check_hermitian(h + 1e-6 * random_complex((4, 4)))
 
     def test_state_and_density_checks(self):
         psi = random_complex(5)

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from qpassage import dynamics, protocols
+from qpassage import dynamics, linalg, protocols
 from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep, QubitModel,
                                 build_step_blocks, build_step_hamiltonian, diagnostics_ok,
                                 plan_bell, plan_bell_reverse, plan_ghz, product_index,
-                                product_state, run_protocol, run_protocol_kappas,
-                                _check_handoff)
+                                product_state, run_protocol, run_protocol_kappas)
 from qpassage.dynamics import (SPAN, Dissipator, StepSizeError, TimeGrid, populations,
                                propagate_lindblad, propagate_schrodinger, von_neumann_residual)
-from qpassage.linalg import SIGMA_MINUS, StateCheckError, embed_qubit_operator, outer
+from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
 
 from helpers import fail_trace_gate
@@ -397,7 +396,7 @@ class TestMemory:
         run_protocol(plan, model, noise=True, grid_steps=2000, compute_residual=False)
         # sigma's own two dampers, then the checkpoints, the last being the end
         assert sum(damped) <= (dynamics.CHECKPOINTS + 2) * len(plan.steps)
-        assert len(dense) <= len(plan.steps)  # the step records only
+        assert len(dense) == 0
 
     def test_the_residual_takes_one_call_per_span_and_no_matrices(self, monkeypatch):
         # (n, d, d) residual matrices on a whole span would be 4 MiB at d = 32
@@ -445,41 +444,77 @@ def _assert_same_result(got, want):
         assert np.array_equal(got.auxiliary[key], want.auxiliary[key])
 
 
-class TestHandoff:
-    """A step closes with its successor's entry check on the state it hands on."""
+def spoil_entry_check(monkeypatch, name, call, spoil):
+    """Patch the entry check `name` of dynamics to check spoil(state) on its
+    call number `call`, counted from 0, and the state itself on every other.
+    A Bell run's entry checks take the initial state, then the state the
+    split step hands on, the stack's members one call each."""
+    check, calls = getattr(dynamics, name), []
 
-    def test_a_denormalized_pure_state_fails_in_the_step_that_made_it(self):
-        plan = plan_bell(QubitModel(qubits=2))
-        psi = plan.steps[0].target * (1.0 + 1e-9)   # |norm - 1| = 1e-9, bound 1e-10
+    def spoiled(state):
+        calls.append(None)
+        return check(spoil(state) if len(calls) == call + 1 else state)
+
+    monkeypatch.setattr(dynamics, name, spoiled)
+
+
+class TestHandoff:
+    """The state a step hands on is checked once, by its successor's entry
+    check, and a failure there names the step that made the state."""
+
+    def test_each_state_is_checked_once_per_step(self, monkeypatch):
+        # one entry check per step for the closed state and for the open one,
+        # wherever the runner's modules would call a check
+        calls = {"check_state_vector": 0, "check_density_matrix": 0}
+        for name in calls:
+            def counted(state, _name=name, _check=getattr(linalg, name)):
+                calls[_name] += 1
+                return _check(state)
+
+            for module in (dynamics, protocols):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        model = QubitModel(qubits=5)
+        run_protocol_kappas(plan_ghz(model), model, (0.0, 0.0145), grid_steps=20,
+                            compute_residual=False)
+        assert calls == {"check_state_vector": 5, "check_density_matrix": 5}
+
+    def test_a_denormalized_pure_state_fails_in_the_step_that_made_it(self, monkeypatch):
+        # |norm - 1| = 1e-9, bound 1e-10
+        spoil_entry_check(monkeypatch, "check_state_vector", 1, lambda psi: psi * (1.0 + 1e-9))
+        model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': state vector is not "
                                                 "normalized") as err:
-            _check_handoff(plan.steps[0], psi[None], [0.0])
+            run_protocol_kappas(plan_bell(model), model, (0.0,), grid_steps=15)
         assert str(err.value).endswith("at the step's end (kappa_T=0)")
-        assert err.value.kappa == 0.0
+        assert err.value.kappa == 0.0 and err.value.member is None
 
-    def test_a_stack_failure_names_its_member_and_rate(self):
-        plan = plan_bell(QubitModel(qubits=2))
-        good = outer(plan.steps[0].target)
+    def test_a_stack_failure_names_its_member_and_rate(self, monkeypatch):
         bad = np.diag([0.5 + 2e-8, 0.5, 0.0, -2e-8]).astype(complex)  # eigenvalue -2e-8
+        spoil_entry_check(monkeypatch, "check_density_matrix", 3, lambda rho: bad)
+        model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': density matrix has "
                                                 "eigenvalue -2.000e-08 below -1.0e-08") as err:
-            _check_handoff(plan.steps[0], np.array([good, bad]), [0.0145, 0.145])
+            run_protocol_kappas(plan_bell(model), model, (0.0145, 0.145), grid_steps=15)
         assert err.value.kappa == 0.145 and err.value.member == 1
         assert str(err.value).endswith("at the step's end (kappa_T=0.145)")
-        _check_handoff(plan.steps[0], np.array([good, good]), [0.0145, 0.145])
 
-    def test_a_nan_state_fails_and_names_no_grid(self):
-        plan = plan_bell(QubitModel(qubits=2))
-        psi = plan.steps[0].target.copy()
-        psi[0] = np.nan
+    def test_a_nan_state_fails_and_names_no_grid(self, monkeypatch):
+        def nan_at(state, index):
+            state = state.copy()
+            state[index] = np.nan
+            return state
+
+        spoil_entry_check(monkeypatch, "check_state_vector", 1, lambda psi: nan_at(psi, 0))
+        model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': state vector is not "
                                                 "normalized") as err:
-            _check_handoff(plan.steps[0], psi[None], [0.0])
+            run_protocol_kappas(plan_bell(model), model, (0.0,), grid_steps=15)
         assert str(err.value).endswith("at the step's end (kappa_T=0)")
-        rho = outer(plan.steps[0].target)
-        rho[1, 2] = rho[2, 1] = np.nan
-        with pytest.raises(StepSizeError, match="not Hermitian") as err:
-            _check_handoff(plan.steps[0], np.array([rho]), [0.0145])
+        spoil_entry_check(monkeypatch, "check_density_matrix", 1,
+                          lambda rho: nan_at(nan_at(rho, (1, 2)), (2, 1)))
+        with pytest.raises(StepSizeError, match="^step 'split': .*not Hermitian") as err:
+            run_protocol_kappas(plan_bell(model), model, (0.0145,), grid_steps=15)
         assert "grid" not in str(err.value) and err.value.kappa == 0.0145
 
 
@@ -548,13 +583,10 @@ class TestIntegratedKappas:
         assert err.value.kappa == named
 
     def test_a_failure_inside_the_step_beats_a_hand_off_failure(self, monkeypatch):
-        # the closed state fails its hand-off check at the end of the split
-        # step, the open run at rate 30 its trace gate inside that step
-        def refuse(psi):
-            raise StateCheckError("state vector is not normalized", 1.0, 0.0)
-
+        # the closed state the split step hands on fails the convert step's
+        # entry check, the open run at rate 30 its trace gate inside the split
         fail_trace_gate(monkeypatch, 30.0)
-        monkeypatch.setattr(protocols, "check_state_vector", refuse)
+        spoil_entry_check(monkeypatch, "check_state_vector", 1, lambda psi: 2.0 * psi)
         model = QubitModel(qubits=2)
         with pytest.raises(StepSizeError, match="^step 'split': trace drifted") as err:
             run_protocol_kappas(plan_bell(model), model, (0.0, 30.0), grid_steps=15)
