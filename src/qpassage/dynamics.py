@@ -19,22 +19,30 @@ excited population as exp(-rate * t), exactly.  The qubits' channels
 commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
-propagator carries sigma = U D rho in one buffer and advances it in one of
-two forms, chosen by the size d alone.  Above DENSE levels a step damps it
-in place once by D(dt), through views bound once per propagation, then
-takes u sigma u+ group by group (see below).  Up to DENSE levels, where a
-step costs numpy's fixed per-call time rather than arithmetic, D(dt) is
-compiled once per propagation into its Liouville matrix, one d^2 x d^2
-matrix per member made by applying D to the d^2 basis matrices, and a step
-is three dense products: vec(sigma) by that matrix, then by u and by u+
-whole.  The two forms agree to round-off.  A node
-rho = D(dt/2) sigma is formed only where it is needed: at the positivity
-checkpoints and the end.  Every value read from a node is linear in rho,
-tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull its observables
-back through the adjoint channel D+ once per propagation and read sigma
-(the Heisenberg picture, `_heisenberg`); `propagate_lindblad` damps each
-block in place for its observer instead.  Positivity and trace are still
-checked, never enforced: a violation beyond tolerance fails loudly.
+propagator carries sigma = U D rho and advances it in one of three forms
+(`_open_form`), chosen from d and from the entries of sigma the run can
+reach.  Up to DENSE levels, where a step costs numpy's fixed per-call time
+rather than arithmetic, D(dt) is compiled once per propagation into its
+Liouville matrix, one d^2 x d^2 matrix per member made by applying D to the
+d^2 basis matrices, and a step is three dense products: vec(sigma) by that
+matrix, then by u and by u+ whole.  Above DENSE levels the reachable
+entries are compiled once per propagation: u is block diagonal over the
+groups of H, so u sigma u+ keeps each (row group, column group) tile of
+sigma to itself, and only the jumps move weight from tile to tile
+(`_support`).  Where they leave tiles unreached, as in effective-mode
+protocol steps, sigma is carried as its E reachable entries alone, D is one
+fixed gather over them and u sigma u+ one product per tile
+(`_support_steps`).  A full support, such as any dense H gives, is damped
+in place by D(dt) through views bound once per propagation and multiplied
+by u group by group (`_grouped_steps`, see below).  The forms agree to
+round-off.  A node rho = D(dt/2) sigma is formed only where it is needed:
+at the positivity checkpoints and the end.  Every value read from a node is
+linear in rho, tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull
+its observables back through the adjoint channel D+ once per propagation
+and read sigma (the Heisenberg picture, `_heisenberg`); `propagate_lindblad`
+damps each block, as d x d matrices, for its observer instead.  Positivity
+and trace are still checked, never enforced: a violation beyond tolerance
+fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
@@ -62,9 +70,10 @@ exponentiated once for all of them, which gives the bits of exponentiating
 every group (a protocol step's d/b spectator groups hold at most two
 distinct blocks).  H is taken at the same midpoints whatever the span, so
 SPAN moves no bit of a result.  Closed runs advance the state group by
-group; open runs above DENSE levels take u rho u+ as two grouped products
-of (b, b) blocks by (b, d) rows, and up to DENSE levels scatter the blocks
-into dense u and u+ once per block of steps.
+group; open runs take u rho u+ as two grouped products of (b, b) blocks by
+(b, d) rows, as one Kronecker product per reachable tile, or, up to DENSE
+levels, with dense u and u+ scattered from the blocks once per block of
+steps.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
 H in the same two forms.  Both propagators reject an H that is not finite
@@ -81,12 +90,14 @@ computes to an observer, `observe(first, states)`, called once with node 0
 and then once per block of at most BLOCK nodes (SPAN / BLOCK blocks per
 span) with that block's nodes, `first` being the grid index of the first
 of them; the indices cover 0 ... steps once each, in order.
-`states` is a view of one buffer the propagator reuses for every call, shape
-(n, d) for a pure state, (n, d, d) for one density matrix and (K, n, d, d)
-for a stack, so an observer must copy whatever it keeps.  Without an
-observer the propagator records every node and returns the whole trajectory;
-with one it returns only the end node (`times[-1:]`) with the diagnostics, so
-a run holds O(BLOCK K d^2) numbers of state instead of O(steps K d^2).
+`states` is a view of a buffer the propagator reuses, shape (n, d) for a
+pure state, (n, d, d) for one density matrix and (K, n, d, d) for a stack,
+so an observer must copy whatever it keeps.  Without an observer the
+propagator records every node and returns the whole trajectory; with one it
+returns only the end node (`times[-1:]`) with the diagnostics, so a run
+holds O(BLOCK K d^2) numbers of state instead of O(steps K d^2), and an
+open run on E reachable entries read through `_lindblad_run`'s own
+observer contract O(BLOCK K E).
 """
 
 from __future__ import annotations
@@ -123,6 +134,7 @@ BLOCK = 64  # grid nodes per state block handed to an observer
 SPAN = 256  # grid intervals per Hamiltonian evaluation, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
 DENSE = 8  # largest d whose open steps take the dense form (see _lindblad_run)
+TILE = 4  # largest group of levels whose open steps may take the support form
 
 
 class StepSizeError(RuntimeError):
@@ -230,7 +242,8 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     (relative) raises ValueError naming its first such time.  Groups whose
     (len(t_mid), b, b) columns hold equal bytes are exponentiated once, in
     one call for all distinct columns; equal bytes give equal bits, so the
-    result is that of exponentiating every group."""
+    result is that of exponentiating every group.  The distinct columns
+    hold every value of H, so the checks read them alone."""
     h = np.asarray(hamiltonian(t_mid), dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
@@ -239,16 +252,16 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
     if h.shape[-2] != size or groups * size != dim:
         raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
                          f"the state's {dim} levels")
+    slot: dict = {}  # the bytes of a group's (T, b, b) column -> its distinct index
+    which = [slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)]
+    h = h[:, [which.index(i) for i in range(len(slot))]]
     bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not finite at t = {t_mid[np.argmax(bad)]:.6f}")
     bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-    slot: dict = {}  # the bytes of a group's (T, b, b) column -> its distinct index
-    which = [slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)]
-    u = expm_hermitian(h[:, [which.index(i) for i in range(len(slot))]], -1j * dt)
-    return u[:, which]
+    return expm_hermitian(h, -1j * dt)[:, which]
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -272,6 +285,7 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
         for first in range(0, len(u), BLOCK):
             for advance, _ in runs:
                 advance(span + first, u[first:first + BLOCK])
+        del u  # before the next span's unitaries are made
     return [finish() for _, finish in runs]
 
 
@@ -410,27 +424,47 @@ def _liouville(damping: tuple, members: int, dim: int) -> np.ndarray:
     return basis.reshape(members, dim * dim, dim * dim)
 
 
-def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray) -> np.ndarray:
-    """D+(O) for each of the (a, d, d) `observables` O, with D given by its
-    feeds and weight (see `_damping`): the (K, a, d, d) operators, one set
-    per member, with tr(D+(O) sigma) = tr(O D(sigma)).  D applies the
-    weight after the feeds, so D+ applies it first, then the feeds' adjoints
-    ee += p gg in reverse order."""
-    out = observables * weight
+def _located(entries: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The position in `entries` of each flat position of `flat`, -1 where
+    `entries` does not hold it."""
+    order = np.argsort(entries)
+    at = order[np.searchsorted(entries, flat, sorter=order).clip(max=entries.size - 1)]
+    return np.where(entries[at] == flat, at, -1)
+
+
+def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray,
+                entries: np.ndarray) -> np.ndarray:
+    """D+(O) for each of the (a, E) `observables` O, given by their values at
+    the flat positions `entries` of a d x d matrix (all d^2 of them, or a set
+    closed under the jumps, see `_support`), with D given by its feeds and
+    weight (see `_damping`): the (K, a, E) values of D+(O) there, one set
+    per member, with tr(D+(O) sigma) = tr(O D(sigma)) for every sigma that
+    vanishes off the entries.  D applies the weight after the feeds, so D+
+    applies it first, then the feeds' adjoints ee += p gg in reverse order,
+    the gg partner of an entry of the set being in the set too.  Every
+    value takes the arithmetic it takes in the whole d x d matrices."""
+    members, dim = weight.shape[0], weight.shape[-1]
+    out = observables * weight.reshape(members, 1, -1)[..., entries]
+    rows, cols = np.divmod(entries, dim)
     for mask, p in reversed(feeds):
-        v = _bits(out, mask)
-        v[..., 0, :, :, 0, :] += p * v[..., 1, :, :, 1, :]
+        ee = np.flatnonzero((rows | cols) & mask == 0)
+        out[..., ee] += p.reshape(members, 1, 1) * out[..., _located(entries, entries[ee]
+                                                                     + mask * (dim + 1))]
     return out
 
 
-def _damped(observe: Callable, single: bool) -> Callable:
-    """The public observer contract over an open run's sigma nodes (see
-    `_lindblad_run`): each block is damped in place, in the run's own
-    buffer, and handed to `observe` as (n, d, d), or (K, n, d, d) for a
-    stack."""
-    def read(first: int, sigma: np.ndarray, damping: tuple | None) -> None:
-        if damping is not None:
-            _damper(sigma, *damping)()
+def _damped(observe: Callable, single: bool, dim: int) -> Callable:
+    """The public observer contract over an open run's sigma nodes of d
+    levels (see `_lindblad_run`): each block is damped in place, in the
+    run's own buffer or, for nodes that come as their reachable entries,
+    in d x d matrices they are scattered into, and handed to `observe` as
+    (n, d, d), or (K, n, d, d) for a stack."""
+    def read(first: int, sigma: np.ndarray, reading: tuple) -> None:
+        feeds, weight, entries = reading
+        if entries is not None:
+            sigma = _scatter(sigma, entries, dim)
+        if feeds is not None:
+            _damper(sigma, feeds, weight)()
         observe(first, sigma[0] if single else sigma)
     return read
 
@@ -493,28 +527,189 @@ def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -
     return steps
 
 
+def _support(rho: np.ndarray, rates: dict, size: int) -> np.ndarray | None:
+    """The entries of sigma that split steps can reach from the (K, d, d)
+    stack rho when every step unitary is block diagonal over groups of
+    `size` levels: their flat positions in a d x d matrix, tile by tile
+    ((row group, column group) pairs in C order, each tile's b x b entries
+    in C order), or None when every entry is reachable (or none is, in an
+    empty stack).
+
+    u sigma u+ maps each tile to itself, whatever H is, so the reachable
+    tiles are rho's nonzero ones closed under the jumps alone.  A jump on a
+    bit of the group index moves tile (r, c) to (r | m, c | m) wherever that
+    bit is excited (0) in both r and c; a jump on a bit inside the groups
+    stays in its tile.  One pass over the bits closes the set, since a jump
+    only sets its bit and its condition reads no other bit."""
+    members, dim = rho.shape[0], rho.shape[-1]
+    groups = dim // size
+    tiles = np.any(rho.reshape(members, groups, size, groups, size) != 0, axis=(0, 2, 4))
+    for mask in rates:
+        if mask >= size:
+            view = _bits(tiles, mask // size)
+            view[..., 1, :, :, 1, :] |= view[..., 0, :, :, 0, :]
+    if tiles.all() or not tiles.any():
+        return None
+    rows, cols = np.nonzero(tiles)
+    level = np.arange(size)
+    return (((rows * size)[:, None, None] + level[:, None]) * dim
+            + (cols * size)[:, None, None] + level).ravel()
+
+
+def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
+    """D (see `_damping`) on the (K, E) entries of sigma at the flat
+    positions `entries`, a set closed under the jumps (see `_support`), as
+    one fixed real gather: the returned function maps x to D(x), a new flat
+    (K E,) complex array.
+
+    Feeding the bits one after another, as `_damper` does, sums into entry
+    (x, y) the entry (x - A, y - A) times the product of p over the bits A,
+    for every set A of bits that are ground (1) in both x and y; the weight
+    then multiplies the sum.  Each such term whose source lies in the set
+    is one (destination, source, coefficient) triple, and D(x) is one
+    `np.bincount` over the float view of the terms.  An entry's terms are
+    summed in the reverse of their making: those of the last fed bit
+    first, the entry's own value last.  With one fed bit that is the sum
+    `_damper` forms; with several the small terms add up before they meet
+    the large one.  Summed the other way round, open GHZ5 moved by up to
+    7.3e-14 from the feed-by-feed sums, against 5.3e-15 this way."""
+    feeds, weight = damping
+    members, count = weight.shape[0], entries.size
+    rows, cols = np.divmod(entries, dim)
+    dst = src = np.arange(count)
+    coef = np.ones((members, count))
+    for mask, p in feeds:
+        fed = np.flatnonzero(rows[src] & cols[src] & mask)
+        at = _located(entries, entries[src[fed]] - mask * (dim + 1))
+        fed, at = fed[at >= 0], at[at >= 0]  # outside the set a source is exactly 0
+        dst, src = np.concatenate([dst, dst[fed]]), np.concatenate([src, at])
+        coef = np.concatenate([coef, coef[:, fed] * p.real.reshape(members, 1)], axis=1)
+    dst, src, coef = dst[::-1], src[::-1], coef[:, ::-1]
+    weight = np.repeat(weight.reshape(members, -1)[:, entries].real, 2, axis=1).ravel()
+    # each term once for the real part and once for the imaginary part
+    src = (2 * src[:, None] + [0, 1]).ravel()
+    bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * 2 + [0, 1]).ravel()
+    coef = np.repeat(coef, 2, axis=1)
+
+    def damp(x: np.ndarray) -> np.ndarray:
+        terms = x.view(float)[:, src]
+        terms *= coef
+        out = np.bincount(bins, terms.ravel(), 2 * members * count)
+        out *= weight
+        return out.view(complex)
+    return damp
+
+
+def _support_steps(sigma: np.ndarray, first: tuple, full: tuple, buf: np.ndarray,
+                   entries: np.ndarray, size: int) -> Callable:
+    """`_grouped_steps` on the (K, E) entries of sigma at the flat positions
+    `entries` (see `_support`), node j going to buf[:, j], (K, E): D as
+    `_gathers`, by `first` at the first step and `full` after it, then
+    u sigma u+ per tile, tile (r, c) being u_r T u_c+.  In the C order of
+    the tile's entries that is one product with kron(u_r, conj(u_c)).  The
+    factors are made once per block of step unitaries for each distinct
+    (u_r, u_c) pair, groups whose unitaries hold equal bytes over the block
+    sharing theirs (a protocol step has at most two distinct blocks, so at
+    most four pairs), and gathered onto the tiles at each step."""
+    members, dim = sigma.shape[0], full[1].shape[-1]
+    tile = size * size
+    rows, cols = entries[::tile] // dim // size, entries[::tile] % dim // size
+    damp, damp_full = (_gathers(damping, entries, dim) for damping in (first, full))
+    nodes = buf.reshape(buf.shape[:2] + (-1, tile, 1))
+    factors = np.empty((rows.size, tile, tile), dtype=complex)
+
+    def steps(u: np.ndarray) -> None:
+        nonlocal damp
+        count, groups = u.shape[:2]
+        same: dict = {}  # the bytes of a group's (n, b, b) unitaries -> its first group
+        rep = np.array([same.setdefault(u[:, s].tobytes(), s) for s in range(groups)])
+        pairs, which = np.unique(rep[rows] * groups + rep[cols], return_inverse=True)
+        left, right = u[:, pairs // groups], u[:, pairs % groups].conj()
+        kron = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
+            count, pairs.size, tile, tile)
+        x = sigma
+        for j in range(count):
+            damped = damp(x).reshape(members, -1, tile, 1)
+            damp = damp_full
+            np.matmul(kron[j].take(which, axis=0, out=factors), damped, out=nodes[:, j])
+            x = buf[:, j]
+        sigma[...] = x
+    return steps
+
+
+def _scatter(nodes: np.ndarray, entries: np.ndarray, dim: int) -> np.ndarray:
+    """The (..., d, d) matrices whose entries at the flat positions `entries`
+    are the (..., E) `nodes`, zero elsewhere."""
+    out = np.zeros(nodes.shape[:-1] + (dim * dim,), dtype=complex)
+    out[..., entries] = nodes
+    return out.reshape(nodes.shape[:-1] + (dim, dim))
+
+
+def _open_form(sigma: np.ndarray, size: int, first: tuple, full: tuple, rates: dict,
+               nodes: int) -> tuple:
+    """The step form of an open run on the (K, d, d) stack sigma (C order)
+    for step unitaries over groups of `size` levels, as (steps, node buffer,
+    entries, carried state): up to DENSE levels `_dense_steps`, above it
+    `_support_steps` on sigma's reachable entries, or `_grouped_steps` when
+    every entry is reachable or a group has more than TILE levels.  The
+    dense and grouped forms carry sigma itself, in place, entries None; the
+    support form carries its (K, E) entries."""
+    members, dim = sigma.shape[0], sigma.shape[-1]
+    entries = _support(sigma, rates, size) if dim > DENSE and size <= TILE else None
+    if entries is None:
+        buf = np.empty((members, nodes, dim, dim), dtype=complex)
+        steps = (_dense_steps if dim <= DENSE else _grouped_steps)(sigma, first, full, buf)
+        return steps, buf, None, sigma
+    carried = np.ascontiguousarray(sigma.reshape(members, -1)[:, entries])
+    buf = np.empty((members, nodes, entries.size), dtype=complex)
+    return _support_steps(carried, first, full, buf, entries, size), buf, entries, carried
+
+
 def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
                   observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
     `_propagate`: the entry checks (`_check_members` on a stack, naming a
-    failing member) and node 0 happen here, advance() raises the trace gate
-    at the block that trips it, finish() the checkpoint eigenvalue gate, and
-    returns the DensityTrajectory of the final node.
+    failing member) happen here, advance() observes node 0 at the first
+    block and raises the trace gate at the block that trips it, finish()
+    the checkpoint eigenvalue gate, and returns the DensityTrajectory of the
+    final node.
 
-    `observe(first, sigma, damping)` gets node 0 as the (K, 1, d, d) stack
-    itself with damping None, then each block's (K, n, d, d) nodes sigma,
-    undamped, in one reused buffer, with damping the (feeds, weight) of
-    D(dt/2) that makes them the nodes rho (see `_damping`).  The observer
-    may overwrite the block: the run reads nothing of it after the call,
-    and the next steps overwrite it.  The trace gate reads every sigma node
-    and every damped node; only the checkpoint nodes and the final one are
-    damped, for the eigenvalue gate and the result, in copies of their own.
+    `observe(first, sigma, reading)` gets node 0 and then each block's nodes
+    sigma, undamped, in one reused buffer, with reading (feeds, weight,
+    entries).  feeds and weight are those of D(dt/2), which makes the nodes
+    rho (see `_damping`), or None for node 0, which is rho0 itself.  entries
+    is the nodes' layout: None for (K, n, d, d) matrices, else the flat
+    positions in a d x d matrix of the (K, n, E) entries each node holds,
+    every other entry being exactly 0.  The observer may overwrite the
+    block: the run reads nothing of it after the call, and the next steps
+    overwrite it.  The trace gate reads every sigma node and every damped
+    node; only the checkpoint nodes and the final one are damped, for the
+    eigenvalue gate and the result, as d x d matrices of their own.
 
-    The steps take one of two forms, chosen by d alone: up to DENSE levels
-    `_dense_steps` (three dense products, D as its compiled Liouville
-    matrices), above it `_grouped_steps` (D in place through `_damper`'s
-    views, u sigma u+ by groups).  At d = 16 the dense form measured slower,
-    its d^2 x d^2 product growing as d^4, so DENSE is 8."""
+    The steps take one of three forms (`_open_form`), chosen at the first
+    block, when the group shape (S, b) of the step unitaries is known, and
+    again, from the state reached, if a later block changes it:
+
+    * up to DENSE levels, `_dense_steps`: three dense products, D as its
+      compiled Liouville matrices.  At d = 16 that form measured slower,
+      its d^2 x d^2 product growing as d^4, so DENSE is 8;
+    * above DENSE levels, the entries reachable from the entering stack are
+      compiled (`_support`).  When some are unreachable and b is at most
+      TILE, `_support_steps` carries those E entries alone, so the node
+      buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  In effective
+      mode E is a small share of d^2: 480 of 1,024 entries at GHZ5's last
+      step, 2,336 of 16,384 at GHZ7's;
+    * otherwise `_grouped_steps`: D in place through `_damper`'s views,
+      u sigma u+ by groups.  Every dense H (S = 1) and the later
+      rotating-frame protocol steps give a full support.  On full supports
+      the support form measured 2 to 3.5 times slower (random stacks, 1,000
+      steps, 2-core guest, one BLAS thread: d = 32 with b = 2, 0.22 s
+      against 0.12 s; b = 4, 0.37 s against 0.12 s; d = 64 with b = 2,
+      1.1 s against 0.33 s), so the grouped form stays for them.  Its
+      Kronecker factors grow as b^4: with b = 8 it measured 2.1 times
+      slower than the grouped form even on a sparse support (d = 32), with
+      b = 16 8.9 times (d = 64), hence TILE = 4, the largest group of a
+      protocol step."""
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
     if single:
@@ -529,27 +724,42 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     dt = grid.dt
     half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times
-    buf = np.empty((members, min(BLOCK, grid.steps), dim, dim), dtype=complex)
-    buf[:, 0] = rho
-    observe(0, buf[:, :1], None)
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
-
-    # rho is carried in place as sigma; the first step damps by dt/2, every later one by dt
-    steps = (_dense_steps if dim <= DENSE else _grouped_steps)(rho, half, full, buf)
+    form = None  # (group shape, steps, node buffer, entries, carried state, damping read)
     final = None  # the last damped node; after the last block, the final state
 
     def advance(start: int, u: np.ndarray) -> None:
-        nonlocal drift, min_eig, final
+        nonlocal drift, min_eig, final, form
+        if form is None or form[0] != u.shape[1:]:
+            # rho is carried as sigma; the first step damps by dt/2, every later one by dt
+            if form is None:
+                sigma, first = rho, half
+            else:  # the group shape changed: the new form takes sigma over
+                _, _, _, entries, carried, _ = form
+                sigma = carried if entries is None else _scatter(carried, entries, dim)
+                first = full
+            steps, buf, entries, carried = _open_form(sigma, u.shape[-1], first, full, rates,
+                                                      min(BLOCK, grid.steps))
+            form = (u.shape[1:], steps, buf, entries, carried, half + (entries,))
+            if start == 0:
+                buf[:, 0] = carried
+                observe(0, buf[:, :1], (None, None, entries))
+        _, steps, buf, entries, _, reading = form
         steps(u)
         block = buf[:, :len(u)]
         index = np.arange(start + 1, start + len(u) + 1)
         checked = (index % check_every == 0) | (index == grid.steps)
-        damped = block[:, checked]
+        if entries is None:
+            damped = block[:, checked]
+            node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
+        else:
+            damped = _scatter(block[:, checked], entries, dim)
+            diagonal = np.flatnonzero(entries % (dim + 1) == 0)
+            node_drift = np.abs(block[..., diagonal].real.sum(axis=-1) - 1.0)
         if checked.any():
             _damper(damped, *half)()
-        node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
         node_drift[:, checked] = np.maximum(node_drift[:, checked],
                                             np.abs(damped.trace(axis1=2, axis2=3).real - 1.0))
         bad = ~(node_drift <= TOL.trace_drift_error)  # written so that nan fails it
@@ -562,7 +772,7 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
         if checked.any():
             min_eig = np.minimum(min_eig, np.linalg.eigvalsh(damped)[..., 0].min(axis=1))
             final = damped[:, -1:]
-        observe(start + 1, block, half)
+        observe(start + 1, block, reading)
 
     def finish() -> DensityTrajectory:
         if not np.all(min_eig >= -TOL.positivity_drift):  # a nan eigenvalue fails too
@@ -592,17 +802,17 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     -1e-7; a nan fails both.
     `observe(first, states)` receives node 0 and then each block's nodes,
     at most BLOCK of them, as an (n, d, d) view, (K, n, d, d) for a stack,
-    of a reused buffer (copy what you keep); with it the result holds only
-    the final node, without it every node.  A block is observed only once
-    all its steps passed the trace check; the eigenvalue check comes after
-    the last block.
+    of a buffer the propagator may reuse (copy what you keep); with it the
+    result holds only the final node, without it every node.  A block is
+    observed only once all its steps passed the trace check; the eigenvalue
+    check comes after the last block.
     """
     shape = np.shape(rho0)
     out = None
     if observe is None:
         out = np.empty(shape[:-2] + (grid.steps + 1,) + shape[-2:], dtype=complex)
         observe = _recorder(out, 2)
-    run = _lindblad_run(dissipators, rho0, grid, _damped(observe, len(shape) == 2))
+    run = _lindblad_run(dissipators, rho0, grid, _damped(observe, len(shape) == 2, shape[-1]))
     traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
     if out is not None:
         traj.times, traj.matrices = grid.times, out

@@ -75,8 +75,7 @@ from .ancillary import SubspaceLayout, build_frame
 from .dynamics import (SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
                        _heisenberg, _lindblad_run, _propagate, _schrodinger_run,
                        populations, reconstruct_evolution, von_neumann_residual)
-from .linalg import (SIGMA_MINUS, StateCheckError, dagger, embed_qubit_operator, frobenius,
-                     outer)
+from .linalg import SIGMA_MINUS, StateCheckError, embed_qubit_operator, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
 from .tolerances import TOL
@@ -549,9 +548,10 @@ def build_step_blocks(step: ProtocolStep, model: QubitModel | None,
         if mode == "effective":
             keep = n == 0
             groups, rows, cols, n = groups[keep], rows[keep], cols[keep], n[keep]
-        c = h_red[(..., *step.rep[q])]
-        h[..., groups, rows, cols] += c[..., None] * np.exp(1j * (n * j) * t[..., None])
-    h += dagger(h)
+        c = h_red[(..., *step.rep[q])][..., None] * np.exp(1j * (n * j) * t[..., None])
+        # the lines lie above the diagonal, so this is h += h+ without a copy of h
+        h[..., groups, rows, cols] += c
+        h[..., groups, cols, rows] += np.conj(c)
     embed = step.position[list(step.embed)]
     h[..., embed // size, embed % size, embed % size] += np.diagonal(h_red, axis1=-2,
                                                                    axis2=-1).real
@@ -579,11 +579,12 @@ class _Track:
     step's last node.  Stack series carry the member axis in front.
 
     The stack is read in the Heisenberg picture: its run hands over the
-    undamped nodes sigma with the damping D that makes them the nodes (see
-    `dynamics._lindblad_run`), and the track pulls the label and target
-    projectors back through D+ once per step, keeping only the entries of
-    sigma they read.  A block is then read by one gather of those entries
-    and one product."""
+    undamped nodes sigma with the damping D that makes them the nodes and
+    their layout, d x d matrices or the entries of sigma's reachable
+    support (see `dynamics._lindblad_run`), and the track pulls the label
+    and target projectors back through D+ once per step, keeping only the
+    entries of sigma they read.  A block is then read by one gather of
+    those entries and one product, in either layout."""
 
     def __init__(self, plan: ProtocolPlan):
         self.plan = plan
@@ -599,19 +600,19 @@ class _Track:
         self.step, self.skip = step, first
         self.index = step.position[self.labels]
         self.targets = np.array([step.target[step.order], self.plan.final_target[step.order]])
-        self.reader = None  # (damping, support, coefficients) of the last stack block
+        self.reader = None  # (reading, support, coefficients) of the last stack block
 
-    def __call__(self, first: int, states: np.ndarray, damping: tuple | None = None) -> None:
+    def __call__(self, first: int, states: np.ndarray, reading: tuple | None = None) -> None:
         if first < self.skip:
             return
-        if states.ndim == 2:
+        if reading is None:
             # a product-basis population is an amplitude's squared modulus;
             # the fancy index copies them out of the propagator's reused buffer
             self.pops.append(np.abs(states[..., self.index]) ** 2)
             fid_step, fid_final = populations(states, self.targets)
         else:
-            if self.reader is None or self.reader[0] is not damping:
-                self.reader = (damping,) + self._pulled_back(damping)
+            if self.reader is None or self.reader[0] is not reading:
+                self.reader = (reading,) + self._pulled_back(reading)
             _, support, coefficients = self.reader
             entries = states.reshape(states.shape[:2] + (-1,)).view(float)[..., support]
             values = entries @ coefficients   # (K, n, labels + 2)
@@ -620,19 +621,27 @@ class _Track:
         self.fid_step.append(fid_step)
         self.fid_final.append(fid_final)
 
-    def _pulled_back(self, damping: tuple | None) -> tuple:
+    def _pulled_back(self, reading: tuple) -> tuple:
         """The label and target projectors O pulled back through the damping
-        (None: none) as a real linear map of sigma: the entries it reads, as
-        indices into the float view of each flattened sigma, and their
-        coefficients in tr(D+(O) sigma), (..., entries, labels + 2)."""
-        kets = np.concatenate([np.eye(self.step.dim)[self.index], self.targets])
-        projectors = kets[:, :, None] * np.conj(kets[:, None, :])
-        if damping is not None:
-            projectors = _heisenberg(projectors, *damping)
+        of `reading`, (feeds, weight, entries) (feeds None: no damping), as a
+        real linear map of sigma: the entries it reads, as indices into the
+        float view of each flattened sigma, and their coefficients in
+        tr(D+(O) sigma), (..., entries, labels + 2).  O is formed only at
+        the flat positions `entries` that the nodes hold (None: all d^2);
+        sigma is exactly 0 elsewhere."""
+        feeds, weight, entries = reading
+        dim = self.step.dim
+        if entries is None:
+            entries = np.arange(dim * dim)
+        rows, cols = np.divmod(entries, dim)
+        kets = np.concatenate([np.eye(dim)[self.index], self.targets])
+        projectors = kets[:, rows] * np.conj(kets[:, cols])
+        if feeds is not None:
+            projectors = _heisenberg(projectors, feeds, weight, entries)
         # tr(O sigma) = sum_ij O_ji sigma_ij, and O_ji = conj(O_ij) for a
         # Hermitian O, so its real part pairs Re O_ij with Re sigma_ij and
         # Im O_ij with Im sigma_ij: the float views of O and sigma line up
-        flat = projectors.reshape(projectors.shape[:-2] + (-1,)).view(float)
+        flat = np.ascontiguousarray(projectors).view(float)
         support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
         return support, flat[..., support].swapaxes(-1, -2)
 
@@ -723,7 +732,6 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     psi = plan.initial.copy()
     rho = np.array([outer(plan.initial)] * len(stacked))
     rates = np.array([kappas[i] for i in stacked])
-    lowering = [embed_qubit_operator(SIGMA_MINUS, plan.qubits, q) for q in range(plan.qubits)]
     pure_track = _Track(plan)
     stack_track = _Track(plan)
     times_out: list[np.ndarray] = []
@@ -748,10 +756,14 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         try:
             runs = [_schrodinger_run(psi[order], grid, pure_track)] if pure else []
             if stacked:
-                dissipators = [Dissipator(op[np.ix_(order, order)], rates) for op in lowering]
-                runs.append(_lindblad_run(dissipators, rho[:, order[:, None], order], grid,
-                                          stack_track))
+                # each qubit's lowering operator in the step order; the run
+                # keeps only their bits and rates, so the d x d operators go
+                lowering = (embed_qubit_operator(SIGMA_MINUS, plan.qubits, q)[np.ix_(order, order)]
+                            for q in range(plan.qubits))
+                runs.append(_lindblad_run([Dissipator(op, rates) for op in lowering],
+                                          rho[:, order[:, None], order], grid, stack_track))
             done = _propagate(h_blocks, grid, step.dim, runs)
+            del runs  # and with them their node buffers
         except (StepSizeError, ValueError) as exc:
             # a stack failure names its member; one in H, the first run it stops
             member = getattr(exc, "member", None)

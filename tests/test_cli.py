@@ -264,8 +264,8 @@ class TestRunCommand:
                 header = fh.readline().rstrip("\n").split(",")
                 f = [float(line.split(",")[header.index("F")]) for line in fh]
             # the manifest sorts its keys; the steps run in this order
-            steps = [name for name in ("split", "convert", "raise-3", "raise-4", "raise-5")
-                     if name in run["step_fidelities"]]
+            order = ["split", "convert"] + [f"raise-{k}" for k in range(3, 8)]
+            steps = [name for name in order if name in run["step_fidelities"]]
             assert len(steps) == len(run["step_fidelities"])
             ends = [f[257 * (k + 1)] for k in range(len(steps))]
             assert [run["step_fidelities"][name] for name in steps] == ends

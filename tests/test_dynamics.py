@@ -15,7 +15,7 @@ from qpassage.dynamics import (BLOCK, SPAN, DensityTrajectory, Dissipator, StepS
                                von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
                              embed_qubit_operator, expm_hermitian, outer)
-from qpassage.protocols import QubitModel, plan_ghz
+from qpassage.protocols import QubitModel, build_step_blocks, plan_ghz
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
@@ -281,9 +281,12 @@ class TestHeisenberg:
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         rho = sigma.copy()
         dynamics._damper(rho, *damping)()
-        pulled = dynamics._heisenberg(kets[:, :, None] * np.conj(kets[:, None, :]), *damping)
-        assert pulled.shape == (members, len(kets), dim, dim)
-        got = np.einsum("kaji,knij->akn", pulled, sigma).real
+        projectors = kets[:, :, None] * np.conj(kets[:, None, :])
+        pulled = dynamics._heisenberg(projectors.reshape(len(kets), -1), *damping,
+                                      np.arange(dim * dim))
+        assert pulled.shape == (members, len(kets), dim * dim)
+        got = np.einsum("kaji,knij->akn", pulled.reshape(members, len(kets), dim, dim),
+                        sigma).real
         assert np.max(np.abs(got - populations(rho, kets))) <= 1e-15
 
 
@@ -537,6 +540,180 @@ class TestDenseSteps:
             assert len(damped) <= 2 + -(-grid.steps // BLOCK)
         else:
             assert len(damped) >= grid.steps
+
+
+def _group_hamiltonian(rng, groups, size):
+    """A random array-aware H(t) = H0 + cos(t) H1 as (len(t), S, b, b) blocks,
+    every group's block its own."""
+    a, b = (_random_complex(rng, (groups, size, size)) for _ in range(2))
+    h0, h1 = a + dagger(a), b + dagger(b)
+    return lambda t: h0 + np.cos(np.asarray(t))[..., None, None, None] * h1
+
+
+def _two_group_stack(rng, dim, size, members):
+    """Random density matrices on the levels of groups 0 and 1, whose group
+    bits are all excited but the lowest: the jumps reach only part of the
+    (row group, column group) tiles from there."""
+    rho = np.zeros((members, dim, dim), dtype=complex)
+    rho[:, :2 * size, :2 * size] = [_random_density(rng, 2 * size) for _ in range(members)]
+    return rho
+
+
+class TestSupportSteps:
+    """Above DENSE levels a stack whose jumps reach only part of its tiles
+    steps on the reachable entries alone; `_support` returning None (every
+    entry reachable) forces the grouped steps, the oracle here."""
+
+    @staticmethod
+    def _force_grouped(monkeypatch):
+        monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """The entry count of every support form made from now on."""
+        made = []
+        steps = dynamics._support_steps
+
+        def spied(sigma, first, full, buf, entries, size):
+            made.append(entries.size)
+            return steps(sigma, first, full, buf, entries, size)
+        monkeypatch.setattr(dynamics, "_support_steps", spied)
+        return made
+
+    @staticmethod
+    def _assert_close(got, want, bound=1e-14):
+        for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= bound, name
+
+    @staticmethod
+    def _random_case(qubits, size, members):
+        rng = np.random.default_rng(1000 * qubits + 10 * size + members)
+        dim = 2 ** qubits
+        return (_group_hamiltonian(rng, dim // size, size),
+                TestDenseSteps._channels(rng, qubits, members),
+                _two_group_stack(rng, dim, size, members)[0 if members == 1 else slice(None)])
+
+    @staticmethod
+    def _ghz5_steps():
+        """Each step of configs/ghz5.cfg's plan as (H blocks, channels at
+        kappa_T 0.0145 and 0.3, level order), the runner's step order."""
+        model = QubitModel(qubits=5, omega=2900.0, j_over_omega=0.1)
+        for step in plan_ghz(model).steps:
+            order = step.order
+            channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, 5, q)[np.ix_(order, order)],
+                                   np.array([0.0145, 0.3])) for q in range(5)]
+            yield (lambda t, _step=step: build_step_blocks(_step, model, t)), channels, step
+
+    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("qubits", [4, 5])
+    def test_equals_the_grouped_steps_on_random_stacks(self, monkeypatch, qubits, size,
+                                                       members):
+        h, channels, rho0 = self._random_case(qubits, size, members)
+        grid = TimeGrid(0.0, 1.0, 200)
+        made = self._spy(monkeypatch)
+        support = propagate_lindblad(h, channels, rho0, grid)
+        assert len(made) == 1 and made[0] < 4 ** qubits
+        self._force_grouped(monkeypatch)
+        self._assert_close(support, propagate_lindblad(h, channels, rho0, grid))
+        assert len(made) == 1
+
+    def test_equals_the_grouped_steps_on_every_step_of_the_ghz5_plan(self, monkeypatch):
+        made = self._spy(monkeypatch)
+        support = dynamics._support
+        grid = TimeGrid(0.0, 1.0, 200)
+        model = QubitModel(qubits=5, omega=2900.0)
+        rho = np.array([outer(plan_ghz(model).initial)] * 2)
+        for h, channels, step in self._ghz5_steps():
+            rho0 = rho[:, step.order[:, None], step.order]
+            got = propagate_lindblad(h, channels, rho0, grid)
+            monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+            self._assert_close(got, propagate_lindblad(h, channels, rho0, grid))
+            monkeypatch.setattr(dynamics, "_support", support)
+            rho = got.final[:, step.position[:, None], step.position]
+        # split, convert, raise-3 ... raise-5, each on part of its 1,024 entries
+        assert made == [16, 16, 64, 192, 480]
+
+    def test_every_nonzero_of_a_grouped_node_lies_in_the_support(self, monkeypatch):
+        support = dynamics._support
+        self._force_grouped(monkeypatch)
+        cases = [self._random_case(qubits, size, 2) for qubits in (4, 5) for size in (2, 4)]
+        cases += [(h, channels, np.array([outer(step.initial[step.order])] * 2))
+                  for h, channels, step in self._ghz5_steps()]
+        for h, channels, rho0 in cases:
+            members, dim = len(rho0), rho0.shape[-1]
+            nodes = propagate_lindblad(h, channels, rho0, TimeGrid(0.0, 1.0, 150)).matrices
+            size = np.shape(h(np.zeros(1)))[-1]
+            rates = dynamics._decay_rates(channels, dim, members)
+            entries = support(rho0.astype(complex), rates, size)
+            assert entries is not None
+            reached = np.flatnonzero(np.any(nodes.reshape(-1, dim * dim) != 0, axis=0))
+            assert np.isin(reached, entries).all()
+
+    def test_a_closure_without_one_jump_fails_the_oracle(self, monkeypatch):
+        # the gates are opened so that the comparison itself must catch it
+        monkeypatch.setattr(dynamics, "TOL", dataclasses.replace(
+            dynamics.TOL, trace_drift_error=1.0, positivity_drift=1.0))
+        h, channels, rho0 = self._random_case(4, 2, 1)
+        grid = TimeGrid(0.0, 1.0, 200)
+        want = propagate_lindblad(h, channels, rho0, grid)
+        support = dynamics._support
+        masks = [int(np.bitwise_xor(*np.nonzero(d.operator))[0]) for d in channels
+                 if np.any(d.rate > 0)]
+        dropped = max(masks)  # a bit of the group index, which moves tiles
+        assert dropped >= 2
+        monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: support(
+            rho, {m: r for m, r in rates.items() if m != dropped}, size))
+        got = propagate_lindblad(h, channels, rho0, grid)
+        assert np.max(np.abs(got.matrices - want.matrices)) > 1e-6
+
+    def test_a_change_of_group_shape_hands_sigma_over(self, monkeypatch):
+        # blocks in the first span, the same H as a dense matrix in the later
+        # ones: the run moves from the support form to the grouped one
+        h, channels, rho0 = self._random_case(4, 2, 2)
+        groups = np.arange(16).reshape(-1, 2)
+
+        def shifting(t):
+            blocks = h(t)
+            if t[0] < 0.4:
+                return blocks
+            dense = np.zeros(blocks.shape[:-3] + (16, 16), dtype=complex)
+            dense[..., groups[:, :, None], groups[:, None, :]] = blocks
+            return dense
+
+        grid = TimeGrid(0.0, 1.0, 2 * SPAN + 40)
+        made = self._spy(monkeypatch)
+        got = propagate_lindblad(shifting, channels, rho0, grid)
+        assert len(made) == 1
+        self._force_grouped(monkeypatch)
+        self._assert_close(got, propagate_lindblad(shifting, channels, rho0, grid))
+
+    def test_an_empty_stack_runs_through(self):
+        ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
+        traj = propagate_lindblad(lambda t: np.zeros(np.shape(t) + (4, 4, 4)),
+                                  [Dissipator(op, np.zeros(0)) for op in ops],
+                                  np.zeros((0, 16, 16)), TimeGrid(0.0, 1.0, 10))
+        assert traj.matrices.shape == (0, 11, 16, 16)
+
+    def test_a_member_equals_its_single_matrix_run(self):
+        rng = np.random.default_rng(5)
+        h = _group_hamiltonian(rng, 8, 2)
+        rates = rng.uniform(0.2, 2.0, size=(4, 3))
+        rates[1, 2] = 0.0
+        ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
+        rho0 = _two_group_stack(rng, 16, 2, 3)
+        rho0[2] = 0.0
+        rho0[2, :2, :2] = _random_density(rng, 2)  # a member with a smaller support
+        grid = TimeGrid(0.0, 1.0, 150)
+        stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
+                                   rho0, grid)
+        for k in range(3):
+            single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+                                        rho0[k], grid)
+            assert np.array_equal(stack.matrices[k], single.matrices)
+            assert np.array_equal(stack.final[k], single.final)
+            assert stack.trace_drift[k] == single.trace_drift
+            assert stack.min_eigenvalue[k] == single.min_eigenvalue
 
 
 class TestObserver:

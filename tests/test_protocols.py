@@ -371,7 +371,36 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert float(res.auxiliary["fidelity_final"][-1]) == 0.915873958509547
+        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585095446
+
+    def test_open_ghz6_run_holds_less_than_one_dense_block(self):
+        # its last step holds 1,088 of sigma's 4,096 entries per node; one
+        # dense (BLOCK, 64, 64) buffer of nodes alone would be 4 MiB
+        model = QubitModel(qubits=6, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
+        plan = plan_ghz(model)
+        tracemalloc.start()
+        try:
+            run_protocol(plan, model, noise=True, grid_steps=2000, compute_residual=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dynamics.BLOCK * 64 * 64 * 16
+
+    def test_the_support_read_equals_the_dense_read(self, monkeypatch):
+        # the open GHZ5 stack on its reachable entries against the grouped
+        # steps on whole matrices, series read by the same track
+        model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T)
+        plan = plan_ghz(model)
+        support = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
+                                      compute_residual=False)
+        monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+        dense = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
+                                    compute_residual=False)
+        for got, want in zip(support, dense):
+            for name in want.populations:
+                assert np.max(np.abs(got.populations[name] - want.populations[name])) <= 1e-14
+            assert np.max(np.abs(got.fidelity - want.fidelity)) <= 1e-14
+            assert np.max(np.abs(got.final_state - want.final_state)) <= 1e-14
 
     def test_an_open_run_damps_only_its_checkpoints_and_reads_no_block_densely(
             self, monkeypatch):
@@ -394,7 +423,8 @@ class TestMemory:
         monkeypatch.setattr(dynamics, "_damper", counted_damper)
         monkeypatch.setattr(np, "einsum", counted_einsum)
         run_protocol(plan, model, noise=True, grid_steps=2000, compute_residual=False)
-        # sigma's own two dampers, then the checkpoints, the last being the end
+        # at most sigma's own two dampers (the grouped steps bind them), then
+        # the checkpoints, the last being the end
         assert sum(damped) <= (dynamics.CHECKPOINTS + 2) * len(plan.steps)
         assert len(dense) == 0
 
@@ -603,3 +633,16 @@ class TestIntegratedKappas:
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError, match="decay rate must be finite and non-negative"):
             run_protocol_kappas(plan_bell(model), model, [0.0145, kappa], grid_steps=200)
+
+
+class TestGhzScaling:
+    def test_open_fidelity_falls_with_the_qubit_count_and_closed_stays_one(self):
+        # configs/ghz5.cfg's model and grid at N = 3, 4, 5
+        open_f = []
+        for n in (3, 4, 5):
+            model = QubitModel(qubits=n, omega=2900.0, j_over_omega=0.1)
+            closed, noisy = run_protocol_kappas(plan_ghz(model), model, [0.0, 0.0145],
+                                                grid_steps=2000, compute_residual=False)
+            assert abs(closed.fidelity[-1] - 1.0) <= 1e-9
+            open_f.append(noisy.fidelity[-1])
+        assert open_f[0] > open_f[1] > open_f[2]
