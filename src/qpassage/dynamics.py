@@ -20,23 +20,24 @@ commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
 propagator carries sigma = U D rho and advances it in one of three forms
-(`_open_form`), chosen from d and from the entries of sigma the run can
-reach.  Up to DENSE levels, where a step costs numpy's fixed per-call time
-rather than arithmetic, D(dt) is compiled once per propagation into its
-Liouville matrix, one d^2 x d^2 matrix per member made by applying D to the
-d^2 basis matrices, and a step is three dense products: vec(sigma) by that
-matrix, then by u and by u+ whole.  Above DENSE levels the reachable
-entries are compiled once per propagation: u is block diagonal over the
-groups of H, so u sigma u+ keeps each (row group, column group) tile of
-sigma to itself, and only the jumps move weight from tile to tile
-(`_support`).  Where they leave tiles unreached, as in effective-mode
-protocol steps, sigma is carried as its E reachable entries alone, D is one
-fixed gather over them and u sigma u+ one product per tile
-(`_support_steps`).  A full support, such as any dense H gives, is damped
-in place by D(dt) through views bound once per propagation and multiplied
-by u group by group (`_grouped_steps`, see below).  The forms agree to
-round-off.  A node rho = D(dt/2) sigma is formed only where it is needed:
-at the positivity checkpoints and the end.  Every value read from a node is
+(`_open_form`), chosen from d and, member by member, from the entries of
+sigma the run can reach.  Up to DENSE levels, where a step costs numpy's
+fixed per-call time rather than arithmetic, D(dt) is compiled once per
+propagation into its Liouville matrix, one d^2 x d^2 matrix per member made
+by applying D to the d^2 basis matrices, and a step is three dense
+products: vec(sigma) by that matrix, then by u and by u+ whole.  Above
+DENSE levels the reachable entries are compiled once per propagation: u is
+block diagonal over the groups of H, so u sigma u+ keeps each (row group,
+column group) tile of sigma to itself, and only the jumps move weight from
+tile to tile (`_support`).  Where they leave most tiles unreached (less
+than a SHARE of them), as in every protocol step that does not reach all
+of its tiles, sigma is carried as its E reachable entries alone, D is one fixed gather
+over them and u sigma u+ one product per tile (`_support_steps`).  A
+larger support, such as any dense H gives, is damped in place by D(dt)
+through views bound once per propagation and multiplied by u group by
+group (`_grouped_steps`, see below).  The forms agree to round-off.  A
+node rho = D(dt/2) sigma is formed only where it is needed: at the
+positivity checkpoints and the end.  Every value read from a node is
 linear in rho, tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull
 its observables back through the adjoint channel D+ once per propagation
 and read sigma (the Heisenberg picture, `_heisenberg`); `propagate_lindblad`
@@ -135,6 +136,7 @@ SPAN = 256  # grid intervals per Hamiltonian evaluation, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
 DENSE = 8  # largest d whose open steps take the dense form (see _lindblad_run)
 TILE = 4  # largest group of levels whose open steps may take the support form
+SHARE = 0.5  # share of reachable tiles from which open steps take the grouped form
 
 
 class StepSizeError(RuntimeError):
@@ -235,15 +237,19 @@ class SimulationResult:
     auxiliary: dict = field(default_factory=dict)
 
 
-def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: float) -> np.ndarray:
-    """exp(-i H dt) at every midpoint of `t_mid` as a (len(t_mid), S, b, b)
-    stack of blocks over S groups of b levels, S = 1 for a dense H (see the
-    module docstring); an H that is not finite or not Hermitian to 1e-10
-    (relative) raises ValueError naming its first such time.  Groups whose
-    (len(t_mid), b, b) columns hold equal bytes are exponentiated once, in
-    one call for all distinct columns; equal bytes give equal bits, so the
-    result is that of exponentiating every group.  The distinct columns
-    hold every value of H, so the checks read them alone."""
+def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
+                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H dt) at every midpoint of `t_mid` for H's blocks over S
+    groups of b levels, S = 1 for a dense H (see the module docstring), as
+    (u, which): u the (len(t_mid), C, b, b) unitaries of the C classes of
+    groups whose (len(t_mid), b, b) columns of H hold equal bytes, numbered
+    in order of first appearance, and which the (S,) class of each group,
+    so that u[:, which] holds the unitaries of every group.  Each class is
+    exponentiated once, in one call for all of them; equal bytes give equal
+    bits, so u[:, which] is what exponentiating every group gives.  An H
+    that is not finite or not Hermitian to 1e-10 (relative) raises
+    ValueError naming its first such time; the classes hold every value of
+    H, so the checks read them alone."""
     h = np.asarray(hamiltonian(t_mid), dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
@@ -253,15 +259,15 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int, dt: floa
         raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
                          f"the state's {dim} levels")
     slot: dict = {}  # the bytes of a group's (T, b, b) column -> its distinct index
-    which = [slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)]
-    h = h[:, [which.index(i) for i in range(len(slot))]]
+    which = np.array([slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)])
+    h = h[:, np.unique(which, return_index=True)[1]]
     bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not finite at t = {t_mid[np.argmax(bad)]:.6f}")
     bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-    return expm_hermitian(h, -1j * dt)[:, which]
+    return expm_hermitian(h, -1j * dt), which
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -277,14 +283,16 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
     """Advance each of `runs`, (advance, finish) pairs, over `grid` on one
     stream of step unitaries of H, whose blocks cover `dim` levels, and return
     each run's finish().  Each block of at most BLOCK of a span's unitaries
-    goes to every run in turn as advance(start, u), `start` being the grid
-    interval of u[0]; a failure in H or in any run stops them all."""
+    goes to every run in turn as advance(start, u, which), `start` being the
+    grid interval of u[0], u the unitaries of the span's classes of groups
+    and `which` the class of each group (see `_step_unitaries`); a failure
+    in H or in any run stops them all."""
     mids = grid.times[:-1] + 0.5 * grid.dt
     for span in range(0, mids.size, SPAN):
-        u = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, grid.dt)
+        u, which = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, grid.dt)
         for first in range(0, len(u), BLOCK):
             for advance, _ in runs:
-                advance(span + first, u[first:first + BLOCK])
+                advance(span + first, u[first:first + BLOCK], which)
         del u  # before the next span's unitaries are made
     return [finish() for _, finish in runs]
 
@@ -304,8 +312,9 @@ def _schrodinger_run(psi0: np.ndarray, grid: TimeGrid, observe: Callable | None 
     observe(0, buf[:1])
     drift = 0.0
 
-    def advance(start: int, u: np.ndarray) -> None:
+    def advance(start: int, u: np.ndarray, which: np.ndarray) -> None:
         nonlocal psi, drift
+        u = u[:, which]
         nodes = buf[:len(u)]
         grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
         psi = psi.reshape(grouped.shape[1:])
@@ -484,11 +493,13 @@ def _grouped_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray)
     (K, d, d) stack sigma, in place, node j going to buf[:, j]: each damps
     sigma through `_damper`'s views, by `half` (D(dt/2)) at the first step
     and `full` (D(dt)) after it, then takes u sigma u+ as two grouped
-    products of the blocks with sigma's (S, b, d) rows."""
+    products of the blocks with sigma's (S, b, d) rows, u[:, which] being
+    the unitaries of the groups (see `_step_unitaries`)."""
     damp, damp_full = (_damper(sigma[:, None], *damping) for damping in (half, full))
 
-    def steps(u: np.ndarray) -> None:
+    def steps(u: np.ndarray, which: np.ndarray) -> None:
         nonlocal damp
+        u = u[:, which]
         rows = sigma.shape[:1] + u.shape[1:3] + sigma.shape[-1:]
         for j, (step, step_conj) in enumerate(zip(u, u.conj())):
             damp()
@@ -511,8 +522,9 @@ def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -
     left = np.empty_like(sigma)
     whole = np.zeros((2, buf.shape[1], dim, dim), dtype=complex)  # u and u+ of each step
 
-    def steps(u: np.ndarray) -> None:
+    def steps(u: np.ndarray, which: np.ndarray) -> None:
         nonlocal liouville
+        u = u[:, which]
         n, groups, size = u.shape[:3]
         diagonal = whole[:, :n].reshape(2, n, groups, size, groups, size)
         for s in range(groups):
@@ -527,29 +539,34 @@ def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -
     return steps
 
 
-def _support(rho: np.ndarray, rates: dict, size: int) -> np.ndarray | None:
-    """The entries of sigma that split steps can reach from the (K, d, d)
-    stack rho when every step unitary is block diagonal over groups of
-    `size` levels: their flat positions in a d x d matrix, tile by tile
-    ((row group, column group) pairs in C order, each tile's b x b entries
-    in C order), or None when every entry is reachable (or none is, in an
-    empty stack).
+def _support(rho: np.ndarray, rates: dict, size: int) -> np.ndarray:
+    """The tiles of sigma that split steps can reach from each member of
+    the (K, d, d) stack rho when every step unitary is block diagonal over
+    groups of `size` levels: a (K, S, S) mask over the (row group, column
+    group) pairs.
 
     u sigma u+ maps each tile to itself, whatever H is, so the reachable
     tiles are rho's nonzero ones closed under the jumps alone.  A jump on a
     bit of the group index moves tile (r, c) to (r | m, c | m) wherever that
     bit is excited (0) in both r and c; a jump on a bit inside the groups
     stays in its tile.  One pass over the bits closes the set, since a jump
-    only sets its bit and its condition reads no other bit."""
+    only sets its bit and its condition reads no other bit.  A union of
+    closed sets is closed, so the members' masks together are the stack's."""
     members, dim = rho.shape[0], rho.shape[-1]
     groups = dim // size
-    tiles = np.any(rho.reshape(members, groups, size, groups, size) != 0, axis=(0, 2, 4))
+    tiles = np.any(rho.reshape(members, groups, size, groups, size) != 0, axis=(2, 4))
     for mask in rates:
         if mask >= size:
             view = _bits(tiles, mask // size)
             view[..., 1, :, :, 1, :] |= view[..., 0, :, :, 0, :]
-    if tiles.all() or not tiles.any():
-        return None
+    return tiles
+
+
+def _entries(tiles: np.ndarray, size: int) -> np.ndarray:
+    """The flat positions in a d x d matrix of the entries of the (S, S)
+    mask `tiles` of (row group, column group) pairs of `size` levels, tile
+    by tile in C order, each tile's b x b entries in C order."""
+    dim = tiles.shape[-1] * size
     rows, cols = np.nonzero(tiles)
     level = np.arange(size)
     return (((rows * size)[:, None, None] + level[:, None]) * dim
@@ -567,7 +584,9 @@ def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
     for every set A of bits that are ground (1) in both x and y; the weight
     then multiplies the sum.  Each such term whose source lies in the set
     is one (destination, source, coefficient) triple, and D(x) is one
-    `np.bincount` over the float view of the terms.  An entry's terms are
+    `np.bincount` over the float view of the terms.  A term whose source
+    is 0 adds an exact 0, so a member stepped on a larger set, as in a
+    stack, keeps the bits of its steps on its own.  An entry's terms are
     summed in the reverse of their making: those of the last fed bit
     first, the entry's own value last.  With one fed bit that is the sum
     `_damper` forms; with several the small terms add up before they meet
@@ -607,10 +626,11 @@ def _support_steps(sigma: np.ndarray, first: tuple, full: tuple, buf: np.ndarray
     `_gathers`, by `first` at the first step and `full` after it, then
     u sigma u+ per tile, tile (r, c) being u_r T u_c+.  In the C order of
     the tile's entries that is one product with kron(u_r, conj(u_c)).  The
-    factors are made once per block of step unitaries for each distinct
-    (u_r, u_c) pair, groups whose unitaries hold equal bytes over the block
-    sharing theirs (a protocol step has at most two distinct blocks, so at
-    most four pairs), and gathered onto the tiles at each step."""
+    factors are made once per block of step unitaries for each pair of
+    classes of groups the tiles hold, u holding the classes' unitaries and
+    `which` the class of each group (see `_step_unitaries`; a protocol step
+    has at most two classes, so at most four pairs), and gathered onto the
+    tiles at each step."""
     members, dim = sigma.shape[0], full[1].shape[-1]
     tile = size * size
     rows, cols = entries[::tile] // dim // size, entries[::tile] % dim // size
@@ -618,20 +638,18 @@ def _support_steps(sigma: np.ndarray, first: tuple, full: tuple, buf: np.ndarray
     nodes = buf.reshape(buf.shape[:2] + (-1, tile, 1))
     factors = np.empty((rows.size, tile, tile), dtype=complex)
 
-    def steps(u: np.ndarray) -> None:
+    def steps(u: np.ndarray, which: np.ndarray) -> None:
         nonlocal damp
-        count, groups = u.shape[:2]
-        same: dict = {}  # the bytes of a group's (n, b, b) unitaries -> its first group
-        rep = np.array([same.setdefault(u[:, s].tobytes(), s) for s in range(groups)])
-        pairs, which = np.unique(rep[rows] * groups + rep[cols], return_inverse=True)
-        left, right = u[:, pairs // groups], u[:, pairs % groups].conj()
+        count, classes = u.shape[:2]
+        pairs, pair = np.unique(which[rows] * classes + which[cols], return_inverse=True)
+        left, right = u[:, pairs // classes], u[:, pairs % classes].conj()
         kron = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
             count, pairs.size, tile, tile)
         x = sigma
         for j in range(count):
             damped = damp(x).reshape(members, -1, tile, 1)
             damp = damp_full
-            np.matmul(kron[j].take(which, axis=0, out=factors), damped, out=nodes[:, j])
+            np.matmul(kron[j].take(pair, axis=0, out=factors), damped, out=nodes[:, j])
             x = buf[:, j]
         sigma[...] = x
     return steps
@@ -645,24 +663,73 @@ def _scatter(nodes: np.ndarray, entries: np.ndarray, dim: int) -> np.ndarray:
     return out.reshape(nodes.shape[:-1] + (dim, dim))
 
 
+def _members(damping: tuple, which: np.ndarray) -> tuple:
+    """The damping (see `_damping`) of the members `which` of a stack."""
+    feeds, weight = damping
+    return [(mask, p[which]) for mask, p in feeds], weight[which]
+
+
 def _open_form(sigma: np.ndarray, size: int, first: tuple, full: tuple, rates: dict,
                nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
     for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries, carried state): up to DENSE levels `_dense_steps`, above it
-    `_support_steps` on sigma's reachable entries, or `_grouped_steps` when
-    every entry is reachable or a group has more than TILE levels.  The
-    dense and grouped forms carry sigma itself, in place, entries None; the
-    support form carries its (K, E) entries."""
+    entries, state): up to DENSE levels `_dense_steps`; above it each member
+    takes the form its own run would, `_support_steps` when its groups have
+    at most TILE levels and its reachable tiles (`_support`) are less than
+    a SHARE of all, `_grouped_steps` otherwise.  The support form steps its
+    members on the union of their reachable entries, which holds theirs to
+    the bits of their own runs (see `_gathers`).  With members of both
+    forms each form steps its own members and their nodes meet as d x d
+    matrices.  The nodes come as (K, n, d, d) matrices, entries None, or,
+    when every member takes the support form, as their (K, n, E) entries at
+    the flat positions `entries`.  state() gives the (K, d, d) sigma the
+    steps have reached."""
     members, dim = sigma.shape[0], sigma.shape[-1]
-    entries = _support(sigma, rates, size) if dim > DENSE and size <= TILE else None
-    if entries is None:
+    sparse = np.zeros(members, dtype=bool)
+    if dim > DENSE and size <= TILE:
+        tiles = _support(sigma, rates, size)
+        sparse = tiles.mean(axis=(1, 2)) < SHARE
+    if not sparse.any():
         buf = np.empty((members, nodes, dim, dim), dtype=complex)
         steps = (_dense_steps if dim <= DENSE else _grouped_steps)(sigma, first, full, buf)
-        return steps, buf, None, sigma
-    carried = np.ascontiguousarray(sigma.reshape(members, -1)[:, entries])
-    buf = np.empty((members, nodes, entries.size), dtype=complex)
-    return _support_steps(carried, first, full, buf, entries, size), buf, entries, carried
+        return steps, buf, None, lambda: sigma
+    entries = _entries(tiles[sparse].any(axis=0), size)
+    carried = np.ascontiguousarray(sigma[sparse].reshape(-1, dim * dim)[:, entries])
+    buf = np.empty((len(carried), nodes, entries.size), dtype=complex)
+    steps = _support_steps(carried, _members(first, sparse), _members(full, sparse), buf,
+                           entries, size)
+    if sparse.all():
+        return steps, buf, entries, lambda: _scatter(carried, entries, dim)
+    rest = sigma[~sparse]
+    rest_buf = np.empty((len(rest), nodes, dim, dim), dtype=complex)
+    rest_steps = _grouped_steps(rest, _members(first, ~sparse), _members(full, ~sparse),
+                                rest_buf)
+    whole = np.empty((members, nodes, dim, dim), dtype=complex)
+
+    def both(u: np.ndarray, which: np.ndarray) -> None:
+        steps(u, which)
+        rest_steps(u, which)
+        whole[sparse, :len(u)] = _scatter(buf[:, :len(u)], entries, dim)
+        whole[~sparse, :len(u)] = rest_buf[:, :len(u)]
+
+    def state() -> np.ndarray:
+        out = np.empty_like(sigma)
+        out[sparse], out[~sparse] = _scatter(carried, entries, dim), rest
+        return out
+    return both, whole, None, state
+
+
+def _traces(nodes: np.ndarray, entries: np.ndarray | None, dim: int) -> np.ndarray:
+    """The real part of the trace of each of the (K, n) nodes, given as d x d
+    matrices (entries None) or by their entries at the flat positions
+    `entries`: the diagonal summed as d complex numbers in both layouts,
+    zeros included, so a node has the same trace in either."""
+    if entries is None:
+        return nodes.trace(axis1=2, axis2=3).real
+    on = np.flatnonzero(entries % (dim + 1) == 0)
+    diagonal = np.zeros(nodes.shape[:-1] + (dim,), dtype=complex)
+    diagonal[..., entries[on] // (dim + 1)] = nodes[..., on]
+    return diagonal.sum(axis=-1).real
 
 
 def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
@@ -693,23 +760,37 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     * up to DENSE levels, `_dense_steps`: three dense products, D as its
       compiled Liouville matrices.  At d = 16 that form measured slower,
       its d^2 x d^2 product growing as d^4, so DENSE is 8;
-    * above DENSE levels, the entries reachable from the entering stack are
-      compiled (`_support`).  When some are unreachable and b is at most
-      TILE, `_support_steps` carries those E entries alone, so the node
+    * above DENSE levels, the tiles each member can reach are compiled
+      (`_support`).  A member that reaches less than a SHARE of them, in
+      groups of at most TILE levels, takes `_support_steps`, which carries
+      the E entries of the tiles such members reach alone, so the node
       buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  In effective
       mode E is a small share of d^2: 480 of 1,024 entries at GHZ5's last
       step, 2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
-      u sigma u+ by groups.  Every dense H (S = 1) and the later
-      rotating-frame protocol steps give a full support.  On full supports
-      the support form measured 2 to 3.5 times slower (random stacks, 1,000
-      steps, 2-core guest, one BLAS thread: d = 32 with b = 2, 0.22 s
-      against 0.12 s; b = 4, 0.37 s against 0.12 s; d = 64 with b = 2,
-      1.1 s against 0.33 s), so the grouped form stays for them.  Its
-      Kronecker factors grow as b^4: with b = 8 it measured 2.1 times
-      slower than the grouped form even on a sparse support (d = 32), with
-      b = 16 8.9 times (d = 64), hence TILE = 4, the largest group of a
-      protocol step."""
+      u sigma u+ by groups.  Every dense H (S = 1) and the last
+      rotating-frame protocol step reach every tile.
+
+    The choice is made per member, so that a member of a stack takes the
+    form of its own run, to its bits; a stack whose members take both forms
+    steps each form's members apart.  SHARE = 1/2 is measured (2-core
+    guest, one BLAS thread, one rate, grid 2000, medians of 5 runs, the
+    support form against the grouped one forced on the same step).  Every
+    protocol step that does not reach all its tiles stays below 1/2 and
+    measured faster in the support form: effective GHZ5, at E/d^2 = 0.016,
+    0.016, 0.063, 0.19 and 0.47, 53, 49, 59, 72 and 95 ms against 120,
+    129, 127, 151 and 128; the last steps of effective GHZ6 (0.27) and
+    GHZ7 (0.14), 267 against 407 ms and 524 against 893; rotating-frame
+    GHZ4 to GHZ6, whose steps reach 1/4 of their tiles or fewer and then
+    all of them, up to 0.25 of 64 x 64, 178 against 334 ms.  On random
+    density matrices whose tiles were closed under the jumps (d = 32 and 64,
+    b = 2 and 4), the support form measured slower from E/d^2 of about 0.2
+    to 0.4 on, and at 1/2 and above in every case, 1.05 to 5.8 times; the
+    more classes of group unitaries and the larger d or b, the earlier.  Its
+    Kronecker factors grow as b^4: with b = 8 it measured 2.1 times slower
+    than the grouped form even on a sparse support (d = 32), with b = 16
+    8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
+    step."""
     rho0 = np.asarray(rho0)
     single = rho0.ndim == 2
     if single:
@@ -727,37 +808,30 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
-    form = None  # (group shape, steps, node buffer, entries, carried state, damping read)
+    form = None  # (group shape, steps, node buffer, entries, state, damping read)
     final = None  # the last damped node; after the last block, the final state
 
-    def advance(start: int, u: np.ndarray) -> None:
+    def advance(start: int, u: np.ndarray, which: np.ndarray) -> None:
         nonlocal drift, min_eig, final, form
-        if form is None or form[0] != u.shape[1:]:
+        shape = (len(which),) + u.shape[2:]  # S groups of b x b blocks
+        if form is None or form[0] != shape:
             # rho is carried as sigma; the first step damps by dt/2, every later one by dt
-            if form is None:
-                sigma, first = rho, half
-            else:  # the group shape changed: the new form takes sigma over
-                _, _, _, entries, carried, _ = form
-                sigma = carried if entries is None else _scatter(carried, entries, dim)
-                first = full
-            steps, buf, entries, carried = _open_form(sigma, u.shape[-1], first, full, rates,
-                                                      min(BLOCK, grid.steps))
-            form = (u.shape[1:], steps, buf, entries, carried, half + (entries,))
+            # (after a change of group shape the new form takes sigma over)
+            sigma, first = (rho, half) if form is None else (form[4](), full)
+            steps, buf, entries, state = _open_form(sigma, u.shape[-1], first, full, rates,
+                                                    min(BLOCK, grid.steps))
+            form = (shape, steps, buf, entries, state, half + (entries,))
             if start == 0:
-                buf[:, 0] = carried
+                buf[:, 0] = rho if entries is None else rho.reshape(members, -1)[:, entries]
                 observe(0, buf[:, :1], (None, None, entries))
         _, steps, buf, entries, _, reading = form
-        steps(u)
+        steps(u, which)
         block = buf[:, :len(u)]
         index = np.arange(start + 1, start + len(u) + 1)
         checked = (index % check_every == 0) | (index == grid.steps)
-        if entries is None:
-            damped = block[:, checked]
-            node_drift = np.abs(block.trace(axis1=2, axis2=3).real - 1.0)
-        else:
-            damped = _scatter(block[:, checked], entries, dim)
-            diagonal = np.flatnonzero(entries % (dim + 1) == 0)
-            node_drift = np.abs(block[..., diagonal].real.sum(axis=-1) - 1.0)
+        node_drift = np.abs(_traces(block, entries, dim) - 1.0)
+        damped = block[:, checked] if entries is None else _scatter(block[:, checked], entries,
+                                                                   dim)
         if checked.any():
             _damper(damped, *half)()
         node_drift[:, checked] = np.maximum(node_drift[:, checked],

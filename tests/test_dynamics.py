@@ -76,7 +76,8 @@ class TestSchrodinger:
 
 class TestDistinctBlocks:
     """`_step_unitaries` exponentiates each distinct group of an H stack once
-    and must give the bits of exponentiating every group."""
+    and must give the bits of exponentiating every group, with the class of
+    each group."""
 
     @staticmethod
     def _unitaries(monkeypatch, h, times):
@@ -96,17 +97,18 @@ class TestDistinctBlocks:
         rng = np.random.default_rng(len(classes))
         a = _random_complex(rng, (5, max(classes) + 1, 4, 4))
         h = (a + dagger(a))[:, classes]
-        u, seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 5))
-        assert np.array_equal(u, expm_hermitian(h, -0.01j))
-        assert seen == [max(classes) + 1]
+        (u, which), seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 5))
+        assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j))
+        assert seen == [max(classes) + 1] and which.tolist() == classes
 
     def test_a_negative_zero_keeps_its_group_apart(self, monkeypatch):
         rng = np.random.default_rng(3)
         a = _random_complex(rng, (4, 1, 2, 2))
         h = np.concatenate([a + dagger(a)] * 2, axis=1)
         h.imag[:, 1, [0, 1], [0, 1]] = -0.0  # equal values, other bytes
-        u, seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 4))
-        assert np.array_equal(u, expm_hermitian(h, -0.01j)) and seen == [2]
+        (u, which), seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 4))
+        assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j)) and seen == [2]
+        assert which.tolist() == [0, 1]
 
     @pytest.mark.parametrize("flaw, message", [(np.nan, "finite"), (1.0, "Hermitian")])
     def test_a_flaw_in_a_later_group_names_its_first_time(self, flaw, message):
@@ -560,13 +562,13 @@ def _two_group_stack(rng, dim, size, members):
 
 
 class TestSupportSteps:
-    """Above DENSE levels a stack whose jumps reach only part of its tiles
-    steps on the reachable entries alone; `_support` returning None (every
-    entry reachable) forces the grouped steps, the oracle here."""
+    """Above DENSE levels a member whose jumps reach less than a SHARE of its
+    tiles steps on the reachable entries alone; SHARE 0 forces the grouped
+    steps, the oracle here."""
 
     @staticmethod
     def _force_grouped(monkeypatch):
-        monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+        monkeypatch.setattr(dynamics, "SHARE", 0.0)
 
     @staticmethod
     def _spy(monkeypatch) -> list:
@@ -612,6 +614,7 @@ class TestSupportSteps:
         h, channels, rho0 = self._random_case(qubits, size, members)
         grid = TimeGrid(0.0, 1.0, 200)
         made = self._spy(monkeypatch)
+        monkeypatch.setattr(dynamics, "SHARE", 2.0)  # at d = 16, b = 4 the share is 1/2
         support = propagate_lindblad(h, channels, rho0, grid)
         assert len(made) == 1 and made[0] < 4 ** qubits
         self._force_grouped(monkeypatch)
@@ -620,16 +623,16 @@ class TestSupportSteps:
 
     def test_equals_the_grouped_steps_on_every_step_of_the_ghz5_plan(self, monkeypatch):
         made = self._spy(monkeypatch)
-        support = dynamics._support
+        share = dynamics.SHARE
         grid = TimeGrid(0.0, 1.0, 200)
         model = QubitModel(qubits=5, omega=2900.0)
         rho = np.array([outer(plan_ghz(model).initial)] * 2)
         for h, channels, step in self._ghz5_steps():
             rho0 = rho[:, step.order[:, None], step.order]
             got = propagate_lindblad(h, channels, rho0, grid)
-            monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+            self._force_grouped(monkeypatch)
             self._assert_close(got, propagate_lindblad(h, channels, rho0, grid))
-            monkeypatch.setattr(dynamics, "_support", support)
+            monkeypatch.setattr(dynamics, "SHARE", share)
             rho = got.final[:, step.position[:, None], step.position]
         # split, convert, raise-3 ... raise-5, each on part of its 1,024 entries
         assert made == [16, 16, 64, 192, 480]
@@ -645,8 +648,9 @@ class TestSupportSteps:
             nodes = propagate_lindblad(h, channels, rho0, TimeGrid(0.0, 1.0, 150)).matrices
             size = np.shape(h(np.zeros(1)))[-1]
             rates = dynamics._decay_rates(channels, dim, members)
-            entries = support(rho0.astype(complex), rates, size)
-            assert entries is not None
+            tiles = support(rho0.astype(complex), rates, size).any(axis=0)
+            assert not tiles.all()
+            entries = dynamics._entries(tiles, size)
             reached = np.flatnonzero(np.any(nodes.reshape(-1, dim * dim) != 0, axis=0))
             assert np.isin(reached, entries).all()
 
@@ -667,10 +671,14 @@ class TestSupportSteps:
         got = propagate_lindblad(h, channels, rho0, grid)
         assert np.max(np.abs(got.matrices - want.matrices)) > 1e-6
 
-    def test_a_change_of_group_shape_hands_sigma_over(self, monkeypatch):
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_change_of_group_shape_hands_sigma_over(self, monkeypatch, mixed):
         # blocks in the first span, the same H as a dense matrix in the later
-        # ones: the run moves from the support form to the grouped one
+        # ones: the run moves from the support form to the grouped one; a
+        # mixed stack's first member reaches every tile and steps grouped
         h, channels, rho0 = self._random_case(4, 2, 2)
+        if mixed:
+            rho0[0] = _random_density(np.random.default_rng(9), 16)
         groups = np.arange(16).reshape(-1, 2)
 
         def shifting(t):
@@ -695,7 +703,11 @@ class TestSupportSteps:
                                   np.zeros((0, 16, 16)), TimeGrid(0.0, 1.0, 10))
         assert traj.matrices.shape == (0, 11, 16, 16)
 
-    def test_a_member_equals_its_single_matrix_run(self):
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_member_equals_its_single_matrix_run(self, monkeypatch, mixed):
+        # members 1 and 2 reach 16 of the 64 tiles each, 24 together, and
+        # take the support form on the entries either reaches; member 0
+        # reaches member 1's tiles, or, mixed, all of them and steps grouped
         rng = np.random.default_rng(5)
         h = _group_hamiltonian(rng, 8, 2)
         rates = rng.uniform(0.2, 2.0, size=(4, 3))
@@ -703,17 +715,54 @@ class TestSupportSteps:
         ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
         rho0 = _two_group_stack(rng, 16, 2, 3)
         rho0[2] = 0.0
-        rho0[2, :2, :2] = _random_density(rng, 2)  # a member with a smaller support
+        levels = np.array([0, 1, 4, 5])  # groups 0 and 2
+        rho0[2, levels[:, None], levels] = _random_density(rng, 4)
+        if mixed:
+            rho0[0] = _random_density(rng, 16)
         grid = TimeGrid(0.0, 1.0, 150)
+        made, grouped = self._spy(monkeypatch), []
+        steps = dynamics._grouped_steps
+
+        def spied(sigma, first, full, buf):
+            grouped.append(len(sigma))
+            return steps(sigma, first, full, buf)
+        monkeypatch.setattr(dynamics, "_grouped_steps", spied)
+        stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
+                                   rho0, grid)
+        assert made == [24 * 4] and grouped == ([1] if mixed else [])
+        forms = []
+        for k in range(3):
+            before = (len(made), len(grouped))
+            single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+                                        rho0[k], grid)
+            forms.append((made[before[0]:], grouped[before[1]:]))
+            assert np.array_equal(stack.matrices[k], single.matrices)
+            assert np.array_equal(stack.final[k], single.final)
+            assert stack.trace_drift[k] == single.trace_drift
+            assert stack.min_eigenvalue[k] == single.min_eigenvalue
+        assert forms == [([], [1]) if mixed else ([64], []), ([64], []), ([64], [])]
+
+    def test_a_mixed_member_keeps_the_trace_drift_of_its_own_run(self):
+        # in a mixed stack a support member's nodes are d x d matrices, in
+        # its own run its entries: the trace must sum the same d numbers
+        rng = np.random.default_rng(1)
+        h = _group_hamiltonian(rng, 16, 2)
+        rates = rng.uniform(0.2, 2.0, size=(5, 3))
+        ops = [embed_qubit_operator(SIGMA_MINUS, 5, q) for q in range(5)]
+        rho0 = np.zeros((3, 32, 32), dtype=complex)
+        rho0[0] = _random_density(rng, 32)
+        for k in (1, 2):
+            groups = rng.choice(16, rng.integers(1, 4), replace=False)
+            levels = (groups[:, None] * 2 + np.arange(2)).ravel()
+            rho0[k][np.ix_(levels, levels)] = _random_density(rng, levels.size)
+        grid = TimeGrid(0.0, 1.0, 100)
         stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
                                    rho0, grid)
         for k in range(3):
             single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
                                         rho0[k], grid)
-            assert np.array_equal(stack.matrices[k], single.matrices)
             assert np.array_equal(stack.final[k], single.final)
             assert stack.trace_drift[k] == single.trace_drift
-            assert stack.min_eigenvalue[k] == single.min_eigenvalue
 
 
 class TestObserver:

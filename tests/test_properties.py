@@ -189,5 +189,8 @@ def test_step_exponentials_equal_those_of_every_group(classes, size, nodes, seed
     for group in np.flatnonzero(signed[:len(classes)]):
         h.imag[:, group, diagonal, diagonal] = -0.0  # an equal block in other bytes
     times = np.linspace(0.0, 1.0, nodes)
-    u = _step_unitaries(lambda t: h, times, len(classes) * size, 0.01)
-    assert np.array_equal(u, expm_hermitian(h, -0.01j))
+    u, which = _step_unitaries(lambda t: h, times, len(classes) * size, 0.01)
+    assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j))
+    # one class per distinct column of bytes, numbered in order of first appearance
+    columns = [h[:, s].tobytes() for s in range(len(classes))]
+    assert which.tolist() == [list(dict.fromkeys(columns)).index(c) for c in columns]

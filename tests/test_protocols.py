@@ -373,11 +373,19 @@ class TestMemory:
         assert peak < 16 * 2 ** 20
         assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585095446
 
-    def test_open_ghz6_run_holds_less_than_one_dense_block(self):
+    def test_open_ghz6_run_holds_less_than_one_dense_block(self, monkeypatch):
         # its last step holds 1,088 of sigma's 4,096 entries per node; one
         # dense (BLOCK, 64, 64) buffer of nodes alone would be 4 MiB
         model = QubitModel(qubits=6, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
         plan = plan_ghz(model)
+        buffers = []
+        open_form = dynamics._open_form
+
+        def spied(*args):
+            form = open_form(*args)
+            buffers.append(form[1].shape)
+            return form
+        monkeypatch.setattr(dynamics, "_open_form", spied)
         tracemalloc.start()
         try:
             run_protocol(plan, model, noise=True, grid_steps=2000, compute_residual=False)
@@ -385,6 +393,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < dynamics.BLOCK * 64 * 64 * 16
+        # each step's node buffer is (K, BLOCK, E), on part of the 4,096 entries
+        assert buffers == [(1, dynamics.BLOCK, entries)
+                           for entries in (16, 16, 64, 192, 480, 1088)]
 
     def test_the_support_read_equals_the_dense_read(self, monkeypatch):
         # the open GHZ5 stack on its reachable entries against the grouped
@@ -393,7 +404,7 @@ class TestMemory:
         plan = plan_ghz(model)
         support = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
                                       compute_residual=False)
-        monkeypatch.setattr(dynamics, "_support", lambda rho, rates, size: None)
+        monkeypatch.setattr(dynamics, "SHARE", 0.0)
         dense = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
                                     compute_residual=False)
         for got, want in zip(support, dense):
