@@ -63,18 +63,23 @@ array of times and returns its matrices there, in one of two forms.  A
 consecutive groups of b levels of the state (S b = d): block s acts on
 levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
 stack is the S = 1 case of the same contract, and a time-independent (d, d)
-matrix is broadcast.  The propagators call it once per span of SPAN grid
+matrix is broadcast.  The propagators call it once per span of grid
 intervals, at the interval midpoints, so the fields behind H are evaluated
-on whole arrays, and exponentiate each distinct block once per span: groups
+on whole arrays.  A span is 2 SPAN = 512 intervals up to DENSE levels,
+where it costs numpy's fixed per-call time rather than arithmetic, and
+SPAN = 256 above, where the longer span's arrays would outweigh that
+(`_span`).  Each distinct block is exponentiated once per span: groups
 whose b-by-b blocks hold the same bytes at every time of the span are
 exponentiated once for all of them, which gives the bits of exponentiating
 every group (a protocol step's d/b spectator groups hold at most two
-distinct blocks).  H is taken at the same midpoints whatever the span, so
-SPAN moves no bit of a result.  Closed runs advance the state group by
-group; open runs take u rho u+ as two grouped products of (b, b) blocks by
-(b, d) rows, as one Kronecker product per reachable tile, or, up to DENSE
-levels, with dense u and u+ scattered from the blocks once per block of
-steps.
+distinct blocks), and a class of groups whose blocks are 0 throughout gets
+the identity without an exponential.  Two-level blocks take the closed
+form of `expm_hermitian`.  H is taken at the same midpoints whatever the
+span, so the span moves no bit of a result.  Closed runs advance the state
+group by group; open runs take u rho u+ as two grouped products of (b, b)
+blocks by (b, d) rows, as one Kronecker product per reachable tile, or, up
+to DENSE levels, with dense u and u+ scattered from the blocks once per
+block of steps.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
 H in the same two forms.  Both propagators reject an H that is not finite
@@ -88,8 +93,8 @@ one protocol step hands the next, that is the only check.
 
 Neither propagator keeps the trajectory itself.  Each hands the nodes it
 computes to an observer, `observe(first, states)`, called once with node 0
-and then once per block of at most BLOCK nodes (SPAN / BLOCK blocks per
-span) with that block's nodes, `first` being the grid index of the first
+and then once per block of at most BLOCK nodes (a span holds 4 or 8
+blocks) with that block's nodes, `first` being the grid index of the first
 of them; the indices cover 0 ... steps once each, in order.
 `states` is a view of a buffer the propagator reuses, shape (n, d) for a
 pure state, (n, d, d) for one density matrix and (K, n, d, d) for a stack,
@@ -132,9 +137,9 @@ __all__ = [
 
 
 BLOCK = 64  # grid nodes per state block handed to an observer
-SPAN = 256  # grid intervals per Hamiltonian evaluation, a multiple of BLOCK
+SPAN = 256  # grid intervals per H evaluation above DENSE levels, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
-DENSE = 8  # largest d whose open steps take the dense form (see _lindblad_run)
+DENSE = 8  # largest d whose open steps take the dense form and whose spans are 2 SPAN
 TILE = 4  # largest group of levels whose open steps may take the support form
 SHARE = 0.5  # share of reachable tiles from which open steps take the grouped form
 
@@ -237,6 +242,14 @@ class SimulationResult:
     auxiliary: dict = field(default_factory=dict)
 
 
+def _span(dim: int) -> int:
+    """Grid intervals per Hamiltonian evaluation for a state of `dim`
+    levels: 2 SPAN up to DENSE levels, where a span costs numpy's fixed
+    per-call time rather than arithmetic, SPAN above (see the module
+    docstring)."""
+    return 2 * SPAN if dim <= DENSE else SPAN
+
+
 def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
                     dt: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H dt) at every midpoint of `t_mid` for H's blocks over S
@@ -249,7 +262,10 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
     bits, so u[:, which] is what exponentiating every group gives.  An H
     that is not finite or not Hermitian to 1e-10 (relative) raises
     ValueError naming its first such time; the classes hold every value of
-    H, so the checks read them alone."""
+    H, so the checks read them alone, before any exponential.  A class
+    whose blocks are 0 at every time (half the groups of an effective-mode
+    raise step) is idle: its unitaries are the identity, the bits the
+    exponential gives, and none is computed."""
     h = np.asarray(hamiltonian(t_mid), dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
@@ -267,7 +283,11 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
     bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
     if np.any(bad):
         raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
-    return expm_hermitian(h, -1j * dt), which
+    idle = ~h.any(axis=(0, 2, 3))
+    u = np.empty(h.shape, dtype=complex)
+    u[:, idle] = np.eye(size)
+    u[:, ~idle] = expm_hermitian(h[:, ~idle], -1j * dt)
+    return u, which
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -288,8 +308,9 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
     and `which` the class of each group (see `_step_unitaries`); a failure
     in H or in any run stops them all."""
     mids = grid.times[:-1] + 0.5 * grid.dt
-    for span in range(0, mids.size, SPAN):
-        u, which = _step_unitaries(hamiltonian, mids[span:span + SPAN], dim, grid.dt)
+    length = _span(dim)
+    for span in range(0, mids.size, length):
+        u, which = _step_unitaries(hamiltonian, mids[span:span + length], dim, grid.dt)
         for first in range(0, len(u), BLOCK):
             for advance, _ in runs:
                 advance(span + first, u[first:first + BLOCK], which)
@@ -337,9 +358,10 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
                           observe: Callable | None = None) -> StateTrajectory:
     """Midpoint-exponential propagation of a pure state.
 
-    H is evaluated at the interval midpoints, one span of SPAN of them per
-    call, as a dense matrix or as its blocks over S consecutive groups of the
-    state's levels (see the module docstring for the callable's contract).
+    H is evaluated at the interval midpoints, one span of them per call,
+    as a dense matrix or as its blocks over S consecutive groups of the
+    state's levels (see the module docstring for the span and the
+    callable's contract).
     It must be Hermitian to 1e-10 (relative); each step exponentiates the
     S blocks and advances psi group by group, so the propagator is unitary
     up to round-off and norm drift only reflects accumulated floating-point
@@ -732,11 +754,11 @@ def _traces(nodes: np.ndarray, entries: np.ndarray | None, dim: int) -> np.ndarr
     return diagonal.sum(axis=-1).real
 
 
-def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGrid,
-                  observe: Callable) -> tuple:
+def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
-    `_propagate`: the entry checks (`_check_members` on a stack, naming a
-    failing member) happen here, advance() observes node 0 at the first
+    `_propagate`, its channels given as `_decay_rates` gives them,
+    {mask: (K,) rate}: the entry checks (`_check_members` on a stack, naming
+    a failing member) happen here, advance() observes node 0 at the first
     block and raises the trace gate at the block that trips it, finish()
     the checkpoint eigenvalue gate, and returns the DensityTrajectory of the
     final node.
@@ -801,7 +823,6 @@ def _lindblad_run(dissipators: list[Dissipator], rho0: np.ndarray, grid: TimeGri
     else:
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
     members, dim = rho.shape[0], rho.shape[-1]
-    rates = _decay_rates(dissipators, dim, members)
     dt = grid.dt
     half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times
@@ -868,7 +889,7 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     every channel's operator must be a qubit lowering operator |g><e|
     embedded in the d levels, in any bit order; any other operator raises
     ValueError naming its channel (see the module docstring).  H is
-    evaluated once per span of SPAN intervals, at their midpoints, for all
+    evaluated once per span of intervals, at their midpoints, for all
     members at once, as a dense matrix or as its blocks over S consecutive
     groups of the levels, and must be Hermitian to 1e-10 (relative).  Raises
     :class:`StepSizeError` when a member's trace drifts by more than 1e-6 or
@@ -886,7 +907,8 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     if observe is None:
         out = np.empty(shape[:-2] + (grid.steps + 1,) + shape[-2:], dtype=complex)
         observe = _recorder(out, 2)
-    run = _lindblad_run(dissipators, rho0, grid, _damped(observe, len(shape) == 2, shape[-1]))
+    rates = _decay_rates(dissipators, shape[-1], 1 if len(shape) == 2 else shape[0])
+    run = _lindblad_run(rates, rho0, grid, _damped(observe, len(shape) == 2, shape[-1]))
     traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
     if out is not None:
         traj.times, traj.matrices = grid.times, out

@@ -47,12 +47,15 @@ product-basis matrix for the step-consistency check and the public API.
 
 The runner carries the states into each step's order at the step's start
 and back at its end.  Each step is one propagation (`dynamics._propagate`):
-it evaluates and exponentiates the blocks once per span of SPAN grid
-intervals and advances the closed run and the open stack on that one stream
-of step unitaries.  For the passage residual the runner takes H's groups
-and the passage vectors, in the step order, once per span of SPAN nodes,
-and evaluates the residual's closed form on the whole span, so that pass
-holds O(SPAN d b) numbers.  It stores no trajectory: its observer reads
+it evaluates and exponentiates the blocks once per span of grid intervals
+(512 up to d = 8, 256 above, `dynamics._span`) and advances the closed run
+and the open stack on that one stream of step unitaries.  The open stack
+takes each qubit's decay as the bit of the step-order level index it
+flips and its rates (`_decay_channels`), never as a d x d operator.  For
+the passage residual the runner takes H's groups and the passage vectors,
+in the step order, once per span of as many nodes, and evaluates the
+residual's closed form on the whole span, so that pass holds O(span d b)
+numbers.  It stores no trajectory: its observer reads
 the label populations and both fidelities out of each block the runs hand
 it, the open stack's in the Heisenberg picture (see `_Track`), and a
 step's record takes its fidelity from that series at the step's last node.
@@ -72,10 +75,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (SPAN, Dissipator, SimulationResult, StepSizeError, TimeGrid,
-                       _heisenberg, _lindblad_run, _propagate, _schrodinger_run,
-                       populations, reconstruct_evolution, von_neumann_residual)
-from .linalg import SIGMA_MINUS, StateCheckError, embed_qubit_operator, frobenius, outer
+from .dynamics import (SimulationResult, StepSizeError, TimeGrid, _heisenberg, _lindblad_run,
+                       _propagate, _schrodinger_run, _span, populations,
+                       reconstruct_evolution, von_neumann_residual)
+from .linalg import StateCheckError, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
 from .synthesis import assemble_hamiltonian, generated_phases, synthesize_general
 from .tolerances import TOL
@@ -677,6 +680,17 @@ def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:
     return exc
 
 
+def _decay_channels(step: ProtocolStep, rates: np.ndarray) -> dict:
+    """Every qubit's lowering channel at the (K,) `rates`, in the step order,
+    as `dynamics._decay_rates` reads it from the d x d operator
+    `embed_qubit_operator(SIGMA_MINUS, n, q)[np.ix_(order, order)]`:
+    {mask: rates}, qubit 0 first, mask being the bit of the step-order level
+    index that the qubit's decay flips.  The step order permutes the qubits'
+    bits, so that bit is the position of the product index whose only set
+    bit is the qubit's."""
+    return {int(step.position[1 << (step.qubits - 1 - q)]): rates for q in range(step.qubits)}
+
+
 def check_strong_coupling(plan: ProtocolPlan, model: QubitModel, mode: str) -> None:
     """Refuse a rotating-frame run whose coupling is too weak: every step with
     an active coupling relies on J >= 10x its peak Rabi amplitude, and the
@@ -756,11 +770,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         try:
             runs = [_schrodinger_run(psi[order], grid, pure_track)] if pure else []
             if stacked:
-                # each qubit's lowering operator in the step order; the run
-                # keeps only their bits and rates, so the d x d operators go
-                lowering = (embed_qubit_operator(SIGMA_MINUS, plan.qubits, q)[np.ix_(order, order)]
-                            for q in range(plan.qubits))
-                runs.append(_lindblad_run([Dissipator(op, rates) for op in lowering],
+                runs.append(_lindblad_run(_decay_channels(step, rates),
                                           rho[:, order[:, None], order], grid, stack_track))
             done = _propagate(h_blocks, grid, step.dim, runs)
             del runs  # and with them their node buffers
@@ -786,8 +796,8 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             rho = traj.final[:, back[:, None], back]
 
         if compute_residual:
-            ts = grid.times[first:]
-            for span in np.split(ts, range(SPAN, ts.size, SPAN)):
+            ts, length = grid.times[first:], _span(step.dim)
+            for span in np.split(ts, range(length, ts.size, length)):
                 v, dv = (x[..., order] for x in step.passage_vectors(span))
                 residual_out.append(von_neumann_residual(v, dv, h_blocks(span)))
             # the blocks' rows stacked into one matrix keep the dense H's norm

@@ -123,9 +123,9 @@ def fail_trace_gate(monkeypatch, kappa: float) -> None:
     monkeypatch.setattr(dynamics, "TOL", dataclasses.replace(dynamics.TOL,
                                                              trace_drift_error=1e-9))
 
-    def stack_run(dissipators, rho0, grid, observe=None):
-        raised = np.where(dissipators[0].rate == kappa, 1.0 + 5e-9, 1.0)
-        return dynamics._lindblad_run(dissipators, rho0 * raised[:, None, None], grid, observe)
+    def stack_run(rates, rho0, grid, observe=None):
+        raised = np.where(next(iter(rates.values())) == kappa, 1.0 + 5e-9, 1.0)
+        return dynamics._lindblad_run(rates, rho0 * raised[:, None, None], grid, observe)
 
     monkeypatch.setattr(protocols, "_lindblad_run", stack_run)
 

@@ -4,8 +4,9 @@ Fields, Hamiltonians, frames and residuals take an array of times and return
 a stack; a scalar t returns one value.  The scalar loop is the reference
 here: every stacked result must equal the loop over its times bit for bit,
 and an error must name the same (first) offending time.  The propagators
-evaluate H once per span of SPAN intervals and hand out blocks of BLOCK
-nodes, so the edges of both are checked against a plain step-by-step loop:
+evaluate H once per span of intervals (`dynamics._span`: 512 for every
+d <= 8 here) and hand out blocks of BLOCK nodes, so the edges of both are
+checked against a plain step-by-step loop:
 bit for bit for the closed one, within the split step's own dt^2 error of
 the RK4 oracle for the open one.  A block-diagonal H given as its blocks
 over groups of levels must propagate as the same H given dense.
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import (BLOCK, SPAN, Dissipator, TimeGrid, propagate_lindblad,
+from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, _span, propagate_lindblad,
                                propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
                              expm_hermitian, outer)
@@ -265,7 +266,8 @@ def _schrodinger_loop(hamiltonian, psi0, grid):
 
 
 BLOCK_EDGES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]
-SPAN_EDGES = [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 5]
+LENGTH = _span(8)  # intervals per span of every propagation here, d being 2 or 8
+SPAN_EDGES = [LENGTH - 1, LENGTH, LENGTH + 1, 2 * LENGTH + 5]
 
 
 class TestPropagatorBlocks:

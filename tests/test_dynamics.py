@@ -110,6 +110,20 @@ class TestDistinctBlocks:
         assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j)) and seen == [2]
         assert which.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_an_idle_class_is_the_identity_without_an_exponential(self, monkeypatch, size):
+        # groups 1 and 3 are 0 at every time, like half the groups of an
+        # effective-mode raise step; group 0 is 0 at its first time only
+        rng = np.random.default_rng(size)
+        a = _random_complex(rng, (5, 2, size, size))
+        h = np.zeros((5, 4, size, size), dtype=complex)
+        h[:, [0, 2]] = a + dagger(a)
+        h[0, 0] = 0.0
+        (u, which), seen = self._unitaries(monkeypatch, h, np.linspace(0.1, 0.9, 5))
+        assert seen == [2] and which.tolist() == [0, 1, 2, 1]
+        assert np.array_equal(u[:, 1], np.broadcast_to(np.eye(size), (5, size, size)))
+        assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j))
+
     @pytest.mark.parametrize("flaw, message", [(np.nan, "finite"), (1.0, "Hermitian")])
     def test_a_flaw_in_a_later_group_names_its_first_time(self, flaw, message):
         times = np.linspace(0.1, 0.9, 5)
@@ -534,7 +548,8 @@ class TestDenseSteps:
             monkeypatch.setattr(dynamics, "DENSE", 0)
         channels = self._channels(rng, 3, 2)
         grid = TimeGrid(0.0, 1.0, 200)
-        run = dynamics._lindblad_run(channels, np.array([_random_density(rng, 8)] * 2), grid,
+        run = dynamics._lindblad_run(dynamics._decay_rates(channels, 8, 2),
+                                     np.array([_random_density(rng, 8)] * 2), grid,
                                      lambda first, sigma, damping: None)
         dynamics._propagate(_stack_hamiltonian(rng, 8), grid, 8, [run])
         if dense:
@@ -769,26 +784,37 @@ class TestObserver:
     """Node 0, then one call per block, from one reused buffer; H once per span."""
 
     @staticmethod
-    def _propagate(kind, steps, observe=None, hamiltonian=None):
+    def _propagate(kind, steps, observe=None, hamiltonian=None, dim=4):
         rng = np.random.default_rng(11)
-        h = _stack_hamiltonian(rng, 4)  # drawn either way, so the states stay the same
+        h = _stack_hamiltonian(rng, dim)  # drawn either way, so the states stay the same
         h = hamiltonian or h
         grid = TimeGrid(0.0, 0.6, steps)
         if kind == "pure":
-            psi0 = _random_complex(rng, 4)
+            psi0 = _random_complex(rng, dim)
             return propagate_schrodinger(h, psi0 / np.linalg.norm(psi0), grid, observe=observe)
-        rho0 = np.array([_random_density(rng, 4) for _ in range(3)])
+        rho0 = np.array([_random_density(rng, dim) for _ in range(3)])
         rates = np.array([0.0, 0.4, 1.1])
         if kind == "density":
             rho0, rates = rho0[1], 0.4
-        ops = [embed_qubit_operator(SIGMA_MINUS, 2, q) for q in range(2)]
+        qubits = dim.bit_length() - 1
+        ops = [embed_qubit_operator(SIGMA_MINUS, qubits, q) for q in range(qubits)]
         return propagate_lindblad(h, [Dissipator(op, rates) for op in ops], rho0, grid,
                                   observe=observe)
 
-    @pytest.mark.parametrize("steps", [1, 63, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 5])
+    def test_a_span_is_512_intervals_up_to_dense_levels_and_256_above(self):
+        assert [dynamics._span(dim) for dim in (2, 4, 8, 16, 1024)] == [512] * 3 + [256] * 2
+        assert dynamics._span(dynamics.DENSE) == 2 * SPAN and SPAN % BLOCK == 0
+
+    # grids of a whole number of spans plus an offset, the span being the one
+    # the span rule gives d: 512 intervals at d = 4, 256 at d = 16
+    @pytest.mark.parametrize("spans, offset", [(0, 1), (0, 63), (1, -1), (1, 0), (1, 1),
+                                               (2, 5)])
+    @pytest.mark.parametrize("dim", [4, 16])
     @pytest.mark.parametrize("kind", ["pure", "density", "stack"])
-    def test_h_is_called_once_per_span_at_the_midpoints(self, kind, steps):
-        h = _stack_hamiltonian(np.random.default_rng(11), 4)
+    def test_h_is_called_once_per_span_at_the_midpoints(self, kind, dim, spans, offset):
+        length = dynamics._span(dim)
+        steps = spans * length + offset
+        h = _stack_hamiltonian(np.random.default_rng(11), dim)
         asked, sizes = [], []
         node_axis = -2 if kind == "pure" else -3
 
@@ -797,10 +823,10 @@ class TestObserver:
             return h(t)
 
         self._propagate(kind, steps, lambda first, states: sizes.append(states.shape[node_axis]),
-                        hamiltonian=counted)
+                        hamiltonian=counted, dim=dim)
         grid = TimeGrid(0.0, 0.6, steps)
-        assert len(asked) == -(-steps // SPAN)
-        assert [t.size for t in asked[:-1]] == [SPAN] * (len(asked) - 1)
+        assert len(asked) == -(-steps // length)
+        assert [t.size for t in asked[:-1]] == [length] * (len(asked) - 1)
         assert np.array_equal(np.concatenate(asked), grid.times[:-1] + 0.5 * grid.dt)
         assert sizes[0] == 1 and max(sizes[1:]) <= BLOCK and sum(sizes) == steps + 1
 

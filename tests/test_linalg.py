@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpassage.linalg import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
                              check_density_matrix, check_state_vector,
@@ -72,6 +74,87 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             expm_hermitian(np.zeros((2, 3)), 1.0)
+
+
+def _blocks(entries):
+    """(n, 2, 2) Hermitian blocks from (h00, h11, Re h10, Im h10) rows."""
+    top, bottom, re, im = np.asarray(entries, dtype=float).T
+    h = np.empty((len(top), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = top, bottom
+    h[:, 1, 0] = re + 1j * im
+    h[:, 0, 1] = re - 1j * im
+    return h
+
+
+def _relative_errors(got, h, scales):
+    """||got - expm(s h)||_F / ||expm(s h)||_F per block, scipy as the reference."""
+    want = np.array([scipy.linalg.expm(s * block) for s, block in zip(scales, h)])
+    return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+
+
+def _unitarity(u):
+    return np.max(np.abs(dagger(u) @ u - np.eye(2)), axis=(-2, -1))
+
+
+_entry = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+class TestTwoLevelExpm:
+    """Two-level blocks take the closed form
+    e^(s m) [cosh(s w) I + sinh(s w)/w (H - m I)]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.tuples(_entry, _entry, _entry, _entry), min_size=1, max_size=8),
+           time=st.floats(-2.0, 2.0, allow_nan=False))
+    def test_imaginary_scale_matches_scipy_and_is_unitary(self, entries, time):
+        h = _blocks(entries)
+        got = expm_hermitian(h, -1j * time)
+        assert np.all(_relative_errors(got, h, [-1j * time] * len(h)) <= 1e-14)
+        assert np.all(_unitarity(got) <= 1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(st.tuples(_entry, _entry, _entry, _entry), min_size=1, max_size=8),
+           data=st.data())
+    def test_an_array_of_scales_matches_scipy(self, entries, data):
+        h = _blocks(entries)
+        parts = st.floats(-1.0, 1.0, allow_nan=False)
+        scales = np.array([complex(data.draw(parts), data.draw(parts)) for _ in h])
+        assert np.all(_relative_errors(expm_hermitian(h, scales), h, scales) <= 1e-14)
+
+    def test_a_real_scale_matches_scipy(self):
+        h = _blocks([[0.3, -1.2, 0.7, -0.4], [2.0, 2.0, 0.0, 0.0], [1.5, 0.5, 0.0, 2.5]])
+        assert np.all(_relative_errors(expm_hermitian(h, 0.8), h, [0.8] * 3) <= 1e-14)
+
+    @pytest.mark.parametrize("level", [0.0, 1.7, -40.0])
+    def test_a_multiple_of_the_identity_is_a_phase(self, level):
+        # w = 0: sinh(s w)/w is replaced by its limit s
+        got = expm_hermitian(level * np.eye(2), -0.3j)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - np.exp(-0.3j * level) * np.eye(2))) <= 1e-15
+        assert np.array_equal(expm_hermitian(np.zeros((3, 2, 2)), -0.3j),
+                              np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+    def test_entries_near_1e_minus_300(self):
+        # exp(s h) = I + s h to far below round-off; w^2 would underflow
+        h = 1e-300 * _blocks([[0.3, -1.2, 0.7, -0.4], [1.0, 1.0, 2.0, 0.5]])
+        got = expm_hermitian(h, -0.7j)
+        assert np.max(np.abs(got - np.eye(2) - (-0.7j) * h)) <= 1e-15 * 1e-300 * 2.0
+        assert np.all(_unitarity(got) <= 1e-15)
+
+    def test_entries_near_1e150(self):
+        h = 1e150 * _blocks([[0.3, -1.2, 0.7, -0.4], [1.0, 1.0, 2.0, 0.5]])
+        scale = -1.3e-150j
+        got = expm_hermitian(h, scale)
+        assert np.all(_relative_errors(got, h, [scale] * 2) <= 1e-14)
+        assert np.all(_unitarity(got) <= 1e-15)
+
+    def test_only_larger_blocks_take_eigh(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+        expm_hermitian(_blocks([[0.3, -1.2, 0.7, -0.4]] * 3), -0.1j)
+        expm_hermitian(np.eye(3), -0.1j)
+        assert shapes == [(3, 3)]
 
 
 class TestChecks:

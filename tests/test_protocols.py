@@ -11,7 +11,7 @@ from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep,
                                 build_step_blocks, build_step_hamiltonian, diagnostics_ok,
                                 plan_bell, plan_bell_reverse, plan_ghz, product_index,
                                 product_state, run_protocol, run_protocol_kappas)
-from qpassage.dynamics import (SPAN, Dissipator, StepSizeError, TimeGrid, populations,
+from qpassage.dynamics import (SPAN, Dissipator, StepSizeError, TimeGrid, _span, populations,
                                propagate_lindblad, propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
 from qpassage.synthesis import master_envelope
@@ -371,7 +371,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585095446
+        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585104649
 
     def test_open_ghz6_run_holds_less_than_one_dense_block(self, monkeypatch):
         # its last step holds 1,088 of sigma's 4,096 entries per node; one
@@ -461,14 +461,15 @@ class TestMemory:
 
         monkeypatch.setattr(ProtocolStep, "passage_vectors", counted_vectors)
         monkeypatch.setattr(protocols, "von_neumann_residual", counted_residual)
-        grid = 2 * SPAN + 5
+        length = _span(plan.steps[0].dim)
+        grid = 2 * length + 5
         res = run_protocol(plan, model, grid_steps=grid)
         assert list(spans) == [step.name for step in plan.steps]
         for first, sizes in zip([grid + 1] + [grid] * 4, spans.values()):
-            assert sizes == [SPAN, SPAN, first - 2 * SPAN]
+            assert sizes == [length, length, first - 2 * length]
         assert nodes == [size for sizes in spans.values() for size in sizes]
         assert sum(nodes) == res.times.size
-        assert max(peaks) < SPAN * plan.steps[0].dim ** 2 * 16 / 4
+        assert max(peaks) < length * plan.steps[0].dim ** 2 * 16 / 4
 
 
 def _assert_same_result(got, want):
@@ -590,11 +591,12 @@ class TestIntegratedKappas:
             run_protocol_kappas(plan_bell(model), model, (0.0, 0.0145, 30.0), grid_steps=15)
         assert err.value.kappa == 30.0
 
-    @pytest.mark.parametrize("kappas, calls", [((0.0, 0.0145), 4), ((0.0,), 4),
-                                               ((0.0145,), 4), ((0.0145, 0.0, 0.145), 4)])
+    @pytest.mark.parametrize("qubits", [2, 4])
+    @pytest.mark.parametrize("kappas", [(0.0, 0.0145), (0.0,), (0.0145,), (0.0145, 0.0, 0.145)])
     def test_closed_and_open_runs_share_one_stream_of_unitaries(self, monkeypatch,
-                                                                 kappas, calls):
-        # grid 300 is two spans of H per step, and the Bell plan has two steps
+                                                                 kappas, qubits):
+        # grid 300 is one span of H per step at d = 4 (Bell, two steps) and
+        # two at d = 16 (GHZ4, four steps)
         seen = []
         step_unitaries = dynamics._step_unitaries
 
@@ -603,10 +605,11 @@ class TestIntegratedKappas:
             return step_unitaries(hamiltonian, t_mid, dim, dt)
 
         monkeypatch.setattr(dynamics, "_step_unitaries", counted)
-        model = QubitModel(qubits=2)
-        run_protocol_kappas(plan_bell(model), model, kappas, grid_steps=300,
-                            compute_residual=False)
-        assert len(seen) == calls and sum(seen) == 2 * 300
+        model = QubitModel(qubits=qubits)
+        plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
+        run_protocol_kappas(plan, model, kappas, grid_steps=300, compute_residual=False)
+        spans = -(-300 // _span(2 ** qubits))
+        assert len(seen) == spans * len(plan.steps) and sum(seen) == 300 * len(plan.steps)
 
     @pytest.mark.parametrize("kappas, named", [((0.145, 0.0), 0.0), ((0.145, 0.0145), 0.145)])
     def test_a_hamiltonian_failure_names_the_first_run_it_stops(self, monkeypatch,
@@ -644,6 +647,66 @@ class TestIntegratedKappas:
         model = QubitModel(qubits=2)
         with pytest.raises(ProtocolError, match="decay rate must be finite and non-negative"):
             run_protocol_kappas(plan_bell(model), model, [0.0145, kappa], grid_steps=200)
+
+
+class TestSpanLength:
+    @pytest.mark.parametrize("qubits, mode", [(2, "effective"), (3, "effective"),
+                                              (3, "rotating-frame")])
+    def test_256_interval_spans_give_the_same_bits_up_to_dense_levels(self, monkeypatch,
+                                                                     qubits, mode):
+        # d = 4 and 8 take 512-interval spans; grid 600 crosses a span edge
+        # at either length, in the propagation and in the residual pass
+        model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
+        plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
+        sizes = []
+        step_unitaries = dynamics._step_unitaries
+
+        def counted(hamiltonian, t_mid, dim, dt):
+            sizes.append(t_mid.size)
+            return step_unitaries(hamiltonian, t_mid, dim, dt)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        long = run_protocol_kappas(plan, model, [0.0, 0.0145], mode=mode, grid_steps=600)
+        assert sizes[:2] == [512, 88]
+        for module in (dynamics, protocols):
+            monkeypatch.setattr(module, "_span", lambda dim: SPAN)
+        sizes.clear()
+        short = run_protocol_kappas(plan, model, [0.0, 0.0145], mode=mode, grid_steps=600)
+        assert sizes[:3] == [256, 256, 88]
+        for got, want in zip(short, long):
+            _assert_same_result(got, want)
+            assert got.auxiliary.keys() == want.auxiliary.keys() == {"fidelity_final", "residual"}
+            for name in want.auxiliary:
+                assert np.array_equal(got.auxiliary[name], want.auxiliary[name])
+            assert got.diagnostics == want.diagnostics
+
+
+class TestDecayChannels:
+    @pytest.mark.parametrize("qubits", [3, 4, 5, 6])
+    def test_bits_and_rates_are_those_of_the_dense_operators(self, qubits):
+        rates = np.array([0.0145, 0.3])
+        for step in plan_ghz(QubitModel(qubits=qubits)).steps:
+            order = step.order
+            dense = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q)[np.ix_(order, order)],
+                                rates) for q in range(qubits)]
+            want = dynamics._decay_rates(dense, step.dim, rates.size)
+            got = protocols._decay_channels(step, rates)
+            assert list(got) == list(want)  # the same bits, fed in the same order
+            for mask in want:
+                assert np.array_equal(got[mask], want[mask])
+
+    def test_an_open_run_builds_no_dense_lowering_operator(self, monkeypatch):
+        model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
+        plan = plan_ghz(model)
+
+        def refused(*args):
+            raise AssertionError("a dense lowering operator was built")
+
+        monkeypatch.setattr(linalg, "embed_qubit_operator", refused)
+        monkeypatch.setattr(protocols, "embed_qubit_operator", refused, raising=False)
+        res = run_protocol(plan, model, noise=True, grid_steps=200, compute_residual=False)
+        assert 0.85 < res.fidelity[-1] < 0.95
+        assert diagnostics_ok(res)
 
 
 class TestGhzScaling:

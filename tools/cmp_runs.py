@@ -4,10 +4,12 @@ Extracts the tree committed at REF into a temporary directory, then runs the
 same commands in it and in this working tree, each with its own `src` first
 on PYTHONPATH:
 
-* `qpassage run` on every `configs/*.cfg`, at grid 257 (one full span of
-  Hamiltonian evaluations plus one interval per step) and at the config's
-  own grid;
-* `qpassage sweep configs/bell.cfg --param kappa_T` at grid 257;
+* `qpassage run` on every `configs/*.cfg`, at grid 513 and at the config's
+  own grid.  513 intervals per step are one full span of Hamiltonian
+  evaluations plus one interval up to d = 8 (512-interval spans) and two
+  full spans plus one above (256-interval spans), so every config crosses a
+  span edge;
+* `qpassage sweep configs/bell.cfg --param kappa_T` at grid 513;
 * `qpassage verify --seed 1`, whose report is its standard output.
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
@@ -38,7 +40,7 @@ from pathlib import Path
 
 WORK = Path(__file__).resolve().parents[1]
 MAIN = "import sys; from qpassage.cli import main; sys.exit(main())"
-GRID = "257"
+GRID = "513"
 SWEEP = ["sweep", "configs/bell.cfg", "--param", "kappa_T", "--values", "0.0145,0.0725,0.145"]
 
 
