@@ -73,8 +73,10 @@ whose b-by-b blocks hold the same bytes at every time of the span are
 exponentiated once for all of them, which gives the bits of exponentiating
 every group (a protocol step's d/b spectator groups hold at most two
 distinct blocks), and a class of groups whose blocks are 0 throughout gets
-the identity without an exponential.  Two-level blocks take the closed
-form of `expm_hermitian`.  H is taken at the same midpoints whatever the
+the identity without an exponential.  `expm_hermitian` takes two-level
+blocks in closed form and larger ones by a degree-8 Taylor polynomial of
+their real form, neither through an eigendecomposition, and gives each
+block the same bits in any stack.  H is taken at the same midpoints whatever the
 span, so the span moves no bit of a result.  Closed runs advance the state
 group by group; open runs take u rho u+ as two grouped products of (b, b)
 blocks by (b, d) rows, as one Kronecker product per reachable tile, or, up
@@ -937,7 +939,7 @@ def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
     i lambda v and its two terms cancel, leaving round-off of ~1e-8 lambda n,
     the size of the relative residual bound itself.  v = 0 gives 0.
     """
-    a = dv + 1j * (h @ v.reshape(h.shape[:-1] + (1,))).reshape(v.shape)
+    a = dv + 1j * np.einsum("...ij,...j->...i", h, v.reshape(h.shape[:-1])).reshape(v.shape)
     n = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
     c = np.sum(np.conj(v) * a, axis=-1)
     perp = a - v * np.divide(c, n, out=np.zeros_like(c), where=n > 0)[..., None]

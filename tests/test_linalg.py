@@ -1,16 +1,21 @@
 """Dense linear-algebra helpers: products, exponentials, Gram checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qpassage.linalg import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
+from qpassage.linalg import (DEGREE, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z, THETA,
                              check_density_matrix, check_state_vector,
                              completeness_defect, dagger, embed_qubit_operator,
                              expm_hermitian, gram_matrix, kron, StateCheckError)
 
+from qpassage import linalg
 from qpassage.ancillary import SubspaceLayout, build_frame
 
 from helpers import kron_oracle, random_schedule_set, taylor_expm, unitarity_defect
@@ -93,7 +98,7 @@ def _relative_errors(got, h, scales):
 
 
 def _unitarity(u):
-    return np.max(np.abs(dagger(u) @ u - np.eye(2)), axis=(-2, -1))
+    return np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
 
 
 _entry = st.floats(-5.0, 5.0, allow_nan=False)
@@ -148,13 +153,149 @@ class TestTwoLevelExpm:
         assert np.all(_relative_errors(got, h, [scale] * 2) <= 1e-14)
         assert np.all(_unitarity(got) <= 1e-15)
 
-    def test_only_larger_blocks_take_eigh(self, monkeypatch):
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
-        expm_hermitian(_blocks([[0.3, -1.2, 0.7, -0.4]] * 3), -0.1j)
-        expm_hermitian(np.eye(3), -0.1j)
-        assert shapes == [(3, 3)]
+    def test_the_closed_form_and_the_taylor_kernel_agree_at_two_levels(self):
+        h = _blocks([[0.3, -1.2, 0.7, -0.4], [2.0, 2.0, 0.0, 0.0], [1.5, 0.5, 0.0, 2.5]])
+        got = expm_hermitian(h, -0.1j)
+        assert np.max(np.abs(got - linalg._taylor_expm(h, -0.1j))) <= 1e-15
+
+
+def _hermitian(parts):
+    """Hermitian blocks read from the lower triangle and the real diagonal
+    of the complex stack parts[0] + i parts[1]."""
+    x = parts[0] + 1j * parts[1]
+    lower = np.tril(x, -1)
+    h = lower + dagger(lower)
+    h[..., range(x.shape[-1]), range(x.shape[-1])] = parts[0].diagonal(0, -2, -1)
+    return h
+
+
+@st.composite
+def _stacks(draw, bound=2.0, blocks=st.integers(1, 4)):
+    """(k, b, b) Hermitian stacks, b = 3 ... 8, entries in [-bound, bound]."""
+    b, k = draw(st.integers(3, 8)), draw(blocks)
+    return _hermitian(draw(arrays(float, (2, k, b, b),
+                                  elements=st.floats(-bound, bound, allow_nan=False))))
+
+
+def _norm_1(h):
+    """||R||_1 of the real form R of each block, the norm the kernel scales by."""
+    return np.max(np.sum(np.abs(h.real) + np.abs(h.imag), axis=-2), axis=-1)
+
+
+class TestTaylorExpm:
+    """Blocks of three or more levels take a degree-8 Taylor polynomial of
+    their real form, scaled and squared per block above THETA."""
+
+    def test_theta_is_where_the_tail_reaches_the_unit_round_off(self):
+        tail = sum(THETA ** k / math.factorial(k) for k in range(DEGREE + 1, DEGREE + 30))
+        assert 2.0 ** -53 <= tail <= 1.01 * 2.0 ** -53
+        assert DEGREE == 8 and 0.0699 < THETA < 0.0701
+
+    def test_no_size_calls_a_lapack_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_hermitian called an eigensolver")
+        for name in ("eigh", "eig", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for size in range(1, 9):
+            h = _hermitian(np.stack([np.eye(size), np.tri(size, k=-1)]))
+            assert _unitarity(expm_hermitian(np.stack([h, 3.0 * h]), -0.5j)).max() <= 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=_stacks(), time=st.floats(-1.0, 1.0, allow_nan=False))
+    def test_imaginary_scale_matches_scipy_and_is_unitary(self, h, time):
+        got = expm_hermitian(h, -1j * time)
+        assert np.all(_relative_errors(got, h, [-1j * time] * len(h)) <= 1e-12)
+        assert np.all(_unitarity(got) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_stacks(), data=st.data())
+    def test_real_and_complex_scales_match_scipy(self, h, data):
+        parts = st.floats(-1.0, 1.0, allow_nan=False)
+        real = data.draw(parts)
+        assert np.all(_relative_errors(expm_hermitian(h, real), h, [real] * len(h)) <= 1e-12)
+        scale = complex(data.draw(parts), data.draw(parts))
+        assert np.all(_relative_errors(expm_hermitian(h, scale), h, [scale] * len(h)) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_stacks(), data=st.data())
+    def test_an_array_of_scales_matches_scipy(self, h, data):
+        parts = st.floats(-1.0, 1.0, allow_nan=False)
+        scales = np.array([complex(data.draw(parts), data.draw(parts)) for _ in h])
+        assert np.all(_relative_errors(expm_hermitian(h, scales), h, scales) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_stacks(bound=5.0), share=st.floats(-1.0, 1.0, allow_nan=False))
+    def test_steps_below_theta_are_exact_to_round_off(self, h, share):
+        # the protocols' regime: ||s H||_1 <= 1.8e-3, no squaring
+        time = share * THETA / max(_norm_1(h).max(), 1.0)
+        got = expm_hermitian(h, -1j * time)
+        want = np.array([scipy.linalg.expm(-1j * time * block) for block in h])
+        assert np.max(np.abs(got - want)) <= 4.5e-16
+        assert np.all(_unitarity(got) <= 1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_stacks(bound=5.0, blocks=st.integers(2, 5)), data=st.data())
+    def test_a_blocks_bits_do_not_depend_on_its_stack(self, h, data):
+        # the blocks straddle THETA, so some stacks take the squaring branch
+        scale = -1j * data.draw(st.sampled_from([1e-4, 0.01, 0.3]))
+        got = expm_hermitian(h, scale)
+        for k, block in enumerate(h):
+            assert np.array_equal(expm_hermitian(block, scale), got[k])
+        assert np.array_equal(expm_hermitian(h[::-1], scale), got[::-1])
+        wide = np.stack([h, 100.0 * h[::-1]], axis=1)  # (k, 2, b, b), squared in column 1
+        assert np.array_equal(expm_hermitian(wide, scale)[:, 0], got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_stacks(), junk=st.data())
+    def test_a_junk_upper_triangle_reads_as_the_hermitian_completion(self, h, junk):
+        noise = junk.draw(arrays(float, (2,) + h.shape, elements=st.floats(-1e3, 1e3)))
+        upper = np.triu(noise[0] + 1j * noise[1], 1) + 1j * noise[1] * np.eye(h.shape[-1])
+        assert np.array_equal(expm_hermitian(h + upper, -0.37j), expm_hermitian(h, -0.37j))
+
+    def test_blocks_above_theta_are_scaled_and_squared_on_their_own(self):
+        b = 5
+        level = 2.0 * THETA  # ||R||_1 / THETA = 2 exactly: one squaring
+        h = np.stack([np.diag(np.linspace(-level, level, b)),
+                      _hermitian(RNG.uniform(-3.0, 3.0, size=(2, b, b)))])
+        got = expm_hermitian(h, -1j)
+        assert np.max(np.abs(np.diagonal(got[0]) - np.exp(-1j * np.linspace(-level, level, b)))) <= 4.5e-16
+        assert np.all(_relative_errors(got, h, [-1j] * 2) <= 1e-13)
+        assert np.all(_unitarity(got) <= 1e-13)
+        small = 1e-3 * h[1]
+        assert np.array_equal(expm_hermitian(np.stack([small, h[1]]), -1j)[0],
+                              expm_hermitian(small, -1j))
+
+    @pytest.mark.parametrize("size", [3, 4, 8])
+    def test_zero_blocks_give_the_identity(self, size):
+        got = expm_hermitian(np.zeros((3, size, size)), 2.3 - 0.7j)
+        assert np.array_equal(got, np.broadcast_to(np.eye(size), got.shape))
+        assert expm_hermitian(np.zeros((0, size, size)), -1j).shape == (0, size, size)
+
+    def test_entries_near_1e_minus_300(self):
+        # exp(s h) = I + s h to far below round-off; h^2 underflows
+        h = 1e-300 * _hermitian(RNG.uniform(-1.0, 1.0, size=(2, 3, 4, 4)))
+        got = expm_hermitian(h, -0.7j)
+        assert np.max(np.abs(got - np.eye(4) - (-0.7j) * h)) <= 1e-15 * 1e-300 * 2.0
+        assert np.all(_unitarity(got) <= 1e-15)
+
+    def test_entries_near_1e150(self):
+        h = 1e150 * _hermitian(RNG.uniform(-1.0, 1.0, size=(2, 3, 4, 4)))
+        scale = -1.3e-150j
+        got = expm_hermitian(h, scale)
+        assert np.all(_relative_errors(got, h, [scale] * 3) <= 1e-13)
+        assert np.all(_unitarity(got) <= 1e-13)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(2, 0), (1, 1)])
+    def test_a_non_finite_block_gives_nan_and_no_warning(self, value, where):
+        h = _hermitian(RNG.uniform(-1.0, 1.0, size=(2, 3, 4, 4)))
+        h[1][where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm_hermitian(h, -0.2j)
+            assert not np.isfinite(got[1]).any()
+            assert np.array_equal(got[[0, 2]], expm_hermitian(h[[0, 2]], -0.2j))
+            assert not np.isfinite(expm_hermitian(h[0], np.inf * 1j)).any()
 
 
 class TestChecks:
