@@ -23,7 +23,7 @@ the key at fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,17 +108,9 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The keys that shape the results; `out` only says where they go."""
-        d = {
-            "protocol": self.protocol,
-            "duration": self.duration,
-            "qubits": self.qubits,
-            "mode": self.mode,
-            "grid": self.grid,
-            "kappa_T": list(self.kappa_T),
-            "omega_T": self.omega_T,
-            "j_over_omega": self.j_over_omega,
-            "boundary": self.boundary,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("out", "schedule_overrides")}
+        d["kappa_T"] = list(self.kappa_T)
         if self.schedule_overrides:
             d["schedule_overrides"] = {k: v.kind for k, v in self.schedule_overrides.items()}
         return d

@@ -20,12 +20,13 @@ commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
 propagator carries sigma = U D rho and advances it in one of three forms
-(`_open_form`), chosen from d and, member by member, from the entries of
-sigma the run can reach.  Up to DENSE levels, where a step costs numpy's
-fixed per-call time rather than arithmetic, D(dt) is compiled once per
-propagation into its Liouville matrix, one d^2 x d^2 matrix per member made
-by applying D to the d^2 basis matrices, and a step is three dense
-products: vec(sigma) by that matrix, then by u and by u+ whole.  Above
+(`_open_form`), chosen once per propagation from d and, member by member,
+from the entries of sigma the run can reach.  Up to DENSE levels, where a
+step costs numpy's fixed per-call time rather than arithmetic, D(dt) is
+compiled once per propagation into its Liouville matrix, one d^2 x d^2
+matrix per member made by applying D to the d^2 basis matrices, and a step
+is three dense products: vec(sigma) by that matrix, then by u and by u+
+whole.  Above
 DENSE levels the reachable entries are compiled once per propagation: u is
 block diagonal over the groups of H, so u sigma u+ keeps each (row group,
 column group) tile of sigma to itself, and only the jumps move weight from
@@ -40,8 +41,11 @@ node rho = D(dt/2) sigma is formed only where it is needed: at the
 positivity checkpoints and the end.  Every value read from a node is
 linear in rho, tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull
 its observables back through the adjoint channel D+ once per propagation
-and read sigma (the Heisenberg picture, `_heisenberg`); `propagate_lindblad`
-damps each block, as d x d matrices, for its observer instead.  Positivity
+and read sigma (the Heisenberg picture, `_heisenberg`).  Every form hands
+its nodes in one layout, their values at a fixed set of flat positions of a
+d x d matrix (all d^2 of them unless the support form carries fewer);
+`propagate_lindblad` scatters each block into one reused buffer of d x d
+matrices and damps it there for its observer instead.  Positivity
 and trace are still checked, never enforced: a violation beyond tolerance
 fails loudly.
 
@@ -83,9 +87,12 @@ blocks by (b, d) rows, as one Kronecker product per reachable tile, or, up
 to DENSE levels, with dense u and u+ scattered from the blocks once per
 block of steps.
 Ordering the levels so that H falls into groups is the caller's business;
-with S = 1 the arithmetic is the dense one.  `von_neumann_residual` takes
-H in the same two forms.  Both propagators reject an H that is not finite
-or not Hermitian, naming the first time at which it is not.
+with S = 1 the arithmetic is the dense one.  The group shape (S, b) of the
+first span holds for the whole propagation: a span whose H comes in
+another is refused with a ValueError naming its first midpoint.
+`von_neumann_residual` takes H in the same two forms.  Both propagators
+reject an H that is not finite or not Hermitian, naming the first time at
+which it is not.
 
 Each propagator is one run of a private driver, `_propagate`, that hands
 each block of step unitaries to every run it carries, so the protocol
@@ -308,11 +315,18 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
     goes to every run in turn as advance(start, u, which), `start` being the
     grid interval of u[0], u the unitaries of the span's classes of groups
     and `which` the class of each group (see `_step_unitaries`); a failure
-    in H or in any run stops them all."""
+    in H or in any run stops them all.  The group shape (S, b) of the first
+    span holds for the whole propagation: a later span whose H has another
+    raises ValueError naming its first midpoint."""
     mids = grid.times[:-1] + 0.5 * grid.dt
     length = _span(dim)
+    shape = None
     for span in range(0, mids.size, length):
         u, which = _step_unitaries(hamiltonian, mids[span:span + length], dim, grid.dt)
+        shape = shape or (which.size, u.shape[-1])
+        if (which.size, u.shape[-1]) != shape:
+            raise ValueError(f"Hamiltonian blocks change from {shape[0]} groups of {shape[1]} "
+                             f"levels to {which.size} of {u.shape[-1]} at t = {mids[span]:.6f}")
         for first in range(0, len(u), BLOCK):
             for advance, _ in runs:
                 advance(span + first, u[first:first + BLOCK], which)
@@ -486,29 +500,34 @@ def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray,
     return out
 
 
-def _damped(observe: Callable, single: bool, dim: int) -> Callable:
-    """The public observer contract over an open run's sigma nodes of d
-    levels (see `_lindblad_run`): each block is damped in place, in the
-    run's own buffer or, for nodes that come as their reachable entries,
-    in d x d matrices they are scattered into, and handed to `observe` as
-    (n, d, d), or (K, n, d, d) for a stack."""
+def _damped(observe: Callable, out: np.ndarray, single: bool) -> Callable:
+    """The public observer contract over an open run's sigma nodes (see
+    `_lindblad_run`): each block's entries are scattered into the zeroed
+    (K, n, d, d) buffer `out`, at the same positions every block, damped
+    there in place and handed to `observe` as (n, d, d), or (K, n, d, d)
+    for a stack.  D keeps the entries' set (see `_support`), so the
+    positions outside it stay 0."""
+    flat = out.reshape(out.shape[:2] + (out.shape[-1] ** 2,))
+
     def read(first: int, sigma: np.ndarray, reading: tuple) -> None:
         feeds, weight, entries = reading
-        if entries is not None:
-            sigma = _scatter(sigma, entries, dim)
+        flat[:, :sigma.shape[1], entries] = sigma
+        block = out[:, :sigma.shape[1]]
         if feeds is not None:
-            _damper(sigma, feeds, weight)()
-        observe(first, sigma[0] if single else sigma)
+            _damper(block, feeds, weight)()
+        observe(first, block[0] if single else block)
     return read
 
 
-def _check_members(rho: np.ndarray) -> None:
-    """check_density_matrix on every member; a failure names its member."""
+def _check_members(rho: np.ndarray, single: bool) -> None:
+    """check_density_matrix on every member; a failure names its member,
+    unless the stack stands for a `single` matrix."""
     for k, member in enumerate(rho):
         try:
             check_density_matrix(member)
         except ValueError as exc:
-            exc.member = k
+            if not single:
+                exc.member = k
             raise
 
 
@@ -643,11 +662,11 @@ def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
     return damp
 
 
-def _support_steps(sigma: np.ndarray, first: tuple, full: tuple, buf: np.ndarray,
+def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
                    entries: np.ndarray, size: int) -> Callable:
     """`_grouped_steps` on the (K, E) entries of sigma at the flat positions
     `entries` (see `_support`), node j going to buf[:, j], (K, E): D as
-    `_gathers`, by `first` at the first step and `full` after it, then
+    `_gathers`, by `half` at the first step and `full` after it, then
     u sigma u+ per tile, tile (r, c) being u_r T u_c+.  In the C order of
     the tile's entries that is one product with kron(u_r, conj(u_c)).  The
     factors are made once per block of step unitaries for each pair of
@@ -658,7 +677,7 @@ def _support_steps(sigma: np.ndarray, first: tuple, full: tuple, buf: np.ndarray
     members, dim = sigma.shape[0], full[1].shape[-1]
     tile = size * size
     rows, cols = entries[::tile] // dim // size, entries[::tile] % dim // size
-    damp, damp_full = (_gathers(damping, entries, dim) for damping in (first, full))
+    damp, damp_full = (_gathers(damping, entries, dim) for damping in (half, full))
     nodes = buf.reshape(buf.shape[:2] + (-1, tile, 1))
     factors = np.empty((rows.size, tile, tile), dtype=complex)
 
@@ -693,63 +712,58 @@ def _members(damping: tuple, which: np.ndarray) -> tuple:
     return [(mask, p[which]) for mask, p in feeds], weight[which]
 
 
-def _open_form(sigma: np.ndarray, size: int, first: tuple, full: tuple, rates: dict,
+def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: dict,
                nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
     for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries, state): up to DENSE levels `_dense_steps`; above it each member
-    takes the form its own run would, `_support_steps` when its groups have
-    at most TILE levels and its reachable tiles (`_support`) are less than
-    a SHARE of all, `_grouped_steps` otherwise.  The support form steps its
+    entries): up to DENSE levels `_dense_steps`; above it each member takes
+    the form its own run would, `_support_steps` when its groups have at
+    most TILE levels and its reachable tiles (`_support`) are less than a
+    SHARE of all, `_grouped_steps` otherwise.  The support form steps its
     members on the union of their reachable entries, which holds theirs to
-    the bits of their own runs (see `_gathers`).  With members of both
-    forms each form steps its own members and their nodes meet as d x d
-    matrices.  The nodes come as (K, n, d, d) matrices, entries None, or,
-    when every member takes the support form, as their (K, n, E) entries at
-    the flat positions `entries`.  state() gives the (K, d, d) sigma the
-    steps have reached."""
+    the bits of their own runs (see `_gathers`).  The buffer holds n nodes
+    of each member as (K, n, E) values at the flat positions `entries` of a
+    d x d matrix: the support form's entries when every member takes it,
+    else all d^2, the dense and grouped forms' (K, n, d, d) buffer viewed
+    flat.  With members of both forms each form steps its own members and
+    their nodes meet in one (K, n, d^2) buffer."""
     members, dim = sigma.shape[0], sigma.shape[-1]
+    everything = np.arange(dim * dim)
     sparse = np.zeros(members, dtype=bool)
     if dim > DENSE and size <= TILE:
         tiles = _support(sigma, rates, size)
         sparse = tiles.mean(axis=(1, 2)) < SHARE
     if not sparse.any():
-        buf = np.empty((members, nodes, dim, dim), dtype=complex)
-        steps = (_dense_steps if dim <= DENSE else _grouped_steps)(sigma, first, full, buf)
-        return steps, buf, None, lambda: sigma
+        buf = np.empty((members, nodes, dim * dim), dtype=complex)
+        steps = (_dense_steps if dim <= DENSE else _grouped_steps)(
+            sigma, half, full, buf.reshape(members, nodes, dim, dim))
+        return steps, buf, everything
     entries = _entries(tiles[sparse].any(axis=0), size)
     carried = np.ascontiguousarray(sigma[sparse].reshape(-1, dim * dim)[:, entries])
     buf = np.empty((len(carried), nodes, entries.size), dtype=complex)
-    steps = _support_steps(carried, _members(first, sparse), _members(full, sparse), buf,
+    steps = _support_steps(carried, _members(half, sparse), _members(full, sparse), buf,
                            entries, size)
     if sparse.all():
-        return steps, buf, entries, lambda: _scatter(carried, entries, dim)
+        return steps, buf, entries
     rest = sigma[~sparse]
-    rest_buf = np.empty((len(rest), nodes, dim, dim), dtype=complex)
-    rest_steps = _grouped_steps(rest, _members(first, ~sparse), _members(full, ~sparse),
-                                rest_buf)
-    whole = np.empty((members, nodes, dim, dim), dtype=complex)
+    rest_buf = np.empty((len(rest), nodes, dim * dim), dtype=complex)
+    rest_steps = _grouped_steps(rest, _members(half, ~sparse), _members(full, ~sparse),
+                                rest_buf.reshape(len(rest), nodes, dim, dim))
+    whole = np.zeros((members, nodes, dim * dim), dtype=complex)
 
     def both(u: np.ndarray, which: np.ndarray) -> None:
         steps(u, which)
         rest_steps(u, which)
-        whole[sparse, :len(u)] = _scatter(buf[:, :len(u)], entries, dim)
+        whole[np.ix_(sparse, np.arange(len(u)), entries)] = buf[:, :len(u)]
         whole[~sparse, :len(u)] = rest_buf[:, :len(u)]
-
-    def state() -> np.ndarray:
-        out = np.empty_like(sigma)
-        out[sparse], out[~sparse] = _scatter(carried, entries, dim), rest
-        return out
-    return both, whole, None, state
+    return both, whole, everything
 
 
-def _traces(nodes: np.ndarray, entries: np.ndarray | None, dim: int) -> np.ndarray:
-    """The real part of the trace of each of the (K, n) nodes, given as d x d
-    matrices (entries None) or by their entries at the flat positions
-    `entries`: the diagonal summed as d complex numbers in both layouts,
-    zeros included, so a node has the same trace in either."""
-    if entries is None:
-        return nodes.trace(axis1=2, axis2=3).real
+def _traces(nodes: np.ndarray, entries: np.ndarray, dim: int) -> np.ndarray:
+    """The real part of the trace of each of the (K, n) nodes, given by
+    their entries at the flat positions `entries`: the diagonal summed as d
+    complex numbers, zeros included, so a node has the same trace whichever
+    entries hold it."""
     on = np.flatnonzero(entries % (dim + 1) == 0)
     diagonal = np.zeros(nodes.shape[:-1] + (dim,), dtype=complex)
     diagonal[..., entries[on] // (dim + 1)] = nodes[..., on]
@@ -759,27 +773,29 @@ def _traces(nodes: np.ndarray, entries: np.ndarray | None, dim: int) -> np.ndarr
 def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callable) -> tuple:
     """The run of `propagate_lindblad` as an (advance, finish) pair for
     `_propagate`, its channels given as `_decay_rates` gives them,
-    {mask: (K,) rate}: the entry checks (`_check_members` on a stack, naming
-    a failing member) happen here, advance() observes node 0 at the first
-    block and raises the trace gate at the block that trips it, finish()
+    {mask: (K,) rate}: the entry checks (`_check_members`, a single matrix
+    being a stack of one; a stack's failure names its member) happen here,
+    advance() builds the step form and observes node 0 at the first block
+    and raises the trace gate at the block that trips it, finish()
     the checkpoint eigenvalue gate, and returns the DensityTrajectory of the
     final node.
 
     `observe(first, sigma, reading)` gets node 0 and then each block's nodes
     sigma, undamped, in one reused buffer, with reading (feeds, weight,
     entries).  feeds and weight are those of D(dt/2), which makes the nodes
-    rho (see `_damping`), or None for node 0, which is rho0 itself.  entries
-    is the nodes' layout: None for (K, n, d, d) matrices, else the flat
-    positions in a d x d matrix of the (K, n, E) entries each node holds,
-    every other entry being exactly 0.  The observer may overwrite the
-    block: the run reads nothing of it after the call, and the next steps
-    overwrite it.  The trace gate reads every sigma node and every damped
-    node; only the checkpoint nodes and the final one are damped, for the
-    eigenvalue gate and the result, as d x d matrices of their own.
+    rho (see `_damping`), or None for node 0, which is rho0 itself.  The
+    nodes come in one layout, (K, n, E): the values of each node at the
+    flat positions `entries` of a d x d matrix, all d^2 of them or the
+    support form's E, every other entry being exactly 0.  The observer may
+    overwrite the block: the run reads nothing of it after the call, and
+    the next steps overwrite it.  The trace gate reads every sigma node and
+    every damped node; only the checkpoint nodes and the final one are
+    damped, for the eigenvalue gate and the result, as d x d matrices of
+    their own.
 
-    The steps take one of three forms (`_open_form`), chosen at the first
-    block, when the group shape (S, b) of the step unitaries is known, and
-    again, from the state reached, if a later block changes it:
+    The steps take one of three forms (`_open_form`), chosen once, at the
+    first block, when the group shape (S, b) of the step unitaries is known
+    (`_propagate` holds it for the whole propagation):
 
     * up to DENSE levels, `_dense_steps`: three dense products, D as its
       compiled Liouville matrices.  At d = 16 that form measured slower,
@@ -816,14 +832,11 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
     step."""
     rho0 = np.asarray(rho0)
-    single = rho0.ndim == 2
-    if single:
-        rho = check_density_matrix(rho0).astype(complex, order="C")[None]
-    elif rho0.ndim == 3:
-        rho = rho0.astype(complex, order="C")
-        _check_members(rho)
-    else:
+    if rho0.ndim not in (2, 3):
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
+    single = rho0.ndim == 2
+    rho = np.array(rho0, dtype=complex, order="C", ndmin=3)
+    _check_members(rho, single)
     members, dim = rho.shape[0], rho.shape[-1]
     dt = grid.dt
     half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
@@ -831,30 +844,25 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
-    form = None  # (group shape, steps, node buffer, entries, state, damping read)
+    form = None  # (steps, node buffer, entries, damping read)
     final = None  # the last damped node; after the last block, the final state
 
     def advance(start: int, u: np.ndarray, which: np.ndarray) -> None:
         nonlocal drift, min_eig, final, form
-        shape = (len(which),) + u.shape[2:]  # S groups of b x b blocks
-        if form is None or form[0] != shape:
+        if form is None:
             # rho is carried as sigma; the first step damps by dt/2, every later one by dt
-            # (after a change of group shape the new form takes sigma over)
-            sigma, first = (rho, half) if form is None else (form[4](), full)
-            steps, buf, entries, state = _open_form(sigma, u.shape[-1], first, full, rates,
-                                                    min(BLOCK, grid.steps))
-            form = (shape, steps, buf, entries, state, half + (entries,))
-            if start == 0:
-                buf[:, 0] = rho if entries is None else rho.reshape(members, -1)[:, entries]
-                observe(0, buf[:, :1], (None, None, entries))
-        _, steps, buf, entries, _, reading = form
+            steps, buf, entries = _open_form(rho, u.shape[-1], half, full, rates,
+                                             min(BLOCK, grid.steps))
+            form = (steps, buf, entries, half + (entries,))
+            buf[:, 0] = rho.reshape(members, dim * dim)[:, entries]
+            observe(0, buf[:, :1], (None, None, entries))
+        steps, buf, entries, reading = form
         steps(u, which)
         block = buf[:, :len(u)]
         index = np.arange(start + 1, start + len(u) + 1)
         checked = (index % check_every == 0) | (index == grid.steps)
         node_drift = np.abs(_traces(block, entries, dim) - 1.0)
-        damped = block[:, checked] if entries is None else _scatter(block[:, checked], entries,
-                                                                   dim)
+        damped = _scatter(block[:, checked], entries, dim)
         if checked.any():
             _damper(damped, *half)()
         node_drift[:, checked] = np.maximum(node_drift[:, checked],
@@ -905,12 +913,14 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
     check comes after the last block.
     """
     shape = np.shape(rho0)
+    members = 1 if len(shape) == 2 else shape[0]
     out = None
     if observe is None:
         out = np.empty(shape[:-2] + (grid.steps + 1,) + shape[-2:], dtype=complex)
         observe = _recorder(out, 2)
-    rates = _decay_rates(dissipators, shape[-1], 1 if len(shape) == 2 else shape[0])
-    run = _lindblad_run(rates, rho0, grid, _damped(observe, len(shape) == 2, shape[-1]))
+    rates = _decay_rates(dissipators, shape[-1], members)
+    nodes = np.zeros((members, min(BLOCK, grid.steps)) + shape[-2:], dtype=complex)
+    run = _lindblad_run(rates, rho0, grid, _damped(observe, nodes, len(shape) == 2))
     traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
     if out is not None:
         traj.times, traj.matrices = grid.times, out

@@ -582,12 +582,12 @@ class _Track:
     step's last node.  Stack series carry the member axis in front.
 
     The stack is read in the Heisenberg picture: its run hands over the
-    undamped nodes sigma with the damping D that makes them the nodes and
-    their layout, d x d matrices or the entries of sigma's reachable
-    support (see `dynamics._lindblad_run`), and the track pulls the label
-    and target projectors back through D+ once per step, keeping only the
-    entries of sigma they read.  A block is then read by one gather of
-    those entries and one product, in either layout."""
+    undamped nodes sigma, as their values at the flat positions of the
+    entries they hold (see `dynamics._lindblad_run`), with the damping D
+    that makes them the nodes, and the track pulls the label and target
+    projectors back through D+ once per step, keeping only the entries of
+    sigma they read.  A block is then read by one gather of those entries
+    and one product."""
 
     def __init__(self, plan: ProtocolPlan):
         self.plan = plan
@@ -617,8 +617,7 @@ class _Track:
             if self.reader is None or self.reader[0] is not reading:
                 self.reader = (reading,) + self._pulled_back(reading)
             _, support, coefficients = self.reader
-            entries = states.reshape(states.shape[:2] + (-1,)).view(float)[..., support]
-            values = entries @ coefficients   # (K, n, labels + 2)
+            values = states.view(float)[..., support] @ coefficients   # (K, n, labels + 2)
             self.pops.append(values[..., :-2])
             fid_step, fid_final = values[..., -2], values[..., -1]
         self.fid_step.append(fid_step)
@@ -628,14 +627,12 @@ class _Track:
         """The label and target projectors O pulled back through the damping
         of `reading`, (feeds, weight, entries) (feeds None: no damping), as a
         real linear map of sigma: the entries it reads, as indices into the
-        float view of each flattened sigma, and their coefficients in
+        float view of each node's values, and their coefficients in
         tr(D+(O) sigma), (..., entries, labels + 2).  O is formed only at
-        the flat positions `entries` that the nodes hold (None: all d^2);
-        sigma is exactly 0 elsewhere."""
+        the flat positions `entries` that the nodes hold; sigma is exactly 0
+        elsewhere."""
         feeds, weight, entries = reading
         dim = self.step.dim
-        if entries is None:
-            entries = np.arange(dim * dim)
         rows, cols = np.divmod(entries, dim)
         kets = np.concatenate([np.eye(dim)[self.index], self.targets])
         projectors = kets[:, rows] * np.conj(kets[:, cols])

@@ -181,9 +181,10 @@ class TestLindblad:
                                np.diag([1.0, 0.0]).astype(complex), TimeGrid(0, 1, 20))
 
     def test_rejects_a_nan_initial_state(self):
-        with pytest.raises(StateCheckError, match="not Hermitian"):
+        with pytest.raises(StateCheckError, match="not Hermitian") as err:
             propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, 0.1)],
                                np.diag([np.nan, 0.0]), TimeGrid(0, 1, 10))
+        assert not hasattr(err.value, "member")  # a single matrix names no member
         stack = np.array([np.diag([1.0, 0.0]), np.diag([np.nan, 0.0])])
         with pytest.raises(StateCheckError) as err:
             propagate_lindblad(lambda t: np.zeros((2, 2)), [Dissipator(SIGMA_MINUS, 0.1)],
@@ -686,30 +687,31 @@ class TestSupportSteps:
         got = propagate_lindblad(h, channels, rho0, grid)
         assert np.max(np.abs(got.matrices - want.matrices)) > 1e-6
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_a_change_of_group_shape_hands_sigma_over(self, monkeypatch, mixed):
-        # blocks in the first span, the same H as a dense matrix in the later
-        # ones: the run moves from the support form to the grouped one; a
-        # mixed stack's first member reaches every tile and steps grouped
-        h, channels, rho0 = self._random_case(4, 2, 2)
-        if mixed:
-            rho0[0] = _random_density(np.random.default_rng(9), 16)
+    @pytest.mark.parametrize("kind", ["pure", "density", "stack"])
+    def test_a_change_of_group_shape_is_refused(self, kind):
+        # blocks in the first span, the same H as a dense matrix in the next:
+        # the propagation keeps the first span's group shape, so the second
+        # span is refused at its first midpoint
+        h, channels, rho0 = self._random_case(4, 2, 1 if kind == "density" else 2)
         groups = np.arange(16).reshape(-1, 2)
 
         def shifting(t):
             blocks = h(t)
-            if t[0] < 0.4:
+            if t[0] < SPAN * grid.dt:
                 return blocks
             dense = np.zeros(blocks.shape[:-3] + (16, 16), dtype=complex)
             dense[..., groups[:, :, None], groups[:, None, :]] = blocks
             return dense
 
-        grid = TimeGrid(0.0, 1.0, 2 * SPAN + 40)
-        made = self._spy(monkeypatch)
-        got = propagate_lindblad(shifting, channels, rho0, grid)
-        assert len(made) == 1
-        self._force_grouped(monkeypatch)
-        self._assert_close(got, propagate_lindblad(shifting, channels, rho0, grid))
+        grid = TimeGrid(0.0, 1.0, SPAN + 40)
+        assert dynamics._span(16) == SPAN
+        second = (SPAN + 0.5) * grid.dt
+        with pytest.raises(ValueError, match=rf"^Hamiltonian blocks change from 8 groups of 2 "
+                                             rf"levels to 1 of 16 at t = {second:.6f}$"):
+            if kind == "pure":
+                propagate_schrodinger(shifting, np.eye(16)[0], grid)
+            else:
+                propagate_lindblad(shifting, channels, rho0, grid)
 
     def test_an_empty_stack_runs_through(self):
         ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
@@ -796,6 +798,13 @@ class TestObserver:
         rates = np.array([0.0, 0.4, 1.1])
         if kind == "density":
             rho0, rates = rho0[1], 0.4
+        if kind in ("support", "mixed"):
+            # groups of 2 levels whose jumps reach part of the tiles: every
+            # member steps on its reachable entries, or all but member 0
+            h = hamiltonian or _group_hamiltonian(rng, dim // 2, 2)
+            rho0 = _two_group_stack(rng, dim, 2, 3)
+            if kind == "mixed":
+                rho0[0] = _random_density(rng, dim)
         qubits = dim.bit_length() - 1
         ops = [embed_qubit_operator(SIGMA_MINUS, qubits, q) for q in range(qubits)]
         return propagate_lindblad(h, [Dissipator(op, rates) for op in ops], rho0, grid,
@@ -832,13 +841,23 @@ class TestObserver:
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("kind, members, core", [("pure", (), (4,)), ("density", (), (4, 4)),
-                                                     ("stack", (3,), (4, 4))])
-    def test_blocks_cover_the_grid_once_and_equal_the_trajectory(self, kind, members, core,
-                                                                 steps):
-        calls = []
+                                                     ("stack", (3,), (4, 4)),
+                                                     ("support", (3,), (16, 16)),
+                                                     ("mixed", (3,), (16, 16))])
+    def test_blocks_cover_the_grid_once_and_equal_the_trajectory(self, monkeypatch, kind,
+                                                                 members, core, steps):
+        calls, forms = [], []
+        for name in ("_support_steps", "_grouped_steps"):
+            def spied(*args, _name=name, _steps=getattr(dynamics, name)):
+                forms.append(_name)
+                return _steps(*args)
+            monkeypatch.setattr(dynamics, name, spied)
         observed = self._propagate(
-            kind, steps, lambda first, states: calls.append((first, states.copy(), states)))
-        stored = self._propagate(kind, steps)
+            kind, steps, lambda first, states: calls.append((first, states.copy(), states)),
+            dim=core[0])
+        assert forms == {"support": ["_support_steps"], "mixed": ["_support_steps",
+                                                                  "_grouped_steps"]}.get(kind, [])
+        stored = self._propagate(kind, steps, dim=core[0])
         time_axis = -len(core) - 1
         sizes = [block.shape[time_axis] for _, block, _ in calls]
         indices = np.concatenate([np.arange(first, first + n)
@@ -859,6 +878,12 @@ class TestObserver:
         else:
             assert np.array_equal(observed.trace_drift, stored.trace_drift)
             assert np.array_equal(observed.min_eigenvalue, stored.min_eigenvalue)
+        if kind in ("support", "mixed"):
+            # entries scattered into the reused buffer against the grouped
+            # steps, which write all d^2 of them every block
+            monkeypatch.setattr(dynamics, "SHARE", 0.0)
+            grouped = self._propagate(kind, steps, dim=core[0]).matrices
+            assert np.max(np.abs(blocks - grouped)) <= 1e-14
 
 
 def _random_residual_inputs(rng, count, dim):

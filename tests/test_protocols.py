@@ -709,6 +709,33 @@ class TestDecayChannels:
         assert diagnostics_ok(res)
 
 
+class TestOpenForms:
+    @pytest.mark.parametrize("mode", ["effective", "rotating-frame"])
+    @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
+    def test_every_stack_of_a_protocol_run_takes_one_form(self, monkeypatch, qubits, mode):
+        # a runner's stack members start from one state and share the
+        # channels, so they reach the same tiles; the mixed form serves
+        # only propagate_lindblad stacks whose members reach different ones
+        forms = []
+        for name in ("_dense_steps", "_grouped_steps", "_support_steps"):
+            def spied(*args, _name=name, _steps=getattr(dynamics, name)):
+                forms[-1].append(_name)
+                return _steps(*args)
+            monkeypatch.setattr(dynamics, name, spied)
+        open_form = dynamics._open_form
+
+        def counted(*args):
+            forms.append([])
+            return open_form(*args)
+        monkeypatch.setattr(dynamics, "_open_form", counted)
+        model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
+        plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
+        run_protocol_kappas(plan, model, [0.0, 0.0145, 0.3], mode=mode, grid_steps=64,
+                            strict=False, compute_residual=False)
+        assert len(forms) == len(plan.steps)
+        assert all(len(made) == 1 for made in forms), forms
+
+
 class TestGhzScaling:
     def test_open_fidelity_falls_with_the_qubit_count_and_closed_stays_one(self):
         # configs/ghz5.cfg's model and grid at N = 3, 4, 5
