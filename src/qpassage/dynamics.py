@@ -38,16 +38,18 @@ larger support, such as any dense H gives, is damped in place by D(dt)
 through views bound once per propagation and multiplied by u group by
 group (`_grouped_steps`, see below).  The forms agree to round-off.  A
 node rho = D(dt/2) sigma is formed only where it is needed: at the
-positivity checkpoints and the end.  Every value read from a node is
-linear in rho, tr(O D(sigma)) = tr(D+(O) sigma), so an observer can pull
-its observables back through the adjoint channel D+ once per propagation
-and read sigma (the Heisenberg picture, `_heisenberg`).  Every form hands
-its nodes in one layout, their values at a fixed set of flat positions of a
-d x d matrix (all d^2 of them unless the support form carries fewer);
-`propagate_lindblad` scatters each block into one reused buffer of d x d
-matrices and damps it there for its observer instead.  Positivity
-and trace are still checked, never enforced: a violation beyond tolerance
-fails loudly.
+positivity checkpoints and the end.  Every form hands its nodes in one
+layout, their values at a fixed set of flat positions of a d x d matrix
+(all d^2 of them unless the support form carries fewer), and this module
+alone knows it: every reader goes through two helpers.  `_reader`
+compiles populations <k|rho|k>, which are linear in rho,
+tr(P D(sigma)) = tr(D+(P) sigma), into one real linear map of sigma by
+pulling the projectors back through the adjoint channel D+ once per
+propagation (the Heisenberg picture); `_matrices` writes rho = D(sigma)
+as d x d matrices, for the checkpoints and for `propagate_lindblad`'s
+observer, which gets them in one reused buffer.  Positivity and trace
+are still checked, never enforced: a violation beyond tolerance fails
+loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
@@ -479,46 +481,6 @@ def _located(entries: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return np.where(entries[at] == flat, at, -1)
 
 
-def _heisenberg(observables: np.ndarray, feeds: list, weight: np.ndarray,
-                entries: np.ndarray) -> np.ndarray:
-    """D+(O) for each of the (a, E) `observables` O, given by their values at
-    the flat positions `entries` of a d x d matrix (all d^2 of them, or a set
-    closed under the jumps, see `_support`), with D given by its feeds and
-    weight (see `_damping`): the (K, a, E) values of D+(O) there, one set
-    per member, with tr(D+(O) sigma) = tr(O D(sigma)) for every sigma that
-    vanishes off the entries.  D applies the weight after the feeds, so D+
-    applies it first, then the feeds' adjoints ee += p gg in reverse order,
-    the gg partner of an entry of the set being in the set too.  Every
-    value takes the arithmetic it takes in the whole d x d matrices."""
-    members, dim = weight.shape[0], weight.shape[-1]
-    out = observables * weight.reshape(members, 1, -1)[..., entries]
-    rows, cols = np.divmod(entries, dim)
-    for mask, p in reversed(feeds):
-        ee = np.flatnonzero((rows | cols) & mask == 0)
-        out[..., ee] += p.reshape(members, 1, 1) * out[..., _located(entries, entries[ee]
-                                                                     + mask * (dim + 1))]
-    return out
-
-
-def _damped(observe: Callable, out: np.ndarray, single: bool) -> Callable:
-    """The public observer contract over an open run's sigma nodes (see
-    `_lindblad_run`): each block's entries are scattered into the zeroed
-    (K, n, d, d) buffer `out`, at the same positions every block, damped
-    there in place and handed to `observe` as (n, d, d), or (K, n, d, d)
-    for a stack.  D keeps the entries' set (see `_support`), so the
-    positions outside it stay 0."""
-    flat = out.reshape(out.shape[:2] + (out.shape[-1] ** 2,))
-
-    def read(first: int, sigma: np.ndarray, reading: tuple) -> None:
-        feeds, weight, entries = reading
-        flat[:, :sigma.shape[1], entries] = sigma
-        block = out[:, :sigma.shape[1]]
-        if feeds is not None:
-            _damper(block, feeds, weight)()
-        observe(first, block[0] if single else block)
-    return read
-
-
 def _check_members(rho: np.ndarray, single: bool) -> None:
     """check_density_matrix on every member; a failure names its member,
     unless the stack stands for a `single` matrix."""
@@ -698,14 +660,6 @@ def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
     return steps
 
 
-def _scatter(nodes: np.ndarray, entries: np.ndarray, dim: int) -> np.ndarray:
-    """The (..., d, d) matrices whose entries at the flat positions `entries`
-    are the (..., E) `nodes`, zero elsewhere."""
-    out = np.zeros(nodes.shape[:-1] + (dim * dim,), dtype=complex)
-    out[..., entries] = nodes
-    return out.reshape(nodes.shape[:-1] + (dim, dim))
-
-
 def _members(damping: tuple, which: np.ndarray) -> tuple:
     """The damping (see `_damping`) of the members `which` of a stack."""
     feeds, weight = damping
@@ -759,15 +713,65 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
     return both, whole, everything
 
 
-def _traces(nodes: np.ndarray, entries: np.ndarray, dim: int) -> np.ndarray:
-    """The real part of the trace of each of the (K, n) nodes, given by
-    their entries at the flat positions `entries`: the diagonal summed as d
+def _traces(nodes: np.ndarray, on: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarray:
+    """The real part of the trace of each of the (K, n, E) nodes, `on`
+    being the positions among their E values of the diagonal entries they
+    hold and `levels` those entries' levels: the diagonal summed as d
     complex numbers, zeros included, so a node has the same trace whichever
     entries hold it."""
-    on = np.flatnonzero(entries % (dim + 1) == 0)
     diagonal = np.zeros(nodes.shape[:-1] + (dim,), dtype=complex)
-    diagonal[..., entries[on] // (dim + 1)] = nodes[..., on]
+    diagonal[..., levels] = nodes[..., on]
     return diagonal.sum(axis=-1).real
+
+
+def _matrices(sigma: np.ndarray, reading: tuple, out: np.ndarray) -> np.ndarray:
+    """The nodes rho = D(sigma) of the (K, n, E) values `sigma` an open run
+    hands over with `reading` (see `_lindblad_run`), as (K, n, d, d)
+    matrices: written into out[:, :n] of the (K, N, d, d) buffer `out`,
+    which must be 0 off the reading's entries, and returned.  D keeps the
+    entries' set (see `_support`), so `out` stays 0 off them."""
+    feeds, weight, entries = reading
+    dim = out.shape[-1]
+    out.reshape(out.shape[:2] + (dim * dim,))[:, :sigma.shape[1], entries] = sigma
+    rho = out[:, :sigma.shape[1]]
+    if feeds is not None:
+        _damper(rho, feeds, weight)()
+    return rho
+
+
+def _reader(kets: np.ndarray, reading: tuple) -> tuple:
+    """The populations <k|rho|k> of the (a, d) `kets` in the nodes rho an
+    open run hands over with `reading` (see `_lindblad_run`), compiled as
+    one real linear map of a node's float view: (support, coefficients),
+    the positions it reads in the float view of a node's E values and
+    their coefficients, (len(support), a), or (K, len(support), a) for a
+    damped reading, so that `sigma.view(float)[..., support] @ coefficients`
+    gives the (K, n, a) populations of the (K, n, E) values sigma.
+
+    Each population is linear in the node, <k|D(sigma)|k> = tr(D+(P) sigma)
+    for the projector P = |k><k|, formed only at the entries the nodes hold
+    (sigma is exactly 0 elsewhere) and pulled back through the adjoint
+    channel D+ here, once: D applies the weight after the feeds (see
+    `_damping`), so D+ applies it first, then the feeds' adjoints
+    ee += p gg in reverse order, the gg partner of an entry of the set being
+    in the set too.  tr(P sigma) = sum_ij P_ji sigma_ij with P_ji =
+    conj(P_ij), so its real part pairs Re P_ij with Re sigma_ij and Im P_ij
+    with Im sigma_ij: the float views of P and sigma line up, and the map
+    keeps only the positions some P reads."""
+    feeds, weight, entries = reading
+    dim = kets.shape[-1]
+    rows, cols = np.divmod(entries, dim)
+    pulled = kets[:, rows] * np.conj(kets[:, cols])
+    if feeds is not None:
+        members = weight.shape[0]
+        pulled = pulled * weight.reshape(members, 1, -1)[..., entries]
+        for mask, p in reversed(feeds):
+            ee = np.flatnonzero((rows | cols) & mask == 0)
+            gg = _located(entries, entries[ee] + mask * (dim + 1))
+            pulled[..., ee] += p.reshape(members, 1, 1) * pulled[..., gg]
+    flat = np.ascontiguousarray(pulled).view(float)
+    support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
+    return support, flat[..., support].swapaxes(-1, -2)
 
 
 def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callable) -> tuple:
@@ -780,18 +784,22 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     the checkpoint eigenvalue gate, and returns the DensityTrajectory of the
     final node.
 
-    `observe(first, sigma, reading)` gets node 0 and then each block's nodes
-    sigma, undamped, in one reused buffer, with reading (feeds, weight,
-    entries).  feeds and weight are those of D(dt/2), which makes the nodes
-    rho (see `_damping`), or None for node 0, which is rho0 itself.  The
-    nodes come in one layout, (K, n, E): the values of each node at the
-    flat positions `entries` of a d x d matrix, all d^2 of them or the
-    support form's E, every other entry being exactly 0.  The observer may
-    overwrite the block: the run reads nothing of it after the call, and
-    the next steps overwrite it.  The trace gate reads every sigma node and
+    `observe(first, sigma, reading)` gets node 0 and then each block's
+    undamped nodes sigma, (K, n, E) values in one reused buffer, with a
+    `reading` that says how they make the nodes rho.  Only two helpers
+    read it: `_reader` compiles the populations of a ket list, once per
+    reading, into a linear map of sigma, and `_matrices` writes rho as
+    d x d matrices.  (The reading is (feeds, weight, entries): sigma holds
+    each node's values at the flat positions `entries` of a d x d matrix,
+    all d^2 of them or the support form's E, every other entry being
+    exactly 0, and rho = D(dt/2) sigma, D given by the feeds and weight of
+    `_damping`, or rho = sigma for node 0, whose feeds are None.)  The
+    observer may overwrite the block: the run reads nothing of it after
+    the call, and the next steps overwrite it.  The trace gate reads every
+    sigma node, its diagonal positions found once with the step form, and
     every damped node; only the checkpoint nodes and the final one are
-    damped, for the eigenvalue gate and the result, as d x d matrices of
-    their own.
+    damped, for the eigenvalue gate and the result, through `_matrices`
+    into d x d matrices of their own.
 
     The steps take one of three forms (`_open_form`), chosen once, at the
     first block, when the group shape (S, b) of the step unitaries is known
@@ -844,7 +852,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
     check_every = max(1, grid.steps // CHECKPOINTS)
-    form = None  # (steps, node buffer, entries, damping read)
+    form = None  # (steps, node buffer, reading, the diagonal's positions and levels)
     final = None  # the last damped node; after the last block, the final state
 
     def advance(start: int, u: np.ndarray, which: np.ndarray) -> None:
@@ -853,20 +861,21 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
             # rho is carried as sigma; the first step damps by dt/2, every later one by dt
             steps, buf, entries = _open_form(rho, u.shape[-1], half, full, rates,
                                              min(BLOCK, grid.steps))
-            form = (steps, buf, entries, half + (entries,))
+            on = np.flatnonzero(entries % (dim + 1) == 0)
+            form = (steps, buf, half + (entries,), (on, entries[on] // (dim + 1)))
             buf[:, 0] = rho.reshape(members, dim * dim)[:, entries]
             observe(0, buf[:, :1], (None, None, entries))
-        steps, buf, entries, reading = form
+        steps, buf, reading, diagonal = form
         steps(u, which)
         block = buf[:, :len(u)]
         index = np.arange(start + 1, start + len(u) + 1)
         checked = (index % check_every == 0) | (index == grid.steps)
-        node_drift = np.abs(_traces(block, entries, dim) - 1.0)
-        damped = _scatter(block[:, checked], entries, dim)
-        if checked.any():
-            _damper(damped, *half)()
-        node_drift[:, checked] = np.maximum(node_drift[:, checked],
-                                            np.abs(damped.trace(axis1=2, axis2=3).real - 1.0))
+        node_drift = np.abs(_traces(block, *diagonal, dim) - 1.0)
+        if checked.any():  # most blocks hold no checkpoint
+            damped = _matrices(block[:, checked], reading, np.zeros(
+                (members, np.count_nonzero(checked), dim, dim), dtype=complex))
+            node_drift[:, checked] = np.maximum(node_drift[:, checked],
+                                                np.abs(damped.trace(axis1=2, axis2=3).real - 1.0))
         bad = ~(node_drift <= TOL.trace_drift_error)  # written so that nan fails it
         if bad.any():
             j = int(np.argmax(bad.any(axis=0)))
@@ -920,7 +929,11 @@ def propagate_lindblad(hamiltonian: Callable[[np.ndarray], np.ndarray],
         observe = _recorder(out, 2)
     rates = _decay_rates(dissipators, shape[-1], members)
     nodes = np.zeros((members, min(BLOCK, grid.steps)) + shape[-2:], dtype=complex)
-    run = _lindblad_run(rates, rho0, grid, _damped(observe, nodes, len(shape) == 2))
+
+    def read(first: int, sigma: np.ndarray, reading: tuple) -> None:
+        rho = _matrices(sigma, reading, nodes)
+        observe(first, rho[0] if len(shape) == 2 else rho)
+    run = _lindblad_run(rates, rho0, grid, read)
     traj = _propagate(hamiltonian, grid, shape[-1], [run])[0]
     if out is not None:
         traj.times, traj.matrices = grid.times, out

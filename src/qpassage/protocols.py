@@ -55,10 +55,12 @@ flips and its rates (`_decay_channels`), never as a d x d operator.  For
 the passage residual the runner takes H's groups and the passage vectors,
 in the step order, once per span of as many nodes, and evaluates the
 residual's closed form on the whole span, so that pass holds O(span d b)
-numbers.  It stores no trajectory: its observer reads
-the label populations and both fidelities out of each block the runs hand
-it, the open stack's in the Heisenberg picture (see `_Track`), and a
-step's record takes its fidelity from that series at the step's last node.
+numbers.  It stores no trajectory: its observer (`_Track`) reads the
+label populations and both fidelities out of each block the runs hand it
+into one block of values, the open stack's through the linear map that
+`dynamics._reader` compiles from the run's reading of its nodes (the
+node layout stays inside `dynamics`), and a step's record takes its
+fidelity from that series at the step's last node.
 `run_protocol_kappas` runs one plan for several decay rates at once: the
 open runs as one density-matrix stack, the closed ones as one pure-state
 run, one residual pass per step.  The state a step hands on is checked
@@ -75,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
-from .dynamics import (SimulationResult, StepSizeError, TimeGrid, _heisenberg, _lindblad_run,
-                       _propagate, _schrodinger_run, _span, populations,
+from .dynamics import (SimulationResult, StepSizeError, TimeGrid, _lindblad_run, _propagate,
+                       _reader, _schrodinger_run, _span, populations,
                        reconstruct_evolution, von_neumann_residual)
 from .linalg import StateCheckError, frobenius, outer
 from .schedules import ParameterSchedule, ScheduleSet
@@ -162,6 +164,10 @@ class QubitModel:
             raise ProtocolError("omega*T scale must be finite and positive")
         if not 0 <= self.j_over_omega < math.inf:
             raise ProtocolError("coupling ratio must be finite and non-negative")
+        # Python floats overflow to inf without a warning
+        if self.omega is not None and not float(self.j_over_omega) * float(self.omega) < math.inf:
+            raise ProtocolError(f"coupling J = {self.j_over_omega:g} * {self.omega:g} "
+                                "is not finite")
 
     @property
     def j_coupling(self) -> float:
@@ -577,24 +583,21 @@ def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
 
 class _Track:
     """Observer of one propagation, the pure run or the density-matrix stack:
-    the label populations and both fidelities block by block, and a record
-    per step, whose fidelity is the step-fidelity series' value at the
-    step's last node.  Stack series carry the member axis in front.
+    the label populations and both fidelities as one (..., n, labels + 2)
+    block of values per block of nodes, and a record per step, whose
+    fidelity is the step-fidelity series' value at the step's last node.
+    Stack values carry the member axis in front.
 
-    The stack is read in the Heisenberg picture: its run hands over the
-    undamped nodes sigma, as their values at the flat positions of the
-    entries they hold (see `dynamics._lindblad_run`), with the damping D
-    that makes them the nodes, and the track pulls the label and target
-    projectors back through D+ once per step, keeping only the entries of
-    sigma they read.  A block is then read by one gather of those entries
-    and one product."""
+    The stack's run hands over each block with a reading of its nodes (see
+    `dynamics._lindblad_run`), which the track does not open:
+    `dynamics._reader` compiles the label and target populations once per
+    step into a real linear map, and a block is read by one gather and one
+    product."""
 
     def __init__(self, plan: ProtocolPlan):
         self.plan = plan
         self.labels = np.array(list(plan.labels.values()))
-        self.pops: list[np.ndarray] = []   # (..., n, labels) per block
-        self.fid_step: list[np.ndarray] = []
-        self.fid_final: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []  # (..., n, labels + 2) per block
         self.records: list[dict] = []
 
     def start(self, step: ProtocolStep, first: int) -> None:
@@ -602,7 +605,8 @@ class _Track:
         levels being in the step order."""
         self.step, self.skip = step, first
         self.index = step.position[self.labels]
-        self.targets = np.array([step.target[step.order], self.plan.final_target[step.order]])
+        targets = [step.target[step.order], self.plan.final_target[step.order]]
+        self.kets = np.concatenate([np.eye(step.dim)[self.index], targets])
         self.reader = None  # (reading, support, coefficients) of the last stack block
 
     def __call__(self, first: int, states: np.ndarray, reading: tuple | None = None) -> None:
@@ -611,39 +615,13 @@ class _Track:
         if reading is None:
             # a product-basis population is an amplitude's squared modulus;
             # the fancy index copies them out of the propagator's reused buffer
-            self.pops.append(np.abs(states[..., self.index]) ** 2)
-            fid_step, fid_final = populations(states, self.targets)
-        else:
-            if self.reader is None or self.reader[0] is not reading:
-                self.reader = (reading,) + self._pulled_back(reading)
-            _, support, coefficients = self.reader
-            values = states.view(float)[..., support] @ coefficients   # (K, n, labels + 2)
-            self.pops.append(values[..., :-2])
-            fid_step, fid_final = values[..., -2], values[..., -1]
-        self.fid_step.append(fid_step)
-        self.fid_final.append(fid_final)
-
-    def _pulled_back(self, reading: tuple) -> tuple:
-        """The label and target projectors O pulled back through the damping
-        of `reading`, (feeds, weight, entries) (feeds None: no damping), as a
-        real linear map of sigma: the entries it reads, as indices into the
-        float view of each node's values, and their coefficients in
-        tr(D+(O) sigma), (..., entries, labels + 2).  O is formed only at
-        the flat positions `entries` that the nodes hold; sigma is exactly 0
-        elsewhere."""
-        feeds, weight, entries = reading
-        dim = self.step.dim
-        rows, cols = np.divmod(entries, dim)
-        kets = np.concatenate([np.eye(dim)[self.index], self.targets])
-        projectors = kets[:, rows] * np.conj(kets[:, cols])
-        if feeds is not None:
-            projectors = _heisenberg(projectors, feeds, weight, entries)
-        # tr(O sigma) = sum_ij O_ji sigma_ij, and O_ji = conj(O_ij) for a
-        # Hermitian O, so its real part pairs Re O_ij with Re sigma_ij and
-        # Im O_ij with Im sigma_ij: the float views of O and sigma line up
-        flat = np.ascontiguousarray(projectors).view(float)
-        support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
-        return support, flat[..., support].swapaxes(-1, -2)
+            self.values.append(np.concatenate([np.abs(states[..., self.index]) ** 2,
+                                               populations(states, self.kets[-2:]).T], axis=-1))
+            return
+        if self.reader is None or self.reader[0] is not reading:
+            self.reader = (reading,) + _reader(self.kets, reading)
+        _, support, coefficients = self.reader
+        self.values.append(states.view(float)[..., support] @ coefficients)
 
     def finish(self) -> None:
         """Record the step, its fidelity read off the series at its last node
@@ -651,7 +629,7 @@ class _Track:
         self.records.append({
             "name": self.step.name,
             "t_end": self.step.t_start + self.step.duration,
-            "target_fidelity": self.fid_step[-1][..., -1],
+            "target_fidelity": self.values[-1][..., -1, -2],
         })
 
     def series(self, member: int | None):
@@ -660,13 +638,10 @@ class _Track:
         def pick(a):
             return a if member is None else a[member]
 
-        def join(chunks):
-            return np.concatenate([pick(c) for c in chunks])
-
-        pops = dict(zip(self.plan.labels, join(self.pops).T.copy()))
+        values = np.concatenate([pick(v).T for v in self.values], axis=1)  # (labels + 2, T)
         records = [dict(record, target_fidelity=float(pick(record["target_fidelity"])))
                    for record in self.records]
-        return pops, join(self.fid_step), join(self.fid_final), records
+        return dict(zip(self.plan.labels, values[:-2])), values[-2], values[-1], records
 
 
 def _failed_at(exc: Exception, step: ProtocolStep, kappa: float) -> Exception:

@@ -396,6 +396,26 @@ class TestRunCommand:
         assert main(["sweep", cfg, "--param", "omega_T", "--values", "2900", "--grid", "50"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_an_overflowing_coupling_exits_two_before_integrating(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # J = j_over_omega * omega_T overflows to inf, which no strong-coupling
+        # rule refuses; integrated, it fails as a non-finite Hamiltonian
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "out"
+        text = (BELL_CFG.format(grid=200, kappa="0.0", out=out)
+                + "mode = rotating-frame\nomega_T = {omega}\nj_over_omega = 1e300\n")
+        refusal = "coupling J = 1e+300 * 1e+10 is not finite"
+        cfg = write_cfg(tmp_path, text.format(omega="1e10"))
+        swept = write_cfg(tmp_path, text.format(omega="2900"), "swept.cfg")
+        for argv, path in ((["run", cfg], cfg),
+                           (["sweep", swept, "--param", "omega_T", "--values", "2900,1e10"],
+                            swept)):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {path}: {refusal}"]
+            assert captured.out == ""
+            assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["3", "0", "-5"])
     def test_grid_flag_obeys_the_config_rule(self, tmp_path, capsys, grid):
         out = tmp_path / "out"

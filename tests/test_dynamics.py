@@ -277,8 +277,9 @@ class TestHeisenberg:
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
     def test_pulled_back_observables_read_sigma_as_the_damped_nodes(self, qubits, members):
-        # tr(D+(O) sigma) against <v|D(sigma)|v>, D being D(tau) of lowering
-        # operators in a permuted bit order, as a protocol step passes them
+        # the compiled read of sigma's float view against <v|D(sigma)|v>, D
+        # being D(tau) of lowering operators in a permuted bit order, as a
+        # protocol step passes them
         rng = np.random.default_rng(100 * qubits + members)
         dim = 2 ** qubits
         order = np.arange(dim).reshape((2,) * qubits).transpose(rng.permutation(qubits)).ravel()
@@ -298,13 +299,10 @@ class TestHeisenberg:
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         rho = sigma.copy()
         dynamics._damper(rho, *damping)()
-        projectors = kets[:, :, None] * np.conj(kets[:, None, :])
-        pulled = dynamics._heisenberg(projectors.reshape(len(kets), -1), *damping,
-                                      np.arange(dim * dim))
-        assert pulled.shape == (members, len(kets), dim * dim)
-        got = np.einsum("kaji,knij->akn", pulled.reshape(members, len(kets), dim, dim),
-                        sigma).real
-        assert np.max(np.abs(got - populations(rho, kets))) <= 1e-15
+        support, coefficients = dynamics._reader(kets, damping + (np.arange(dim * dim),))
+        assert coefficients.shape == (members, support.size, len(kets))
+        got = sigma.reshape(members, 5, dim * dim).view(float)[..., support] @ coefficients
+        assert np.max(np.abs(np.moveaxis(got, -1, 0) - populations(rho, kets))) <= 1e-15
 
 
 class TestSplitStep:

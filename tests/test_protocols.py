@@ -186,6 +186,13 @@ class TestPlans:
         with pytest.raises(ProtocolError, match=message):
             QubitModel(qubits=2, **{field: value})
 
+    def test_model_rejects_a_coupling_that_overflows(self):
+        # each factor is finite, their product J is not
+        with pytest.raises(ProtocolError, match=r"^coupling J = 1e\+300 \* 1e\+10 is not finite$"):
+            QubitModel(qubits=2, omega=1e10, j_over_omega=1e300)
+        assert QubitModel(qubits=2, omega=1e8, j_over_omega=1e300).j_coupling < float("inf")
+        assert QubitModel(qubits=2, j_over_omega=1e300).omega is None  # J is not formed
+
     @pytest.mark.parametrize("boundary", ["caption", "text"])
     def test_both_split_boundary_choices_ship(self, boundary):
         plan = plan_bell(QubitModel(qubits=2), boundary=boundary)
@@ -734,6 +741,23 @@ class TestOpenForms:
                             strict=False, compute_residual=False)
         assert len(forms) == len(plan.steps)
         assert all(len(made) == 1 for made in forms), forms
+
+    def test_the_stack_read_is_compiled_once_per_step(self, monkeypatch):
+        # once per step for its damped nodes, and once for the first step's
+        # node 0, the only undamped node read (later steps skip theirs)
+        compiled = []
+        reader = protocols._reader
+
+        def counted(kets, reading):
+            compiled.append(reading[0] is None)
+            return reader(kets, reading)
+        monkeypatch.setattr(protocols, "_reader", counted)
+        model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T)
+        plan = plan_ghz(model)
+        run_protocol_kappas(plan, model, [0.0, 0.0145, 0.3], grid_steps=200,
+                            compute_residual=False)
+        assert len(compiled) == len(plan.steps) + 1
+        assert compiled == [True] + [False] * len(plan.steps)
 
 
 class TestGhzScaling:
