@@ -20,23 +20,23 @@ commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
 propagator carries sigma = U D rho and advances it in one of three forms
-(`_open_form`), chosen once per propagation from d and, member by member,
-from the entries of sigma the run can reach.  Up to DENSE levels, where a
-step costs numpy's fixed per-call time rather than arithmetic, D(dt) is
-compiled once per propagation into its Liouville matrix, one d^2 x d^2
-matrix per member made by applying D to the d^2 basis matrices, and a step
-is three dense products: vec(sigma) by that matrix, then by u and by u+
-whole.  Above
-DENSE levels the reachable entries are compiled once per propagation: u is
-block diagonal over the groups of H, so u sigma u+ keeps each (row group,
-column group) tile of sigma to itself, and only the jumps move weight from
-tile to tile (`_support`).  Where they leave most tiles unreached (less
-than a SHARE of them), as in every protocol step that does not reach all
-of its tiles, sigma is carried as its E reachable entries alone, D is one fixed gather
-over them and u sigma u+ one product per tile (`_support_steps`).  A
-larger support, such as any dense H gives, is damped in place by D(dt)
-through views bound once per propagation and multiplied by u group by
-group (`_grouped_steps`, see below).  The forms agree to round-off.  A
+(`_open_form`), chosen once per propagation, one for the whole stack, from
+d and from the entries of sigma its members can reach.  Up to DENSE
+levels, where a step costs numpy's fixed per-call time rather than
+arithmetic, D(dt) is compiled once per propagation into its Liouville
+matrix, one d^2 x d^2 matrix per member made by applying D to the d^2
+basis matrices, and a step is three dense products: vec(sigma) by that
+matrix, then by u and by u+ whole.  Above DENSE levels the reachable entries
+are compiled once per propagation: u is block diagonal over the groups of
+H, so u sigma u+ keeps each (row group, column group) tile of sigma to
+itself, and only the jumps move weight from tile to tile
+(`_support`).  Where they leave most tiles unreached (less than a SHARE of
+them), as in every protocol step that does not reach all of its tiles,
+sigma is carried as its E reachable entries alone, D is one fixed gather
+over them and u sigma u+ one product per tile (`_support_steps`).  A larger
+support, such as any dense H gives, is damped in place by D(dt) through
+views bound once per propagation and multiplied by u group by group
+(`_grouped_steps`, see below).  The forms agree to round-off.  A
 node rho = D(dt/2) sigma is formed only where it is needed: at the
 positivity checkpoints and the end.  Every form hands its nodes in one
 layout, their values at a fixed set of flat positions of a d x d matrix
@@ -55,13 +55,16 @@ loudly.
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
 is one rate for all of them or an array of K rates, one per member.  Every
 member gets exactly the arithmetic of a single-matrix run with its own
-rates, so member k of a stack equals that run bit for bit, and every check
-(trace drift, checkpoint eigenvalues, the initial density-matrix check)
-runs per member.  Each member fails where its own run would: on trace
-drift at the step where it trips, on a checkpoint eigenvalue when the
-propagation ends.  The error raised is that of the first member, in stack
-order, among those failing at the earliest grid step; the exception carries
-its index as the `member` attribute.
+rates in the stack's one step form, so member k of a stack equals that run
+bit for bit whenever its own run takes the same form: always, unless some
+members' runs would take the support form and others' not.  Such a stack
+steps grouped, and its support members then differ from their own runs by
+round-off.  Every check (trace drift, checkpoint eigenvalues, the initial
+density-matrix check) runs per member.  Each member fails where its own
+run would: on trace drift at the step where it trips, on a checkpoint
+eigenvalue when the propagation ends.  The error raised is that of the
+first member, in stack order, among those failing at the earliest grid
+step; the exception carries its index as the `member` attribute.
 
 Both propagators take the Hamiltonian as a callable of time that accepts an
 array of times and returns its matrices there, in one of two forms.  A
@@ -176,8 +179,12 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"grid steps must be an integer, not {self.steps!r}")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        if not np.isfinite([self.t0, self.t1]).all():
+            raise ValueError(f"grid bounds must be finite, not [{self.t0}, {self.t1}]")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
 
@@ -660,57 +667,32 @@ def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
     return steps
 
 
-def _members(damping: tuple, which: np.ndarray) -> tuple:
-    """The damping (see `_damping`) of the members `which` of a stack."""
-    feeds, weight = damping
-    return [(mask, p[which]) for mask, p in feeds], weight[which]
-
-
 def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: dict,
                nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
     for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries): up to DENSE levels `_dense_steps`; above it each member takes
-    the form its own run would, `_support_steps` when its groups have at
-    most TILE levels and its reachable tiles (`_support`) are less than a
-    SHARE of all, `_grouped_steps` otherwise.  The support form steps its
-    members on the union of their reachable entries, which holds theirs to
-    the bits of their own runs (see `_gathers`).  The buffer holds n nodes
-    of each member as (K, n, E) values at the flat positions `entries` of a
-    d x d matrix: the support form's entries when every member takes it,
-    else all d^2, the dense and grouped forms' (K, n, d, d) buffer viewed
-    flat.  With members of both forms each form steps its own members and
-    their nodes meet in one (K, n, d^2) buffer."""
+    entries), one form for every member: up to DENSE levels `_dense_steps`;
+    above it `_support_steps` when the groups have at most TILE levels and
+    every member of a nonempty stack reaches less than a SHARE of its tiles
+    (`_support`), as its own run would, `_grouped_steps` otherwise.
+    The support form steps the stack on the union of the members'
+    reachable entries, which holds each member to the bits of its own run
+    (see `_gathers`).  The buffer holds n nodes of each member as (K, n, E)
+    values at the flat positions `entries` of a d x d matrix: the support
+    form's entries, else all d^2, the dense and grouped forms' (K, n, d, d)
+    buffer viewed flat."""
     members, dim = sigma.shape[0], sigma.shape[-1]
-    everything = np.arange(dim * dim)
-    sparse = np.zeros(members, dtype=bool)
-    if dim > DENSE and size <= TILE:
+    if dim > DENSE and size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
-        sparse = tiles.mean(axis=(1, 2)) < SHARE
-    if not sparse.any():
-        buf = np.empty((members, nodes, dim * dim), dtype=complex)
-        steps = (_dense_steps if dim <= DENSE else _grouped_steps)(
-            sigma, half, full, buf.reshape(members, nodes, dim, dim))
-        return steps, buf, everything
-    entries = _entries(tiles[sparse].any(axis=0), size)
-    carried = np.ascontiguousarray(sigma[sparse].reshape(-1, dim * dim)[:, entries])
-    buf = np.empty((len(carried), nodes, entries.size), dtype=complex)
-    steps = _support_steps(carried, _members(half, sparse), _members(full, sparse), buf,
-                           entries, size)
-    if sparse.all():
-        return steps, buf, entries
-    rest = sigma[~sparse]
-    rest_buf = np.empty((len(rest), nodes, dim * dim), dtype=complex)
-    rest_steps = _grouped_steps(rest, _members(half, ~sparse), _members(full, ~sparse),
-                                rest_buf.reshape(len(rest), nodes, dim, dim))
-    whole = np.zeros((members, nodes, dim * dim), dtype=complex)
-
-    def both(u: np.ndarray, which: np.ndarray) -> None:
-        steps(u, which)
-        rest_steps(u, which)
-        whole[np.ix_(sparse, np.arange(len(u)), entries)] = buf[:, :len(u)]
-        whole[~sparse, :len(u)] = rest_buf[:, :len(u)]
-    return both, whole, everything
+        if np.all(tiles.mean(axis=(1, 2)) < SHARE):
+            entries = _entries(tiles.any(axis=0), size)
+            carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
+            buf = np.empty((members, nodes, entries.size), dtype=complex)
+            return _support_steps(carried, half, full, buf, entries, size), buf, entries
+    buf = np.empty((members, nodes, dim * dim), dtype=complex)
+    steps = (_dense_steps if dim <= DENSE else _grouped_steps)(
+        sigma, half, full, buf.reshape(members, nodes, dim, dim))
+    return steps, buf, np.arange(dim * dim)
 
 
 def _traces(nodes: np.ndarray, on: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarray:
@@ -809,36 +791,36 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
       compiled Liouville matrices.  At d = 16 that form measured slower,
       its d^2 x d^2 product growing as d^4, so DENSE is 8;
     * above DENSE levels, the tiles each member can reach are compiled
-      (`_support`).  A member that reaches less than a SHARE of them, in
-      groups of at most TILE levels, takes `_support_steps`, which carries
-      the E entries of the tiles such members reach alone, so the node
-      buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  In effective
-      mode E is a small share of d^2: 480 of 1,024 entries at GHZ5's last
-      step, 2,336 of 16,384 at GHZ7's;
+      (`_support`).  When every member reaches less than a SHARE of them, in
+      groups of at most TILE levels, the stack takes `_support_steps`, which
+      carries the E entries of the tiles the members reach alone, so the
+      node buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  In
+      effective mode E is a small share of d^2: 480 of 1,024 entries at
+      GHZ5's last step, 2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
       u sigma u+ by groups.  Every dense H (S = 1) and the last
       rotating-frame protocol step reach every tile.
 
-    The choice is made per member, so that a member of a stack takes the
-    form of its own run, to its bits; a stack whose members take both forms
-    steps each form's members apart.  SHARE = 1/2 is measured (2-core
-    guest, one BLAS thread, one rate, grid 2000, medians of 5 runs, the
-    support form against the grouped one forced on the same step).  Every
-    protocol step that does not reach all its tiles stays below 1/2 and
-    measured faster in the support form: effective GHZ5, at E/d^2 = 0.016,
-    0.016, 0.063, 0.19 and 0.47, 53, 49, 59, 72 and 95 ms against 120,
-    129, 127, 151 and 128; the last steps of effective GHZ6 (0.27) and
-    GHZ7 (0.14), 267 against 407 ms and 524 against 893; rotating-frame
-    GHZ4 to GHZ6, whose steps reach 1/4 of their tiles or fewer and then
-    all of them, up to 0.25 of 64 x 64, 178 against 334 ms.  On random
-    density matrices whose tiles were closed under the jumps (d = 32 and 64,
-    b = 2 and 4), the support form measured slower from E/d^2 of about 0.2
-    to 0.4 on, and at 1/2 and above in every case, 1.05 to 5.8 times; the
-    more classes of group unitaries and the larger d or b, the earlier.  Its
-    Kronecker factors grow as b^4: with b = 8 it measured 2.1 times slower
-    than the grouped form even on a sparse support (d = 32), with b = 16
-    8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
-    step."""
+    The stack takes one form, which each member's own run takes too, to its
+    bits, except in a stack that mixes members below and above the SHARE:
+    that stack steps grouped.  No stack of the protocol runner mixes them.
+    SHARE = 1/2 is measured (2-core guest, one BLAS thread, one rate, grid
+    2000, medians of 5 runs, the support form against the grouped one
+    forced on the same step).  Every protocol step that does not reach all
+    its tiles stays below 1/2 and measured faster in the support form:
+    effective GHZ5, at E/d^2 = 0.016, 0.016, 0.063, 0.19 and 0.47, 53, 49,
+    59, 72 and 95 ms against 120, 129, 127, 151 and 128; the last steps of
+    effective GHZ6 (0.27) and GHZ7 (0.14), 267 against 407 ms and 524
+    against 893; rotating-frame GHZ4 to GHZ6, whose steps reach 1/4 of their
+    tiles or fewer and then all of them, up to 0.25 of 64 x 64, 178 against
+    334 ms.  On random density matrices whose tiles were closed under the
+    jumps (d = 32 and 64, b = 2 and 4), the support form measured slower
+    from E/d^2 of about 0.2 to 0.4 on, and at 1/2 and above in every case,
+    1.05 to 5.8 times; the more classes of group unitaries and the larger d
+    or b, the earlier.  Its Kronecker factors grow as b^4: with b = 8 it
+    measured 2.1 times slower than the grouped form even on a sparse support
+    (d = 32), with b = 16 8.9 times (d = 64), hence TILE = 4, the largest
+    group of a protocol step."""
     rho0 = np.asarray(rho0)
     if rho0.ndim not in (2, 3):
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")

@@ -25,6 +25,7 @@ catch-all for externally supplied waveforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,9 @@ class ParameterSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ScheduleError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
-        if self.duration <= 0:
-            raise ScheduleError("schedule duration must be positive")
+        if not 0 < self.duration < math.inf:  # nan fails it too
+            raise ScheduleError(f"schedule duration must be positive and finite, "
+                                f"not {self.duration}")
         if self.kind == "sampled":
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ScheduleError("sampled schedule needs matching times/values, length >= 2")
@@ -210,7 +212,9 @@ class ScheduleSet:
                 f"schedule set for M={self.assistant_levels}, N={self.working_levels} "
                 f"is missing symbols: {', '.join(missing)}")
         for name, sched in self.table.items():
-            if abs(sched.duration - self.duration) > 1e-12 * max(1.0, self.duration):
+            # written so that a nan or infinite duration fails it
+            if not (abs(sched.duration - self.duration)
+                    <= 1e-12 * max(1.0, self.duration) < math.inf):
                 raise ScheduleError(
                     f"schedule {name!r} has duration {sched.duration}, set expects {self.duration}")
 

@@ -23,6 +23,24 @@ from helpers import (brute_force_unitaries, lindblad_rk4, random_schedule_set,
                      residual_matrix_oracle)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("bounds, steps, message", [
+        ((0, 1), 2.5, "grid steps must be an integer, not 2.5"),
+        ((0, 1), 1000.0, "grid steps must be an integer, not 1000.0"),
+        ((0, 1), 0, "need at least one step"),
+        ((0, np.inf), 10, "grid bounds must be finite, not [0, inf]"),
+        ((np.nan, 1), 10, "grid bounds must be finite, not [nan, 1]"),
+        ((1, 1), 10, "t1 must exceed t0"),
+        ((1, 0), 10, "t1 must exceed t0")])
+    def test_a_grid_it_cannot_step_is_refused(self, bounds, steps, message):
+        with pytest.raises(ValueError) as refused:
+            TimeGrid(*bounds, steps)
+        assert str(refused.value) == message
+
+    def test_a_numpy_integer_step_count_is_taken(self):
+        assert np.array_equal(TimeGrid(0, 1, np.int64(5)).times, np.linspace(0, 1, 6))
+
+
 class TestSchrodinger:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = np.array([0.6, 0.8j], dtype=complex)
@@ -722,7 +740,9 @@ class TestSupportSteps:
     def test_a_member_equals_its_single_matrix_run(self, monkeypatch, mixed):
         # members 1 and 2 reach 16 of the 64 tiles each, 24 together, and
         # take the support form on the entries either reaches; member 0
-        # reaches member 1's tiles, or, mixed, all of them and steps grouped
+        # reaches member 1's tiles.  Mixed, member 0 reaches all of them, so
+        # the whole stack steps grouped, and each member equals its own run
+        # forced grouped
         rng = np.random.default_rng(5)
         h = _group_hamiltonian(rng, 8, 2)
         rates = rng.uniform(0.2, 2.0, size=(4, 3))
@@ -744,7 +764,9 @@ class TestSupportSteps:
         monkeypatch.setattr(dynamics, "_grouped_steps", spied)
         stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
                                    rho0, grid)
-        assert made == [24 * 4] and grouped == ([1] if mixed else [])
+        assert (made, grouped) == (([], [3]) if mixed else ([24 * 4], []))
+        if mixed:
+            self._force_grouped(monkeypatch)
         forms = []
         for k in range(3):
             before = (len(made), len(grouped))
@@ -755,22 +777,22 @@ class TestSupportSteps:
             assert np.array_equal(stack.final[k], single.final)
             assert stack.trace_drift[k] == single.trace_drift
             assert stack.min_eigenvalue[k] == single.min_eigenvalue
-        assert forms == [([], [1]) if mixed else ([64], []), ([64], []), ([64], [])]
+        assert forms == [([], [1])] * 3 if mixed else [([64], [])] * 3
 
-    def test_a_mixed_member_keeps_the_trace_drift_of_its_own_run(self):
-        # in a mixed stack a support member's nodes are d x d matrices, in
-        # its own run its entries: the trace must sum the same d numbers
+    def test_a_mixed_member_keeps_the_trace_drift_of_its_own_run(self, monkeypatch):
+        # every member takes the support form on groups of its own, so the
+        # stack steps on entries a member's own run does not hold: the
+        # trace must sum the same d numbers either way
         rng = np.random.default_rng(1)
         h = _group_hamiltonian(rng, 16, 2)
         rates = rng.uniform(0.2, 2.0, size=(5, 3))
         ops = [embed_qubit_operator(SIGMA_MINUS, 5, q) for q in range(5)]
         rho0 = np.zeros((3, 32, 32), dtype=complex)
-        rho0[0] = _random_density(rng, 32)
-        for k in (1, 2):
-            groups = rng.choice(16, rng.integers(1, 4), replace=False)
+        for k, groups in enumerate(rng.permutation(16)[:6].reshape(3, 2)):
             levels = (groups[:, None] * 2 + np.arange(2)).ravel()
             rho0[k][np.ix_(levels, levels)] = _random_density(rng, levels.size)
         grid = TimeGrid(0.0, 1.0, 100)
+        made = self._spy(monkeypatch)
         stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
                                    rho0, grid)
         for k in range(3):
@@ -778,6 +800,7 @@ class TestSupportSteps:
                                         rho0[k], grid)
             assert np.array_equal(stack.final[k], single.final)
             assert stack.trace_drift[k] == single.trace_drift
+        assert len(made) == 4 and made[0] > max(made[1:])
 
 
 class TestObserver:
@@ -798,7 +821,8 @@ class TestObserver:
             rho0, rates = rho0[1], 0.4
         if kind in ("support", "mixed"):
             # groups of 2 levels whose jumps reach part of the tiles: every
-            # member steps on its reachable entries, or all but member 0
+            # member steps on its reachable entries, or, mixed, member 0
+            # reaches them all and the whole stack steps grouped
             h = hamiltonian or _group_hamiltonian(rng, dim // 2, 2)
             rho0 = _two_group_stack(rng, dim, 2, 3)
             if kind == "mixed":
@@ -853,8 +877,7 @@ class TestObserver:
         observed = self._propagate(
             kind, steps, lambda first, states: calls.append((first, states.copy(), states)),
             dim=core[0])
-        assert forms == {"support": ["_support_steps"], "mixed": ["_support_steps",
-                                                                  "_grouped_steps"]}.get(kind, [])
+        assert forms == {"support": ["_support_steps"], "mixed": ["_grouped_steps"]}.get(kind, [])
         stored = self._propagate(kind, steps, dim=core[0])
         time_axis = -len(core) - 1
         sizes = [block.shape[time_axis] for _, block, _ in calls]

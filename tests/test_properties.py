@@ -17,19 +17,27 @@ and N <= 5 working levels and the controls over every schedule kind:
   blocks the propagators get in the step order;
 * the step exponentials, which exponentiate each distinct group of a block
   stack once, equal bit for bit those of every group, for any pattern of
-  repeated groups, signed zeros included.
+  repeated groups, signed zeros included;
+* an open stack of density matrices on some groups of levels or on all of
+  them, as no protocol run builds it, takes one step form, and each member
+  equals bit for bit its own run forced into that form and its unforced
+  run to round-off.
 
 CI runs this file with RuntimeWarning as an error, so an overflow or an
 invalid value in any of this arithmetic fails it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpassage import dynamics
 from qpassage.ancillary import SubspaceLayout, build_frame
-from qpassage.dynamics import _step_unitaries, von_neumann_residual
-from qpassage.linalg import completeness_defect, expm_hermitian, frobenius
+from qpassage.dynamics import (Dissipator, TimeGrid, _step_unitaries, propagate_lindblad,
+                               von_neumann_residual)
+from qpassage.linalg import (SIGMA_MINUS, completeness_defect, embed_qubit_operator,
+                             expm_hermitian, frobenius)
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_blocks,
                                 build_step_hamiltonian, plan_bell, plan_ghz)
 from qpassage.schedules import (ParameterSchedule, ScheduleSet, cascade_symbols,
@@ -194,3 +202,62 @@ def test_step_exponentials_equal_those_of_every_group(classes, size, nodes, seed
     # one class per distinct column of bytes, numbered in order of first appearance
     columns = [h[:, s].tobytes() for s in range(len(classes))]
     assert which.tolist() == [list(dict.fromkeys(columns)).index(c) for c in columns]
+
+
+def _random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ np.conj(a).T
+    return rho / np.trace(rho).real
+
+
+def _lindblad_form(h, channels, rho0, grid, share=None):
+    """propagate_lindblad's result and the step forms it made, with SHARE
+    set to `share` unless that is None."""
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_dense_steps", "_grouped_steps", "_support_steps"):
+            def spied(*args, _name=name, _steps=getattr(dynamics, name)):
+                made.append(_name)
+                return _steps(*args)
+            patch.setattr(dynamics, name, spied)
+        if share is not None:
+            patch.setattr(dynamics, "SHARE", share)
+        return propagate_lindblad(h, channels, rho0, grid), made
+
+
+@settings(max_examples=30, deadline=None)
+@given(qubits=st.sampled_from([4, 5]), size=st.sampled_from([2, 4]),
+       members=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_an_open_stack_takes_one_form_and_each_member_keeps_its_bits_in_it(
+        qubits, size, members, steps, seed):
+    # each member lies on `count` random groups of levels, or on all of
+    # them for a count of 0; rates are random, a third of them 0
+    rng = np.random.default_rng(seed)
+    dim, groups = 2 ** qubits, 2 ** qubits // size
+    a, b = (rng.normal(size=(groups, size, size)) + 1j * rng.normal(size=(groups, size, size))
+            for _ in range(2))
+    h0, h1 = a + np.conj(a).swapaxes(-1, -2), b + np.conj(b).swapaxes(-1, -2)
+
+    def h(t):
+        return h0 + np.cos(t)[:, None, None, None] * h1
+    rho0 = np.zeros((len(members), dim, dim), dtype=complex)
+    for k, count in enumerate(members):
+        chosen = rng.choice(groups, count, replace=False) if count else np.arange(groups)
+        levels = (chosen[:, None] * size + np.arange(size)).ravel()
+        rho0[k][np.ix_(levels, levels)] = _random_density(rng, levels.size)
+    rates = rng.uniform(0.0, 2.0, size=(qubits, len(members)))
+    rates[rng.random(rates.shape) < 1 / 3] = 0.0
+    ops = [embed_qubit_operator(SIGMA_MINUS, qubits, q) for q in range(qubits)]
+    grid = TimeGrid(0.0, 1.0, steps)
+    stack, made = _lindblad_form(h, [Dissipator(op, r) for op, r in zip(ops, rates)], rho0, grid)
+    assert len(made) == 1
+    share = 2.0 if made == ["_support_steps"] else 0.0  # forces the stack's form
+    for k in range(len(members)):
+        channels = [Dissipator(op, r[k]) for op, r in zip(ops, rates)]
+        forced, form = _lindblad_form(h, channels, rho0[k], grid, share)
+        assert form == made
+        for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+            assert np.array_equal(getattr(stack, name)[k], getattr(forced, name)), name
+        own = _lindblad_form(h, channels, rho0[k], grid)[0]
+        assert np.max(np.abs(stack.matrices[k] - own.matrices)) <= 1e-14

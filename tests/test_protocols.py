@@ -721,8 +721,9 @@ class TestOpenForms:
     @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
     def test_every_stack_of_a_protocol_run_takes_one_form(self, monkeypatch, qubits, mode):
         # a runner's stack members start from one state and share the
-        # channels, so they reach the same tiles; the mixed form serves
-        # only propagate_lindblad stacks whose members reach different ones
+        # channels, so they reach the same tiles and each takes the form
+        # its own run would; a stack whose members reach shares on both
+        # sides of SHARE would step grouped
         forms = []
         for name in ("_dense_steps", "_grouped_steps", "_support_steps"):
             def spied(*args, _name=name, _steps=getattr(dynamics, name)):

@@ -64,6 +64,13 @@ class TestEval:
             assert value.shape == deriv.shape == ts.shape
         assert s.eval(np.nan) == (0.7, 0.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, np.nan, np.inf])
+    def test_a_duration_that_is_not_positive_and_finite_is_refused(self, duration):
+        with pytest.raises(ScheduleError,
+                           match=rf"^schedule duration must be positive and finite, "
+                                 rf"not {duration}$"):
+            ParameterSchedule.cosine_ramp(0.5, duration=duration)
+
     def test_bad_kind_and_bad_samples(self):
         with pytest.raises(ScheduleError):
             ParameterSchedule(kind="spline")
@@ -127,6 +134,12 @@ class TestScheduleSet:
         table["phi"] = ParameterSchedule.cosine_ramp(np.pi / 2, duration=2.0)
         with pytest.raises(ScheduleError):
             ScheduleSet(1, 2, 1.0, table)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_a_set_of_non_finite_duration_is_refused(self, duration):
+        with pytest.raises(ScheduleError, match=rf"^schedule 'theta_0' has duration 1.0, "
+                                                rf"set expects {duration}$"):
+            ScheduleSet(1, 2, duration, self._table())
 
     def test_replace_makes_independent_copy(self):
         s = ScheduleSet(1, 2, 1.0, self._table())
