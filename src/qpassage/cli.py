@@ -8,16 +8,17 @@
 trajectory CSV per value plus a manifest.json (and the wall-clock duration in
 timings.json), and exits 0 only when every run's integration diagnostics stay
 inside their bounds (1 on a diagnostic failure, 2 on configuration problems,
-an unwritable output directory and a plan or grid too large to allocate
-included).  `sweep` repeats a run over one parameter, planned once, and emits
-a summary table, with the same exit codes; fidelity must be non-increasing in
-kappa_T.  `verify` runs the randomized oracle suites.  Every refusal is
+an unwritable output directory or artifact and a plan or grid too large to
+allocate included).  `sweep` repeats a run over one parameter, planned once,
+and emits a summary table, with the same exit codes; fidelity must be
+non-increasing in kappa_T.  `verify` runs the randomized oracle suites.  Every refusal is
 raised, and `main` alone prints its one `error:` line and picks the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -41,6 +42,15 @@ class _Refusal(Exception):
     def __init__(self, line: str, code: int = 2):
         super().__init__(line)
         self.code = code
+
+
+@contextlib.contextmanager
+def _writing():
+    """Refuse an artifact that cannot be written, naming its file."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Refusal(f"cannot write {exc.filename!r}: {exc.strerror or exc}") from None
 
 
 def _model(config: RunConfig) -> QubitModel:
@@ -147,12 +157,13 @@ def _run(config_path, out: str | None, grid: int | None) -> int:
     results = _integrate(config_path, config, plan)
 
     records = []
-    for index, (kappa, result) in enumerate(zip(config.kappa_T, results)):
-        csv_name = f"{config.protocol}-{index:02d}.csv"
-        write_trajectory_csv(result, out_dir / csv_name, time_scale=config.duration)
-        records.append(_run_record(config, index, kappa, result, csv_name))
-    write_manifest(out_dir / "manifest.json", config.echo(), records, __version__)
-    write_timings(out_dir / "timings.json", time.time() - started)
+    with _writing():
+        for index, (kappa, result) in enumerate(zip(config.kappa_T, results)):
+            csv_name = f"{config.protocol}-{index:02d}.csv"
+            write_trajectory_csv(result, out_dir / csv_name, time_scale=config.duration)
+            records.append(_run_record(config, index, kappa, result, csv_name))
+        write_manifest(out_dir / "manifest.json", config.echo(), records, __version__)
+        write_timings(out_dir / "timings.json", time.time() - started)
 
     for rec in records:
         status = "ok " if rec["ok"] else "BAD"
@@ -193,8 +204,8 @@ def _sweep(config_path, param: str, values_text: str, out: str | None,
                   diagnostics_ok(result, variant.mode)) for v, result in zip(swept, results)]
 
     table_path = out_dir / f"sweep-{param}.csv"
-    write_csv(table_path, [param, "final_fidelity", "max_residual"],
-              list(zip(*rows))[:3])
+    with _writing():
+        write_csv(table_path, [param, "final_fidelity", "max_residual"], list(zip(*rows))[:3])
     for value, fidelity, residual, ok in rows:
         status = "ok " if ok else "BAD"
         print(f"[{status}] {param}={value:g} final_fidelity={fidelity:.6f} "

@@ -86,6 +86,9 @@ class ParameterSchedule:
         if not 0 < self.duration < math.inf:  # nan fails it too
             raise ScheduleError(f"schedule duration must be positive and finite, "
                                 f"not {self.duration}")
+        for name in ("value", "amplitude", "offset", "slope", "times", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ScheduleError(f"schedule {name} must be finite, not {getattr(self, name)}")
         if self.kind == "sampled":
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ScheduleError("sampled schedule needs matching times/values, length >= 2")

@@ -63,8 +63,8 @@ __all__ = [
     "block_form_defect",
 ]
 
-_CONSTANCY_TOL = 1e-12  # drift below which a control counts as constant
-_COT_RATE_TOL = 1e-14  # times 1/T: the rate below which Delta drops its cot(2 phi) term
+_CONSTANCY_TOL = 1e-12  # drift below which a cascade control counts as constant
+_COT_TOL = 1e-14  # |cot(varphi+alpha)| at or below which Delta drops its cot(2 phi) term
 
 
 class SynthesisError(ValueError):
@@ -82,10 +82,11 @@ class SingularScheduleError(SynthesisError):
 def master_envelope(schedules: ScheduleSet, t):
     """Return (Omega, Delta, varphi) at t, a float or an array of times.
 
-    The mixing angle counts as static where |phi'| T <= 1e-12, T the
-    schedules' duration (phi drifts by at most 1e-12 rad over the step), and
-    Delta drops its cot(2 phi) term where that term's rate is below 1e-14 / T,
-    so neither threshold depends on the unit of time.  Raises
+    The mixing angle counts as static only where phi' is exactly 0, and
+    Delta drops its cot(2 phi) term only where |cot(varphi+alpha)| <= 1e-14,
+    a cut on that dimensionless cotangent, which the locked odd multiples of
+    pi/2 of the shipped protocols meet (|cot| ~ 1e-16).  Neither rule depends
+    on the unit of time or on the magnitude of the fields.  Raises
     :class:`SingularScheduleError` where the formulas are undefined:
     |sin(varphi+alpha)| below the singularity floor while the mixing angle
     moves, or cot(2 phi) needed while 2 phi sits at a multiple of pi.  The
@@ -96,12 +97,12 @@ def master_envelope(schedules: ScheduleSet, t):
     alpha, dalpha = schedules.pair("alpha", t)
     vphi = schedules.value("varphi", t)
 
-    s = np.sin(vphi + alpha)
-    moving = np.abs(dphi) * schedules.duration > _CONSTANCY_TOL
+    s, c = np.sin(vphi + alpha), np.cos(vphi + alpha)
+    moving = dphi != 0.0
     flat = np.abs(s) < TOL.schedule_singularity
-    w = _divide(dphi * np.cos(vphi + alpha), s, moving & ~flat)
+    w = _divide(dphi * c, s, moving & ~flat)
     s2 = np.sin(2.0 * phi)
-    needs_cot = ~(np.abs(w) * schedules.duration < _COT_RATE_TOL)
+    needs_cot = moving & ~(np.abs(c) <= _COT_TOL * np.abs(s))
     divergent = needs_cot & (np.abs(s2) < TOL.schedule_singularity)
     bad = (moving & flat) | divergent
     if np.any(bad):
@@ -114,8 +115,7 @@ def master_envelope(schedules: ScheduleSet, t):
         raise SingularScheduleError(
             f"detuning diverges at t = {at:.6f}: mixing angle at a multiple of pi/2 "
             "with cot(varphi+alpha) != 0")
-    # sub-threshold drift over a near-singular phase is treated as static
-    omega = _divide(-dphi, s, ~((~moving & flat) | (dphi == 0.0)))
+    omega = _divide(-dphi, s, moving)
     delta = dalpha - _divide(2.0 * w * np.cos(2.0 * phi), s2, needs_cot)
     return omega[()], delta[()], vphi
 
@@ -176,16 +176,22 @@ def assemble_hamiltonian(layout: SubspaceLayout, schedules: ScheduleSet, t,
     A float t gives one (M+N, M+N) matrix, an array of times a stack with
     the shape of t in front.
     """
-    amp, phase, delta, _, _ = channel_fields(layout, schedules, t)
+    h = _drive_matrix(layout, *channel_fields(layout, schedules, t)[:3])
+    if aux is not None:
+        h += aux.matrix(layout, t)
+    return h
+
+
+def _drive_matrix(layout: SubspaceLayout, amp, phase, delta) -> np.ndarray:
+    """H with amp[m, n] e^{i phase[m, n]} on |e_m><n|, its conjugate on
+    |n><e_m| and Delta on every assistant level; a stack with the leading
+    shape of Delta in front."""
     m_levels = layout.assistant_levels
-    assist = np.arange(m_levels)
-    h = np.zeros(np.shape(t) + (layout.dim, layout.dim), dtype=complex)
-    h[..., assist, assist] = np.asarray(delta)[..., None]
+    h = np.zeros(np.shape(delta) + (layout.dim, layout.dim), dtype=complex)
+    h[..., range(m_levels), range(m_levels)] = np.asarray(delta)[..., None]
     c = amp * np.exp(1j * phase)
     h[..., :m_levels, m_levels:] += c
     h[..., m_levels:, :m_levels] += np.conj(np.swapaxes(c, -1, -2))
-    if aux is not None:
-        h += aux.matrix(layout, t)
     return h
 
 
@@ -520,8 +526,10 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     Valid for one or two assistant levels.  Beyond the element-wise
     comparison, the special-case fields are assembled into a Hamiltonian and
     checked against the passage-projector residual, which is what settles the
-    working-side product limit.  Both passes take their times as one array,
-    and a NaN anywhere makes its maximum NaN.
+    working-side product limit.  That assembly is the library's own, the one
+    :func:`assemble_hamiltonian` uses, while the field formulas fed to it
+    stay a separate coding (:func:`_special_case_channels`).  Both passes
+    take their times as one array, and a NaN anywhere makes its maximum NaN.
     """
     if layout.assistant_levels not in (1, 2):
         raise SynthesisError("the special-case formulas cover one or two assistant levels only")
@@ -530,26 +538,13 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     g_amp, g_phase, g_delta, _, _ = channel_fields(layout, schedules, times)
     s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, times)
     max_amp = float(np.max(np.abs(np.abs(g_amp) - np.abs(s_amp))))
-    g_coeff = g_amp * np.exp(1j * g_phase)
-    s_coeff = s_amp * np.exp(1j * s_phase)
-    max_coeff = float(np.maximum(np.max(np.abs(g_coeff - s_coeff)),
-                                 np.max(np.abs(g_delta - s_delta))))
-
-    def special_h(t) -> np.ndarray:
-        s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, t)
-        m_levels, dim = layout.assistant_levels, layout.dim
-        h = np.zeros(np.shape(t) + (dim, dim), dtype=complex)
-        for m in range(m_levels):
-            h[..., m, m] = s_delta
-        c = s_amp * np.exp(1j * s_phase)
-        h[..., :m_levels, m_levels:] += c
-        h[..., m_levels:, :m_levels] += np.conj(np.swapaxes(c, -1, -2))
-        return h
+    coeff_diff = g_amp * np.exp(1j * g_phase) - s_amp * np.exp(1j * s_phase)
+    max_coeff = float(np.maximum(np.max(np.abs(coeff_diff)), np.max(np.abs(g_delta - s_delta))))
 
     margin = schedules.duration * 1e-3
     ts = np.linspace(margin, schedules.duration - margin, residual_times)
     frame = build_frame(layout, schedules, ts)
-    h = special_h(ts)
+    h = _drive_matrix(layout, *_special_case_channels(layout, schedules, ts))
     h_scale = float(np.max(frobenius(h), initial=0.0))
     residual_max = float(np.max([von_neumann_residual(frame.column(col),
                                                       frame.derivatives[..., col], h)

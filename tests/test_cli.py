@@ -461,6 +461,15 @@ class TestRunCommand:
             f"error: cannot write to output directory {str(tmp_path / 'o')!r}: "
             "permission denied"]
 
+    @pytest.mark.parametrize("artifact", ["bell-00.csv", "manifest.json"])
+    def test_an_unwritable_artifact_exits_two_in_one_line(self, tmp_path, capsys, artifact):
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=64, kappa="0.0", out=out))
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {str(out / artifact)!r}: Is a directory"]
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("propagation started before the output directory was checked")
@@ -478,6 +487,14 @@ class TestSweepCommand:
                      "--values", "0.0725", "--out", str(out)]) == 0
         row = (out / "sweep-kappa_T.csv").read_text().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(single, abs=1e-12)
+
+    def test_an_unwritable_table_exits_two_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "sweep-kappa_T.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, BELL_CFG.format(grid=64, kappa="0.0", out=out))
+        assert main(["sweep", cfg, "--param", "kappa_T", "--values", "0.0,0.1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {str(out / 'sweep-kappa_T.csv')!r}: Is a directory"]
 
     def test_unknown_parameter_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, BELL_CFG.format(grid=300, kappa="0.0", out=tmp_path / "o"))

@@ -1018,6 +1018,13 @@ class TestGDMatrices:
         g, _ = gd_matrices(frame, np.zeros((3, 3)))
         assert np.max(np.abs(g)) <= 1e-12
 
+    def test_a_nan_frame_derivative_is_refused(self):
+        layout = SubspaceLayout(1, 2)
+        frame = build_frame(layout, random_schedule_set(np.random.default_rng(4), layout), 0.2)
+        frame.derivatives[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^geometric matrix is not Hermitian"):
+            gd_matrices(frame, np.zeros((3, 3)))
+
     def test_geometric_matrix_is_hermitian_and_diagonal_term_matches(self):
         layout = SubspaceLayout(2, 3)
         schedules = random_schedule_set(np.random.default_rng(5), layout)
@@ -1053,6 +1060,16 @@ class TestReconstruction:
         _, u_bf = brute_force_unitaries(plan.hamiltonian, layout.dim, 0.0, 1.0, 4000)
         for idx in (100, 250, 400):
             assert np.linalg.norm(u_rec[idx] - u_bf[idx * 10]) <= 1e-6
+
+    def test_a_nan_phase_is_refused(self):
+        layout = SubspaceLayout(1, 2)
+        schedules = random_schedule_set(np.random.default_rng(9), layout)
+        plan = synthesize_general(layout, schedules, grid=50)
+        phases = generated_phases(plan).as_matrix()
+        phases[-1, 20] = np.nan
+        with pytest.raises(ValueError, match=r"^reconstructed operator is not unitary "
+                                             r"\(defect nan\)$"):
+            reconstruct_evolution(build_frame(layout, schedules, plan.times), phases)
 
     def test_mismatched_grids_rejected(self):
         layout = SubspaceLayout(1, 2)

@@ -71,6 +71,25 @@ class TestEval:
                                  rf"not {duration}$"):
             ParameterSchedule.cosine_ramp(0.5, duration=duration)
 
+    @pytest.mark.parametrize("name, make", [
+        pytest.param("value", lambda bad: ParameterSchedule.constant(bad), id="constant"),
+        pytest.param("amplitude", lambda bad: ParameterSchedule.cosine_ramp(bad), id="cosine"),
+        pytest.param("offset", lambda bad: ParameterSchedule.cosine_ramp(0.5, offset=bad),
+                     id="cosine-offset"),
+        pytest.param("offset", lambda bad: ParameterSchedule.linear_ramp(bad, 0.5), id="linear"),
+        pytest.param("slope", lambda bad: ParameterSchedule.linear_ramp(0.0, bad),
+                     id="linear-slope"),
+        pytest.param("times", lambda bad: ParameterSchedule.sampled([0.0, 0.5, bad],
+                                                                    [0.0, 1.0, 2.0], 1.0),
+                     id="sampled-times"),
+        pytest.param("values", lambda bad: ParameterSchedule.sampled([0.0, 1.0], [0.0, bad]),
+                     id="sampled-values"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_parameter_is_refused(self, name, make, bad):
+        with pytest.raises(ScheduleError, match=rf"^schedule {name} must be finite, not "):
+            make(bad)
+
     def test_bad_kind_and_bad_samples(self):
         with pytest.raises(ScheduleError):
             ParameterSchedule(kind="spline")

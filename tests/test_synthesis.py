@@ -13,6 +13,7 @@ from scipy.integrate import cumulative_trapezoid
 import qpassage
 from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import von_neumann_residual
+from qpassage.linalg import frobenius
 from qpassage.schedules import ParameterSchedule, ScheduleSet
 from qpassage.synthesis import (SingularScheduleError, SynthesisError,
                                 assemble_hamiltonian, block_form_defect,
@@ -20,6 +21,7 @@ from qpassage.synthesis import (SingularScheduleError, SynthesisError,
                                 _cumulative_trapezoid, generated_phases, master_envelope,
                                 reduction_crosscheck, _special_case_channels,
                                 synthesize_general)
+from qpassage.tolerances import TOL
 
 from helpers import brute_force_unitaries, random_layout, random_schedule_set
 
@@ -74,15 +76,18 @@ class TestFieldValues:
             assert abs(delta - 0.7) <= 1e-8
 
     @pytest.mark.parametrize("duration", [1e-3, 1.0, 1e3])
-    def test_a_static_mixing_angle_is_judged_over_the_step(self, duration):
-        # phi drifting by 5e-13 rad over the step counts as static (Delta
-        # keeps no cot term), by 5e-12 rad as moving, in any unit of time
-        for drift, static in ((5e-13, True), (5e-12, False)):
+    def test_a_slowly_moving_mixing_angle_keeps_the_cot_term(self, duration):
+        # phi drifting by 5e-13 or 5e-12 rad over the step moves, in any
+        # unit of time, so Delta = -2 phi' cot(varphi + alpha) cot(2 phi)
+        for drift in (5e-13, 5e-12):
+            rate = drift / duration
             schedules = bell_step_schedules(alpha=0.0, duration=duration).replace(
-                phi=ParameterSchedule.linear_ramp(np.pi / 8, drift / duration, duration),
+                phi=ParameterSchedule.linear_ramp(np.pi / 8, rate, duration),
                 varphi=ParameterSchedule.constant(np.pi / 3, duration))
+            phi = schedules.value("phi", 0.5 * duration)
             _, delta, _ = master_envelope(schedules, 0.5 * duration)
-            assert (delta == 0.0) == static
+            expected = -2.0 * rate / np.tan(np.pi / 3) / np.tan(2.0 * phi)
+            assert delta == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_balanced_two_assistant_levels(self):
         # ttheta_0 = theta_0 = pi/4 splits the master envelope evenly and the
@@ -185,6 +190,33 @@ class TestPassageCondition:
             for col in (-2, -1):
                 res = passage_residual(layout, schedules, plan.hamiltonian, t, col)
                 assert res <= 1e-8 * h_scale
+
+    @staticmethod
+    def tiny_ramp(offset):
+        """A 1+2 set whose mixing angle is a cosine ramp of amplitude 4.4e-83
+        around `offset`, with cot(varphi + alpha) = cot(1)."""
+        return ScheduleSet(1, 2, 1.0, {
+            "theta_0": ParameterSchedule.constant(0.4),
+            "alpha_0": ParameterSchedule.constant(0.2),
+            "phi": ParameterSchedule.cosine_ramp(4.4e-83, offset=offset),
+            "alpha": ParameterSchedule.constant(0.0),
+            "varphi": ParameterSchedule.constant(1.0),
+        })
+
+    def test_a_mixing_ramp_of_any_magnitude_is_an_exact_passage(self):
+        # no part of the fields is dropped for being small: phi' ~ 1e-83
+        layout, ts = SubspaceLayout(1, 2), np.array([0.3, 0.6])
+        schedules = self.tiny_ramp(0.5)
+        h = assemble_hamiltonian(layout, schedules, ts)
+        frame = build_frame(layout, schedules, ts)
+        for col in (-2, -1):
+            res = von_neumann_residual(frame.column(col), frame.derivatives[..., col], h)
+            assert np.all(res <= TOL.passage_residual * frobenius(h))
+
+    def test_a_tiny_ramp_at_a_multiple_of_half_pi_is_refused(self):
+        # phi ~ 1e-83 keeps sin(2 phi) at 0 while cot(varphi + alpha) != 0
+        with pytest.raises(SingularScheduleError, match="detuning diverges"):
+            assemble_hamiltonian(SubspaceLayout(1, 2), self.tiny_ramp(0.0), np.array([0.3, 0.6]))
 
     def test_unlocked_cross_phase_still_passes_with_cot_detuning(self):
         # keep the mixing angle inside (0, pi/4) so cot(2 phi) stays finite;

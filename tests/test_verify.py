@@ -71,7 +71,7 @@ def test_one_seed_formats_identical_reports():
     assert run_verification(7, sizes, instances=1).format() == first
 
 
-def test_each_case_is_synthesized_once_and_reconstructed_without_the_injection(monkeypatch):
+def test_only_the_reconstructed_cases_are_synthesized_and_without_the_injection(monkeypatch):
     grids = []
 
     def counted(layout, schedules, grid):
@@ -81,6 +81,6 @@ def test_each_case_is_synthesized_once_and_reconstructed_without_the_injection(m
     monkeypatch.setattr(verify, "synthesize_general", counted)
     report = run_verification(5, [(1, 2), (2, 2)], instances=2, inject_detuning=0.3)
     suites = {s.name: s for s in report.suites}
-    assert grids.count(verify._GRID) == 4  # one plan per case
+    assert grids == [verify._GRID] * 2  # the first half of the 4 cases, no other plan
     assert not suites["passage-residual"].passed
     assert suites["evolution-reconstruction"].passed
