@@ -9,7 +9,8 @@ on PYTHONPATH:
   evaluations plus one interval up to d = 8 (512-interval spans) and two
   full spans plus one above (256-interval spans), so every config crosses a
   span edge;
-* `qpassage sweep configs/bell.cfg --param kappa_T` at grid 513;
+* `qpassage sweep configs/bell.cfg --param kappa_T` at grid 513, and
+  `--param grid --values 513,1024`, whose table has an integer first column;
 * `qpassage verify --seed 1`, whose report is its standard output.
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
@@ -42,6 +43,7 @@ WORK = Path(__file__).resolve().parents[1]
 MAIN = "import sys; from qpassage.cli import main; sys.exit(main())"
 GRID = "513"
 SWEEP = ["sweep", "configs/bell.cfg", "--param", "kappa_T", "--values", "0.0145,0.0725,0.145"]
+GRID_SWEEP = ["sweep", "configs/bell.cfg", "--param", "grid", "--values", f"{GRID},1024"]
 
 
 def commands(tree: Path) -> dict:
@@ -52,6 +54,7 @@ def commands(tree: Path) -> dict:
         jobs[f"{config.stem}-grid{GRID}"] = ["run", path, "--grid", GRID]
         jobs[f"{config.stem}-own-grid"] = ["run", path]
     jobs[f"sweep-kappa_T-grid{GRID}"] = SWEEP + ["--grid", GRID]
+    jobs["sweep-grid"] = GRID_SWEEP
     jobs["verify-seed1"] = ["verify", "--seed", "1"]
     return jobs
 
