@@ -66,11 +66,6 @@ class SubspaceLayout:
             raise IndexError(f"assistant level {m} out of range")
         return m
 
-    def working_index(self, n: int) -> int:
-        if not 0 <= n < self.working_levels:
-            raise IndexError(f"working level {n} out of range")
-        return self.assistant_levels + n
-
 
 @dataclass
 class AncillaryFrame:
@@ -84,7 +79,6 @@ class AncillaryFrame:
     (for M = 1, tb_{-1} = |e_0>).
     """
 
-    t: float | np.ndarray
     layout: SubspaceLayout
     vectors: np.ndarray
     derivatives: np.ndarray
@@ -190,7 +184,6 @@ def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryF
             if columns else np.zeros(shape, dtype=complex)
 
     return AncillaryFrame(
-        t=t,
         layout=layout,
         vectors=stack(tmus + mus + [mu_lo, mu_hi]),
         derivatives=stack(dtmus + dmus + [dmu_lo, dmu_hi]),

@@ -101,11 +101,12 @@ def _prepare(config_path, config: RunConfig, variants=()):
 def _integrate(config_path, config: RunConfig, plan, param="kappa_T", value=None) -> list:
     """One result per kappa_T value, integrated together; only the first when
     `value`, a sweep's value of `param`, is given.  A failure names the
-    kappa_T it carries, or `value`."""
+    kappa_T it carries, or `value`.  The strong-coupling rule is not checked
+    again: `_prepare` checked it on this config."""
     kappas = config.kappa_T if value is None else config.kappa_T[:1]
     try:
         return run_protocol_kappas(plan, _model(config), kappas, mode=config.mode,
-                                   grid_steps=config.grid)
+                                   grid_steps=config.grid, strict=False)
     except MemoryError as exc:  # a grid too fine to allocate
         raise _Refusal(f"{config_path}: grid={config.grid}: {exc}") from None
     except Exception as exc:

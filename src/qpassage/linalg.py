@@ -35,14 +35,12 @@ __all__ = [
     "StateCheckError",
     "embed_qubit_operator",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "SIGMA_MINUS",
     "IDENTITY_2",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # qubit basis order is (|e>, |g>), so the lowering operator |g><e| is:
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)

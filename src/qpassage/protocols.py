@@ -183,10 +183,14 @@ class QubitModel:
 class ProtocolStep:
     """One passage step: a reduced two-subspace model embedded in the register.
 
-    The reduced model (layout, schedules) generates the drive coefficients;
-    `embed` maps its levels onto product-basis indices and `rep` maps each
-    driven qubit to the (row, col) reduced matrix element that carries the
-    qubit's drive coefficient.
+    The reduced model's schedule set generates the drive coefficients and
+    fixes the step's `duration` and its (M, N) `layout`; `embed` maps its
+    levels onto product-basis indices and `rep` maps each driven qubit to
+    the (row, col) reduced matrix element that carries the qubit's drive
+    coefficient.  A step is checked when it is built: its effective
+    Hamiltonian must reproduce the reduced model on the embedded block and
+    its nominal transfer must send `initial` to `target`, or ProtocolError
+    is raised.
 
     `order` is the step's level order: position p holds product index
     order[p], with the spectator qubits' bits as the major index and the
@@ -194,7 +198,8 @@ class ProtocolStep:
     driven qubits only and its diagonal lives on the embedded levels, so in
     this order the step Hamiltonian is block diagonal over S = d/b
     consecutive groups of b = 2**len(drives) levels, one per configuration
-    of the spectators.  `lines` holds, per driven qubit, the
+    of the spectators; `position`, the inverse of `order`, holds each
+    product index's place in it.  `lines` holds, per driven qubit, the
     (qubit, groups, rows, cols, n) of all its raising transitions, each as
     its group and its row and column inside the group: in the frame rotating
     with the static Hamiltonian a transition oscillates at n*J, so effective
@@ -203,26 +208,34 @@ class ProtocolStep:
 
     name: str
     qubits: int
-    duration: float
     t_start: float
     drives: tuple
     couplings: tuple
     omega0_rule: str
     initial: np.ndarray
     target: np.ndarray
-    layout: SubspaceLayout
     schedules: ScheduleSet
     embed: tuple
     rep: dict
+    layout: SubspaceLayout = field(init=False)
     order: np.ndarray = field(init=False)
+    position: np.ndarray = field(init=False)
     lines: tuple = field(init=False)
 
     def __post_init__(self):
+        self.layout = SubspaceLayout(self.schedules.assistant_levels,
+                                     self.schedules.working_levels)
         driven = sorted(self.drives)
         spectators = [q for q in range(self.qubits) if q not in driven]
         levels = np.arange(self.dim).reshape((2,) * self.qubits)
         self.order = levels.transpose(spectators + driven).ravel()
+        self.position = np.argsort(self.order)
         self.lines = _transition_lines(self)
+        _assert_step_consistency(self)
+
+    @property
+    def duration(self) -> float:
+        return self.schedules.duration
 
     @property
     def dim(self) -> int:
@@ -232,11 +245,6 @@ class ProtocolStep:
     def block(self) -> int:
         """Levels per group of the step order, b = 2**len(drives)."""
         return 2 ** len(self.drives)
-
-    @property
-    def position(self) -> np.ndarray:
-        """Position in the step order of each product index (inverse of `order`)."""
-        return np.argsort(self.order)
 
     def reduced_hamiltonian(self, t) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t)
@@ -303,14 +311,33 @@ def _transition_lines(step: ProtocolStep) -> tuple:
 
 @dataclass
 class ProtocolPlan:
-    """Ordered steps, the initial state, and the per-step / final targets."""
+    """Ordered steps and the product labels whose populations a run records.
+
+    The register size and initial state are the first step's, the final
+    target the last step's.  A plan refuses steps that do not chain: each
+    step must start in the state its predecessor ends in.
+    """
 
     name: str
-    qubits: int
     steps: list
-    initial: np.ndarray
-    final_target: np.ndarray
     labels: dict
+
+    def __post_init__(self):
+        for prev, nxt in zip(self.steps, self.steps[1:]):
+            if abs(abs(np.vdot(nxt.initial, prev.target)) - 1.0) > 1e-12:
+                raise ProtocolError("step chain is not continuous")
+
+    @property
+    def qubits(self) -> int:
+        return self.steps[0].qubits
+
+    @property
+    def initial(self) -> np.ndarray:
+        return self.steps[0].initial
+
+    @property
+    def final_target(self) -> np.ndarray:
+        return self.steps[-1].target
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +346,15 @@ class ProtocolPlan:
 
 def _with_pad(prefix: str, n_qubits: int) -> str:
     return prefix + "g" * (n_qubits - len(prefix))
+
+
+def _levels(n_qubits: int, *prefixes: str) -> tuple[tuple, np.ndarray]:
+    """Product indices of the label prefixes, each padded with g to n_qubits,
+    and their kets as the rows of one array."""
+    index = tuple(product_index(_with_pad(p, n_qubits)) for p in prefixes)
+    kets = np.zeros((len(index), 2 ** n_qubits), dtype=complex)
+    kets[range(len(index)), index] = 1.0
+    return index, kets
 
 
 def _apply_overrides(table: dict, overrides: dict | None, duration: float) -> dict:
@@ -361,7 +397,6 @@ def _split_step(n_qubits: int, duration: float, t_start: float,
     if boundary not in ("caption", "text"):
         raise ProtocolError(f"unknown boundary choice {boundary!r}")
     alpha = 0.0 if boundary == "caption" else np.pi
-    layout = SubspaceLayout(1, 2)
     table = {
         "theta_0": ParameterSchedule.constant(np.pi / 4, duration),
         "alpha_0": ParameterSchedule.constant(0.0, duration),
@@ -369,27 +404,18 @@ def _split_step(n_qubits: int, duration: float, t_start: float,
         "alpha": ParameterSchedule.constant(alpha, duration),
         "varphi": ParameterSchedule.constant(np.pi / 2, duration),
     }
-    schedules = ScheduleSet(1, 2, duration, _apply_overrides(table, overrides, duration))
-    ground = _with_pad("", n_qubits)
-    one_up = _with_pad("e", n_qubits)
-    other_up = _with_pad("ge", n_qubits)
-    embed = (product_index(ground), product_index(one_up), product_index(other_up))
-    target = (product_state(one_up) + product_state(other_up)) / np.sqrt(2)
-    step = ProtocolStep(
-        name="split", qubits=n_qubits, duration=duration,
-        t_start=t_start, drives=(0, 1), couplings=((0, 1),), omega0_rule="-omega+J",
-        initial=product_state(ground), target=target,
-        layout=layout, schedules=schedules, embed=embed,
-        rep={0: (1, 0), 1: (2, 0)},
+    embed, (ground, one_up, other_up) = _levels(n_qubits, "", "e", "ge")
+    return ProtocolStep(
+        name="split", qubits=n_qubits, t_start=t_start, drives=(0, 1), couplings=((0, 1),),
+        omega0_rule="-omega+J", initial=ground, target=(one_up + other_up) / np.sqrt(2),
+        schedules=ScheduleSet(1, 2, duration, _apply_overrides(table, overrides, duration)),
+        embed=embed, rep={0: (1, 0), 1: (2, 0)},
     )
-    _assert_step_consistency(step)
-    return step
 
 
 def _convert_step(n_qubits: int, duration: float, t_start: float,
                   reverse: bool = False, overrides: dict | None = None) -> ProtocolStep:
     """(|eg..> + |ge..>)/sqrt(2) <-> (|ee..> - |gg..>)/sqrt(2)."""
-    layout = SubspaceLayout(2, 2)
     if reverse:
         phi = ParameterSchedule.cosine_ramp(np.pi / 2, duration)
     else:
@@ -403,26 +429,16 @@ def _convert_step(n_qubits: int, duration: float, t_start: float,
         "alpha": ParameterSchedule.constant(np.pi, duration),
         "varphi": ParameterSchedule.constant(np.pi / 2, duration),
     }
-    schedules = ScheduleSet(2, 2, duration, _apply_overrides(table, overrides, duration))
-    both_up = _with_pad("ee", n_qubits)
-    ground = _with_pad("", n_qubits)
-    one_up = _with_pad("e", n_qubits)
-    other_up = _with_pad("ge", n_qubits)
-    embed = (product_index(both_up), product_index(ground),
-             product_index(one_up), product_index(other_up))
-    single = (product_state(one_up) + product_state(other_up)) / np.sqrt(2)
-    double = (product_state(both_up) - product_state(ground)) / np.sqrt(2)
+    embed, (both_up, ground, one_up, other_up) = _levels(n_qubits, "ee", "", "e", "ge")
+    single = (one_up + other_up) / np.sqrt(2)
+    double = (both_up - ground) / np.sqrt(2)
     initial, target = (double, single) if reverse else (single, double)
-    step = ProtocolStep(
-        name="convert-back" if reverse else "convert",
-        qubits=n_qubits, duration=duration, t_start=t_start, drives=(0, 1),
-        couplings=(), omega0_rule="-omega",
-        initial=initial, target=target,
-        layout=layout, schedules=schedules, embed=embed,
-        rep={0: (0, 3), 1: (0, 2)},  # <ee|H|ge> and <ee|H|eg> in reduced indices
+    return ProtocolStep(
+        name="convert-back" if reverse else "convert", qubits=n_qubits, t_start=t_start,
+        drives=(0, 1), couplings=(), omega0_rule="-omega", initial=initial, target=target,
+        schedules=ScheduleSet(2, 2, duration, _apply_overrides(table, overrides, duration)),
+        embed=embed, rep={0: (0, 3), 1: (0, 2)},  # <ee|H|ge> and <ee|H|eg> in reduced indices
     )
-    _assert_step_consistency(step)
-    return step
 
 
 def _raise_step(n_qubits: int, k: int, duration: float, t_start: float,
@@ -436,8 +452,6 @@ def _raise_step(n_qubits: int, k: int, duration: float, t_start: float,
     if not 3 <= k <= n_qubits:
         raise ProtocolError(f"raise step index {k} out of range for {n_qubits} qubits")
     q = k - 1         # driven qubit, 0-based
-    lower_label = _with_pad("e" * (k - 1), n_qubits)
-    upper_label = _with_pad("e" * k, n_qubits)
     table = {
         "phi": ParameterSchedule.cosine_ramp(-np.pi / 2, duration, offset=np.pi / 2),
         "alpha": ParameterSchedule.constant(np.pi, duration),
@@ -447,44 +461,33 @@ def _raise_step(n_qubits: int, k: int, duration: float, t_start: float,
     table = _apply_overrides(table, overrides, duration)
     table["theta_0"] = ParameterSchedule.constant(0.0, duration)
     table["alpha_0"] = ParameterSchedule.constant(0.0, duration)
-    ground_label = _with_pad("", n_qubits)
-    ground = product_state(ground_label)
-    initial = (product_state(lower_label) - ground) / np.sqrt(2)
-    target = (product_state(upper_label) - ground) / np.sqrt(2)
-    step = ProtocolStep(
-        name=f"raise-{k}", qubits=n_qubits, duration=duration,
-        t_start=t_start, drives=(q,), couplings=((q - 1, q),), omega0_rule="-omega-J",
-        initial=initial, target=target,
-        layout=SubspaceLayout(1, 2), schedules=ScheduleSet(1, 2, duration, table),
-        embed=(product_index(upper_label), product_index(ground_label),
-               product_index(lower_label)),
-        rep={q: (0, 2)},  # <upper|H|lower> in reduced indices
+    embed, (upper, ground, lower) = _levels(n_qubits, "e" * k, "", "e" * (k - 1))
+    return ProtocolStep(
+        name=f"raise-{k}", qubits=n_qubits, t_start=t_start, drives=(q,),
+        couplings=((q - 1, q),), omega0_rule="-omega-J", initial=(lower - ground) / np.sqrt(2),
+        target=(upper - ground) / np.sqrt(2), schedules=ScheduleSet(1, 2, duration, table),
+        embed=embed, rep={q: (0, 2)},  # <upper|H|lower> in reduced indices
     )
-    _assert_step_consistency(step)
-    return step
 
 
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
 
-def _bell_labels(n_qubits: int) -> dict:
-    labels = {}
-    for name in ("gg", "eg", "ge", "ee"):
-        full = _with_pad(name, n_qubits) if name != "gg" else _with_pad("", n_qubits)
-        labels[full] = product_index(full)
-    return labels
+def _labels(n_qubits: int, top: int) -> dict:
+    """{label: product index} of g..g, eg.., ge.. and e^k g.. for k = 2..top,
+    in that order, the order in which a run sums their populations."""
+    prefixes = ["", "e", "ge"] + ["e" * k for k in range(2, top + 1)]
+    return {name: product_index(name) for name in (_with_pad(p, n_qubits) for p in prefixes)}
 
 
 def plan_bell(model: QubitModel, duration: float = 1.0,
               boundary: str = "caption", overrides: dict | None = None) -> ProtocolPlan:
     """Two steps: ground -> single-excitation pair -> (|ee>-|gg>)/sqrt(2)."""
     n = model.qubits
-    split = _split_step(n, duration, 0.0, boundary, overrides)
-    convert = _convert_step(n, duration, duration, overrides=overrides)
-    return ProtocolPlan(name="bell", qubits=n, steps=[split, convert],
-                        initial=split.initial, final_target=convert.target,
-                        labels=_bell_labels(n))
+    steps = [_split_step(n, duration, 0.0, boundary, overrides),
+             _convert_step(n, duration, duration, overrides=overrides)]
+    return ProtocolPlan(name="bell", steps=steps, labels=_labels(n, 2))
 
 
 def plan_bell_reverse(model: QubitModel, duration: float = 1.0,
@@ -492,9 +495,7 @@ def plan_bell_reverse(model: QubitModel, duration: float = 1.0,
     """One step converting (|ee>-|gg>)/sqrt(2) back to the single-excitation pair."""
     n = model.qubits
     step = _convert_step(n, duration, duration, reverse=True, overrides=overrides)
-    return ProtocolPlan(name="bell-reverse", qubits=n, steps=[step],
-                        initial=step.initial, final_target=step.target,
-                        labels=_bell_labels(n))
+    return ProtocolPlan(name="bell-reverse", steps=[step], labels=_labels(n, 2))
 
 
 def plan_ghz(model: QubitModel, n_qubits: int | None = None,
@@ -511,19 +512,7 @@ def plan_ghz(model: QubitModel, n_qubits: int | None = None,
              _convert_step(n, duration, duration, overrides=overrides)]
     for k in range(3, n + 1):
         steps.append(_raise_step(n, k, duration, (k - 1) * duration, overrides))
-    for prev, nxt in zip(steps, steps[1:]):
-        if abs(abs(np.vdot(nxt.initial, prev.target)) - 1.0) > 1e-12:
-            raise ProtocolError("step chain is not continuous")
-    labels = {}
-    for name in ("", "e", "ge"):
-        full = _with_pad(name, n)
-        labels[full] = product_index(full)
-    for k in range(2, n + 1):
-        full = _with_pad("e" * k, n)
-        labels[full] = product_index(full)
-    return ProtocolPlan(name="ghz", qubits=n, steps=steps,
-                        initial=steps[0].initial, final_target=steps[-1].target,
-                        labels=labels)
+    return ProtocolPlan(name="ghz", steps=steps, labels=_labels(n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,6 @@ def block_form_defect(frame, h: np.ndarray, delta: float, omega: float, vphi: fl
 class ReductionReport:
     assistant_levels: int
     working_levels: int
-    max_amplitude_diff: float
     max_coefficient_diff: float
     residual_max: float
     hamiltonian_scale: float
@@ -537,7 +536,6 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     times = np.linspace(0.0, schedules.duration, grid + 1)
     g_amp, g_phase, g_delta, _, _ = channel_fields(layout, schedules, times)
     s_amp, s_phase, s_delta = _special_case_channels(layout, schedules, times)
-    max_amp = float(np.max(np.abs(np.abs(g_amp) - np.abs(s_amp))))
     coeff_diff = g_amp * np.exp(1j * g_phase) - s_amp * np.exp(1j * s_phase)
     max_coeff = float(np.maximum(np.max(np.abs(coeff_diff)), np.max(np.abs(g_delta - s_delta))))
 
@@ -563,7 +561,6 @@ def reduction_crosscheck(layout: SubspaceLayout, schedules: ScheduleSet,
     return ReductionReport(
         assistant_levels=layout.assistant_levels,
         working_levels=layout.working_levels,
-        max_amplitude_diff=max_amp,
         max_coefficient_diff=max_coeff,
         residual_max=residual_max,
         hamiltonian_scale=h_scale,

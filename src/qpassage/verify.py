@@ -21,8 +21,8 @@ from .ancillary import SubspaceLayout, build_frame
 from .dynamics import reconstruct_evolution, von_neumann_residual
 from .linalg import completeness_defect, expm_hermitian
 from .schedules import ParameterSchedule, ScheduleSet
-from .synthesis import (assemble_hamiltonian, block_form_defect, convert_dark_state,
-                        generated_phases, master_envelope, reduction_crosscheck,
+from .synthesis import (_drive_matrix, assemble_hamiltonian, block_form_defect, channel_fields,
+                        convert_dark_state, generated_phases, reduction_crosscheck,
                         synthesize_general)
 from .tolerances import TOL
 
@@ -181,10 +181,10 @@ def run_verification(seed: int, sizes, instances: int = 3,
     err = 0.0
     for layout, schedules in cases:
         t = float(rng.uniform(0.1, 0.9))
-        h = assemble_hamiltonian(layout, schedules, t)
+        amp, phase, delta, omega, vphi = channel_fields(layout, schedules, t)
+        h = _drive_matrix(layout, amp, phase, delta)
         h_norm = max(float(np.linalg.norm(h)), 1e-300)
         frame = build_frame(layout, schedules, t)
-        omega, delta, vphi = master_envelope(schedules, t)
         m_rows = layout.assistant_levels - 1
         for k in range(m_rows):
             v = frame.column(k)

@@ -264,7 +264,7 @@ class TestRunCommand:
                 header = fh.readline().rstrip("\n").split(",")
                 f = [float(line.split(",")[header.index("F")]) for line in fh]
             # the manifest sorts its keys; the steps run in this order
-            order = ["split", "convert"] + [f"raise-{k}" for k in range(3, 8)]
+            order = ["split", "convert", "convert-back"] + [f"raise-{k}" for k in range(3, 8)]
             steps = [name for name in order if name in run["step_fidelities"]]
             assert len(steps) == len(run["step_fidelities"])
             ends = [f[257 * (k + 1)] for k in range(len(steps))]
@@ -395,6 +395,24 @@ class TestRunCommand:
         monkeypatch.undo()
         assert main(["sweep", cfg, "--param", "omega_T", "--values", "2900", "--grid", "50"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_the_strong_coupling_rule_is_checked_once_per_variant(self, tmp_path, monkeypatch):
+        check = protocols.check_strong_coupling
+        calls = []
+
+        def counted(plan, model, mode):
+            calls.append(model.omega)
+            return check(plan, model, mode)
+
+        monkeypatch.setattr(cli, "check_strong_coupling", counted)
+        monkeypatch.setattr(protocols, "check_strong_coupling", counted)
+        config = str(CONFIGS / "ghz3-rotating.cfg")
+        assert main(["run", config, "--grid", "50", "--out", str(tmp_path)]) == 0
+        assert calls == [2900.0]
+        calls.clear()
+        assert main(["sweep", config, "--param", "omega_T", "--values", "2900,3000",
+                     "--grid", "50", "--out", str(tmp_path)]) == 0
+        assert calls == [2900.0, 3000.0]
 
     def test_an_overflowing_coupling_exits_two_before_integrating(self, tmp_path, capsys,
                                                                   monkeypatch):

@@ -1,5 +1,6 @@
 """Bell/GHZ step Hamiltonians, plans, and closed-system protocol runs."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from scipy.integrate import trapezoid
 
 from qpassage import dynamics, linalg, protocols
-from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolStep, QubitModel,
-                                build_step_blocks, build_step_hamiltonian, diagnostics_ok,
-                                plan_bell, plan_bell_reverse, plan_ghz, product_index,
-                                product_state, run_protocol, run_protocol_kappas)
+from qpassage.protocols import (CALIBRATED_OMEGA_T, ProtocolError, ProtocolPlan, ProtocolStep,
+                                QubitModel, build_step_blocks, build_step_hamiltonian,
+                                diagnostics_ok, plan_bell, plan_bell_reverse, plan_ghz,
+                                product_index, product_state, run_protocol, run_protocol_kappas)
 from qpassage.dynamics import (SPAN, Dissipator, StepSizeError, TimeGrid, _span, populations,
                                propagate_lindblad, propagate_schrodinger, von_neumann_residual)
 from qpassage.linalg import SIGMA_MINUS, embed_qubit_operator, outer
@@ -204,6 +205,22 @@ class TestPlans:
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ProtocolError):
             plan_bell(QubitModel(qubits=2), boundary="other")
+
+    def test_a_step_is_checked_when_it_is_built(self):
+        convert = plan_bell(QubitModel(qubits=2)).steps[1]
+        with pytest.raises(ProtocolError, match="declared boundaries do not map"):
+            dataclasses.replace(convert, target=product_state("gg"))
+
+    def test_a_plan_refuses_steps_that_do_not_chain(self):
+        plan = plan_bell(QubitModel(qubits=2))
+        split, convert = plan.steps
+        with pytest.raises(ProtocolError, match="step chain is not continuous"):
+            ProtocolPlan("bell", [convert, split], plan.labels)
+
+    def test_a_step_computes_its_inverse_order_once(self):
+        for step in plan_ghz(QubitModel(qubits=4)).steps:
+            assert step.position is step.position
+            assert np.array_equal(step.position, np.argsort(step.order))
 
 
 class TestClosedRuns:

@@ -3,7 +3,7 @@ oracle's tree product agrees with a plain sequential one; reports repeat."""
 
 import numpy as np
 
-from qpassage import verify
+from qpassage import synthesis, verify
 from qpassage.linalg import dagger, expm_hermitian
 from qpassage.synthesis import synthesize_general
 from qpassage.verify import SuiteResult, _brute_force, _worst, run_verification
@@ -84,3 +84,21 @@ def test_only_the_reconstructed_cases_are_synthesized_and_without_the_injection(
     assert grids == [verify._GRID] * 2  # the first half of the 4 cases, no other plan
     assert not suites["passage-residual"].passed
     assert suites["evolution-reconstruction"].passed
+
+
+def test_the_dark_and_block_structure_suite_evaluates_the_envelope_once_per_case(monkeypatch):
+    # with one assistant level no dark-state conversion runs, so every
+    # envelope evaluation at a single time is this suite's
+    envelope = synthesis.master_envelope
+    single_times = []
+
+    def counted(schedules, t):
+        single_times.append(np.ndim(t) == 0)
+        return envelope(schedules, t)
+
+    monkeypatch.setattr(synthesis, "master_envelope", counted)
+    # also counted should the suite import the envelope under its own name
+    monkeypatch.setattr(verify, "master_envelope", counted, raising=False)
+    report = run_verification(2, [(1, 2), (1, 3)], instances=2)
+    assert report.passed
+    assert sum(single_times) == 4  # one per case

@@ -15,8 +15,9 @@ on PYTHONPATH:
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
 each command's exit code and error output.  One `same` or `DIFF` line is
-printed per artifact, and one `FAIL` line per command of the working tree
-that exits nonzero; the exit code is 1 if anything differs or fails, else 0.
+printed per artifact as soon as it is compared, and one `FAIL` line per
+command of the working tree that exits nonzero; the exit code is 1 if
+anything differs or fails, else 0.
 A `DIFF` line of a CSV or JSON file of the same shape on both sides (same
 header and row count, or same keys and list lengths) ends with the largest
 absolute difference of each numeric column or field that moved, e.g.
@@ -167,12 +168,13 @@ def compare(ref: Path, work: Path) -> bool:
     for name in names:
         a, b = ref / name, work / name
         if not (a.is_file() and b.is_file()):
-            print(f"DIFF {name} (only in {'the working tree' if b.is_file() else 'REF'})")
+            side = "the working tree" if b.is_file() else "REF"
+            print(f"DIFF {name} (only in {side})", flush=True)
             same = False
         elif filecmp.cmp(a, b, shallow=False):
-            print(f"same {name}")
+            print(f"same {name}", flush=True)
         else:
-            print(f"DIFF {name}{moves(a, b)}")
+            print(f"DIFF {name}{moves(a, b)}", flush=True)
             same = False
     return same
 
