@@ -121,10 +121,11 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
 
     Larger blocks take the Taylor polynomial of degree DEGREE = 8 of A's
     real form, scaled and squared per block above THETA (`_taylor_expm`).
-    In one `qpassage verify --seed 7` iteration its 156 calls on
-    (184 | 256, b, b) stacks, b = 3, 4, 5, took 0.051 s against 0.104-0.112 s
-    through `np.linalg.eigh` (best of 8 iterations each), and the iteration
-    0.22 s against 0.27-0.30 s.  Against `scipy.linalg.expm` on every
+    In one `qpassage verify --seed 7` iteration of the midpoint oracle
+    (3,000 steps per case, since replaced), its 156 calls on
+    (184 | 256, b, b) stacks, b = 3, 4, 5, took 0.051 s against
+    0.104-0.112 s through `np.linalg.eigh` (best of 8 iterations each), and
+    the iteration 0.22 s against 0.27-0.30 s.  Against `scipy.linalg.expm` on every
     fourth of those stacks (||A||_1 <= 1.4e-3, no squaring) its largest
     error was 3.4e-19 and its largest max |u+ u - I| 3.3e-16, against
     1.9e-15 and 4.0e-15 through eigh, whose unitaries carried a norm bias

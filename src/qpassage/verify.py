@@ -9,6 +9,14 @@ and the dark-state conversion against the residual with both candidate
 readings of the converted mixing angle.  A final sensitivity suite injects a
 detuning error and fails if the residual oracle does not flag it, so a silent
 oracle cannot go unnoticed.
+
+The evolution oracle integrates H(t) on the synthesis grid with one
+fourth-order Magnus step per interval: H1 and H2 at the Gauss-Legendre points
+c = 1/2 -+ sqrt(3)/6 of the interval, and one exp(-i dt H_eff) of
+H_eff = (H1 + H2)/2 + i (sqrt(3) dt / 12) [H1, H2].  It never reads the
+frame, the phases or H at the grid nodes.  On the suite's 300 intervals it
+is within 4.4e-13 of the same steps on 12,000 intervals, so the suite's
+error (3.9e-13 at seeds 1, 7 and 777) measures the reconstruction.
 """
 
 from __future__ import annotations
@@ -28,10 +36,12 @@ from .tolerances import TOL
 
 __all__ = ["SuiteResult", "VerifyReport", "run_verification", "random_schedule_set"]
 
-# fine intervals per Hamiltonian call and batched exponential in the
-# brute-force oracle; each block is multiplied as a pairwise tree, so larger
-# blocks buy little and raise the peak memory of `verify`
-_ORACLE_BLOCK = 256
+# intervals per Hamiltonian call (two Gauss points each, 256 times) and
+# batched exponential in the Magnus oracle; each block is multiplied as a
+# pairwise tree, so larger blocks buy little and raise the peak memory of
+# `verify` (256-interval blocks: 0.4-0.5 MiB more peak RSS)
+_ORACLE_BLOCK = 128
+_GAUSS = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)  # Gauss-Legendre points on [0, 1]
 _SAMPLE_TIMES = 12  # residual sample times per case
 _GRID = 300  # synthesis grid of the residual and reconstruction suites
 
@@ -110,12 +120,30 @@ def _tree_product(stack: np.ndarray) -> np.ndarray:
 
 
 def _brute_force(hamiltonian, dim, times, at):
-    """Products of the midpoint exponentials of the first k intervals of
+    """Products of the fourth-order Magnus steps of the first k intervals of
     `times`, for each interval count k in `at`, in the order of `at`.
 
-    One H call and one batched exponential per _ORACLE_BLOCK intervals; each
-    block is split at the requested counts inside it and each piece is
-    multiplied as a pairwise tree onto the running product.
+    Each interval [t, t + dt] takes H at its two Gauss-Legendre points
+    t + c dt, c = 1/2 -+ sqrt(3)/6, as H1 and H2, and one exponential
+    exp(-i dt H_eff) of the Hermitian
+
+        H_eff = (H1 + H2)/2 + i (sqrt(3) dt / 12) [H1, H2],
+
+    the two-point Magnus step, of fourth order for a smooth H(t) (Blanes,
+    Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009), section 5).  On the
+    exact rotating-frame evolution H(t) = R H0 R+, R = exp(-i w t S),
+    U(t) = R exp(-i (H0 - w S) t) (d = 4, w = 3), its error fell 16x per
+    halving of dt, to 1.3e-10 at 400 intervals of [0, 1]; with the
+    commutator's sign flipped it was 4.6e-5 there and fell 4x per halving,
+    and midpoint steps were 1.3e-5 off.  On the 300-interval synthesis grid
+    of the reconstruction suite (13 cases, seeds 1, 7 and 777) it was within
+    4.4e-13 of the same steps on 12,000 intervals, where midpoint steps on
+    3,000 intervals were 2.54e-8 off.
+
+    One H call (2 _ORACLE_BLOCK times) and one batched exponential per
+    _ORACLE_BLOCK intervals; each block is split at the requested counts
+    inside it and each piece is multiplied as a pairwise tree onto the
+    running product.
     """
     left, right = times[:-1], times[1:]
     wanted = sorted(set(at))
@@ -123,7 +151,12 @@ def _brute_force(hamiltonian, dim, times, at):
     out = {0: u}
     for start in range(0, left.size, _ORACLE_BLOCK):
         lo, hi = left[start:start + _ORACLE_BLOCK], right[start:start + _ORACLE_BLOCK]
-        steps = expm_hermitian(hamiltonian(0.5 * (lo + hi)), -1j * (hi - lo))
+        dt = hi - lo
+        h1, h2 = np.split(hamiltonian(np.concatenate([lo + _GAUSS[0] * dt,
+                                                      lo + _GAUSS[1] * dt])), 2)
+        commutator = h1 @ h2 - h2 @ h1
+        h_eff = 0.5 * (h1 + h2) + (1j * np.sqrt(3) / 12) * dt[:, None, None] * commutator
+        steps = expm_hermitian(h_eff, -1j * dt)
         first = 0
         for cut in [k - start for k in wanted if start < k < start + len(steps)] + [len(steps)]:
             u = _tree_product(steps[first:cut]) @ u
@@ -202,9 +235,8 @@ def run_verification(seed: int, sizes, instances: int = 3,
         plan = synthesize_general(layout, schedules, grid=_GRID)
         phases = generated_phases(plan)
         u_rec = reconstruct_evolution(build_frame(layout, schedules, plan.times), phases)
-        fine = np.linspace(0.0, 1.0, 10 * _GRID + 1)
         nodes = (_GRID // 2, _GRID)
-        u_bf = _brute_force(plan.hamiltonian, layout.dim, fine, [10 * idx for idx in nodes])
+        u_bf = _brute_force(plan.hamiltonian, layout.dim, plan.times, nodes)
         for idx, u in zip(nodes, u_bf):
             err = _worst(err, float(np.linalg.norm(u_rec[idx] - u)))
     suites.append(SuiteResult("evolution-reconstruction", err, 1e-6, err <= 1e-6))

@@ -1,9 +1,12 @@
 """The verification suites fail, rather than pass, on a NaN; the brute-force
-oracle's tree product agrees with a plain sequential one; reports repeat."""
+oracle's tree product agrees with a plain sequential one and its steps are
+of fourth order; the reconstruction suite fails on, and resolves, a phase
+error; reports repeat."""
 
 import numpy as np
 
 from qpassage import synthesis, verify
+from qpassage.dynamics import reconstruct_evolution
 from qpassage.linalg import dagger, expm_hermitian
 from qpassage.synthesis import synthesize_general
 from qpassage.verify import SuiteResult, _brute_force, _worst, run_verification
@@ -31,16 +34,29 @@ def test_nan_detuning_fails_the_residual_suite():
     assert "FAIL  passage-residual" in report.format()
 
 
+def _magnus_step(hamiltonian, t, dt):
+    """exp(-i dt H_eff) of one interval, the two-point Magnus step written
+    out from its formula."""
+    h1 = hamiltonian(t + (0.5 - np.sqrt(3) / 6) * dt)
+    h2 = hamiltonian(t + (0.5 + np.sqrt(3) / 6) * dt)
+    h_eff = (h1 + h2) / 2 + 1j * np.sqrt(3) * dt / 12 * (h1 @ h2 - h2 @ h1)
+    return expm_hermitian(h_eff, -1j * dt)
+
+
 def test_the_brute_force_oracle_returns_exactly_the_requested_products(monkeypatch):
     # a random H per interval, each step an O(1) rotation, so that no two
-    # steps commute and a product taken in the wrong order cannot pass
+    # steps commute and a product taken in the wrong order cannot pass; a
+    # random drift inside each interval makes every step's commutator term
+    # O(1) too
     rng = np.random.default_rng(4)
     dim, intervals = 5, 3000
     a = rng.normal(size=(intervals, dim, dim)) + 1j * rng.normal(size=(intervals, dim, dim))
-    hs = (a + dagger(a)) * intervals / 4
+    b = rng.normal(size=(intervals, dim, dim)) + 1j * rng.normal(size=(intervals, dim, dim))
+    hs, drifts = (a + dagger(a)) * intervals / 4, (b + dagger(b)) * intervals / 4
 
-    def hamiltonian(mid):
-        return hs[np.floor(mid * intervals).astype(int)]
+    def hamiltonian(t):
+        k = np.floor(t * intervals).astype(int)
+        return hs[k] + (t * intervals - k)[..., None, None] * drifts[k]
 
     times = np.linspace(0.0, 1.0, intervals + 1)
     calls = []
@@ -50,19 +66,81 @@ def test_the_brute_force_oracle_returns_exactly_the_requested_products(monkeypat
         return expm_hermitian(h, scale)
 
     monkeypatch.setattr(verify, "expm_hermitian", counted)
-    at = [1500, 1536, 3000]  # inside a block, on a block boundary, the last node
+    block = verify._ORACLE_BLOCK
+    at = [1500, 12 * block, 3000]  # inside a block, on a block boundary, the last node
     got = _brute_force(hamiltonian, dim, times, at)
     assert len(got) == len(at)
-    assert calls == [verify._ORACLE_BLOCK] * 11 + [intervals - 11 * verify._ORACLE_BLOCK]
+    full = intervals // block
+    assert calls == [block] * full + [intervals - full * block]
 
-    steps = expm_hermitian(hs, -1j * np.diff(times))
     u = np.eye(dim, dtype=complex)
     sequential = [u]
-    for step in steps:
-        u = step @ u
+    for t, dt in zip(times[:-1], np.diff(times)):
+        u = _magnus_step(hamiltonian, t, dt) @ u
         sequential.append(u)
     for k, product in zip(at, got):
         assert np.max(np.abs(product - sequential[k])) <= 1e-12
+
+
+def test_the_oracle_is_of_fourth_order_on_an_exact_non_commuting_evolution():
+    # H(t) = R H0 R+ with R = exp(-i w t S) evolves exactly as
+    # U(t) = R exp(-i (H0 - w S) t), and H at two times does not commute
+    rng = np.random.default_rng(0)
+    dim, w = 4, 3.0
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h0, s = (a + dagger(a)) / 2, (b + dagger(b)) / 2
+
+    def frame(t):
+        t = np.asarray(t)
+        return expm_hermitian(np.broadcast_to(s, t.shape + (dim, dim)), -1j * w * t)
+
+    def hamiltonian(t):
+        r = frame(t)
+        return r @ h0 @ dagger(r)
+
+    exact = frame(1.0) @ expm_hermitian(h0 - w * s, -1j)
+    errors = []
+    for intervals in (50, 100, 200, 400):
+        times = np.linspace(0.0, 1.0, intervals + 1)
+        u, = _brute_force(hamiltonian, dim, times, [intervals])
+        errors.append(float(np.linalg.norm(u - exact)))
+    # fourth order gains 16x per halving of dt; a second-order step (a
+    # flipped commutator, or midpoint steps) gains 4x
+    assert all(coarse >= 12 * fine for coarse, fine in zip(errors, errors[1:])), errors
+    assert errors[-1] <= 1e-9, errors
+
+
+DEFAULT_SIZES = [(m, n) for m in range(1, 4) for n in range(2, 5)]  # `verify`'s defaults
+
+
+def _reconstruction(seed, monkeypatch, delta=None):
+    if delta is not None:
+        def shifted(frames, phases):
+            return reconstruct_evolution(frames, phases) * np.exp(1j * delta)
+
+        monkeypatch.setattr(verify, "reconstruct_evolution", shifted)
+    report = run_verification(seed, DEFAULT_SIZES)
+    return {s.name: s for s in report.suites}["evolution-reconstruction"]
+
+
+def test_the_reconstruction_suite_fails_on_a_phase_error(monkeypatch):
+    suite = _reconstruction(7, monkeypatch, delta=1e-5)
+    assert not suite.passed
+
+
+def test_the_reconstruction_suite_resolves_a_phase_error_of_1e_9(monkeypatch):
+    # e^{i delta} U is off by |e^{i delta} - 1| sqrt(d) in the Frobenius
+    # norm, and d = 5 is the largest reconstructed case at the default sizes
+    delta = 1e-9
+    suite = _reconstruction(7, monkeypatch, delta=delta)
+    assert suite.passed
+    assert abs(suite.max_error - np.sqrt(5) * delta) <= 0.1 * np.sqrt(5) * delta
+
+
+def test_the_reconstruction_suite_reads_round_off_at_the_default_sizes(monkeypatch):
+    suite = _reconstruction(7, monkeypatch)
+    assert suite.passed and suite.max_error <= 1e-11
 
 
 def test_one_seed_formats_identical_reports():

@@ -23,7 +23,10 @@ header and row count, or same keys and list lengths) ends with the largest
 absolute difference of each numeric column or field that moved, e.g.
 `(max |Δ| F 4.4e-16, runs.final_fidelity 1.1e-16)`, then the names of the
 non-numeric ones that differ; a JSON field is named by its keys, list
-positions left out, so it spans every run of a manifest.
+positions left out, so it spans every run of a manifest.  A `DIFF` line of
+a text file (a report or a status) of the same line count on both sides ends
+with the second token of each line that differs, e.g.
+`(lines differ: evolution-reconstruction)`.
 Comparing against `HEAD` with a clean tree checks that every command succeeds
 and that two identical runs agree.
 
@@ -129,10 +132,25 @@ def _number(x) -> float | None:
         return None
 
 
+def _lines_differ(a: Path, b: Path) -> str:
+    """' (lines differ: name, ...)' naming each line that differs between the
+    text files a and b of one line count by its second token (a verify
+    report's suite name), else ''."""
+    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(lines_a) != len(lines_b):
+        return ""
+    # the second token, or the whole line where it has fewer than two
+    names = [(x.split() + [x, x])[1] for x, y in zip(lines_a, lines_b) if x != y]
+    return f" (lines differ: {', '.join(names)})" if names else ""
+
+
 def moves(a: Path, b: Path) -> str:
     """' (max |Δ| name value, ...)' over the numeric columns or fields that
     differ between the CSV or JSON files a and b of one shape, followed by
-    '; also differ: name, ...' for the others that differ, else ''."""
+    '; also differ: name, ...' for the others that differ; for text files of
+    one line count, the names of the lines that differ; else ''."""
+    if a.suffix == ".txt":
+        return _lines_differ(a, b)
     largest: dict = {}
     other: dict = {}  # an ordered set of the non-numeric names
     try:
