@@ -25,11 +25,13 @@ d and from the entries of sigma its members can reach.  Up to DENSE
 levels, where a step costs numpy's fixed per-call time rather than
 arithmetic, D(dt) is compiled once per propagation into its Liouville
 matrix, one d^2 x d^2 matrix per member made by applying D to the d^2
-basis matrices, and a step is three dense products: vec(sigma) by that
-matrix, then by u and by u+ whole.  Above DENSE levels the reachable entries
-are compiled once per propagation: u is block diagonal over the groups of
-H, so u sigma u+ keeps each (row group, column group) tile of sigma to
-itself, and only the jumps move weight from tile to tile
+basis matrices.  A step takes vec(sigma) by that matrix, then, up to
+SUPEROPERATOR levels, by the step's superoperator (u kron conj(u))^T, as
+vec(u x u+) = vec(x) (u kron conj(u))^T in C order: two dense products;
+above, by u and by u+ whole: three.  Above DENSE levels the reachable
+entries are compiled once per propagation: u is block diagonal over the
+groups of H, so u sigma u+ keeps each (row group, column group) tile of
+sigma to itself, and only the jumps move weight from tile to tile
 (`_support`).  Where they leave most tiles unreached (less than a SHARE of
 them), as in every protocol step that does not reach all of its tiles,
 sigma is carried as its E reachable entries alone, D is one fixed gather
@@ -89,8 +91,8 @@ block the same bits in any stack.  H is taken at the same midpoints whatever the
 span, so the span moves no bit of a result.  Closed runs advance the state
 group by group; open runs take u rho u+ as two grouped products of (b, b)
 blocks by (b, d) rows, as one Kronecker product per reachable tile, or, up
-to DENSE levels, with dense u and u+ scattered from the blocks once per
-block of steps.
+to DENSE levels, with dense u scattered from the blocks once per block of
+steps, and from it u+ or, up to SUPEROPERATOR levels, u kron conj(u).
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  The group shape (S, b) of the
 first span holds for the whole propagation: a span whose H comes in
@@ -154,6 +156,7 @@ BLOCK = 64  # grid nodes per state block handed to an observer
 SPAN = 256  # grid intervals per H evaluation above DENSE levels, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
 DENSE = 8  # largest d whose open steps take the dense form and whose spans are 2 SPAN
+SUPEROPERATOR = 4  # largest d whose dense steps take u sigma u+ as one product
 TILE = 4  # largest group of levels whose open steps may take the support form
 SHARE = 0.5  # share of reachable tiles from which open steps take the grouped form
 
@@ -523,30 +526,68 @@ def _grouped_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray)
     return steps
 
 
+def _superoperators(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (n, d^2, d^2) matrices (u_j kron conj(u_j))^T of the (n, d, d)
+    unitaries u, with vec(u_j x u_j+) = vec(x) @ S_j for x flattened in
+    C order: row (k, l), column (i, m) is u_ik conj(u_ml).  Written into
+    out[:n] of an (N, d, d, d, d) buffer and returned."""
+    n, dim = u.shape[:2]
+    t = u.swapaxes(1, 2)
+    np.multiply(t[:, :, None, :, None], t.conj()[:, None, :, None, :], out=out[:n])
+    return out[:n].reshape(n, dim * dim, dim * dim)
+
+
+def _scatter(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (n, S, b, b) blocks as block diagonal (n, d, d) matrices, written
+    into out[:n] of a buffer that is 0 off the diagonal blocks, and returned."""
+    n, groups, size = blocks.shape[:3]
+    diagonal = out[:n].reshape(n, groups, size, groups, size)
+    for s in range(groups):
+        diagonal[:, s, :, s] = blocks[:, s]
+    return out[:n]
+
+
 def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -> Callable:
-    """`_grouped_steps` in three dense products per step: vec(sigma) by the
-    (K, d^2, d^2) Liouville matrix of D (`_liouville`, compiled once), then
-    by u and by u+ whole, each scattered from the blocks once per block."""
+    """`_grouped_steps` in dense products per step: vec(sigma) by the
+    (K, d^2, d^2) Liouville matrix of D (`_liouville`, compiled once), then,
+    up to SUPEROPERATOR levels, by the step's (u kron conj(u))^T
+    (`_superoperators`), written straight into the node buffer, two
+    products; above, by u and by u+ whole, three.  u, u+ and the
+    superoperators are made once per block, in buffers made once."""
     members, dim = sigma.shape[0], sigma.shape[-1]
     liouville, liouville_full = (_liouville(damping, members, dim) for damping in (half, full))
     vec = sigma.reshape(members, 1, dim * dim)
-    damped = np.empty_like(sigma)
-    left = np.empty_like(sigma)
+    damped = np.empty_like(vec)
     whole = np.zeros((2, buf.shape[1], dim, dim), dtype=complex)  # u and u+ of each step
+
+    if dim <= SUPEROPERATOR:
+        # each member's product goes to its own strided row of the buffer,
+        # which keeps a stack member to the bits of its own run
+        nodes = buf.reshape(members, buf.shape[1], 1, dim * dim)
+        kron = np.empty((buf.shape[1],) + (dim,) * 4, dtype=complex)
+
+        def steps(u: np.ndarray, which: np.ndarray) -> None:
+            nonlocal liouville
+            x = vec
+            superoperators = _superoperators(_scatter(u[:, which], whole[0]), kron)
+            for superoperator, node in zip(superoperators, nodes.swapaxes(0, 1)):
+                np.matmul(x, liouville, out=damped)
+                liouville = liouville_full
+                x = np.matmul(damped, superoperator, out=node)
+            vec[...] = x
+        return steps
+
+    left = np.empty_like(sigma)
 
     def steps(u: np.ndarray, which: np.ndarray) -> None:
         nonlocal liouville
         u = u[:, which]
-        n, groups, size = u.shape[:3]
-        diagonal = whole[:, :n].reshape(2, n, groups, size, groups, size)
-        for s in range(groups):
-            diagonal[0, :, s, :, s] = u[:, s]
-            diagonal[1, :, s, :, s] = u[:, s].conj().swapaxes(1, 2)
-        for j in range(n):
-            np.matmul(vec, liouville, out=damped.reshape(vec.shape))
+        adjoints = _scatter(u.conj().swapaxes(2, 3), whole[1])
+        for j, step in enumerate(_scatter(u, whole[0])):
+            np.matmul(vec, liouville, out=damped)
             liouville = liouville_full
-            np.matmul(whole[0, j], damped, out=left)
-            np.matmul(left, whole[1, j], out=sigma)
+            np.matmul(step, damped.reshape(sigma.shape), out=left)
+            np.matmul(left, adjoints[j], out=sigma)
             buf[:, j] = sigma
     return steps
 
@@ -787,9 +828,19 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     first block, when the group shape (S, b) of the step unitaries is known
     (`_propagate` holds it for the whole propagation):
 
-    * up to DENSE levels, `_dense_steps`: three dense products, D as its
+    * up to DENSE levels, `_dense_steps`: dense products, D as its
       compiled Liouville matrices.  At d = 16 that form measured slower,
-      its d^2 x d^2 product growing as d^4, so DENSE is 8;
+      its d^2 x d^2 product growing as d^4, so DENSE is 8.  Up to
+      SUPEROPERATOR levels u sigma u+ is one product with the step's
+      (u kron conj(u))^T, formed once per block, so a step is two
+      products; above, it is u and u+ whole, three.  Timed on the steps
+      alone (2-core guest, one BLAS thread, blocks of 64 steps, K = 1 and
+      3, one to four groups), a d = 4 step took 6.2-9.8 us in two
+      products against 11.7-15.2 in three, and a d = 8 step 27-42 us
+      against 10-25: its 64 x 64 superoperators cost more to form than
+      the calls they save, so SUPEROPERATOR is 4.  They are formed into a
+      buffer made once: formed afresh, the 256 KiB of a d = 4 block took
+      about 100 page faults per block and a third more time per step;
     * above DENSE levels, the tiles each member can reach are compiled
       (`_support`).  When every member reaches less than a SHARE of them, in
       groups of at most TILE levels, the stack takes `_support_steps`, which

@@ -34,14 +34,10 @@ __all__ = [
     "check_density_matrix",
     "StateCheckError",
     "embed_qubit_operator",
-    "SIGMA_X",
-    "SIGMA_Z",
     "SIGMA_MINUS",
     "IDENTITY_2",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # qubit basis order is (|e>, |g>), so the lowering operator |g><e| is:
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)

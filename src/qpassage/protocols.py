@@ -814,15 +814,12 @@ def run_protocol(plan: ProtocolPlan, model: QubitModel, mode: str = "effective",
 
 def diagnostics_ok(result: SimulationResult, mode: str = "effective") -> bool:
     """Gate used by the command-line runner: drift bounds always, the passage
-    residual only in effective mode (rotating-frame runs probe its breakdown)."""
+    residual only in effective mode (rotating-frame runs probe its breakdown).
+    Each bound is written so that a nan fails it."""
     d = result.diagnostics
-    if d.get("norm_drift", 0.0) > TOL.norm_drift:
-        return False
-    if d.get("trace_drift", 0.0) > TOL.trace_drift:
-        return False
-    if d.get("min_eigenvalue", 0.0) < -TOL.positivity_drift:
-        return False
-    if mode == "effective" and "max_residual_relative" in d:
-        if d["max_residual_relative"] > TOL.passage_residual:
-            return False
-    return True
+    bounds = [d.get("norm_drift", 0.0) <= TOL.norm_drift,
+              d.get("trace_drift", 0.0) <= TOL.trace_drift,
+              d.get("min_eigenvalue", 0.0) >= -TOL.positivity_drift]
+    if mode == "effective":
+        bounds.append(d.get("max_residual_relative", 0.0) <= TOL.passage_residual)
+    return all(bounds)

@@ -168,12 +168,6 @@ class ParameterSchedule:
                      - np.interp(lo, self.times, self.values)) / (hi - lo)
         return value[()], deriv[()]
 
-    def value_at(self, t: float) -> float:
-        return self.eval(t)[0]
-
-    def derivative_at(self, t: float) -> float:
-        return self.eval(t)[1]
-
 
 def cascade_symbols(assistant_levels: int, working_levels: int) -> tuple[str, ...]:
     """The angle and phase symbols of both cascades of an (M, N) layout.

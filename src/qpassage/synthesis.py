@@ -40,7 +40,6 @@ import numpy as np
 
 from .ancillary import SubspaceLayout, build_frame
 from .dynamics import von_neumann_residual
-from .io import write_csv
 from .linalg import frobenius
 from .schedules import ScheduleSet, cascade_symbols
 from .tolerances import TOL
@@ -220,20 +219,6 @@ class DrivePlan:
 
     def hamiltonian(self, t) -> np.ndarray:
         return assemble_hamiltonian(self.layout, self.schedules, t, self.aux)
-
-    def to_csv(self, path) -> None:
-        """Write t, per-channel amplitude/phase columns, and the detuning."""
-        m_levels = self.layout.assistant_levels
-        n_levels = self.layout.working_levels
-        header = ["t"]
-        columns = [self.times]
-        for m in range(m_levels):
-            for n in range(n_levels):
-                header += [f"Omega_m{m}_n{n}", f"phase_m{m}_n{n}"]
-                columns += [self.channel_amp[m, n], self.channel_phase[m, n]]
-        header.append("Delta")
-        columns.append(self.detuning)
-        write_csv(path, header, columns)
 
 
 def _require_constant(schedules: ScheduleSet, symbols, times) -> None:

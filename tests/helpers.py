@@ -16,8 +16,34 @@ import numpy as np
 
 from qpassage import dynamics, protocols
 from qpassage.ancillary import SubspaceLayout
+from qpassage.io import write_csv
 from qpassage.linalg import dagger
 from qpassage.schedules import ParameterSchedule, ScheduleSet
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def value_at(schedule: ParameterSchedule, t: float) -> float:
+    return schedule.eval(t)[0]
+
+
+def derivative_at(schedule: ParameterSchedule, t: float) -> float:
+    return schedule.eval(t)[1]
+
+
+def drive_plan_csv(plan, path) -> None:
+    """Write a DrivePlan's t, per-channel amplitude/phase columns, and the
+    detuning."""
+    header = ["t"]
+    columns = [plan.times]
+    for m in range(plan.layout.assistant_levels):
+        for n in range(plan.layout.working_levels):
+            header += [f"Omega_m{m}_n{n}", f"phase_m{m}_n{n}"]
+            columns += [plan.channel_amp[m, n], plan.channel_phase[m, n]]
+    header.append("Delta")
+    columns.append(plan.detuning)
+    write_csv(path, header, columns)
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

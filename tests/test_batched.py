@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 from qpassage.ancillary import SubspaceLayout, build_frame
 from qpassage.dynamics import (BLOCK, Dissipator, TimeGrid, _span, propagate_lindblad,
                                propagate_schrodinger, von_neumann_residual)
-from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, embed_qubit_operator,
-                             expm_hermitian, outer)
+from qpassage.linalg import SIGMA_MINUS, dagger, embed_qubit_operator, expm_hermitian, outer
 from qpassage.protocols import (CALIBRATED_OMEGA_T, QubitModel, build_step_hamiltonian,
                                 plan_bell, plan_ghz, run_protocol)
 from qpassage.schedules import ParameterSchedule, ScheduleDomainError, ScheduleSet
 from qpassage.synthesis import (SingularScheduleError, assemble_hamiltonian, channel_fields,
                                 convert_dark_state, master_envelope)
 
-from helpers import lindblad_rk4, random_schedule_set
+from helpers import SIGMA_X, SIGMA_Z, lindblad_rk4, random_schedule_set
 
 
 def _times(duration, inner):

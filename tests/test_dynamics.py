@@ -13,14 +13,14 @@ from qpassage.dynamics import (BLOCK, SPAN, DensityTrajectory, Dissipator, StepS
                                TimeGrid, gd_matrices, populations, propagate_lindblad,
                                propagate_schrodinger, reconstruct_evolution,
                                von_neumann_residual)
-from qpassage.linalg import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, StateCheckError, dagger,
-                             embed_qubit_operator, expm_hermitian, outer)
+from qpassage.linalg import (SIGMA_MINUS, StateCheckError, dagger, embed_qubit_operator,
+                             expm_hermitian, outer)
 from qpassage.protocols import QubitModel, build_step_blocks, plan_ghz
 from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
-from helpers import (brute_force_unitaries, lindblad_rk4, random_schedule_set,
-                     residual_matrix_oracle)
+from helpers import (SIGMA_X, SIGMA_Z, brute_force_unitaries, lindblad_rk4,
+                     random_schedule_set, residual_matrix_oracle)
 
 
 class TestTimeGrid:
@@ -472,9 +472,10 @@ class TestDensityStack:
 
 
 class TestDenseSteps:
-    """Up to DENSE levels an open step is three dense products, D being its
-    compiled Liouville matrices; DENSE = 0 forces the grouped steps, the
-    oracle here."""
+    """Up to DENSE levels an open step is dense products, D being its
+    compiled Liouville matrices: two up to SUPEROPERATOR levels, u sigma u+
+    being one product with (u kron conj(u))^T, three above; DENSE = 0 forces
+    the grouped steps, the oracle here."""
 
     @staticmethod
     def _channels(rng, qubits, members):
@@ -491,11 +492,20 @@ class TestDenseSteps:
                            rate if members > 1 else rate[0]) for q, rate in enumerate(rates)]
 
     @pytest.mark.parametrize("members", [1, 3])
-    @pytest.mark.parametrize("qubits, groups", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 4)])
-    def test_equals_the_grouped_steps(self, monkeypatch, qubits, groups, members):
+    @pytest.mark.parametrize("qubits, groups, blocks", [
+        pytest.param(q, g, "own", id=f"{q}-{g}")
+        for q, g in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 4)]
+    ] + [(2, 2, "shared"), (2, 2, "idle"), (3, 4, "shared"), (3, 4, "idle")])
+    def test_equals_the_grouped_steps(self, monkeypatch, qubits, groups, blocks, members):
+        # every group's block its own, one class shared by every group, or
+        # a class of groups whose blocks are 0 throughout
         rng = np.random.default_rng(10 * qubits + groups + members)
         dim, size = 2 ** qubits, 2 ** qubits // groups
         a, b = (_random_complex(rng, (groups, size, size)) for _ in range(2))
+        if blocks == "shared":
+            a, b = a[:1].repeat(groups, axis=0), b[:1].repeat(groups, axis=0)
+        if blocks == "idle":
+            a[::2], b[::2] = 0.0, 0.0
         h0, h1 = a + dagger(a), b + dagger(b)
         channels = self._channels(rng, qubits, members)
         rho0 = np.array([_random_density(rng, dim) for _ in range(members)])
@@ -508,13 +518,28 @@ class TestDenseSteps:
                 rho0, TimeGrid(0.0, 1.0, 200))
 
         assert dim <= dynamics.DENSE
+        formed = []
+        superoperators = dynamics._superoperators
+        monkeypatch.setattr(dynamics, "_superoperators",
+                            lambda u, out: formed.append(u.shape) or superoperators(u, out))
         dense = run()
+        # two products per step at d <= 4, three at d = 8
+        assert bool(formed) == (dim <= 4) == (dim <= dynamics.SUPEROPERATOR)
         monkeypatch.setattr(dynamics, "DENSE", 0)
         grouped = run()
         assert np.max(np.abs(dense.matrices - grouped.matrices)) <= 1e-14
         assert np.max(np.abs(dense.final - grouped.final)) <= 1e-14
         assert np.max(np.abs(dense.trace_drift - grouped.trace_drift)) <= 1e-14
         assert np.max(np.abs(dense.min_eigenvalue - grouped.min_eigenvalue)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_the_superoperator_is_the_conjugation(self, dim):
+        rng = np.random.default_rng(dim)
+        u = expm_hermitian(_stack_hamiltonian(rng, dim)(np.linspace(0.0, 1.0, 5)), -0.3j)
+        sigma = np.array([_random_density(rng, dim) for _ in range(5)])
+        superoperators = dynamics._superoperators(u, np.empty((8,) + (dim,) * 4, dtype=complex))
+        got = np.einsum("nk,nkl->nl", sigma.reshape(5, -1), superoperators)
+        assert np.max(np.abs(got.reshape(sigma.shape) - u @ sigma @ dagger(u))) <= 1e-15
 
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("qubits", [1, 2, 3])

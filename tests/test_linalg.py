@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpassage.linalg import (DEGREE, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z, THETA,
+from qpassage.linalg import (DEGREE, IDENTITY_2, SIGMA_MINUS, THETA,
                              check_density_matrix, check_state_vector,
                              completeness_defect, dagger, embed_qubit_operator,
                              expm_hermitian, gram_matrix, kron, StateCheckError)
@@ -18,7 +18,8 @@ from qpassage.linalg import (DEGREE, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Z, 
 from qpassage import linalg
 from qpassage.ancillary import SubspaceLayout, build_frame
 
-from helpers import kron_oracle, random_schedule_set, taylor_expm, unitarity_defect
+from helpers import (SIGMA_X, SIGMA_Z, kron_oracle, random_schedule_set, taylor_expm,
+                     unitarity_defect)
 
 RNG = np.random.default_rng(20240901)
 

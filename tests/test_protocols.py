@@ -262,6 +262,25 @@ class TestClosedRuns:
         assert np.min(total) >= 1 - 1e-8
 
 
+class TestDiagnosticsGate:
+    CLEAN = {"norm_drift": 1e-13, "trace_drift": 1e-13, "min_eigenvalue": -1e-15,
+             "max_residual_relative": 1e-9}
+
+    @staticmethod
+    def _result(diagnostics):
+        return dynamics.SimulationResult(np.zeros(1), {}, np.zeros(1), np.zeros(1), diagnostics)
+
+    @pytest.mark.parametrize("key", list(CLEAN))
+    def test_a_nan_diagnostic_fails_the_gate(self, key):
+        assert diagnostics_ok(self._result(self.CLEAN))
+        assert not diagnostics_ok(self._result({**self.CLEAN, key: float("nan")}))
+
+    def test_the_residual_is_gated_in_effective_mode_only(self):
+        spoilt = self._result({**self.CLEAN, "max_residual_relative": float("nan")})
+        assert diagnostics_ok(spoilt, "rotating-frame")
+        assert not diagnostics_ok(spoilt, "effective")
+
+
 class TestRotatingFrameRuns:
     def test_rwa_improves_with_coupling_strength(self):
         fidelities = []

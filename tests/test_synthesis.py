@@ -23,7 +23,7 @@ from qpassage.synthesis import (SingularScheduleError, SynthesisError,
                                 synthesize_general)
 from qpassage.tolerances import TOL
 
-from helpers import brute_force_unitaries, random_layout, random_schedule_set
+from helpers import brute_force_unitaries, drive_plan_csv, random_layout, random_schedule_set
 
 
 def bell_step_schedules(alpha=np.pi, theta0=np.pi / 4, duration=1.0):
@@ -132,7 +132,7 @@ class TestExport:
         schedules = random_schedule_set(np.random.default_rng(31), layout)
         plan = synthesize_general(layout, schedules, grid=16)
         path = tmp_path / "plan.csv"
-        plan.to_csv(path)
+        drive_plan_csv(plan, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("t,Omega_m0_n0,phase_m0_n0,Omega_m0_n1,phase_m0_n1,"
                             "Omega_m1_n0,phase_m1_n0,Omega_m1_n1,phase_m1_n1,Delta")
