@@ -26,6 +26,15 @@ orthonormal and complete by construction; mu_n is orthogonal to b_n and
 tmu_m to tb_m pairwise, and <mu_lo|mu_hi> = 0.  Time derivatives are carried
 through the cascade by the chain rule using the schedules' analytic
 derivatives.
+
+The two states of every rotation live on disjoint levels: a cascade's
+running bright state on the levels it has already reached, its fresh level
+outside them, and b_{N-2} and tb_{M-2} on the working and the assistant
+levels.  So each entry of an output is one term of its formula, the only
+one that is not an exact zero, and a cascade rotation scales the running
+state and sets one entry.  `build_frame` allocates its five arrays once
+and writes each member, derivative and bright state into its column as the
+rotation makes it; the running bright state is read back from its column.
 """
 
 from __future__ import annotations
@@ -108,52 +117,41 @@ class AncillaryFrame:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def _rotate(angle, dangle, phase, dphase, upper, dupper, lower, dlower):
-    """One cascade rotation of (upper, lower), carrying derivatives:
+def _rotate(schedules: ScheduleSet, t, angle: str, phase: str, upper, lower, out):
+    """One rotation of (upper, lower) by the schedules `angle` and `phase` at
+    t, carrying derivatives, written into the (..., d) arrays
+    out = (mu, dmu, b, db):
 
         mu = c*u - s*p*l ;  b = s*u + c*p*l
 
-    with c = cos(angle), s = sin(angle), p = e^{-i phase}.  Returns
-    (mu, dmu, b, db); the assistant cascade takes b and mu swapped.
+    with c = cos(angle), s = sin(angle), p = e^{-i phase}.  `upper` and
+    `lower` are (levels, state, derivative) with the states on disjoint
+    levels, so each output entry gets the one term of its sum that is not an
+    exact zero; a lower state None is the basis level with derivative 0.
+    Entries off both levels are left as they are.
     """
-    c, s = np.cos(angle), np.sin(angle)
-    dc, ds = -s * dangle, c * dangle
-    p = np.exp(-1j * phase)
-    dp = -1j * dphase * p
-    mu = c * upper - s * p * lower
-    dmu = dc * upper + c * dupper - (ds * p + s * dp) * lower - s * p * dlower
-    b = s * upper + c * p * lower
-    db = ds * upper + s * dupper + (dc * p + c * dp) * lower + c * p * dlower
-    return mu, dmu, b, db
-
-
-def _pair(schedules: ScheduleSet, symbol: str, t):
-    """(value, derivative) shaped to broadcast against vectors on the last axis."""
-    return tuple(np.reshape(x, np.shape(t) + (1,)) for x in schedules.pair(symbol, t))
-
-
-def _cascade(schedules: ScheduleSet, t, dim: int, levels, prefix: str, swap: bool):
-    """One cascade from |levels[0]> through the rest of `levels`, rotated by
-    {prefix}theta_k and {prefix}alpha_k; `swap` takes the rotation's outputs
-    swapped, as the assistant cascade does.
-
-    Returns the members, their derivatives, the running bright states, and
-    the terminal bright state with its derivative.
-    """
-    zero = np.zeros(dim, dtype=complex)
-    bright, dbright = basis_state(dim, levels[0]), zero
-    mus, dmus, brights = [], [], []
-    for k, level in enumerate(levels[1:]):
-        ang, dang = _pair(schedules, f"{prefix}theta_{k}", t)
-        ph, dph = _pair(schedules, f"{prefix}alpha_{k}", t)
-        mu, dmu, bright, dbright = _rotate(ang, dang, ph, dph, bright, dbright,
-                                           basis_state(dim, level), zero)
-        if swap:
-            mu, dmu, bright, dbright = bright, dbright, mu, dmu
-        mus.append(mu)
-        dmus.append(dmu)
-        brights.append(bright)
-    return mus, dmus, brights, bright, dbright
+    ang, dang = schedules.pair(angle, t)
+    ph, dph = schedules.pair(phase, t)
+    c, s = np.cos(ang), np.sin(ang)
+    # made complex once here, not cast again by each product with a complex
+    # factor, and shaped to broadcast against vectors on the last axis
+    c, s, dc, ds, ph, dph = np.array([c, s, -s * dang, c * dang, ph, dph], dtype=complex)[..., None]
+    p = np.exp(-1j * ph)
+    dp = -1j * dph * p
+    sp, cp = s * p, c * p
+    dsp, dcp = ds * p + s * dp, dc * p + c * dp  # derivatives of s*p and c*p
+    (up, u, du), (lo, l, dl) = upper, lower
+    u, du = u[..., up], du[..., up]
+    mu, dmu, b, db = out
+    # both sums read du before either is written: it may be dmu's or db's own
+    mu[..., up], dmu[..., up], b[..., up], db[..., up] = \
+        c * u, dc * u + c * du, s * u, ds * u + s * du
+    if l is None:
+        mu[..., lo], dmu[..., lo], b[..., lo], db[..., lo] = -sp, -dsp, cp, dcp
+    else:
+        l, dl = l[..., lo], dl[..., lo]
+        mu[..., lo], dmu[..., lo] = -(sp * l), -(dsp * l) - sp * dl
+        b[..., lo], db[..., lo] = cp * l, dcp * l + cp * dl
 
 
 def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryFrame:
@@ -169,28 +167,36 @@ def build_frame(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryF
         raise ValueError("schedule set does not match the layout's level counts")
 
     m_levels, dim = layout.assistant_levels, layout.dim
-    tmus, dtmus, tbs, tb, dtb = _cascade(schedules, t, dim, range(m_levels), "t", swap=True)
-    mus, dmus, bs, b, db = _cascade(schedules, t, dim, range(m_levels, dim), "", swap=False)
+    shape = np.shape(t) + (dim,)
+    frame = AncillaryFrame(layout, *(np.zeros(shape + (k,), dtype=complex)
+                                     for k in (dim, dim, m_levels - 1, dim - m_levels - 1, 2)))
+    vectors, derivatives = frame.vectors, frame.derivatives
+    ends = []
+    # each cascade runs from its first level through the rest, its running
+    # bright state in its bright-state columns; the assistant one takes its
+    # rotations' outputs swapped, so its member tmu_m is the rotation's b
+    for levels, prefix, brights, first in ((range(m_levels), "t", frame.assistant_brights, 0),
+                                           (range(m_levels, dim), "", frame.working_brights,
+                                            m_levels - 1)):
+        bright, dbright = basis_state(dim, levels.start), np.zeros(shape, dtype=complex)
+        for k, level in enumerate(levels[1:]):
+            member = (vectors[..., first + k], derivatives[..., first + k])
+            running = (brights[..., k], dbright)
+            _rotate(schedules, t, f"{prefix}theta_{k}", f"{prefix}alpha_{k}",
+                    (slice(levels.start, level), bright, dbright),
+                    (slice(level, level + 1), None, None),
+                    running + member if prefix else member + running)
+            bright = brights[..., k]
+        ends.append((slice(levels.start, levels.stop), bright, dbright))
+    assistant, working = ends
+    # (b_{N-2}, tb_{M-2}), the latter |e_0> for M = 1
+    frame.terminal_brights[..., 0], frame.terminal_brights[..., 1] = working[1], assistant[1]
 
     # the cross pair is one more rotation, unswapped, mixing the two terminal
     # bright states; its "bright" output is the second passage
-    ang, dang = _pair(schedules, "phi", t)
-    ph, dph = _pair(schedules, "alpha", t)
-    mu_lo, dmu_lo, mu_hi, dmu_hi = _rotate(ang, dang, ph, dph, b, db, tb, dtb)
-
-    def stack(columns):
-        shape = np.shape(t) + (layout.dim, len(columns))
-        return np.stack([np.broadcast_to(c, shape[:-1]) for c in columns], axis=-1) \
-            if columns else np.zeros(shape, dtype=complex)
-
-    return AncillaryFrame(
-        layout=layout,
-        vectors=stack(tmus + mus + [mu_lo, mu_hi]),
-        derivatives=stack(dtmus + dmus + [dmu_lo, dmu_hi]),
-        assistant_brights=stack(tbs),
-        working_brights=stack(bs),
-        terminal_brights=stack([b, tb]),
-    )
+    _rotate(schedules, t, "phi", "alpha", working, assistant,
+            (vectors[..., -2], derivatives[..., -2], vectors[..., -1], derivatives[..., -1]))
+    return frame
 
 
 def frame_derivative_check(layout: SubspaceLayout, schedules: ScheduleSet,

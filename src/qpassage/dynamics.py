@@ -999,7 +999,10 @@ def von_neumann_residual(v: np.ndarray, dv: np.ndarray, h: np.ndarray):
     n = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
     c = np.sum(np.conj(v) * a, axis=-1)
     perp = a - v * np.divide(c, n, out=np.zeros_like(c), where=n > 0)[..., None]
-    return np.sqrt(2.0 * n * np.sum(perp.real ** 2 + perp.imag ** 2, axis=-1) + 4.0 * c.real ** 2)
+    # np.square, not ** 2: on the float of one instant ** 2 is pow(), which
+    # can round otherwise than the x*x an array gets
+    return np.sqrt(2.0 * n * np.sum(perp.real ** 2 + perp.imag ** 2, axis=-1)
+                   + 4.0 * np.square(c.real))
 
 
 def gd_matrices(frame, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

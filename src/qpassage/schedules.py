@@ -87,8 +87,10 @@ class ParameterSchedule:
             raise ScheduleError(f"schedule duration must be positive and finite, "
                                 f"not {self.duration}")
         for name in ("value", "amplitude", "offset", "slope", "times", "values"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ScheduleError(f"schedule {name} must be finite, not {getattr(self, name)}")
+            x = getattr(self, name)
+            # a real scalar skips numpy, whose call costs more than the test
+            if not (math.isfinite(x) if isinstance(x, (int, float)) else np.all(np.isfinite(x))):
+                raise ScheduleError(f"schedule {name} must be finite, not {x}")
         if self.kind == "sampled":
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ScheduleError("sampled schedule needs matching times/values, length >= 2")

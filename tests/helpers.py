@@ -7,7 +7,10 @@ steps the Schrodinger equation directly so reconstructed evolution operators
 and generated phases can be compared against raw integration, and the
 master-equation oracle is classic RK4 on the textbook right-hand side with
 dense matrices and any jump operators.  The passage-residual oracle forms
-the whole matrix dP/dt + i[H, P] and takes its Frobenius norm.
+the whole matrix dP/dt + i[H, P] and takes its Frobenius norm.  The frame
+reference builds each rotation on whole vectors, exact zeros included, and
+stacks the columns afterwards, where `build_frame` writes one term per entry
+into arrays it allocates once; the two must agree bit for bit.
 """
 
 import dataclasses
@@ -15,9 +18,9 @@ import dataclasses
 import numpy as np
 
 from qpassage import dynamics, protocols
-from qpassage.ancillary import SubspaceLayout
+from qpassage.ancillary import AncillaryFrame, SubspaceLayout
 from qpassage.io import write_csv
-from qpassage.linalg import dagger
+from qpassage.linalg import basis_state, dagger
 from qpassage.schedules import ParameterSchedule, ScheduleSet
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -154,6 +157,64 @@ def fail_trace_gate(monkeypatch, kappa: float) -> None:
         return dynamics._lindblad_run(rates, rho0 * raised[:, None, None], grid, observe)
 
     monkeypatch.setattr(protocols, "_lindblad_run", stack_run)
+
+
+def _reference_rotate(angle, dangle, phase, dphase, upper, dupper, lower, dlower):
+    """mu = c*u - s*p*l and b = s*u + c*p*l on whole vectors, with their
+    derivatives; c = cos(angle), s = sin(angle), p = e^{-i phase}."""
+    c, s = np.cos(angle), np.sin(angle)
+    dc, ds = -s * dangle, c * dangle
+    p = np.exp(-1j * phase)
+    dp = -1j * dphase * p
+    mu = c * upper - s * p * lower
+    dmu = dc * upper + c * dupper - (ds * p + s * dp) * lower - s * p * dlower
+    b = s * upper + c * p * lower
+    db = ds * upper + s * dupper + (dc * p + c * dp) * lower + c * p * dlower
+    return mu, dmu, b, db
+
+
+def _reference_pair(schedules, symbol, t):
+    return tuple(np.reshape(x, np.shape(t) + (1,)) for x in schedules.pair(symbol, t))
+
+
+def _reference_cascade(schedules, t, dim, levels, prefix, swap):
+    """Members, their derivatives, running bright states, and the terminal
+    bright state with its derivative, of one cascade from |levels[0]>."""
+    zero = np.zeros(dim, dtype=complex)
+    bright, dbright = basis_state(dim, levels[0]), zero
+    mus, dmus, brights = [], [], []
+    for k, level in enumerate(levels[1:]):
+        ang, dang = _reference_pair(schedules, f"{prefix}theta_{k}", t)
+        ph, dph = _reference_pair(schedules, f"{prefix}alpha_{k}", t)
+        mu, dmu, bright, dbright = _reference_rotate(ang, dang, ph, dph, bright, dbright,
+                                                     basis_state(dim, level), zero)
+        if swap:
+            mu, dmu, bright, dbright = bright, dbright, mu, dmu
+        mus.append(mu)
+        dmus.append(dmu)
+        brights.append(bright)
+    return mus, dmus, brights, bright, dbright
+
+
+def frame_reference(layout: SubspaceLayout, schedules: ScheduleSet, t) -> AncillaryFrame:
+    """The ancillary frame built on whole vectors, column lists stacked at
+    the end: every product adds the exact zeros of the entries off a state's
+    levels, so `build_frame` must equal it bit for bit."""
+    m_levels, dim = layout.assistant_levels, layout.dim
+    tmus, dtmus, tbs, tb, dtb = _reference_cascade(schedules, t, dim, range(m_levels), "t", True)
+    mus, dmus, bs, b, db = _reference_cascade(schedules, t, dim, range(m_levels, dim), "", False)
+    ang, dang = _reference_pair(schedules, "phi", t)
+    ph, dph = _reference_pair(schedules, "alpha", t)
+    mu_lo, dmu_lo, mu_hi, dmu_hi = _reference_rotate(ang, dang, ph, dph, b, db, tb, dtb)
+
+    def stack(columns):
+        shape = np.shape(t) + (dim, len(columns))
+        return np.stack([np.broadcast_to(c, shape[:-1]) for c in columns], axis=-1) \
+            if columns else np.zeros(shape, dtype=complex)
+
+    return AncillaryFrame(layout, stack(tmus + mus + [mu_lo, mu_hi]),
+                          stack(dtmus + dmus + [dmu_lo, dmu_hi]), stack(tbs), stack(bs),
+                          stack([b, tb]))
 
 
 def random_layout(rng, max_assistant: int = 3, max_working: int = 4) -> SubspaceLayout:

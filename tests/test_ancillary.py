@@ -131,3 +131,37 @@ def test_random_instances_stay_orthonormal_under_time_dependence():
         t = rng.uniform(0.0, 1.0)
         frame = build_frame(layout, schedules, t)
         assert frame.gram_defect() <= 1e-12
+
+
+class TestBuffers:
+    """The frame is written into arrays it allocates; callers may write into them."""
+
+    FIELDS = ("vectors", "derivatives", "assistant_brights", "working_brights",
+              "terminal_brights")
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("t", [0.3, np.array([0.1, 0.5, 0.9])])
+    def test_fields_are_contiguous_writable_and_unshared(self, m, n, t):
+        layout = SubspaceLayout(m, n)
+        schedules = random_schedule_set(np.random.default_rng(10 * m + n), layout)
+        first, second = build_frame(layout, schedules, t), build_frame(layout, schedules, t)
+        arrays = [getattr(frame, name) for frame in (first, second) for name in self.FIELDS]
+        for a in arrays:
+            assert a.flags.c_contiguous and a.flags.writeable and a.dtype == complex
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (1, 4), (2, 2), (3, 4)])
+    def test_shapes_for_a_float_time_and_an_array_of_times(self, m, n):
+        layout = SubspaceLayout(m, n)
+        schedules = random_schedule_set(np.random.default_rng(m + n), layout)
+        d = m + n
+        for lead in ((), (5,)):
+            t = 0.4 if not lead else np.linspace(0.0, 1.0, 5)
+            frame = build_frame(layout, schedules, t)
+            assert frame.vectors.shape == frame.derivatives.shape == lead + (d, d)
+            # M = 1 has no assistant cascade: no columns, not a missing field
+            assert frame.assistant_brights.shape == lead + (d, m - 1)
+            assert frame.working_brights.shape == lead + (d, n - 1)
+            assert frame.terminal_brights.shape == lead + (d, 2)

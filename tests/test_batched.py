@@ -14,7 +14,7 @@ over groups of levels must propagate as the same H given dense.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpassage.ancillary import SubspaceLayout, build_frame
@@ -240,6 +240,7 @@ class TestFrames:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 8), count=st.integers(1, 9))
+    @example(seed=425054, dim=2, count=9)  # squaring Re c by pow() was 1 ulp off at instant 5
     def test_stacked_residual_matches_the_scalar_loop(self, seed, dim, count):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))

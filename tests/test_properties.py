@@ -5,7 +5,8 @@ cosine-ramp schedule kinds only.  Here the layouts run over M <= 4 assistant
 and N <= 5 working levels and the controls over every schedule kind:
 
 * the frame is orthonormal and complete for any controls, `sampled` and
-  `linear-ramp` included;
+  `linear-ramp` included, and equals bit for bit the whole-vector coding
+  of `helpers.frame_reference` at a float time or an array of times;
 * with static cascade controls and phi, alpha and varphi of the analytic
   kinds, the two cross-subspace members are exact passages of the assembled
   H (the projector residual vanishes relative to ||H||), the assistant
@@ -44,6 +45,8 @@ from qpassage.schedules import (ParameterSchedule, ScheduleSet, cascade_symbols,
                                 required_symbols)
 from qpassage.synthesis import assemble_hamiltonian, block_form_defect, master_envelope
 from qpassage.tolerances import TOL
+
+from helpers import frame_reference
 
 ANALYTIC = ("constant", "cosine-ramp", "linear-ramp")
 ALL_KINDS = ANALYTIC + ("sampled",)
@@ -99,6 +102,18 @@ def test_frame_is_orthonormal_and_complete(system, inner):
     assert frame.gram_defect() <= TOL.frame_orthonormality
     for vectors in frame.vectors:
         assert completeness_defect(vectors) <= TOL.frame_orthonormality
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(ALL_KINDS, static_cascade=False),
+       t=st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9).map(np.array))
+def test_frame_equals_the_whole_vector_coding_bit_for_bit(system, t):
+    layout, sset = system
+    frame, reference = build_frame(layout, sset, t), frame_reference(layout, sset, t)
+    for field in ("vectors", "derivatives", "assistant_brights", "working_brights",
+                  "terminal_brights"):
+        got, want = getattr(frame, field), getattr(reference, field)
+        assert got.shape == want.shape and np.array_equal(got, want), field
 
 
 @settings(max_examples=150, deadline=None)

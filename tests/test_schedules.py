@@ -92,6 +92,24 @@ class TestEval:
         with pytest.raises(ScheduleError, match=rf"^schedule {name} must be finite, not "):
             make(bad)
 
+    @pytest.mark.parametrize("name", ["value", "amplitude", "offset", "slope", "times", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float64(-np.inf), np.float32(np.nan)])
+    def test_a_non_finite_field_set_directly_gets_the_whole_message(self, name, bad):
+        # set on the dataclass itself, so no constructor turns it into a float
+        fields = {name: bad} if name not in ("times", "values") else \
+            {"times": (0.0, 0.5, 1.0), "values": (0.0, 1.0, 2.0), name: (0.0, bad, 1.0)}
+        with pytest.raises(ScheduleError) as refused:
+            ParameterSchedule("sampled" if name in ("times", "values") else "constant",
+                              **fields)
+        assert str(refused.value) == f"schedule {name} must be finite, not {fields[name]}"
+
+    @pytest.mark.parametrize("good", [np.float64(0.25), 2, np.int64(-3), True, 0.5])
+    def test_finite_numpy_floats_and_integers_are_accepted(self, good):
+        s = ParameterSchedule("linear-ramp", value=good, amplitude=good, offset=good, slope=good)
+        assert s.eval(1.0) == (float(good) + float(good), float(good))
+        sampled = ParameterSchedule("sampled", times=(0, abs(good) + 1), values=(good, 0))
+        assert sampled.eval(0.0)[0] == float(good)
+
     def test_bad_kind_and_bad_samples(self):
         with pytest.raises(ScheduleError):
             ParameterSchedule(kind="spline")

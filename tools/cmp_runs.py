@@ -11,7 +11,9 @@ on PYTHONPATH:
   span edge;
 * `qpassage sweep configs/bell.cfg --param kappa_T` at grid 513, and
   `--param grid --values 513,1024`, whose table has an integer first column;
-* `qpassage verify --seed 1`, whose report is its standard output.
+* `qpassage verify --seed 1`, whose report is its standard output, and
+  `qpassage verify --seed 7 --max-m 4 --max-n 5`, whose frames and drives
+  span layouts beyond the default M <= 3, N <= 4.
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
 each command's exit code and error output.  One `same` or `DIFF` line is
@@ -60,6 +62,7 @@ def commands(tree: Path) -> dict:
     jobs[f"sweep-kappa_T-grid{GRID}"] = SWEEP + ["--grid", GRID]
     jobs["sweep-grid"] = GRID_SWEEP
     jobs["verify-seed1"] = ["verify", "--seed", "1"]
+    jobs["verify-seed7-m4-n5"] = ["verify", "--seed", "7", "--max-m", "4", "--max-n", "5"]
     return jobs
 
 
