@@ -34,8 +34,11 @@ groups of H, so u sigma u+ keeps each (row group, column group) tile of
 sigma to itself, and only the jumps move weight from tile to tile
 (`_support`).  Where they leave most tiles unreached (less than a SHARE of
 them), as in every protocol step that does not reach all of its tiles,
-sigma is carried as its E reachable entries alone, D is one fixed gather
-over them and u sigma u+ one product per tile (`_support_steps`).  A larger
+sigma is carried as its E reachable entries alone, D is compiled once from
+its terms over them, the products of p that feed each entry (`_terms`), and
+applied as one real matrix product up to MATRIX entries, as one fixed
+gather above (`_gathers`), and u sigma u+ is one product per tile
+(`_support_steps`).  A larger
 support, such as any dense H gives, is damped in place by D(dt) through
 views bound once per propagation and multiplied by u group by group
 (`_grouped_steps`, see below).  The forms agree to round-off.  A
@@ -69,22 +72,26 @@ first member, in stack order, among those failing at the earliest grid
 step; the exception carries its index as the `member` attribute.
 
 Both propagators take the Hamiltonian as a callable of time that accepts an
-array of times and returns its matrices there, in one of two forms.  A
+array of times and returns its matrices there, in one of three forms.  A
 (len(t), S, b, b) stack of blocks says that H is block diagonal over S
 consecutive groups of b levels of the state (S b = d): block s acts on
-levels s b ... s b + b - 1 and H vanishes between groups.  A (len(t), d, d)
-stack is the S = 1 case of the same contract, and a time-independent (d, d)
-matrix is broadcast.  The propagators call it once per span of grid
+levels s b ... s b + b - 1 and H vanishes between groups.  A pair
+(blocks, which) of a (len(t), C, b, b) stack of one block per class of
+groups and the (S,) class of each group says the same more cheaply, group
+s holding block which[s], as the protocol runner's one block per class of
+spectator groups does; a stack of S blocks is the pair with which =
+arange(S).  A (len(t), d, d) stack is the S = 1 case of the same contract,
+and a time-independent (d, d) matrix is broadcast.  The propagators call it once per span of grid
 intervals, at the interval midpoints, so the fields behind H are evaluated
 on whole arrays.  A span is 2 SPAN = 512 intervals up to DENSE levels,
 where it costs numpy's fixed per-call time rather than arithmetic, and
 SPAN = 256 above, where the longer span's arrays would outweigh that
-(`_span`).  Each distinct block is exponentiated once per span: groups
+(`_span`).  Each distinct block is exponentiated once per span: classes
 whose b-by-b blocks hold the same bytes at every time of the span are
 exponentiated once for all of them, which gives the bits of exponentiating
-every group (a protocol step's d/b spectator groups hold at most two
-distinct blocks), and a class of groups whose blocks are 0 throughout gets
-the identity without an exponential.  `expm_hermitian` takes two-level
+every group (a protocol step's d/b spectator groups fall into at most four
+classes, holding at most two distinct blocks), and a class whose blocks
+are 0 throughout gets the identity without an exponential.  `expm_hermitian` takes two-level
 blocks in closed form and larger ones by a degree-8 Taylor polynomial of
 their real form, neither through an eigendecomposition, and gives each
 block the same bits in any stack.  H is taken at the same midpoints whatever the
@@ -159,6 +166,7 @@ DENSE = 8  # largest d whose open steps take the dense form and whose spans are 
 SUPEROPERATOR = 4  # largest d whose dense steps take u sigma u+ as one product
 TILE = 4  # largest group of levels whose open steps may take the support form
 SHARE = 0.5  # share of reachable tiles from which open steps take the grouped form
+MATRIX = 192  # most entries of a support whose damping may take one matrix product
 
 
 class StepSizeError(RuntimeError):
@@ -278,37 +286,57 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
     (u, which): u the (len(t_mid), C, b, b) unitaries of the C classes of
     groups whose (len(t_mid), b, b) columns of H hold equal bytes, numbered
     in order of first appearance, and which the (S,) class of each group,
-    so that u[:, which] holds the unitaries of every group.  Each class is
-    exponentiated once, in one call for all of them; equal bytes give equal
-    bits, so u[:, which] is what exponentiating every group gives.  An H
-    that is not finite or not Hermitian to 1e-10 (relative) raises
-    ValueError naming its first such time; the classes hold every value of
-    H, so the checks read them alone, before any exponential.  A class
-    whose blocks are 0 at every time (half the groups of an effective-mode
-    raise step) is idle: its unitaries are the identity, the bits the
-    exponential gives, and none is computed."""
-    h = np.asarray(hamiltonian(t_mid), dtype=complex)
+    so that u[:, which] holds the unitaries of every group.  H comes as a
+    stack of blocks, one per group, or as a pair (blocks, which) of one
+    block per class the caller knows and the class of each group; a stack
+    is the pair (blocks, arange(S)).  Equal columns among the caller's
+    classes are merged, so each class is exponentiated once, in one call for
+    all of them; equal bytes give equal bits, so u[:, which] is what
+    exponentiating every group gives.  An H that is not finite or not
+    Hermitian to 1e-10 (relative) raises ValueError naming its first such
+    time; the classes hold every value of H, so the checks read them alone,
+    before any exponential.  A class whose blocks are 0 at every time (half
+    the groups of an effective-mode raise step) is idle: its unitaries are
+    the identity, the bits the exponential gives, and none is computed."""
+    h = hamiltonian(t_mid)
+    h, which = h if isinstance(h, tuple) else (h, None)
+    h = np.asarray(h, dtype=complex)
     if h.ndim < 4:
         h = h[..., None, :, :]
     h = np.broadcast_to(h, t_mid.shape + h.shape[-3:])
-    groups, size = h.shape[-3], h.shape[-1]
-    if h.shape[-2] != size or groups * size != dim:
-        raise ValueError(f"Hamiltonian blocks of shape {h.shape[-3:]} do not cover "
-                         f"the state's {dim} levels")
-    slot: dict = {}  # the bytes of a group's (T, b, b) column -> its distinct index
-    which = np.array([slot.setdefault(h[:, s].tobytes(), len(slot)) for s in range(groups)])
-    h = h[:, np.unique(which, return_index=True)[1]]
-    bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
-    if np.any(bad):
+    classes, size = h.shape[-3], h.shape[-1]
+    which = np.arange(classes) if which is None else np.asarray(which)
+    if not (h.shape[-2] == size and which.ndim == 1 and which.size * size == dim
+            and which.dtype.kind in "iu" and np.all((which >= 0) & (which < classes))):
+        raise ValueError(f"Hamiltonian blocks of shape {(which.size,) + h.shape[-2:]} do not "
+                         f"cover the state's {dim} levels")
+    # a column is compared whole, as the integers of its bytes, only with the
+    # earlier distinct columns whose blocks at the first time hold its bytes
+    words = (h.real.view(np.int64), h.imag.view(np.int64))
+    merged, distinct, starts = np.empty(classes, dtype=int), [], {}
+    for c in range(classes):
+        same = starts.setdefault(h[0, c].tobytes(), [])
+        match = [m for m in same if all(np.array_equal(w[:, c], w[:, distinct[m]]) for w in words)]
+        merged[c] = match[0] if match else len(distinct)
+        if not match:
+            same.append(len(distinct))
+            distinct.append(c)
+    h = h[:, distinct]
+    # each check is measured per time only where the whole span fails it
+    if not np.isfinite(h).all():
+        bad = ~np.isfinite(h).all(axis=(-3, -2, -1))
         raise ValueError(f"Hamiltonian is not finite at t = {t_mid[np.argmax(bad)]:.6f}")
-    bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
-    if np.any(bad):
-        raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
+    if not np.array_equal(h, dagger(h)):
+        bad = hermiticity_defect(h, axis=(-3, -2, -1)) > 1e-10
+        if np.any(bad):
+            raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
     idle = ~h.any(axis=(0, 2, 3))
+    if not idle.any():
+        return expm_hermitian(h, -1j * dt), merged[which]
     u = np.empty(h.shape, dtype=complex)
     u[:, idle] = np.eye(size)
     u[:, ~idle] = expm_hermitian(h[:, ~idle], -1j * dt)
-    return u, which
+    return u, merged[which]
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -475,12 +503,15 @@ def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
 
 def _liouville(damping: tuple, members: int, dim: int) -> np.ndarray:
     """D (see `_damping`) as its (K, d^2, d^2) matrices M, one per member,
-    with vec(D(x)) = vec(x) @ M for x flattened in C order: row (i, j) of M
-    is D(|i><j|), made by `_damper` itself, so D keeps one definition."""
-    basis = np.empty((members, dim * dim, dim, dim), dtype=complex)
-    basis[:] = np.eye(dim * dim).reshape(dim * dim, dim, dim)
-    _damper(basis, *damping)()
-    return basis.reshape(members, dim * dim, dim * dim)
+    with vec(D(x)) = vec(x) @ M for x flattened in C order: M[(i, j), (x, y)]
+    is the one term of `_terms` from entry (i, j) into (x, y) on all d^2
+    entries, the product of p over the fed bits times the weight, the
+    products `_damper` forms on the basis matrix |i><j|, so D keeps one
+    definition and M its bits."""
+    dst, src, coef, weight = _terms(damping, np.arange(dim * dim), dim)
+    matrix = np.zeros((members, dim * dim, dim * dim), dtype=complex)
+    matrix.real[:, src, dst] = coef * weight[:, dst]
+    return matrix
 
 
 def _located(entries: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -626,25 +657,20 @@ def _entries(tiles: np.ndarray, size: int) -> np.ndarray:
             + (cols * size)[:, None, None] + level).ravel()
 
 
-def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
-    """D (see `_damping`) on the (K, E) entries of sigma at the flat
-    positions `entries`, a set closed under the jumps (see `_support`), as
-    one fixed real gather: the returned function maps x to D(x), a new flat
-    (K E,) complex array.
+def _terms(damping: tuple, entries: np.ndarray, dim: int) -> tuple:
+    """D (see `_damping`) on the entries of sigma at the flat positions
+    `entries`, a set closed under the jumps (see `_support`), as its terms
+    (dst, src, coef, weight): term i adds coef[:, i] times entry src[i] into
+    entry dst[i], and the (K, E) weight then multiplies each entry.
 
     Feeding the bits one after another, as `_damper` does, sums into entry
     (x, y) the entry (x - A, y - A) times the product of p over the bits A,
     for every set A of bits that are ground (1) in both x and y; the weight
     then multiplies the sum.  Each such term whose source lies in the set
-    is one (destination, source, coefficient) triple, and D(x) is one
-    `np.bincount` over the float view of the terms.  A term whose source
-    is 0 adds an exact 0, so a member stepped on a larger set, as in a
-    stack, keeps the bits of its steps on its own.  An entry's terms are
-    summed in the reverse of their making: those of the last fed bit
-    first, the entry's own value last.  With one fed bit that is the sum
-    `_damper` forms; with several the small terms add up before they meet
-    the large one.  Summed the other way round, open GHZ5 moved by up to
-    7.3e-14 from the feed-by-feed sums, against 5.3e-15 this way."""
+    is one triple; its coefficient is the product of p in the order of the
+    feeds, as `_damper` forms it.  A pair (x, y), (x - A, y - A) fixes A,
+    so it has one term.  The terms come in the reverse of their making:
+    those of the last fed bit first, the entry's own term last."""
     feeds, weight = damping
     members, count = weight.shape[0], entries.size
     rows, cols = np.divmod(entries, dim)
@@ -656,38 +682,82 @@ def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
         fed, at = fed[at >= 0], at[at >= 0]  # outside the set a source is exactly 0
         dst, src = np.concatenate([dst, dst[fed]]), np.concatenate([src, at])
         coef = np.concatenate([coef, coef[:, fed] * p.real.reshape(members, 1)], axis=1)
-    dst, src, coef = dst[::-1], src[::-1], coef[:, ::-1]
-    weight = np.repeat(weight.reshape(members, -1)[:, entries].real, 2, axis=1).ravel()
+    weight = weight.reshape(members, -1)[:, entries].real
+    return dst[::-1], src[::-1], coef[:, ::-1], weight
+
+
+def _gathers(damping: tuple, entries: np.ndarray, dim: int, reach: np.ndarray) -> Callable:
+    """D (see `_damping`) on the (K, E) entries of sigma at the flat
+    positions `entries`, compiled once from its terms (`_terms`): the
+    returned function maps x to D(x), a new complex array of K E values.
+    `reach` (K, E) marks the entries each member's own run would hold.
+
+    D is applied so that each member gets the bits of its own run.  Where
+    a member's own run holds at most MATRIX entries, D is one real product
+    of an (E, E) matrix, the weight folded into its rows, with the (E, 2)
+    float view of the member's entries; when every member reaches all E
+    entries, as in every stack of the protocol runner, that is one (K, E, E)
+    product for the stack.  BLAS sums each entry's terms in an order of its
+    own, fused multiply-adds included, and that order depends on E, so a
+    member whose own run holds fewer entries than the stack (a stack whose
+    members reach different tiles) takes a product of its own on them.
+    Every other member takes one fixed real gather, one `np.bincount` over
+    the float view of the terms, each summed into its entry in the order of
+    `_terms`, then times the weight.  A term whose source is 0 adds an
+    exact 0, so on a larger set, as in a stack, the gather keeps the bits
+    of a member's own run.  That order sums an entry's small terms before
+    they meet the large one: summed the other way round, open GHZ5 moved by
+    up to 7.3e-14 from the feed-by-feed sums, against 5.3e-15 this way."""
+    dst, src, coef, weight = _terms(damping, entries, dim)
+    members, count = weight.shape
+    if count <= MATRIX and reach.all():
+        rows = np.zeros((members, count, count))
+        rows[:, dst, src] = coef * weight[:, dst]
+
+        def product(x: np.ndarray) -> np.ndarray:
+            return np.matmul(rows, x.view(float).reshape(members, count, 2)).view(complex)
+        return product
+
+    feeds, weights = damping
+    own = []  # (member, its entries' positions, its own run's product)
+    for k, at in enumerate(np.flatnonzero(r) for r in reach):
+        if at.size <= MATRIX:
+            member = ([(mask, p[k:k + 1]) for mask, p in feeds], weights[k:k + 1])
+            own.append((k, at, _gathers(member, entries[at], dim, np.ones((1, at.size), bool))))
+    weight = np.repeat(weight, 2, axis=1).ravel()
     # each term once for the real part and once for the imaginary part
     src = (2 * src[:, None] + [0, 1]).ravel()
     bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * 2 + [0, 1]).ravel()
     coef = np.repeat(coef, 2, axis=1)
 
-    def damp(x: np.ndarray) -> np.ndarray:
+    def gather(x: np.ndarray) -> np.ndarray:
         terms = x.view(float)[:, src]
         terms *= coef
         out = np.bincount(bins, terms.ravel(), 2 * members * count)
         out *= weight
-        return out.view(complex)
-    return damp
+        out = out.view(complex).reshape(members, count)
+        for k, at, product in own:
+            out[k, at] = product(np.ascontiguousarray(x[k, at])).ravel()
+        return out
+    return gather
 
 
-def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
-                   entries: np.ndarray, size: int) -> Callable:
+def _support_steps(sigma: np.ndarray, damp: Callable, damp_full: Callable, buf: np.ndarray,
+                   entries: np.ndarray, tiles: tuple) -> Callable:
     """`_grouped_steps` on the (K, E) entries of sigma at the flat positions
     `entries` (see `_support`), node j going to buf[:, j], (K, E): D as
-    `_gathers`, by `half` at the first step and `full` after it, then
-    u sigma u+ per tile, tile (r, c) being u_r T u_c+.  In the C order of
+    `_gathers` compiles it, `damp` (D(dt/2)) at the first step and
+    `damp_full` (D(dt)) after it, then u sigma u+ per tile, `tiles` being
+    the (rows, cols) arrays of each tile's row and column group, in the
+    order of `entries`, and tile (r, c) being u_r T u_c+.  In the C order of
     the tile's entries that is one product with kron(u_r, conj(u_c)).  The
     factors are made once per block of step unitaries for each pair of
     classes of groups the tiles hold, u holding the classes' unitaries and
     `which` the class of each group (see `_step_unitaries`; a protocol step
     has at most two classes, so at most four pairs), and gathered onto the
     tiles at each step."""
-    members, dim = sigma.shape[0], full[1].shape[-1]
-    tile = size * size
-    rows, cols = entries[::tile] // dim // size, entries[::tile] % dim // size
-    damp, damp_full = (_gathers(damping, entries, dim) for damping in (half, full))
+    rows, cols = tiles
+    members, tile = sigma.shape[0], entries.size // rows.size
     nodes = buf.reshape(buf.shape[:2] + (-1, tile, 1))
     factors = np.empty((rows.size, tile, tile), dtype=complex)
 
@@ -717,8 +787,11 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
     every member of a nonempty stack reaches less than a SHARE of its tiles
     (`_support`), as its own run would, `_grouped_steps` otherwise.
     The support form steps the stack on the union of the members'
-    reachable entries, which holds each member to the bits of its own run
-    (see `_gathers`).  The buffer holds n nodes of each member as (K, n, E)
+    reachable entries.  It damps them by one matrix product (`_gathers`)
+    when they are at most MATRIX and every member reaches all of them, so
+    that each member's own run holds the same entries; otherwise by the
+    gather, which holds each member to the bits of its own run on any
+    larger set.  The buffer holds n nodes of each member as (K, n, E)
     values at the flat positions `entries` of a d x d matrix: the support
     form's entries, else all d^2, the dense and grouped forms' (K, n, d, d)
     buffer viewed flat."""
@@ -726,10 +799,15 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
     if dim > DENSE and size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
         if np.all(tiles.mean(axis=(1, 2)) < SHARE):
-            entries = _entries(tiles.any(axis=0), size)
+            union = tiles.any(axis=0)
+            entries = _entries(union, size)
+            rows, cols = np.nonzero(union)
+            reach = np.repeat(tiles[:, rows, cols], size * size, axis=1)
+            damp, damp_full = (_gathers(damping, entries, dim, reach) for damping in (half, full))
             carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
             buf = np.empty((members, nodes, entries.size), dtype=complex)
-            return _support_steps(carried, half, full, buf, entries, size), buf, entries
+            return (_support_steps(carried, damp, damp_full, buf, entries, (rows, cols)),
+                    buf, entries)
     buf = np.empty((members, nodes, dim * dim), dtype=complex)
     steps = (_dense_steps if dim <= DENSE else _grouped_steps)(
         sigma, half, full, buf.reshape(members, nodes, dim, dim))
@@ -829,7 +907,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     (`_propagate` holds it for the whole propagation):
 
     * up to DENSE levels, `_dense_steps`: dense products, D as its
-      compiled Liouville matrices.  At d = 16 that form measured slower,
+      Liouville matrices, compiled from its terms (`_liouville`).  At d = 16 that form measured slower,
       its d^2 x d^2 product growing as d^4, so DENSE is 8.  Up to
       SUPEROPERATOR levels u sigma u+ is one product with the step's
       (u kron conj(u))^T, formed once per block, so a step is two
@@ -845,9 +923,10 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
       (`_support`).  When every member reaches less than a SHARE of them, in
       groups of at most TILE levels, the stack takes `_support_steps`, which
       carries the E entries of the tiles the members reach alone, so the
-      node buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  In
-      effective mode E is a small share of d^2: 480 of 1,024 entries at
-      GHZ5's last step, 2,336 of 16,384 at GHZ7's;
+      node buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), and
+      damps them by one matrix product up to MATRIX entries, else by the
+      gather (`_gathers`).  In effective mode E is a small share of d^2:
+      480 of 1,024 entries at GHZ5's last step, 2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
       u sigma u+ by groups.  Every dense H (S = 1) and the last
       rotating-frame protocol step reach every tile.
@@ -866,12 +945,29 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     tiles or fewer and then all of them, up to 0.25 of 64 x 64, 178 against
     334 ms.  On random density matrices whose tiles were closed under the
     jumps (d = 32 and 64, b = 2 and 4), the support form measured slower
-    from E/d^2 of about 0.2 to 0.4 on, and at 1/2 and above in every case,
-    1.05 to 5.8 times; the more classes of group unitaries and the larger d
-    or b, the earlier.  Its Kronecker factors grow as b^4: with b = 8 it
-    measured 2.1 times slower than the grouped form even on a sparse support
-    (d = 32), with b = 16 8.9 times (d = 64), hence TILE = 4, the largest
-    group of a protocol step."""
+    at 1/2 and above in every case, 1.05 to 5.8 times; the more classes of
+    group unitaries and the larger d or b, the earlier.  Re-measured once
+    small supports were damped by one product (every group its own block,
+    one rate, 640 steps, min of 5 interleaved runs per form), it took 0.36
+    to 0.75 of the grouped form's time up to E = MATRIX, 0.33 to 0.77
+    before the product, and was slower from E/d^2 = 0.29 on at d = 64,
+    b = 4, 0.41 at d = 32, b = 4, 0.47 at d = 32, b = 2 and d = 64, b = 2,
+    at most 1.43 times; below those shares it was never slower, and the
+    tree before the product measured the same shares.  GHZ5's last step,
+    at 0.47, is faster in the support form, so SHARE stays 1/2.  Its
+    Kronecker factors grow as b^4: with b = 8 it measured 2.1 times slower
+    than the grouped form even on a sparse support (d = 32), with b = 16
+    8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
+    step.
+
+    MATRIX = 192 is measured on D alone (one application to random values
+    on the closed supports of random groups, d = 32 and 64, b = 2 and 4,
+    best of 7 x 200 calls, one BLAS thread).  With one member the product
+    took 0.5 of the gather's time up to E = 64, 0.7-0.9 from E = 128 to
+    224 and 1.2-1.5 from E = 256 to 376, 2.7 at E = 480, GHZ5's last step,
+    and above 10 from E = 768, its E x E matrix growing as E^2; with two
+    members it stayed ahead up to E of about 340.  Up to MATRIX the
+    matrices take K E^2 8 bytes per damping, 0.3 MiB a member at E = 192."""
     rho0 = np.asarray(rho0)
     if rho0.ndim not in (2, 3):
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")

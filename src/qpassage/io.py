@@ -12,11 +12,12 @@ E = floor(log10 |v|) and 10**(17 - E) held as the double-double hi + lo,
 t = (|v| hi - p) + |v| lo, its first term exact by Dekker's product (Numer.
 Math. 18, 224 (1971)); so t is known to about 1e-14.  The 18 digits are
 those of p + floor(t), plus 1 when frac(t) > 1/2, read four at a time from
-a table.  A chunk holding a value this cannot round with certainty goes to
-`%` whole: a value that is not finite, has |E| > 280, has frac(t) within
-1e-6 of 1/2 (a tie, or too close to one to tell), or whose digits do not
-number 18 (log10 off by one next to a power of ten, or a rounding carry).
-Zeros of either sign are formatted.
+a table.  A chunk holding a value this cannot round with certainty is
+encoded again in pieces of _PIECE rows, and a piece holding such a value
+goes to `%` whole: a value that is not finite, has |E| > 280, has frac(t)
+within 1e-6 of 1/2 (a tie, or too close to one to tell), or whose digits do
+not number 18 (log10 off by one next to a power of ten, or a rounding
+carry).  Zeros of either sign are formatted.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ _CHUNK = 512
 _EXP = 280  # largest |decimal exponent| formatted by `_encode`
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE = 1e-6  # a scaled value's fraction this close to 1/2 goes to `%`
+# rows per piece of a refused chunk: its one near-tie in configs/bell.cfg's
+# bell-03.csv cost 1.92 ms with the chunk through `%`, 0.79 ms in pieces of
+# 64 rows, 0.84 in 128, 1.03 in 32 and 2.93 in 8, each piece's `_encode`
+# costing a fixed ~45 us (best of 7, 2-core x86 guest)
+_PIECE = 64
 
 
 @functools.cache
@@ -160,8 +166,15 @@ def write_csv(path, header, columns) -> None:
             chunk = data[start:start + _CHUNK]
             text = _encode(chunk.ravel(), seps[:chunk.size])
             if text is None:
-                text = "".join(row % tuple(values) for values in chunk.tolist()).encode()
+                pieces = (chunk[i:i + _PIECE] for i in range(0, len(chunk), _PIECE))
+                text = b"".join(_encode(piece.ravel(), seps[:piece.size]) or _percent(piece, row)
+                                for piece in pieces)
             fh.write(text)
+
+
+def _percent(rows: np.ndarray, row: str) -> bytes:
+    """The bytes `%` writes for the (n, c) `rows` through the row format `row`."""
+    return "".join(row % tuple(values) for values in rows.tolist()).encode()
 
 
 def write_trajectory_csv(result: SimulationResult, path, time_scale: float = 1.0) -> None:

@@ -41,9 +41,14 @@ an array of times; an array gives stacks with the time axis in front.
 A step drives at most two qubits and never flips the others, so in its level
 order `ProtocolStep.order` (spectator bits major, driven bits minor) its
 Hamiltonian is block diagonal over d/b groups of b = 2**len(drives) <= 4
-levels.  `build_step_blocks` assembles those blocks, the one form of H the
-runner uses; `build_step_hamiltonian` scatters them into the dense
-product-basis matrix for the step-consistency check and the public API.
+levels.  Groups that hold the same transitions and embedded levels at the
+same places hold equal blocks, and a step has few such classes (two among
+the 8 groups of GHZ5's split and convert steps, four among the 16 of a raise
+step, holding one or two distinct blocks), so `_class_blocks` assembles one
+block per class, the form of H the runner propagates; `build_step_blocks` spreads them over the
+groups for the residual pass, and `build_step_hamiltonian` scatters them
+into the dense product-basis matrix for the step-consistency check and the
+public API.
 
 The runner carries the states into each step's order at the step's start
 and back at its end.  Each step is one propagation (`dynamics._propagate`):
@@ -199,11 +204,11 @@ class ProtocolStep:
     this order the step Hamiltonian is block diagonal over S = d/b
     consecutive groups of b = 2**len(drives) levels, one per configuration
     of the spectators; `position`, the inverse of `order`, holds each
-    product index's place in it.  `lines` holds, per driven qubit, the
-    (qubit, groups, rows, cols, n) of all its raising transitions, each as
-    its group and its row and column inside the group: in the frame rotating
+    product index's place in it.  `classes` holds, per Hamiltonian mode,
+    the step's classes of groups (see `_line_classes`): in the frame rotating
     with the static Hamiltonian a transition oscillates at n*J, so effective
-    mode keeps the n = 0 lines.
+    mode keeps the n = 0 transitions only, and groups that hold the same
+    transitions and embedded levels at the same places hold the same block.
     """
 
     name: str
@@ -220,7 +225,7 @@ class ProtocolStep:
     layout: SubspaceLayout = field(init=False)
     order: np.ndarray = field(init=False)
     position: np.ndarray = field(init=False)
-    lines: tuple = field(init=False)
+    classes: dict = field(init=False)
 
     def __post_init__(self):
         self.layout = SubspaceLayout(self.schedules.assistant_levels,
@@ -230,7 +235,9 @@ class ProtocolStep:
         levels = np.arange(self.dim).reshape((2,) * self.qubits)
         self.order = levels.transpose(spectators + driven).ravel()
         self.position = np.argsort(self.order)
-        self.lines = _transition_lines(self)
+        lines = _transition_lines(self)
+        self.classes = {mode: _line_classes(self, lines, mode == "effective")
+                        for mode in ("effective", "rotating-frame")}
         _assert_step_consistency(self)
 
     @property
@@ -307,6 +314,43 @@ def _transition_lines(step: ProtocolStep) -> tuple:
         size = step.block
         lines.append((q, rows // size, rows % size, cols % size, np.array(ns)))
     return tuple(lines)
+
+
+def _line_classes(step: ProtocolStep, lines: tuple, effective: bool) -> tuple:
+    """The classes of the step order's groups for one Hamiltonian mode, as
+    (which, lines, diagonal): `which` (S,) the class of each group, numbered
+    in order of first appearance; `lines` per driven qubit the transition
+    lines (see `_transition_lines`) of each class's first group, as
+    (qubit, upper, lower, n), upper and lower being a line's flat places in
+    a (C, b, b) stack of one block per class above and below the diagonal;
+    `diagonal` the flat places of the embedded levels' diagonal entries, in
+    the order of `step.embed`.
+
+    A group's pattern is what sits at each of its b x b places: a driven
+    qubit's line with its n (effective mode drops the n != 0 lines), or an
+    embedded level's diagonal entry.  Groups of one pattern hold equal
+    blocks at any time, so one block per class holds every value of H."""
+    size, groups = step.block, step.dim // step.block
+    if effective:
+        lines = tuple((q, g[n == 0], r[n == 0], c[n == 0], n[n == 0]) for q, g, r, c, n in lines)
+    pattern = np.zeros((groups, size, size, 2), dtype=int)
+    for i, (q, g, r, c, n) in enumerate(lines):
+        pattern[g, r, c, 0], pattern[g, r, c, 1] = i + 1, n
+    group, place = np.divmod(step.position[list(step.embed)], size)
+    pattern[group, place, place, 0] = -1 - np.arange(group.size)
+    slot: dict = {}
+    which = np.array([slot.setdefault(p.tobytes(), len(slot)) for p in pattern])
+    lead = np.full(groups, -1)  # the class of each class's first group, -1 for the others
+    first = np.unique(which, return_index=True)[1]
+    lead[first] = which[first]
+    places = []
+    for q, g, r, c, n in lines:
+        keep = lead[g] >= 0
+        block = lead[g[keep]] * size
+        r, c = r[keep], c[keep]
+        places.append((q, (block + r) * size + c, (block + c) * size + r, n[keep]))
+    # an embedded level's pattern is its group's alone, so that group leads its class
+    return which, tuple(places), (which[group] * size + place) * size + place
 
 
 @dataclass
@@ -519,16 +563,18 @@ def plan_ghz(model: QubitModel, n_qubits: int | None = None,
 # Hamiltonians and execution
 # ---------------------------------------------------------------------------
 
-def build_step_blocks(step: ProtocolStep, model: QubitModel | None,
-                      t, mode: str = "effective") -> np.ndarray:
-    """The step Hamiltonian at local time t as its (S, b, b) blocks over the
-    groups of the step order (see ProtocolStep), which is how the
-    propagators take it; an array of times puts its shape in front.
+def _class_blocks(step: ProtocolStep, model: QubitModel | None, t,
+                  mode: str = "effective") -> tuple[np.ndarray, np.ndarray]:
+    """The step Hamiltonian at local time t as (blocks, which): one (b, b)
+    block per class of groups of the step order (see `_line_classes`),
+    (C, b, b) with the shape of t in front, and the (S,) class of each
+    group, the pair the propagators take (`dynamics._step_unitaries`).
 
     Each transition line's coefficient is multiplied by exp(i n J t):
     rotating-frame mode needs a model with the omega*T scale and keeps every
-    line, effective mode keeps the co-rotating n = 0 lines only.  Any
-    detuning of the reduced model rides on its embedded levels.
+    line, effective mode keeps the co-rotating n = 0 lines only, and where
+    J = 0, as there, the factor is 1 and skipped.  Any detuning of the
+    reduced model rides on its embedded levels.
     """
     if mode == "rotating-frame":
         if model is None or model.omega is None:
@@ -538,22 +584,31 @@ def build_step_blocks(step: ProtocolStep, model: QubitModel | None,
         j = 0.0
     else:
         raise ProtocolError(f"unknown Hamiltonian mode {mode!r}")
+    which, lines, diagonal = step.classes[mode]
     t = np.asarray(t, dtype=float)
     h_red = step.reduced_hamiltonian(t)
     size = step.block
-    h = np.zeros(t.shape + (step.dim // size, size, size), dtype=complex)
-    for q, groups, rows, cols, n in step.lines:
-        if mode == "effective":
-            keep = n == 0
-            groups, rows, cols, n = groups[keep], rows[keep], cols[keep], n[keep]
-        c = h_red[(..., *step.rep[q])][..., None] * np.exp(1j * (n * j) * t[..., None])
+    h = np.zeros(t.shape + (which.max() + 1, size, size), dtype=complex)
+    flat = h.reshape(t.shape + (-1,))
+    for q, upper, lower, n in lines:
+        c = h_red[(..., *step.rep[q])][..., None]
+        if j:
+            c = c * np.exp(1j * (n * j) * t[..., None])
         # the lines lie above the diagonal, so this is h += h+ without a copy of h
-        h[..., groups, rows, cols] += c
-        h[..., groups, cols, rows] += np.conj(c)
-    embed = step.position[list(step.embed)]
-    h[..., embed // size, embed % size, embed % size] += np.diagonal(h_red, axis1=-2,
-                                                                   axis2=-1).real
-    return h
+        flat[..., upper] += c
+        flat[..., lower] += np.conj(c)
+    flat[..., diagonal] += np.diagonal(h_red, axis1=-2, axis2=-1).real
+    return h, which
+
+
+def build_step_blocks(step: ProtocolStep, model: QubitModel | None,
+                      t, mode: str = "effective") -> np.ndarray:
+    """The step Hamiltonian at local time t as its (S, b, b) blocks over the
+    groups of the step order (see ProtocolStep): each group's class block
+    (`_class_blocks`); an array of times puts its shape in front.
+    Rotating-frame mode needs a model with the omega*T scale."""
+    blocks, which = _class_blocks(step, model, t, mode)
+    return blocks[..., which, :, :]
 
 
 def build_step_hamiltonian(step: ProtocolStep, model: QubitModel | None,
@@ -720,6 +775,9 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
         def h_blocks(t, _step=step):
             return build_step_blocks(_step, model, t, mode=mode)
 
+        def h_classes(t, _step=step):
+            return _class_blocks(_step, model, t, mode=mode)
+
         grid = TimeGrid(0.0, step.duration, grid_steps)
         first = 0 if not times_out else 1  # drop duplicated boundary node
         times_out.append(step.t_start + grid.times[first:])
@@ -733,7 +791,7 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
             if stacked:
                 runs.append(_lindblad_run(_decay_channels(step, rates),
                                           rho[:, order[:, None], order], grid, stack_track))
-            done = _propagate(h_blocks, grid, step.dim, runs)
+            done = _propagate(h_classes, grid, step.dim, runs)
             del runs  # and with them their node buffers
         except (StepSizeError, ValueError) as exc:
             # a stack failure names its member; one in H, the first run it stops

@@ -142,6 +142,35 @@ class TestDistinctBlocks:
         assert np.array_equal(u[:, 1], np.broadcast_to(np.eye(size), (5, size, size)))
         assert np.array_equal(u[:, which], expm_hermitian(h, -0.01j))
 
+    def test_a_pair_gives_the_unitaries_of_the_stack_it_stands_for(self, monkeypatch):
+        # classes 0 and 2 hold equal blocks: one exponential serves both
+        rng = np.random.default_rng(4)
+        a = _random_complex(rng, (5, 3, 2, 2))
+        h = a + dagger(a)
+        h[:, 2] = h[:, 0]
+        which = np.array([2, 1, 0, 1, 2])
+        times = np.linspace(0.1, 0.9, 5)
+        seen = []
+
+        def counted(blocks, scale):
+            seen.append(blocks.shape[1])
+            return expm_hermitian(blocks, scale)
+
+        monkeypatch.setattr(dynamics, "expm_hermitian", counted)
+        u, got = dynamics._step_unitaries(lambda t: (h, which), times, 10, 0.01)
+        stack, want = dynamics._step_unitaries(lambda t: h[:, which], times, 10, 0.01)
+        assert np.array_equal(u[:, got], stack[:, want]) and seen == [2, 2]
+        assert got.tolist() == want.tolist() == [0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("which", [[0, 1], [0, 1, 2], [0, -1, 1], [0.0, 1.0, 1.0],
+                                       [[0, 1, 1]]],
+                             ids=["too-few", "no-such-class", "negative", "float", "2-d"])
+    def test_a_pair_whose_groups_miss_the_levels_is_refused(self, which):
+        h = np.zeros((4, 2, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="do not cover the state's 6 levels"):
+            dynamics._step_unitaries(lambda t: (h, np.array(which)), np.linspace(0, 1, 4), 6,
+                                     0.01)
+
     @pytest.mark.parametrize("flaw, message", [(np.nan, "finite"), (1.0, "Hermitian")])
     def test_a_flaw_in_a_later_group_names_its_first_time(self, flaw, message):
         times = np.linspace(0.1, 0.9, 5)
@@ -570,9 +599,9 @@ class TestDenseSteps:
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_a_small_run_damps_no_step_in_place(self, monkeypatch, dense):
-        # the dense steps bind the damper only to compile D(dt/2) and D(dt)
-        # from the d^2 basis matrices, then to damp the checkpoint nodes, the
-        # last being the final one; the grouped steps damp sigma every step
+        # the dense steps compile D(dt/2) and D(dt) from their terms and bind
+        # the damper only to damp the checkpoint nodes, the last being the
+        # final one; the grouped steps damp sigma every step
         rng = np.random.default_rng(3)
         damped = []
         damper = dynamics._damper
@@ -595,8 +624,8 @@ class TestDenseSteps:
                                      lambda first, sigma, damping: None)
         dynamics._propagate(_stack_hamiltonian(rng, 8), grid, 8, [run])
         if dense:
-            assert damped[:2] == [64, 64] and sum(damped[2:]) == dynamics.CHECKPOINTS
-            assert len(damped) <= 2 + -(-grid.steps // BLOCK)
+            assert sum(damped) == dynamics.CHECKPOINTS
+            assert len(damped) <= -(-grid.steps // BLOCK)
         else:
             assert len(damped) >= grid.steps
 
@@ -826,6 +855,74 @@ class TestSupportSteps:
             assert np.array_equal(stack.final[k], single.final)
             assert stack.trace_drift[k] == single.trace_drift
         assert len(made) == 4 and made[0] > max(made[1:])
+
+
+class TestSupportDamping:
+    """D on a support as one matrix product or as the gather: the same map
+    to round-off, and each member of a stack with the bits of its own run."""
+
+    @staticmethod
+    def _case(qubits, size, members, groups_of):
+        """(damping, entries, reach, x): D(dt) of random rates, a third of
+        them 0, on the tiles member k reaches from the groups groups_of[k],
+        and random values on each member's own entries, 0 elsewhere."""
+        rng = np.random.default_rng(100 * qubits + 10 * size + members)
+        dim = 2 ** qubits
+        rho = np.zeros((members, dim, dim), dtype=complex)
+        for k, chosen in enumerate(groups_of):
+            levels = (np.array(chosen)[:, None] * size + np.arange(size)).ravel()
+            rho[k][np.ix_(levels, levels)] = 1.0
+        rates = {1 << bit: rng.uniform(0.0, 2.0, members) * (rng.random(members) > 1 / 3)
+                 for bit in range(qubits)}
+        tiles = dynamics._support(rho, rates, size)
+        union = tiles.any(axis=0)
+        entries = dynamics._entries(union, size)
+        rows, cols = np.nonzero(union)
+        reach = np.repeat(tiles[:, rows, cols], size * size, axis=1)
+        x = np.where(reach, rng.normal(size=reach.shape) + 1j * rng.normal(size=reach.shape), 0)
+        return dynamics._damping(rates, 0.3, members, dim), entries, reach, x
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("qubits", [4, 5])
+    def test_the_matrix_and_the_gather_agree_to_two_ulps(self, monkeypatch, qubits, size,
+                                                         members):
+        damping, entries, reach, x = self._case(qubits, size, members, [(0, 1)] * members)
+        dim = 2 ** qubits
+        monkeypatch.setattr(dynamics, "MATRIX", entries.size)
+        product = dynamics._gathers(damping, entries, dim, reach)
+        monkeypatch.setattr(dynamics, "MATRIX", entries.size - 1)
+        gather = dynamics._gathers(damping, entries, dim, reach)
+        assert (product.__name__, gather.__name__) == ("product", "gather")
+        got, want = (damp(x).reshape(members, -1) for damp in (product, gather))
+        assert not np.array_equal(got, x)  # D moved every member
+        # each entry sums its terms in two orders: 2 ulps of their magnitudes' sum
+        scale = gather(np.abs(x.real) + 1j * np.abs(x.imag)).reshape(members, -1)
+        for part in ("real", "imag"):
+            assert np.all(np.abs(getattr(got, part) - getattr(want, part))
+                          <= 2 * np.spacing(getattr(scale, part)))
+
+    @pytest.mark.parametrize("matrix", [1000, 20])
+    def test_members_reaching_other_tiles_keep_the_bits_of_their_own_runs(self, monkeypatch,
+                                                                          matrix):
+        # member 0 reaches the tiles of groups 0 and 1, member 1 those of 0
+        # and 2: the stack holds entries neither member's own run holds, so
+        # it gathers; a member whose own run takes the matrix keeps its
+        # product, one below MATRIX = 20 the gather, on its own entries
+        monkeypatch.setattr(dynamics, "MATRIX", matrix)
+        damping, entries, reach, x = self._case(4, 2, 2, [(0, 1), (0, 2)])
+        assert not reach.all() and reach.any(axis=0).all()
+        damp = dynamics._gathers(damping, entries, 16, reach)
+        assert damp.__name__ == "gather"
+        got = damp(x).reshape(2, -1)
+        feeds, weight = damping
+        for k, own in enumerate(reach):
+            at = np.flatnonzero(own)
+            alone = dynamics._gathers(([(mask, p[k:k + 1]) for mask, p in feeds],
+                                       weight[k:k + 1]), entries[at], 16, np.ones((1, at.size), bool))
+            assert alone.__name__ == ("product" if at.size <= matrix else "gather")
+            assert np.array_equal(got[k, at], alone(x[k:k + 1, at]).ravel())
+            assert not got[k, ~own].any()
 
 
 class TestObserver:

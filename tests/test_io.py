@@ -1,6 +1,6 @@
 """CSV number formatting: the numpy kernel gives the bytes of `'%.17e' % v`.
 
-A value the kernel cannot round with certainty sends its chunk of rows to
+A value the kernel cannot round with certainty sends its piece of rows to
 the `%` formatter; every other value must come out byte for byte as `%`
 writes it.  The kernel must not warn either (log10 of a zero, an overflow
 in Dekker's split, a cast of NaN), since CI runs the suite with
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpassage.io import _CHUNK, _encode, write_csv
+from qpassage import io
+from qpassage.io import _CHUNK, _PIECE, _encode, _percent, write_csv
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -85,3 +86,23 @@ def test_a_table_mixing_fast_and_fallback_chunks_writes_the_percent_bytes(tmp_pa
     want = "grid,wide,small\n" + "".join(
         "%.17e,%.17e,%.17e\n" % values for values in zip(grid.tolist(), wide, small))
     assert path.read_bytes() == want.encode()
+
+
+def test_a_refused_chunk_sends_only_the_pieces_that_need_it_to_percent(tmp_path, monkeypatch):
+    # one near-tie and one NaN in the second chunk, in different pieces
+    rows = 2 * _CHUNK
+    rng = np.random.default_rng(9)
+    first, second = rng.uniform(-1.0, 1.0, size=rows), rng.normal(size=rows)
+    first[_CHUNK + 3], second[_CHUNK + 5 * _PIECE + 7] = TIE, np.nan
+    formatted = []
+
+    def counted(piece, row):
+        formatted.append(len(piece))
+        return _percent(piece, row)
+
+    monkeypatch.setattr(io, "_percent", counted)
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], [first, second])
+    want = "a,b\n" + "".join("%.17e,%.17e\n" % values for values in zip(first, second))
+    assert path.read_bytes() == want.encode()
+    assert formatted == [_PIECE, _PIECE]
