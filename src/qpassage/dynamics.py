@@ -19,27 +19,22 @@ excited population as exp(-rate * t), exactly.  The qubits' channels
 commute, so D is one strided feed per decaying qubit,
 rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
-propagator carries sigma = U D rho and advances it in one of three forms
+propagator carries sigma = U D rho and advances it in one of two forms
 (`_open_form`), chosen once per propagation, one for the whole stack, from
-d and from the entries of sigma its members can reach.  Up to DENSE
-levels, where a step costs numpy's fixed per-call time rather than
-arithmetic, D(dt) is compiled once per propagation into its Liouville
-matrix, one d^2 x d^2 matrix per member made by applying D to the d^2
-basis matrices.  A step takes vec(sigma) by that matrix, then, up to
-SUPEROPERATOR levels, by the step's superoperator (u kron conj(u))^T, as
-vec(u x u+) = vec(x) (u kron conj(u))^T in C order: two dense products;
-above, by u and by u+ whole: three.  Above DENSE levels the reachable
-entries are compiled once per propagation: u is block diagonal over the
-groups of H, so u sigma u+ keeps each (row group, column group) tile of
-sigma to itself, and only the jumps move weight from tile to tile
-(`_support`).  Where they leave most tiles unreached (less than a SHARE of
-them), as in every protocol step that does not reach all of its tiles,
-sigma is carried as its E reachable entries alone, D is compiled once from
-its terms over them, the products of p that feed each entry (`_terms`), and
-applied as one real matrix product up to MATRIX entries, as one fixed
-gather above (`_gathers`), and u sigma u+ is one product per tile
-(`_support_steps`).  A larger
-support, such as any dense H gives, is damped in place by D(dt) through
+d, the groups of H and the entries of sigma its members can reach.  u is
+block diagonal over the groups of H, so u sigma u+ keeps each (row group,
+column group) tile of sigma to itself, and only the jumps move weight from
+tile to tile (`_support`).  In groups of at most TILE levels, whatever
+share of the tiles the stack reaches up to DENSE levels, and above them
+where it leaves most tiles unreached (less than a SHARE of them), as in
+every protocol step that does not reach all of its tiles, sigma is carried
+as its E reachable entries alone, D is compiled once from its terms over
+them, the products of p that feed each entry (`_terms`), and applied as
+one real matrix product up to MATRIX entries, as one fixed gather above
+(`_gathers`), and u sigma u+ is one product per tile (`_support_steps`).
+Up to DENSE levels a step is thus two products, the damping and the
+tiles', whatever the stack reaches.  Every other stack, such as any dense
+H of more than TILE levels gives, is damped in place by D(dt) through
 views bound once per propagation and multiplied by u group by group
 (`_grouped_steps`, see below).  The forms agree to round-off.  A
 node rho = D(dt/2) sigma is formed only where it is needed: at the
@@ -80,8 +75,10 @@ levels s b ... s b + b - 1 and H vanishes between groups.  A pair
 groups and the (S,) class of each group says the same more cheaply, group
 s holding block which[s], as the protocol runner's one block per class of
 spectator groups does; a stack of S blocks is the pair with which =
-arange(S).  A (len(t), d, d) stack is the S = 1 case of the same contract,
-and a time-independent (d, d) matrix is broadcast.  The propagators call it once per span of grid
+arange(S).  A (len(t), d, d) stack is the S = 1 case of the same contract.
+An H with no time axis, one (d, d) matrix or a pair whose blocks have
+none, holds for the whole span and is exponentiated once for it.  The
+propagators call it once per span of grid
 intervals, at the interval midpoints, so the fields behind H are evaluated
 on whole arrays.  A span is 2 SPAN = 512 intervals up to DENSE levels,
 where it costs numpy's fixed per-call time rather than arithmetic, and
@@ -97,9 +94,7 @@ their real form, neither through an eigendecomposition, and gives each
 block the same bits in any stack.  H is taken at the same midpoints whatever the
 span, so the span moves no bit of a result.  Closed runs advance the state
 group by group; open runs take u rho u+ as two grouped products of (b, b)
-blocks by (b, d) rows, as one Kronecker product per reachable tile, or, up
-to DENSE levels, with dense u scattered from the blocks once per block of
-steps, and from it u+ or, up to SUPEROPERATOR levels, u kron conj(u).
+blocks by (b, d) rows or as one Kronecker product per reachable tile.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  The group shape (S, b) of the
 first span holds for the whole propagation: a span whose H comes in
@@ -132,6 +127,7 @@ observer contract O(BLOCK K E).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -162,10 +158,9 @@ __all__ = [
 BLOCK = 64  # grid nodes per state block handed to an observer
 SPAN = 256  # grid intervals per H evaluation above DENSE levels, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
-DENSE = 8  # largest d whose open steps take the dense form and whose spans are 2 SPAN
-SUPEROPERATOR = 4  # largest d whose dense steps take u sigma u+ as one product
+DENSE = 8  # largest d whose spans are 2 SPAN and whose support steps take any share
 TILE = 4  # largest group of levels whose open steps may take the support form
-SHARE = 0.5  # share of reachable tiles from which open steps take the grouped form
+SHARE = 0.5  # share of reachable tiles from which open steps above DENSE levels step grouped
 MATRIX = 192  # most entries of a support whose damping may take one matrix product
 
 
@@ -297,13 +292,18 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
     time; the classes hold every value of H, so the checks read them alone,
     before any exponential.  A class whose blocks are 0 at every time (half
     the groups of an effective-mode raise step) is idle: its unitaries are
-    the identity, the bits the exponential gives, and none is computed."""
+    the identity, the bits the exponential gives, and none is computed.  An
+    H with no time axis, one (d, d) matrix or a pair whose blocks have none,
+    or with a time axis of length 1, holds for the whole span: it is checked
+    and exponentiated once, and its unitaries are repeated over the span,
+    the bits an H returned at every time gives."""
     h = hamiltonian(t_mid)
     h, which = h if isinstance(h, tuple) else (h, None)
     h = np.asarray(h, dtype=complex)
+    if h.ndim == (2 if which is None else 3):  # no time axis: one H for the whole span
+        h = h[None]
     if h.ndim < 4:
         h = h[..., None, :, :]
-    h = np.broadcast_to(h, t_mid.shape + h.shape[-3:])
     classes, size = h.shape[-3], h.shape[-1]
     which = np.arange(classes) if which is None else np.asarray(which)
     if not (h.shape[-2] == size and which.ndim == 1 and which.size * size == dim
@@ -332,10 +332,13 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
             raise ValueError(f"Hamiltonian is not Hermitian at t = {t_mid[np.argmax(bad)]:.6f}")
     idle = ~h.any(axis=(0, 2, 3))
     if not idle.any():
-        return expm_hermitian(h, -1j * dt), merged[which]
-    u = np.empty(h.shape, dtype=complex)
-    u[:, idle] = np.eye(size)
-    u[:, ~idle] = expm_hermitian(h[:, ~idle], -1j * dt)
+        u = expm_hermitian(h, -1j * dt)
+    else:
+        u = np.empty(h.shape, dtype=complex)
+        u[:, idle] = np.eye(size)
+        u[:, ~idle] = expm_hermitian(h[:, ~idle], -1j * dt)
+    if len(u) < t_mid.size:  # one H for the whole span
+        u = np.repeat(u, t_mid.size, axis=0)
     return u, merged[which]
 
 
@@ -501,19 +504,6 @@ def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
     return damp
 
 
-def _liouville(damping: tuple, members: int, dim: int) -> np.ndarray:
-    """D (see `_damping`) as its (K, d^2, d^2) matrices M, one per member,
-    with vec(D(x)) = vec(x) @ M for x flattened in C order: M[(i, j), (x, y)]
-    is the one term of `_terms` from entry (i, j) into (x, y) on all d^2
-    entries, the product of p over the fed bits times the weight, the
-    products `_damper` forms on the basis matrix |i><j|, so D keeps one
-    definition and M its bits."""
-    dst, src, coef, weight = _terms(damping, np.arange(dim * dim), dim)
-    matrix = np.zeros((members, dim * dim, dim * dim), dtype=complex)
-    matrix.real[:, src, dst] = coef * weight[:, dst]
-    return matrix
-
-
 def _located(entries: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """The position in `entries` of each flat position of `flat`, -1 where
     `entries` does not hold it."""
@@ -553,72 +543,6 @@ def _grouped_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray)
             # u sigma u+ = conj(conj(u) (u sigma)^T) for a Hermitian sigma
             left = (step @ sigma.reshape(rows)).reshape(sigma.shape)
             np.conj(step_conj @ left.swapaxes(1, 2).reshape(rows), out=sigma.reshape(rows))
-            buf[:, j] = sigma
-    return steps
-
-
-def _superoperators(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (n, d^2, d^2) matrices (u_j kron conj(u_j))^T of the (n, d, d)
-    unitaries u, with vec(u_j x u_j+) = vec(x) @ S_j for x flattened in
-    C order: row (k, l), column (i, m) is u_ik conj(u_ml).  Written into
-    out[:n] of an (N, d, d, d, d) buffer and returned."""
-    n, dim = u.shape[:2]
-    t = u.swapaxes(1, 2)
-    np.multiply(t[:, :, None, :, None], t.conj()[:, None, :, None, :], out=out[:n])
-    return out[:n].reshape(n, dim * dim, dim * dim)
-
-
-def _scatter(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (n, S, b, b) blocks as block diagonal (n, d, d) matrices, written
-    into out[:n] of a buffer that is 0 off the diagonal blocks, and returned."""
-    n, groups, size = blocks.shape[:3]
-    diagonal = out[:n].reshape(n, groups, size, groups, size)
-    for s in range(groups):
-        diagonal[:, s, :, s] = blocks[:, s]
-    return out[:n]
-
-
-def _dense_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray) -> Callable:
-    """`_grouped_steps` in dense products per step: vec(sigma) by the
-    (K, d^2, d^2) Liouville matrix of D (`_liouville`, compiled once), then,
-    up to SUPEROPERATOR levels, by the step's (u kron conj(u))^T
-    (`_superoperators`), written straight into the node buffer, two
-    products; above, by u and by u+ whole, three.  u, u+ and the
-    superoperators are made once per block, in buffers made once."""
-    members, dim = sigma.shape[0], sigma.shape[-1]
-    liouville, liouville_full = (_liouville(damping, members, dim) for damping in (half, full))
-    vec = sigma.reshape(members, 1, dim * dim)
-    damped = np.empty_like(vec)
-    whole = np.zeros((2, buf.shape[1], dim, dim), dtype=complex)  # u and u+ of each step
-
-    if dim <= SUPEROPERATOR:
-        # each member's product goes to its own strided row of the buffer,
-        # which keeps a stack member to the bits of its own run
-        nodes = buf.reshape(members, buf.shape[1], 1, dim * dim)
-        kron = np.empty((buf.shape[1],) + (dim,) * 4, dtype=complex)
-
-        def steps(u: np.ndarray, which: np.ndarray) -> None:
-            nonlocal liouville
-            x = vec
-            superoperators = _superoperators(_scatter(u[:, which], whole[0]), kron)
-            for superoperator, node in zip(superoperators, nodes.swapaxes(0, 1)):
-                np.matmul(x, liouville, out=damped)
-                liouville = liouville_full
-                x = np.matmul(damped, superoperator, out=node)
-            vec[...] = x
-        return steps
-
-    left = np.empty_like(sigma)
-
-    def steps(u: np.ndarray, which: np.ndarray) -> None:
-        nonlocal liouville
-        u = u[:, which]
-        adjoints = _scatter(u.conj().swapaxes(2, 3), whole[1])
-        for j, step in enumerate(_scatter(u, whole[0])):
-            np.matmul(vec, liouville, out=damped)
-            liouville = liouville_full
-            np.matmul(step, damped.reshape(sigma.shape), out=left)
-            np.matmul(left, adjoints[j], out=sigma)
             buf[:, j] = sigma
     return steps
 
@@ -689,8 +613,9 @@ def _terms(damping: tuple, entries: np.ndarray, dim: int) -> tuple:
 def _gathers(damping: tuple, entries: np.ndarray, dim: int, reach: np.ndarray) -> Callable:
     """D (see `_damping`) on the (K, E) entries of sigma at the flat
     positions `entries`, compiled once from its terms (`_terms`): the
-    returned function maps x to D(x), a new complex array of K E values.
-    `reach` (K, E) marks the entries each member's own run would hold.
+    returned function damp(x, out) writes D(x) into out, x and out being
+    (K, E, 2) float views of K E complex values.  `reach` (K, E) marks the
+    entries each member's own run would hold.
 
     D is applied so that each member gets the bits of its own run.  Where
     a member's own run holds at most MATRIX entries, D is one real product
@@ -713,32 +638,31 @@ def _gathers(damping: tuple, entries: np.ndarray, dim: int, reach: np.ndarray) -
     if count <= MATRIX and reach.all():
         rows = np.zeros((members, count, count))
         rows[:, dst, src] = coef * weight[:, dst]
-
-        def product(x: np.ndarray) -> np.ndarray:
-            return np.matmul(rows, x.view(float).reshape(members, count, 2)).view(complex)
+        product = partial(np.matmul, rows)  # a step calls it, so no Python frame of its own
+        product.__name__ = "product"
         return product
 
     feeds, weights = damping
-    own = []  # (member, its entries' positions, its own run's product)
+    own = []  # (member, its entries' positions, its own run's product, its output)
     for k, at in enumerate(np.flatnonzero(r) for r in reach):
         if at.size <= MATRIX:
             member = ([(mask, p[k:k + 1]) for mask, p in feeds], weights[k:k + 1])
-            own.append((k, at, _gathers(member, entries[at], dim, np.ones((1, at.size), bool))))
-    weight = np.repeat(weight, 2, axis=1).ravel()
+            own.append((k, at, _gathers(member, entries[at], dim, np.ones((1, at.size), bool)),
+                        np.empty((1, at.size, 2))))
+    weight = np.repeat(weight, 2, axis=1).reshape(members, count, 2)
     # each term once for the real part and once for the imaginary part
     src = (2 * src[:, None] + [0, 1]).ravel()
     bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * 2 + [0, 1]).ravel()
     coef = np.repeat(coef, 2, axis=1)
 
-    def gather(x: np.ndarray) -> np.ndarray:
-        terms = x.view(float)[:, src]
+    def gather(x: np.ndarray, out: np.ndarray) -> None:
+        terms = x.reshape(members, 2 * count)[:, src]
         terms *= coef
-        out = np.bincount(bins, terms.ravel(), 2 * members * count)
-        out *= weight
-        out = out.view(complex).reshape(members, count)
-        for k, at, product in own:
-            out[k, at] = product(np.ascontiguousarray(x[k, at])).ravel()
-        return out
+        sums = np.bincount(bins, terms.ravel(), 2 * members * count)
+        np.multiply(sums.reshape(out.shape), weight, out=out)
+        for k, at, product, alone in own:
+            product(x[k:k + 1, at], alone)
+            out[k, at] = alone[0]
     return gather
 
 
@@ -751,30 +675,50 @@ def _support_steps(sigma: np.ndarray, damp: Callable, damp_full: Callable, buf: 
     the (rows, cols) arrays of each tile's row and column group, in the
     order of `entries`, and tile (r, c) being u_r T u_c+.  In the C order of
     the tile's entries that is one product with kron(u_r, conj(u_c)).  The
-    factors are made once per block of step unitaries for each pair of
-    classes of groups the tiles hold, u holding the classes' unitaries and
-    `which` the class of each group (see `_step_unitaries`; a protocol step
-    has at most two classes, so at most four pairs), and gathered onto the
-    tiles at each step."""
+    factors are made once per block of step unitaries, into a buffer made
+    once, for each pair of classes of groups the tiles hold, u holding the
+    classes' unitaries and `which` the class of each group (see
+    `_step_unitaries`; a protocol step has at most two classes, so at most
+    four pairs), and gathered onto the tiles at each step, unless every tile
+    holds a pair of its own.  The pairs of the tiles are found once per
+    distinct `which`, and every view a step reads or writes once, so a step
+    is the damping product and the tiles' product."""
     rows, cols = tiles
-    members, tile = sigma.shape[0], entries.size // rows.size
-    nodes = buf.reshape(buf.shape[:2] + (-1, tile, 1))
-    factors = np.empty((rows.size, tile, tile), dtype=complex)
+    members, count, tile = sigma.shape[0], buf.shape[1], entries.size // rows.size
+    damped = np.empty_like(sigma)
+    # what a step reads and writes: sigma or the previous node as floats,
+    # the damped values as floats and by tile, the node by tile
+    floats = [sigma.view(float).reshape(members, -1, 2)] + list(
+        buf.view(float).reshape(members, count, -1, 2).swapaxes(0, 1))
+    nodes = list(buf.reshape(members, count, -1, tile, 1).swapaxes(0, 1))
+    damped_floats = damped.view(float).reshape(members, -1, 2)
+    damped_tiles = damped.reshape(members, -1, tile, 1)
+    gathered = np.empty((rows.size, tile, tile), dtype=complex)
+    known = {}  # per distinct `which`: left and right classes, each tile's pair, factor buffer
 
     def steps(u: np.ndarray, which: np.ndarray) -> None:
         nonlocal damp
-        count, classes = u.shape[:2]
-        pairs, pair = np.unique(which[rows] * classes + which[cols], return_inverse=True)
-        left, right = u[:, pairs // classes], u[:, pairs % classes].conj()
-        kron = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
-            count, pairs.size, tile, tile)
-        x = sigma
-        for j in range(count):
-            damped = damp(x).reshape(members, -1, tile, 1)
+        n, classes, size = u.shape[:3]
+        key = (classes, which.tobytes())
+        if key not in known:
+            pairs, pair = np.unique(which[rows] * classes + which[cols], return_inverse=True)
+            left, right, pair = ((which[rows], which[cols], None) if pairs.size == rows.size
+                                 else (pairs // classes, pairs % classes, pair))
+            known[key] = left, right, pair, np.empty((count, left.size) + (size,) * 4,
+                                                     dtype=complex)
+        left, right, pair, kron = known[key]
+        np.multiply(u[:, left, :, None, :, None], u[:, right, None, :, None, :].conj(),
+                    out=kron[:n])
+        factors = kron[:n].reshape(n, -1, tile, tile)
+        if pair is not None:
+            factors = (step.take(pair, axis=0, out=gathered) for step in factors)
+        x = floats[0]
+        for factor, node, after in zip(factors, nodes, floats[1:n + 1]):
+            damp(x, damped_floats)
             damp = damp_full
-            np.matmul(kron[j].take(pair, axis=0, out=factors), damped, out=nodes[:, j])
-            x = buf[:, j]
-        sigma[...] = x
+            np.matmul(factor, damped_tiles, node)
+            x = after
+        sigma[...] = buf[:, n - 1]
     return steps
 
 
@@ -782,10 +726,11 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
                nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
     for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries), one form for every member: up to DENSE levels `_dense_steps`;
-    above it `_support_steps` when the groups have at most TILE levels and
-    every member of a nonempty stack reaches less than a SHARE of its tiles
-    (`_support`), as its own run would, `_grouped_steps` otherwise.
+    entries), one form for every member: `_support_steps` for a nonempty
+    stack in groups of at most TILE levels, at any share of reachable tiles
+    (`_support`) up to DENSE levels and above them when every member
+    reaches less than a SHARE of its tiles, as its own run would;
+    `_grouped_steps` otherwise.
     The support form steps the stack on the union of the members'
     reachable entries.  It damps them by one matrix product (`_gathers`)
     when they are at most MATRIX and every member reaches all of them, so
@@ -793,12 +738,12 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
     gather, which holds each member to the bits of its own run on any
     larger set.  The buffer holds n nodes of each member as (K, n, E)
     values at the flat positions `entries` of a d x d matrix: the support
-    form's entries, else all d^2, the dense and grouped forms' (K, n, d, d)
-    buffer viewed flat."""
+    form's entries, else all d^2, the grouped form's (K, n, d, d) buffer
+    viewed flat."""
     members, dim = sigma.shape[0], sigma.shape[-1]
-    if dim > DENSE and size <= TILE and members:  # an empty stack steps grouped
+    if size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
-        if np.all(tiles.mean(axis=(1, 2)) < SHARE):
+        if dim <= DENSE or np.all(tiles.mean(axis=(1, 2)) < SHARE):
             union = tiles.any(axis=0)
             entries = _entries(union, size)
             rows, cols = np.nonzero(union)
@@ -809,8 +754,7 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
             return (_support_steps(carried, damp, damp_full, buf, entries, (rows, cols)),
                     buf, entries)
     buf = np.empty((members, nodes, dim * dim), dtype=complex)
-    steps = (_dense_steps if dim <= DENSE else _grouped_steps)(
-        sigma, half, full, buf.reshape(members, nodes, dim, dim))
+    steps = _grouped_steps(sigma, half, full, buf.reshape(members, nodes, dim, dim))
     return steps, buf, np.arange(dim * dim)
 
 
@@ -902,38 +846,36 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     damped, for the eigenvalue gate and the result, through `_matrices`
     into d x d matrices of their own.
 
-    The steps take one of three forms (`_open_form`), chosen once, at the
+    The steps take one of two forms (`_open_form`), chosen once, at the
     first block, when the group shape (S, b) of the step unitaries is known
     (`_propagate` holds it for the whole propagation):
 
-    * up to DENSE levels, `_dense_steps`: dense products, D as its
-      Liouville matrices, compiled from its terms (`_liouville`).  At d = 16 that form measured slower,
-      its d^2 x d^2 product growing as d^4, so DENSE is 8.  Up to
-      SUPEROPERATOR levels u sigma u+ is one product with the step's
-      (u kron conj(u))^T, formed once per block, so a step is two
-      products; above, it is u and u+ whole, three.  Timed on the steps
-      alone (2-core guest, one BLAS thread, blocks of 64 steps, K = 1 and
-      3, one to four groups), a d = 4 step took 6.2-9.8 us in two
-      products against 11.7-15.2 in three, and a d = 8 step 27-42 us
-      against 10-25: its 64 x 64 superoperators cost more to form than
-      the calls they save, so SUPEROPERATOR is 4.  They are formed into a
-      buffer made once: formed afresh, the 256 KiB of a d = 4 block took
-      about 100 page faults per block and a third more time per step;
-    * above DENSE levels, the tiles each member can reach are compiled
-      (`_support`).  When every member reaches less than a SHARE of them, in
-      groups of at most TILE levels, the stack takes `_support_steps`, which
-      carries the E entries of the tiles the members reach alone, so the
-      node buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), and
-      damps them by one matrix product up to MATRIX entries, else by the
-      gather (`_gathers`).  In effective mode E is a small share of d^2:
+    * in groups of at most TILE levels, `_support_steps`: the tiles each
+      member can reach are compiled (`_support`), and the stack carries
+      the E entries of the tiles the members reach alone, so the node
+      buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), damps them by
+      one matrix product up to MATRIX entries, else by the gather
+      (`_gathers`), and takes u sigma u+ as one product per tile.  Up to
+      DENSE levels the stack takes this form whatever share of its tiles
+      it reaches, and a step is two products.  On the steps alone, on all
+      d^2 entries of random states (2-core guest, one BLAS thread, blocks
+      of 64 steps, K = 1 and 3, b = 2 and 4, two runs), a step took
+      0.25-0.31 of the grouped form's time at d = 4 and 0.31-0.59 at
+      d = 8, but 0.91-1.93 at d = 16, where E = 256 is past MATRIX, so
+      DENSE is 8.  Above DENSE
+      levels the stack takes it when every member reaches less than a
+      SHARE of its tiles.  In effective mode E is a small share of d^2:
       480 of 1,024 entries at GHZ5's last step, 2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
-      u sigma u+ by groups.  Every dense H (S = 1) and the last
-      rotating-frame protocol step reach every tile.
+      u sigma u+ by groups.  Every dense H of more than TILE levels (S = 1)
+      takes it, and so does, above DENSE levels, every stack that reaches
+      a SHARE of its tiles or more, such as the last rotating-frame
+      protocol step.
 
     The stack takes one form, which each member's own run takes too, to its
-    bits, except in a stack that mixes members below and above the SHARE:
-    that stack steps grouped.  No stack of the protocol runner mixes them.
+    bits, except in a stack above DENSE levels that mixes members below and
+    above the SHARE: that stack steps grouped.  No stack of the protocol
+    runner mixes them.
     SHARE = 1/2 is measured (2-core guest, one BLAS thread, one rate, grid
     2000, medians of 5 runs, the support form against the grouped one
     forced on the same step).  Every protocol step that does not reach all

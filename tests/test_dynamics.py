@@ -181,6 +181,57 @@ class TestDistinctBlocks:
             dynamics._step_unitaries(lambda t: h, times, 6, 0.01)
 
 
+class TestConstantHamiltonian:
+    """An H with no time axis is checked and exponentiated once per span and
+    gives the bits of the same H returned at every time."""
+
+    @staticmethod
+    def _hamiltonians(rng, kind, dim):
+        """(constant, stacked, classes): one H without a time axis, the same
+        H repeated over the times asked for, and its number of classes."""
+        if kind == "matrix":
+            a = _random_complex(rng, (dim, dim))
+            h0 = a + dagger(a)
+            return lambda t: h0, lambda t: np.repeat(h0[None], len(t), axis=0), 1
+        a = _random_complex(rng, (2, 2, 2))
+        blocks, which = a + dagger(a), np.arange(dim // 2) % 2
+        return (lambda t: (blocks, which),
+                lambda t: (np.repeat(blocks[None], len(t), axis=0), which), 2)
+
+    @pytest.mark.parametrize("kind", ["matrix", "pair"])
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_equals_the_same_h_at_every_time(self, monkeypatch, kind, dim):
+        rng = np.random.default_rng(dim)
+        constant, stacked, classes = self._hamiltonians(rng, kind, dim)
+        grid = TimeGrid(0.0, 1.0, dynamics._span(dim) + 40)  # two spans
+        psi0 = _random_complex(rng, dim)
+        psi0 /= np.linalg.norm(psi0)
+        seen = []
+
+        def counted(blocks, scale):
+            seen.append(blocks.shape[:2])
+            return expm_hermitian(blocks, scale)
+
+        monkeypatch.setattr(dynamics, "expm_hermitian", counted)
+        got = propagate_schrodinger(constant, psi0, grid)
+        assert seen == [(1, classes)] * 2  # one exponential of each class per span
+        want = propagate_schrodinger(stacked, psi0, grid)
+        assert np.array_equal(got.states, want.states) and got.norm_drift == want.norm_drift
+        qubits = dim.bit_length() - 1
+        channels = [Dissipator(embed_qubit_operator(SIGMA_MINUS, qubits, q), 0.3 * (q + 1))
+                    for q in range(qubits)]
+        rho0 = np.array([_random_density(rng, dim) for _ in range(2)])
+        got, want = (propagate_lindblad(h, channels, rho0, grid) for h in (constant, stacked))
+        assert np.array_equal(got.matrices, want.matrices)
+        assert np.array_equal(got.min_eigenvalue, want.min_eigenvalue)
+
+    def test_a_flaw_names_the_first_time_of_the_span(self):
+        h = np.zeros((2, 2), dtype=complex)
+        h[0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^Hamiltonian is not Hermitian at t = 0\.050000$"):
+            propagate_schrodinger(lambda t: h, np.eye(2)[0], TimeGrid(0.0, 1.0, 10))
+
+
 class TestLindblad:
     def test_single_qubit_decay_matches_analytic_law(self):
         kappa = 1.0
@@ -500,11 +551,11 @@ class TestDensityStack:
                                rho0, TimeGrid(0, 1, 10))
 
 
-class TestDenseSteps:
-    """Up to DENSE levels an open step is dense products, D being its
-    compiled Liouville matrices: two up to SUPEROPERATOR levels, u sigma u+
-    being one product with (u kron conj(u))^T, three above; DENSE = 0 forces
-    the grouped steps, the oracle here."""
+class TestSmallSteps:
+    """Up to DENSE levels an open step in groups of at most TILE levels
+    takes the support form whatever share of its tiles it reaches, D being
+    one compiled matrix product on all d^2 entries; DENSE = 0 and SHARE = 0
+    force the grouped steps, the oracle here."""
 
     @staticmethod
     def _channels(rng, qubits, members):
@@ -523,7 +574,7 @@ class TestDenseSteps:
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("qubits, groups, blocks", [
         pytest.param(q, g, "own", id=f"{q}-{g}")
-        for q, g in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 4)]
+        for q, g in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 4)]
     ] + [(2, 2, "shared"), (2, 2, "idle"), (3, 4, "shared"), (3, 4, "idle")])
     def test_equals_the_grouped_steps(self, monkeypatch, qubits, groups, blocks, members):
         # every group's block its own, one class shared by every group, or
@@ -546,33 +597,26 @@ class TestDenseSteps:
                 lambda t: h0 + np.cos(np.asarray(t))[..., None, None, None] * h1, channels,
                 rho0, TimeGrid(0.0, 1.0, 200))
 
-        assert dim <= dynamics.DENSE
-        formed = []
-        superoperators = dynamics._superoperators
-        monkeypatch.setattr(dynamics, "_superoperators",
-                            lambda u, out: formed.append(u.shape) or superoperators(u, out))
-        dense = run()
-        # two products per step at d <= 4, three at d = 8
-        assert bool(formed) == (dim <= 4) == (dim <= dynamics.SUPEROPERATOR)
+        assert dim <= dynamics.DENSE and size <= dynamics.TILE
+        made = []
+        steps = dynamics._support_steps
+        monkeypatch.setattr(dynamics, "_support_steps",
+                            lambda *args: made.append(args[4].size) or steps(*args))
+        support = run()
+        # a random density matrix reaches every tile, all d^2 entries
+        assert made == [dim * dim]
         monkeypatch.setattr(dynamics, "DENSE", 0)
+        monkeypatch.setattr(dynamics, "SHARE", 0.0)
         grouped = run()
-        assert np.max(np.abs(dense.matrices - grouped.matrices)) <= 1e-14
-        assert np.max(np.abs(dense.final - grouped.final)) <= 1e-14
-        assert np.max(np.abs(dense.trace_drift - grouped.trace_drift)) <= 1e-14
-        assert np.max(np.abs(dense.min_eigenvalue - grouped.min_eigenvalue)) <= 1e-14
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_the_superoperator_is_the_conjugation(self, dim):
-        rng = np.random.default_rng(dim)
-        u = expm_hermitian(_stack_hamiltonian(rng, dim)(np.linspace(0.0, 1.0, 5)), -0.3j)
-        sigma = np.array([_random_density(rng, dim) for _ in range(5)])
-        superoperators = dynamics._superoperators(u, np.empty((8,) + (dim,) * 4, dtype=complex))
-        got = np.einsum("nk,nkl->nl", sigma.reshape(5, -1), superoperators)
-        assert np.max(np.abs(got.reshape(sigma.shape) - u @ sigma @ dagger(u))) <= 1e-15
+        assert made == [dim * dim]
+        assert np.max(np.abs(support.matrices - grouped.matrices)) <= 1e-14
+        assert np.max(np.abs(support.final - grouped.final)) <= 1e-14
+        assert np.max(np.abs(support.trace_drift - grouped.trace_drift)) <= 1e-14
+        assert np.max(np.abs(support.min_eigenvalue - grouped.min_eigenvalue)) <= 1e-14
 
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("qubits", [1, 2, 3])
-    def test_the_liouville_matrix_is_the_damper(self, qubits, members):
+    def test_the_damping_product_is_the_damper(self, qubits, members):
         rng = np.random.default_rng(100 * qubits + members)
         dim = 2 ** qubits
         damping = dynamics._damping(dynamics._decay_rates(self._channels(rng, qubits, members),
@@ -581,13 +625,19 @@ class TestDenseSteps:
                           for _ in range(members)])
         want = sigma.copy()
         dynamics._damper(want, *damping)()
-        got = sigma.reshape(members, 5, dim * dim) @ dynamics._liouville(damping, members, dim)
+        entries = np.arange(dim * dim)
+        damp = dynamics._gathers(damping, entries, dim, np.ones((members, entries.size), bool))
+        assert damp.__name__ == "product"
+        got = np.empty_like(sigma)
+        for j in range(5):
+            damp(np.ascontiguousarray(sigma[:, j]).view(float).reshape(members, -1, 2),
+                 got[:, j].view(float).reshape(members, -1, 2))
         # its sums round in another order: at most two units in the last
         # place of an entry in [0.5, 1)
-        assert np.max(np.abs(got.reshape(sigma.shape) - want)) <= 2.3e-16
+        assert np.max(np.abs(got - want)) <= 2.3e-16
 
     def test_a_stack_in_any_memory_order_steps_alike(self):
-        # the dense steps read sigma through a flat view of its buffer
+        # the support steps read sigma through a flat view of its entries
         rng = np.random.default_rng(8)
         rho0 = np.array([_random_density(rng, 4) for _ in range(3)])
         h = _stack_hamiltonian(rng, 4)
@@ -597,11 +647,11 @@ class TestDenseSteps:
         got = propagate_lindblad(h, channels, np.asfortranarray(rho0), grid)
         assert np.array_equal(got.matrices, want.matrices)
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_a_small_run_damps_no_step_in_place(self, monkeypatch, dense):
-        # the dense steps compile D(dt/2) and D(dt) from their terms and bind
-        # the damper only to damp the checkpoint nodes, the last being the
-        # final one; the grouped steps damp sigma every step
+    @pytest.mark.parametrize("support", [True, False])
+    def test_a_small_run_damps_no_step_in_place(self, monkeypatch, support):
+        # the support steps compile D(dt/2) and D(dt) from their terms and
+        # bind the damper only to damp the checkpoint nodes, the last being
+        # the final one; the grouped steps damp sigma every step
         rng = np.random.default_rng(3)
         damped = []
         damper = dynamics._damper
@@ -615,15 +665,16 @@ class TestDenseSteps:
             return counted
 
         monkeypatch.setattr(dynamics, "_damper", counted_damper)
-        if not dense:
+        if not support:
             monkeypatch.setattr(dynamics, "DENSE", 0)
+            monkeypatch.setattr(dynamics, "SHARE", 0.0)
         channels = self._channels(rng, 3, 2)
         grid = TimeGrid(0.0, 1.0, 200)
         run = dynamics._lindblad_run(dynamics._decay_rates(channels, 8, 2),
                                      np.array([_random_density(rng, 8)] * 2), grid,
                                      lambda first, sigma, damping: None)
-        dynamics._propagate(_stack_hamiltonian(rng, 8), grid, 8, [run])
-        if dense:
+        dynamics._propagate(_group_hamiltonian(rng, 2, 4), grid, 8, [run])
+        if support:
             assert sum(damped) == dynamics.CHECKPOINTS
             assert len(damped) <= -(-grid.steps // BLOCK)
         else:
@@ -678,7 +729,7 @@ class TestSupportSteps:
         rng = np.random.default_rng(1000 * qubits + 10 * size + members)
         dim = 2 ** qubits
         return (_group_hamiltonian(rng, dim // size, size),
-                TestDenseSteps._channels(rng, qubits, members),
+                TestSmallSteps._channels(rng, qubits, members),
                 _two_group_stack(rng, dim, size, members)[0 if members == 1 else slice(None)])
 
     @staticmethod
@@ -882,6 +933,15 @@ class TestSupportDamping:
         x = np.where(reach, rng.normal(size=reach.shape) + 1j * rng.normal(size=reach.shape), 0)
         return dynamics._damping(rates, 0.3, members, dim), entries, reach, x
 
+    @staticmethod
+    def _applied(damp, x):
+        """damp(x, out) on the float views of the (K, E) values x, as a new
+        (K, E) array."""
+        x = np.ascontiguousarray(x, dtype=complex)
+        out = np.empty_like(x)
+        damp(x.view(float).reshape(len(x), -1, 2), out.view(float).reshape(len(x), -1, 2))
+        return out
+
     @pytest.mark.parametrize("members", [1, 2, 3])
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("qubits", [4, 5])
@@ -894,10 +954,10 @@ class TestSupportDamping:
         monkeypatch.setattr(dynamics, "MATRIX", entries.size - 1)
         gather = dynamics._gathers(damping, entries, dim, reach)
         assert (product.__name__, gather.__name__) == ("product", "gather")
-        got, want = (damp(x).reshape(members, -1) for damp in (product, gather))
+        got, want = (self._applied(damp, x) for damp in (product, gather))
         assert not np.array_equal(got, x)  # D moved every member
         # each entry sums its terms in two orders: 2 ulps of their magnitudes' sum
-        scale = gather(np.abs(x.real) + 1j * np.abs(x.imag)).reshape(members, -1)
+        scale = self._applied(gather, np.abs(x.real) + 1j * np.abs(x.imag))
         for part in ("real", "imag"):
             assert np.all(np.abs(getattr(got, part) - getattr(want, part))
                           <= 2 * np.spacing(getattr(scale, part)))
@@ -914,14 +974,14 @@ class TestSupportDamping:
         assert not reach.all() and reach.any(axis=0).all()
         damp = dynamics._gathers(damping, entries, 16, reach)
         assert damp.__name__ == "gather"
-        got = damp(x).reshape(2, -1)
+        got = self._applied(damp, x)
         feeds, weight = damping
         for k, own in enumerate(reach):
             at = np.flatnonzero(own)
             alone = dynamics._gathers(([(mask, p[k:k + 1]) for mask, p in feeds],
                                        weight[k:k + 1]), entries[at], 16, np.ones((1, at.size), bool))
             assert alone.__name__ == ("product" if at.size <= matrix else "gather")
-            assert np.array_equal(got[k, at], alone(x[k:k + 1, at]).ravel())
+            assert np.array_equal(got[k, at], self._applied(alone, x[k:k + 1, at]).ravel())
             assert not got[k, ~own].any()
 
 
@@ -999,7 +1059,8 @@ class TestObserver:
         observed = self._propagate(
             kind, steps, lambda first, states: calls.append((first, states.copy(), states)),
             dim=core[0])
-        assert forms == {"support": ["_support_steps"], "mixed": ["_grouped_steps"]}.get(kind, [])
+        # a d = 4 H is one group of TILE levels: its open runs step on their support
+        assert forms == {"pure": [], "mixed": ["_grouped_steps"]}.get(kind, ["_support_steps"])
         stored = self._propagate(kind, steps, dim=core[0])
         time_axis = -len(core) - 1
         sizes = [block.shape[time_axis] for _, block, _ in calls]

@@ -222,7 +222,7 @@ def _lindblad_form(h, channels, rho0, grid, share=None):
     set to `share` unless that is None."""
     made = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_dense_steps", "_grouped_steps", "_support_steps"):
+        for name in ("_grouped_steps", "_support_steps"):
             def spied(*args, _name=name, _steps=getattr(dynamics, name)):
                 made.append(_name)
                 return _steps(*args)

@@ -827,7 +827,7 @@ class TestOpenForms:
         # its own run would; a stack whose members reach shares on both
         # sides of SHARE would step grouped
         forms = []
-        for name in ("_dense_steps", "_grouped_steps", "_support_steps"):
+        for name in ("_grouped_steps", "_support_steps"):
             def spied(*args, _name=name, _steps=getattr(dynamics, name)):
                 forms[-1].append(_name)
                 return _steps(*args)
