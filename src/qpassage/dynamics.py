@@ -53,16 +53,15 @@ loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
-is one rate for all of them or an array of K rates, one per member.  Every
-member gets exactly the arithmetic of a single-matrix run with its own
-rates in the stack's one step form, so member k of a stack equals that run
-bit for bit whenever its own run takes the same form: always, unless some
-members' runs would take the support form and others' not.  Such a stack
-steps grouped, and its support members then differ from their own runs by
-round-off.  Every check (trace drift, checkpoint eigenvalues, the initial
-density-matrix check) runs per member.  Each member fails where its own
-run would: on trace drift at the step where it trips, on a checkpoint
-eigenvalue when the propagation ends.  The error raised is that of the
+is one rate for all of them or an array of K rates, one per member.  The
+stack takes one step form on the union of its members' reachable tiles,
+and member k equals its single-matrix run with its own rates bit for bit
+exactly when it reaches every tile the stack reaches, as every member of
+a stack started from one state does; any other member differs from that
+run by round-off.  Every check (trace drift, checkpoint eigenvalues, the
+initial density-matrix check) runs per member.  Each member fails where
+its own run would: on trace drift at the step where it trips, on a
+checkpoint eigenvalue when the propagation ends.  The error raised is that of the
 first member, in stack order, among those failing at the earliest grid
 step; the exception carries its index as the `member` attribute.
 
@@ -548,21 +547,20 @@ def _grouped_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray)
 
 
 def _support(rho: np.ndarray, rates: dict, size: int) -> np.ndarray:
-    """The tiles of sigma that split steps can reach from each member of
-    the (K, d, d) stack rho when every step unitary is block diagonal over
-    groups of `size` levels: a (K, S, S) mask over the (row group, column
-    group) pairs.
+    """The tiles of sigma that split steps can reach from the (K, d, d)
+    stack rho when every step unitary is block diagonal over groups of
+    `size` levels: one (S, S) mask over the (row group, column group)
+    pairs, for the whole stack.
 
     u sigma u+ maps each tile to itself, whatever H is, so the reachable
-    tiles are rho's nonzero ones closed under the jumps alone.  A jump on a
-    bit of the group index moves tile (r, c) to (r | m, c | m) wherever that
-    bit is excited (0) in both r and c; a jump on a bit inside the groups
-    stays in its tile.  One pass over the bits closes the set, since a jump
-    only sets its bit and its condition reads no other bit.  A union of
-    closed sets is closed, so the members' masks together are the stack's."""
-    members, dim = rho.shape[0], rho.shape[-1]
-    groups = dim // size
-    tiles = np.any(rho.reshape(members, groups, size, groups, size) != 0, axis=(2, 4))
+    tiles are the members' nonzero ones closed under the jumps alone.  A
+    jump on a bit of the group index moves tile (r, c) to (r | m, c | m)
+    wherever that bit is excited (0) in both r and c; a jump on a bit
+    inside the groups stays in its tile.  One pass over the bits closes the
+    set, since a jump only sets its bit and its condition reads no other
+    bit."""
+    groups = rho.shape[-1] // size
+    tiles = np.any(rho.reshape(-1, groups, size, groups, size) != 0, axis=(0, 2, 4))
     for mask in rates:
         if mask >= size:
             view = _bits(tiles, mask // size)
@@ -610,45 +608,32 @@ def _terms(damping: tuple, entries: np.ndarray, dim: int) -> tuple:
     return dst[::-1], src[::-1], coef[:, ::-1], weight
 
 
-def _gathers(damping: tuple, entries: np.ndarray, dim: int, reach: np.ndarray) -> Callable:
+def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
     """D (see `_damping`) on the (K, E) entries of sigma at the flat
     positions `entries`, compiled once from its terms (`_terms`): the
     returned function damp(x, out) writes D(x) into out, x and out being
-    (K, E, 2) float views of K E complex values.  `reach` (K, E) marks the
-    entries each member's own run would hold.
+    (K, E, 2) float views of K E complex values.
 
-    D is applied so that each member gets the bits of its own run.  Where
-    a member's own run holds at most MATRIX entries, D is one real product
-    of an (E, E) matrix, the weight folded into its rows, with the (E, 2)
-    float view of the member's entries; when every member reaches all E
-    entries, as in every stack of the protocol runner, that is one (K, E, E)
-    product for the stack.  BLAS sums each entry's terms in an order of its
-    own, fused multiply-adds included, and that order depends on E, so a
-    member whose own run holds fewer entries than the stack (a stack whose
-    members reach different tiles) takes a product of its own on them.
-    Every other member takes one fixed real gather, one `np.bincount` over
-    the float view of the terms, each summed into its entry in the order of
-    `_terms`, then times the weight.  A term whose source is 0 adds an
-    exact 0, so on a larger set, as in a stack, the gather keeps the bits
-    of a member's own run.  That order sums an entry's small terms before
-    they meet the large one: summed the other way round, open GHZ5 moved by
-    up to 7.3e-14 from the feed-by-feed sums, against 5.3e-15 this way."""
+    Up to MATRIX entries D is one real (K, E, E) product, the weight folded
+    into each member's matrix rows, with the (E, 2) float view of the
+    member's entries.  Above, it is one fixed real gather, one
+    `np.bincount` over the float view of the terms, each summed into its
+    entry in the order of `_terms`, then times the weight.  That order sums
+    an entry's small terms before they meet the large one: summed the other
+    way round, open GHZ5 moved by up to 7.3e-14 from the feed-by-feed sums,
+    against 5.3e-15 this way.  BLAS sums each entry's terms in an order of
+    its own, fused multiply-adds included, which depends on E, so a member
+    damped on more entries than its own run holds may differ from that run
+    by round-off."""
     dst, src, coef, weight = _terms(damping, entries, dim)
     members, count = weight.shape
-    if count <= MATRIX and reach.all():
+    if count <= MATRIX:
         rows = np.zeros((members, count, count))
         rows[:, dst, src] = coef * weight[:, dst]
         product = partial(np.matmul, rows)  # a step calls it, so no Python frame of its own
         product.__name__ = "product"
         return product
 
-    feeds, weights = damping
-    own = []  # (member, its entries' positions, its own run's product, its output)
-    for k, at in enumerate(np.flatnonzero(r) for r in reach):
-        if at.size <= MATRIX:
-            member = ([(mask, p[k:k + 1]) for mask, p in feeds], weights[k:k + 1])
-            own.append((k, at, _gathers(member, entries[at], dim, np.ones((1, at.size), bool)),
-                        np.empty((1, at.size, 2))))
     weight = np.repeat(weight, 2, axis=1).reshape(members, count, 2)
     # each term once for the real part and once for the imaginary part
     src = (2 * src[:, None] + [0, 1]).ravel()
@@ -660,9 +645,6 @@ def _gathers(damping: tuple, entries: np.ndarray, dim: int, reach: np.ndarray) -
         terms *= coef
         sums = np.bincount(bins, terms.ravel(), 2 * members * count)
         np.multiply(sums.reshape(out.shape), weight, out=out)
-        for k, at, product, alone in own:
-            product(x[k:k + 1, at], alone)
-            out[k, at] = alone[0]
     return gather
 
 
@@ -726,32 +708,25 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
                nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
     for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries), one form for every member: `_support_steps` for a nonempty
-    stack in groups of at most TILE levels, at any share of reachable tiles
-    (`_support`) up to DENSE levels and above them when every member
-    reaches less than a SHARE of its tiles, as its own run would;
-    `_grouped_steps` otherwise.
-    The support form steps the stack on the union of the members'
-    reachable entries.  It damps them by one matrix product (`_gathers`)
-    when they are at most MATRIX and every member reaches all of them, so
-    that each member's own run holds the same entries; otherwise by the
-    gather, which holds each member to the bits of its own run on any
-    larger set.  The buffer holds n nodes of each member as (K, n, E)
-    values at the flat positions `entries` of a d x d matrix: the support
-    form's entries, else all d^2, the grouped form's (K, n, d, d) buffer
-    viewed flat."""
+    entries), one form for every member: `_support_steps` on the stack's
+    reachable tiles (`_support`) for a nonempty stack in groups of at most
+    TILE levels, at any share of the tiles up to DENSE levels and above them
+    when it reaches less than a SHARE of them; `_grouped_steps` otherwise.
+    The support form damps its entries by `_gathers`.  The buffer holds n
+    nodes of each member as (K, n, E) values at the flat positions
+    `entries` of a d x d matrix: the support form's entries, else all d^2,
+    the grouped form's (K, n, d, d) buffer viewed flat.  A member's own run
+    takes the same form on the same entries, so the same bits, exactly when
+    the member reaches every tile the stack reaches."""
     members, dim = sigma.shape[0], sigma.shape[-1]
     if size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
-        if dim <= DENSE or np.all(tiles.mean(axis=(1, 2)) < SHARE):
-            union = tiles.any(axis=0)
-            entries = _entries(union, size)
-            rows, cols = np.nonzero(union)
-            reach = np.repeat(tiles[:, rows, cols], size * size, axis=1)
-            damp, damp_full = (_gathers(damping, entries, dim, reach) for damping in (half, full))
+        if dim <= DENSE or tiles.mean() < SHARE:
+            entries = _entries(tiles, size)
+            damp, damp_full = (_gathers(damping, entries, dim) for damping in (half, full))
             carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
             buf = np.empty((members, nodes, entries.size), dtype=complex)
-            return (_support_steps(carried, damp, damp_full, buf, entries, (rows, cols)),
+            return (_support_steps(carried, damp, damp_full, buf, entries, np.nonzero(tiles)),
                     buf, entries)
     buf = np.empty((members, nodes, dim * dim), dtype=complex)
     steps = _grouped_steps(sigma, half, full, buf.reshape(members, nodes, dim, dim))
@@ -850,9 +825,9 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     first block, when the group shape (S, b) of the step unitaries is known
     (`_propagate` holds it for the whole propagation):
 
-    * in groups of at most TILE levels, `_support_steps`: the tiles each
-      member can reach are compiled (`_support`), and the stack carries
-      the E entries of the tiles the members reach alone, so the node
+    * in groups of at most TILE levels, `_support_steps`: the tiles the
+      members can reach are compiled into one mask (`_support`), and the
+      stack carries the E entries of those tiles alone, so the node
       buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), damps them by
       one matrix product up to MATRIX entries, else by the gather
       (`_gathers`), and takes u sigma u+ as one product per tile.  Up to
@@ -863,8 +838,8 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
       0.25-0.31 of the grouped form's time at d = 4 and 0.31-0.59 at
       d = 8, but 0.91-1.93 at d = 16, where E = 256 is past MATRIX, so
       DENSE is 8.  Above DENSE
-      levels the stack takes it when every member reaches less than a
-      SHARE of its tiles.  In effective mode E is a small share of d^2:
+      levels the stack takes it when it reaches less than a SHARE of its
+      tiles.  In effective mode E is a small share of d^2:
       480 of 1,024 entries at GHZ5's last step, 2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
       u sigma u+ by groups.  Every dense H of more than TILE levels (S = 1)
@@ -872,10 +847,11 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
       a SHARE of its tiles or more, such as the last rotating-frame
       protocol step.
 
-    The stack takes one form, which each member's own run takes too, to its
-    bits, except in a stack above DENSE levels that mixes members below and
-    above the SHARE: that stack steps grouped.  No stack of the protocol
-    runner mixes them.
+    A member that reaches every tile the stack reaches gets the bits of its
+    own run, which takes the same form on the same entries.  Any other
+    member differs from its own run by round-off: its own run may damp
+    fewer entries by a product BLAS sums in another order, or take the
+    support form where the stack steps grouped.
     SHARE = 1/2 is measured (2-core guest, one BLAS thread, one rate, grid
     2000, medians of 5 runs, the support form against the grouped one
     forced on the same step).  Every protocol step that does not reach all

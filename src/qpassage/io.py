@@ -12,12 +12,12 @@ E = floor(log10 |v|) and 10**(17 - E) held as the double-double hi + lo,
 t = (|v| hi - p) + |v| lo, its first term exact by Dekker's product (Numer.
 Math. 18, 224 (1971)); so t is known to about 1e-14.  The 18 digits are
 those of p + floor(t), plus 1 when frac(t) > 1/2, read four at a time from
-a table.  A chunk holding a value this cannot round with certainty is
-encoded again in pieces of _PIECE rows, and a piece holding such a value
-goes to `%` whole: a value that is not finite, has |E| > 280, has frac(t)
-within 1e-6 of 1/2 (a tie, or too close to one to tell), or whose digits do
-not number 18 (log10 off by one next to a power of ten, or a rounding
-carry).  Zeros of either sign are formatted.
+a table.  A value this cannot round with certainty gets `'%.17e' % v` in
+its own field, and the values beside it keep the table's: a value that is
+not finite, has |E| > 280, has frac(t) within 1e-6 of 1/2 (a tie, or too
+close to one to tell), or whose digits do not number 18 (log10 off by one
+next to a power of ten, or a rounding carry).  Zeros of either sign are
+formatted.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ _CHUNK = 512
 _EXP = 280  # largest |decimal exponent| formatted by `_encode`
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE = 1e-6  # a scaled value's fraction this close to 1/2 goes to `%`
-# rows per piece of a refused chunk: its one near-tie in configs/bell.cfg's
-# bell-03.csv cost 1.92 ms with the chunk through `%`, 0.79 ms in pieces of
-# 64 rows, 0.84 in 128, 1.03 in 32 and 2.93 in 8, each piece's `_encode`
-# costing a fixed ~45 us (best of 7, 2-core x86 guest)
-_PIECE = 64
 
 
 @functools.cache
@@ -94,16 +89,16 @@ def _split(a):
 
 
 def _round(values):
-    """(n, E + _EXP) per value of the flat float64 array `values`: n is
-    |v| 10**(17 - E) rounded to the nearest integer, 10**17 <= n < 10**18
-    (n = E = 0 for a zero); None if any value needs `%`."""
-    if not np.isfinite(values).all():
-        return None
+    """(n, E + _EXP, refused) per value of the flat float64 array `values`:
+    n is |v| 10**(17 - E) rounded to the nearest integer,
+    10**17 <= n < 10**18 (n = E = 0 for a zero), and `refused` marks the
+    values that need `%`, whose n and row are placeholders."""
     x = np.abs(values)
     zero = x == 0.0
-    exp = np.floor(np.log10(np.where(zero, 1.0, x)))  # a zero reads E = 0
-    if np.abs(exp).max(initial=0.0) > _EXP:
-        return None
+    finite = np.isfinite(x)
+    exp = np.floor(np.log10(np.where(zero | ~finite, 1.0, x)))  # a zero reads E = 0
+    refused = ~finite | (np.abs(exp) > _EXP)
+    x[refused], exp[refused] = 1.0, 0.0  # placeholders whose arithmetic cannot overflow
     row = exp.astype(np.int64) + _EXP
     power_hi, power_lo = _powers()
     hi, lo = power_hi[row], power_lo[row]
@@ -113,14 +108,13 @@ def _round(values):
     t = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + x * lo
     whole = np.floor(t)
     frac = t - whole
-    if (np.abs(frac - 0.5) < _TIE).any():
-        return None
     floor = p.astype(np.int64) + whole.astype(np.int64)
     n = floor + (frac > 0.5)
-    # log10 may be off by one next to a power of ten, and rounding may carry
-    if ((n >= 10 ** 18) | ((floor < 10 ** 17) & ~zero)).any():
-        return None
-    return n, row
+    # a near-tie; log10 may be off by one next to a power of ten, and
+    # rounding may carry
+    refused |= (np.abs(frac - 0.5) < _TIE) | (n >= 10 ** 18) | ((floor < 10 ** 17) & ~zero)
+    n[refused] = 0
+    return n, row, refused
 
 
 def _words(n, row, negative):
@@ -142,13 +136,15 @@ def _words(n, row, negative):
 
 def _encode(values, seps):
     """The bytes of `'%.17e' % v` for the flat float64 array `values`, each
-    followed by its separator byte in `seps`; None if any value needs `%`.
-    Each stage is its own function, so its work arrays are freed before the
-    next one's are made."""
-    rounded = _round(values)
-    if rounded is None:
-        return None
-    fields = _words(*rounded, np.signbit(values)).view(np.uint8)
+    followed by its separator byte in `seps`: a value `_round` refuses gets
+    `%`'s bytes in its own field.  Each stage is its own function, so its
+    work arrays are freed before the next one's are made."""
+    n, row, refused = _round(values)
+    fields = _words(n, row, np.signbit(values)).view(np.uint8)
+    if refused.any():
+        # the longest '%.17e', -d.ddddddddddddddddde-HTU, fills a field's 25 bytes
+        text = b"".join((_FMT % v).encode().ljust(25, b"\0") for v in values[refused].tolist())
+        fields[refused, :25] = np.frombuffer(text, np.uint8).reshape(-1, 25)
     fields[:, 25] = seps  # over the NUL after U
     return fields.tobytes().translate(None, b"\0")
 
@@ -156,25 +152,14 @@ def _encode(values, seps):
 def write_csv(path, header, columns) -> None:
     """A header line, then one row per entry of the equal-length `columns`."""
     data = np.column_stack(columns).astype(np.float64, copy=False)
-    row = ",".join([_FMT] * data.shape[1]) + "\n"
     seps = np.tile(np.frombuffer(b"," * (data.shape[1] - 1) + b"\n", np.uint8), _CHUNK)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(data), _CHUNK):
-            chunk = data[start:start + _CHUNK]
-            text = _encode(chunk.ravel(), seps[:chunk.size])
-            if text is None:
-                pieces = (chunk[i:i + _PIECE] for i in range(0, len(chunk), _PIECE))
-                text = b"".join(_encode(piece.ravel(), seps[:piece.size]) or _percent(piece, row)
-                                for piece in pieces)
-            fh.write(text)
-
-
-def _percent(rows: np.ndarray, row: str) -> bytes:
-    """The bytes `%` writes for the (n, c) `rows` through the row format `row`."""
-    return "".join(row % tuple(values) for values in rows.tolist()).encode()
+            chunk = data[start:start + _CHUNK].ravel()
+            fh.write(_encode(chunk, seps[:chunk.size]))
 
 
 def write_trajectory_csv(result: SimulationResult, path, time_scale: float = 1.0) -> None:

@@ -733,7 +733,12 @@ def run_protocol_kappas(plan: ProtocolPlan, model: QubitModel, kappas, mode: str
     ones share one pure-state run, and each step advances both on one stream
     of step unitaries, H being evaluated and exponentiated once; the passage
     residual is computed once per step for all of them.  Each result equals,
-    bit for bit, what a run of that one rate gives.  A propagation failure
+    bit for bit, what a run of that one rate gives, as long as its member of
+    the stack reaches at every step each tile of the density matrix that the
+    stack reaches (see `dynamics`).  The members start from one state, so
+    they do unless a strong rate empties tiles the others keep; a member
+    that then reaches fewer tiles differs from its one-rate run by
+    round-off.  A propagation failure
     keeps its type, names its step in its message and is raised with a
     `kappa` attribute, the kappa_T of the run it names: for a stack failure,
     the first run in the order of `kappas` among those failing at the

@@ -626,7 +626,7 @@ class TestSmallSteps:
         want = sigma.copy()
         dynamics._damper(want, *damping)()
         entries = np.arange(dim * dim)
-        damp = dynamics._gathers(damping, entries, dim, np.ones((members, entries.size), bool))
+        damp = dynamics._gathers(damping, entries, dim)
         assert damp.__name__ == "product"
         got = np.empty_like(sigma)
         for j in range(5):
@@ -699,7 +699,7 @@ def _two_group_stack(rng, dim, size, members):
 
 
 class TestSupportSteps:
-    """Above DENSE levels a member whose jumps reach less than a SHARE of its
+    """Above DENSE levels a stack whose jumps reach less than a SHARE of its
     tiles steps on the reachable entries alone; SHARE 0 forces the grouped
     steps, the oracle here."""
 
@@ -723,6 +723,24 @@ class TestSupportSteps:
     def _assert_close(got, want, bound=1e-14):
         for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= bound, name
+
+    @staticmethod
+    def _assert_members_keep_their_runs(stack, singles, rho0, channels, size) -> list:
+        """Member k of `stack` equals `singles[k]`, its own run, bit for bit
+        when it reaches every tile the stack reaches, else to 1e-14; returns
+        whether each member reaches them all."""
+        rates = dynamics._decay_rates(channels, rho0.shape[-1], len(rho0))
+        tiles = dynamics._support(rho0, rates, size)
+        whole = [np.array_equal(dynamics._support(rho0[k:k + 1], rates, size), tiles)
+                 for k in range(len(rho0))]
+        for k, single in enumerate(singles):
+            for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+                got, want = getattr(stack, name)[k], getattr(single, name)
+                if whole[k]:
+                    assert np.array_equal(got, want), (k, name)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-14, (k, name)
+        return whole
 
     @staticmethod
     def _random_case(qubits, size, members):
@@ -785,7 +803,7 @@ class TestSupportSteps:
             nodes = propagate_lindblad(h, channels, rho0, TimeGrid(0.0, 1.0, 150)).matrices
             size = np.shape(h(np.zeros(1)))[-1]
             rates = dynamics._decay_rates(channels, dim, members)
-            tiles = support(rho0.astype(complex), rates, size).any(axis=0)
+            tiles = support(rho0.astype(complex), rates, size)
             assert not tiles.all()
             entries = dynamics._entries(tiles, size)
             reached = np.flatnonzero(np.any(nodes.reshape(-1, dim * dim) != 0, axis=0))
@@ -844,10 +862,12 @@ class TestSupportSteps:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_a_member_equals_its_single_matrix_run(self, monkeypatch, mixed):
         # members 1 and 2 reach 16 of the 64 tiles each, 24 together, and
-        # take the support form on the entries either reaches; member 0
-        # reaches member 1's tiles.  Mixed, member 0 reaches all of them, so
-        # the whole stack steps grouped, and each member equals its own run
-        # forced grouped
+        # the stack takes the support form on the entries either reaches;
+        # member 0 reaches member 1's tiles.  No member reaches all 24, so
+        # each is held to its own run to round-off, on the damping
+        # product's path and on the gather's.  Mixed, member 0 reaches all
+        # 64 tiles, so the whole stack steps grouped: member 0 keeps the bits
+        # of its own run, and every member those of its own run forced grouped
         rng = np.random.default_rng(5)
         h = _group_hamiltonian(rng, 8, 2)
         rates = rng.uniform(0.2, 2.0, size=(4, 3))
@@ -867,27 +887,41 @@ class TestSupportSteps:
             grouped.append(len(sigma))
             return steps(sigma, first, full, buf)
         monkeypatch.setattr(dynamics, "_grouped_steps", spied)
-        stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
-                                   rho0, grid)
-        assert (made, grouped) == (([], [3]) if mixed else ([24 * 4], []))
+        channels = [Dissipator(op, r) for op, r in zip(ops, rates)]
+
+        def singles():
+            forms = []
+            runs = []
+            for k in range(3):
+                before = (len(made), len(grouped))
+                runs.append(propagate_lindblad(
+                    h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)], rho0[k], grid))
+                forms.append((made[before[0]:], grouped[before[1]:]))
+            return runs, forms
+
+        for matrix in (1000, 20):  # the stack's 96 entries damped by the product, by the gather
+            monkeypatch.setattr(dynamics, "MATRIX", matrix)
+            made.clear()
+            grouped.clear()
+            stack = propagate_lindblad(h, channels, rho0, grid)
+            assert (made, grouped) == (([], [3]) if mixed else ([24 * 4], []))
+            runs, forms = singles()
+            assert forms == [([], [1])] + [([64], [])] * 2 if mixed else [([64], [])] * 3
+            whole = self._assert_members_keep_their_runs(stack, runs, rho0, channels, 2)
+            assert whole == [mixed, False, False]
         if mixed:
             self._force_grouped(monkeypatch)
-        forms = []
-        for k in range(3):
-            before = (len(made), len(grouped))
-            single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
-                                        rho0[k], grid)
-            forms.append((made[before[0]:], grouped[before[1]:]))
-            assert np.array_equal(stack.matrices[k], single.matrices)
-            assert np.array_equal(stack.final[k], single.final)
-            assert stack.trace_drift[k] == single.trace_drift
-            assert stack.min_eigenvalue[k] == single.min_eigenvalue
-        assert forms == [([], [1])] * 3 if mixed else [([64], [])] * 3
+            runs, forms = singles()
+            assert forms == [([], [1])] * 3
+            for k, single in enumerate(runs):
+                for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+                    assert np.array_equal(getattr(stack, name)[k], getattr(single, name)), name
 
     def test_a_mixed_member_keeps_the_trace_drift_of_its_own_run(self, monkeypatch):
-        # every member takes the support form on groups of its own, so the
-        # stack steps on entries a member's own run does not hold: the
-        # trace must sum the same d numbers either way
+        # every member lies on groups of its own, so the stack steps on
+        # entries a member's own run does not hold: the trace must sum the
+        # same d numbers either way, and each member keeps its own run to
+        # round-off on the damping product's path and on the gather's
         rng = np.random.default_rng(1)
         h = _group_hamiltonian(rng, 16, 2)
         rates = rng.uniform(0.2, 2.0, size=(5, 3))
@@ -898,25 +932,60 @@ class TestSupportSteps:
             rho0[k][np.ix_(levels, levels)] = _random_density(rng, levels.size)
         grid = TimeGrid(0.0, 1.0, 100)
         made = self._spy(monkeypatch)
-        stack = propagate_lindblad(h, [Dissipator(op, r) for op, r in zip(ops, rates)],
-                                   rho0, grid)
+        channels = [Dissipator(op, r) for op, r in zip(ops, rates)]
+        for matrix in (1000, 20):
+            monkeypatch.setattr(dynamics, "MATRIX", matrix)
+            made.clear()
+            stack = propagate_lindblad(h, channels, rho0, grid)
+            singles = [propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+                                          rho0[k], grid) for k in range(3)]
+            assert len(made) == 4 and made[0] > max(made[1:])
+            whole = self._assert_members_keep_their_runs(stack, singles, rho0, channels, 2)
+            assert not any(whole)
+
+    def test_a_stack_over_half_its_tiles_steps_grouped_though_no_member_is(self, monkeypatch):
+        # above DENSE levels each member reaches 16 of the 64 tiles, a
+        # quarter, and its own run takes the support form; together they
+        # reach 32, half of them, so the stack steps grouped
+        rng = np.random.default_rng(7)
+        h = _group_hamiltonian(rng, 8, 2)
+        rates = rng.uniform(0.2, 2.0, size=(4, 3))
+        ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
+        rho0 = np.zeros((3, 16, 16), dtype=complex)
+        for k, other in enumerate((1, 2, 4)):
+            levels = (np.array([0, other])[:, None] * 2 + np.arange(2)).ravel()
+            rho0[k][np.ix_(levels, levels)] = _random_density(rng, 4)
+        channels = [Dissipator(op, r) for op, r in zip(ops, rates)]
+        rates_of = dynamics._decay_rates(channels, 16, 3)
+        assert [dynamics._support(rho0[k:k + 1], rates_of, 2).mean() for k in range(3)] == [
+            0.25] * 3
+        assert dynamics._support(rho0, rates_of, 2).mean() == dynamics.SHARE
+        grid = TimeGrid(0.0, 1.0, 120)
+        made = self._spy(monkeypatch)
+        stack = propagate_lindblad(h, channels, rho0, grid)
+        assert made == []
+        singles = [propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+                                      rho0[k], grid) for k in range(3)]
+        assert made == [64] * 3
+        assert not any(self._assert_members_keep_their_runs(stack, singles, rho0, channels, 2))
+        self._force_grouped(monkeypatch)
         for k in range(3):
-            single = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
+            forced = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
                                         rho0[k], grid)
-            assert np.array_equal(stack.final[k], single.final)
-            assert stack.trace_drift[k] == single.trace_drift
-        assert len(made) == 4 and made[0] > max(made[1:])
+            assert np.array_equal(stack.final[k], forced.final)
 
 
 class TestSupportDamping:
     """D on a support as one matrix product or as the gather: the same map
-    to round-off, and each member of a stack with the bits of its own run."""
+    to round-off, and each member of a stack with the bits of its own
+    entries' D when it reaches all of the stack's."""
 
     @staticmethod
     def _case(qubits, size, members, groups_of):
         """(damping, entries, reach, x): D(dt) of random rates, a third of
-        them 0, on the tiles member k reaches from the groups groups_of[k],
-        and random values on each member's own entries, 0 elsewhere."""
+        them 0, on the stack's tiles, reach (K, E) marking those member k
+        reaches from the groups groups_of[k], and random values on each
+        member's own entries, 0 elsewhere."""
         rng = np.random.default_rng(100 * qubits + 10 * size + members)
         dim = 2 ** qubits
         rho = np.zeros((members, dim, dim), dtype=complex)
@@ -925,11 +994,11 @@ class TestSupportDamping:
             rho[k][np.ix_(levels, levels)] = 1.0
         rates = {1 << bit: rng.uniform(0.0, 2.0, members) * (rng.random(members) > 1 / 3)
                  for bit in range(qubits)}
-        tiles = dynamics._support(rho, rates, size)
-        union = tiles.any(axis=0)
+        union = dynamics._support(rho, rates, size)
         entries = dynamics._entries(union, size)
         rows, cols = np.nonzero(union)
-        reach = np.repeat(tiles[:, rows, cols], size * size, axis=1)
+        reach = np.repeat([dynamics._support(rho[k:k + 1], rates, size)[rows, cols]
+                           for k in range(members)], size * size, axis=1)
         x = np.where(reach, rng.normal(size=reach.shape) + 1j * rng.normal(size=reach.shape), 0)
         return dynamics._damping(rates, 0.3, members, dim), entries, reach, x
 
@@ -950,9 +1019,9 @@ class TestSupportDamping:
         damping, entries, reach, x = self._case(qubits, size, members, [(0, 1)] * members)
         dim = 2 ** qubits
         monkeypatch.setattr(dynamics, "MATRIX", entries.size)
-        product = dynamics._gathers(damping, entries, dim, reach)
+        product = dynamics._gathers(damping, entries, dim)
         monkeypatch.setattr(dynamics, "MATRIX", entries.size - 1)
-        gather = dynamics._gathers(damping, entries, dim, reach)
+        gather = dynamics._gathers(damping, entries, dim)
         assert (product.__name__, gather.__name__) == ("product", "gather")
         got, want = (self._applied(damp, x) for damp in (product, gather))
         assert not np.array_equal(got, x)  # D moved every member
@@ -966,22 +1035,26 @@ class TestSupportDamping:
     def test_members_reaching_other_tiles_keep_the_bits_of_their_own_runs(self, monkeypatch,
                                                                           matrix):
         # member 0 reaches the tiles of groups 0 and 1, member 1 those of 0
-        # and 2: the stack holds entries neither member's own run holds, so
-        # it gathers; a member whose own run takes the matrix keeps its
-        # product, one below MATRIX = 20 the gather, on its own entries
+        # and 2, member 2 both: D on the stack's entries keeps the bits of
+        # D on a member's own entries for member 2, which holds them all,
+        # and is within round-off of it for the others, by the product up
+        # to MATRIX entries and by the gather above
         monkeypatch.setattr(dynamics, "MATRIX", matrix)
-        damping, entries, reach, x = self._case(4, 2, 2, [(0, 1), (0, 2)])
-        assert not reach.all() and reach.any(axis=0).all()
-        damp = dynamics._gathers(damping, entries, 16, reach)
-        assert damp.__name__ == "gather"
+        damping, entries, reach, x = self._case(4, 2, 3, [(0, 1), (0, 2), (0, 1, 2)])
+        assert reach.all(axis=1).tolist() == [False, False, True]
+        damp = dynamics._gathers(damping, entries, 16)
+        assert damp.__name__ == ("product" if entries.size <= matrix else "gather")
         got = self._applied(damp, x)
         feeds, weight = damping
         for k, own in enumerate(reach):
             at = np.flatnonzero(own)
             alone = dynamics._gathers(([(mask, p[k:k + 1]) for mask, p in feeds],
-                                       weight[k:k + 1]), entries[at], 16, np.ones((1, at.size), bool))
-            assert alone.__name__ == ("product" if at.size <= matrix else "gather")
-            assert np.array_equal(got[k, at], self._applied(alone, x[k:k + 1, at]).ravel())
+                                       weight[k:k + 1]), entries[at], 16)
+            want = self._applied(alone, x[k:k + 1, at]).ravel()
+            if own.all():
+                assert np.array_equal(got[k, at], want)
+            else:
+                assert np.max(np.abs(got[k, at] - want)) <= 1e-14
             assert not got[k, ~own].any()
 
 
@@ -1002,9 +1075,9 @@ class TestObserver:
         if kind == "density":
             rho0, rates = rho0[1], 0.4
         if kind in ("support", "mixed"):
-            # groups of 2 levels whose jumps reach part of the tiles: every
-            # member steps on its reachable entries, or, mixed, member 0
-            # reaches them all and the whole stack steps grouped
+            # groups of 2 levels whose jumps reach part of the tiles: the
+            # stack steps on the entries its members reach, or, mixed,
+            # member 0 reaches them all and the whole stack steps grouped
             h = hamiltonian or _group_hamiltonian(rng, dim // 2, 2)
             rho0 = _two_group_stack(rng, dim, 2, 3)
             if kind == "mixed":

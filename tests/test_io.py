@@ -1,7 +1,7 @@
 """CSV number formatting: the numpy kernel gives the bytes of `'%.17e' % v`.
 
-A value the kernel cannot round with certainty sends its piece of rows to
-the `%` formatter; every other value must come out byte for byte as `%`
+A value the kernel cannot round with certainty goes to the `%` formatter
+alone, into its own field; every value must come out byte for byte as `%`
 writes it.  The kernel must not warn either (log10 of a zero, an overflow
 in Dekker's split, a cast of NaN), since CI runs the suite with
 RuntimeWarning as an error.
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpassage import io
-from qpassage.io import _CHUNK, _PIECE, _encode, _percent, write_csv
+from qpassage.io import _CHUNK, _encode, _round, write_csv
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -26,16 +26,18 @@ def _fast(values):
     return _encode(values, np.full(len(values), ord("\n"), np.uint8))
 
 
+def _refused(values):
+    """`_round`'s mask of the values it sends to `%`."""
+    return _round(np.asarray(values, dtype=np.float64))[2]
+
+
 def _check(values):
-    """Each value alone comes out as `%` writes it or goes to `%`; all of
-    them at once give the joined bytes, or go to `%` if any one does."""
+    """Each value alone comes out as `%` writes it, and all of them at once
+    give the joined bytes."""
     alone = [_fast([v]) for v in values]
     for v, got in zip(values, alone):
-        assert got is None or got == ("%.17e\n" % v).encode(), v
-    together = _fast(values)
-    assert (together is None) == (None in alone)
-    if together is not None:
-        assert together == b"".join(alone)
+        assert got == ("%.17e\n" % v).encode(), v
+    assert _fast(values) == b"".join(alone)
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,7 +68,8 @@ def test_any_float_is_formatted_as_percent_e_or_sent_to_percent(values):
     (TIE, False), (1e300, False), (5e-324, False), (np.nan, False), (np.inf, False),
     (-np.inf, False)])
 def test_zeros_stay_on_the_fast_path_and_what_cannot_be_rounded_leaves_it(value, fast):
-    assert (_fast([value]) is not None) == fast
+    assert _refused([value]).tolist() == [not fast]
+    assert _fast([value]) == ("%.17e\n" % value).encode()
 
 
 def test_a_table_mixing_fast_and_fallback_chunks_writes_the_percent_bytes(tmp_path):
@@ -79,8 +82,8 @@ def test_a_table_mixing_fast_and_fallback_chunks_writes_the_percent_bytes(tmp_pa
     wide[7], small[8] = np.nan, TIE  # first chunk
     wide[2 * _CHUNK + 1], wide[2 * _CHUNK + 2], small[-1] = np.inf, -np.inf, 1e300  # last
     table = np.column_stack([grid, wide, small]).astype(float)
-    assert _fast(table[:_CHUNK].ravel()) is None
-    assert _fast(table[_CHUNK:2 * _CHUNK].ravel()) is not None
+    assert _refused(table[:_CHUNK].ravel()).any()
+    assert not _refused(table[_CHUNK:2 * _CHUNK].ravel()).any()
     path = tmp_path / "table.csv"
     write_csv(path, ["grid", "wide", "small"], [grid, wide, small])
     want = "grid,wide,small\n" + "".join(
@@ -88,21 +91,22 @@ def test_a_table_mixing_fast_and_fallback_chunks_writes_the_percent_bytes(tmp_pa
     assert path.read_bytes() == want.encode()
 
 
-def test_a_refused_chunk_sends_only_the_pieces_that_need_it_to_percent(tmp_path, monkeypatch):
-    # one near-tie and one NaN in the second chunk, in different pieces
+def test_only_the_refused_values_go_through_percent(tmp_path, monkeypatch):
+    # one near-tie and one NaN in the second chunk, rows apart
     rows = 2 * _CHUNK
     rng = np.random.default_rng(9)
     first, second = rng.uniform(-1.0, 1.0, size=rows), rng.normal(size=rows)
-    first[_CHUNK + 3], second[_CHUNK + 5 * _PIECE + 7] = TIE, np.nan
+    first[_CHUNK + 3], second[_CHUNK + 327] = TIE, np.nan
     formatted = []
 
-    def counted(piece, row):
-        formatted.append(len(piece))
-        return _percent(piece, row)
+    class Counted(str):
+        def __mod__(self, value):
+            formatted.append(value)
+            return str.__mod__(self, value)
 
-    monkeypatch.setattr(io, "_percent", counted)
+    monkeypatch.setattr(io, "_FMT", Counted(io._FMT))
     path = tmp_path / "table.csv"
     write_csv(path, ["a", "b"], [first, second])
     want = "a,b\n" + "".join("%.17e,%.17e\n" % values for values in zip(first, second))
     assert path.read_bytes() == want.encode()
-    assert formatted == [_PIECE, _PIECE]
+    assert formatted[0] == TIE and np.isnan(formatted[1]) and len(formatted) == 2

@@ -20,9 +20,11 @@ and N <= 5 working levels and the controls over every schedule kind:
   stack once, equal bit for bit those of every group, for any pattern of
   repeated groups, signed zeros included;
 * an open stack of density matrices on some groups of levels or on all of
-  them, as no protocol run builds it, takes one step form, and each member
-  equals bit for bit its own run forced into that form and its unforced
-  run to round-off.
+  them, as no protocol run builds it, takes one step form, on the damping
+  product's path and on the gather's: a member that reaches every tile the
+  stack reaches equals its own run bit for bit, any other equals it to
+  round-off, and in the grouped form every member equals bit for bit its
+  own run forced into it.
 
 CI runs this file with RuntimeWarning as an error, so an overflow or an
 invalid value in any of this arithmetic fails it.
@@ -217,9 +219,9 @@ def _random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def _lindblad_form(h, channels, rho0, grid, share=None):
-    """propagate_lindblad's result and the step forms it made, with SHARE
-    set to `share` unless that is None."""
+def _lindblad_form(h, channels, rho0, grid, matrix, share=None):
+    """propagate_lindblad's result and the step forms it made, with MATRIX
+    set to `matrix` and SHARE to `share` unless that is None."""
     made = []
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_grouped_steps", "_support_steps"):
@@ -227,6 +229,7 @@ def _lindblad_form(h, channels, rho0, grid, share=None):
                 made.append(_name)
                 return _steps(*args)
             patch.setattr(dynamics, name, spied)
+        patch.setattr(dynamics, "MATRIX", matrix)
         if share is not None:
             patch.setattr(dynamics, "SHARE", share)
         return propagate_lindblad(h, channels, rho0, grid), made
@@ -235,9 +238,10 @@ def _lindblad_form(h, channels, rho0, grid, share=None):
 @settings(max_examples=30, deadline=None)
 @given(qubits=st.sampled_from([4, 5]), size=st.sampled_from([2, 4]),
        members=st.lists(st.integers(0, 3), min_size=1, max_size=3),
-       steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+       steps=st.integers(1, 40), matrix=st.sampled_from([1000, 20]),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_an_open_stack_takes_one_form_and_each_member_keeps_its_bits_in_it(
-        qubits, size, members, steps, seed):
+        qubits, size, members, steps, matrix, seed):
     # each member lies on `count` random groups of levels, or on all of
     # them for a count of 0; rates are random, a third of them 0
     rng = np.random.default_rng(seed)
@@ -257,14 +261,22 @@ def test_an_open_stack_takes_one_form_and_each_member_keeps_its_bits_in_it(
     rates[rng.random(rates.shape) < 1 / 3] = 0.0
     ops = [embed_qubit_operator(SIGMA_MINUS, qubits, q) for q in range(qubits)]
     grid = TimeGrid(0.0, 1.0, steps)
-    stack, made = _lindblad_form(h, [Dissipator(op, r) for op, r in zip(ops, rates)], rho0, grid)
+    channels = [Dissipator(op, r) for op, r in zip(ops, rates)]
+    stack, made = _lindblad_form(h, channels, rho0, grid, matrix)
     assert len(made) == 1
+    keys = dynamics._decay_rates(channels, dim, len(members))
+    tiles = dynamics._support(rho0, keys, size)
     share = 2.0 if made == ["_support_steps"] else 0.0  # forces the stack's form
     for k in range(len(members)):
         channels = [Dissipator(op, r[k]) for op, r in zip(ops, rates)]
-        forced, form = _lindblad_form(h, channels, rho0[k], grid, share)
+        forced, form = _lindblad_form(h, channels, rho0[k], grid, matrix, share)
         assert form == made
+        own = _lindblad_form(h, channels, rho0[k], grid, matrix)[0]
+        whole = np.array_equal(dynamics._support(rho0[k:k + 1], keys, size), tiles)
         for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
-            assert np.array_equal(getattr(stack, name)[k], getattr(forced, name)), name
-        own = _lindblad_form(h, channels, rho0[k], grid)[0]
-        assert np.max(np.abs(stack.matrices[k] - own.matrices)) <= 1e-14
+            got = getattr(stack, name)[k]
+            if made == ["_grouped_steps"]:
+                assert np.array_equal(got, getattr(forced, name)), name
+            if whole:
+                assert np.array_equal(got, getattr(own, name)), name
+            assert np.max(np.abs(got - getattr(own, name))) <= 1e-14, name

@@ -593,6 +593,21 @@ def _assert_same_result(got, want):
         assert np.array_equal(got.auxiliary[key], want.auxiliary[key])
 
 
+def _assert_close_result(got, want, bound):
+    """`_assert_same_result` to within `bound` in every number."""
+    def close(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            return a == b
+        return np.shape(a) == np.shape(b) and np.max(np.abs(np.subtract(a, b)), initial=0.0) <= bound
+    assert np.array_equal(got.times, want.times)
+    for mine, theirs in [(got.populations, want.populations), (got.auxiliary, want.auxiliary),
+                         (got.diagnostics, want.diagnostics)] + list(zip(got.steps, want.steps)):
+        assert mine.keys() == theirs.keys()
+        assert all(close(mine[key], theirs[key]) for key in theirs), (mine, theirs)
+    assert len(got.steps) == len(want.steps)
+    assert close(got.fidelity, want.fidelity) and close(got.final_state, want.final_state)
+
+
 def spoil_entry_check(monkeypatch, name, call, spoil):
     """Patch the entry check `name` of dynamics to check spoil(state) on its
     call number `call`, counted from 0, and the state itself on every other.
@@ -682,6 +697,26 @@ class TestIntegratedKappas:
             alone = run_protocol(plan, model.with_kappa(kappa), noise=kappa > 0,
                                  grid_steps=300)
             _assert_same_result(got, alone)
+
+    @pytest.mark.parametrize("qubits, mode, kappas, grid", [
+        # at the last step the strong run alone takes the support form on
+        # 16 entries, where the stack reaches every tile and steps grouped
+        (4, "rotating-frame", (0.0145, 1e4), 200),
+        # at raise-3 the strong run alone holds 4 of the stack's 64 entries
+        (3, "effective", (0.0145, 1e5), 64),
+    ])
+    def test_a_rate_that_empties_tiles_moves_only_its_own_result_by_round_off(
+            self, qubits, mode, kappas, grid):
+        # the weak run reaches every tile the stack reaches, so it keeps the
+        # bits of its one-rate run; the strong run reaches fewer tiles
+        model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
+        plan = plan_ghz(model)
+        weak, strong = run_protocol_kappas(plan, model, kappas, mode=mode, grid_steps=grid,
+                                           compute_residual=False)
+        alone = [run_protocol(plan, model.with_kappa(kappa), mode=mode, noise=True,
+                              grid_steps=grid, compute_residual=False) for kappa in kappas]
+        _assert_same_result(weak, alone[0])
+        _assert_close_result(strong, alone[1], 1e-14)
 
     def test_noise_off_runs_every_rate_closed(self):
         model = QubitModel(qubits=2)
@@ -823,9 +858,8 @@ class TestOpenForms:
     @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
     def test_every_stack_of_a_protocol_run_takes_one_form(self, monkeypatch, qubits, mode):
         # a runner's stack members start from one state and share the
-        # channels, so they reach the same tiles and each takes the form
-        # its own run would; a stack whose members reach shares on both
-        # sides of SHARE would step grouped
+        # channels, so at these rates they reach the same tiles, and the
+        # stack takes the form each member's own run would
         forms = []
         for name in ("_grouped_steps", "_support_steps"):
             def spied(*args, _name=name, _steps=getattr(dynamics, name)):
