@@ -61,10 +61,11 @@ def _model(config: RunConfig) -> QubitModel:
 def _prepare(config_path, config: RunConfig, variants=()):
     """The config's plan, then its output directory, created if needed, so a
     refused plan leaves no directory.  No sweepable value enters the plan, so
-    no refusal names one.  The plan's strong-coupling rule is checked here
-    too, before anything is integrated, on the config of each
-    (config, value) pair of a sweep's `variants`, or on `config` itself; its
-    refusal names J."""
+    no refusal names one; a plan too large to allocate names its `qubits`,
+    as a grid too fine to allocate names its `grid`.  The plan's
+    strong-coupling rule is checked here too, before anything is
+    integrated, on the config of each (config, value) pair of a sweep's
+    `variants`, or on `config` itself; its refusal names J."""
     overrides = config.schedule_overrides or None
     try:
         model = _model(config)
@@ -74,8 +75,10 @@ def _prepare(config_path, config: RunConfig, variants=()):
             plan = plan_bell_reverse(model, 1.0, overrides)
         else:
             plan = plan_ghz(model, config.qubits, 1.0, config.boundary, overrides)
-    except (ValueError, MemoryError) as exc:  # a bad plan, or one too large to allocate
+    except ValueError as exc:
         raise _Refusal(f"{config_path}: {exc}") from None
+    except MemoryError as exc:  # a plan too large to allocate
+        raise _Refusal(f"{config_path}: qubits={config.qubits}: {exc}") from None
     declared = set().union(*(step.schedules.table for step in plan.steps))
     for symbol in config.schedule_overrides:
         if symbol not in declared:

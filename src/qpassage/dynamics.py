@@ -21,22 +21,24 @@ rho[..g.., ..g..] += p rho[..e.., ..e..], then one product with a
 Kronecker weight built from [[1 - p, sqrt(1 - p)], [sqrt(1 - p), 1]].  The
 propagator carries sigma = U D rho and advances it in one of two forms
 (`_open_form`), chosen once per propagation, one for the whole stack, from
-d, the groups of H and the entries of sigma its members can reach.  u is
-block diagonal over the groups of H, so u sigma u+ keeps each (row group,
-column group) tile of sigma to itself, and only the jumps move weight from
-tile to tile (`_support`).  In groups of at most TILE levels, whatever
-share of the tiles the stack reaches up to DENSE levels, and above them
-where it leaves most tiles unreached (less than a SHARE of them), as in
-every protocol step that does not reach all of its tiles, sigma is carried
-as its E reachable entries alone, D is compiled once from its terms over
-them, the products of p that feed each entry (`_terms`), and applied as
-one real matrix product up to MATRIX entries, as one fixed gather above
+the groups of H and the entries of sigma its members' decay can reach, a
+channel whose rate is 0 for every member reaching nothing.  u is block
+diagonal over the groups of H, so u sigma u+ keeps each (row group, column
+group) tile of sigma to itself, and only the jumps move weight from tile
+to tile (`_support`).  In groups of at most TILE levels, unless the stack
+reaches every tile of more than DENSE levels, sigma is carried as its E
+reachable entries alone, D is compiled once from its terms over them, the
+products of p that feed each entry (`_terms`), and applied as one real
+matrix product up to MATRIX entries, as one fixed gather above
 (`_gathers`), and u sigma u+ is one product per tile (`_support_steps`).
-Up to DENSE levels a step is thus two products, the damping and the
-tiles', whatever the stack reaches.  Every other stack, such as any dense
-H of more than TILE levels gives, is damped in place by D(dt) through
-views bound once per propagation and multiplied by u group by group
-(`_grouped_steps`, see below).  The forms agree to round-off.  A
+Every stack that leaves a tile unreached, as most protocol steps do,
+takes this form, and so does every stack up to DENSE levels, whose step is
+then two products, the damping and the tiles'.  Every other stack, in
+groups of more than TILE levels (such as any dense H of more than TILE
+levels gives), empty, or reaching every tile of more than DENSE levels (the
+last rotating-frame protocol step from GHZ4 on), is damped in place by
+D(dt) through views bound once per propagation and multiplied by u group
+by group (`_grouped_steps`, see below).  The forms agree to round-off.  A
 node rho = D(dt/2) sigma is formed only where it is needed: at the
 positivity checkpoints and the end.  Every form hands its nodes in one
 layout, their values at a fixed set of flat positions of a d x d matrix
@@ -56,9 +58,10 @@ loudly.
 is one rate for all of them or an array of K rates, one per member.  The
 stack takes one step form on the union of its members' reachable tiles,
 and member k equals its single-matrix run with its own rates bit for bit
-exactly when it reaches every tile the stack reaches, as every member of
-a stack started from one state does; any other member differs from that
-run by round-off.  Every check (trace drift, checkpoint eigenvalues, the
+exactly when it reaches, under its own decaying channels, every tile the
+stack reaches, as every member of a stack started from one state with
+the same channels decaying does; any other member differs from that run
+by round-off.  Every check (trace drift, checkpoint eigenvalues, the
 initial density-matrix check) runs per member.  Each member fails where
 its own run would: on trace drift at the step where it trips, on a
 checkpoint eigenvalue when the propagation ends.  The error raised is that of the
@@ -157,9 +160,8 @@ __all__ = [
 BLOCK = 64  # grid nodes per state block handed to an observer
 SPAN = 256  # grid intervals per H evaluation above DENSE levels, a multiple of BLOCK
 CHECKPOINTS = 10  # positivity checks per open propagation
-DENSE = 8  # largest d whose spans are 2 SPAN and whose support steps take any share
+DENSE = 8  # largest d whose spans are 2 SPAN and whose whole stacks take the support form
 TILE = 4  # largest group of levels whose open steps may take the support form
-SHARE = 0.5  # share of reachable tiles from which open steps above DENSE levels step grouped
 MATRIX = 192  # most entries of a support whose damping may take one matrix product
 
 
@@ -338,7 +340,8 @@ def _step_unitaries(hamiltonian: Callable, t_mid: np.ndarray, dim: int,
         u[:, ~idle] = expm_hermitian(h[:, ~idle], -1j * dt)
     if len(u) < t_mid.size:  # one H for the whole span
         u = np.repeat(u, t_mid.size, axis=0)
-    return u, merged[which]
+    # u[:, which] takes its strides from u, and a product's bits can follow them
+    return np.ascontiguousarray(u), merged[which]
 
 
 def _recorder(out: np.ndarray, core: int) -> Callable:
@@ -710,18 +713,18 @@ def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: di
     for step unitaries over groups of `size` levels, as (steps, node buffer,
     entries), one form for every member: `_support_steps` on the stack's
     reachable tiles (`_support`) for a nonempty stack in groups of at most
-    TILE levels, at any share of the tiles up to DENSE levels and above them
-    when it reaches less than a SHARE of them; `_grouped_steps` otherwise.
-    The support form damps its entries by `_gathers`.  The buffer holds n
-    nodes of each member as (K, n, E) values at the flat positions
-    `entries` of a d x d matrix: the support form's entries, else all d^2,
-    the grouped form's (K, n, d, d) buffer viewed flat.  A member's own run
-    takes the same form on the same entries, so the same bits, exactly when
-    the member reaches every tile the stack reaches."""
+    TILE levels, unless it reaches every tile of more than DENSE levels;
+    `_grouped_steps` otherwise.  The support form damps its entries by
+    `_gathers`.  The buffer holds n nodes of each member as (K, n, E) values
+    at the flat positions `entries` of a d x d matrix: the support form's
+    entries, else all d^2, the grouped form's (K, n, d, d) buffer viewed
+    flat.  A member's own run takes the same form on the same entries, so
+    the same bits, exactly when it reaches, under its own decaying
+    channels, every tile the stack reaches."""
     members, dim = sigma.shape[0], sigma.shape[-1]
     if size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
-        if dim <= DENSE or tiles.mean() < SHARE:
+        if dim <= DENSE or not tiles.all():
             entries = _entries(tiles, size)
             damp, damp_full = (_gathers(damping, entries, dim) for damping in (half, full))
             carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
@@ -823,56 +826,47 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
 
     The steps take one of two forms (`_open_form`), chosen once, at the
     first block, when the group shape (S, b) of the step unitaries is known
-    (`_propagate` holds it for the whole propagation):
+    (`_propagate` holds it for the whole propagation), from what the decay
+    reaches.  The channels are those of `rates` whose rate is not 0 for
+    every member: the others are dropped here, before anything is
+    compiled, so they add no feed, term, reader pull-back or tile.
 
     * in groups of at most TILE levels, `_support_steps`: the tiles the
       members can reach are compiled into one mask (`_support`), and the
       stack carries the E entries of those tiles alone, so the node
       buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), damps them by
       one matrix product up to MATRIX entries, else by the gather
-      (`_gathers`), and takes u sigma u+ as one product per tile.  Up to
-      DENSE levels the stack takes this form whatever share of its tiles
-      it reaches, and a step is two products.  On the steps alone, on all
-      d^2 entries of random states (2-core guest, one BLAS thread, blocks
-      of 64 steps, K = 1 and 3, b = 2 and 4, two runs), a step took
-      0.25-0.31 of the grouped form's time at d = 4 and 0.31-0.59 at
-      d = 8, but 0.91-1.93 at d = 16, where E = 256 is past MATRIX, so
-      DENSE is 8.  Above DENSE
-      levels the stack takes it when it reaches less than a SHARE of its
-      tiles.  In effective mode E is a small share of d^2:
-      480 of 1,024 entries at GHZ5's last step, 2,336 of 16,384 at GHZ7's;
+      (`_gathers`), and takes u sigma u+ as one product per tile.  Every
+      stack that leaves a tile unreached takes it, and up to DENSE levels
+      every stack, whose step is then two products.  In effective mode E
+      is a small share of d^2: 480 of 1,024 entries at GHZ5's last step,
+      2,336 of 16,384 at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
-      u sigma u+ by groups.  Every dense H of more than TILE levels (S = 1)
-      takes it, and so does, above DENSE levels, every stack that reaches
-      a SHARE of its tiles or more, such as the last rotating-frame
-      protocol step.
+      u sigma u+ by groups.  It takes the stacks the support form cannot
+      or need not tile: groups of more than TILE levels, such as every
+      dense H of more than TILE levels (S = 1), an empty stack, and a stack
+      that reaches every tile of more than DENSE levels, such as the last
+      step of rotating-frame GHZ4 and up.
 
-    A member that reaches every tile the stack reaches gets the bits of its
-    own run, which takes the same form on the same entries.  Any other
-    member differs from its own run by round-off: its own run may damp
-    fewer entries by a product BLAS sums in another order, or take the
-    support form where the stack steps grouped.
-    SHARE = 1/2 is measured (2-core guest, one BLAS thread, one rate, grid
-    2000, medians of 5 runs, the support form against the grouped one
-    forced on the same step).  Every protocol step that does not reach all
-    its tiles stays below 1/2 and measured faster in the support form:
-    effective GHZ5, at E/d^2 = 0.016, 0.016, 0.063, 0.19 and 0.47, 53, 49,
-    59, 72 and 95 ms against 120, 129, 127, 151 and 128; the last steps of
-    effective GHZ6 (0.27) and GHZ7 (0.14), 267 against 407 ms and 524
-    against 893; rotating-frame GHZ4 to GHZ6, whose steps reach 1/4 of their
-    tiles or fewer and then all of them, up to 0.25 of 64 x 64, 178 against
-    334 ms.  On random density matrices whose tiles were closed under the
-    jumps (d = 32 and 64, b = 2 and 4), the support form measured slower
-    at 1/2 and above in every case, 1.05 to 5.8 times; the more classes of
-    group unitaries and the larger d or b, the earlier.  Re-measured once
-    small supports were damped by one product (every group its own block,
-    one rate, 640 steps, min of 5 interleaved runs per form), it took 0.36
-    to 0.75 of the grouped form's time up to E = MATRIX, 0.33 to 0.77
-    before the product, and was slower from E/d^2 = 0.29 on at d = 64,
-    b = 4, 0.41 at d = 32, b = 4, 0.47 at d = 32, b = 2 and d = 64, b = 2,
-    at most 1.43 times; below those shares it was never slower, and the
-    tree before the product measured the same shares.  GHZ5's last step,
-    at 0.47, is faster in the support form, so SHARE stays 1/2.  Its
+    A member that reaches, under its own decaying channels, every tile the
+    stack reaches gets the bits of its own run, which takes the same form
+    on the same entries.  Any other member differs from its own run by
+    round-off: its own run may damp fewer entries by a product BLAS sums
+    in another order, or take the support form where the stack steps
+    grouped.
+
+    Measured in situ (2-core guest, one BLAS thread, grid 2000, the two
+    forms run alternately on the same step), every protocol step of Bell
+    and GHZ3-GHZ7 in both modes at kappa_T {0.0145, 0.3} reaches at most
+    0.47 of its tiles or all of them, but for effective GHZ4's last step,
+    48 of 64 tiles (d = 16, b = 2), where the support form took 35 ms
+    against the grouped form's 57 at one rate and 71 against 93 at three
+    (faster in 12 of 12 runs each).  A whole stack above DENSE levels
+    steps grouped: on rotating-frame GHZ4's last step the support form took
+    44 ms against 64 at one rate (faster in 9 of 10) but 141 against 109 at
+    three, its 256 entries past MATRIX (slower in 8 of 10), on GHZ5's 137
+    against 112 at one rate and 364 against 206 at three (slower in 8 of 8
+    each), on GHZ7's 2.59 s against 0.77 at one rate.  The support form's
     Kronecker factors grow as b^4: with b = 8 it measured 2.1 times slower
     than the grouped form even on a sparse support (d = 32), with b = 16
     8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
@@ -893,6 +887,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     rho = np.array(rho0, dtype=complex, order="C", ndmin=3)
     _check_members(rho, single)
     members, dim = rho.shape[0], rho.shape[-1]
+    rates = {mask: rate for mask, rate in rates.items() if rate.any()}
     dt = grid.dt
     half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times

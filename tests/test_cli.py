@@ -671,7 +671,7 @@ class TestSweepCommand:
         for argv in (["run", cfg], ["sweep", cfg, "--param", "grid", "--values", "100"]):
             assert main(argv) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
+            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: qubits=50: ")
             assert "Unable to allocate" in err[0]
 
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys):

@@ -43,3 +43,17 @@ def test_reports_of_different_line_counts_or_equal_lines_name_nothing(tmp_path):
 def test_a_csv_still_reports_its_largest_moves(tmp_path):
     a, b = _pair(tmp_path, "t,F\n0,1.0\n1,0.5\n", "t,F\n0,1.0\n1,0.25\n", name="run.csv")
     assert cmp_runs.moves(a, b) == " (max |Δ| F 2.5e-01)"
+
+
+def test_the_comparison_ends_with_one_summary_line(tmp_path, capsys):
+    a, b = _pair(tmp_path, REPORT, REPORT)
+    (tmp_path / "a" / "run.csv").write_text("t,F\n0,1.0\n")
+    (tmp_path / "b" / "run.csv").write_text("t,F\n0,0.5\n")
+    (tmp_path / "b" / "extra.txt").write_text("exit 0\n")
+    assert cmp_runs.report(a.parent, b.parent, {"bell-own-grid": 1}) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["DIFF extra.txt (only in the working tree)", "same report.txt",
+                     "DIFF run.csv (max |Δ| F 5.0e-01)", "FAIL bell-own-grid (exit 1)",
+                     "1 same, 2 DIFF, 1 FAIL"]
+    assert cmp_runs.report(a.parent, a.parent, {}) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 same, 0 DIFF, 0 FAIL"

@@ -553,9 +553,9 @@ class TestDensityStack:
 
 class TestSmallSteps:
     """Up to DENSE levels an open step in groups of at most TILE levels
-    takes the support form whatever share of its tiles it reaches, D being
-    one compiled matrix product on all d^2 entries; DENSE = 0 and SHARE = 0
-    force the grouped steps, the oracle here."""
+    takes the support form whatever tiles it reaches, D being one compiled
+    matrix product on all d^2 entries; TILE = 0 forces the grouped steps,
+    the oracle here."""
 
     @staticmethod
     def _channels(rng, qubits, members):
@@ -605,8 +605,7 @@ class TestSmallSteps:
         support = run()
         # a random density matrix reaches every tile, all d^2 entries
         assert made == [dim * dim]
-        monkeypatch.setattr(dynamics, "DENSE", 0)
-        monkeypatch.setattr(dynamics, "SHARE", 0.0)
+        monkeypatch.setattr(dynamics, "TILE", 0)
         grouped = run()
         assert made == [dim * dim]
         assert np.max(np.abs(support.matrices - grouped.matrices)) <= 1e-14
@@ -666,8 +665,7 @@ class TestSmallSteps:
 
         monkeypatch.setattr(dynamics, "_damper", counted_damper)
         if not support:
-            monkeypatch.setattr(dynamics, "DENSE", 0)
-            monkeypatch.setattr(dynamics, "SHARE", 0.0)
+            monkeypatch.setattr(dynamics, "TILE", 0)
         channels = self._channels(rng, 3, 2)
         grid = TimeGrid(0.0, 1.0, 200)
         run = dynamics._lindblad_run(dynamics._decay_rates(channels, 8, 2),
@@ -699,13 +697,13 @@ def _two_group_stack(rng, dim, size, members):
 
 
 class TestSupportSteps:
-    """Above DENSE levels a stack whose jumps reach less than a SHARE of its
-    tiles steps on the reachable entries alone; SHARE 0 forces the grouped
-    steps, the oracle here."""
+    """Above DENSE levels a stack whose jumps leave a tile unreached steps
+    on the reachable entries alone; TILE 0 forces the grouped steps, the
+    oracle here."""
 
     @staticmethod
     def _force_grouped(monkeypatch):
-        monkeypatch.setattr(dynamics, "SHARE", 0.0)
+        monkeypatch.setattr(dynamics, "TILE", 0)
 
     @staticmethod
     def _spy(monkeypatch) -> list:
@@ -727,12 +725,14 @@ class TestSupportSteps:
     @staticmethod
     def _assert_members_keep_their_runs(stack, singles, rho0, channels, size) -> list:
         """Member k of `stack` equals `singles[k]`, its own run, bit for bit
-        when it reaches every tile the stack reaches, else to 1e-14; returns
-        whether each member reaches them all."""
+        when it reaches, under its own decaying channels, every tile the
+        stack reaches, else to 1e-14; returns whether each member reaches
+        them all."""
         rates = dynamics._decay_rates(channels, rho0.shape[-1], len(rho0))
-        tiles = dynamics._support(rho0, rates, size)
-        whole = [np.array_equal(dynamics._support(rho0[k:k + 1], rates, size), tiles)
-                 for k in range(len(rho0))]
+        tiles = dynamics._support(rho0, {m: r for m, r in rates.items() if r.any()}, size)
+        whole = [np.array_equal(dynamics._support(
+            rho0[k:k + 1], {m: r[k:k + 1] for m, r in rates.items() if r[k]}, size), tiles)
+            for k in range(len(rho0))]
         for k, single in enumerate(singles):
             for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
                 got, want = getattr(stack, name)[k], getattr(single, name)
@@ -769,7 +769,6 @@ class TestSupportSteps:
         h, channels, rho0 = self._random_case(qubits, size, members)
         grid = TimeGrid(0.0, 1.0, 200)
         made = self._spy(monkeypatch)
-        monkeypatch.setattr(dynamics, "SHARE", 2.0)  # at d = 16, b = 4 the share is 1/2
         support = propagate_lindblad(h, channels, rho0, grid)
         assert len(made) == 1 and made[0] < 4 ** qubits
         self._force_grouped(monkeypatch)
@@ -778,7 +777,7 @@ class TestSupportSteps:
 
     def test_equals_the_grouped_steps_on_every_step_of_the_ghz5_plan(self, monkeypatch):
         made = self._spy(monkeypatch)
-        share = dynamics.SHARE
+        tile = dynamics.TILE
         grid = TimeGrid(0.0, 1.0, 200)
         model = QubitModel(qubits=5, omega=2900.0)
         rho = np.array([outer(plan_ghz(model).initial)] * 2)
@@ -787,7 +786,7 @@ class TestSupportSteps:
             got = propagate_lindblad(h, channels, rho0, grid)
             self._force_grouped(monkeypatch)
             self._assert_close(got, propagate_lindblad(h, channels, rho0, grid))
-            monkeypatch.setattr(dynamics, "SHARE", share)
+            monkeypatch.setattr(dynamics, "TILE", tile)
             rho = got.final[:, step.position[:, None], step.position]
         # split, convert, raise-3 ... raise-5, each on part of its 1,024 entries
         assert made == [16, 16, 64, 192, 480]
@@ -943,36 +942,64 @@ class TestSupportSteps:
             whole = self._assert_members_keep_their_runs(stack, singles, rho0, channels, 2)
             assert not any(whole)
 
-    def test_a_stack_over_half_its_tiles_steps_grouped_though_no_member_is(self, monkeypatch):
-        # above DENSE levels each member reaches 16 of the 64 tiles, a
-        # quarter, and its own run takes the support form; together they
-        # reach 32, half of them, so the stack steps grouped
+    def test_a_stack_whose_members_together_reach_every_tile_steps_grouped(self, monkeypatch):
+        # above DENSE levels member 0 reaches every tile but (0, 7) and
+        # (7, 0), which no jump reaches, and member 1, on groups 0 and 7,
+        # reaches those two and 8 more, so each member's own run takes the
+        # support form; together they reach all 64, so the stack steps grouped
         rng = np.random.default_rng(7)
         h = _group_hamiltonian(rng, 8, 2)
-        rates = rng.uniform(0.2, 2.0, size=(4, 3))
+        rates = rng.uniform(0.2, 2.0, size=(4, 2))
         ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
-        rho0 = np.zeros((3, 16, 16), dtype=complex)
-        for k, other in enumerate((1, 2, 4)):
-            levels = (np.array([0, other])[:, None] * 2 + np.arange(2)).ravel()
-            rho0[k][np.ix_(levels, levels)] = _random_density(rng, 4)
+        rho0 = np.zeros((2, 16, 16), dtype=complex)
+        whole = _random_density(rng, 16)
+        corner = np.linalg.norm(whole[:2, 14:], 2)
+        whole[:2, 14:] = whole[14:, :2] = 0.0
+        whole += corner * np.eye(16)  # the zeroed pair of tiles moved no eigenvalue further
+        rho0[0] = whole / np.trace(whole).real
+        levels = np.array([0, 1, 14, 15])
+        rho0[1][np.ix_(levels, levels)] = _random_density(rng, 4)
         channels = [Dissipator(op, r) for op, r in zip(ops, rates)]
-        rates_of = dynamics._decay_rates(channels, 16, 3)
-        assert [dynamics._support(rho0[k:k + 1], rates_of, 2).mean() for k in range(3)] == [
-            0.25] * 3
-        assert dynamics._support(rho0, rates_of, 2).mean() == dynamics.SHARE
+        rates_of = dynamics._decay_rates(channels, 16, 2)
+        assert [dynamics._support(rho0[k:k + 1], rates_of, 2).sum() for k in range(2)] == [
+            62, 10]
+        assert dynamics._support(rho0, rates_of, 2).all()
         grid = TimeGrid(0.0, 1.0, 120)
         made = self._spy(monkeypatch)
         stack = propagate_lindblad(h, channels, rho0, grid)
         assert made == []
         singles = [propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
-                                      rho0[k], grid) for k in range(3)]
-        assert made == [64] * 3
+                                      rho0[k], grid) for k in range(2)]
+        assert made == [62 * 4, 10 * 4]
         assert not any(self._assert_members_keep_their_runs(stack, singles, rho0, channels, 2))
         self._force_grouped(monkeypatch)
-        for k in range(3):
+        for k in range(2):
             forced = propagate_lindblad(h, [Dissipator(op, r[k]) for op, r in zip(ops, rates)],
                                         rho0[k], grid)
-            assert np.array_equal(stack.final[k], forced.final)
+            for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+                assert np.array_equal(getattr(stack, name)[k], getattr(forced, name)), name
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_a_channel_at_rate_0_widens_no_support(self, monkeypatch, members):
+        # level 0 is excited in every qubit: qubit 0's decay moves tile
+        # (0, 0) to (4, 4), and the other qubits' channels, passed at rate 0
+        # for every member, reach nothing
+        rng = np.random.default_rng(9)
+        h = _group_hamiltonian(rng, 8, 2)
+        ops = [embed_qubit_operator(SIGMA_MINUS, 4, q) for q in range(4)]
+        rho0 = np.zeros((16, 16), dtype=complex)
+        rho0[0, 0] = 1.0
+        rate, zero = (0.7, 0.0) if members == 1 else (np.array([0.7, 1.3]), np.zeros(2))
+        if members > 1:
+            rho0 = np.array([rho0] * members)
+        grid = TimeGrid(0.0, 1.0, 150)
+        made = self._spy(monkeypatch)
+        alone = propagate_lindblad(h, [Dissipator(ops[0], rate)], rho0, grid)
+        passed = propagate_lindblad(
+            h, [Dissipator(ops[0], rate)] + [Dissipator(op, zero) for op in ops[1:]], rho0, grid)
+        assert made == [2 * 4] * 2
+        for name in ("matrices", "final", "trace_drift", "min_eigenvalue"):
+            assert np.array_equal(getattr(passed, name), getattr(alone, name)), name
 
 
 class TestSupportDamping:
@@ -1158,7 +1185,7 @@ class TestObserver:
         if kind in ("support", "mixed"):
             # entries scattered into the reused buffer against the grouped
             # steps, which write all d^2 of them every block
-            monkeypatch.setattr(dynamics, "SHARE", 0.0)
+            monkeypatch.setattr(dynamics, "TILE", 0)
             grouped = self._propagate(kind, steps, dim=core[0]).matrices
             assert np.max(np.abs(blocks - grouped)) <= 1e-14
 

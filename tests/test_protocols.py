@@ -511,7 +511,7 @@ class TestMemory:
         plan = plan_ghz(model)
         support = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
                                       compute_residual=False)
-        monkeypatch.setattr(dynamics, "SHARE", 0.0)
+        monkeypatch.setattr(dynamics, "TILE", 0)
         dense = run_protocol_kappas(plan, model, [0.0145, 0.3], grid_steps=400,
                                     compute_residual=False)
         for got, want in zip(support, dense):
@@ -825,6 +825,23 @@ class TestSpanLength:
             assert got.diagnostics == want.diagnostics
 
 
+class TestUnitaryLayout:
+    def test_fortran_ordered_exponentials_give_the_same_bits(self, monkeypatch):
+        # the runs take each group's unitaries as u[:, which], whose strides
+        # follow u's, and a product's bits can follow the strides
+        model = QubitModel(qubits=3, omega=CALIBRATED_OMEGA_T)
+        plan = plan_ghz(model)
+        want = run_protocol_kappas(plan, model, [0.0, 0.0145], grid_steps=300,
+                                   compute_residual=False)
+        expm = dynamics.expm_hermitian
+        monkeypatch.setattr(dynamics, "expm_hermitian",
+                            lambda *args: np.asfortranarray(expm(*args)))
+        got = run_protocol_kappas(plan, model, [0.0, 0.0145], grid_steps=300,
+                                  compute_residual=False)
+        for mine, theirs in zip(got, want):
+            _assert_same_result(mine, theirs)
+
+
 class TestDecayChannels:
     @pytest.mark.parametrize("qubits", [3, 4, 5, 6])
     def test_bits_and_rates_are_those_of_the_dense_operators(self, qubits):
@@ -855,11 +872,14 @@ class TestDecayChannels:
 
 class TestOpenForms:
     @pytest.mark.parametrize("mode", ["effective", "rotating-frame"])
-    @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
-    def test_every_stack_of_a_protocol_run_takes_one_form(self, monkeypatch, qubits, mode):
+    @pytest.mark.parametrize("protocol", ["bell", "bell-reverse", 3, 4, 5, 6, 7])
+    def test_every_stack_of_a_protocol_run_takes_one_form(self, monkeypatch, protocol, mode):
         # a runner's stack members start from one state and share the
         # channels, so at these rates they reach the same tiles, and the
-        # stack takes the form each member's own run would
+        # stack takes the form each member's own run would: the support
+        # form wherever the decay leaves a tile unreached or d <= DENSE,
+        # which leaves the grouped form only to the last rotating-frame
+        # step of GHZ4 and up, which reaches every tile of d >= 16
         forms = []
         for name in ("_grouped_steps", "_support_steps"):
             def spied(*args, _name=name, _steps=getattr(dynamics, name)):
@@ -872,12 +892,15 @@ class TestOpenForms:
             forms.append([])
             return open_form(*args)
         monkeypatch.setattr(dynamics, "_open_form", counted)
+        qubits = 2 if isinstance(protocol, str) else protocol
         model = QubitModel(qubits=qubits, omega=CALIBRATED_OMEGA_T)
-        plan = plan_bell(model) if qubits == 2 else plan_ghz(model)
+        plan = {"bell": plan_bell, "bell-reverse": plan_bell_reverse}.get(protocol, plan_ghz)(
+            model)
         run_protocol_kappas(plan, model, [0.0, 0.0145, 0.3], mode=mode, grid_steps=64,
                             strict=False, compute_residual=False)
-        assert len(forms) == len(plan.steps)
-        assert all(len(made) == 1 for made in forms), forms
+        grouped = mode == "rotating-frame" and qubits >= 4
+        assert forms == [["_support_steps"]] * (len(plan.steps) - 1) + [
+            ["_grouped_steps" if grouped else "_support_steps"]]
 
     def test_the_stack_read_is_compiled_once_per_step(self, monkeypatch):
         # once per step for its damped nodes, and once for the first step's

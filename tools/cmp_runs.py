@@ -17,9 +17,10 @@ on PYTHONPATH:
 
 Every CSV, manifest, sweep table and report is compared byte for byte, as is
 each command's exit code and error output.  One `same` or `DIFF` line is
-printed per artifact as soon as it is compared, and one `FAIL` line per
-command of the working tree that exits nonzero; the exit code is 1 if
-anything differs or fails, else 0.
+printed per artifact as soon as it is compared, one `FAIL` line per
+command of the working tree that exits nonzero, and last one summary line,
+`N same, M DIFF, F FAIL`; the exit code is 1 if anything differs or fails,
+else 0.
 A `DIFF` line of a CSV or JSON file of the same shape on both sides (same
 header and row count, or same keys and list lengths) ends with the largest
 absolute difference of each numeric column or field that moved, e.g.
@@ -181,23 +182,34 @@ def moves(a: Path, b: Path) -> str:
     return f" ({'; '.join(parts)})" if parts else ""
 
 
-def compare(ref: Path, work: Path) -> bool:
-    """Print one line per artifact of either side; True if all are the same."""
+def compare(ref: Path, work: Path) -> tuple[int, int]:
+    """Print one line per artifact of either side; return the numbers of
+    `same` and `DIFF` lines."""
     names = sorted({p.relative_to(ref) for p in ref.rglob("*") if p.is_file()}
                    | {p.relative_to(work) for p in work.rglob("*") if p.is_file()})
-    same = True
+    same = 0
     for name in names:
         a, b = ref / name, work / name
         if not (a.is_file() and b.is_file()):
             side = "the working tree" if b.is_file() else "REF"
             print(f"DIFF {name} (only in {side})", flush=True)
-            same = False
         elif filecmp.cmp(a, b, shallow=False):
             print(f"same {name}", flush=True)
+            same += 1
         else:
             print(f"DIFF {name}{moves(a, b)}", flush=True)
-            same = False
-    return same
+    return same, len(names) - same
+
+
+def report(ref: Path, work: Path, failed: dict) -> int:
+    """Compare the outputs `ref` and `work` (`compare`), print one `FAIL`
+    line per command of `failed`, {name: exit code}, then the summary line,
+    and return the exit code."""
+    same, differ = compare(ref, work)
+    for name, code in failed.items():
+        print(f"FAIL {name} (exit {code})")
+    print(f"{same} same, {differ} DIFF, {len(failed)} FAIL")
+    return 1 if differ or failed else 0
 
 
 def main() -> int:
@@ -214,10 +226,7 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
         run_all(ref_tree, tmp / "ref-out")
         failed = run_all(WORK, tmp / "work-out")
-        same = compare(tmp / "ref-out", tmp / "work-out")
-        for name, code in failed.items():
-            print(f"FAIL {name} (exit {code})")
-        return 0 if same and not failed else 1
+        return report(tmp / "ref-out", tmp / "work-out", failed)
 
 
 if __name__ == "__main__":
