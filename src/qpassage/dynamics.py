@@ -26,21 +26,28 @@ channel whose rate is 0 for every member reaching nothing.  u is block
 diagonal over the groups of H, so u sigma u+ keeps each (row group, column
 group) tile of sigma to itself, and only the jumps move weight from tile
 to tile (`_support`).  In groups of at most TILE levels, unless the stack
-reaches every tile of more than DENSE levels, sigma is carried as its E
-reachable entries alone, D is compiled once from its terms over them, the
-products of p that feed each entry (`_terms`), and applied as one real
-matrix product up to MATRIX entries, as one fixed gather above
-(`_gathers`), and u sigma u+ is one product per tile (`_support_steps`).
-Every stack that leaves a tile unreached, as most protocol steps do,
-takes this form, and so does every stack up to DENSE levels, whose step is
-then two products, the damping and the tiles'.  Every other stack, in
+reaches every tile of more than DENSE levels, sigma is carried as the E
+entries of its T reachable tiles alone, and D as G (x) D_in, exact because
+the channels commute and the weight factorizes per bit: G damps the bits
+of the group index, moving whole tiles into tiles, and D_in, one b^2 x b^2
+matrix for every tile, the bits inside the groups.  Each is compiled once
+per form from its terms, the products of p that feed each entry
+(`_terms`), and evaluated at dt/2 and dt.  G is one real product of the
+tiles' float rows up to MATRIX tiles, one fixed gather of them above
+(`_gathers`); D_in is folded into the Kronecker factors of u sigma u+ by
+one product per member and block of steps, and u sigma u+ is one product
+per tile (`_support_steps`).  A one-tile support's G is the identity: it
+is damped by D_in's own product instead.  Every stack that leaves a tile
+unreached, as most protocol steps do, takes this form, and so does every
+stack up to DENSE levels, whose step is then G's product, the factors'
+gather onto the tiles and the tiles' product.  Every other stack, in
 groups of more than TILE levels (such as any dense H of more than TILE
-levels gives), empty, or reaching every tile of more than DENSE levels (the
-last rotating-frame protocol step from GHZ4 on), is damped in place by
-D(dt) through views bound once per propagation and multiplied by u group
-by group (`_grouped_steps`, see below).  The forms agree to round-off.  A
-node rho = D(dt/2) sigma is formed only where it is needed: at the
-positivity checkpoints and the end.  Every form hands its nodes in one
+levels gives), empty, or reaching every tile of more than DENSE levels
+(the last rotating-frame protocol step from GHZ4 on), is damped in place
+by D(dt) through views bound once per propagation and multiplied by u
+group by group (`_grouped_steps`, see below).  The forms agree to
+round-off.  A node rho = D(dt/2) sigma is formed only where it is needed:
+at the positivity checkpoints and the end.  Every form hands its nodes in one
 layout, their values at a fixed set of flat positions of a d x d matrix
 (all d^2 of them unless the support form carries fewer), and this module
 alone knows it: every reader goes through two helpers.  `_reader`
@@ -97,6 +104,7 @@ block the same bits in any stack.  H is taken at the same midpoints whatever the
 span, so the span moves no bit of a result.  Closed runs advance the state
 group by group; open runs take u rho u+ as two grouped products of (b, b)
 blocks by (b, d) rows or as one Kronecker product per reachable tile.
+A pure state steps only the groups it occupies, since the others stay 0.
 Ordering the levels so that H falls into groups is the caller's business;
 with S = 1 the arithmetic is the dense one.  The group shape (S, b) of the
 first span holds for the whole propagation: a span whose H comes in
@@ -162,7 +170,7 @@ SPAN = 256  # grid intervals per H evaluation above DENSE levels, a multiple of 
 CHECKPOINTS = 10  # positivity checks per open propagation
 DENSE = 8  # largest d whose spans are 2 SPAN and whose whole stacks take the support form
 TILE = 4  # largest group of levels whose open steps may take the support form
-MATRIX = 192  # most entries of a support whose damping may take one matrix product
+MATRIX = 320  # most tiles of a support whose group-index damping may take one matrix product
 
 
 class StepSizeError(RuntimeError):
@@ -382,34 +390,48 @@ def _propagate(hamiltonian: Callable, grid: TimeGrid, dim: int, runs: list) -> l
 def _schrodinger_run(psi0: np.ndarray, grid: TimeGrid, observe: Callable | None = None) -> tuple:
     """The run of `propagate_schrodinger` as an (advance, finish) pair for
     `_propagate`: the entry check (check_state_vector) and node 0 happen
-    here, finish() returns the StateTrajectory."""
+    here, finish() returns the StateTrajectory.  u is block diagonal, so a
+    group psi0 leaves empty stays empty: the run finds the groups psi0
+    occupies at the first block, once the group size is known, and steps
+    those alone, each node holding 0 in every other group."""
     psi = check_state_vector(psi0).astype(complex)
     times = grid.times
     out = None
     if observe is None:
         out = np.empty((times.size, psi.size), dtype=complex)
         observe = _recorder(out, 1)
-    buf = np.empty((min(BLOCK, grid.steps), psi.size), dtype=complex)
+    buf = np.zeros((min(BLOCK, grid.steps), psi.size), dtype=complex)  # 0 where psi0 is
     buf[0] = psi
     observe(0, buf[:1])
     drift = 0.0
+    occupied = stepped = None  # the groups psi0 occupies, and a block of psi on them
 
     def advance(start: int, u: np.ndarray, which: np.ndarray) -> None:
-        nonlocal psi, drift
-        u = u[:, which]
-        nodes = buf[:len(u)]
-        grouped = nodes.reshape(u.shape[:2] + (-1, 1))  # each node as (S, b, 1) columns
-        psi = psi.reshape(grouped.shape[1:])
+        nonlocal psi, drift, occupied, stepped
+        if occupied is None:
+            grouped = psi.reshape(which.size, -1, 1)
+            occupied = np.flatnonzero(grouped.any(axis=(1, 2)))
+            psi = grouped[occupied]  # (s, b, 1) columns
+            # psi0 in every group steps in the node buffer itself, else in a
+            # block scattered into the occupied groups
+            stepped = (buf.reshape((len(buf),) + psi.shape) if occupied.size == which.size
+                       else np.empty((len(buf),) + psi.shape, dtype=complex))
+        u = u[:, which[occupied]]
         for j, step in enumerate(u):
             psi = step @ psi
-            grouped[j] = psi
+            stepped[j] = psi
+        nodes = buf[:len(u)]
+        if occupied.size < which.size:
+            nodes.reshape(len(u), which.size, -1, 1)[:, occupied] = stepped[:len(u)]
         # frobenius sums each node's squares as np.linalg.norm does
         drift = max(drift, float(np.max(np.abs(frobenius(nodes[:, None, :]) - 1.0))))
         observe(start + 1, nodes)
 
     def finish() -> StateTrajectory:
         if out is None:
-            return StateTrajectory(times[-1:], psi.reshape(1, -1), drift)
+            final = np.zeros((1, buf.shape[1]), dtype=complex)
+            final.reshape((-1,) + psi.shape[1:])[occupied] = psi
+            return StateTrajectory(times[-1:], final, drift)
         return StateTrajectory(times, out, drift)
     return advance, finish
 
@@ -424,8 +446,9 @@ def propagate_schrodinger(hamiltonian: Callable[[np.ndarray], np.ndarray],
     state's levels (see the module docstring for the span and the
     callable's contract).
     It must be Hermitian to 1e-10 (relative); each step exponentiates the
-    S blocks and advances psi group by group, so the propagator is unitary
-    up to round-off and norm drift only reflects accumulated floating-point
+    S blocks and advances psi group by group, only the groups psi0
+    occupies, since u keeps the others 0, so the propagator is unitary up
+    to round-off and norm drift only reflects accumulated floating-point
     error.
     `observe(first, states)` receives node 0 and then each block's nodes,
     at most BLOCK of them, as an (n, d) view of a reused buffer (copy what
@@ -582,121 +605,189 @@ def _entries(tiles: np.ndarray, size: int) -> np.ndarray:
             + (cols * size)[:, None, None] + level).ravel()
 
 
-def _terms(damping: tuple, entries: np.ndarray, dim: int) -> tuple:
-    """D (see `_damping`) on the entries of sigma at the flat positions
-    `entries`, a set closed under the jumps (see `_support`), as its terms
-    (dst, src, coef, weight): term i adds coef[:, i] times entry src[i] into
-    entry dst[i], and the (K, E) weight then multiplies each entry.
+def _terms(masks: list, entries: np.ndarray, dim: int) -> tuple:
+    """D (see `_damping`) on the entries of a dim x dim matrix at the flat
+    positions `entries`, a set closed under the jumps of the bits `masks`
+    (see `_support`), as the index work of its terms and weight,
+    (dst, src, fed, excited): term i adds entry src[i] into entry dst[i]
+    times the product of p over the masks fed[:, i] marks, one row per mask
+    in the order of `masks`, and excited[f, e], 0, 1 or 2, counts the ends,
+    row and column, of entry e where bit masks[f] is excited (0), which
+    picks its factor of the weight, 1, sqrt(keep) or keep.  None of it
+    depends on tau, so a form makes it once and evaluates it at both of its
+    taus (`_coefficients`).
 
     Feeding the bits one after another, as `_damper` does, sums into entry
     (x, y) the entry (x - A, y - A) times the product of p over the bits A,
     for every set A of bits that are ground (1) in both x and y; the weight
     then multiplies the sum.  Each such term whose source lies in the set
-    is one triple; its coefficient is the product of p in the order of the
-    feeds, as `_damper` forms it.  A pair (x, y), (x - A, y - A) fixes A,
-    so it has one term.  The terms come in the reverse of their making:
-    those of the last fed bit first, the entry's own term last."""
-    feeds, weight = damping
-    members, count = weight.shape[0], entries.size
+    is one pair; a pair (x, y), (x - A, y - A) fixes A, so it has one term.
+    The terms come in the reverse of their making: those of the last fed
+    bit first, the entry's own term last."""
+    count = entries.size
     rows, cols = np.divmod(entries, dim)
+    ground = rows & cols
+    position = np.full(dim * dim, -1)  # of each flat position among the entries
+    position[entries] = np.arange(count)
     dst = src = np.arange(count)
-    coef = np.ones((members, count))
-    for mask, p in feeds:
-        fed = np.flatnonzero(rows[src] & cols[src] & mask)
-        at = _located(entries, entries[src[fed]] - mask * (dim + 1))
-        fed, at = fed[at >= 0], at[at >= 0]  # outside the set a source is exactly 0
-        dst, src = np.concatenate([dst, dst[fed]]), np.concatenate([src, at])
-        coef = np.concatenate([coef, coef[:, fed] * p.real.reshape(members, 1)], axis=1)
-    weight = weight.reshape(members, -1)[:, entries].real
-    return dst[::-1], src[::-1], coef[:, ::-1], weight
+    fed = np.zeros((len(masks), count), dtype=bool)
+    for f, mask in enumerate(masks):
+        new = np.flatnonzero(ground[src] & mask)
+        at = position[entries[src[new]] - mask * (dim + 1)]
+        new, at = new[at >= 0], at[at >= 0]  # outside the set a source is exactly 0
+        dst, src = np.concatenate([dst, dst[new]]), np.concatenate([src, at])
+        fed = np.concatenate([fed, fed[:, new]], axis=1)
+        fed[f, dst.size - new.size:] = True
+    bits = np.reshape(masks, (-1, 1)).astype(int)
+    excited = (rows & bits == 0).astype(int) + (cols & bits == 0)
+    return dst[::-1], src[::-1], fed[:, ::-1], excited
 
 
-def _gathers(damping: tuple, entries: np.ndarray, dim: int) -> Callable:
-    """D (see `_damping`) on the (K, E) entries of sigma at the flat
-    positions `entries`, compiled once from its terms (`_terms`): the
-    returned function damp(x, out) writes D(x) into out, x and out being
-    (K, E, 2) float views of K E complex values.
+def _coefficients(terms: tuple, keep: np.ndarray) -> tuple:
+    """The terms and weight (`_terms`) of D where each mask keeps the
+    (F, K) share keep = exp(-rate tau) of its excited population, one row
+    per mask: (coef, weight), the (K, T) product of p = 1 - keep of each
+    term and the (K, E) weight of each entry, each multiplied up in the
+    order of the masks, as `_damping` and `_damper` form them, so with
+    their bits."""
+    _, _, fed, excited = terms
+    share = keep[..., None]
+    factors = np.concatenate([np.ones_like(share), np.sqrt(share), share], axis=2)
+    # a product over the masks multiplies in their order, 1 exactly where a
+    # mask takes no part
+    coef = np.multiply.reduce(np.where(fed[:, None], 1.0 - share, 1.0), axis=0)
+    weight = np.multiply.reduce(np.take_along_axis(factors, excited[:, None], axis=2), axis=0)
+    return coef, weight
 
-    Up to MATRIX entries D is one real (K, E, E) product, the weight folded
-    into each member's matrix rows, with the (E, 2) float view of the
-    member's entries.  Above, it is one fixed real gather, one
-    `np.bincount` over the float view of the terms, each summed into its
-    entry in the order of `_terms`, then times the weight.  That order sums
-    an entry's small terms before they meet the large one: summed the other
-    way round, open GHZ5 moved by up to 7.3e-14 from the feed-by-feed sums,
-    against 5.3e-15 this way.  BLAS sums each entry's terms in an order of
-    its own, fused multiply-adds included, which depends on E, so a member
-    damped on more entries than its own run holds may differ from that run
-    by round-off."""
-    dst, src, coef, weight = _terms(damping, entries, dim)
+
+def _matrix(terms: tuple, keep: np.ndarray) -> np.ndarray:
+    """D (see `_coefficients`) as one real (K, E, E) matrix per member, the
+    weight folded into its rows."""
+    dst, src, _, _ = terms
+    coef, weight = _coefficients(terms, keep)
+    rows = np.zeros(weight.shape + weight.shape[-1:])
+    rows[:, dst, src] = coef * weight[:, dst]
+    return rows
+
+
+def _product(rows: np.ndarray) -> Callable:
+    """damp(x, out) writing rows @ x into out: one real product per member."""
+    product = partial(np.matmul, rows)  # a step calls it, so no Python frame of its own
+    product.__name__ = "product"
+    return product
+
+
+def _gathers(terms: tuple, keep: np.ndarray, width: int) -> Callable:
+    """G, the damping of the group-index bits (see `_support_steps`), on
+    the (K, T) reachable tiles of sigma, compiled once from its terms on
+    the (S, S) matrix of tiles (`_terms`) and the (F, K) keep of its masks
+    (`_coefficients`): the returned function damp(x, out) writes G(x) into
+    out, x and out being (K, T, width) float views, a row of `width`
+    floats per tile.  G is real and acts on every float of a tile alike.
+
+    Up to MATRIX tiles G is one real (K, T, T) product, the weight folded
+    into each member's matrix rows.  Above, it is one fixed real gather,
+    one `np.bincount` over the rows of the terms, each summed into its
+    tile in the order of `_terms`, then times the weight.  That order sums
+    a tile's small terms before they meet the large one.  BLAS sums each
+    tile's terms in an order of its own, fused multiply-adds included,
+    which depends on T, so a member damped on more tiles than its own run
+    holds may differ from that run by round-off."""
+    dst, src, _, excited = terms
+    if excited.shape[1] <= MATRIX:
+        return _product(_matrix(terms, keep))
+    coef, weight = _coefficients(terms, keep)
     members, count = weight.shape
-    if count <= MATRIX:
-        rows = np.zeros((members, count, count))
-        rows[:, dst, src] = coef * weight[:, dst]
-        product = partial(np.matmul, rows)  # a step calls it, so no Python frame of its own
-        product.__name__ = "product"
-        return product
-
-    weight = np.repeat(weight, 2, axis=1).reshape(members, count, 2)
-    # each term once for the real part and once for the imaginary part
-    src = (2 * src[:, None] + [0, 1]).ravel()
-    bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * 2 + [0, 1]).ravel()
-    coef = np.repeat(coef, 2, axis=1)
+    floats = np.arange(width)
+    # each term once per float of its row
+    src = (width * src[:, None] + floats).ravel()
+    bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * width + floats).ravel()
+    coef = np.repeat(coef, width, axis=1)
+    weight = weight[..., None]
 
     def gather(x: np.ndarray, out: np.ndarray) -> None:
-        terms = x.reshape(members, 2 * count)[:, src]
+        terms = x.reshape(members, width * count)[:, src]
         terms *= coef
-        sums = np.bincount(bins, terms.ravel(), 2 * members * count)
+        sums = np.bincount(bins, terms.ravel(), width * members * count)
         np.multiply(sums.reshape(out.shape), weight, out=out)
     return gather
 
 
-def _support_steps(sigma: np.ndarray, damp: Callable, damp_full: Callable, buf: np.ndarray,
+def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
                    entries: np.ndarray, tiles: tuple) -> Callable:
     """`_grouped_steps` on the (K, E) entries of sigma at the flat positions
-    `entries` (see `_support`), node j going to buf[:, j], (K, E): D as
-    `_gathers` compiles it, `damp` (D(dt/2)) at the first step and
-    `damp_full` (D(dt)) after it, then u sigma u+ per tile, `tiles` being
-    the (rows, cols) arrays of each tile's row and column group, in the
-    order of `entries`, and tile (r, c) being u_r T u_c+.  In the C order of
-    the tile's entries that is one product with kron(u_r, conj(u_c)).  The
-    factors are made once per block of step unitaries, into a buffer made
-    once, for each pair of classes of groups the tiles hold, u holding the
-    classes' unitaries and `which` the class of each group (see
+    `entries` (see `_support`), node j going to buf[:, j], (K, E): D(dt/2)
+    `half` at the first step and D(dt) `full` after it, then u sigma u+ per
+    tile, `tiles` being the (rows, cols) arrays of each tile's row and
+    column group, in the order of `entries`, and tile (r, c) being
+    u_r T u_c+.  In the C order of the tile's entries that is one product
+    with kron(u_r, conj(u_c)).
+
+    The decay channels commute and the weight factorizes per bit, so D is
+    G (x) D_in: G damps the bits of the group index, moving whole tiles
+    into tiles (see `_support`), and D_in, one (K, b^2, b^2) matrix for
+    every tile, the bits inside the groups.  Each damping comes as
+    (damp, inner): damp(x, out) applies G to the float rows of the tiles
+    (`_gathers`) and the real inner, D_in, is folded into the Kronecker
+    factors once per block, one product per member on the rows of all the
+    block's factors, so a step is G's product, the factors' `take` and the
+    tiles' product.  On one tile G is the identity, and the tile is damped
+    whole, by damp, D_in's product on its b^2 entries, before the unfolded
+    factor (inner None): the bits of damping its entries by one product.
+
+    The factors are made once per block of step unitaries, into a buffer
+    made once, for each pair of classes of groups the tiles hold, u holding
+    the classes' unitaries and `which` the class of each group (see
     `_step_unitaries`; a protocol step has at most two classes, so at most
-    four pairs), and gathered onto the tiles at each step, unless every tile
-    holds a pair of its own.  The pairs of the tiles are found once per
-    distinct `which`, and every view a step reads or writes once, so a step
-    is the damping product and the tiles' product."""
+    four pairs), and gathered onto the tiles at each step, unless every
+    tile holds a pair of its own.  The pairs of the tiles are found once
+    per distinct `which`, and every view a step reads or writes once."""
     rows, cols = tiles
     members, count, tile = sigma.shape[0], buf.shape[1], entries.size // rows.size
+    (damp, first), (damp_full, inner) = half, full
+    width = 2 if inner is None else 2 * tile  # the floats of a row damp mixes
+    if inner is not None:
+        first, inner = (np.asarray(m, dtype=complex) for m in (first, inner))
     damped = np.empty_like(sigma)
-    # what a step reads and writes: sigma or the previous node as floats,
-    # the damped values as floats and by tile, the node by tile
-    floats = [sigma.view(float).reshape(members, -1, 2)] + list(
-        buf.view(float).reshape(members, count, -1, 2).swapaxes(0, 1))
+    # what a step reads and writes: sigma or the previous node as float
+    # rows, the damped values as float rows and by tile, the node by tile
+    floats = [sigma.view(float).reshape(members, -1, width)] + list(
+        buf.view(float).reshape(members, count, -1, width).swapaxes(0, 1))
     nodes = list(buf.reshape(members, count, -1, tile, 1).swapaxes(0, 1))
-    damped_floats = damped.view(float).reshape(members, -1, 2)
+    damped_floats = damped.view(float).reshape(members, -1, width)
     damped_tiles = damped.reshape(members, -1, tile, 1)
-    gathered = np.empty((rows.size, tile, tile), dtype=complex)
-    known = {}  # per distinct `which`: left and right classes, each tile's pair, factor buffer
+    gathered = np.empty((members,) * (inner is not None) + (rows.size, tile, tile), dtype=complex)
+    known = {}  # per distinct `which`: left and right classes, each tile's pair, factor buffers
 
     def steps(u: np.ndarray, which: np.ndarray) -> None:
-        nonlocal damp
+        nonlocal damp, first
         n, classes, size = u.shape[:3]
         key = (classes, which.tobytes())
         if key not in known:
             pairs, pair = np.unique(which[rows] * classes + which[cols], return_inverse=True)
             left, right, pair = ((which[rows], which[cols], None) if pairs.size == rows.size
                                  else (pairs // classes, pairs % classes, pair))
-            known[key] = left, right, pair, np.empty((count, left.size) + (size,) * 4,
-                                                     dtype=complex)
-        left, right, pair, kron = known[key]
+            kron = np.empty((count, left.size) + (size,) * 4, dtype=complex)
+            folded = None if inner is None else np.empty((members, count, left.size, tile, tile),
+                                                         dtype=complex)
+            known[key] = left, right, pair, kron, folded
+        left, right, pair, kron, folded = known[key]
         np.multiply(u[:, left, :, None, :, None], u[:, right, None, :, None, :].conj(),
                     out=kron[:n])
         factors = kron[:n].reshape(n, -1, tile, tile)
+        if inner is not None:
+            # each member's D_in right-multiplies the rows of every factor
+            # of the block at once: one BLAS product, not n pairs of small ones
+            for k, matrix in enumerate(inner):
+                np.matmul(factors.reshape(-1, tile), matrix, out=folded[k, :n].reshape(-1, tile))
+            if first is not None:  # the first step damps by dt/2
+                for k, matrix in enumerate(first):
+                    np.matmul(factors[0].reshape(-1, tile), matrix,
+                              out=folded[k, 0].reshape(-1, tile))
+                first = None
+            factors = folded[:, :n].swapaxes(0, 1)
         if pair is not None:
-            factors = (step.take(pair, axis=0, out=gathered) for step in factors)
+            factors = (step.take(pair, axis=-3, out=gathered) for step in factors)
         x = floats[0]
         for factor, node, after in zip(factors, nodes, floats[1:n + 1]):
             damp(x, damped_floats)
@@ -707,33 +798,55 @@ def _support_steps(sigma: np.ndarray, damp: Callable, damp_full: Callable, buf: 
     return steps
 
 
-def _open_form(sigma: np.ndarray, size: int, half: tuple, full: tuple, rates: dict,
-               nodes: int) -> tuple:
+def _open_form(sigma: np.ndarray, size: int, rates: dict, dt: float, nodes: int) -> tuple:
     """The step form of an open run on the (K, d, d) stack sigma (C order)
-    for step unitaries over groups of `size` levels, as (steps, node buffer,
-    entries), one form for every member: `_support_steps` on the stack's
-    reachable tiles (`_support`) for a nonempty stack in groups of at most
-    TILE levels, unless it reaches every tile of more than DENSE levels;
-    `_grouped_steps` otherwise.  The support form damps its entries by
-    `_gathers`.  The buffer holds n nodes of each member as (K, n, E) values
-    at the flat positions `entries` of a d x d matrix: the support form's
-    entries, else all d^2, the grouped form's (K, n, d, d) buffer viewed
-    flat.  A member's own run takes the same form on the same entries, so
-    the same bits, exactly when it reaches, under its own decaying
-    channels, every tile the stack reaches."""
+    for step unitaries over groups of `size` levels, its channels `rates`
+    (see `_decay_rates`) and steps of dt, as (steps, node buffer, reading),
+    one form for every member: `_support_steps` on the stack's reachable
+    tiles (`_support`) for a nonempty stack in groups of at most TILE
+    levels, unless it reaches every tile of more than DENSE levels;
+    `_grouped_steps` otherwise.  The buffer holds n nodes of each member as
+    (K, n, E) values at the flat positions `entries` of a d x d matrix: the
+    support form's entries, else all d^2, the grouped form's (K, n, d, d)
+    buffer viewed flat.  The reading, (feeds, weight, entries) of D(dt/2),
+    says how they make the nodes rho (see `_lindblad_run`).
+
+    The support form splits D into G (x) D_in (see `_support_steps`) and
+    makes the index work of each factor's terms once, evaluating it at
+    dt/2 and dt: D_in on the b^2 entries of a tile, from the bits inside
+    the groups, and G on the (S, S) matrix of tiles, from the bits of the
+    group index, each bit m of it being bit m / b of the group.  A member's
+    own run takes the same form on the same entries, so the same bits,
+    exactly when it reaches, under its own decaying channels, every tile
+    the stack reaches."""
     members, dim = sigma.shape[0], sigma.shape[-1]
+    taus = (0.5 * dt, dt)
+    half = _damping(rates, taus[0], members, dim)
     if size <= TILE and members:  # an empty stack steps grouped
         tiles = _support(sigma, rates, size)
         if dim <= DENSE or not tiles.all():
             entries = _entries(tiles, size)
-            damp, damp_full = (_gathers(damping, entries, dim) for damping in (half, full))
+            # the keep of each channel and whether its bit lies inside the groups
+            keep = [np.exp(-np.reshape(list(rates.values()), (-1, members)) * tau) for tau in taus]
+            inside = np.array([mask < size for mask in rates], dtype=bool)
+            local = np.arange(size * size)
+            terms = _terms([mask for mask in rates if mask < size], local, size)
+            inner = [_matrix(terms, share[inside]) for share in keep]
+            if np.count_nonzero(tiles) == 1:  # G is the identity
+                dampings = [(_product(matrix), None) for matrix in inner]
+            else:
+                at = np.flatnonzero(tiles)
+                terms = _terms([mask // size for mask in rates if mask >= size], at, dim // size)
+                dampings = [(_gathers(terms, share[~inside], 2 * size * size), matrix)
+                            for share, matrix in zip(keep, inner)]
             carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
             buf = np.empty((members, nodes, entries.size), dtype=complex)
-            return (_support_steps(carried, damp, damp_full, buf, entries, np.nonzero(tiles)),
-                    buf, entries)
+            return (_support_steps(carried, *dampings, buf, entries, np.nonzero(tiles)),
+                    buf, half + (entries,))
     buf = np.empty((members, nodes, dim * dim), dtype=complex)
-    steps = _grouped_steps(sigma, half, full, buf.reshape(members, nodes, dim, dim))
-    return steps, buf, np.arange(dim * dim)
+    steps = _grouped_steps(sigma, half, _damping(rates, dt, members, dim),
+                           buf.reshape(members, nodes, dim, dim))
+    return steps, buf, half + (np.arange(dim * dim),)
 
 
 def _traces(nodes: np.ndarray, on: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarray:
@@ -833,14 +946,15 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
 
     * in groups of at most TILE levels, `_support_steps`: the tiles the
       members can reach are compiled into one mask (`_support`), and the
-      stack carries the E entries of those tiles alone, so the node
-      buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2), damps them by
-      one matrix product up to MATRIX entries, else by the gather
-      (`_gathers`), and takes u sigma u+ as one product per tile.  Every
-      stack that leaves a tile unreached takes it, and up to DENSE levels
-      every stack, whose step is then two products.  In effective mode E
-      is a small share of d^2: 480 of 1,024 entries at GHZ5's last step,
-      2,336 of 16,384 at GHZ7's;
+      stack carries the E entries of those T tiles alone, so the node
+      buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  It damps the
+      group-index bits by one product of the tiles' float rows up to
+      MATRIX tiles, else by the gather (`_gathers`), folds the damping of
+      the bits inside the groups into the Kronecker factors, and takes
+      u sigma u+ as one product per tile.  Every stack that leaves a tile
+      unreached takes it, and up to DENSE levels every stack.  In effective
+      mode E is a small share of d^2: 480 of 1,024 entries (120 tiles) at
+      GHZ5's last step, 2,336 of 16,384 (584 tiles) at GHZ7's;
     * otherwise `_grouped_steps`: D in place through `_damper`'s views,
       u sigma u+ by groups.  It takes the stacks the support form cannot
       or need not tile: groups of more than TILE levels, such as every
@@ -851,7 +965,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     A member that reaches, under its own decaying channels, every tile the
     stack reaches gets the bits of its own run, which takes the same form
     on the same entries.  Any other member differs from its own run by
-    round-off: its own run may damp fewer entries by a product BLAS sums
+    round-off: its own run may damp fewer tiles by a product BLAS sums
     in another order, or take the support form where the stack steps
     grouped.
 
@@ -864,22 +978,25 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     (faster in 12 of 12 runs each).  A whole stack above DENSE levels
     steps grouped: on rotating-frame GHZ4's last step the support form took
     44 ms against 64 at one rate (faster in 9 of 10) but 141 against 109 at
-    three, its 256 entries past MATRIX (slower in 8 of 10), on GHZ5's 137
-    against 112 at one rate and 364 against 206 at three (slower in 8 of 8
-    each), on GHZ7's 2.59 s against 0.77 at one rate.  The support form's
+    three, its 256 entries then past the product's 192 (slower in 8 of 10),
+    on GHZ5's 137 against 112 at one rate and 364 against 206 at three
+    (slower in 8 of 8 each), on GHZ7's 2.59 s against 0.77 at one rate (all
+    measured while the support form still damped entry by entry).  The
+    support form's
     Kronecker factors grow as b^4: with b = 8 it measured 2.1 times slower
     than the grouped form even on a sparse support (d = 32), with b = 16
     8.9 times (d = 64), hence TILE = 4, the largest group of a protocol
     step.
 
-    MATRIX = 192 is measured on D alone (one application to random values
-    on the closed supports of random groups, d = 32 and 64, b = 2 and 4,
-    best of 7 x 200 calls, one BLAS thread).  With one member the product
-    took 0.5 of the gather's time up to E = 64, 0.7-0.9 from E = 128 to
-    224 and 1.2-1.5 from E = 256 to 376, 2.7 at E = 480, GHZ5's last step,
-    and above 10 from E = 768, its E x E matrix growing as E^2; with two
-    members it stayed ahead up to E of about 340.  Up to MATRIX the
-    matrices take K E^2 8 bytes per damping, 0.3 MiB a member at E = 192."""
+    MATRIX = 320 is measured on G alone (one application to random float
+    rows, best of 7 x 200 calls, one BLAS thread, 2-core guest).  On the
+    supports of open GHZ6-GHZ8 steps (b = 2) the product took 0.2 of the
+    gather's time up to 48 tiles, 0.35 at 120, 0.7 at 272 and 2.3-2.5 at
+    584 with one member, 0.13-0.25 up to 120 tiles, 0.4-0.6 at 272 and 1.6
+    at 584 with two; on closed supports of random groups (d = 128 to 512,
+    b = 2 and 4) it took 0.34-0.87 of it up to 320 tiles and 1.1-1.6 on
+    most from 344 on, its T x T matrix growing as T^2.  Up to MATRIX the
+    matrices take K T^2 8 bytes per damping, 0.8 MiB a member at T = 320."""
     rho0 = np.asarray(rho0)
     if rho0.ndim not in (2, 3):
         raise ValueError(f"rho0 has shape {rho0.shape}; expected (d, d) or (K, d, d)")
@@ -888,8 +1005,6 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     _check_members(rho, single)
     members, dim = rho.shape[0], rho.shape[-1]
     rates = {mask: rate for mask, rate in rates.items() if rate.any()}
-    dt = grid.dt
-    half, full = (_damping(rates, tau, members, dim) for tau in (0.5 * dt, dt))
     times = grid.times
     drift = np.zeros(members)
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
@@ -901,10 +1016,11 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
         nonlocal drift, min_eig, final, form
         if form is None:
             # rho is carried as sigma; the first step damps by dt/2, every later one by dt
-            steps, buf, entries = _open_form(rho, u.shape[-1], half, full, rates,
+            steps, buf, reading = _open_form(rho, u.shape[-1], rates, grid.dt,
                                              min(BLOCK, grid.steps))
+            entries = reading[-1]
             on = np.flatnonzero(entries % (dim + 1) == 0)
-            form = (steps, buf, half + (entries,), (on, entries[on] // (dim + 1)))
+            form = (steps, buf, reading, (on, entries[on] // (dim + 1)))
             buf[:, 0] = rho.reshape(members, dim * dim)[:, entries]
             observe(0, buf[:, :1], (None, None, entries))
         steps, buf, reading, diagonal = form

@@ -4,7 +4,9 @@ The oracles here are deliberately independent of the library code paths they
 check: the Kronecker and Gram oracles are explicit element loops, the matrix
 exponential oracle is a truncated Taylor series, the propagation oracle
 steps the Schrodinger equation directly so reconstructed evolution operators
-and generated phases can be compared against raw integration, and the
+and generated phases can be compared against raw integration, the pure-run
+reference steps every group of levels where the propagator steps only the
+occupied ones, and the
 master-equation oracle is classic RK4 on the textbook right-hand side with
 dense matrices and any jump operators.  The passage-residual oracle forms
 the whole matrix dP/dt + i[H, P] and takes its Frobenius norm.  The frame
@@ -128,6 +130,26 @@ def lindblad_rk4(hamiltonian, dissipators, rho0: np.ndarray, grid) -> np.ndarray
         k4 = rhs(t + dt, rho + dt * k3)
         out[i + 1] = rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out
+
+
+def schrodinger_every_group(hamiltonian, psi0: np.ndarray, grid) -> tuple:
+    """(nodes, final state, norm drift) of the midpoint-exponential run of
+    `propagate_schrodinger` coded to step every group of levels, occupied
+    or not, on the propagator's own stream of step unitaries: the pure
+    run's reference, which steps only the groups psi0 occupies."""
+    psi = np.asarray(psi0, dtype=complex)
+    nodes = [psi]
+
+    def advance(start, u, which):
+        nonlocal psi
+        for step in u[:, which]:
+            psi = (step @ psi.reshape(step.shape[:2] + (1,))).ravel()
+            nodes.append(psi)
+
+    def finish():
+        states = np.array(nodes)
+        return states, psi, max(abs(float(np.linalg.norm(node)) - 1.0) for node in nodes)
+    return dynamics._propagate(hamiltonian, grid, psi.size, [(advance, finish)])[0]
 
 
 def residual_matrix_oracle(v: np.ndarray, dv: np.ndarray, h: np.ndarray):

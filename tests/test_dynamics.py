@@ -20,7 +20,7 @@ from qpassage.schedules import ParameterSchedule
 from qpassage.synthesis import generated_phases, synthesize_general
 
 from helpers import (SIGMA_X, SIGMA_Z, brute_force_unitaries, lindblad_rk4,
-                     random_schedule_set, residual_matrix_oracle)
+                     random_schedule_set, residual_matrix_oracle, schrodinger_every_group)
 
 
 class TestTimeGrid:
@@ -90,6 +90,64 @@ class TestSchrodinger:
         with pytest.raises(StateCheckError, match="not normalized"):
             propagate_schrodinger(lambda t: np.zeros((2, 2)), np.array([np.nan, 0.0]),
                                   TimeGrid(0, 1, 10))
+
+
+class TestOccupiedGroups:
+    """The pure run steps only the groups its entry state occupies, which
+    u, block diagonal over the groups, keeps to themselves: the bits of
+    stepping every group (`schrodinger_every_group`)."""
+
+    @staticmethod
+    def _case(occupied, form):
+        """(H, psi0, which): H over 8 groups of 2 levels, as a stack of 8
+        blocks or as a pair of 3 class blocks, psi0 random on `occupied`
+        groups, and each group's class (its own in a stack)."""
+        rng = np.random.default_rng(len(occupied) + (form == "pair"))
+        which = np.arange(8) if form == "stack" else np.array([0, 1, 2, 1, 0, 2, 2, 1])
+        a, b = (_random_complex(rng, (which.max() + 1, 2, 2)) for _ in range(2))
+        h0, h1 = a + dagger(a), b + dagger(b)
+
+        def h(t):
+            blocks = h0 + np.cos(np.asarray(t))[..., None, None, None] * h1
+            return blocks if form == "stack" else (blocks, which)
+        psi0 = np.zeros((8, 2), dtype=complex)
+        psi0[occupied] = _random_complex(rng, (len(occupied), 2))
+        return h, (psi0 / np.linalg.norm(psi0)).ravel(), which
+
+    @pytest.mark.parametrize("form", ["stack", "pair"])
+    @pytest.mark.parametrize("occupied", [[5], [0, 3, 6], list(range(8))],
+                             ids=["one", "some", "all"])
+    def test_equals_stepping_every_group(self, occupied, form):
+        h, psi0, _ = self._case(occupied, form)
+        grid = TimeGrid(0.0, 1.0, 2 * BLOCK + 9)
+        nodes, final, drift = schrodinger_every_group(h, psi0, grid)
+        traj = propagate_schrodinger(h, psi0, grid)
+        assert np.array_equal(traj.states, nodes) and np.array_equal(traj.final, final)
+        assert traj.norm_drift == drift
+        observed = []
+        ended = propagate_schrodinger(h, psi0, grid,
+                                      lambda first, states: observed.append(states.copy()))
+        assert np.array_equal(np.concatenate(observed), nodes)
+        assert np.array_equal(ended.final, final) and ended.norm_drift == drift
+
+    @pytest.mark.parametrize("form", ["stack", "pair"])
+    def test_no_unoccupied_group_is_stepped(self, monkeypatch, form):
+        # the unitaries of every class that no occupied group holds are nan:
+        # one product with them would make a node nan
+        h, psi0, which = self._case([0, 3], form)
+        unused = np.setdiff1d(which, which[[0, 3]])
+        assert unused.size
+        unitaries = dynamics._step_unitaries
+
+        def poisoned(*args):
+            u, got = unitaries(*args)
+            assert np.array_equal(got, which)
+            u[:, unused] = np.nan
+            return u, got
+        grid = TimeGrid(0.0, 1.0, BLOCK + 9)
+        want = schrodinger_every_group(h, psi0, grid)[0]
+        monkeypatch.setattr(dynamics, "_step_unitaries", poisoned)
+        assert np.array_equal(propagate_schrodinger(h, psi0, grid).states, want)
 
 
 class TestDistinctBlocks:
@@ -350,8 +408,9 @@ class TestLindblad:
         # p + keep = 1 holds in arithmetic; the gate reads the trace instead
         # of resting on it.  A driven qubit decaying at rate 10 moves over a
         # whole unit of population through the channel in the run, so a leak
-        # of 1e-6 in every damping passes the gate's 1e-6.
-        damping = dynamics._damping
+        # of 1e-6 in every damping passes the gate's 1e-6.  The steps' D
+        # comes from `_coefficients`, the read's D(dt/2) from `_damping`
+        damping, coefficients = dynamics._damping, dynamics._coefficients
         grid = TimeGrid(0, 1, 200)
 
         def leaky(rates, tau, members, dim):
@@ -360,12 +419,18 @@ class TestLindblad:
                 return feeds, weight
             return [(mask, p * (1.0 + leak)) for mask, p in feeds], weight
 
+        def leaky_coefficients(terms, keep):
+            coef, weight = coefficients(terms, keep)
+            return np.where(terms[2].any(axis=0), coef * (1.0 + leak), coef), weight
+
         def run():
             return propagate_lindblad(lambda t: 3.0 * SIGMA_X, [Dissipator(SIGMA_MINUS, 10.0)],
                                       rho0, grid)
 
         assert run().trace_drift <= 1e-12
         monkeypatch.setattr(dynamics, "_damping", leaky)
+        if not half_only:
+            monkeypatch.setattr(dynamics, "_coefficients", leaky_coefficients)
         with pytest.raises(StepSizeError,
                            match=rf"^trace drifted by \d\.\d{{3}}e-0\d at t = {at}$"):
             run()
@@ -553,9 +618,9 @@ class TestDensityStack:
 
 class TestSmallSteps:
     """Up to DENSE levels an open step in groups of at most TILE levels
-    takes the support form whatever tiles it reaches, D being one compiled
-    matrix product on all d^2 entries; TILE = 0 forces the grouped steps,
-    the oracle here."""
+    takes the support form whatever tiles it reaches, D being G (x) D_in on
+    all d^2 entries, or D_in's product alone on one tile; TILE = 0 forces
+    the grouped steps, the oracle here."""
 
     @staticmethod
     def _channels(rng, qubits, members):
@@ -614,26 +679,21 @@ class TestSmallSteps:
         assert np.max(np.abs(support.min_eigenvalue - grouped.min_eigenvalue)) <= 1e-14
 
     @pytest.mark.parametrize("members", [1, 3])
-    @pytest.mark.parametrize("qubits", [1, 2, 3])
-    def test_the_damping_product_is_the_damper(self, qubits, members):
+    @pytest.mark.parametrize("qubits, size", [(1, 2), (2, 2), (2, 4), (3, 2), (3, 4)])
+    def test_the_damping_product_is_the_damper(self, monkeypatch, qubits, size, members):
+        # random densities reach every tile: G by its product, D_in folded
+        # into the factors, or on one tile (d = size) D_in's product alone
         rng = np.random.default_rng(100 * qubits + members)
         dim = 2 ** qubits
-        damping = dynamics._damping(dynamics._decay_rates(self._channels(rng, qubits, members),
-                                                          dim, members), 0.35, members, dim)
-        sigma = np.array([[_random_density(rng, dim) for _ in range(5)]
-                          for _ in range(members)])
-        want = sigma.copy()
-        dynamics._damper(want, *damping)()
-        entries = np.arange(dim * dim)
-        damp = dynamics._gathers(damping, entries, dim)
-        assert damp.__name__ == "product"
-        got = np.empty_like(sigma)
-        for j in range(5):
-            damp(np.ascontiguousarray(sigma[:, j]).view(float).reshape(members, -1, 2),
-                 got[:, j].view(float).reshape(members, -1, 2))
+        rates = dynamics._decay_rates(self._channels(rng, qubits, members), dim, members)
+        rates = {mask: rate for mask, rate in rates.items() if rate.any()}
+        rho = np.array([_random_density(rng, dim) for _ in range(members)])
+        nodes, want, (half, full) = _identity_nodes(monkeypatch, rho, size, rates, 0.7)
+        assert half[0].__name__ == full[0].__name__ == "product"
+        assert (half[1] is None) == (full[1] is None) == (dim == size)
         # its sums round in another order: at most two units in the last
         # place of an entry in [0.5, 1)
-        assert np.max(np.abs(got - want)) <= 2.3e-16
+        assert np.max(np.abs(nodes - want)) <= 2.3e-16
 
     def test_a_stack_in_any_memory_order_steps_alike(self):
         # the support steps read sigma through a flat view of its entries
@@ -696,6 +756,31 @@ def _two_group_stack(rng, dim, size, members):
     return rho
 
 
+def _identity_nodes(monkeypatch, rho, size, rates, dt) -> tuple:
+    """(nodes, want, dampings): the support form of the (K, d, d) stack rho
+    in groups of `size` levels with the channels `rates`, stepped twice by
+    identity unitaries, so that node 0 is D(dt/2) rho and node 1 D(dt) of
+    node 0, as (K, 2, d, d) matrices; want, `_damper` on those same
+    inputs, node 0's D(dt/2) rho and node 0's D(dt); and the form's
+    (half, full) dampings, each (damp, inner)."""
+    made = []
+    steps = dynamics._support_steps
+    monkeypatch.setattr(dynamics, "_support_steps", lambda *args: made.append(args[1:3])
+                        or steps(*args))
+    members, dim = rho.shape[:2]
+    stepped, buf, reading = dynamics._open_form(rho, size, rates, dt, 2)
+    assert len(made) == 1
+    stepped(np.broadcast_to(np.eye(size, dtype=complex), (2, 1, size, size)).copy(),
+            np.zeros(dim // size, dtype=int))
+    nodes = np.zeros((members, 2, dim * dim), dtype=complex)
+    nodes[..., reading[-1]] = buf
+    nodes = nodes.reshape(members, 2, dim, dim)
+    want = np.stack([rho, nodes[:, 0]], axis=1)
+    for j, tau in enumerate((0.5 * dt, dt)):
+        dynamics._damper(want[:, j:j + 1], *dynamics._damping(rates, tau, members, dim))()
+    return nodes, want, made[0]
+
+
 class TestSupportSteps:
     """Above DENSE levels a stack whose jumps leave a tile unreached steps
     on the reachable entries alone; TILE 0 forces the grouped steps, the
@@ -711,9 +796,9 @@ class TestSupportSteps:
         made = []
         steps = dynamics._support_steps
 
-        def spied(sigma, first, full, buf, entries, size):
+        def spied(sigma, half, full, buf, entries, tiles):
             made.append(entries.size)
-            return steps(sigma, first, full, buf, entries, size)
+            return steps(sigma, half, full, buf, entries, tiles)
         monkeypatch.setattr(dynamics, "_support_steps", spied)
         return made
 
@@ -898,7 +983,7 @@ class TestSupportSteps:
                 forms.append((made[before[0]:], grouped[before[1]:]))
             return runs, forms
 
-        for matrix in (1000, 20):  # the stack's 96 entries damped by the product, by the gather
+        for matrix in (1000, 20):  # the stack's 24 tiles damped by the product, by the gather
             monkeypatch.setattr(dynamics, "MATRIX", matrix)
             made.clear()
             grouped.clear()
@@ -1003,39 +1088,53 @@ class TestSupportSteps:
 
 
 class TestSupportDamping:
-    """D on a support as one matrix product or as the gather: the same map
-    to round-off, and each member of a stack with the bits of its own
-    entries' D when it reaches all of the stack's."""
+    """D on a support as G (x) D_in (see `_support_steps`): G on the tiles'
+    float rows as one matrix product or as the gather, the same map to
+    round-off, each member of a stack with the bits of its own tiles' G
+    when it reaches all of the stack's; and G, then D_in folded into the
+    factors, `_damper`'s map to round-off."""
 
     @staticmethod
-    def _case(qubits, size, members, groups_of):
-        """(damping, entries, reach, x): D(dt) of random rates, a third of
-        them 0, on the stack's tiles, reach (K, E) marking those member k
-        reaches from the groups groups_of[k], and random values on each
-        member's own entries, 0 elsewhere."""
+    def _stack(qubits, size, groups_of):
+        """(rho, rates): random values on the levels of the groups
+        groups_of[k] for member k, 0 elsewhere, and random rates, a third of
+        them 0 but member 0's on the lowest and the highest bit, a channel at
+        rate 0 for every member dropped as `_lindblad_run` drops it."""
+        members = len(groups_of)
         rng = np.random.default_rng(100 * qubits + 10 * size + members)
         dim = 2 ** qubits
         rho = np.zeros((members, dim, dim), dtype=complex)
         for k, chosen in enumerate(groups_of):
             levels = (np.array(chosen)[:, None] * size + np.arange(size)).ravel()
-            rho[k][np.ix_(levels, levels)] = 1.0
-        rates = {1 << bit: rng.uniform(0.0, 2.0, members) * (rng.random(members) > 1 / 3)
-                 for bit in range(qubits)}
-        union = dynamics._support(rho, rates, size)
-        entries = dynamics._entries(union, size)
-        rows, cols = np.nonzero(union)
-        reach = np.repeat([dynamics._support(rho[k:k + 1], rates, size)[rows, cols]
-                           for k in range(members)], size * size, axis=1)
-        x = np.where(reach, rng.normal(size=reach.shape) + 1j * rng.normal(size=reach.shape), 0)
-        return dynamics._damping(rates, 0.3, members, dim), entries, reach, x
+            rho[k][np.ix_(levels, levels)] = _random_complex(rng, (levels.size,) * 2)
+        rates = rng.uniform(0.2, 2.0, (qubits, members)) * (rng.random((qubits, members)) > 1 / 3)
+        rates[[0, -1], 0] = 0.5  # a bit inside the groups and one of the group index decay
+        return rho, {1 << bit: rate for bit, rate in enumerate(rates) if rate.any()}
+
+    @classmethod
+    def _case(cls, qubits, size, groups_of):
+        """(masks, terms, keep, tiles, reach, x): G at tau 0.3 on the
+        stack's reachable tiles, its group-index bits `masks` and their
+        keep, the tiles at their flat positions `tiles` in the (S, S)
+        matrix, reach (K, T) marking those member k reaches, and random
+        float rows of 2 b^2 values on each member's own tiles, 0 elsewhere."""
+        rho, rates = cls._stack(qubits, size, groups_of)
+        groups = 2 ** qubits // size
+        tiles = np.flatnonzero(dynamics._support(rho, rates, size))
+        reach = np.array([dynamics._support(rho[k:k + 1], rates, size).ravel()[tiles]
+                          for k in range(len(rho))])
+        outer = [mask for mask in rates if mask >= size]
+        rng = np.random.default_rng(qubits)
+        x = np.where(reach[..., None], rng.normal(size=reach.shape + (2 * size * size,)), 0.0)
+        masks = [mask // size for mask in outer]
+        return (masks, dynamics._terms(masks, tiles, groups),
+                np.exp(-0.3 * np.array([rates[mask] for mask in outer])), tiles, reach, x)
 
     @staticmethod
     def _applied(damp, x):
-        """damp(x, out) on the float views of the (K, E) values x, as a new
-        (K, E) array."""
-        x = np.ascontiguousarray(x, dtype=complex)
+        """damp(x, out) on the (K, T, width) float rows x, as a new array."""
         out = np.empty_like(x)
-        damp(x.view(float).reshape(len(x), -1, 2), out.view(float).reshape(len(x), -1, 2))
+        damp(x, out)
         return out
 
     @pytest.mark.parametrize("members", [1, 2, 3])
@@ -1043,46 +1142,74 @@ class TestSupportDamping:
     @pytest.mark.parametrize("qubits", [4, 5])
     def test_the_matrix_and_the_gather_agree_to_two_ulps(self, monkeypatch, qubits, size,
                                                          members):
-        damping, entries, reach, x = self._case(qubits, size, members, [(0, 1)] * members)
-        dim = 2 ** qubits
-        monkeypatch.setattr(dynamics, "MATRIX", entries.size)
-        product = dynamics._gathers(damping, entries, dim)
-        monkeypatch.setattr(dynamics, "MATRIX", entries.size - 1)
-        gather = dynamics._gathers(damping, entries, dim)
+        _, terms, keep, tiles, reach, x = self._case(qubits, size, [(0, 1)] * members)
+        width = x.shape[-1]
+        monkeypatch.setattr(dynamics, "MATRIX", tiles.size)
+        product = dynamics._gathers(terms, keep, width)
+        monkeypatch.setattr(dynamics, "MATRIX", tiles.size - 1)
+        gather = dynamics._gathers(terms, keep, width)
         assert (product.__name__, gather.__name__) == ("product", "gather")
         got, want = (self._applied(damp, x) for damp in (product, gather))
-        assert not np.array_equal(got, x)  # D moved every member
-        # each entry sums its terms in two orders: 2 ulps of their magnitudes' sum
-        scale = self._applied(gather, np.abs(x.real) + 1j * np.abs(x.imag))
-        for part in ("real", "imag"):
-            assert np.all(np.abs(getattr(got, part) - getattr(want, part))
-                          <= 2 * np.spacing(getattr(scale, part)))
+        assert not np.array_equal(got, x)  # G moved the stack
+        # each tile sums its terms in two orders: 2 ulps of their magnitudes' sum
+        scale = self._applied(gather, np.abs(x))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(scale))
 
     @pytest.mark.parametrize("matrix", [1000, 20])
     def test_members_reaching_other_tiles_keep_the_bits_of_their_own_runs(self, monkeypatch,
                                                                           matrix):
         # member 0 reaches the tiles of groups 0 and 1, member 1 those of 0
-        # and 2, member 2 both: D on the stack's entries keeps the bits of
-        # D on a member's own entries for member 2, which holds them all,
-        # and is within round-off of it for the others, by the product up
-        # to MATRIX entries and by the gather above
+        # and 2, member 2 both: G on the stack's tiles keeps the bits of G
+        # on a member's own tiles for member 2, which holds them all, and is
+        # within round-off of it for the others, by the product up to MATRIX
+        # tiles and by the gather above
         monkeypatch.setattr(dynamics, "MATRIX", matrix)
-        damping, entries, reach, x = self._case(4, 2, 3, [(0, 1), (0, 2), (0, 1, 2)])
+        masks, terms, keep, tiles, reach, x = self._case(4, 2, [(0, 1), (0, 2), (0, 1, 2)])
         assert reach.all(axis=1).tolist() == [False, False, True]
-        damp = dynamics._gathers(damping, entries, 16)
-        assert damp.__name__ == ("product" if entries.size <= matrix else "gather")
+        damp = dynamics._gathers(terms, keep, x.shape[-1])
+        assert damp.__name__ == ("product" if tiles.size <= matrix else "gather")
         got = self._applied(damp, x)
-        feeds, weight = damping
         for k, own in enumerate(reach):
-            at = np.flatnonzero(own)
-            alone = dynamics._gathers(([(mask, p[k:k + 1]) for mask, p in feeds],
-                                       weight[k:k + 1]), entries[at], 16)
-            want = self._applied(alone, x[k:k + 1, at]).ravel()
+            alone = dynamics._gathers(dynamics._terms(masks, tiles[own], 8), keep[:, k:k + 1],
+                                      x.shape[-1])
+            want = self._applied(alone, x[k:k + 1, own])[0]
             if own.all():
-                assert np.array_equal(got[k, at], want)
+                assert np.array_equal(got[k, own], want)
             else:
-                assert np.max(np.abs(got[k, at] - want)) <= 1e-14
+                assert np.max(np.abs(got[k, own] - want)) <= 1e-14
             assert not got[k, ~own].any()
+
+    @pytest.mark.parametrize("matrix", [1000, 1])
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("qubits", [3, 4, 5])
+    def test_g_then_d_in_is_the_damper(self, monkeypatch, qubits, size, members, matrix):
+        # identity unitaries leave each folded factor D_in itself, so the
+        # support form's first two nodes are D(dt/2) and then D(dt), G by
+        # its product or by its gather (MATRIX 1), and D_in(dt/2) folded
+        # into the first step alone
+        groups = 2 ** qubits // size
+        rho, rates = self._stack(qubits, size, [(0, 1), (0, groups - 2), (1,)][:members])
+        assert any(mask < size for mask in rates) and any(mask >= size for mask in rates)
+        monkeypatch.setattr(dynamics, "MATRIX", matrix)
+        nodes, want, (half, full) = _identity_nodes(monkeypatch, rho, size, rates, 0.6)
+        tiles = np.count_nonzero(dynamics._support(rho, rates, size))
+        assert 1 < tiles < groups ** 2 or qubits == 3
+        assert half[0].__name__ == ("product" if tiles <= matrix else "gather")
+        assert half[1] is not None and full[1] is not None
+        # each entry sums its terms in other orders, and each term's factors
+        # of p and of the weight are multiplied in another association (the
+        # group bits' apart from the others'): 4 ulps of the terms'
+        # magnitudes' sum, D on the magnitudes.  Over 1,440 random stacks
+        # of these shapes the largest error was 4 ulps, in 3 of them
+        scale = np.stack([abs(part) for part in (rho.real, nodes[:, 0].real, rho.imag,
+                                                 nodes[:, 0].imag)], axis=1) + 0j
+        for j, tau in enumerate((0.3, 0.6, 0.3, 0.6)):
+            dynamics._damper(scale[:, j:j + 1], *dynamics._damping(rates, tau, members,
+                                                                   2 ** qubits))()
+        for part, bound in (("real", scale[:, :2].real), ("imag", scale[:, 2:].real)):
+            error = np.abs(getattr(nodes, part) - getattr(want, part))
+            assert np.all(error <= 4 * np.spacing(bound)), part
 
 
 class TestObserver:

@@ -478,7 +478,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585118603
+        assert float(res.auxiliary["fidelity_final"][-1]) == 0.9158739585118632
 
     def test_open_ghz6_run_holds_less_than_one_dense_block(self, monkeypatch):
         # its last step holds 1,088 of sigma's 4,096 entries per node; one
