@@ -85,6 +85,12 @@ class RunConfig:
             raise ConfigError("bell protocols run on exactly two qubits", key="qubits")
         if self.protocol == "ghz" and not self.qubits >= 3:
             raise ConfigError("the ghz protocol needs at least three qubits", key="qubits")
+        # the most qubits whose d x d complex matrix, 2**(2 qubits + 4) bytes,
+        # numpy can address, as MAX_GRID is the most nodes it can
+        largest = (np.iinfo(np.intp).max.bit_length() - 5) // 2
+        if not self.qubits <= largest:
+            raise ConfigError(f"qubits must be at most {largest}: the d x d complex matrix of "
+                              "a larger register is more than numpy can address", key="qubits")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}", key="mode")
         if not all(k >= 0 for k in self.kappa_T):

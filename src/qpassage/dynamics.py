@@ -30,17 +30,20 @@ reaches every tile of more than DENSE levels, sigma is carried as the E
 entries of its T reachable tiles alone, and D as G (x) D_in, exact because
 the channels commute and the weight factorizes per bit: G damps the bits
 of the group index, moving whole tiles into tiles, and D_in, one b^2 x b^2
-matrix for every tile, the bits inside the groups.  Each is compiled once
-per form from its terms, the products of p that feed each entry
-(`_terms`), and evaluated at dt/2 and dt.  G is one real product of the
-tiles' float rows up to MATRIX tiles, one fixed gather of them above
-(`_gathers`); D_in is folded into the Kronecker factors of u sigma u+ by
-one product per member and block of steps, and u sigma u+ is one product
-per tile (`_support_steps`).  A one-tile support's G is the identity: it
-is damped by D_in's own product instead.  Every stack that leaves a tile
-unreached, as most protocol steps do, takes this form, and so does every
-stack up to DENSE levels, whose step is then G's product, the factors'
-gather onto the tiles and the tiles' product.  Every other stack, in
+matrix for every tile, the bits inside the groups.  Both are `_damper`'s
+own feeds on the entries they damp: each decaying bit's (dst, src) pairs
+among them (`_feeds`), found once per form and fed at dt/2 and at dt in
+`_damper`'s order, then the weight.  G is one real product of the tiles'
+float rows up to MATRIX tiles, its matrix those feeds applied to the
+identity, and the feeds themselves above (`_gathers`), which give
+`_damper`'s bits; D_in, its matrix made the same way, is folded into the
+Kronecker factors of u sigma u+ by one product per member and block of
+steps, and u sigma u+ is one product per tile (`_support_steps`).  A
+one-tile support's G is the identity: it is damped by D_in's own product
+instead.  Every stack that leaves a tile unreached, as most protocol steps
+do, takes this form, and so does every stack up to DENSE levels, whose
+step is then G's product, the factors' gather onto the tiles and the
+tiles' product.  Every other stack, in
 groups of more than TILE levels (such as any dense H of more than TILE
 levels gives), empty, or reaching every tile of more than DENSE levels
 (the last rotating-frame protocol step from GHZ4 on), is damped in place
@@ -54,11 +57,11 @@ alone knows it: every reader goes through two helpers.  `_reader`
 compiles populations <k|rho|k>, which are linear in rho,
 tr(P D(sigma)) = tr(D+(P) sigma), into one real linear map of sigma by
 pulling the projectors back through the adjoint channel D+ once per
-propagation (the Heisenberg picture); `_matrices` writes rho = D(sigma)
-as d x d matrices, for the checkpoints and for `propagate_lindblad`'s
-observer, which gets them in one reused buffer.  Positivity and trace
-are still checked, never enforced: a violation beyond tolerance fails
-loudly.
+propagation (the Heisenberg picture), walking the same feeds backwards;
+`_matrices` writes rho = D(sigma) as d x d matrices, for the checkpoints
+and for `propagate_lindblad`'s observer, which gets them in one reused
+buffer.  Positivity and trace are still checked, never enforced: a
+violation beyond tolerance fails loudly.
 
 `propagate_lindblad` also carries a stack of K density matrices, shape
 (K, d, d).  The members share H and the channels; each `Dissipator.rate`
@@ -529,14 +532,6 @@ def _damper(x: np.ndarray, feeds: list, weight: np.ndarray) -> Callable:
     return damp
 
 
-def _located(entries: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The position in `entries` of each flat position of `flat`, -1 where
-    `entries` does not hold it."""
-    order = np.argsort(entries)
-    at = order[np.searchsorted(entries, flat, sorter=order).clip(max=entries.size - 1)]
-    return np.where(entries[at] == flat, at, -1)
-
-
 def _check_members(rho: np.ndarray, single: bool) -> None:
     """check_density_matrix on every member; a failure names its member,
     unless the stack stands for a `single` matrix."""
@@ -605,68 +600,61 @@ def _entries(tiles: np.ndarray, size: int) -> np.ndarray:
             + (cols * size)[:, None, None] + level).ravel()
 
 
-def _terms(masks: list, entries: np.ndarray, dim: int) -> tuple:
-    """D (see `_damping`) on the entries of a dim x dim matrix at the flat
+def _feeds(masks: list, entries: np.ndarray, dim: int):
+    """`_damper`'s feeds on the entries of a dim x dim matrix at the flat
     positions `entries`, a set closed under the jumps of the bits `masks`
-    (see `_support`), as the index work of its terms and weight,
-    (dst, src, fed, excited): term i adds entry src[i] into entry dst[i]
-    times the product of p over the masks fed[:, i] marks, one row per mask
-    in the order of `masks`, and excited[f, e], 0, 1 or 2, counts the ends,
-    row and column, of entry e where bit masks[f] is excited (0), which
-    picks its factor of the weight, 1, sqrt(keep) or keep.  None of it
-    depends on tau, so a form makes it once and evaluates it at both of its
-    taus (`_coefficients`).
-
-    Feeding the bits one after another, as `_damper` does, sums into entry
-    (x, y) the entry (x - A, y - A) times the product of p over the bits A,
-    for every set A of bits that are ground (1) in both x and y; the weight
-    then multiplies the sum.  Each such term whose source lies in the set
-    is one pair; a pair (x, y), (x - A, y - A) fixes A, so it has one term.
-    The terms come in the reverse of their making: those of the last fed
-    bit first, the entry's own term last."""
-    count = entries.size
+    (see `_support`), one bit at a time in the order of `masks`: per bit
+    (dst, src, excited), the feed adding p times the entry at position
+    src[i] among the entries into the one at dst[i], a source outside the
+    set, exactly 0, left out, and excited counting the ends, row and
+    column, of each entry where the bit is excited (0), 0, 1 or 2, which
+    picks its factor of the weight, 1, sqrt(keep) or keep.  The positions
+    are read off one table of the d^2 flat positions; a bit's arrays are
+    made at its turn, so a caller that walks them holds one bit's alone."""
     rows, cols = np.divmod(entries, dim)
-    ground = rows & cols
-    position = np.full(dim * dim, -1)  # of each flat position among the entries
-    position[entries] = np.arange(count)
-    dst = src = np.arange(count)
-    fed = np.zeros((len(masks), count), dtype=bool)
-    for f, mask in enumerate(masks):
-        new = np.flatnonzero(ground[src] & mask)
-        at = position[entries[src[new]] - mask * (dim + 1)]
-        new, at = new[at >= 0], at[at >= 0]  # outside the set a source is exactly 0
-        dst, src = np.concatenate([dst, dst[new]]), np.concatenate([src, at])
-        fed = np.concatenate([fed, fed[:, new]], axis=1)
-        fed[f, dst.size - new.size:] = True
-    bits = np.reshape(masks, (-1, 1)).astype(int)
-    excited = (rows & bits == 0).astype(int) + (cols & bits == 0)
-    return dst[::-1], src[::-1], fed[:, ::-1], excited
+    position = np.full(dim * dim, -1)
+    position[entries] = np.arange(entries.size)
+    for mask in masks:
+        dst = np.flatnonzero(rows & cols & mask)
+        src = position[entries[dst] - mask * (dim + 1)]
+        yield dst[src >= 0], src[src >= 0], (rows & mask == 0) + (cols & mask == 0).astype(int)
 
 
-def _coefficients(terms: tuple, keep: np.ndarray) -> tuple:
-    """The terms and weight (`_terms`) of D where each mask keeps the
-    (F, K) share keep = exp(-rate tau) of its excited population, one row
-    per mask: (coef, weight), the (K, T) product of p = 1 - keep of each
-    term and the (K, E) weight of each entry, each multiplied up in the
-    order of the masks, as `_damping` and `_damper` form them, so with
-    their bits."""
-    _, _, fed, excited = terms
-    share = keep[..., None]
-    factors = np.concatenate([np.ones_like(share), np.sqrt(share), share], axis=2)
-    # a product over the masks multiplies in their order, 1 exactly where a
-    # mask takes no part
-    coef = np.multiply.reduce(np.where(fed[:, None], 1.0 - share, 1.0), axis=0)
-    weight = np.multiply.reduce(np.take_along_axis(factors, excited[:, None], axis=2), axis=0)
-    return coef, weight
+def _gathers(feeds: list, p: np.ndarray, keep: np.ndarray) -> Callable:
+    """D of the bits whose feeds on E entries `_feeds` gives, each bit
+    keeping the (F, K) share keep = exp(-rate tau) of its excited
+    population and feeding the (F, K) p = 1 - keep, one row per bit, as
+    damp(x, out) writing D(x) into out, x and out being (K, E, ...) real
+    arrays: out takes x, each bit with a pair adds p times its sources into
+    its destinations, in the order of the bits, and the weight, formed in
+    that order, multiplies last.  That is `_damper`'s map in `_damper`'s
+    order, so with its bits.  The support form damps the tiles' float rows
+    by it above MATRIX tiles (G), and makes G's matrix up to MATRIX and
+    D_in's from it (`_matrix`)."""
+    fed, weight = [], np.ones(1)
+    for (dst, src, excited), fraction, share in zip(feeds, p, keep):
+        if dst.size:
+            fed.append((dst, src, fraction[:, None, None]))
+        weight = weight * np.array([np.ones_like(share), np.sqrt(share), share])[excited].T
+    weight = weight[..., None]
+
+    def gather(x: np.ndarray, out: np.ndarray) -> None:
+        out[...] = x
+        for dst, src, fraction in fed:
+            # two takes and one assignment: half the time of out[:, dst] += ...
+            terms = out.take(src, axis=1)
+            terms *= fraction
+            terms += out.take(dst, axis=1)
+            out[:, dst] = terms
+        out *= weight
+    return gather
 
 
-def _matrix(terms: tuple, keep: np.ndarray) -> np.ndarray:
-    """D (see `_coefficients`) as one real (K, E, E) matrix per member, the
-    weight folded into its rows."""
-    dst, src, _, _ = terms
-    coef, weight = _coefficients(terms, keep)
-    rows = np.zeros(weight.shape + weight.shape[-1:])
-    rows[:, dst, src] = coef * weight[:, dst]
+def _matrix(damp: Callable, members: int, count: int) -> np.ndarray:
+    """The damping `damp` (`_gathers`) on `count` entries as one real
+    (K, E, E) matrix per member: damp applied to the identity's rows."""
+    rows = np.repeat(np.eye(count)[None], members, axis=0)
+    damp(rows, rows)
     return rows
 
 
@@ -675,42 +663,6 @@ def _product(rows: np.ndarray) -> Callable:
     product = partial(np.matmul, rows)  # a step calls it, so no Python frame of its own
     product.__name__ = "product"
     return product
-
-
-def _gathers(terms: tuple, keep: np.ndarray, width: int) -> Callable:
-    """G, the damping of the group-index bits (see `_support_steps`), on
-    the (K, T) reachable tiles of sigma, compiled once from its terms on
-    the (S, S) matrix of tiles (`_terms`) and the (F, K) keep of its masks
-    (`_coefficients`): the returned function damp(x, out) writes G(x) into
-    out, x and out being (K, T, width) float views, a row of `width`
-    floats per tile.  G is real and acts on every float of a tile alike.
-
-    Up to MATRIX tiles G is one real (K, T, T) product, the weight folded
-    into each member's matrix rows.  Above, it is one fixed real gather,
-    one `np.bincount` over the rows of the terms, each summed into its
-    tile in the order of `_terms`, then times the weight.  That order sums
-    a tile's small terms before they meet the large one.  BLAS sums each
-    tile's terms in an order of its own, fused multiply-adds included,
-    which depends on T, so a member damped on more tiles than its own run
-    holds may differ from that run by round-off."""
-    dst, src, _, excited = terms
-    if excited.shape[1] <= MATRIX:
-        return _product(_matrix(terms, keep))
-    coef, weight = _coefficients(terms, keep)
-    members, count = weight.shape
-    floats = np.arange(width)
-    # each term once per float of its row
-    src = (width * src[:, None] + floats).ravel()
-    bins = ((np.arange(members)[:, None, None] * count + dst[:, None]) * width + floats).ravel()
-    coef = np.repeat(coef, width, axis=1)
-    weight = weight[..., None]
-
-    def gather(x: np.ndarray, out: np.ndarray) -> None:
-        terms = x.reshape(members, width * count)[:, src]
-        terms *= coef
-        sums = np.bincount(bins, terms.ravel(), width * members * count)
-        np.multiply(sums.reshape(out.shape), weight, out=out)
-    return gather
 
 
 def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
@@ -726,14 +678,16 @@ def _support_steps(sigma: np.ndarray, half: tuple, full: tuple, buf: np.ndarray,
     The decay channels commute and the weight factorizes per bit, so D is
     G (x) D_in: G damps the bits of the group index, moving whole tiles
     into tiles (see `_support`), and D_in, one (K, b^2, b^2) matrix for
-    every tile, the bits inside the groups.  Each damping comes as
-    (damp, inner): damp(x, out) applies G to the float rows of the tiles
-    (`_gathers`) and the real inner, D_in, is folded into the Kronecker
-    factors once per block, one product per member on the rows of all the
-    block's factors, so a step is G's product, the factors' `take` and the
-    tiles' product.  On one tile G is the identity, and the tile is damped
-    whole, by damp, D_in's product on its b^2 entries, before the unfolded
-    factor (inner None): the bits of damping its entries by one product.
+    every tile, the bits inside the groups, each made of `_damper`'s feeds
+    on its entries (`_feeds`).  Each damping comes as (damp, inner):
+    damp(x, out) applies G to the float rows of the tiles, by its matrix or
+    by its feeds (`_gathers`), and the real inner, D_in, is folded into the
+    Kronecker factors once per block, one product per member on the rows of
+    all the block's factors, so a step is G's product or feeds, the
+    factors' `take` and the tiles' product.  On one tile G is the
+    identity, and the tile is damped whole, by damp, D_in's product on its
+    b^2 entries, before the unfolded factor (inner None): the bits of
+    damping its entries by one product.
 
     The factors are made once per block of step unitaries, into a buffer
     made once, for each pair of classes of groups the tiles hold, u holding
@@ -812,13 +766,15 @@ def _open_form(sigma: np.ndarray, size: int, rates: dict, dt: float, nodes: int)
     says how they make the nodes rho (see `_lindblad_run`).
 
     The support form splits D into G (x) D_in (see `_support_steps`) and
-    makes the index work of each factor's terms once, evaluating it at
-    dt/2 and dt: D_in on the b^2 entries of a tile, from the bits inside
-    the groups, and G on the (S, S) matrix of tiles, from the bits of the
-    group index, each bit m of it being bit m / b of the group.  A member's
-    own run takes the same form on the same entries, so the same bits,
-    exactly when it reaches, under its own decaying channels, every tile
-    the stack reaches."""
+    finds each factor's feeds (`_feeds`) once, feeding them at dt/2 and
+    dt: D_in on the b^2 entries of a tile, from the bits inside the groups,
+    a b^2 x b^2 matrix, the feeds applied to the identity; G on the T tiles
+    at their flat positions in the (S, S) matrix of tiles, from the bits of
+    the group index, each bit m of it being bit m / b of the group, a
+    T x T matrix made the same way up to MATRIX tiles and the feeds
+    themselves above (`_gathers`).  A member's own run takes the same form
+    on the same entries, so the same bits, exactly when it reaches, under
+    its own decaying channels, every tile the stack reaches."""
     members, dim = sigma.shape[0], sigma.shape[-1]
     taus = (0.5 * dt, dt)
     half = _damping(rates, taus[0], members, dim)
@@ -828,17 +784,19 @@ def _open_form(sigma: np.ndarray, size: int, rates: dict, dt: float, nodes: int)
             entries = _entries(tiles, size)
             # the keep of each channel and whether its bit lies inside the groups
             keep = [np.exp(-np.reshape(list(rates.values()), (-1, members)) * tau) for tau in taus]
-            inside = np.array([mask < size for mask in rates], dtype=bool)
-            local = np.arange(size * size)
-            terms = _terms([mask for mask in rates if mask < size], local, size)
-            inner = [_matrix(terms, share[inside]) for share in keep]
-            if np.count_nonzero(tiles) == 1:  # G is the identity
+            masks = np.array(list(rates), dtype=int)
+            inside = masks < size
+            feeds = list(_feeds(masks[inside], np.arange(size * size), size))
+            inner = [_matrix(_gathers(feeds, 1.0 - share[inside], share[inside]), members,
+                             size * size) for share in keep]
+            at = np.flatnonzero(tiles)
+            if at.size == 1:  # G is the identity
                 dampings = [(_product(matrix), None) for matrix in inner]
             else:
-                at = np.flatnonzero(tiles)
-                terms = _terms([mask // size for mask in rates if mask >= size], at, dim // size)
-                dampings = [(_gathers(terms, share[~inside], 2 * size * size), matrix)
-                            for share, matrix in zip(keep, inner)]
+                feeds = list(_feeds(masks[~inside] // size, at, dim // size))
+                outer = [_gathers(feeds, 1.0 - share[~inside], share[~inside]) for share in keep]
+                dampings = [(_product(_matrix(damp, members, at.size)) if at.size <= MATRIX
+                             else damp, matrix) for damp, matrix in zip(outer, inner)]
             carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
             buf = np.empty((members, nodes, entries.size), dtype=complex)
             return (_support_steps(carried, *dampings, buf, entries, np.nonzero(tiles)),
@@ -901,10 +859,9 @@ def _reader(kets: np.ndarray, reading: tuple) -> tuple:
     if feeds is not None:
         members = weight.shape[0]
         pulled = pulled * weight.reshape(members, 1, -1)[..., entries]
-        for mask, p in reversed(feeds):
-            ee = np.flatnonzero((rows | cols) & mask == 0)
-            gg = _located(entries, entries[ee] + mask * (dim + 1))
-            pulled[..., ee] += p.reshape(members, 1, 1) * pulled[..., gg]
+        back = feeds[::-1]
+        for (_, p), (dst, src, _) in zip(back, _feeds([mask for mask, _ in back], entries, dim)):
+            pulled[..., src] += p.reshape(members, 1, 1) * pulled[..., dst]
     flat = np.ascontiguousarray(pulled).view(float)
     support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
     return support, flat[..., support].swapaxes(-1, -2)
@@ -949,7 +906,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
       stack carries the E entries of those T tiles alone, so the node
       buffer holds O(BLOCK K E) numbers, not O(BLOCK K d^2).  It damps the
       group-index bits by one product of the tiles' float rows up to
-      MATRIX tiles, else by the gather (`_gathers`), folds the damping of
+      MATRIX tiles, else by their feeds (`_gathers`), folds the damping of
       the bits inside the groups into the Kronecker factors, and takes
       u sigma u+ as one product per tile.  Every stack that leaves a tile
       unreached takes it, and up to DENSE levels every stack.  In effective
@@ -989,13 +946,14 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     step.
 
     MATRIX = 320 is measured on G alone (one application to random float
-    rows, best of 7 x 200 calls, one BLAS thread, 2-core guest).  On the
-    supports of open GHZ6-GHZ8 steps (b = 2) the product took 0.2 of the
-    gather's time up to 48 tiles, 0.35 at 120, 0.7 at 272 and 2.3-2.5 at
-    584 with one member, 0.13-0.25 up to 120 tiles, 0.4-0.6 at 272 and 1.6
-    at 584 with two; on closed supports of random groups (d = 128 to 512,
-    b = 2 and 4) it took 0.34-0.87 of it up to 320 tiles and 1.1-1.6 on
-    most from 344 on, its T x T matrix growing as T^2.  Up to MATRIX the
+    rows, one BLAS thread, 2-core guest), against the bincount gather the
+    feeds replaced, which the feeds beat at every size measured.  On the
+    supports of the open GHZ5-GHZ9 effective steps (b = 2, two members,
+    best of 15 x 50 calls) the product took 2.6 us at 48 tiles and 11 at
+    120 against the feeds' 14 and 24, 50-57 us at 272 tiles against the
+    feeds' 47-49 and the gather's 127, and 555 us at 584 tiles against the
+    feeds' 107 and the gather's 382; the feeds took 233 us at 1,216 tiles
+    and 495 at 2,488, the gather 1,163 and 4,012.  Up to MATRIX the
     matrices take K T^2 8 bytes per damping, 0.8 MiB a member at T = 320."""
     rho0 = np.asarray(rho0)
     if rho0.ndim not in (2, 3):

@@ -179,6 +179,8 @@ class TestRunConfigRules:
         ({"boundary": "edge"}, "boundary", "unknown boundary 'edge'"),
         ({"j_over_omega": -1.0}, "j_over_omega", "j_over_omega must be finite and non-negative"),
         ({"j_over_omega": NAN}, "j_over_omega", "j_over_omega must be finite and non-negative"),
+        ({"protocol": "ghz", "qubits": 30}, "qubits", "qubits must be at most 29: the d x d "),
+        ({"protocol": "ghz", "qubits": 10 ** 400}, "qubits", "qubits must be at most 29"),
     ])
     def test_construction_and_replace_apply_each_rule(self, changes, key, message):
         builders = (lambda: RunConfig(**{**VALID, **changes}),
@@ -662,16 +664,49 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write to output directory")
 
-    def test_unallocatable_plan_exits_two(self, tmp_path, capsys):
-        # 2**50 amplitudes need 16 PiB, beyond any address space, so numpy
-        # refuses the first state vector at once
-        text = GHZ_CFG.format(grid=100, kappa="0.0", out=tmp_path / "o").replace(
-            "qubits = 3", "qubits = 50")
+    def test_a_register_numpy_cannot_address_exits_two_naming_qubits(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # a 64-qubit register's d x d matrix has more elements than numpy
+        # can index: the config rule refuses it before any plan is made
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "o"
+        text = GHZ_CFG.format(grid=100, kappa="0.0", out=out).replace("qubits = 3", "qubits = 64")
         cfg = write_cfg(tmp_path, text)
         for argv in (["run", cfg], ["sweep", cfg, "--param", "grid", "--values", "100"]):
             assert main(argv) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: qubits=50: ")
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: {cfg}:2: qubits must be at most 29: the d x d complex matrix of a "
+                "larger register is more than numpy can address"]
+            assert captured.out == ""
+            assert not out.exists()
+
+    def test_unallocatable_plan_exits_two(self, tmp_path, capsys):
+        # 29 qubits pass the config rule, but a plan's state vector of 2**29
+        # amplitudes needs 8 GiB: under an address-space limit 64 MiB above
+        # what this process maps, numpy refuses the first array of the
+        # register's size at once
+        resource = pytest.importorskip("resource")
+        text = GHZ_CFG.format(grid=100, kappa="0.0", out=tmp_path / "o").replace(
+            "qubits = 3", "qubits = 29")
+        cfg = write_cfg(tmp_path, text)
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status")
+        mapped = next(int(line.split()[1]) for line in status.read_text().splitlines()
+                      if line.startswith("VmSize:")) * 1024
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + 64 * 2 ** 20, limits[1]))
+        try:
+            codes = []
+            for argv in (["run", cfg], ["sweep", cfg, "--param", "grid", "--values", "100"]):
+                codes.append(main(argv))
+                codes.append(capsys.readouterr().err.splitlines())
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        for code, err in zip(codes[::2], codes[1::2]):
+            assert code == 2
+            assert len(err) == 1 and err[0].startswith(f"error: {cfg}: qubits=29: ")
             assert "Unable to allocate" in err[0]
 
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys):

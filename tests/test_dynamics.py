@@ -409,8 +409,10 @@ class TestLindblad:
         # of resting on it.  A driven qubit decaying at rate 10 moves over a
         # whole unit of population through the channel in the run, so a leak
         # of 1e-6 in every damping passes the gate's 1e-6.  The steps' D
-        # comes from `_coefficients`, the read's D(dt/2) from `_damping`
-        damping, coefficients = dynamics._damping, dynamics._coefficients
+        # comes from `_gathers`, the read's D(dt/2) from `_damping`; the leak
+        # goes into the feeds' p alone, since one put into keep would move
+        # the weight with it and keep the trace
+        damping, gathers = dynamics._damping, dynamics._gathers
         grid = TimeGrid(0, 1, 200)
 
         def leaky(rates, tau, members, dim):
@@ -419,9 +421,8 @@ class TestLindblad:
                 return feeds, weight
             return [(mask, p * (1.0 + leak)) for mask, p in feeds], weight
 
-        def leaky_coefficients(terms, keep):
-            coef, weight = coefficients(terms, keep)
-            return np.where(terms[2].any(axis=0), coef * (1.0 + leak), coef), weight
+        def leaky_gathers(feeds, p, keep):
+            return gathers(feeds, p * (1.0 + leak), keep)
 
         def run():
             return propagate_lindblad(lambda t: 3.0 * SIGMA_X, [Dissipator(SIGMA_MINUS, 10.0)],
@@ -430,7 +431,7 @@ class TestLindblad:
         assert run().trace_drift <= 1e-12
         monkeypatch.setattr(dynamics, "_damping", leaky)
         if not half_only:
-            monkeypatch.setattr(dynamics, "_coefficients", leaky_coefficients)
+            monkeypatch.setattr(dynamics, "_gathers", leaky_gathers)
         with pytest.raises(StepSizeError,
                            match=rf"^trace drifted by \d\.\d{{3}}e-0\d at t = {at}$"):
             run()
@@ -440,9 +441,20 @@ class TestHeisenberg:
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
     def test_pulled_back_observables_read_sigma_as_the_damped_nodes(self, qubits, members):
+        self._assert_read(qubits, members, sparse=False)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+    def test_a_support_s_entries_read_as_the_damped_nodes(self, qubits, members):
+        self._assert_read(qubits, members, sparse=True)
+
+    @staticmethod
+    def _assert_read(qubits, members, sparse):
         # the compiled read of sigma's float view against <v|D(sigma)|v>, D
         # being D(tau) of lowering operators in a permuted bit order, as a
-        # protocol step passes them
+        # protocol step passes them; sigma holds all d^2 entries, or, sparse,
+        # those of the tiles the jumps reach from the two lowest levels in
+        # groups of two, as the support form hands them over
         rng = np.random.default_rng(100 * qubits + members)
         dim = 2 ** qubits
         order = np.arange(dim).reshape((2,) * qubits).transpose(rng.permutation(qubits)).ravel()
@@ -460,12 +472,36 @@ class TestHeisenberg:
         kets = np.concatenate([np.eye(dim)[rng.permutation(dim)[:3]],
                                _random_complex(rng, (2, dim))])
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        entries = np.arange(dim * dim)
+        if sparse:
+            start = np.zeros((1, dim, dim))
+            start[0, :2, :2] = 1.0
+            tiles = dynamics._support(start, dynamics._decay_rates(channels, dim, members), 2)
+            entries = dynamics._entries(tiles, 2)
+            assert entries.size < dim * dim or qubits == 1
+            kept = sigma.reshape(members, 5, dim * dim)[..., entries]
+            sigma = np.zeros_like(sigma)
+            sigma.reshape(members, 5, dim * dim)[..., entries] = kept
         rho = sigma.copy()
         dynamics._damper(rho, *damping)()
-        support, coefficients = dynamics._reader(kets, damping + (np.arange(dim * dim),))
+        support, coefficients = dynamics._reader(kets, damping + (entries,))
         assert coefficients.shape == (members, support.size, len(kets))
-        got = sigma.reshape(members, 5, dim * dim).view(float)[..., support] @ coefficients
+        values = np.ascontiguousarray(sigma.reshape(members, 5, dim * dim)[..., entries])
+        got = values.view(float)[..., support] @ coefficients
         assert np.max(np.abs(np.moveaxis(got, -1, 0) - populations(rho, kets))) <= 1e-15
+        # D+ coded on whole d x d matrices through `_damper`'s strided views,
+        # the weight and then each feed's adjoint ee += p gg in reverse
+        # order, gives the read's bits on the entries it holds
+        feeds, weight = damping
+        pulled = np.zeros((members, len(kets), dim * dim), dtype=complex)
+        pulled[..., entries] = (kets[:, :, None] * np.conj(kets[:, None, :])).reshape(
+            len(kets), -1)[:, entries]
+        pulled = pulled.reshape(members, len(kets), dim, dim) * weight
+        for mask, p in reversed(feeds):
+            view = dynamics._bits(pulled, mask)
+            view[..., 0, :, :, 0, :] += p * view[..., 1, :, :, 1, :]
+        flat = np.ascontiguousarray(pulled.reshape(members, len(kets), -1)[..., entries])
+        assert np.array_equal(coefficients, flat.view(float)[..., support].swapaxes(-1, -2))
 
 
 class TestSplitStep:
@@ -1089,10 +1125,11 @@ class TestSupportSteps:
 
 class TestSupportDamping:
     """D on a support as G (x) D_in (see `_support_steps`): G on the tiles'
-    float rows as one matrix product or as the gather, the same map to
+    float rows as one matrix product or by its feeds, the same map to
     round-off, each member of a stack with the bits of its own tiles' G
-    when it reaches all of the stack's; and G, then D_in folded into the
-    factors, `_damper`'s map to round-off."""
+    when it reaches all of the stack's; G by its feeds `_damper`'s map bit
+    for bit; and G, then D_in folded into the factors, `_damper`'s map to
+    round-off."""
 
     @staticmethod
     def _stack(qubits, size, groups_of):
@@ -1113,11 +1150,12 @@ class TestSupportDamping:
 
     @classmethod
     def _case(cls, qubits, size, groups_of):
-        """(masks, terms, keep, tiles, reach, x): G at tau 0.3 on the
-        stack's reachable tiles, its group-index bits `masks` and their
-        keep, the tiles at their flat positions `tiles` in the (S, S)
-        matrix, reach (K, T) marking those member k reaches, and random
-        float rows of 2 b^2 values on each member's own tiles, 0 elsewhere."""
+        """(masks, feeds, keep, tiles, reach, x): G at tau 0.3 on the
+        stack's reachable tiles, its group-index bits `masks`, their feeds
+        on the (S, S) matrix of tiles (`_feeds`) and their keep, the tiles
+        at their flat positions `tiles` in that matrix, reach (K, T)
+        marking those member k reaches, and random float rows of 2 b^2
+        values on each member's own tiles, 0 elsewhere."""
         rho, rates = cls._stack(qubits, size, groups_of)
         groups = 2 ** qubits // size
         tiles = np.flatnonzero(dynamics._support(rho, rates, size))
@@ -1127,8 +1165,17 @@ class TestSupportDamping:
         rng = np.random.default_rng(qubits)
         x = np.where(reach[..., None], rng.normal(size=reach.shape + (2 * size * size,)), 0.0)
         masks = [mask // size for mask in outer]
-        return (masks, dynamics._terms(masks, tiles, groups),
+        return (masks, list(dynamics._feeds(masks, tiles, groups)),
                 np.exp(-0.3 * np.array([rates[mask] for mask in outer])), tiles, reach, x)
+
+    @staticmethod
+    def _tiles_damping(feeds, keep, count, matrix):
+        """G on `count` tiles as `_open_form` makes it with MATRIX set to
+        `matrix`: its product up to MATRIX tiles, its feeds above."""
+        damp = dynamics._gathers(feeds, 1.0 - keep, keep)
+        if count > matrix:
+            return damp
+        return dynamics._product(dynamics._matrix(damp, keep.shape[-1], count))
 
     @staticmethod
     def _applied(damp, x):
@@ -1140,44 +1187,75 @@ class TestSupportDamping:
     @pytest.mark.parametrize("members", [1, 2, 3])
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("qubits", [4, 5])
-    def test_the_matrix_and_the_gather_agree_to_two_ulps(self, monkeypatch, qubits, size,
-                                                         members):
-        _, terms, keep, tiles, reach, x = self._case(qubits, size, [(0, 1)] * members)
-        width = x.shape[-1]
-        monkeypatch.setattr(dynamics, "MATRIX", tiles.size)
-        product = dynamics._gathers(terms, keep, width)
-        monkeypatch.setattr(dynamics, "MATRIX", tiles.size - 1)
-        gather = dynamics._gathers(terms, keep, width)
+    def test_the_matrix_and_the_gather_agree_to_two_ulps(self, qubits, size, members):
+        _, feeds, keep, tiles, reach, x = self._case(qubits, size, [(0, 1)] * members)
+        product, gather = (self._tiles_damping(feeds, keep, tiles.size, matrix)
+                           for matrix in (tiles.size, tiles.size - 1))
         assert (product.__name__, gather.__name__) == ("product", "gather")
         got, want = (self._applied(damp, x) for damp in (product, gather))
         assert not np.array_equal(got, x)  # G moved the stack
-        # each tile sums its terms in two orders: 2 ulps of their magnitudes' sum
+        # each tile sums its terms in two orders, BLAS's and the feeds': 2 ulps
+        # of their magnitudes' sum
         scale = self._applied(gather, np.abs(x))
         assert np.all(np.abs(got - want) <= 2 * np.spacing(scale))
 
     @pytest.mark.parametrize("matrix", [1000, 20])
-    def test_members_reaching_other_tiles_keep_the_bits_of_their_own_runs(self, monkeypatch,
-                                                                          matrix):
+    def test_members_reaching_other_tiles_keep_the_bits_of_their_own_runs(self, matrix):
         # member 0 reaches the tiles of groups 0 and 1, member 1 those of 0
         # and 2, member 2 both: G on the stack's tiles keeps the bits of G
         # on a member's own tiles for member 2, which holds them all, and is
         # within round-off of it for the others, by the product up to MATRIX
-        # tiles and by the gather above
-        monkeypatch.setattr(dynamics, "MATRIX", matrix)
-        masks, terms, keep, tiles, reach, x = self._case(4, 2, [(0, 1), (0, 2), (0, 1, 2)])
+        # tiles and by the feeds above
+        masks, feeds, keep, tiles, reach, x = self._case(4, 2, [(0, 1), (0, 2), (0, 1, 2)])
         assert reach.all(axis=1).tolist() == [False, False, True]
-        damp = dynamics._gathers(terms, keep, x.shape[-1])
+        damp = self._tiles_damping(feeds, keep, tiles.size, matrix)
         assert damp.__name__ == ("product" if tiles.size <= matrix else "gather")
         got = self._applied(damp, x)
         for k, own in enumerate(reach):
-            alone = dynamics._gathers(dynamics._terms(masks, tiles[own], 8), keep[:, k:k + 1],
-                                      x.shape[-1])
+            alone = self._tiles_damping(list(dynamics._feeds(masks, tiles[own], 8)),
+                                        keep[:, k:k + 1], np.count_nonzero(own), matrix)
             want = self._applied(alone, x[k:k + 1, own])[0]
             if own.all():
                 assert np.array_equal(got[k, own], want)
             else:
                 assert np.max(np.abs(got[k, own] - want)) <= 1e-14
             assert not got[k, ~own].any()
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("qubits", [3, 4, 5])
+    def test_g_by_its_feeds_is_the_damper_bit_for_bit(self, qubits, size, members):
+        # only bits of the group index decay, so D_in is the identity and the
+        # support form's first two nodes, D(dt/2) and then D(dt) by identity
+        # unitaries, are G's feeds alone, with MATRIX below the tiles: each
+        # bit feeds its pairs in `_damper`'s order and the weight multiplies
+        # last, so the bits of `_damper` on the same entries.  Random closed
+        # supports: each member on random groups, a third of the rates 0;
+        # above DENSE levels a support of every tile steps grouped, and is
+        # drawn again
+        rng = np.random.default_rng(100 * qubits + 10 * size + members)
+        dim, groups = 2 ** qubits, 2 ** qubits // size
+        outer = [bit for bit in range(qubits) if 1 << bit >= size]
+        cases = 0
+        while cases < 6:
+            rho = np.zeros((members, dim, dim), dtype=complex)
+            for member in rho:
+                chosen = rng.choice(groups, rng.integers(1, groups + 1), replace=False)
+                levels = (chosen[:, None] * size + np.arange(size)).ravel()
+                member[np.ix_(levels, levels)] = _random_complex(rng, (levels.size,) * 2)
+            rates = rng.uniform(0.2, 2.0, (len(outer), members))
+            rates[rng.random(rates.shape) < 1 / 3] = 0.0
+            rates[-1, 0] = 0.5  # the highest bit decays
+            rates = {1 << bit: rate for bit, rate in zip(outer, rates) if rate.any()}
+            tiles = np.count_nonzero(dynamics._support(rho, rates, size))
+            if tiles == groups ** 2 and dim > dynamics.DENSE:
+                continue
+            cases += 1
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "MATRIX", tiles - 1)
+                nodes, want, (half, full) = _identity_nodes(patch, rho, size, rates, 0.6)
+            assert half[0].__name__ == ("gather" if tiles > 1 else "product")
+            assert np.array_equal(nodes, want)
 
     @pytest.mark.parametrize("matrix", [1000, 1])
     @pytest.mark.parametrize("members", [1, 2, 3])
