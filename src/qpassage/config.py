@@ -23,6 +23,7 @@ the key at fault.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,6 +92,11 @@ class RunConfig:
         if not self.qubits <= largest:
             raise ConfigError(f"qubits must be at most {largest}: the d x d complex matrix of "
                               "a larger register is more than numpy can address", key="qubits")
+        # the protocol ends at its step count times the duration, the last t it writes
+        steps = {"bell": 2, "bell-reverse": 1}.get(self.protocol, self.qubits)
+        if not steps * self.duration <= sys.float_info.max:
+            raise ConfigError(f"duration times the protocol's {steps} steps must be finite: "
+                              f"{steps} x {self.duration!r} overflows", key="duration")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}", key="mode")
         if not all(k >= 0 for k in self.kappa_T):

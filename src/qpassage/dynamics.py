@@ -47,18 +47,21 @@ tiles' product.  Every other stack, in
 groups of more than TILE levels (such as any dense H of more than TILE
 levels gives), empty, or reaching every tile of more than DENSE levels
 (the last rotating-frame protocol step from GHZ4 on), is damped in place
-by D(dt) through views bound once per propagation and multiplied by u
-group by group (`_grouped_steps`, see below).  The forms agree to
-round-off.  A node rho = D(dt/2) sigma is formed only where it is needed:
-at the positivity checkpoints and the end.  Every form hands its nodes in one
-layout, their values at a fixed set of flat positions of a d x d matrix
-(all d^2 of them unless the support form carries fewer), and this module
-alone knows it: every reader goes through two helpers.  `_reader`
-compiles populations <k|rho|k>, which are linear in rho,
+by D(dt) through `_damper`'s views of the (K, d, d) stack, bound once per
+propagation, and multiplied by u group by group (`_grouped_steps`, see
+below).  The forms agree to round-off.  A node rho = D(dt/2) sigma is
+formed only where it is needed: at the positivity checkpoints and the
+end.  Every form hands its nodes in one layout, their values at a fixed
+set of flat positions of a d x d matrix (all d^2 of them unless the
+support form carries fewer), with one reading of them, D(dt/2) as
+`_gathers` on the feeds of every decaying bit among those entries, and
+this module alone knows it: every reader goes through two helpers.
+`_reader` compiles populations <k|rho|k>, which are linear in rho,
 tr(P D(sigma)) = tr(D+(P) sigma), into one real linear map of sigma by
 pulling the projectors back through the adjoint channel D+ once per
-propagation (the Heisenberg picture), walking the same feeds backwards;
-`_matrices` writes rho = D(sigma) as d x d matrices, for the checkpoints
+propagation (the Heisenberg picture), which `_gathers` codes next to D
+from the same pairs and weight; `_matrices` damps the carried values on
+their entries and scatters them into d x d matrices, for the checkpoints
 and for `propagate_lindblad`'s observer, which gets them in one reused
 buffer.  Positivity and trace are still checked, never enforced: a
 violation beyond tolerance fails loudly.
@@ -496,8 +499,9 @@ def _decay_rates(dissipators: list[Dissipator], dim: int, members: int) -> dict:
 
 
 def _damping(rates: dict, tau: float, members: int, dim: int) -> tuple:
-    """D(tau) as its feeds [(mask, p)], p = 1 - exp(-rate tau) shaped to
-    broadcast over a (K, n, ...) view of `_bits`, and its (K, 1, d, d) weight.
+    """D(tau) of the grouped steps (`_damper`) as its feeds [(mask, p)],
+    p = 1 - exp(-rate tau) shaped to broadcast over a (K, n, ...) view of
+    `_bits`, and its (K, 1, d, d) weight.
     p and the weight come back complex, cast once here rather than to x+0j
     inside every product with the complex state, which gives the same bits."""
     feeds = []
@@ -624,29 +628,40 @@ def _gathers(feeds: list, p: np.ndarray, keep: np.ndarray) -> Callable:
     """D of the bits whose feeds on E entries `_feeds` gives, each bit
     keeping the (F, K) share keep = exp(-rate tau) of its excited
     population and feeding the (F, K) p = 1 - keep, one row per bit, as
-    damp(x, out) writing D(x) into out, x and out being (K, E, ...) real
+    damp(x, out) writing D(x) into out, x and out being (K, E, ...)
     arrays: out takes x, each bit with a pair adds p times its sources into
     its destinations, in the order of the bits, and the weight, formed in
     that order, multiplies last.  That is `_damper`'s map in `_damper`'s
-    order, so with its bits.  The support form damps the tiles' float rows
-    by it above MATRIX tiles (G), and makes G's matrix up to MATRIX and
-    D_in's from it (`_matrix`)."""
-    fed, weight = [], np.ones(1)
+    order, so with its bits.  damp.adjoint(x) returns the adjoint channel
+    D+ of the (E, ...) or (K, E, ...) array x as a new (K, E, ...) array,
+    from the same pairs and weight: the weight first, then each bit's
+    ee += p gg, the bits in reverse order.  The support form damps the
+    tiles' float rows by it above MATRIX tiles (G), and makes G's matrix up
+    to MATRIX and D_in's from it (`_matrix`); every open form reads its
+    nodes through it (`_open_form`)."""
+    fed, weight = [], np.ones((keep.shape[-1], 1))
     for (dst, src, excited), fraction, share in zip(feeds, p, keep):
         if dst.size:
             fed.append((dst, src, fraction[:, None, None]))
         weight = weight * np.array([np.ones_like(share), np.sqrt(share), share])[excited].T
     weight = weight[..., None]
 
-    def gather(x: np.ndarray, out: np.ndarray) -> None:
-        out[...] = x
-        for dst, src, fraction in fed:
+    back = [(src, dst, fraction) for dst, src, fraction in reversed(fed)]
+
+    def feed(out: np.ndarray, pairs: list) -> np.ndarray:
+        for dst, src, fraction in pairs:
             # two takes and one assignment: half the time of out[:, dst] += ...
             terms = out.take(src, axis=1)
             terms *= fraction
             terms += out.take(dst, axis=1)
             out[:, dst] = terms
+        return out
+
+    def gather(x: np.ndarray, out: np.ndarray) -> None:
+        out[...] = x
+        feed(out, fed)
         out *= weight
+    gather.adjoint = lambda x: feed(x * weight, back)
     return gather
 
 
@@ -762,8 +777,10 @@ def _open_form(sigma: np.ndarray, size: int, rates: dict, dt: float, nodes: int)
     `_grouped_steps` otherwise.  The buffer holds n nodes of each member as
     (K, n, E) values at the flat positions `entries` of a d x d matrix: the
     support form's entries, else all d^2, the grouped form's (K, n, d, d)
-    buffer viewed flat.  The reading, (feeds, weight, entries) of D(dt/2),
-    says how they make the nodes rho (see `_lindblad_run`).
+    buffer viewed flat.  The reading, (damp, entries), says how they make
+    the nodes rho (see `_lindblad_run`): damp is D(dt/2) on those entries,
+    `_gathers` on the feeds of every decaying bit among them (`_feeds`),
+    for both forms.
 
     The support form splits D into G (x) D_in (see `_support_steps`) and
     finds each factor's feeds (`_feeds`) once, feeding them at dt/2 and
@@ -772,39 +789,41 @@ def _open_form(sigma: np.ndarray, size: int, rates: dict, dt: float, nodes: int)
     at their flat positions in the (S, S) matrix of tiles, from the bits of
     the group index, each bit m of it being bit m / b of the group, a
     T x T matrix made the same way up to MATRIX tiles and the feeds
-    themselves above (`_gathers`).  A member's own run takes the same form
-    on the same entries, so the same bits, exactly when it reaches, under
-    its own decaying channels, every tile the stack reaches."""
+    themselves above (`_gathers`).  The grouped form damps sigma in place
+    by `_damping`'s D(dt/2) and D(dt) through `_damper`'s views.  A
+    member's own run takes the same form on the same entries, so the same
+    bits, exactly when it reaches, under its own decaying channels, every
+    tile the stack reaches."""
     members, dim = sigma.shape[0], sigma.shape[-1]
     taus = (0.5 * dt, dt)
-    half = _damping(rates, taus[0], members, dim)
-    if size <= TILE and members:  # an empty stack steps grouped
-        tiles = _support(sigma, rates, size)
-        if dim <= DENSE or not tiles.all():
-            entries = _entries(tiles, size)
-            # the keep of each channel and whether its bit lies inside the groups
-            keep = [np.exp(-np.reshape(list(rates.values()), (-1, members)) * tau) for tau in taus]
-            masks = np.array(list(rates), dtype=int)
-            inside = masks < size
-            feeds = list(_feeds(masks[inside], np.arange(size * size), size))
-            inner = [_matrix(_gathers(feeds, 1.0 - share[inside], share[inside]), members,
-                             size * size) for share in keep]
-            at = np.flatnonzero(tiles)
-            if at.size == 1:  # G is the identity
-                dampings = [(_product(matrix), None) for matrix in inner]
-            else:
-                feeds = list(_feeds(masks[~inside] // size, at, dim // size))
-                outer = [_gathers(feeds, 1.0 - share[~inside], share[~inside]) for share in keep]
-                dampings = [(_product(_matrix(damp, members, at.size)) if at.size <= MATRIX
-                             else damp, matrix) for damp, matrix in zip(outer, inner)]
-            carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
-            buf = np.empty((members, nodes, entries.size), dtype=complex)
-            return (_support_steps(carried, *dampings, buf, entries, np.nonzero(tiles)),
-                    buf, half + (entries,))
-    buf = np.empty((members, nodes, dim * dim), dtype=complex)
-    steps = _grouped_steps(sigma, half, _damping(rates, dt, members, dim),
-                           buf.reshape(members, nodes, dim, dim))
-    return steps, buf, half + (np.arange(dim * dim),)
+    # the keep of each channel at each tau
+    keep = [np.exp(-np.reshape(list(rates.values()), (len(rates), members)) * tau) for tau in taus]
+    masks = np.array(list(rates), dtype=int)
+    # an empty stack steps grouped
+    tiles = _support(sigma, rates, size) if size <= TILE and members else None
+    support = tiles is not None and (dim <= DENSE or not tiles.all())
+    entries = _entries(tiles, size) if support else np.arange(dim * dim)
+    buf = np.empty((members, nodes, entries.size), dtype=complex)
+    if support:
+        inside = masks < size  # whether each channel's bit lies inside the groups
+        feeds = list(_feeds(masks[inside], np.arange(size * size), size))
+        inner = [_matrix(_gathers(feeds, 1.0 - share[inside], share[inside]), members,
+                         size * size) for share in keep]
+        at = np.flatnonzero(tiles)
+        if at.size == 1:  # G is the identity
+            dampings = [(_product(matrix), None) for matrix in inner]
+        else:
+            feeds = list(_feeds(masks[~inside] // size, at, dim // size))
+            outer = [_gathers(feeds, 1.0 - share[~inside], share[~inside]) for share in keep]
+            dampings = [(_product(_matrix(damp, members, at.size)) if at.size <= MATRIX
+                         else damp, matrix) for damp, matrix in zip(outer, inner)]
+        carried = np.ascontiguousarray(sigma.reshape(members, dim * dim)[:, entries])
+        steps = _support_steps(carried, *dampings, buf, entries, np.nonzero(tiles))
+    else:
+        steps = _grouped_steps(sigma, *(_damping(rates, tau, members, dim) for tau in taus),
+                               buf.reshape(members, nodes, dim, dim))
+    damp = _gathers(list(_feeds(masks, entries, dim)), 1.0 - keep[0], keep[0])
+    return steps, buf, (damp, entries)
 
 
 def _traces(nodes: np.ndarray, on: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarray:
@@ -821,16 +840,16 @@ def _traces(nodes: np.ndarray, on: np.ndarray, levels: np.ndarray, dim: int) -> 
 def _matrices(sigma: np.ndarray, reading: tuple, out: np.ndarray) -> np.ndarray:
     """The nodes rho = D(sigma) of the (K, n, E) values `sigma` an open run
     hands over with `reading` (see `_lindblad_run`), as (K, n, d, d)
-    matrices: written into out[:, :n] of the (K, N, d, d) buffer `out`,
-    which must be 0 off the reading's entries, and returned.  D keeps the
-    entries' set (see `_support`), so `out` stays 0 off them."""
-    feeds, weight, entries = reading
-    dim = out.shape[-1]
-    out.reshape(out.shape[:2] + (dim * dim,))[:, :sigma.shape[1], entries] = sigma
-    rho = out[:, :sigma.shape[1]]
-    if feeds is not None:
-        _damper(rho, feeds, weight)()
-    return rho
+    matrices: the values are damped on their entries by the reading's D
+    and then scattered into out[:, :n] of the (K, N, d, d) buffer `out`,
+    which must be 0 off the reading's entries, and returned."""
+    damp, entries = reading
+    if damp is not None:
+        damped = np.empty_like(sigma)
+        damp(sigma.swapaxes(1, 2), damped.swapaxes(1, 2))
+        sigma = damped
+    out.reshape(out.shape[:2] + (out.shape[-1] ** 2,))[:, :sigma.shape[1], entries] = sigma
+    return out[:, :sigma.shape[1]]
 
 
 def _reader(kets: np.ndarray, reading: tuple) -> tuple:
@@ -844,24 +863,18 @@ def _reader(kets: np.ndarray, reading: tuple) -> tuple:
 
     Each population is linear in the node, <k|D(sigma)|k> = tr(D+(P) sigma)
     for the projector P = |k><k|, formed only at the entries the nodes hold
-    (sigma is exactly 0 elsewhere) and pulled back through the adjoint
-    channel D+ here, once: D applies the weight after the feeds (see
-    `_damping`), so D+ applies it first, then the feeds' adjoints
-    ee += p gg in reverse order, the gg partner of an entry of the set being
-    in the set too.  tr(P sigma) = sum_ij P_ji sigma_ij with P_ji =
-    conj(P_ij), so its real part pairs Re P_ij with Re sigma_ij and Im P_ij
-    with Im sigma_ij: the float views of P and sigma line up, and the map
-    keeps only the positions some P reads."""
-    feeds, weight, entries = reading
-    dim = kets.shape[-1]
-    rows, cols = np.divmod(entries, dim)
+    (sigma is exactly 0 elsewhere) and pulled back here, once, through the
+    adjoint channel D+ the reading's D codes next to it (`_gathers`), the
+    gg partner of an entry of the set being in the set too.
+    tr(P sigma) = sum_ij P_ji sigma_ij with P_ji = conj(P_ij), so its real
+    part pairs Re P_ij with Re sigma_ij and Im P_ij with Im sigma_ij: the
+    float views of P and sigma line up, and the map keeps only the
+    positions some P reads."""
+    damp, entries = reading
+    rows, cols = np.divmod(entries, kets.shape[-1])
     pulled = kets[:, rows] * np.conj(kets[:, cols])
-    if feeds is not None:
-        members = weight.shape[0]
-        pulled = pulled * weight.reshape(members, 1, -1)[..., entries]
-        back = feeds[::-1]
-        for (_, p), (dst, src, _) in zip(back, _feeds([mask for mask, _ in back], entries, dim)):
-            pulled[..., src] += p.reshape(members, 1, 1) * pulled[..., dst]
+    if damp is not None:
+        pulled = damp.adjoint(pulled.T).swapaxes(-1, -2)
     flat = np.ascontiguousarray(pulled).view(float)
     support = np.flatnonzero(np.any(flat != 0, axis=tuple(range(flat.ndim - 1))))
     return support, flat[..., support].swapaxes(-1, -2)
@@ -882,24 +895,24 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
     `reading` that says how they make the nodes rho.  Only two helpers
     read it: `_reader` compiles the populations of a ket list, once per
     reading, into a linear map of sigma, and `_matrices` writes rho as
-    d x d matrices.  (The reading is (feeds, weight, entries): sigma holds
-    each node's values at the flat positions `entries` of a d x d matrix,
-    all d^2 of them or the support form's E, every other entry being
-    exactly 0, and rho = D(dt/2) sigma, D given by the feeds and weight of
-    `_damping`, or rho = sigma for node 0, whose feeds are None.)  The
+    d x d matrices.  (The reading is (damp, entries): sigma holds each
+    node's values at the flat positions `entries` of a d x d matrix, all
+    d^2 of them or the support form's E, every other entry being exactly
+    0, and rho = D(dt/2) sigma, damp being D(dt/2) on those entries
+    (`_gathers`), or rho = sigma for node 0, whose damp is None.)  The
     observer may overwrite the block: the run reads nothing of it after
     the call, and the next steps overwrite it.  The trace gate reads every
     sigma node, its diagonal positions found once with the step form, and
     every damped node; only the checkpoint nodes and the final one are
-    damped, for the eigenvalue gate and the result, through `_matrices`
-    into d x d matrices of their own.
+    damped, for the eigenvalue gate and the result, through `_matrices`,
+    on their entries and then into d x d matrices of their own.
 
     The steps take one of two forms (`_open_form`), chosen once, at the
     first block, when the group shape (S, b) of the step unitaries is known
     (`_propagate` holds it for the whole propagation), from what the decay
     reaches.  The channels are those of `rates` whose rate is not 0 for
     every member: the others are dropped here, before anything is
-    compiled, so they add no feed, term, reader pull-back or tile.
+    compiled, so they add no feed, reader pull-back or tile.
 
     * in groups of at most TILE levels, `_support_steps`: the tiles the
       members can reach are compiled into one mask (`_support`), and the
@@ -980,7 +993,7 @@ def _lindblad_run(rates: dict, rho0: np.ndarray, grid: TimeGrid, observe: Callab
             on = np.flatnonzero(entries % (dim + 1) == 0)
             form = (steps, buf, reading, (on, entries[on] // (dim + 1)))
             buf[:, 0] = rho.reshape(members, dim * dim)[:, entries]
-            observe(0, buf[:, :1], (None, None, entries))
+            observe(0, buf[:, :1], (None, entries))
         steps, buf, reading, diagonal = form
         steps(u, which)
         block = buf[:, :len(u)]

@@ -181,6 +181,11 @@ class TestRunConfigRules:
         ({"j_over_omega": NAN}, "j_over_omega", "j_over_omega must be finite and non-negative"),
         ({"protocol": "ghz", "qubits": 30}, "qubits", "qubits must be at most 29: the d x d "),
         ({"protocol": "ghz", "qubits": 10 ** 400}, "qubits", "qubits must be at most 29"),
+        ({"duration": 1e308}, "duration",
+         "duration times the protocol's 2 steps must be finite: 2 x 1e+308 overflows"),
+        ({"duration": 10 ** 400}, "duration", "duration times the protocol's 2 steps"),
+        ({"protocol": "ghz", "qubits": 3, "duration": 6e307}, "duration",
+         "duration times the protocol's 3 steps must be finite: 3 x 6e+307 overflows"),
     ])
     def test_construction_and_replace_apply_each_rule(self, changes, key, message):
         builders = (lambda: RunConfig(**{**VALID, **changes}),
@@ -197,6 +202,12 @@ class TestRunConfigRules:
         assert config.grid == 500 and type(config.grid) is int
         # the largest grid whose nodes fit one float64 array
         assert RunConfig(**VALID, grid=MAX_GRID - 1).grid == MAX_GRID - 1
+
+    @pytest.mark.parametrize("protocol, qubits, duration", [
+        ("bell", 2, 6e307), ("bell-reverse", 2, 1.7e308), ("ghz", 3, 5.9e307)])
+    def test_a_duration_whose_protocol_ends_at_a_finite_time_passes(self, protocol, qubits,
+                                                                   duration):
+        assert RunConfig(protocol, duration, qubits).duration == duration
 
     def test_at_reanchors_the_same_error(self):
         with pytest.raises(ConfigError) as err:
@@ -680,6 +691,34 @@ class TestSweepCommand:
                 "larger register is more than numpy can address"]
             assert captured.out == ""
             assert not out.exists()
+
+    @pytest.mark.parametrize("text, line, steps, duration", [
+        (BELL_CFG, 2, 2, 1e308), (GHZ_CFG, 3, 3, 6e307)], ids=["bell", "ghz3"])
+    def test_a_duration_whose_end_time_overflows_exits_two_naming_duration(
+            self, tmp_path, capsys, monkeypatch, text, line, steps, duration):
+        # the t column is the protocol's times scaled by the duration: an end
+        # time that overflows would write inf there
+        monkeypatch.setattr(cli, "run_protocol_kappas", _must_not_run)
+        out = tmp_path / "o"
+        text = text.format(grid=100, kappa="0.0", out=out)
+        cfg = write_cfg(tmp_path, text.replace("duration = 1.0", f"duration = {duration}"))
+        assert main(["run", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {cfg}:{line}: duration times the protocol's {steps} steps must be finite: "
+            f"{steps} x {duration!r} overflows"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_duration_whose_end_time_is_finite_runs(self, tmp_path):
+        # 2 x 6e307 is finite, so Bell writes finite times up to it
+        out = tmp_path / "o"
+        text = BELL_CFG.format(grid=64, kappa="0.0, 0.0145", out=out)
+        assert main(["run", write_cfg(tmp_path, text.replace("duration = 1.0",
+                                                             "duration = 6e307"))]) == 0
+        for name in ("bell-00.csv", "bell-01.csv"):
+            times = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
+            assert np.isfinite(times).all() and times[-1] == 2 * 6e307
 
     def test_unallocatable_plan_exits_two(self, tmp_path, capsys):
         # 29 qubits pass the config rule, but a plan's state vector of 2**29

@@ -408,20 +408,17 @@ class TestLindblad:
         # p + keep = 1 holds in arithmetic; the gate reads the trace instead
         # of resting on it.  A driven qubit decaying at rate 10 moves over a
         # whole unit of population through the channel in the run, so a leak
-        # of 1e-6 in every damping passes the gate's 1e-6.  The steps' D
-        # comes from `_gathers`, the read's D(dt/2) from `_damping`; the leak
-        # goes into the feeds' p alone, since one put into keep would move
-        # the weight with it and keep the trace
-        damping, gathers = dynamics._damping, dynamics._gathers
+        # of 1e-6 in every damping passes the gate's 1e-6.  The steps' D and
+        # the read's D(dt/2) both come from `_gathers`: read-damping-only
+        # leaks every D(dt/2), which from the ground state feeds nothing but
+        # in the read.  The leak goes into the feeds' p alone, since one put
+        # into keep would move the weight with it and keep the trace
+        gathers = dynamics._gathers
         grid = TimeGrid(0, 1, 200)
 
-        def leaky(rates, tau, members, dim):
-            feeds, weight = damping(rates, tau, members, dim)
-            if half_only and tau == grid.dt:
-                return feeds, weight
-            return [(mask, p * (1.0 + leak)) for mask, p in feeds], weight
-
         def leaky_gathers(feeds, p, keep):
+            if half_only and np.array_equal(keep, np.exp([[-10.0 * grid.dt]])):
+                return gathers(feeds, p, keep)
             return gathers(feeds, p * (1.0 + leak), keep)
 
         def run():
@@ -429,9 +426,7 @@ class TestLindblad:
                                       rho0, grid)
 
         assert run().trace_drift <= 1e-12
-        monkeypatch.setattr(dynamics, "_damping", leaky)
-        if not half_only:
-            monkeypatch.setattr(dynamics, "_gathers", leaky_gathers)
+        monkeypatch.setattr(dynamics, "_gathers", leaky_gathers)
         with pytest.raises(StepSizeError,
                            match=rf"^trace drifted by \d\.\d{{3}}e-0\d at t = {at}$"):
             run()
@@ -484,24 +479,90 @@ class TestHeisenberg:
             sigma.reshape(members, 5, dim * dim)[..., entries] = kept
         rho = sigma.copy()
         dynamics._damper(rho, *damping)()
-        support, coefficients = dynamics._reader(kets, damping + (entries,))
+        reading = _reading(dynamics._decay_rates(channels, dim, members), 0.35, entries, members,
+                           dim)
+        support, coefficients = dynamics._reader(kets, reading)
         assert coefficients.shape == (members, support.size, len(kets))
         values = np.ascontiguousarray(sigma.reshape(members, 5, dim * dim)[..., entries])
         got = values.view(float)[..., support] @ coefficients
         assert np.max(np.abs(np.moveaxis(got, -1, 0) - populations(rho, kets))) <= 1e-15
-        # D+ coded on whole d x d matrices through `_damper`'s strided views,
-        # the weight and then each feed's adjoint ee += p gg in reverse
-        # order, gives the read's bits on the entries it holds
-        feeds, weight = damping
-        pulled = np.zeros((members, len(kets), dim * dim), dtype=complex)
-        pulled[..., entries] = (kets[:, :, None] * np.conj(kets[:, None, :])).reshape(
-            len(kets), -1)[:, entries]
-        pulled = pulled.reshape(members, len(kets), dim, dim) * weight
-        for mask, p in reversed(feeds):
-            view = dynamics._bits(pulled, mask)
-            view[..., 0, :, :, 0, :] += p * view[..., 1, :, :, 1, :]
-        flat = np.ascontiguousarray(pulled.reshape(members, len(kets), -1)[..., entries])
-        assert np.array_equal(coefficients, flat.view(float)[..., support].swapaxes(-1, -2))
+        want = _pulled_back(kets, damping, entries)
+        assert np.array_equal(support, want[0]) and np.array_equal(coefficients, want[1])
+
+
+def _reading(rates, tau, entries, members, dim) -> tuple:
+    """The reading an open form hands over with nodes at the flat positions
+    `entries`, D(tau) of the channels `rates` by `_gathers` on the feeds of
+    every decaying bit among them."""
+    keep = np.exp(-np.reshape(list(rates.values()), (-1, members)) * tau)
+    return dynamics._gathers(list(dynamics._feeds(list(rates), entries, dim)), 1.0 - keep,
+                             keep), entries
+
+
+def _pulled_back(kets, damping, entries) -> tuple:
+    """`_reader`'s (support, coefficients) by D+ coded on whole d x d
+    matrices through `_damper`'s strided views: `_damping`'s weight and then
+    each feed's adjoint ee += p gg in reverse order, read at `entries`."""
+    feeds, weight = damping
+    members, dim = weight.shape[0], weight.shape[-1]
+    pulled = np.zeros((members, len(kets), dim * dim), dtype=complex)
+    pulled[..., entries] = (kets[:, :, None] * np.conj(kets[:, None, :])).reshape(
+        len(kets), -1)[:, entries]
+    pulled = pulled.reshape(members, len(kets), dim, dim) * weight
+    for mask, p in reversed(feeds):
+        view = dynamics._bits(pulled, mask)
+        view[..., 0, :, :, 0, :] += p * view[..., 1, :, :, 1, :]
+    flat = np.ascontiguousarray(pulled.reshape(members, len(kets), -1)[..., entries]).view(float)
+    support = np.flatnonzero(np.any(flat != 0, axis=(0, 1)))
+    return support, flat[..., support].swapaxes(-1, -2)
+
+
+class TestReading:
+    """The reading `_open_form` hands over with its nodes, D(dt/2) by
+    `_gathers` on the carried entries in both forms, against `_damper` and
+    `_pulled_back` on whole d x d matrices, bit for bit."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["support", "grouped"])
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("qubits", [3, 4, 5])
+    def test_the_reading_is_the_damper_and_its_adjoint(self, monkeypatch, qubits, size,
+                                                       members, grouped):
+        # random closed supports: each member on random groups, a third of
+        # the rates 0, the bits in a random order; TILE 0 forces the grouped
+        # form on all d^2 entries
+        rng = np.random.default_rng(1000 * grouped + 100 * qubits + 10 * size + members)
+        dim, groups = 2 ** qubits, 2 ** qubits // size
+        if grouped:
+            monkeypatch.setattr(dynamics, "TILE", 0)
+        for _ in range(3):
+            rho = np.zeros((members, dim, dim), dtype=complex)
+            for member in rho:
+                chosen = rng.choice(groups, rng.integers(1, groups + 1), replace=False)
+                levels = (chosen[:, None] * size + np.arange(size)).ravel()
+                member[np.ix_(levels, levels)] = _random_complex(rng, (levels.size,) * 2)
+            rates = rng.uniform(0.2, 2.0, (qubits, members))
+            rates[rng.random(rates.shape) < 1 / 3] = 0.0
+            rates[0, 0] = 0.5
+            rates = {1 << bit: rate for bit, rate in zip(rng.permutation(qubits), rates)
+                     if rate.any()}
+            _, _, reading = dynamics._open_form(rho, size, rates, 0.6, 4)
+            entries = reading[1]
+            assert entries.size == dim * dim or not grouped
+            damping = dynamics._damping(rates, 0.3, members, dim)
+            sigma = _random_complex(rng, (members, 4, entries.size))
+            want = np.zeros((members, 4, dim * dim), dtype=complex)
+            want[..., entries] = sigma
+            want = want.reshape(members, 4, dim, dim)
+            dynamics._damper(want, *damping)()
+            got = dynamics._matrices(sigma, reading, np.zeros((members, 6, dim, dim),
+                                                              dtype=complex))
+            assert np.array_equal(got, want)
+            kets = np.concatenate([np.eye(dim)[rng.permutation(dim)[:3]],
+                                   _random_complex(rng, (2, dim))])
+            support, coefficients = dynamics._reader(kets, reading)
+            want = _pulled_back(kets, damping, entries)
+            assert np.array_equal(support, want[0]) and np.array_equal(coefficients, want[1])
 
 
 class TestSplitStep:
@@ -744,12 +805,13 @@ class TestSmallSteps:
 
     @pytest.mark.parametrize("support", [True, False])
     def test_a_small_run_damps_no_step_in_place(self, monkeypatch, support):
-        # the support steps compile D(dt/2) and D(dt) from their terms and
-        # bind the damper only to damp the checkpoint nodes, the last being
-        # the final one; the grouped steps damp sigma every step
+        # the support steps damp sigma by their own products and feeds, and
+        # either form's reading damps the checkpoint nodes alone, the last
+        # being the final one, on their entries: only the grouped steps bind
+        # the damper, and they damp sigma every step
         rng = np.random.default_rng(3)
-        damped = []
-        damper = dynamics._damper
+        damped, read = [], []
+        damper, open_form = dynamics._damper, dynamics._open_form
 
         def counted_damper(x, feeds, weight):
             damp = damper(x, feeds, weight)
@@ -759,18 +821,28 @@ class TestSmallSteps:
                 damp()
             return counted
 
+        def counted_form(*args):
+            steps, buf, (damp, entries) = open_form(*args)
+
+            def counted_read(x, out):
+                read.append(x.shape[-1])
+                damp(x, out)
+            return steps, buf, (counted_read, entries)
+
         monkeypatch.setattr(dynamics, "_damper", counted_damper)
+        monkeypatch.setattr(dynamics, "_open_form", counted_form)
         if not support:
             monkeypatch.setattr(dynamics, "TILE", 0)
         channels = self._channels(rng, 3, 2)
         grid = TimeGrid(0.0, 1.0, 200)
         run = dynamics._lindblad_run(dynamics._decay_rates(channels, 8, 2),
                                      np.array([_random_density(rng, 8)] * 2), grid,
-                                     lambda first, sigma, damping: None)
+                                     lambda first, sigma, reading: None)
         dynamics._propagate(_group_hamiltonian(rng, 2, 4), grid, 8, [run])
+        assert sum(read) == dynamics.CHECKPOINTS
+        assert len(read) <= -(-grid.steps // BLOCK)
         if support:
-            assert sum(damped) == dynamics.CHECKPOINTS
-            assert len(damped) <= -(-grid.steps // BLOCK)
+            assert damped == []
         else:
             assert len(damped) >= grid.steps
 

@@ -526,12 +526,21 @@ class TestMemory:
         # contract each of them with the d x d target projectors
         model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T, kappa=0.0145)
         plan = plan_ghz(model)
-        damped, dense = [], []
-        damper, einsum = dynamics._damper, np.einsum
+        damped, read, dense = [], [], []
+        damper, open_form, einsum = dynamics._damper, dynamics._open_form, np.einsum
 
         def counted_damper(x, feeds, weight):
             damped.append(x.shape[1])
             return damper(x, feeds, weight)
+
+        def counted_form(*args):
+            steps, buf, (damp, entries) = open_form(*args)
+
+            def counted_read(x, out):
+                read.append(x.shape[-1])
+                damp(x, out)
+            counted_read.adjoint = damp.adjoint
+            return steps, buf, (counted_read, entries)
 
         def counted_einsum(*operands, **kwargs):
             if any(np.ndim(a) >= 2 and np.shape(a)[-2:] == (32, 32) for a in operands[1:]):
@@ -539,11 +548,13 @@ class TestMemory:
             return einsum(*operands, **kwargs)
 
         monkeypatch.setattr(dynamics, "_damper", counted_damper)
+        monkeypatch.setattr(dynamics, "_open_form", counted_form)
         monkeypatch.setattr(np, "einsum", counted_einsum)
         run_protocol(plan, model, noise=True, grid_steps=2000, compute_residual=False)
-        # at most sigma's own two dampers (the grouped steps bind them), then
-        # the checkpoints, the last being the end
-        assert sum(damped) <= (dynamics.CHECKPOINTS + 2) * len(plan.steps)
+        # every step takes the support form, which binds no damper; the
+        # reading damps the checkpoints alone, the last being the end
+        assert damped == []
+        assert sum(read) == dynamics.CHECKPOINTS * len(plan.steps)
         assert len(dense) == 0
 
     def test_the_residual_takes_one_call_per_span_and_no_matrices(self, monkeypatch):
@@ -909,7 +920,8 @@ class TestOpenForms:
         reader = protocols._reader
 
         def counted(kets, reading):
-            compiled.append(reading[0] is None)
+            damp, _ = reading
+            compiled.append(damp is None)
             return reader(kets, reading)
         monkeypatch.setattr(protocols, "_reader", counted)
         model = QubitModel(qubits=5, omega=CALIBRATED_OMEGA_T)
